@@ -178,6 +178,19 @@ pub enum ExecError {
         /// When the drain arrived, in iteration seconds.
         at_seconds: f64,
     },
+    /// A link fault names fabric the run does not have: a node index past
+    /// the topology's last node, or [`FaultTarget::Trunk`] without
+    /// [`FaultPlan::trunk_bytes_per_sec`]. Checked before any flow starts.
+    ///
+    /// ```
+    /// # use holmes_engine::{ExecError, FaultTarget};
+    /// let e = ExecError::FaultTargetMissing { target: FaultTarget::Trunk };
+    /// assert!(e.to_string().contains("not in the fabric"));
+    /// ```
+    FaultTargetMissing {
+        /// The fault target with no fabric links behind it.
+        target: FaultTarget,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -217,6 +230,12 @@ impl std::fmt::Display for ExecError {
                 "node {node} draining since {at_seconds:.3}s; collectives cannot \
                  continue without its ranks"
             ),
+            ExecError::FaultTargetMissing { target } => {
+                write!(
+                    f,
+                    "fault plan targets {target:?}, which is not in the fabric"
+                )
+            }
         }
     }
 }
@@ -488,6 +507,9 @@ fn execute_inner(
     plan: Option<&FaultPlan>,
     obs: Option<&mut holmes_obs::ObsSession>,
 ) -> Result<IterationReport, ExecError> {
+    if let Some(plan) = plan {
+        check_fault_targets(topo, plan)?;
+    }
     #[cfg(debug_assertions)]
     {
         let defects = crate::validate::validate_spec(&spec);
@@ -673,7 +695,24 @@ fn execute_inner(
     result
 }
 
-/// Expand a topology-level fault target into the fabric links it covers.
+/// Reject link faults whose target has no fabric links: a node past the
+/// topology's last node, or the trunk when the plan builds none. Churn
+/// on an out-of-range node stays valid (a pure membership signal).
+fn check_fault_targets(topo: &Topology, plan: &FaultPlan) -> Result<(), ExecError> {
+    for f in &plan.link_faults {
+        let present = match f.target {
+            FaultTarget::NodeRdma(node) | FaultTarget::NodeEth(node) => node < topo.node_count(),
+            FaultTarget::Trunk => plan.trunk_bytes_per_sec.is_some(),
+        };
+        if !present {
+            return Err(ExecError::FaultTargetMissing { target: f.target });
+        }
+    }
+    Ok(())
+}
+
+/// Expand a topology-level fault target into the fabric links it covers
+/// (already checked present by [`check_fault_targets`]).
 fn resolve_fault_target(fabric: &Fabric, target: FaultTarget) -> Vec<LinkId> {
     match target {
         FaultTarget::NodeRdma(node) => {
@@ -687,7 +726,7 @@ fn resolve_fault_target(fabric: &Fabric, target: FaultTarget) -> Vec<LinkId> {
         FaultTarget::Trunk => {
             let trunk = fabric
                 .trunk()
-                .expect("FaultTarget::Trunk on a topology without an inter-cluster trunk");
+                .expect("trunk presence is checked before the fabric is built");
             vec![trunk]
         }
     }
@@ -1842,6 +1881,47 @@ mod tests {
             .degraded_conditions
             .iter()
             .any(|c| matches!(c, DegradedCondition::DegradedLink { .. })));
+    }
+
+    /// Run one all-reduce over a single four-node IB cluster under `plan`.
+    fn allreduce_on_ib4(plan: &FaultPlan) -> Result<IterationReport, ExecError> {
+        let topo = presets::homogeneous(NicType::InfiniBand, 4);
+        let devices: Vec<Rank> = (0..topo.device_count()).map(Rank).collect();
+        let spec = ExecutionSpec {
+            programs: devices
+                .iter()
+                .map(|&d| (d, vec![Op::CollStart { id: 0 }, Op::CollWait { id: 0 }]))
+                .collect(),
+            collectives: vec![CollectiveSpec::new(CollKind::AllReduce, devices, 1 << 20)],
+            transport: TransportPolicy::Auto,
+        };
+        execute_with_faults(&topo, spec, plan)
+    }
+
+    #[test]
+    fn trunk_fault_without_a_trunk_is_a_typed_error() {
+        use holmes_netsim::SimTime;
+        let mut plan = FaultPlan::none();
+        plan.degrade_trunk(SimTime(1_000), SimTime(2_000), 0.5);
+        assert_eq!(
+            allreduce_on_ib4(&plan).unwrap_err(),
+            ExecError::FaultTargetMissing {
+                target: FaultTarget::Trunk
+            }
+        );
+    }
+
+    #[test]
+    fn nic_fault_on_a_missing_node_is_a_typed_error() {
+        use holmes_netsim::SimTime;
+        let mut plan = FaultPlan::none();
+        plan.kill_nic(SimTime(1_000), 99);
+        assert_eq!(
+            allreduce_on_ib4(&plan).unwrap_err(),
+            ExecError::FaultTargetMissing {
+                target: FaultTarget::NodeRdma(99)
+            }
+        );
     }
 
     #[test]

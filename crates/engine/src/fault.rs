@@ -30,8 +30,9 @@ pub enum FaultTarget {
     NodeRdma(u32),
     /// Both directions of a node's Ethernet uplink.
     NodeEth(u32),
-    /// The inter-cluster trunk (panics at execution if the topology has
-    /// no trunk).
+    /// The inter-cluster trunk; execution fails with
+    /// [`crate::ExecError::FaultTargetMissing`] unless the plan sets
+    /// [`FaultPlan::trunk_bytes_per_sec`].
     Trunk,
 }
 

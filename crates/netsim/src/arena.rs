@@ -8,8 +8,8 @@
 //!
 //! Slots are recycled through a free list exactly like the old
 //! `Vec<Option<ActiveFlow>>` slab; `live` flags plus per-slot `epoch`
-//! counters let the fast engine lazily invalidate heap entries that
-//! reference a reassigned slot.
+//! counters let the engine lazily invalidate heap entries that reference
+//! a reassigned slot.
 
 use crate::flow::FlowId;
 use crate::link::LinkId;
@@ -66,30 +66,29 @@ impl PathVec {
 /// Struct-of-arrays arena of flows past their latency phase.
 ///
 /// Every array is indexed by slot; `live[slot]` gates validity. Iteration
-/// order is never derived from the arena itself — callers iterate via
-/// `active_order` (legacy engine) or explicitly sorted id lists (fast
-/// engine) so float summation order stays deterministic.
+/// order is never derived from the arena itself — callers iterate via the
+/// id-keyed `id_to_slot` map or explicitly id-sorted slot lists so float
+/// summation order stays deterministic.
 #[derive(Debug, Default)]
 pub(crate) struct FlowArena {
     pub ids: Vec<u64>,
     pub tokens: Vec<u64>,
-    /// Bytes left at `anchor` (fast engine) or at the last global settle
-    /// (legacy engine — its anchor is the shared `last_settle` clock).
+    /// Bytes left at `anchor`.
     pub remaining: Vec<f64>,
     /// Current max-min rate, bytes per nanosecond.
     pub rate: Vec<f64>,
     /// Per-flow ceiling, bytes per nanosecond.
     pub rate_cap: Vec<f64>,
-    /// Per-flow settlement anchor (fast engine only).
+    /// Per-flow settlement anchor.
     pub anchor: Vec<SimTime>,
     pub path: Vec<PathVec>,
     /// Positions of this flow inside each path link's `link_flows` list,
-    /// parallel to `path` (fast-engine membership maintenance).
+    /// parallel to `path` (membership maintenance).
     pub link_pos: Vec<PathVec2>,
     /// Bumped whenever `rate` is reassigned or the slot is recycled;
     /// stale finish/prediction heap entries compare epochs to skip.
     pub epoch: Vec<u32>,
-    /// Component-walk visitation stamp (fast engine scratch).
+    /// Component-walk visitation stamp (scratch).
     pub visit: Vec<u32>,
     pub live: Vec<bool>,
     free: Vec<u32>,

@@ -13,8 +13,8 @@
 //!
 //! Determinism mirrors the fault layer: schedules are hand-built or
 //! seeded ([`ChurnSchedule::poisson`]), and identical seed + schedule
-//! replay byte-identical event logs on both engines (property-tested in
-//! `crates/netsim/tests/equivalence.rs`).
+//! replay byte-identical event logs on `NetSim` and `RefSim`
+//! (property-tested in `crates/netsim/tests/equivalence.rs`).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -10,9 +10,8 @@
 //! These are plain data — the crate deliberately does not depend on the
 //! sink types in `holmes-obs`; the engine layer converts records into
 //! trace spans when it merges the layers. Everything is collected in
-//! deterministic (flow-id / event) order and none of it is touched when
-//! observation is disabled, so un-observed runs keep the exact
-//! historical behaviour.
+//! deterministic (flow-id / event) order by read-only hooks in the
+//! engine, so observed and un-observed runs schedule identical events.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -22,11 +22,10 @@
 //!   assignment, harvested at every event in flow-id order;
 //! * a single check register holding the earliest completion prediction.
 //!
-//! Any divergence between [`RefSim`] and [`crate::NetSim`]'s default
-//! engine on the same call sequence is a bug in one of them; the
-//! proptests in `tests/equivalence.rs` assert byte-identical completion
-//! streams (timestamps included) over random flow/fault/cancel/timer
-//! schedules.
+//! Any divergence between [`RefSim`] and [`crate::NetSim`] (observed or
+//! not) on the same call sequence is a bug in one of them; the proptests
+//! in `tests/equivalence.rs` assert byte-identical completion streams
+//! (timestamps included) over random flow/fault/cancel/timer schedules.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};

@@ -1,33 +1,26 @@
-//! The discrete-event simulator core.
+//! The discrete-event simulator core: the public [`NetSim`] surface and
+//! its state container.
 //!
-//! Two engines share one state container:
+//! The engine itself lives in `sim_fast.rs`: a timer-wheel scheduler
+//! ([`sched::EventQueue`], ordered by `(time, seq)`), incremental
+//! per-component rate settlement, lazy `(rate, anchor)` flow progress in
+//! the struct-of-arrays [`FlowArena`], and finish/prediction heaps
+//! instead of per-event full scans. Its semantics are pinned by `RefSim`
+//! (a naive mirror of the same settlement spec) under proptest.
 //!
-//! * **Fast engine** (the default): timer-wheel scheduler, incremental
-//!   per-component rate settlement, lazy `(rate, anchor)` flow progress,
-//!   finish/prediction heaps instead of per-event full scans. See
-//!   `sim_fast.rs`.
-//! * **Exact engine** (enabled together with observation via
-//!   [`NetSim::enable_obs`]): the historical arithmetic — eager global
-//!   settlement and a full water-fill on every event — preserved
-//!   operation-for-operation so observed artifacts (timeline dumps,
-//!   benchmark observability registries) stay byte-identical across the
-//!   rewrite.
-//!
-//! Both engines pull events from the same [`sched::EventQueue`] (ordered
-//! by `(time, seq)` exactly like the old `BinaryHeap`) and store flows in
-//! the same struct-of-arrays [`FlowArena`]. The fast engine's semantics
-//! are pinned by `RefSim` (a naive mirror of the same settlement spec)
-//! under proptest, and against the exact engine on workloads whose
-//! arithmetic is exactly representable.
+//! Observation ([`NetSim::enable_obs`]) is a passive tap on that one
+//! engine: hooks at its activation, settlement and detach points record
+//! flow lifetimes, link busy windows and park/resume instants without
+//! changing a single scheduled event or float operation.
 
 use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
 
-use crate::arena::{FlowArena, PathVec};
+use crate::arena::FlowArena;
 use crate::churn::ChurnKind;
 use crate::fault::FaultSchedule;
 use crate::flow::{FlowId, FlowSpec};
 use crate::link::{LinkCapacity, LinkHealth, LinkId, LinkStats};
-use crate::obs::{FlowOutcome, NetObsReport, NetObsState};
+use crate::obs::{NetObsReport, NetObsState};
 use crate::sched::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
@@ -71,10 +64,6 @@ pub enum Completion {
 pub(crate) enum Payload {
     /// Latency phase of a flow ended; it starts consuming bandwidth.
     FlowStart(FlowId),
-    /// Versioned check for the earliest predicted flow completion
-    /// (exact engine only; the fast engine keeps a single check register
-    /// outside the queue).
-    RatesCheck(u64),
     /// User timer.
     Timer(u64),
     /// Scheduled link-health transition (index into the fault table).
@@ -87,7 +76,7 @@ pub(crate) enum Payload {
 /// rounding from rate recomputations).
 pub(crate) const DONE_EPS: f64 = 0.5;
 
-/// Fast-engine finish-heap entry: the predicted instant `remaining`
+/// Finish-heap entry: the predicted instant `remaining`
 /// crosses [`DONE_EPS`], as fractional nanoseconds.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FinishEntry {
@@ -116,7 +105,7 @@ impl PartialOrd for FinishEntry {
     }
 }
 
-/// Fast-engine prediction-heap entry: the whole-nanosecond completion
+/// Prediction-heap entry: the whole-nanosecond completion
 /// prediction `anchor + max(1, ceil(remaining / rate))`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct PredEntry {
@@ -172,21 +161,21 @@ pub struct NetSim {
     /// `FlowStart` becomes a no-op. The set size is exactly the number of
     /// tombstoned events still in the queue ([`NetSim::stalled`]).
     pub(crate) cancelled_pending: HashSet<FlowId>,
-    /// Per-link accumulated traffic and busy time.
+    /// Per-link accumulated traffic and busy time. Bytes are settled
+    /// whenever a crossing flow's rate changes or it detaches, so they
+    /// are complete whenever the link carries no flow (every busy-window
+    /// edge) and final once the simulation drains.
     pub(crate) link_stats: Vec<LinkStats>,
     /// Per-link count of active flows crossing it.
     pub(crate) link_nflows: Vec<u32>,
-    /// Per-link busy-window open time (fast engine byte/busy accounting).
+    /// Per-link busy-window open time (byte/busy accounting).
     pub(crate) link_open: Vec<SimTime>,
-    /// Per-link list of active flow slots crossing it (fast engine
-    /// component walks). Positions are mirrored in `FlowArena::link_pos`.
+    /// Per-link list of active flow slots crossing it (component walks).
+    /// Positions are mirrored in `FlowArena::link_pos`.
     pub(crate) link_flows: Vec<Vec<u32>>,
     /// Struct-of-arrays storage for flows past their latency phase.
     pub(crate) flows: FlowArena,
-    /// `(id, slot)` sorted ascending by id — the exact engine's canonical
-    /// iteration order (preserves historical float summation order).
-    pub(crate) active_order: Vec<(FlowId, u32)>,
-    /// Flow id → arena slot (fast engine lookup / ordered iteration).
+    /// Flow id → arena slot (lookup and id-ordered iteration).
     pub(crate) id_to_slot: BTreeMap<u64, u32>,
     /// Flows still in their latency phase.
     pub(crate) pending: BTreeMap<FlowId, FlowSpec>,
@@ -194,37 +183,18 @@ pub struct NetSim {
     pub(crate) backlog: VecDeque<Completion>,
     pub(crate) next_flow: u64,
     pub(crate) next_seq: u64,
-    pub(crate) rates_version: u64,
-    pub(crate) last_settle: SimTime,
     pub(crate) flows_completed: u64,
     pub(crate) events_processed: u64,
-    /// `true` once observation switched the simulator to the exact
-    /// engine. Never cleared: an observed run keeps historical arithmetic
-    /// end-to-end.
-    pub(crate) exact_engine: bool,
-    /// Queued `RatesCheck` events (exact engine) — for live-event
-    /// accounting in [`NetSim::stalled`].
-    pub(crate) checks_in_queue: u64,
-    /// Version of the newest queued `RatesCheck` (exact engine).
-    pub(crate) last_check_version: u64,
-    /// Fast-engine rates-check register: the single earliest predicted
-    /// completion, kept outside the queue so superseded predictions never
-    /// enter it.
+    /// Rates-check register: the single earliest predicted completion,
+    /// kept outside the queue so superseded predictions never enter it.
     pub(crate) check: Option<(SimTime, u64)>,
-    /// Fast-engine finish heap: eps-crossing instants, lazily invalidated
-    /// by flow epoch.
+    /// Finish heap: eps-crossing instants, lazily invalidated by flow
+    /// epoch.
     pub(crate) finish_heap: BinaryHeap<std::cmp::Reverse<FinishEntry>>,
-    /// Fast-engine prediction heap backing the check register.
+    /// Prediction heap backing the check register.
     pub(crate) pred_heap: BinaryHeap<std::cmp::Reverse<PredEntry>>,
-    // Reusable scratch buffers: contents are meaningless between calls,
-    // kept only to avoid per-call heap allocation on the hot path.
-    pub(crate) scratch_cap_left: Vec<f64>,
-    pub(crate) scratch_n_unfixed: Vec<u32>,
-    pub(crate) scratch_is_bottleneck: Vec<bool>,
-    pub(crate) scratch_link_active: Vec<bool>,
-    pub(crate) scratch_unfixed: Vec<u32>,
-    // Fast-engine scratch: generation-stamped per-link water-fill state
-    // and component worklists.
+    // Scratch: generation-stamped per-link water-fill state and component
+    // worklists, reused to avoid per-call allocation on the hot path.
     pub(crate) wf_gen: u32,
     pub(crate) wf_link_stamp: Vec<u32>,
     pub(crate) wf_cap: Vec<f64>,
@@ -239,8 +209,8 @@ pub struct NetSim {
     pub(crate) dirty_links: Vec<u32>,
     pub(crate) dirty_flows: Vec<u32>,
     pub(crate) harvest_slots: Vec<u32>,
-    /// Flow-level observation collector; `None` (the default) keeps every
-    /// hot path on the fast engine.
+    /// Flow-level observation collector; `None` (the default) skips every
+    /// hook.
     pub(crate) obs: Option<Box<NetObsState>>,
 }
 
@@ -270,24 +240,20 @@ impl NetSim {
 
     /// Enable flow-level observation: per-flow lifetimes, per-link busy
     /// windows and park/resume instants accumulate until
-    /// [`NetSim::take_obs`]. Observation switches the simulator to the
-    /// exact (historical-arithmetic) engine so observed timelines are
-    /// byte-identical to the pre-rewrite core; it must therefore be
-    /// enabled before any flow or event activity. Idempotent.
+    /// [`NetSim::take_obs`]. Observation only reads engine state, so an
+    /// observed run schedules exactly the events of an unobserved one. It
+    /// must be enabled before any flow or event activity so that every
+    /// flow and window is recorded from its start. Idempotent.
     ///
     /// # Panics
     /// Panics when called after simulation activity began.
     pub fn enable_obs(&mut self) {
         if self.obs.is_none() {
             assert!(
-                self.active_order.is_empty()
-                    && self.id_to_slot.is_empty()
-                    && self.pending.is_empty()
-                    && self.events_processed == 0,
+                self.id_to_slot.is_empty() && self.pending.is_empty() && self.events_processed == 0,
                 "enable_obs must be called before simulation activity"
             );
             self.obs = Some(Box::default());
-            self.exact_engine = true;
         }
     }
 
@@ -300,12 +266,19 @@ impl NetSim {
     /// records and link windows at the current time) and disable
     /// observation. `None` when observation was never enabled.
     pub fn take_obs(&mut self) -> Option<NetObsReport> {
-        self.obs.as_ref()?;
-        // Bring byte accounting up to `now` so open windows close with
-        // current totals (same settlement the next event would perform).
-        self.settle_progress();
         let state = self.obs.take()?;
-        let bytes: Vec<f64> = self.link_stats.iter().map(|s| s.bytes).collect();
+        // Open windows close with the bytes in-flight flows moved since
+        // their anchors, computed without settling them: moving an anchor
+        // here would change the float operations of every later event.
+        let mut bytes: Vec<f64> = self.link_stats.iter().map(|s| s.bytes).collect();
+        for &slot in self.id_to_slot.values() {
+            let s = slot as usize;
+            let elapsed = self.now.since(self.flows.anchor[s]).0 as f64;
+            let moved = (self.flows.rate[s] * elapsed).min(self.flows.remaining[s]);
+            for l in self.flows.path[s].as_slice() {
+                bytes[l.0 as usize] += moved;
+            }
+        }
         Some(state.into_report(self.now, &bytes))
     }
 
@@ -328,10 +301,10 @@ impl NetSim {
 
     /// Accumulated traffic statistics of a link.
     ///
-    /// Fast-engine note: bytes/busy time are settled at flow rate-change
-    /// granularity, so mid-run reads may lag the current instant; after a
-    /// full drain the totals are final. Observed (exact-engine) runs keep
-    /// the historical per-event settlement.
+    /// Bytes are settled when a crossing flow's rate changes or it leaves
+    /// the link, and busy time when the link goes idle, so mid-run reads
+    /// may lag the current instant; after a full drain the totals are
+    /// final.
     pub fn link_stats(&self, id: LinkId) -> Option<LinkStats> {
         self.link_stats.get(id.0 as usize).copied()
     }
@@ -376,17 +349,7 @@ impl NetSim {
             let eff = LinkCapacity::new(capacity.bytes_per_sec * self.health[i].capacity_factor());
             self.set_effective_capacity(i, eff);
             // Force re-fair-sharing for flows already in flight.
-            if self.exact_engine {
-                self.settle_progress();
-                self.recompute_rates();
-                self.schedule_rates_check();
-            } else {
-                self.dirty_links.clear();
-                self.dirty_flows.clear();
-                self.dirty_links.push(id.0);
-                self.fast_recompute();
-                self.fast_update_check();
-            }
+            self.recompute_link(id);
         }
     }
 
@@ -400,18 +363,18 @@ impl NetSim {
             self.health[i] = health;
             let eff = LinkCapacity::new(self.nominal[i].bytes_per_sec * health.capacity_factor());
             self.set_effective_capacity(i, eff);
-            if self.exact_engine {
-                self.settle_progress();
-                self.recompute_rates();
-                self.schedule_rates_check();
-            } else {
-                self.dirty_links.clear();
-                self.dirty_flows.clear();
-                self.dirty_links.push(id.0);
-                self.fast_recompute();
-                self.fast_update_check();
-            }
+            self.recompute_link(id);
         }
+    }
+
+    /// Re-share bandwidth in the component around a link whose capacity
+    /// just changed.
+    fn recompute_link(&mut self, id: LinkId) {
+        self.dirty_links.clear();
+        self.dirty_flows.clear();
+        self.dirty_links.push(id.0);
+        self.fast_recompute();
+        self.fast_update_check();
     }
 
     /// Schedule a health transition to take effect at absolute time `at`
@@ -473,94 +436,36 @@ impl NetSim {
             self.cancelled_pending.insert(id);
             return true;
         }
-        if !self.exact_engine {
-            return self.fast_cancel_active(id);
-        }
-        let Some(pos) = self.active_order.iter().position(|&(fid, _)| fid == id) else {
-            return false;
-        };
-        self.settle_progress();
-        let (_, slot) = self.active_order.remove(pos);
-        let s = slot as usize;
-        let path = std::mem::take(&mut self.flows.path[s]);
-        for l in path.as_slice() {
-            let i = l.0 as usize;
-            self.link_nflows[i] -= 1;
-            if self.obs.is_some() && self.link_nflows[i] == 0 {
-                let bytes_so_far = self.link_stats[i].bytes;
-                if let Some(obs) = self.obs.as_deref_mut() {
-                    obs.on_link_window_closed(*l, self.now, bytes_so_far);
-                }
-            }
-        }
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_flow_closed(id, self.now, FlowOutcome::Cancelled);
-        }
-        self.flows.remove(slot);
-        self.recompute_rates();
-        self.schedule_rates_check();
-        true
+        self.fast_cancel_active(id)
     }
 
     /// True when the simulation can make no further progress on its own
     /// while flows are still unfinished — every remaining flow is parked
     /// on dead links and no *live* event is queued. Tombstoned
-    /// `FlowStart`s (cancelled pending flows) and superseded rate checks
-    /// still physically sit in the queue but are no-ops, so they are
-    /// excluded from the liveness count.
+    /// `FlowStart`s (cancelled pending flows) still physically sit in the
+    /// queue but are no-ops, so they are excluded from the liveness
+    /// count.
     pub fn stalled(&self) -> bool {
-        if !self.backlog.is_empty() {
-            return false;
-        }
-        let active = if self.exact_engine {
-            !self.active_order.is_empty()
-        } else {
-            !self.id_to_slot.is_empty()
-        };
-        if !active {
-            return false;
-        }
-        if !self.exact_engine && self.check.is_some() {
-            return false;
-        }
-        // Queued stale checks: every queued check except a newest one
-        // whose version still matches.
-        let live_checks =
-            u64::from(self.checks_in_queue > 0 && self.last_check_version == self.rates_version);
-        let stale_checks = self.checks_in_queue - live_checks;
-        let tombstones = self.cancelled_pending.len() as u64;
-        self.queue.len() as u64 == stale_checks + tombstones
+        self.backlog.is_empty()
+            && !self.id_to_slot.is_empty()
+            && self.check.is_none()
+            && self.queue.len() == self.cancelled_pending.len()
     }
 
     /// Tokens of flows currently parked at rate zero (in flow-id order).
     pub fn parked_flow_tokens(&self) -> Vec<u64> {
-        if self.exact_engine {
-            self.active_order
-                .iter()
-                .filter_map(|&(_, slot)| {
-                    let s = slot as usize;
-                    (self.flows.rate[s] <= 0.0).then_some(self.flows.tokens[s])
-                })
-                .collect()
-        } else {
-            self.id_to_slot
-                .values()
-                .filter_map(|&slot| {
-                    let s = slot as usize;
-                    (self.flows.rate[s] <= 0.0).then_some(self.flows.tokens[s])
-                })
-                .collect()
-        }
+        self.id_to_slot
+            .values()
+            .filter_map(|&slot| {
+                let s = slot as usize;
+                (self.flows.rate[s] <= 0.0).then_some(self.flows.tokens[s])
+            })
+            .collect()
     }
 
     /// Number of currently in-flight flows (latency phase included).
     pub fn inflight_flows(&self) -> usize {
-        let active = if self.exact_engine {
-            self.active_order.len()
-        } else {
-            self.id_to_slot.len()
-        };
-        active + self.pending.len()
+        self.id_to_slot.len() + self.pending.len()
     }
 
     /// Start a flow; completion arrives later via [`NetSim::next`].
@@ -596,11 +501,7 @@ impl NetSim {
     /// interleave `start_flow`/`set_timer` between pulls.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Completion> {
-        if self.exact_engine {
-            self.next_exact()
-        } else {
-            self.next_fast()
-        }
+        self.next_fast()
     }
 
     /// Run until fully drained, collecting every completion.
@@ -616,378 +517,6 @@ impl NetSim {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(time.0, seq, payload);
-    }
-
-    /// Exact-engine event loop: the historical control flow, verbatim.
-    fn next_exact(&mut self) -> Option<Completion> {
-        loop {
-            if let Some(done) = self.backlog.pop_front() {
-                return Some(done);
-            }
-            let ev = self.queue.pop()?;
-            self.events_processed += 1;
-            if let Payload::RatesCheck(version) = ev.item {
-                self.checks_in_queue -= 1;
-                if version != self.rates_version {
-                    // Superseded prediction: discard without touching the
-                    // clock, so a stale check left behind by a parked flow
-                    // cannot advance time past a stall.
-                    continue;
-                }
-            }
-            debug_assert!(ev.time >= self.now.0, "time must be monotone");
-            self.now = SimTime(ev.time);
-            match ev.item {
-                Payload::Timer(token) => return Some(Completion::Timer { token }),
-                Payload::FlowStart(id) => {
-                    self.settle_progress();
-                    self.activate(id);
-                    // Batch every other flow start at this same instant so
-                    // rates are recomputed once, not per flow.
-                    while let Some(peek) = self.queue.peek() {
-                        if peek.time != self.now.0 {
-                            break;
-                        }
-                        if let Payload::FlowStart(next_id) = peek.item {
-                            self.queue.pop();
-                            self.events_processed += 1;
-                            self.activate(next_id);
-                        } else {
-                            break;
-                        }
-                    }
-                    self.harvest_finished();
-                    self.recompute_rates();
-                    self.schedule_rates_check();
-                }
-                Payload::RatesCheck(_) => {
-                    self.settle_progress();
-                    self.harvest_finished();
-                    self.recompute_rates();
-                    self.schedule_rates_check();
-                }
-                Payload::Fault(idx) => {
-                    let (link, health) = self.fault_table[idx as usize];
-                    self.settle_progress();
-                    let i = link.0 as usize;
-                    self.health[i] = health;
-                    let eff =
-                        LinkCapacity::new(self.nominal[i].bytes_per_sec * health.capacity_factor());
-                    self.set_effective_capacity(i, eff);
-                    self.harvest_finished();
-                    self.recompute_rates();
-                    self.schedule_rates_check();
-                    return Some(Completion::Fault { link, health });
-                }
-                Payload::Churn(idx) => {
-                    let (node, kind) = {
-                        let (node, kind, _) = &self.churn_table[idx as usize];
-                        (*node, *kind)
-                    };
-                    let health = kind.target_health();
-                    self.settle_progress();
-                    // All of the node's links flip at this one instant:
-                    // one settlement, one recompute, one completion.
-                    for k in 0..self.churn_table[idx as usize].2.len() {
-                        let link = self.churn_table[idx as usize].2[k];
-                        let i = link.0 as usize;
-                        self.health[i] = health;
-                        let eff = LinkCapacity::new(
-                            self.nominal[i].bytes_per_sec * health.capacity_factor(),
-                        );
-                        self.set_effective_capacity(i, eff);
-                    }
-                    self.harvest_finished();
-                    self.recompute_rates();
-                    self.schedule_rates_check();
-                    return Some(Completion::Churn { node, kind });
-                }
-            }
-        }
-    }
-
-    fn activate(&mut self, id: FlowId) {
-        let Some(spec) = self.pending.remove(&id) else {
-            // Cancelled during its latency phase: the queued FlowStart is
-            // a tombstoned no-op.
-            assert!(
-                self.cancelled_pending.remove(&id),
-                "FlowStart for unknown pending flow"
-            );
-            return;
-        };
-        // Convert to bytes-per-nanosecond internally.
-        let cap = if spec.rate_cap.is_finite() {
-            (spec.rate_cap * 1e-9).max(1e-12)
-        } else {
-            f64::INFINITY
-        };
-        for link in &spec.path {
-            let i = link.0 as usize;
-            if self.obs.is_some() && self.link_nflows[i] == 0 {
-                let bytes_so_far = self.link_stats[i].bytes;
-                if let Some(obs) = self.obs.as_deref_mut() {
-                    obs.on_link_window_opened(*link, self.now, bytes_so_far);
-                }
-            }
-            self.link_nflows[i] += 1;
-        }
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_flow_activated(
-                id,
-                spec.token,
-                spec.bytes,
-                spec.path.first().copied(),
-                self.now,
-            );
-        }
-        let slot = self.flows.insert(
-            id,
-            spec.token,
-            spec.bytes as f64,
-            cap,
-            PathVec::from_vec(spec.path),
-            self.now,
-        );
-        let pos = self.active_order.partition_point(|&(fid, _)| fid < id);
-        self.active_order.insert(pos, (id, slot));
-    }
-
-    /// Advance every active flow's `remaining` to the current time,
-    /// attributing the moved bytes to the links each flow traverses.
-    /// (Exact engine: this is the historical eager settlement.)
-    pub(crate) fn settle_progress(&mut self) {
-        let elapsed = self.now.since(self.last_settle).0 as f64;
-        if elapsed > 0.0 {
-            let link_active = &mut self.scratch_link_active;
-            link_active.clear();
-            link_active.resize(self.links.len(), false);
-            for &(_, slot) in &self.active_order {
-                let s = slot as usize;
-                let rate = self.flows.rate[s];
-                let moved = (rate * elapsed).min(self.flows.remaining[s]);
-                self.flows.remaining[s] -= rate * elapsed;
-                if self.flows.remaining[s] < 0.0 {
-                    self.flows.remaining[s] = 0.0;
-                }
-                for link in self.flows.path[s].as_slice() {
-                    let i = link.0 as usize;
-                    self.link_stats[i].bytes += moved;
-                    link_active[i] = true;
-                }
-            }
-            for (i, active) in link_active.iter().enumerate() {
-                if *active {
-                    self.link_stats[i].busy_seconds += elapsed * 1e-9;
-                }
-            }
-        }
-        self.last_settle = self.now;
-    }
-
-    /// Move flows that finished into the completion backlog.
-    fn harvest_finished(&mut self) {
-        // Single in-place compaction pass, in id order (matching the old
-        // BTreeMap iteration) so completions are queued identically.
-        let mut w = 0;
-        for r in 0..self.active_order.len() {
-            let (id, slot) = self.active_order[r];
-            let s = slot as usize;
-            if self.flows.remaining[s] <= DONE_EPS {
-                let path = std::mem::take(&mut self.flows.path[s]);
-                for link in path.as_slice() {
-                    let i = link.0 as usize;
-                    self.link_nflows[i] -= 1;
-                    if self.obs.is_some() && self.link_nflows[i] == 0 {
-                        let bytes_so_far = self.link_stats[i].bytes;
-                        if let Some(obs) = self.obs.as_deref_mut() {
-                            obs.on_link_window_closed(*link, self.now, bytes_so_far);
-                        }
-                    }
-                }
-                if let Some(obs) = self.obs.as_deref_mut() {
-                    obs.on_flow_closed(id, self.now, FlowOutcome::Finished);
-                }
-                let token = self.flows.tokens[s];
-                self.flows.remove(slot);
-                self.flows_completed += 1;
-                self.backlog.push_back(Completion::Flow { id, token });
-            } else {
-                self.active_order[w] = (id, slot);
-                w += 1;
-            }
-        }
-        self.active_order.truncate(w);
-    }
-
-    /// Max-min fair bandwidth allocation over all active flows.
-    ///
-    /// Iterative water-filling: repeatedly find the tightest constraint —
-    /// either a link's equal share or a flow's own rate cap — freeze the
-    /// flows it binds, subtract their consumption, and continue.
-    /// (Exact engine: historical global pass.)
-    fn recompute_rates(&mut self) {
-        self.rates_version += 1;
-        if self.active_order.is_empty() {
-            return;
-        }
-
-        let cap_left = &mut self.scratch_cap_left;
-        let n_unfixed = &mut self.scratch_n_unfixed;
-        let is_bottleneck = &mut self.scratch_is_bottleneck;
-        let unfixed = &mut self.scratch_unfixed;
-
-        // Per-link bookkeeping in bytes/ns.
-        cap_left.clear();
-        cap_left.extend(self.links.iter().map(|l| l.bytes_per_sec * 1e-9));
-        // Seed from the incrementally maintained per-link counts instead of
-        // re-walking every flow's path.
-        n_unfixed.clear();
-        n_unfixed.extend_from_slice(&self.link_nflows);
-        // Water-fill in id order (same as the old BTreeMap iteration).
-        unfixed.clear();
-        unfixed.extend(self.active_order.iter().map(|&(_, slot)| slot));
-
-        // Park flows crossing dead links at rate zero before water-filling:
-        // they consume no capacity and get no completion scheduled, so they
-        // stall (instead of receiving a bogus near-infinite finish time)
-        // until a health/capacity change revives them. The pre-pass only
-        // runs when a dead link exists, so fault-free runs keep the exact
-        // historical float behaviour.
-        if self.dead_links > 0 {
-            let links = &self.links;
-            let flows = &mut self.flows;
-            let mut w = 0;
-            for r in 0..unfixed.len() {
-                let slot = unfixed[r];
-                let s = slot as usize;
-                if flows.path[s]
-                    .as_slice()
-                    .iter()
-                    .any(|l| links[l.0 as usize].is_dead())
-                {
-                    flows.rate[s] = 0.0;
-                    for l in flows.path[s].as_slice() {
-                        n_unfixed[l.0 as usize] -= 1;
-                    }
-                } else {
-                    unfixed[w] = slot;
-                    w += 1;
-                }
-            }
-            unfixed.truncate(w);
-        }
-
-        while !unfixed.is_empty() {
-            // Tightest link share.
-            let mut bottleneck = f64::INFINITY;
-            for (cap, n) in cap_left.iter().zip(n_unfixed.iter()) {
-                if *n > 0 {
-                    bottleneck = bottleneck.min(cap / f64::from(*n));
-                }
-            }
-            // Tightest flow cap.
-            for &slot in unfixed.iter() {
-                bottleneck = bottleneck.min(self.flows.rate_cap[slot as usize]);
-            }
-            if !bottleneck.is_finite() {
-                // Pathless, uncapped flows: complete "instantly" at an
-                // enormous but finite rate to keep the arithmetic sane.
-                bottleneck = 1e6; // 1 PB/s in bytes/ns
-            }
-            let threshold = bottleneck * (1.0 + 1e-9);
-
-            // Snapshot which links are at the bottleneck *before* freezing,
-            // so freezing one flow does not change membership for the rest
-            // of this round.
-            is_bottleneck.clear();
-            is_bottleneck.extend(
-                cap_left
-                    .iter()
-                    .zip(n_unfixed.iter())
-                    .map(|(cap, n)| *n > 0 && cap / f64::from(*n) <= threshold),
-            );
-
-            // Freeze every flow bound by this constraint, compacting the
-            // survivors in place.
-            let before = unfixed.len();
-            let mut w = 0;
-            for r in 0..unfixed.len() {
-                let slot = unfixed[r];
-                let s = slot as usize;
-                let constrained_by_cap = self.flows.rate_cap[s] <= threshold;
-                let constrained_by_link = self.flows.path[s]
-                    .as_slice()
-                    .iter()
-                    .any(|l| is_bottleneck[l.0 as usize]);
-                if constrained_by_cap || constrained_by_link {
-                    let rate = self.flows.rate_cap[s].min(bottleneck);
-                    self.flows.rate[s] = rate;
-                    for l in self.flows.path[s].as_slice() {
-                        let i = l.0 as usize;
-                        cap_left[i] = (cap_left[i] - rate).max(0.0);
-                        n_unfixed[i] -= 1;
-                    }
-                } else {
-                    unfixed[w] = slot;
-                    w += 1;
-                }
-            }
-            if w == before {
-                // Numerical corner: nothing matched the constraint. Freeze
-                // everything at the bottleneck rate to guarantee progress.
-                for &slot in unfixed.iter() {
-                    let s = slot as usize;
-                    self.flows.rate[s] = self.flows.rate_cap[s].min(bottleneck);
-                }
-                break;
-            }
-            unfixed.truncate(w);
-        }
-
-        if self.obs.is_some() {
-            self.obs_scan_parked();
-        }
-    }
-
-    /// Observation-only post-pass over freshly assigned rates: record a
-    /// park instant for each flow newly at rate zero and a resume for each
-    /// previously parked flow that regained bandwidth. Flow-id order.
-    fn obs_scan_parked(&mut self) {
-        let Some(obs) = self.obs.as_deref_mut() else {
-            return;
-        };
-        for &(id, slot) in &self.active_order {
-            let s = slot as usize;
-            obs.on_flow_rate(id, self.flows.tokens[s], self.flows.rate[s], self.now);
-        }
-    }
-
-    /// Predict the earliest completion among active flows and schedule a
-    /// versioned check there. (Exact engine.)
-    fn schedule_rates_check(&mut self) {
-        let mut earliest: Option<SimTime> = None;
-        for &(_, slot) in &self.active_order {
-            let s = slot as usize;
-            let rate = self.flows.rate[s];
-            if rate <= 0.0 {
-                continue;
-            }
-            let ns = (self.flows.remaining[s] / rate).ceil();
-            // Clamp to avoid u64 overflow on pathological stalls.
-            let ns = ns.min(1e18) as u64;
-            let t = self.now + SimDuration::from_nanos(ns.max(1));
-            earliest = Some(match earliest {
-                Some(e) if e <= t => e,
-                _ => t,
-            });
-        }
-        if let Some(t) = earliest {
-            let version = self.rates_version;
-            self.checks_in_queue += 1;
-            self.last_check_version = version;
-            self.push_event(t, Payload::RatesCheck(version));
-        }
     }
 }
 
@@ -1182,9 +711,8 @@ mod tests {
 
     /// The canonical 8-flow staggered-start workload used by the
     /// determinism tests, rendered as a textual event log.
-    fn staggered_event_log(exact: bool) -> String {
+    fn staggered_event_log() -> String {
         let (mut sim, link) = sim_with_link(3e9);
-        sim.exact_engine = exact;
         for t in 0..8 {
             let mut f = flow_on(link, 10_000_000 * (t + 1), t);
             f.latency = SimDuration::from_micros(t * 3);
@@ -1202,15 +730,7 @@ mod tests {
         // Two fresh simulators over the same workload must render the
         // exact same bytes: flow-id iteration order (and therefore float
         // summation order) may not depend on arena slot assignment.
-        assert_eq!(staggered_event_log(false), staggered_event_log(false));
-    }
-
-    #[test]
-    fn fast_and_exact_engines_agree_on_the_staggered_log() {
-        // On this workload every event reassigns every rate, so the fast
-        // engine's anchored settlement performs the exact same float
-        // operations as the historical eager pass — byte-identical logs.
-        assert_eq!(staggered_event_log(false), staggered_event_log(true));
+        assert_eq!(staggered_event_log(), staggered_event_log());
     }
 
     #[test]
@@ -1231,7 +751,6 @@ mod tests {
         assert_eq!(sim.flows.capacity_slots(), slots_after_first_wave);
         assert_eq!(sim.flows.free_slots(), slots_after_first_wave);
         assert!(sim.id_to_slot.is_empty());
-        assert!(sim.active_order.is_empty());
     }
 
     #[test]
@@ -1415,50 +934,31 @@ mod tests {
         // Regression for the `pending_or_parked` edge: a tombstoned
         // FlowStart still physically in the queue used to make
         // `stalled()` report false while every real flow was parked.
-        for exact in [false, true] {
-            let (mut sim, link) = sim_with_link(1e9);
-            sim.exact_engine = exact;
-            sim.start_flow(flow_on(link, 1_000_000_000, 1));
-            sim.set_timer(SimDuration::from_secs_f64(0.1), 0);
-            assert_eq!(sim.next(), Some(Completion::Timer { token: 0 }));
-            // A far-future flow start, cancelled: its queued event is a
-            // tombstone.
-            let mut f = flow_on(link, 1_000, 2);
-            f.latency = SimDuration::from_secs_f64(100.0);
-            let ghost = sim.start_flow(f);
-            assert!(sim.cancel_flow(ghost));
-            // Park the only real flow.
-            sim.set_link_health(link, LinkHealth::Down);
-            assert!(
-                sim.stalled(),
-                "tombstoned FlowStart must not count as progress (exact={exact})"
-            );
-            assert_eq!(sim.next(), None);
-            assert!(sim.stalled(), "still stalled after the queue drains");
-            // Revival clears the stall.
-            sim.set_link_health(link, LinkHealth::Healthy);
-            assert!(!sim.stalled());
-            assert!(matches!(
-                sim.next(),
-                Some(Completion::Flow { token: 1, .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn stalled_sees_through_stale_rate_checks() {
-        // Exact engine: a superseded RatesCheck left in the queue by a
-        // park transition must not mask the stall either.
         let (mut sim, link) = sim_with_link(1e9);
-        sim.exact_engine = true;
         sim.start_flow(flow_on(link, 1_000_000_000, 1));
         sim.set_timer(SimDuration::from_secs_f64(0.1), 0);
         assert_eq!(sim.next(), Some(Completion::Timer { token: 0 }));
+        // A far-future flow start, cancelled: its queued event is a
+        // tombstone.
+        let mut f = flow_on(link, 1_000, 2);
+        f.latency = SimDuration::from_secs_f64(100.0);
+        let ghost = sim.start_flow(f);
+        assert!(sim.cancel_flow(ghost));
+        // Park the only real flow.
         sim.set_link_health(link, LinkHealth::Down);
-        // The original completion check is still queued but stale.
-        assert!(sim.stalled(), "stale check must not count as progress");
+        assert!(
+            sim.stalled(),
+            "tombstoned FlowStart must not count as progress"
+        );
         assert_eq!(sim.next(), None);
-        assert!(sim.stalled());
+        assert!(sim.stalled(), "still stalled after the queue drains");
+        // Revival clears the stall.
+        sim.set_link_health(link, LinkHealth::Healthy);
+        assert!(!sim.stalled());
+        assert!(matches!(
+            sim.next(),
+            Some(Completion::Flow { token: 1, .. })
+        ));
     }
 
     #[test]
@@ -1581,53 +1081,5 @@ mod tests {
             }
         );
         assert_eq!(sim.now(), SimTime(7_000));
-    }
-
-    /// Render a full completion log `(now, completion)` per line for an
-    /// arbitrary driver closure, for fast-vs-exact pinning.
-    fn engine_log(exact: bool, drive: impl Fn(&mut NetSim) -> Vec<LinkId>) -> String {
-        let mut sim = NetSim::new();
-        sim.exact_engine = exact;
-        drive(&mut sim);
-        let mut log = String::new();
-        while let Some(c) = sim.next() {
-            log.push_str(&format!("{:?} {:?}\n", sim.now(), c));
-        }
-        log
-    }
-
-    #[test]
-    fn fast_and_exact_agree_on_fault_schedules() {
-        // Engineered so the two engines perform identical float
-        // arithmetic: the two link groups are disjoint components, and
-        // whenever a recompute leaves some flow's rate bitwise-unchanged
-        // (so the fast engine skips a settlement the exact engine
-        // performs), that rate is dyadic and the elapsed nanoseconds are
-        // exact — segmentation cannot change the sums.
-        let drive = |sim: &mut NetSim| {
-            let a = sim.add_link(LinkCapacity::new(1e9));
-            let b = sim.add_link(LinkCapacity::new(2e9));
-            for t in 0..6 {
-                sim.start_flow(FlowSpec {
-                    path: if t < 4 { vec![a] } else { vec![b] },
-                    bytes: 64_000_000 << (t % 3),
-                    latency: SimDuration::from_micros(t * 5),
-                    rate_cap: if t == 3 { 0.25e9 } else { f64::INFINITY },
-                    token: t,
-                });
-            }
-            sim.schedule_fault_at(SimTime(40_000_000), a, LinkHealth::Down);
-            sim.schedule_fault_at(SimTime(90_000_000), a, LinkHealth::Healthy);
-            sim.schedule_fault_at(
-                SimTime(120_000_000),
-                b,
-                LinkHealth::Degraded { fraction: 0.5 },
-            );
-            vec![a, b]
-        };
-        let fast = engine_log(false, drive);
-        let exact = engine_log(true, drive);
-        assert_eq!(fast, exact);
-        assert!(fast.matches("Fault").count() == 3, "{fast}");
     }
 }

@@ -1,4 +1,4 @@
-//! The fast (default) engine of [`NetSim`]: incremental rate settlement.
+//! The engine of [`NetSim`]: incremental rate settlement.
 //!
 //! Semantics (the "anchor spec", mirrored by `RefSim` for equivalence
 //! testing):
@@ -21,24 +21,33 @@
 //!   harvest event, preserving the historical "any flow at ≤ DONE_EPS
 //!   finishes at any harvest event" early-finish rule. Heap entries are
 //!   lazily invalidated by a per-slot epoch bumped on every rate change.
-//! * A single `(time, seq)` check register replaces queued
-//!   `RatesCheck` events; it always reflects the current earliest valid
-//!   prediction, so stale checks never enter the queue at all.
+//! * A single `(time, seq)` check register holds the earliest valid
+//!   completion prediction outside the event queue, so superseded
+//!   predictions never enter the queue at all.
 //!
 //! Link statistics are settled at rate-change granularity and busy time
 //! via 0↔1 flow-count window transitions; totals are final once the
 //! simulation drains.
+//!
+//! Observation hooks sit at the settlement points and only read state:
+//! flow records open in `fast_activate` and close in `fast_harvest` /
+//! `fast_cancel_active`, link busy windows open and close at the 0↔1
+//! `link_nflows` edges (where `link_stats` bytes are complete, since
+//! every flow is settled before it detaches), and park/resume
+//! transitions are scanned over the id-sorted component at the end of
+//! `fast_recompute`.
 
 use std::cmp::Reverse;
 
 use crate::arena::PathVec;
 use crate::flow::{FlowId, FlowSpec};
 use crate::link::LinkCapacity;
+use crate::obs::FlowOutcome;
 use crate::sim::{Completion, FinishEntry, NetSim, Payload, PredEntry, DONE_EPS};
 use crate::time::{SimDuration, SimTime};
 
 impl NetSim {
-    /// Fast-engine event loop.
+    /// The event loop behind [`NetSim::next`].
     pub(crate) fn next_fast(&mut self) -> Option<Completion> {
         loop {
             if let Some(done) = self.backlog.pop_front() {
@@ -73,12 +82,6 @@ impl NetSim {
             self.now = SimTime(ev.time);
             match ev.item {
                 Payload::Timer(token) => return Some(Completion::Timer { token }),
-                Payload::RatesCheck(_) => {
-                    // The fast engine never queues checks; tolerate one in
-                    // case a future caller mixes engines mid-stream.
-                    debug_assert!(false, "queued RatesCheck under fast engine");
-                    continue;
-                }
                 Payload::FlowStart(id) => {
                     self.dirty_links.clear();
                     self.dirty_flows.clear();
@@ -149,15 +152,27 @@ impl NetSim {
     /// windows. Rate assignment happens in the subsequent recompute;
     /// zero-byte flows get an immediately-ripe finish entry so the
     /// harvest pass (which runs before the recompute) completes them at
-    /// this same event, like the historical engine.
+    /// this same event.
     fn fast_activate(&mut self, id: FlowId) {
         let Some(spec) = self.pending.remove(&id) else {
+            // Cancelled during its latency phase: the queued FlowStart is
+            // a tombstoned no-op.
             assert!(
                 self.cancelled_pending.remove(&id),
                 "FlowStart for unknown pending flow"
             );
             return;
         };
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.on_flow_activated(
+                id,
+                spec.token,
+                spec.bytes,
+                spec.path.first().copied(),
+                self.now,
+            );
+        }
+        // Convert to bytes-per-nanosecond internally.
         let cap = if spec.rate_cap.is_finite() {
             (spec.rate_cap * 1e-9).max(1e-12)
         } else {
@@ -192,11 +207,15 @@ impl NetSim {
         let s = slot as usize;
         let npath = self.flows.path[s].as_slice().len();
         for j in 0..npath {
-            let l = self.flows.path[s].as_slice()[j].0 as usize;
+            let link = self.flows.path[s].as_slice()[j];
+            let l = link.0 as usize;
             self.flows.link_pos[s].as_mut_slice()[j] = self.link_flows[l].len() as u32;
             self.link_flows[l].push(slot);
             if self.link_nflows[l] == 0 {
                 self.link_open[l] = self.now;
+                if let Some(obs) = self.obs.as_deref_mut() {
+                    obs.on_link_window_opened(link, self.now, self.link_stats[l].bytes);
+                }
             }
             self.link_nflows[l] += 1;
         }
@@ -209,7 +228,8 @@ impl NetSim {
         let s = slot as usize;
         let npath = self.flows.path[s].as_slice().len();
         for j in 0..npath {
-            let l = self.flows.path[s].as_slice()[j].0 as usize;
+            let link = self.flows.path[s].as_slice()[j];
+            let l = link.0 as usize;
             let p = self.flows.link_pos[s].as_slice()[j] as usize;
             self.link_flows[l].swap_remove(p);
             if p < self.link_flows[l].len() {
@@ -232,6 +252,9 @@ impl NetSim {
             if self.link_nflows[l] == 0 {
                 let busy = self.now.since(self.link_open[l]).0 as f64;
                 self.link_stats[l].busy_seconds += busy * 1e-9;
+                if let Some(obs) = self.obs.as_deref_mut() {
+                    obs.on_link_window_closed(link, self.now, self.link_stats[l].bytes);
+                }
             }
             self.dirty_links.push(l as u32);
         }
@@ -319,6 +342,9 @@ impl NetSim {
                 let id = FlowId(self.flows.ids[s]);
                 let token = self.flows.tokens[s];
                 self.fast_detach_links(slot);
+                if let Some(obs) = self.obs.as_deref_mut() {
+                    obs.on_flow_closed(id, self.now, FlowOutcome::Finished);
+                }
                 self.id_to_slot.remove(&id.0);
                 self.flows.remove(slot);
                 self.flows_completed += 1;
@@ -328,7 +354,7 @@ impl NetSim {
         self.harvest_slots = slots;
     }
 
-    /// Cancel an actively transferring flow (fast engine path of
+    /// Cancel an actively transferring flow (the post-latency path of
     /// [`NetSim::cancel_flow`]).
     pub(crate) fn fast_cancel_active(&mut self, id: FlowId) -> bool {
         let Some(&slot) = self.id_to_slot.get(&id.0) else {
@@ -338,6 +364,9 @@ impl NetSim {
         self.dirty_flows.clear();
         self.fast_settle_flow(slot);
         self.fast_detach_links(slot);
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.on_flow_closed(id, self.now, FlowOutcome::Cancelled);
+        }
         self.id_to_slot.remove(&id.0);
         self.flows.remove(slot);
         self.fast_recompute();
@@ -351,10 +380,9 @@ impl NetSim {
     /// The water-fill is the historical global round loop restricted to
     /// the component: same share arithmetic (`cap_left / n`), same global
     /// minimum and `1e-9` threshold grouping, same id-ordered freeze and
-    /// `cap_left` subtraction order — so every rate matches the exact
-    /// engine bit for bit while untouched components pay nothing.
+    /// `cap_left` subtraction order — so every rate matches a global
+    /// water-fill bit for bit while untouched components pay nothing.
     pub(crate) fn fast_recompute(&mut self) {
-        self.rates_version += 1;
         if self.dirty_links.is_empty() && self.dirty_flows.is_empty() {
             return;
         }
@@ -543,6 +571,20 @@ impl NetSim {
                 break;
             }
             unfixed.truncate(w);
+        }
+        // Park/resume transitions: only component flows can change rate,
+        // and the id-sorted scan keeps same-instant events in flow-id
+        // order.
+        if let Some(obs) = self.obs.as_deref_mut() {
+            for &fs in &comp_flows {
+                let s = fs as usize;
+                obs.on_flow_rate(
+                    FlowId(self.flows.ids[s]),
+                    self.flows.tokens[s],
+                    self.flows.rate[s],
+                    self.now,
+                );
+            }
         }
         self.wf_unfixed = unfixed;
         self.comp_links = comp_links;

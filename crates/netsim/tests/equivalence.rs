@@ -1,14 +1,18 @@
 //! Equivalence proptests: the production fast engine vs `RefSim`, the
 //! naive reference implementation of the same settlement specification.
 //!
-//! Both simulators are driven through identical call sequences — random
-//! flow sets, scheduled fault transitions (including full outages that
-//! park flows), timers and timer-triggered cancellations — and must emit
+//! Three drivers — `NetSim`, `RefSim` and `NetSim` with observation
+//! enabled — go through identical call sequences — random flow sets,
+//! scheduled fault transitions (including full outages that park flows),
+//! timers and timer-triggered cancellations — and must emit
 //! **byte-identical completion streams**, integer-nanosecond timestamps
 //! included. This pins every moving part the fast engine added: the
 //! timer-wheel ordering, the check register, component-local
 //! water-filling, bitwise-skip rate assignment and the epoch-versioned
-//! finish heap.
+//! finish heap — and that observing a run, or taking its report
+//! mid-run, changes none of it. The observed run's report must also hold
+//! its record invariants (one record per activated flow, alternating
+//! park/resume transitions).
 //!
 //! Generator discipline: capacities and rate caps come from
 //! well-separated round sets (powers of two × 1 GB/s, halved by degraded
@@ -17,12 +21,14 @@
 //! exactly equal — the one regime where component-local and global
 //! settlement could legitimately group rounds differently.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 
 use holmes_netsim::refsim::RefSim;
 use holmes_netsim::{
-    ChurnKind, ChurnSchedule, Completion, FlowId, FlowSpec, LinkCapacity, LinkHealth, LinkId,
-    NetSim, SimDuration, SimTime,
+    ChurnKind, ChurnSchedule, Completion, FlowId, FlowOutcome, FlowSpec, LinkCapacity, LinkHealth,
+    LinkId, NetObsReport, NetSim, SimDuration, SimTime,
 };
 
 /// Capacities all engines pick from: powers of two in GB/s.
@@ -39,6 +45,9 @@ const HEALTHS: [LinkHealth; 4] = [
 
 /// Timer tokens at or above this value encode "cancel flow #(token-BASE)".
 const CANCEL_BASE: u64 = 1_000_000;
+
+/// Timer token of the mid-run probe (see [`SimLike::probe`]).
+const PROBE: u64 = u64::MAX;
 
 /// Membership transitions churn events pick from.
 const CHURN_KINDS: [ChurnKind; 3] = [
@@ -63,10 +72,15 @@ struct Scenario {
     /// scenario's links `2n` and `2n+1` (mod link count), flipped
     /// atomically by the event.
     churn: Vec<(u64, usize, usize)>,
+    /// When set, a probe timer fires after this many microseconds.
+    probe_us: Option<u64>,
 }
 
-/// Everything both drivers do, expressed over the common sim surface.
+/// Everything the drivers do, expressed over the common sim surface.
 trait SimLike {
+    /// The probe timer fired: an observed `NetSim` takes its report
+    /// there, ending observation mid-run; other drivers do nothing.
+    fn probe(&mut self) {}
     fn add_link(&mut self, cap: LinkCapacity) -> LinkId;
     fn start_flow(&mut self, spec: FlowSpec) -> FlowId;
     fn set_timer(&mut self, delay: SimDuration, token: u64);
@@ -78,6 +92,9 @@ trait SimLike {
 }
 
 impl SimLike for NetSim {
+    fn probe(&mut self) {
+        self.take_obs();
+    }
     fn add_link(&mut self, cap: LinkCapacity) -> LinkId {
         NetSim::add_link(self, cap)
     }
@@ -133,7 +150,7 @@ impl SimLike for RefSim {
 
 /// Drive one simulator through the scenario, returning the full
 /// completion log stamped with exact integer-nanosecond clocks. Cancel
-/// timers fire *through* the event stream, so both engines observe them
+/// timers fire *through* the event stream, so every driver observes them
 /// at identical instants.
 fn run_scenario<S: SimLike>(sim: &mut S, sc: &Scenario) -> String {
     let links: Vec<LinkId> = sc
@@ -178,9 +195,17 @@ fn run_scenario<S: SimLike>(sim: &mut S, sc: &Scenario) -> String {
     for (i, &(delay_us, _)) in sc.cancels.iter().enumerate() {
         sim.set_timer(SimDuration::from_micros(delay_us), CANCEL_BASE + i as u64);
     }
+    if let Some(probe_us) = sc.probe_us {
+        sim.set_timer(SimDuration::from_micros(probe_us), PROBE);
+    }
     let mut log = String::new();
     while let Some(c) = sim.next() {
         if let Completion::Timer { token } = c {
+            if token == PROBE {
+                sim.probe();
+                log.push_str(&format!("probe @ {}ns\n", sim.now().0));
+                continue;
+            }
             if token >= CANCEL_BASE {
                 let (_, flow_idx) = sc.cancels[(token - CANCEL_BASE) as usize];
                 let cancelled = sim.cancel_flow(ids[flow_idx % ids.len()]);
@@ -193,10 +218,94 @@ fn run_scenario<S: SimLike>(sim: &mut S, sc: &Scenario) -> String {
     log
 }
 
+fn observed_sim() -> NetSim {
+    let mut sim = NetSim::new();
+    sim.enable_obs();
+    sim
+}
+
+/// Run the scenario on all three drivers and require byte-identical
+/// streams, then check the observed run's report. A second observed run
+/// takes its report from a probe timer at `probe_us`; its stream must
+/// match the unobserved run with the same (no-op) probe.
+fn check_all_drivers(sc: &Scenario, probe_us: u64) -> TestCaseResult {
+    let plain = run_scenario(&mut NetSim::new(), sc);
+    let reference = run_scenario(&mut RefSim::new(), sc);
+    prop_assert_eq!(plain.as_bytes(), reference.as_bytes());
+
+    let mut observed = observed_sim();
+    let observed_log = run_scenario(&mut observed, sc);
+    prop_assert_eq!(observed_log.as_bytes(), plain.as_bytes());
+    let report = observed.take_obs().expect("observation was enabled");
+    check_report(sc, &observed_log, &observed, &report)?;
+
+    let probed = Scenario {
+        probe_us: Some(probe_us),
+        ..sc.clone()
+    };
+    let probed_plain = run_scenario(&mut NetSim::new(), &probed);
+    let probed_observed = run_scenario(&mut observed_sim(), &probed);
+    prop_assert_eq!(probed_observed.as_bytes(), probed_plain.as_bytes());
+    Ok(())
+}
+
+/// Record invariants of a drained observed run's report.
+fn check_report(sc: &Scenario, log: &str, sim: &NetSim, report: &NetObsReport) -> TestCaseResult {
+    // One record per activated flow: every flow except those cancelled
+    // in their latency phase. A cancel at the activation instant finds
+    // the flow active, since flow starts were queued before the timers.
+    let cancelled_pending = sc
+        .cancels
+        .iter()
+        .enumerate()
+        .filter(|&(i, &(delay_us, flow))| {
+            log.contains(&format!("cancel#{} -> true\n", CANCEL_BASE + i as u64))
+                && delay_us < sc.flows[flow % sc.flows.len()].1
+        })
+        .count();
+    prop_assert_eq!(report.flows.len(), sc.flows.len() - cancelled_pending);
+    let ids: BTreeSet<FlowId> = report.flows.iter().map(|f| f.id).collect();
+    prop_assert_eq!(ids.len(), report.flows.len());
+    prop_assert_eq!(
+        report.flows_with_outcome(FlowOutcome::Finished) as u64,
+        sim.flows_completed()
+    );
+    // Flows still open when the stream drained are exactly the parked
+    // ones (in-flight records come last, in id order).
+    let in_flight: Vec<u64> = report
+        .flows
+        .iter()
+        .filter(|f| f.outcome == FlowOutcome::InFlight)
+        .map(|f| f.token)
+        .collect();
+    prop_assert_eq!(in_flight, sim.parked_flow_tokens());
+
+    // Each flow's park and resume transitions alternate, park first.
+    let mut parked: BTreeMap<FlowId, bool> = BTreeMap::new();
+    for p in &report.park_events {
+        prop_assert!(
+            ids.contains(&p.flow),
+            "park event of unrecorded {:?}",
+            p.flow
+        );
+        let was_parked = parked.insert(p.flow, p.parked).unwrap_or(false);
+        prop_assert!(
+            was_parked != p.parked,
+            "{:?} repeated a parked={} transition",
+            p.flow,
+            p.parked
+        );
+    }
+    for w in &report.link_windows {
+        prop_assert!(w.start <= w.end && w.bytes >= 0.0, "bad window {:?}", w);
+    }
+    Ok(())
+}
+
 proptest! {
-    /// The tentpole pin: fast engine and reference implementation emit
-    /// byte-identical completion streams over random flow/fault/cancel
-    /// schedules, fault parking included.
+    /// The tentpole pin: fast engine (observed or not) and reference
+    /// implementation emit byte-identical completion streams over random
+    /// flow/fault/cancel schedules, fault parking included.
     #[test]
     fn fast_engine_matches_reference(
         links in prop::collection::vec(0usize..4, 1..4),
@@ -213,11 +322,10 @@ proptest! {
         ),
         faults in prop::collection::vec((0u64..60_000, 0usize..4, 0usize..4), 0..8),
         cancels in prop::collection::vec((0u64..40_000, 0usize..24), 0..5),
+        probe_us in 0u64..60_000,
     ) {
-        let sc = Scenario { links, flows, faults, cancels, churn: vec![] };
-        let fast = run_scenario(&mut NetSim::new(), &sc);
-        let reference = run_scenario(&mut RefSim::new(), &sc);
-        prop_assert_eq!(fast.as_bytes(), reference.as_bytes());
+        let sc = Scenario { links, flows, faults, cancels, churn: vec![], probe_us: None };
+        check_all_drivers(&sc, probe_us)?;
     }
 
     /// Same pin restricted to fault-heavy schedules: every flow crosses a
@@ -229,6 +337,7 @@ proptest! {
         bytes in 1_000_000u64..50_000_000,
         down_us in 1u64..20_000,
         up_us in 20_001u64..80_000,
+        probe_us in 0u64..80_000,
     ) {
         let sc = Scenario {
             links: vec![0, 1],
@@ -238,15 +347,14 @@ proptest! {
             faults: vec![(down_us, 0, 0), (up_us, 0, 1)],
             cancels: vec![],
             churn: vec![],
+            probe_us: None,
         };
-        let fast = run_scenario(&mut NetSim::new(), &sc);
-        let reference = run_scenario(&mut RefSim::new(), &sc);
-        prop_assert_eq!(fast.as_bytes(), reference.as_bytes());
+        check_all_drivers(&sc, probe_us)?;
     }
 
     /// The elastic pin: membership events (preempt / drain / rejoin)
     /// interleaved with flows, faults and cancels replay byte-identically
-    /// on both engines. Churn events park and revive a node's links
+    /// on every driver. Churn events park and revive a node's links
     /// atomically and surface as first-class completions, so the log pins
     /// both the link effect and the event ordering.
     #[test]
@@ -266,16 +374,16 @@ proptest! {
         faults in prop::collection::vec((0u64..60_000, 0usize..4, 0usize..4), 0..4),
         cancels in prop::collection::vec((0u64..40_000, 0usize..16), 0..3),
         churn in prop::collection::vec((0u64..60_000, 0usize..4, 0usize..3), 1..8),
+        probe_us in 0u64..60_000,
     ) {
-        let sc = Scenario { links, flows, faults, cancels, churn };
-        let fast = run_scenario(&mut NetSim::new(), &sc);
-        let reference = run_scenario(&mut RefSim::new(), &sc);
-        prop_assert_eq!(fast.as_bytes(), reference.as_bytes());
+        let sc = Scenario { links, flows, faults, cancels, churn, probe_us: None };
+        check_all_drivers(&sc, probe_us)?;
     }
 
     /// Seeded churn timelines ([`ChurnSchedule::poisson`]) replay
-    /// byte-identically per seed on both engines: same seed → same log on
-    /// either engine, across engines, and the events arrive as scheduled.
+    /// byte-identically per seed on every driver: same seed → same log on
+    /// one engine, across engines and under observation, and the events
+    /// arrive as scheduled.
     #[test]
     fn seeded_churn_replays_byte_identically_per_seed(
         seed in 0u64..1_000,
@@ -311,7 +419,9 @@ proptest! {
         let fast = drive(&mut NetSim::new());
         let fast_again = drive(&mut NetSim::new());
         let reference = drive(&mut RefSim::new());
+        let observed = drive(&mut observed_sim());
         prop_assert_eq!(fast.as_bytes(), fast_again.as_bytes());
         prop_assert_eq!(fast.as_bytes(), reference.as_bytes());
+        prop_assert_eq!(fast.as_bytes(), observed.as_bytes());
     }
 }

@@ -14,9 +14,10 @@
 //!   for identical inputs, so CI can diff them exactly
 //!   (`holmes-bench --bin bench_diff`). The `holmes-lint` determinism
 //!   rules scan this crate like they scan the simulator.
-//! * **Zero cost when disabled.** Instrumented code paths take the sink
-//!   as an `Option` (or expose separate `_observed` entry points); the
-//!   un-observed paths run the exact historical float arithmetic.
+//! * **Invisible to the run.** Instrumented code paths take the sink as
+//!   an `Option` (or expose separate `_observed` entry points) and only
+//!   read simulation state, so an observed run performs exactly the
+//!   events and float arithmetic of an un-observed one.
 //!
 //! Components:
 //!
