@@ -288,6 +288,7 @@ fn check_plansynth(gate: &mut Gate, base: &Value, fresh: &Value) {
     for (key, higher_is_better) in [
         ("fleet64_plan_seconds", false),
         ("fleet12_plan_seconds", false),
+        ("fleet8_p2_plan_seconds", false),
         ("oracle_plans_per_sec", true),
         ("progress_sweep_seconds", false),
     ] {

@@ -6,7 +6,10 @@
 //!
 //! * **`search`** (deterministic, gated exactly) — per-scenario node
 //!   expansion and pruning counters plus the winning cost bits, for the
-//!   64-cluster aligned fleet, the 12-cluster unaligned fleet, and the
+//!   64-cluster aligned fleet, the 12-cluster unaligned fleet, the
+//!   8-cluster heterogeneous fleet at two pipeline stages (64-member DP
+//!   groups, each straddling four clusters: the planner's scaling case,
+//!   where pricing hierarchical all-reduces dominates), and the
 //!   three-cluster paper presets where the guided winner is re-checked
 //!   against the exhaustive oracle on every run.
 //! * **`progress`** (deterministic, gated exactly) — the symbolic
@@ -14,7 +17,7 @@
 //!   environment: scenario and verdict counts, and the invariant that
 //!   the sweep stays counterexample-free.
 //! * **`wall`** (machine-dependent, gated by tolerance) — single-plan
-//!   wall-clock on both fleets, guided plans/sec over the paper
+//!   wall-clock on all three fleets, guided plans/sec over the paper
 //!   presets, and the progress-checker sweep time (so `bench_diff`
 //!   catches a checker blowup the same way it catches a planner one).
 //!   The 64-cluster fleet must additionally plan in under a second —
@@ -191,10 +194,12 @@ fn main() {
         6,
         repeats,
     );
+    let fleet8 = run_scenario("fleet8_p2", &presets::fleet_hetero(8, 2), 2, repeats);
     let plans_per_sec = oracle_sweep(repeats);
     let progress = progress_sweep(repeats);
 
-    for s in [&fleet64, &fleet12] {
+    let searched = [&fleet64, &fleet12, &fleet8];
+    for s in searched {
         println!(
             "{:<18} {:>3} clusters / {:>4} ranks  p={:<3} expanded {:>4}  pruned {:>4}  \
              {:>9.3}ms  cost {:.6}s{}",
@@ -240,7 +245,7 @@ fn main() {
     out.push_str("{\n");
     let _ = writeln!(out, "  \"profile\": \"{profile}\",");
     out.push_str("  \"search\": {\n");
-    for (i, s) in [&fleet64, &fleet12].into_iter().enumerate() {
+    for (i, s) in searched.into_iter().enumerate() {
         let _ = writeln!(out, "    \"{}\": {{", s.name);
         let _ = writeln!(out, "      \"clusters\": {},", s.clusters);
         let _ = writeln!(out, "      \"ranks\": {},", s.ranks);
@@ -260,7 +265,8 @@ fn main() {
         );
         let _ = writeln!(out, "      \"heuristic_won\": {},", s.stats.heuristic_won);
         let _ = writeln!(out, "      \"cost_seconds\": {:?}", s.cost_seconds);
-        let _ = writeln!(out, "    }}{}", if i == 0 { "," } else { "" });
+        let last = i + 1 == searched.len();
+        let _ = writeln!(out, "    }}{}", if last { "" } else { "," });
     }
     out.push_str("  },\n");
     out.push_str("  \"progress\": {\n");
@@ -286,6 +292,11 @@ fn main() {
         out,
         "    \"fleet12_plan_seconds\": {:?},",
         fleet12.wall_seconds
+    );
+    let _ = writeln!(
+        out,
+        "    \"fleet8_p2_plan_seconds\": {:?},",
+        fleet8.wall_seconds
     );
     let _ = writeln!(out, "    \"oracle_plans_per_sec\": {plans_per_sec:?},");
     let _ = writeln!(

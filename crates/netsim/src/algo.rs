@@ -26,8 +26,6 @@
 //! clusters (intra-cluster reduce-scatter on RDMA → inter-cluster
 //! exchange over the Ethernet trunk → intra-cluster all-gather).
 
-use std::collections::HashMap;
-
 use holmes_topology::{Rank, Topology};
 
 /// Collective algorithm kinds understood by every layer of the stack.
@@ -248,18 +246,21 @@ pub fn partition_by_cluster(devices: &[Rank], cluster_of: impl Fn(Rank) -> u32) 
 /// `count` rounds in which every rank sends `chunk` bytes to its ring
 /// successor — the skeleton of all ring collectives.
 fn ring_rounds(devices: &[Rank], count: u32, chunk: u64) -> Vec<Round> {
+    vec![ring_round(devices, chunk); count as usize]
+}
+
+/// One round in which every rank sends `chunk` bytes to its ring successor.
+fn ring_round(devices: &[Rank], chunk: u64) -> Round {
     let n = devices.len();
-    (0..count)
-        .map(|_| Round {
-            transfers: (0..n)
-                .map(|i| Transfer {
-                    from: devices[i],
-                    to: devices[(i + 1) % n],
-                    bytes: chunk,
-                })
-                .collect(),
-        })
-        .collect()
+    Round {
+        transfers: (0..n)
+            .map(|i| Transfer {
+                from: devices[i],
+                to: devices[(i + 1) % n],
+                bytes: chunk,
+            })
+            .collect(),
+    }
 }
 
 /// Ring reduce-scatter: `n−1` rounds of `V/n` chunks.
@@ -355,6 +356,20 @@ pub fn tree_all_reduce(devices: &[Rank], bytes: u64) -> CollSchedule {
 /// With one (non-empty) cluster this degenerates to the flat ring
 /// all-reduce; with ≤ 1 total ranks the schedule is empty.
 pub fn hierarchical_all_reduce(groups: &[Vec<Rank>], bytes: u64) -> CollSchedule {
+    let rounds = hierarchical_runs(groups, bytes)
+        .into_iter()
+        .flat_map(|(round, repeat)| std::iter::repeat_n(round, repeat as usize))
+        .collect();
+    CollSchedule { rounds }
+}
+
+/// [`hierarchical_all_reduce`] in run-length form: `(round, repeat)`
+/// pairs whose in-order expansion is the schedule. Each intra pass is one
+/// run per active-cluster set (the round only changes when `r` reaches
+/// some cluster's `n_c − 1`), and the exchange is one round repeated
+/// `2(k−1)` times — so a group is a handful of distinct rounds however
+/// many members it has.
+fn hierarchical_runs(groups: &[Vec<Rank>], bytes: u64) -> Vec<(Round, u32)> {
     let groups: Vec<&[Rank]> = groups
         .iter()
         .filter(|g| !g.is_empty())
@@ -362,10 +377,12 @@ pub fn hierarchical_all_reduce(groups: &[Vec<Rank>], bytes: u64) -> CollSchedule
         .collect();
     let total: usize = groups.iter().map(|g| g.len()).sum();
     if total <= 1 {
-        return CollSchedule::empty();
+        return Vec::new();
     }
     if groups.len() == 1 {
-        return ring_all_reduce(groups[0], bytes);
+        // The flat ring all-reduce: `2(n−1)` rounds of `V/n`.
+        let n = groups[0].len();
+        return vec![(ring_round(groups[0], bytes / n as u64), 2 * (n as u32 - 1))];
     }
     let k = groups.len();
     let s_max = groups
@@ -373,53 +390,49 @@ pub fn hierarchical_all_reduce(groups: &[Vec<Rank>], bytes: u64) -> CollSchedule
         .map(|g| g.len())
         .max()
         .expect("hierarchical schedule requires at least two cluster groups");
-    let mut rounds = Vec::new();
+    let mut runs = Vec::new();
 
     // Phase 1/3 skeleton: one lockstep intra-cluster ring pass; cluster c
     // is active while `r < n_c − 1`.
-    let intra_pass = |rounds: &mut Vec<Round>| {
-        for r in 0..s_max.saturating_sub(1) {
-            let transfers: Vec<Transfer> = groups
-                .iter()
-                .filter(|g| r + 1 < g.len())
-                .flat_map(|g| {
-                    let n = g.len();
-                    let chunk = bytes / n as u64;
-                    (0..n).map(move |i| Transfer {
-                        from: g[i],
-                        to: g[(i + 1) % n],
-                        bytes: chunk,
-                    })
-                })
+    let intra_pass = |runs: &mut Vec<(Round, u32)>| {
+        let mut r = 0;
+        while r + 1 < s_max {
+            let active = groups.iter().filter(|g| r + 1 < g.len());
+            let end = active
+                .clone()
+                .map(|g| g.len() - 1)
+                .min()
+                .expect("the largest cluster is active for every intra round");
+            let transfers: Vec<Transfer> = active
+                .flat_map(|g| ring_round(g, bytes / g.len() as u64).transfers)
                 .collect();
             if !transfers.is_empty() {
-                rounds.push(Round { transfers });
+                runs.push((Round { transfers }, (end - r) as u32));
             }
+            r = end;
         }
     };
 
-    intra_pass(&mut rounds);
+    intra_pass(&mut runs);
 
     // Phase 2: slot rings. Slot `i` all-reduces a `V/s_max` shard across
     // one representative per cluster (`g_c[i mod n_c]`), as a ring
     // all-reduce of k participants: `2(k−1)` rounds of `V/(s_max·k)`.
     let chunk = bytes / (s_max as u64 * k as u64);
-    for _ in 0..2 * (k - 1) {
-        let transfers: Vec<Transfer> = (0..s_max)
-            .flat_map(|slot| {
-                let groups = &groups;
-                (0..k).map(move |c| Transfer {
-                    from: groups[c][slot % groups[c].len()],
-                    to: groups[(c + 1) % k][slot % groups[(c + 1) % k].len()],
-                    bytes: chunk,
-                })
+    let transfers: Vec<Transfer> = (0..s_max)
+        .flat_map(|slot| {
+            let groups = &groups;
+            (0..k).map(move |c| Transfer {
+                from: groups[c][slot % groups[c].len()],
+                to: groups[(c + 1) % k][slot % groups[(c + 1) % k].len()],
+                bytes: chunk,
             })
-            .collect();
-        rounds.push(Round { transfers });
-    }
+        })
+        .collect();
+    runs.push((Round { transfers }, 2 * (k as u32 - 1)));
 
-    intra_pass(&mut rounds);
-    CollSchedule { rounds }
+    intra_pass(&mut runs);
+    runs
 }
 
 /// Effective server count for a PS group: at least one, at most the
@@ -495,95 +508,123 @@ pub fn ps_pull(devices: &[Rank], bytes: u64, servers: u32) -> CollSchedule {
 /// contention it stays a close analytic proxy for the executor's
 /// max-min-fair replay (the cross-validation tests bound the gap).
 pub fn estimate_on_topology(topo: &Topology, schedule: &CollSchedule) -> f64 {
+    fold_runs(topo, schedule.rounds().iter().map(|round| (round, 1)))
+}
+
+/// The fold behind [`estimate_on_topology`], over run-length
+/// `(round, repeat)` pairs. A round equal to the one priced just before
+/// it reuses that cost, and every repeat adds the round's cost once, so
+/// the total sums the same terms in the same order as pricing each round
+/// of the expanded schedule.
+fn fold_runs<'a>(topo: &Topology, runs: impl IntoIterator<Item = (&'a Round, u32)>) -> f64 {
     let gpus_per_node = topo.gpus_per_node().max(1);
-    let node_of = |r: Rank| r.0 / gpus_per_node;
-    let mut src: HashMap<(u32, bool), u32> = HashMap::new();
-    let mut dst: HashMap<(u32, bool), u32> = HashMap::new();
-    let mut switch_flows: HashMap<u32, u32> = HashMap::new();
+    // Contention counters: `(node, rdma)` slots per node-level link and
+    // one per cluster switch.
+    let slot = |r: Rank, rdma: bool| 2 * (r.0 / gpus_per_node) as usize + usize::from(rdma);
+    let mut src = vec![0u32; 2 * topo.device_count().div_ceil(gpus_per_node) as usize];
+    let mut dst = src.clone();
+    let mut switch_flows = vec![0u32; topo.cluster_count() as usize];
+    let mut prev: Option<(&Round, f64)> = None;
     let mut total = 0.0f64;
-    for round in schedule.rounds() {
-        src.clear();
-        dst.clear();
-        switch_flows.clear();
-        // First pass: how many concurrent flows share each node-level link.
-        for t in round.transfers() {
-            let profile = topo
-                .link_between(t.from, t.to)
-                .expect("schedule ranks belong to the topology");
-            if profile.kind.is_intra_node() {
-                continue;
-            }
-            let rdma = profile.kind.is_rdma();
-            *src.entry((node_of(t.from), rdma)).or_insert(0) += 1;
-            *dst.entry((node_of(t.to), rdma)).or_insert(0) += 1;
-            if rdma {
-                let cluster = topo
-                    .coord(t.from)
-                    .expect("schedule transfers reference ranks inside the topology")
-                    .cluster
-                    .0;
-                *switch_flows.entry(cluster).or_insert(0) += 1;
-            }
-        }
-        // Second pass: per-transfer cost under fair sharing; the slowest
-        // transfer bounds the round.
-        let mut round_s = 0.0f64;
-        for t in round.transfers() {
-            let profile = topo
-                .link_between(t.from, t.to)
-                .expect("schedule ranks belong to the topology");
-            let lat = profile.latency_ns as f64 * 1e-9;
-            let mut bw = profile.bandwidth_bytes_per_sec;
-            if !profile.kind.is_intra_node() {
-                let rdma = profile.kind.is_rdma();
-                let ca = topo
-                    .coord(t.from)
-                    .expect("schedule transfers reference ranks inside the topology");
-                let cb = topo
-                    .coord(t.to)
-                    .expect("schedule transfers reference ranks inside the topology");
-                let na = &topo.clusters()[ca.cluster.0 as usize].nodes[ca.node.0 as usize];
-                let nb = &topo.clusters()[cb.cluster.0 as usize].nodes[cb.node.0 as usize];
-                let (up, down) = if rdma {
-                    (
-                        na.nic.node_uplink_bytes_per_sec(),
-                        nb.nic.node_uplink_bytes_per_sec(),
-                    )
-                } else {
-                    (
-                        na.ethernet.node_uplink_bytes_per_sec(),
-                        nb.ethernet.node_uplink_bytes_per_sec(),
-                    )
-                };
-                let s = f64::from(src[&(node_of(t.from), rdma)]);
-                let d = f64::from(dst[&(node_of(t.to), rdma)]);
-                bw = bw.min(up / s).min(down / d);
-                if rdma {
-                    let cluster = &topo.clusters()[ca.cluster.0 as usize];
-                    if cluster.oversubscription > 1.0 {
-                        let flows = f64::from(switch_flows[&ca.cluster.0]);
-                        bw = bw.min(cluster.switch_bisection_bytes_per_sec() / flows);
+    for (round, repeat) in runs {
+        let round_s = match prev {
+            Some((last, s)) if last == round => s,
+            _ => {
+                src.fill(0);
+                dst.fill(0);
+                switch_flows.fill(0);
+                // First pass: how many concurrent flows share each
+                // node-level link.
+                for t in round.transfers() {
+                    let profile = topo
+                        .link_between(t.from, t.to)
+                        .expect("schedule ranks belong to the topology");
+                    if profile.kind.is_intra_node() {
+                        continue;
+                    }
+                    let rdma = profile.kind.is_rdma();
+                    src[slot(t.from, rdma)] += 1;
+                    dst[slot(t.to, rdma)] += 1;
+                    if rdma {
+                        let cluster = topo
+                            .coord(t.from)
+                            .expect("schedule transfers reference ranks inside the topology")
+                            .cluster
+                            .0;
+                        switch_flows[cluster as usize] += 1;
                     }
                 }
+                // Second pass: per-transfer cost under fair sharing; the
+                // slowest transfer bounds the round.
+                let mut round_s = 0.0f64;
+                for t in round.transfers() {
+                    let profile = topo
+                        .link_between(t.from, t.to)
+                        .expect("schedule ranks belong to the topology");
+                    let lat = profile.latency_ns as f64 * 1e-9;
+                    let mut bw = profile.bandwidth_bytes_per_sec;
+                    if !profile.kind.is_intra_node() {
+                        let rdma = profile.kind.is_rdma();
+                        let ca = topo
+                            .coord(t.from)
+                            .expect("schedule transfers reference ranks inside the topology");
+                        let cb = topo
+                            .coord(t.to)
+                            .expect("schedule transfers reference ranks inside the topology");
+                        let na = &topo.clusters()[ca.cluster.0 as usize].nodes[ca.node.0 as usize];
+                        let nb = &topo.clusters()[cb.cluster.0 as usize].nodes[cb.node.0 as usize];
+                        let (up, down) = if rdma {
+                            (
+                                na.nic.node_uplink_bytes_per_sec(),
+                                nb.nic.node_uplink_bytes_per_sec(),
+                            )
+                        } else {
+                            (
+                                na.ethernet.node_uplink_bytes_per_sec(),
+                                nb.ethernet.node_uplink_bytes_per_sec(),
+                            )
+                        };
+                        let s = f64::from(src[slot(t.from, rdma)]);
+                        let d = f64::from(dst[slot(t.to, rdma)]);
+                        bw = bw.min(up / s).min(down / d);
+                        if rdma {
+                            let cluster = &topo.clusters()[ca.cluster.0 as usize];
+                            if cluster.oversubscription > 1.0 {
+                                let flows = f64::from(switch_flows[ca.cluster.0 as usize]);
+                                bw = bw.min(cluster.switch_bisection_bytes_per_sec() / flows);
+                            }
+                        }
+                    }
+                    round_s = round_s.max(lat + t.bytes as f64 / bw);
+                }
+                round_s
             }
-            round_s = round_s.max(lat + t.bytes as f64 / bw);
+        };
+        for _ in 0..repeat {
+            total += round_s;
         }
-        total += round_s;
+        prev = Some((round, round_s));
     }
     total
 }
 
 /// [`estimate_on_topology`] for a [`CollKind`] over `devices`, deriving
 /// the cluster partition from the topology — the planner-facing helper
-/// behind NIC-selection scoring and the core estimator.
+/// behind NIC-selection scoring and the core estimator. Hierarchical
+/// groups are folded straight from their runs, without materialising the
+/// expanded schedule.
 pub fn estimate_collective(topo: &Topology, kind: CollKind, devices: &[Rank], bytes: u64) -> f64 {
-    let schedule = kind.schedule(devices, bytes, |r| {
+    let cluster_of = |r: Rank| {
         topo.coord(r)
             .expect("devices belong to the topology")
             .cluster
             .0
-    });
-    estimate_on_topology(topo, &schedule)
+    };
+    if kind == CollKind::HierarchicalAllReduce {
+        let runs = hierarchical_runs(&partition_by_cluster(devices, cluster_of), bytes);
+        return fold_runs(topo, runs.iter().map(|(round, repeat)| (round, *repeat)));
+    }
+    estimate_on_topology(topo, &kind.schedule(devices, bytes, cluster_of))
 }
 
 #[cfg(test)]
@@ -824,6 +865,37 @@ mod tests {
         let uniform =
             s.seconds_uniform(link.bandwidth_bytes_per_sec, link.latency_ns as f64 * 1e-9);
         assert!((est - uniform).abs() < 1e-12 * uniform.max(1.0));
+    }
+
+    #[test]
+    fn fold_reuses_only_equal_consecutive_rounds() {
+        use holmes_topology::{presets, NicType};
+        // [A, A, B, A]: the second A reuses the first's cost, B is priced
+        // afresh, and the last A (after B) must be priced again — never
+        // confused with B's cost.
+        let topo = presets::same_nic_two_clusters(NicType::InfiniBand, 2);
+        let a = ring_all_reduce(&ranks(32), V).rounds()[0].clone();
+        let b = tree_all_reduce(&ranks(32), V).rounds()[0].clone();
+        let price =
+            |r: &Round| estimate_on_topology(&topo, &CollSchedule::from_rounds(vec![r.clone()]));
+        let (pa, pb) = (price(&a), price(&b));
+        assert_ne!(pa.to_bits(), pb.to_bits());
+        let schedule = CollSchedule::from_rounds(vec![a.clone(), a.clone(), b, a]);
+        let folded = estimate_on_topology(&topo, &schedule);
+        assert_eq!(folded.to_bits(), (0.0 + pa + pa + pb + pa).to_bits());
+    }
+
+    #[test]
+    fn hierarchical_runs_expand_to_the_schedule() {
+        // Unequal clusters: the intra pass splits where the 2-member
+        // cluster drops out, and the exchange is one repeated round.
+        let groups = vec![ranks(5), vec![Rank(8), Rank(9)], vec![Rank(16)]];
+        let runs = hierarchical_runs(&groups, V);
+        let repeats: Vec<u32> = runs.iter().map(|(_, n)| *n).collect();
+        assert_eq!(repeats, vec![1, 3, 4, 1, 3]);
+        let s = hierarchical_all_reduce(&groups, V);
+        assert_eq!(s.round_count(), repeats.iter().sum::<u32>());
+        assert!(hierarchical_runs(&[ranks(1)], V).is_empty());
     }
 
     #[test]

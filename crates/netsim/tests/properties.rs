@@ -8,7 +8,7 @@ use holmes_netsim::{
     collective, Completion, FaultSchedule, FlowSpec, LinkCapacity, LinkHealth, LinkId, NetSim,
     SimDuration,
 };
-use holmes_topology::Rank;
+use holmes_topology::{presets, ClusterId, NicType, Rank, Topology, TopologyBuilder};
 
 /// Drain a simulator, returning (completion order tokens, final time).
 fn drain(sim: &mut NetSim) -> (Vec<u64>, f64) {
@@ -31,7 +31,67 @@ fn drain_log(sim: &mut NetSim) -> String {
     log
 }
 
+/// Multi-cluster fabrics for the hierarchical-fold property: the
+/// heterogeneous fleets the planner scores, plus a fabric whose RDMA
+/// switches are oversubscribed (so the per-cluster switch counters bite)
+/// and which ends in a single-node cluster.
+fn fold_topologies() -> Vec<Topology> {
+    vec![
+        presets::fleet_hetero(5, 2),
+        presets::synthetic_fleet(6, 2),
+        presets::hybrid_two_cluster(2),
+        TopologyBuilder::new()
+            .cluster("ib-4x", 3, NicType::InfiniBand)
+            .oversubscription(4.0)
+            .cluster("roce-2x", 2, NicType::RoCE)
+            .oversubscription(2.0)
+            .cluster("ib-solo", 1, NicType::InfiniBand)
+            .build()
+            .expect("valid oversubscribed fabric"),
+    ]
+}
+
 proptest! {
+    /// The planner-facing hierarchical estimate, which folds run-length
+    /// rounds without materialising the schedule, is bit-identical to
+    /// folding the expanded schedule round by round — over random member
+    /// subsets and orders: unequal per-cluster counts, singleton
+    /// clusters, one cluster, and 0 or 1 members.
+    #[test]
+    fn hierarchical_estimate_is_bit_identical_to_the_schedule_fold(
+        topo_ix in 0usize..4,
+        one_cluster in 0u32..4,
+        picks in prop::collection::vec(0u32..1_000_000, 0..48),
+        bytes in 0u64..(1 << 34),
+    ) {
+        let topo = &fold_topologies()[topo_ix];
+        let cluster_of = |r: Rank| topo.coord(r).expect("rank in topology").cluster.0;
+        // Candidate ranks: the whole fabric, or (one time in four) a
+        // single cluster. Picks index them; first-seen order is kept.
+        let pool: Vec<Rank> = if one_cluster == 0 {
+            let c = picks.first().map_or(0, |p| p % topo.cluster_count());
+            topo.cluster_ranks(ClusterId(c))
+        } else {
+            (0..topo.device_count()).map(Rank).collect()
+        };
+        let mut devices: Vec<Rank> = Vec::new();
+        for p in &picks {
+            let r = pool[*p as usize % pool.len()];
+            if !devices.contains(&r) {
+                devices.push(r);
+            }
+        }
+        // The degenerate 0- and 1-member prefixes ride along every case.
+        let kind = algo::CollKind::HierarchicalAllReduce;
+        for len in [0, devices.len().min(1), devices.len()] {
+            let members = &devices[..len];
+            let direct = algo::estimate_collective(topo, kind, members, bytes);
+            let folded =
+                algo::estimate_on_topology(topo, &kind.schedule(members, bytes, cluster_of));
+            prop_assert_eq!(direct.to_bits(), folded.to_bits());
+        }
+    }
+
     /// Work conservation: N flows on one link drain in exactly
     /// `total_bytes / capacity` (zero latency, no caps) — the fluid model
     /// never wastes capacity while work remains.

@@ -221,12 +221,12 @@ fn clusters_interchangeable(a: &Cluster, b: &Cluster) -> bool {
 struct PartialPlan {
     /// Admissible lower bound on any completion's cost.
     bound: f64,
-    /// Speed-rank-relabeled prefix: the canonical tie-break key.
+    /// Speed-rank-relabeled prefix: the canonical tie-break key, and the
+    /// visit order itself (`canon[i]` is the position of the `i`-th
+    /// visited cluster in [`HolmesScheduler::cluster_order`]).
     canon: Vec<u16>,
     /// Insertion sequence number (final, total tie-break).
     seq: u64,
-    /// Clusters visited so far, in visit order.
-    prefix: Vec<ClusterId>,
     /// Bitmask of visited clusters (`M ≤ 128`).
     used: u128,
     /// Devices pinned to logical ranks `0..devices.len()`.
@@ -364,7 +364,6 @@ pub fn synthesize_placement_workload(
             bound: root_bound,
             canon: Vec::new(),
             seq,
-            prefix: Vec::new(),
             used: 0,
             devices: Vec::new(),
             g: 0.0,
@@ -378,7 +377,7 @@ pub fn synthesize_placement_workload(
     let mut winner: Option<PartialPlan> = None;
     while let Some(Reverse(state)) = heap.pop() {
         debug_assert!(state.bound.total_cmp(&heuristic_cost).is_lt());
-        if state.prefix.len() == m {
+        if state.canon.len() == m {
             // First complete pop = minimal (cost, canonical order): keys
             // strictly increase along paths, so no cheaper or canonically
             // smaller completion can still be hiding behind an open node.
@@ -434,15 +433,12 @@ pub fn synthesize_placement_workload(
                 entries.retain(|(g2, c2)| !(g.total_cmp(g2).is_le() && canon < *c2));
                 entries.push((g, canon.clone()));
             }
-            let mut prefix = state.prefix.clone();
-            prefix.push(ClusterId(c as u32));
             seq += 1;
             stats.pushed += 1;
             heap.push(Reverse(PartialPlan {
                 bound,
                 canon,
                 seq,
-                prefix,
                 used,
                 devices,
                 g,
@@ -452,7 +448,14 @@ pub fn synthesize_placement_workload(
     }
 
     match winner {
-        Some(goal) => (result_for(topo, goal.prefix, goal.g, evaluated), stats),
+        Some(goal) => {
+            let order = goal
+                .canon
+                .iter()
+                .map(|&rank| heuristic_order[usize::from(rank)])
+                .collect();
+            (result_for(topo, order, goal.g, evaluated), stats)
+        }
         None => {
             stats.heuristic_won = true;
             (
