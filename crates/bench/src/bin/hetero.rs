@@ -14,8 +14,8 @@
 //!   exercised beyond planning: the autotuner ranking degrees on a
 //!   generation-split fleet, the resilience family's straggler/churn
 //!   presets running on the mixed fleet (churn re-plans price compute
-//!   skew through `replan_for_delta_with`), and the hierarchical
-//!   cross-cluster all-reduce against the forced-TCP fallback.
+//!   skew through `replan_for_delta`'s two-axis workload), and the
+//!   hierarchical cross-cluster all-reduce against the forced-TCP fallback.
 //! * **`wall`** (machine-dependent, gated by tolerance) — total bench
 //!   wall-clock.
 //!
@@ -169,7 +169,7 @@ fn autotune_variant() -> AutotuneVariant {
 /// plus both churn presets on the generation-split fleet (whose post-churn
 /// device counts keep the degrees divisible, so the migration-aware
 /// re-plan actually runs — pricing compute skew through
-/// `replan_for_delta_with`).
+/// `replan_for_delta`'s two-axis workload).
 struct ResilienceVariant {
     env: &'static str,
     preset: &'static str,

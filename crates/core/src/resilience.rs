@@ -7,10 +7,11 @@
 //! the whole recovery path — netsim link-health transitions, the engine's
 //! timeout/retry/backoff machinery, TCP fallback on NIC loss, and (when a
 //! NIC is actually lost) the parallel layer's
-//! [`replan_on_nic_loss`](holmes_parallel::NicSelectionReport::replan_on_nic_loss)
-//! downgrade pass. Everything is deterministic in `(topology, parameter
-//! group, preset, seed)`: the same seed reproduces the same fault times
-//! and therefore a byte-identical [`ResilienceReport::event_log`].
+//! [`replan`](holmes_parallel::NicSelectionReport::replan) downgrade pass
+//! over a NIC-loss-only [`TopologyDelta`]. Everything is deterministic in
+//! `(topology, parameter group, preset, seed)`: the same seed reproduces
+//! the same fault times and therefore a byte-identical
+//! [`ResilienceReport::event_log`].
 
 use holmes_engine::{
     simulate_iteration_observed, simulate_iteration_with_faults, DegradedCondition, DpSyncStrategy,
@@ -20,7 +21,7 @@ use holmes_model::CommVolumes;
 use holmes_netsim::{ChurnKind, LinkHealth, SimDuration, SimTime};
 use holmes_obs::{Layer, ObsSession};
 use holmes_parallel::{
-    replan_for_delta_with, DeltaReplanOutcome, GuidedPlanner, MigrationCosts, PlacementWorkload,
+    replan_for_delta, DeltaReplanOutcome, GuidedPlanner, MigrationCosts, PlacementWorkload,
     ReplanOutcome, TopologyDelta,
 };
 use holmes_topology::{Rank, Topology};
@@ -441,7 +442,7 @@ fn run_resilient_inner(
     let grad_bytes = CommVolumes::dp_gradient_bytes(stage_params, degrees.tensor);
     let replan = (!lost_nodes.is_empty()).then(|| {
         plan.nic_report(topo)
-            .replan_on_nic_loss(topo, &lost_nodes, grad_bytes)
+            .replan(topo, &TopologyDelta::nic_losses(&lost_nodes), grad_bytes)
     });
 
     // Membership churn (preempt/drain/join, whether the run survived it
@@ -505,7 +506,7 @@ fn run_resilient_inner(
                 )
             };
             let outcome =
-                replan_for_delta_with(topo, &plan, &delta, workload, &GuidedPlanner, &costs).ok();
+                replan_for_delta(topo, &plan, &delta, workload, &GuidedPlanner, &costs).ok();
             // Replan reachability gate: the churn re-plan must itself
             // verify, and every state move must be executable on the
             // post-churn fabric, before anything acts on it.

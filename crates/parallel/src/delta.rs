@@ -1,11 +1,12 @@
 //! Typed topology deltas and migration-aware re-planning.
 //!
-//! PR 3's [`NicSelectionReport::replan_on_nic_loss`] handled exactly one
-//! churn class — a node losing its RDMA NIC — by downgrading the touched
-//! groups in place. Elastic training needs more: nodes *leave* (preempted
-//! spot instances, announced drains) and *join* (scale-up mid-run), and
-//! each of those changes the device count, so the plan must be rebuilt,
-//! not patched. This module supplies the vocabulary and the full path:
+//! [`NicSelectionReport::replan`] handles the cheapest churn class — a
+//! node losing its RDMA NIC — by downgrading the touched groups in place
+//! (pass it [`TopologyDelta::nic_losses`]). Elastic training needs more:
+//! nodes *leave* (preempted spot instances, announced drains) and *join*
+//! (scale-up mid-run), and each of those changes the device count, so the
+//! plan must be rebuilt, not patched. This module supplies the vocabulary
+//! and the full path:
 //!
 //! * [`TopologyDelta`] — a typed batch of membership events
 //!   ([`DeltaEvent`]: NIC loss, node loss, node join);
@@ -18,10 +19,6 @@
 //!   re-shard implies is priced by *simulating* the state transfers on
 //!   the post-churn fabric, falling back to a checkpoint restore for
 //!   shards with no surviving replica.
-//!
-//! `replan_on_nic_loss` survives as a thin wrapper over the downgrade
-//! class ([`NicSelectionReport::replan`] with a NIC-loss-only delta), so
-//! its behaviour — and PR 3's tests — are unchanged bit-for-bit.
 
 use std::collections::HashSet;
 
@@ -347,9 +344,11 @@ pub struct DeltaReplanOutcome {
     pub report: NicSelectionReport,
     /// The state migration getting from the old plan to the new one.
     pub migration: MigrationPlan,
-    /// Analytic DP sync cost of the old plan on the old topology.
+    /// Analytic DP cost of the old plan on the old topology under the
+    /// re-plan's workload: gradient sync plus compute-straggler skew.
     pub cost_before_seconds: f64,
-    /// Analytic DP sync cost of the new plan on the new topology.
+    /// Analytic DP cost of the new plan on the new topology under the
+    /// re-plan's workload: gradient sync plus compute-straggler skew.
     pub cost_after_seconds: f64,
 }
 
@@ -370,6 +369,12 @@ impl DeltaReplanOutcome {
 /// price the optimizer-state migration by simulating the shard copies on
 /// the post-churn fabric.
 ///
+/// The placement search and the before/after costs are all priced
+/// against `workload`: gradient sync plus each DP group's
+/// compute-straggler skew, so churn on a mixed-generation fleet re-plans
+/// away from generation-straddling groups, not just NIC downgrades. A bare
+/// `u64` gradient volume is the zero-FLOPs workload.
+///
 /// Shard identity follows the data-parallel group index (`g = stage · t +
 /// tp-slot`), which is invariant under the re-shard because `t` and `p`
 /// are preserved. Each member of a post-churn DP group sources its shard
@@ -380,35 +385,11 @@ pub fn replan_for_delta(
     topo: &Topology,
     plan: &ParallelPlan,
     delta: &TopologyDelta,
-    gradient_bytes: u64,
+    workload: impl Into<PlacementWorkload>,
     planner: &dyn Planner,
     costs: &MigrationCosts,
 ) -> Result<DeltaReplanOutcome, DeltaError> {
-    replan_for_delta_with(
-        topo,
-        plan,
-        delta,
-        PlacementWorkload::gradient_only(gradient_bytes),
-        planner,
-        costs,
-    )
-}
-
-/// [`replan_for_delta`] priced against a two-axis
-/// [`PlacementWorkload`]: the post-churn placement search and the
-/// before/after costs all charge DP groups their compute-straggler skew
-/// in addition to gradient sync — so churn on a mixed-generation fleet
-/// re-plans away from generation-straddling groups, not just NIC
-/// downgrades. With [`PlacementWorkload::gradient_only`] this is
-/// bit-identical to [`replan_for_delta`].
-pub fn replan_for_delta_with(
-    topo: &Topology,
-    plan: &ParallelPlan,
-    delta: &TopologyDelta,
-    workload: PlacementWorkload,
-    planner: &dyn Planner,
-    costs: &MigrationCosts,
-) -> Result<DeltaReplanOutcome, DeltaError> {
+    let workload = workload.into();
     let new_topo = delta.apply(topo)?;
     let degrees = plan.degrees();
     let new_degrees =
@@ -417,10 +398,8 @@ pub fn replan_for_delta_with(
     let layout = GroupLayout::new(new_degrees);
     let placement = planner.plan_workload(&new_topo, &layout, workload);
     let report = NicSelectionReport::analyze(&new_topo, &layout, &placement.assignment);
-    let cost_before_seconds = plan
-        .nic_report(topo)
-        .dp_workload_cost_seconds(topo, workload);
-    let cost_after_seconds = report.dp_workload_cost_seconds(&new_topo, workload);
+    let cost_before_seconds = plan.nic_report(topo).dp_sync_cost_seconds(topo, workload);
+    let cost_after_seconds = report.dp_sync_cost_seconds(&new_topo, workload);
 
     // Old physical rank → post-churn physical rank (None when its node
     // left). GPU slot within a node is stable across the re-index.
@@ -596,29 +575,46 @@ mod tests {
 
     #[test]
     fn replan_for_delta_matches_planning_the_new_topology_from_scratch() {
-        let topo = presets::hybrid_two_cluster(2);
-        let plan = plan_on(&topo, 1, 2);
-        let mut delta = TopologyDelta::new();
-        delta.node_loss(1);
-        let planner = GuidedPlanner;
-        let outcome = replan_for_delta(
-            &topo,
-            &plan,
-            &delta,
-            GRAD,
-            &planner,
-            &MigrationCosts::new(1 << 20, 30.0),
-        )
-        .unwrap();
-        // The migration-aware path must converge to the same placement a
-        // from-scratch plan of the post-churn topology picks.
-        let fresh_topo = delta.apply(&topo).unwrap();
-        let fresh_layout =
-            GroupLayout::new(ParallelDegrees::infer_data(1, 2, fresh_topo.device_count()).unwrap());
-        let fresh = planner.plan_placement(&fresh_topo, &fresh_layout, GRAD);
-        assert_eq!(outcome.placement.assignment, fresh.assignment);
-        assert_eq!(outcome.placement.cluster_order, fresh.cluster_order);
-        assert_eq!(outcome.placement.cost_seconds, fresh.cost_seconds);
+        // Gradient-only on a compute-uniform fleet, and the two-axis
+        // workload on a mixed-generation one (non-zero stage FLOPs).
+        for (topo, workload) in [
+            (
+                presets::hybrid_two_cluster(2),
+                PlacementWorkload::from(GRAD),
+            ),
+            (presets::gen_mix_3c(), PlacementWorkload::new(GRAD, 2.5e13)),
+        ] {
+            let plan = plan_on(&topo, 1, 2);
+            let mut delta = TopologyDelta::new();
+            delta.node_loss(1);
+            let planner = GuidedPlanner;
+            let outcome = replan_for_delta(
+                &topo,
+                &plan,
+                &delta,
+                workload,
+                &planner,
+                &MigrationCosts::new(1 << 20, 30.0),
+            )
+            .unwrap();
+            // The migration-aware path must converge to the same placement
+            // a from-scratch plan of the post-churn topology picks.
+            let fresh_topo = delta.apply(&topo).unwrap();
+            let fresh_layout = GroupLayout::new(
+                ParallelDegrees::infer_data(1, 2, fresh_topo.device_count()).unwrap(),
+            );
+            let fresh = planner.plan_workload(&fresh_topo, &fresh_layout, workload);
+            assert_eq!(outcome.placement.assignment, fresh.assignment);
+            assert_eq!(outcome.placement.cluster_order, fresh.cluster_order);
+            assert_eq!(
+                outcome.placement.cost_seconds.to_bits(),
+                fresh.cost_seconds.to_bits()
+            );
+            assert_eq!(
+                outcome.cost_after_seconds.to_bits(),
+                fresh.cost_seconds.to_bits()
+            );
+        }
     }
 
     #[test]

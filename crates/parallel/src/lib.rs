@@ -22,7 +22,9 @@
 //!   generalizes Eq. 2 to per-stage heterogeneous device speeds;
 //! * [`PlacementWorkload`] — the two-axis pricing signal (gradient bytes +
 //!   per-device stage FLOPs) that lets every planner charge DP groups a
-//!   compute-straggler tax on mixed-generation fleets (see [`skew`]);
+//!   compute-straggler tax on mixed-generation fleets (see [`skew`]); it is
+//!   the only thing a placement is priced against, and a bare `u64`
+//!   gradient volume converts into its zero-FLOPs form;
 //! * [`ParallelPlan`] — the assembled plan consumed by the engine;
 //! * [`Planner`] — one interface over the three placement strategies:
 //!   the [`HeuristicPlanner`] (fastest-first order, no search), the
@@ -53,8 +55,8 @@ mod synth;
 
 pub use degrees::{DegreeError, ParallelDegrees};
 pub use delta::{
-    replan_for_delta, replan_for_delta_with, DeltaError, DeltaEvent, DeltaReplanOutcome,
-    MigrationCosts, MigrationPlan, StateMove, TopologyDelta,
+    replan_for_delta, DeltaError, DeltaEvent, DeltaReplanOutcome, MigrationCosts, MigrationPlan,
+    StateMove, TopologyDelta,
 };
 pub use groups::GroupLayout;
 pub use nic_selection::{DpCollectiveAlgo, DpGroupNic, NicSelectionReport, ReplanOutcome};
@@ -63,14 +65,10 @@ pub use plan::ParallelPlan;
 pub use scheduler::{
     DeviceAssignment, HolmesScheduler, InterleavedScheduler, Scheduler, SequentialScheduler,
 };
-pub use search::{
-    assignment_for_order, search_cluster_orders, search_cluster_orders_with_mode,
-    search_cluster_orders_workload, search_cluster_orders_workload_with_mode, EvalMode,
-    PlacementSearchResult,
-};
+pub use search::{assignment_for_order, search_cluster_orders, EvalMode, PlacementSearchResult};
 pub use skew::PlacementWorkload;
 pub use straggler::{StageProfile, StragglerAwarePartition};
 pub use synth::{
-    speed_rank_of, synthesize_placement, synthesize_placement_workload, ExhaustivePlanner,
-    GuidedPlanner, HeuristicPlanner, Planner, SynthStats,
+    speed_rank_of, synthesize_placement, ExhaustivePlanner, GuidedPlanner, HeuristicPlanner,
+    Planner, SynthStats,
 };

@@ -11,6 +11,7 @@ use holmes_topology::{NicType, Rank, Topology};
 
 use crate::groups::GroupLayout;
 use crate::scheduler::DeviceAssignment;
+use crate::skew::PlacementWorkload;
 
 /// Which all-reduce algorithm a data-parallel group should run — derived
 /// from the group's NIC classification and cluster span, and matching the
@@ -42,7 +43,7 @@ pub struct DpGroupNic {
     /// The collective algorithm selected for the group's gradient sync.
     pub algo: DpCollectiveAlgo,
     /// True when the group was downgraded to TCP by a re-planning pass
-    /// ([`NicSelectionReport::replan_on_nic_loss`]): its members' NICs
+    /// ([`NicSelectionReport::replan`]): its members' NICs
     /// may still be mutually RDMA-compatible, but a failed NIC forces the
     /// whole group through the Ethernet fallback (paper §3.2).
     pub forced_tcp: bool,
@@ -108,9 +109,10 @@ impl DpGroupNic {
     /// per rank, in seconds. Singleton groups synchronize nothing and cost
     /// exactly `0.0`.
     ///
-    /// [`NicSelectionReport::dp_sync_cost_seconds`] is the max-fold of this
-    /// function over a plan's groups; the guided synthesizer folds the same
-    /// function incrementally as groups become determined, so partial-plan
+    /// [`NicSelectionReport::dp_sync_cost_seconds`] max-folds this function
+    /// plus each group's skew term (`+0.0` at zero stage FLOPs) over a
+    /// plan's groups; the guided synthesizer folds the same per-group cost
+    /// incrementally as groups become determined, so partial-plan
     /// bounds and full-plan costs are bit-identical (`f64::max` over
     /// non-negative finite values is fold-order independent).
     pub fn sync_cost_seconds(&self, topo: &Topology, gradient_bytes: u64) -> f64 {
@@ -175,16 +177,12 @@ impl DpGroupNic {
         slowest - fastest
     }
 
-    /// Priced cost of this group under a [`crate::PlacementWorkload`]:
+    /// Priced cost of this group under a [`PlacementWorkload`]:
     /// NIC-priced gradient sync plus the compute-skew straggler tax.
-    /// With [`crate::PlacementWorkload::gradient_only`] (or on any
+    /// With [`PlacementWorkload::gradient_only`] (or on any
     /// compute-uniform member set) the skew term is exactly `+0.0`, so
     /// the sum is bit-identical to [`DpGroupNic::sync_cost_seconds`].
-    pub fn workload_cost_seconds(
-        &self,
-        topo: &Topology,
-        workload: crate::skew::PlacementWorkload,
-    ) -> f64 {
+    pub fn workload_cost_seconds(&self, topo: &Topology, workload: PlacementWorkload) -> f64 {
         self.sync_cost_seconds(topo, workload.gradient_bytes)
             + self.straggler_skew_seconds(topo, workload.stage_flops)
     }
@@ -232,61 +230,31 @@ impl NicSelectionReport {
     }
 
     /// Analytic per-iteration data-parallel synchronization cost in
-    /// seconds, for `gradient_bytes` of gradients per rank: the max over
-    /// groups of the cost of the algorithm selected for each group — a
-    /// ring all-reduce at the group's bottleneck pairwise bandwidth, or
-    /// the hierarchical schedule's topology-aware fold when the group
-    /// straddles clusters. Used by the planner to compare assignments
-    /// cheaply.
-    pub fn dp_sync_cost_seconds(&self, topo: &Topology, gradient_bytes: u64) -> f64 {
-        self.groups.iter().fold(0.0f64, |worst, g| {
-            worst.max(g.sync_cost_seconds(topo, gradient_bytes))
-        })
-    }
-
-    /// [`NicSelectionReport::dp_sync_cost_seconds`] generalized to a
-    /// [`crate::PlacementWorkload`]: the max over groups of sync cost plus
-    /// straggler skew. Gradient-only workloads and compute-uniform fleets
-    /// reproduce the historical fold bit-for-bit.
-    pub fn dp_workload_cost_seconds(
+    /// seconds, priced against a [`PlacementWorkload`]: the max over groups
+    /// of each group's [`DpGroupNic::workload_cost_seconds`] — a ring
+    /// all-reduce at the group's bottleneck pairwise bandwidth, or the
+    /// hierarchical schedule's topology-aware fold when the group straddles
+    /// clusters, plus the group's compute-straggler skew. A bare `u64`
+    /// gradient volume is the zero-FLOPs workload, whose skew terms are
+    /// exactly `+0.0`. Used by the planner to compare assignments cheaply.
+    pub fn dp_sync_cost_seconds(
         &self,
         topo: &Topology,
-        workload: crate::skew::PlacementWorkload,
+        workload: impl Into<PlacementWorkload>,
     ) -> f64 {
+        let workload = workload.into();
         self.groups.iter().fold(0.0f64, |worst, g| {
             worst.max(g.workload_cost_seconds(topo, workload))
         })
-    }
-
-    /// Re-plan after NIC loss: re-run NIC selection on the *degraded*
-    /// topology — every node in `lost_nodes` (global node index,
-    /// `rank / gpus_per_node`) is treated as RDMA-incapable — and
-    /// downgrade every data-parallel group touching such a node to the
-    /// TCP fallback (paper §3.2), instead of failing the run.
-    ///
-    /// Untouched groups keep their original classification (and cost)
-    /// bit-for-bit; an empty `lost_nodes` returns the report unchanged.
-    ///
-    /// Thin wrapper over [`NicSelectionReport::replan`] with a delta of
-    /// pure NIC losses.
-    pub fn replan_on_nic_loss(
-        &self,
-        topo: &Topology,
-        lost_nodes: &[u32],
-        gradient_bytes: u64,
-    ) -> ReplanOutcome {
-        self.replan(
-            topo,
-            &crate::delta::TopologyDelta::nic_losses(lost_nodes),
-            gradient_bytes,
-        )
     }
 
     /// Re-plan *in place* under a typed [`crate::delta::TopologyDelta`]:
     /// every node the delta affects (NIC losses *and* node losses — a
     /// departing node's NIC is certainly unreachable) is treated as
     /// RDMA-incapable, and every data-parallel group touching one is
-    /// downgraded to the TCP fallback (paper §3.2).
+    /// downgraded to the TCP fallback (paper §3.2). Untouched groups keep
+    /// their original classification (and cost) bit-for-bit; an empty delta
+    /// returns the report unchanged.
     ///
     /// This is the cheap degraded-mode path: membership (and hence the
     /// placement) is kept fixed, only transports change. When the delta
@@ -339,7 +307,7 @@ impl NicSelectionReport {
     }
 }
 
-/// Result of [`NicSelectionReport::replan_on_nic_loss`].
+/// Result of [`NicSelectionReport::replan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplanOutcome {
     /// The re-classified report on the degraded topology.
@@ -368,6 +336,7 @@ impl ReplanOutcome {
 mod tests {
     use super::*;
     use crate::degrees::ParallelDegrees;
+    use crate::delta::TopologyDelta;
     use crate::scheduler::{HolmesScheduler, InterleavedScheduler, Scheduler};
     use holmes_topology::presets;
 
@@ -502,7 +471,7 @@ mod tests {
         assert_eq!(report.ethernet_groups, 0);
         let grad = 1u64 << 30;
         // Node 0 dies. Groups containing its ranks fall back to TCP.
-        let outcome = report.replan_on_nic_loss(&topo, &[0], grad);
+        let outcome = report.replan(&topo, &TopologyDelta::nic_losses(&[0]), grad);
         assert!(!outcome.downgraded_groups.is_empty());
         let g0 = topo.gpus_per_node();
         for g in &outcome.report.groups {
@@ -535,7 +504,7 @@ mod tests {
         let layout = layout_for(&topo, 1, 2);
         let a = HolmesScheduler.assign(&topo, &layout);
         let report = NicSelectionReport::analyze(&topo, &layout, &a);
-        let outcome = report.replan_on_nic_loss(&topo, &[], 1 << 30);
+        let outcome = report.replan(&topo, &TopologyDelta::new(), 1 << 30);
         assert_eq!(outcome.report, report);
         assert!(outcome.downgraded_groups.is_empty());
         assert_eq!(outcome.slowdown(), 1.0);
@@ -551,7 +520,7 @@ mod tests {
             .groups
             .iter()
             .all(|g| g.algo == DpCollectiveAlgo::HierarchicalTwoLevel));
-        let outcome = report.replan_on_nic_loss(&topo, &[1], 1 << 30);
+        let outcome = report.replan(&topo, &TopologyDelta::nic_losses(&[1]), 1 << 30);
         assert!(outcome
             .report
             .groups

@@ -2,8 +2,12 @@
 //!
 //! [`crate::HolmesScheduler`] is a *heuristic*: concatenate clusters
 //! fastest-NIC-first. This module searches every cluster permutation and
-//! scores each candidate by the analytic data-parallel synchronization
-//! cost ([`NicSelectionReport::dp_sync_cost_seconds`]), providing
+//! scores each candidate by the analytic data-parallel cost
+//! ([`NicSelectionReport::dp_sync_cost_seconds`]) under one
+//! [`PlacementWorkload`]: gradient sync plus compute-straggler skew, with
+//! a bare `u64` gradient volume standing for the zero-FLOPs workload. One
+//! entry, [`search_cluster_orders`], serves both pricing axes and both
+//! evaluation modes. It provides
 //!
 //! * the **reference oracle** for the guided branch-and-bound planner in
 //!   [`crate::GuidedPlanner`] (the equivalence tests assert the guided search
@@ -34,7 +38,7 @@ use crate::synth::speed_rank_of;
 
 /// How a candidate-evaluation fan-out is executed.
 ///
-/// Used by [`search_cluster_orders_with_mode`] here and by the autotuner
+/// Used by [`search_cluster_orders`] here and by the autotuner
 /// in the `holmes` crate. Parallel evaluation merges results in stable
 /// candidate order, so both modes produce identical rankings; `Serial` is
 /// the reference path the determinism tests compare against.
@@ -70,42 +74,22 @@ pub fn assignment_for_order(topo: &Topology, order: &[ClusterId]) -> DeviceAssig
     DeviceAssignment::from_permutation(device_of)
 }
 
-/// Score one complete cluster order: the plan-wide analytic DP sync cost.
+/// Score one complete cluster order: the plan-wide analytic DP cost under
+/// `workload` — each DP group pays its gradient-sync cost *plus* its
+/// compute-straggler skew at the workload's stage FLOPs.
 ///
 /// This is the *only* scoring path — the heuristic/exhaustive/guided
 /// planners and the synth incumbent all go through it (or through the
-/// per-group [`crate::DpGroupNic::sync_cost_seconds`] it folds), keeping
-/// costs bit-comparable across strategies. Production callers route
-/// through [`cost_of_order_workload`]; this gradient-only form remains as
-/// the test suite's reference spelling.
-#[cfg(test)]
+/// per-group [`crate::DpGroupNic::workload_cost_seconds`] it folds),
+/// keeping costs bit-comparable across strategies.
 pub(crate) fn cost_of_order(
-    topo: &Topology,
-    layout: &GroupLayout,
-    order: &[ClusterId],
-    gradient_bytes: u64,
-) -> f64 {
-    cost_of_order_workload(
-        topo,
-        layout,
-        order,
-        PlacementWorkload::gradient_only(gradient_bytes),
-    )
-}
-
-/// [`cost_of_order`] priced against a two-axis [`PlacementWorkload`]:
-/// each DP group pays its gradient-sync cost *plus* its compute-straggler
-/// skew at the workload's stage FLOPs. With
-/// [`PlacementWorkload::gradient_only`] this is bit-identical to
-/// [`cost_of_order`].
-pub(crate) fn cost_of_order_workload(
     topo: &Topology,
     layout: &GroupLayout,
     order: &[ClusterId],
     workload: PlacementWorkload,
 ) -> f64 {
     let assignment = assignment_for_order(topo, order);
-    NicSelectionReport::analyze(topo, layout, &assignment).dp_workload_cost_seconds(topo, workload)
+    NicSelectionReport::analyze(topo, layout, &assignment).dp_sync_cost_seconds(topo, workload)
 }
 
 /// Iterative permutation generator over `0..n` (Heap's algorithm).
@@ -210,59 +194,22 @@ impl CanonicalBest {
     }
 }
 
-/// Search every cluster ordering; score by the DP sync cost for
-/// `gradient_bytes` per rank. Returns the canonical winner (minimal cost,
-/// ties toward the fastest-first relabeled lexicographic minimum).
-///
-/// Permutations are scored in parallel; use
-/// [`search_cluster_orders_with_mode`] to force the serial path.
+/// Search every cluster ordering, scoring each against `workload` (a bare
+/// `u64` gradient volume is the zero-FLOPs workload). Returns the canonical
+/// winner (minimal cost, ties toward the fastest-first relabeled
+/// lexicographic minimum); `mode` picks parallel or serial scoring, which
+/// agree on the winner, cost bits and evaluation count.
 pub fn search_cluster_orders(
     topo: &Topology,
     layout: &GroupLayout,
-    gradient_bytes: u64,
-) -> PlacementSearchResult {
-    search_cluster_orders_with_mode(topo, layout, gradient_bytes, EvalMode::Parallel)
-}
-
-/// [`search_cluster_orders`] with an explicit evaluation mode.
-pub fn search_cluster_orders_with_mode(
-    topo: &Topology,
-    layout: &GroupLayout,
-    gradient_bytes: u64,
-    mode: EvalMode,
-) -> PlacementSearchResult {
-    search_cluster_orders_workload_with_mode(
-        topo,
-        layout,
-        PlacementWorkload::gradient_only(gradient_bytes),
-        mode,
-    )
-}
-
-/// [`search_cluster_orders`] priced against a two-axis
-/// [`PlacementWorkload`] — candidates additionally pay the
-/// compute-straggler skew of their worst DP group. With
-/// [`PlacementWorkload::gradient_only`] the winner, cost bits and
-/// evaluation count are identical to the gradient-only search.
-pub fn search_cluster_orders_workload(
-    topo: &Topology,
-    layout: &GroupLayout,
-    workload: PlacementWorkload,
-) -> PlacementSearchResult {
-    search_cluster_orders_workload_with_mode(topo, layout, workload, EvalMode::Parallel)
-}
-
-/// [`search_cluster_orders_workload`] with an explicit evaluation mode.
-pub fn search_cluster_orders_workload_with_mode(
-    topo: &Topology,
-    layout: &GroupLayout,
-    workload: PlacementWorkload,
+    workload: impl Into<PlacementWorkload>,
     mode: EvalMode,
 ) -> PlacementSearchResult {
     /// Orders scored per parallel batch — bounds live memory at
     /// `CHUNK · M · size_of::<ClusterId>()` instead of `M!`.
     const CHUNK: usize = 1024;
 
+    let workload = workload.into();
     let m = topo.cluster_count() as usize;
     let mut best = CanonicalBest::new(speed_rank_of(topo));
     let mut evaluated: u64 = 0;
@@ -275,7 +222,7 @@ pub fn search_cluster_orders_workload_with_mode(
             Permutations::for_each(m, |perm| {
                 order.clear();
                 order.extend(perm.iter().map(|&i| ClusterId(i as u32)));
-                let cost = cost_of_order_workload(topo, layout, &order, workload);
+                let cost = cost_of_order(topo, layout, &order, workload);
                 evaluated += 1;
                 best.offer(&order, cost);
             });
@@ -298,7 +245,7 @@ pub fn search_cluster_orders_workload_with_mode(
                 }
                 let costs: Vec<f64> = chunk
                     .par_iter()
-                    .map(|order| cost_of_order_workload(topo, layout, order, workload))
+                    .map(|order| cost_of_order(topo, layout, order, workload))
                     .collect();
                 for (order, cost) in chunk.iter().zip(costs) {
                     evaluated += 1;
@@ -372,8 +319,8 @@ mod tests {
             (presets::table4_4r_4ib_4ib(), 3),
         ] {
             let layout = layout_for(&topo, 1, p);
-            let par = search_cluster_orders_with_mode(&topo, &layout, GRAD, EvalMode::Parallel);
-            let ser = search_cluster_orders_with_mode(&topo, &layout, GRAD, EvalMode::Serial);
+            let par = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
+            let ser = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Serial);
             assert_eq!(par.cluster_order, ser.cluster_order);
             assert_eq!(par.cost_seconds.to_bits(), ser.cost_seconds.to_bits());
             assert_eq!(par.evaluated, ser.evaluated);
@@ -389,7 +336,7 @@ mod tests {
             (presets::table4_4r_4ib_4ib(), 3),
         ] {
             let layout = layout_for(&topo, 1, p);
-            let exhaustive = search_cluster_orders(&topo, &layout, GRAD);
+            let exhaustive = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
             let heuristic = HolmesScheduler.assign(&topo, &layout);
             let heuristic_cost = NicSelectionReport::analyze(&topo, &layout, &heuristic)
                 .dp_sync_cost_seconds(&topo, GRAD);
@@ -408,7 +355,7 @@ mod tests {
         // be the heuristic's fastest-first order, not the identity.
         let topo = presets::table4_2r_2ib_2ib(); // RoCE, IB, IB
         let layout = layout_for(&topo, 1, 3);
-        let result = search_cluster_orders(&topo, &layout, GRAD);
+        let result = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
         assert_eq!(result.cluster_order, HolmesScheduler::cluster_order(&topo));
         assert_eq!(
             result.cluster_order,
@@ -422,7 +369,7 @@ mod tests {
         // search finds an order that minimizes the damage.
         let topo = presets::table4_2r_2ib_2ib(); // RoCE, IB, IB
         let layout = layout_for(&topo, 1, 2);
-        let result = search_cluster_orders(&topo, &layout, GRAD);
+        let result = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
         assert_eq!(result.evaluated, 6);
         // With p=2 over 3 clusters, each DP group (d=24) inevitably spans
         // a cluster boundary — no order can fully restore RDMA — but the
@@ -437,7 +384,7 @@ mod tests {
     fn single_cluster_search_is_trivial() {
         let topo = presets::homogeneous(holmes_topology::NicType::InfiniBand, 4);
         let layout = layout_for(&topo, 1, 2);
-        let result = search_cluster_orders(&topo, &layout, GRAD);
+        let result = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
         assert_eq!(result.evaluated, 1);
         assert_eq!(result.cluster_order, vec![ClusterId(0)]);
     }

@@ -1,9 +1,10 @@
 //! Compute-skew pricing for hyper-heterogeneous fleets.
 //!
-//! The Holmes planner scores a placement by the max-fold of per-DP-group
-//! gradient-sync costs ([`crate::NicSelectionReport::dp_sync_cost_seconds`]).
-//! That fold prices *NIC* heterogeneity but assumes every device computes
-//! at the same rate. When a fleet mixes accelerator generations (H2-style
+//! At zero stage FLOPs the Holmes planner scores a placement by the
+//! max-fold of per-DP-group gradient-sync costs
+//! ([`crate::NicSelectionReport::dp_sync_cost_seconds`]). That prices
+//! *NIC* heterogeneity but assumes every device computes at the same
+//! rate. When a fleet mixes accelerator generations (H2-style
 //! hyper-heterogeneity), a DP group whose replicas straddle generations
 //! pays a *straggler tax*: every collective waits for the slowest member
 //! to finish its backward, so the group's effective step time stretches by
@@ -19,8 +20,10 @@
 //! * **compute-uniform fleets are bit-identical** — identical profiles give
 //!   `max == min`, so the skew term is exactly `+0.0` and `sync + 0.0`
 //!   preserves every historical cost, pruning decision, and snapshot
-//!   bit-for-bit (and [`PlacementWorkload::gradient_only`] forces the same
-//!   degeneration on any fleet by pricing zero stage FLOPs);
+//!   bit-for-bit (and [`PlacementWorkload::gradient_only`] — also spelled
+//!   `PlacementWorkload::from(gradient_bytes)`, so every pricing entry
+//!   accepts a bare `u64` — forces the same degeneration on any fleet by
+//!   pricing zero stage FLOPs);
 //! * **the guided bound stays admissible** — the skew term is non-negative
 //!   and a function of the group's device set alone, so the max-fold over
 //!   *determined* groups is still a lower bound on any completion, and
@@ -64,6 +67,15 @@ impl PlacementWorkload {
     }
 }
 
+/// A bare gradient volume is the zero-FLOPs workload
+/// ([`PlacementWorkload::gradient_only`]), so every pricing entry point
+/// accepts `gradient_bytes` directly.
+impl From<u64> for PlacementWorkload {
+    fn from(gradient_bytes: u64) -> Self {
+        PlacementWorkload::gradient_only(gradient_bytes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,6 +85,7 @@ mod tests {
         let w = PlacementWorkload::gradient_only(1 << 32);
         assert_eq!(w.gradient_bytes, 1 << 32);
         assert_eq!(w.stage_flops, 0.0);
+        assert_eq!(PlacementWorkload::from(1u64 << 32), w);
     }
 
     #[test]

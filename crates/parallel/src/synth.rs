@@ -12,8 +12,9 @@
 //!   determined group (the "NIC assignment so far"); degrees and the
 //!   partition α enter one level up, where [`Planner`] callers fix the
 //!   [`GroupLayout`] per candidate `(t, p)`.
-//! * **Bound** — the plan cost is a max-fold of per-group sync costs
-//!   ([`crate::NicSelectionReport::dp_sync_cost_seconds`]), so the fold
+//! * **Bound** — the plan cost is a max-fold of per-group costs under one
+//!   [`PlacementWorkload`] — gradient sync plus compute-straggler skew
+//!   ([`crate::NicSelectionReport::dp_sync_cost_seconds`]) — so the fold
 //!   over the *determined* groups is an admissible lower bound: adding
 //!   groups can only raise a max of non-negative terms, and at a complete
 //!   state the bound *is* the exact cost, bit-for-bit (`f64::max` over
@@ -56,8 +57,7 @@ use crate::groups::GroupLayout;
 use crate::nic_selection::DpGroupNic;
 use crate::scheduler::HolmesScheduler;
 use crate::search::{
-    assignment_for_order, cost_of_order_workload, search_cluster_orders_workload_with_mode,
-    EvalMode, PlacementSearchResult,
+    assignment_for_order, cost_of_order, search_cluster_orders, EvalMode, PlacementSearchResult,
 };
 use crate::skew::PlacementWorkload;
 
@@ -272,7 +272,13 @@ fn result_for(
     }
 }
 
-/// Synthesize a placement by guided branch-and-bound.
+/// Synthesize a placement by guided branch-and-bound, pricing each DP
+/// group against `workload`: its gradient-sync cost *plus* its
+/// compute-straggler skew at the workload's stage FLOPs (a bare `u64`
+/// gradient volume is the zero-FLOPs workload, whose skew terms are
+/// exactly `+0.0`). The skew term is non-negative and a function of the
+/// group's device set alone, so the bound stays admissible and exact at
+/// completion.
 ///
 /// Returns the canonical winner — the same order, assignment, and
 /// bit-equal cost [`crate::search_cluster_orders`] would find by
@@ -284,31 +290,12 @@ fn result_for(
 pub fn synthesize_placement(
     topo: &Topology,
     layout: &GroupLayout,
-    gradient_bytes: u64,
+    workload: impl Into<PlacementWorkload>,
 ) -> (PlacementSearchResult, SynthStats) {
-    synthesize_placement_workload(
-        topo,
-        layout,
-        PlacementWorkload::gradient_only(gradient_bytes),
-    )
-}
-
-/// [`synthesize_placement`] priced against a two-axis
-/// [`PlacementWorkload`]: the incremental group fold and the alignment
-/// floor both charge each DP group its gradient-sync cost *plus* its
-/// compute-straggler skew at the workload's stage FLOPs. The skew term is
-/// non-negative and a function of the group's device set alone, so the
-/// bound stays admissible and exact at completion; with
-/// [`PlacementWorkload::gradient_only`] every cost, pruning decision, and
-/// statistic is bit-identical to [`synthesize_placement`].
-pub fn synthesize_placement_workload(
-    topo: &Topology,
-    layout: &GroupLayout,
-    workload: PlacementWorkload,
-) -> (PlacementSearchResult, SynthStats) {
+    let workload = workload.into();
     let m = topo.cluster_count() as usize;
     let heuristic_order = HolmesScheduler::cluster_order(topo);
-    let heuristic_cost = cost_of_order_workload(topo, layout, &heuristic_order, workload);
+    let heuristic_cost = cost_of_order(topo, layout, &heuristic_order, workload);
     let mut stats = SynthStats::default();
     let mut evaluated: u64 = 1; // the heuristic incumbent
 
@@ -466,36 +453,24 @@ pub fn synthesize_placement_workload(
     }
 }
 
-/// A placement-planning strategy: topology + layout + per-rank gradient
-/// volume → a complete cluster order, device assignment, and analytic
-/// cost. The three strategies — heuristic, exhaustive, guided — share the
-/// scoring path ([`crate::NicSelectionReport::dp_sync_cost_seconds`]) and
-/// the canonical tie-break, so they agree bit-for-bit wherever their
-/// coverage overlaps; they differ only in how much of the order space
-/// they certify.
+/// A placement-planning strategy: topology + layout + [`PlacementWorkload`]
+/// → a complete cluster order, device assignment, and analytic cost. The
+/// three strategies — heuristic, exhaustive, guided — share the scoring
+/// path ([`crate::NicSelectionReport::dp_sync_cost_seconds`]) and the
+/// canonical tie-break, so they agree bit-for-bit wherever their coverage
+/// overlaps; they differ only in how much of the order space they
+/// certify.
 pub trait Planner {
-    /// Produce a placement for `layout` on `topo`, scoring data-parallel
-    /// sync at `gradient_bytes` per rank.
-    fn plan_placement(
-        &self,
-        topo: &Topology,
-        layout: &GroupLayout,
-        gradient_bytes: u64,
-    ) -> PlacementSearchResult;
-
-    /// Produce a placement priced against a two-axis
-    /// [`PlacementWorkload`] — gradient sync plus compute-straggler skew.
-    /// The default ignores the compute axis (exactly the historical
-    /// behavior); each shipped planner overrides it to thread the
-    /// workload through its own scoring path.
+    /// Produce a placement for `layout` on `topo`, pricing each
+    /// data-parallel group's gradient sync plus its compute-straggler skew
+    /// under `workload`. Gradient-only planning passes
+    /// `gradient_bytes.into()`, the zero-FLOPs workload.
     fn plan_workload(
         &self,
         topo: &Topology,
         layout: &GroupLayout,
         workload: PlacementWorkload,
-    ) -> PlacementSearchResult {
-        self.plan_placement(topo, layout, workload.gradient_bytes)
-    }
+    ) -> PlacementSearchResult;
 
     /// Strategy name for reports.
     fn name(&self) -> &'static str;
@@ -507,19 +482,6 @@ pub trait Planner {
 pub struct HeuristicPlanner;
 
 impl Planner for HeuristicPlanner {
-    fn plan_placement(
-        &self,
-        topo: &Topology,
-        layout: &GroupLayout,
-        gradient_bytes: u64,
-    ) -> PlacementSearchResult {
-        self.plan_workload(
-            topo,
-            layout,
-            PlacementWorkload::gradient_only(gradient_bytes),
-        )
-    }
-
     fn plan_workload(
         &self,
         topo: &Topology,
@@ -527,7 +489,7 @@ impl Planner for HeuristicPlanner {
         workload: PlacementWorkload,
     ) -> PlacementSearchResult {
         let order = HolmesScheduler::cluster_order(topo);
-        let cost = cost_of_order_workload(topo, layout, &order, workload);
+        let cost = cost_of_order(topo, layout, &order, workload);
         result_for(topo, order, cost, 1)
     }
 
@@ -537,8 +499,8 @@ impl Planner for HeuristicPlanner {
 }
 
 /// Exhaustive enumeration as a [`Planner`] — the reference oracle. Scores
-/// all `M!` orders via [`crate::search_cluster_orders_with_mode`]; only
-/// usable at small `M`.
+/// all `M!` orders against the planning workload via
+/// [`crate::search_cluster_orders`]; only usable at small `M`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExhaustivePlanner {
     /// Candidate evaluation mode (parallel by default).
@@ -546,26 +508,13 @@ pub struct ExhaustivePlanner {
 }
 
 impl Planner for ExhaustivePlanner {
-    fn plan_placement(
-        &self,
-        topo: &Topology,
-        layout: &GroupLayout,
-        gradient_bytes: u64,
-    ) -> PlacementSearchResult {
-        self.plan_workload(
-            topo,
-            layout,
-            PlacementWorkload::gradient_only(gradient_bytes),
-        )
-    }
-
     fn plan_workload(
         &self,
         topo: &Topology,
         layout: &GroupLayout,
         workload: PlacementWorkload,
     ) -> PlacementSearchResult {
-        search_cluster_orders_workload_with_mode(topo, layout, workload, self.mode)
+        search_cluster_orders(topo, layout, workload, self.mode)
     }
 
     fn name(&self) -> &'static str {
@@ -580,45 +529,26 @@ impl Planner for ExhaustivePlanner {
 pub struct GuidedPlanner;
 
 impl GuidedPlanner {
-    /// [`Planner::plan_placement`] plus the search statistics
+    /// [`Planner::plan_workload`] plus the search statistics
     /// (expanded/pruned node counts — deterministic per topology).
-    pub fn plan_with_stats(
-        &self,
-        topo: &Topology,
-        layout: &GroupLayout,
-        gradient_bytes: u64,
-    ) -> (PlacementSearchResult, SynthStats) {
-        synthesize_placement(topo, layout, gradient_bytes)
-    }
-
-    /// [`Planner::plan_workload`] plus the search statistics.
     pub fn plan_workload_with_stats(
         &self,
         topo: &Topology,
         layout: &GroupLayout,
-        workload: PlacementWorkload,
+        workload: impl Into<PlacementWorkload>,
     ) -> (PlacementSearchResult, SynthStats) {
-        synthesize_placement_workload(topo, layout, workload)
+        synthesize_placement(topo, layout, workload)
     }
 }
 
 impl Planner for GuidedPlanner {
-    fn plan_placement(
-        &self,
-        topo: &Topology,
-        layout: &GroupLayout,
-        gradient_bytes: u64,
-    ) -> PlacementSearchResult {
-        synthesize_placement(topo, layout, gradient_bytes).0
-    }
-
     fn plan_workload(
         &self,
         topo: &Topology,
         layout: &GroupLayout,
         workload: PlacementWorkload,
     ) -> PlacementSearchResult {
-        synthesize_placement_workload(topo, layout, workload).0
+        synthesize_placement(topo, layout, workload).0
     }
 
     fn name(&self) -> &'static str {
@@ -632,7 +562,6 @@ mod tests {
     use crate::degrees::ParallelDegrees;
     use crate::nic_selection::NicSelectionReport;
     use crate::scheduler::Scheduler;
-    use crate::search::{cost_of_order, search_cluster_orders_with_mode};
     use holmes_topology::{presets, NicType};
 
     const GRAD: u64 = 1 << 32; // 4 GiB, PG-scale
@@ -643,7 +572,7 @@ mod tests {
 
     fn assert_matches_exhaustive(topo: &Topology, t: u32, p: u32) {
         let layout = layout_for(topo, t, p);
-        let exhaustive = search_cluster_orders_with_mode(topo, &layout, GRAD, EvalMode::Serial);
+        let exhaustive = search_cluster_orders(topo, &layout, GRAD, EvalMode::Serial);
         let (guided, _) = synthesize_placement(topo, &layout, GRAD);
         assert_eq!(
             guided.cluster_order, exhaustive.cluster_order,
@@ -700,10 +629,10 @@ mod tests {
         let topo = presets::table4_2r_2ib_2ib();
         let layout = layout_for(&topo, 1, 2); // unaligned: stages span clusters
         let (result, _) = synthesize_placement(&topo, &layout, GRAD);
-        let rescored = cost_of_order(&topo, &layout, &result.cluster_order, GRAD);
+        let rescored = cost_of_order(&topo, &layout, &result.cluster_order, GRAD.into());
         assert_eq!(result.cost_seconds.to_bits(), rescored.to_bits());
         let heuristic = HolmesScheduler::cluster_order(&topo);
-        let heuristic_cost = cost_of_order(&topo, &layout, &heuristic, GRAD);
+        let heuristic_cost = cost_of_order(&topo, &layout, &heuristic, GRAD.into());
         assert!(result.cost_seconds.total_cmp(&heuristic_cost).is_le());
     }
 
@@ -729,7 +658,7 @@ mod tests {
         ];
         let results: Vec<PlacementSearchResult> = strategies
             .iter()
-            .map(|s| s.plan_placement(&topo, &layout, GRAD))
+            .map(|s| s.plan_workload(&topo, &layout, GRAD.into()))
             .collect();
         // All three agree here because the heuristic is optimal on the
         // aligned paper presets; the guided/exhaustive pair must agree
@@ -755,29 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn gradient_only_workload_is_bit_identical_to_legacy_synthesis() {
-        for (topo, p) in [
-            (presets::hybrid_two_cluster(2), 2u32),
-            (presets::table4_2r_2ib_2ib(), 2),
-            (presets::gen_mix_3c(), 3),
-        ] {
-            let layout = layout_for(&topo, 1, p);
-            let (legacy, legacy_stats) = synthesize_placement(&topo, &layout, GRAD);
-            let (workload, workload_stats) = synthesize_placement_workload(
-                &topo,
-                &layout,
-                PlacementWorkload::gradient_only(GRAD),
-            );
-            assert_eq!(legacy.cluster_order, workload.cluster_order);
-            assert_eq!(
-                legacy.cost_seconds.to_bits(),
-                workload.cost_seconds.to_bits()
-            );
-            assert_eq!(legacy_stats, workload_stats);
-        }
-    }
-
-    #[test]
     fn guided_matches_exhaustive_under_compute_skew() {
         // The bound must stay admissible when every group cost carries a
         // straggler-skew term: the guided winner must still be the
@@ -790,13 +696,8 @@ mod tests {
         ] {
             for p in ps {
                 let layout = layout_for(&topo, 1, p);
-                let exhaustive = search_cluster_orders_workload_with_mode(
-                    &topo,
-                    &layout,
-                    workload,
-                    EvalMode::Serial,
-                );
-                let (guided, _) = synthesize_placement_workload(&topo, &layout, workload);
+                let exhaustive = search_cluster_orders(&topo, &layout, workload, EvalMode::Serial);
+                let (guided, _) = synthesize_placement(&topo, &layout, workload);
                 assert_eq!(guided.cluster_order, exhaustive.cluster_order, "p={p}");
                 assert_eq!(
                     guided.cost_seconds.to_bits(),
@@ -819,7 +720,7 @@ mod tests {
         let topo = presets::gen_split_2c();
         let layout = layout_for(&topo, 1, 2);
         let workload = PlacementWorkload::new(GRAD, 2.5e13);
-        let priced = synthesize_placement_workload(&topo, &layout, workload).0;
+        let priced = synthesize_placement(&topo, &layout, workload).0;
         let sync_only = synthesize_placement(&topo, &layout, GRAD).0;
         assert_eq!(
             priced.cost_seconds.to_bits(),
@@ -829,7 +730,7 @@ mod tests {
         // An unaligned layout (p=1: one stage spans both generations)
         // must price a strictly positive skew term.
         let unaligned = layout_for(&topo, 1, 1);
-        let priced = synthesize_placement_workload(&topo, &unaligned, workload).0;
+        let priced = synthesize_placement(&topo, &unaligned, workload).0;
         let sync_only = synthesize_placement(&topo, &unaligned, GRAD).0;
         assert!(
             priced.cost_seconds > sync_only.cost_seconds,
@@ -865,7 +766,7 @@ mod tests {
         assert_eq!(result.cluster_order, HolmesScheduler::cluster_order(&topo));
         assert_eq!(stats.expanded, 0, "{stats:?}");
         // And the exhaustive oracle agrees on the winner.
-        let exhaustive = search_cluster_orders_with_mode(&topo, &layout, GRAD, EvalMode::Serial);
+        let exhaustive = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Serial);
         assert_eq!(result.cluster_order, exhaustive.cluster_order);
         assert_eq!(
             result.cost_seconds.to_bits(),

@@ -33,8 +33,8 @@ fn main() {
         n
     );
     println!(
-        "{:>3} {:>3} {:>4} {:>6} {:>12} {:>14} {:>10}  {}",
-        "t", "p", "d", "m", "TFLOPS/GPU", "samples/sec", "fits?", "search (expanded/pruned)"
+        "{:>3} {:>3} {:>4} {:>6} {:>12} {:>14} {:>10}  search (expanded/pruned)",
+        "t", "p", "d", "m", "TFLOPS/GPU", "samples/sec", "fits?"
     );
 
     let mut best: Option<(f64, u32, u32)> = None;
@@ -92,7 +92,7 @@ fn main() {
             // visited to certify the placement it handed `run_scenario`.
             let degrees = ParallelDegrees::infer_data(t, p, n).expect("degrees divide the fleet");
             let layout = GroupLayout::new(degrees);
-            let (placement, stats) = GuidedPlanner.plan_with_stats(
+            let (placement, stats) = GuidedPlanner.plan_workload_with_stats(
                 &topo,
                 &layout,
                 placement_gradient_bytes(&job, degrees),

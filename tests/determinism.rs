@@ -12,7 +12,7 @@ use holmes::model::ParameterGroup;
 use holmes::topology::presets;
 use holmes::{EvalMode, HolmesConfig};
 use holmes_netsim::{FlowSpec, LinkCapacity, NetSim, SimDuration};
-use holmes_parallel::{search_cluster_orders_with_mode, GroupLayout, ParallelDegrees};
+use holmes_parallel::{search_cluster_orders, GroupLayout, ParallelDegrees};
 
 #[test]
 fn autotune_parallel_ranking_matches_serial_on_paper_topologies() {
@@ -57,8 +57,8 @@ fn placement_search_parallel_winner_matches_serial_on_paper_topologies() {
     ] {
         let layout =
             GroupLayout::new(ParallelDegrees::infer_data(1, p, topo.device_count()).unwrap());
-        let par = search_cluster_orders_with_mode(&topo, &layout, GRAD, EvalMode::Parallel);
-        let ser = search_cluster_orders_with_mode(&topo, &layout, GRAD, EvalMode::Serial);
+        let par = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
+        let ser = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Serial);
         assert_eq!(par.cluster_order, ser.cluster_order);
         assert_eq!(par.cost_seconds.to_bits(), ser.cost_seconds.to_bits());
         assert_eq!(par.evaluated, ser.evaluated);

@@ -314,12 +314,12 @@ proptest! {
         mb in 1u64..64,
     ) {
         use holmes_repro::analysis::verify_plan;
-        use holmes_repro::parallel::search_cluster_orders;
+        use holmes_repro::parallel::{search_cluster_orders, EvalMode};
         let topo = presets::hybrid_two_cluster(nodes);
         let n = topo.device_count();
         prop_assume!(n.is_multiple_of(t * 2));
         let layout = GroupLayout::new(ParallelDegrees::infer_data(t, 2, n).unwrap());
-        let result = search_cluster_orders(&topo, &layout, mb << 20);
+        let result = search_cluster_orders(&topo, &layout, mb << 20, EvalMode::Parallel);
         let total_layers = 24u32;
         let speeds = vec![2.0, 1.0];
         let stage_layers =
@@ -345,9 +345,7 @@ proptest! {
         p in 1u32..=4,
         mb in 1u64..64,
     ) {
-        use holmes_repro::parallel::{
-            search_cluster_orders_with_mode, synthesize_placement, EvalMode,
-        };
+        use holmes_repro::parallel::{search_cluster_orders, synthesize_placement, EvalMode};
         let mut builder = TopologyBuilder::new();
         for (i, (nodes, nic)) in spec.iter().enumerate() {
             builder = builder.cluster(format!("c{i}"), *nodes, *nic);
@@ -357,8 +355,7 @@ proptest! {
         prop_assume!(n.is_multiple_of(t * p));
         let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
         let gradient_bytes = mb << 20;
-        let exhaustive =
-            search_cluster_orders_with_mode(&topo, &layout, gradient_bytes, EvalMode::Serial);
+        let exhaustive = search_cluster_orders(&topo, &layout, gradient_bytes, EvalMode::Serial);
         let (guided, stats) = synthesize_placement(&topo, &layout, gradient_bytes);
         prop_assert_eq!(&guided.cluster_order, &exhaustive.cluster_order);
         prop_assert_eq!(
@@ -393,7 +390,7 @@ proptest! {
         let n = topo.device_count();
         prop_assume!(n.is_multiple_of(t * p));
         let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
-        let result = GuidedPlanner.plan_placement(&topo, &layout, mb << 20);
+        let result = GuidedPlanner.plan_workload(&topo, &layout, (mb << 20).into());
         let total_layers = 24u32;
         let speeds = vec![1.0; p as usize];
         let stage_layers = UniformPartition.partition(total_layers, &speeds);
@@ -485,8 +482,7 @@ proptest! {
         gflops in 1.0f64..500.0,
     ) {
         use holmes_repro::parallel::{
-            search_cluster_orders_workload_with_mode, synthesize_placement_workload,
-            EvalMode, PlacementWorkload,
+            search_cluster_orders, synthesize_placement, EvalMode, PlacementWorkload,
         };
         use holmes_repro::topology::GpuProfile;
         let gens = [
@@ -508,14 +504,8 @@ proptest! {
         prop_assume!(n.is_multiple_of(t * p));
         let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
         let workload = PlacementWorkload::new(mb << 20, gflops * 1e9);
-        let exhaustive = search_cluster_orders_workload_with_mode(
-            &topo,
-            &layout,
-            workload,
-            EvalMode::Serial,
-        );
-        let (guided, stats) =
-            synthesize_placement_workload(&topo, &layout, workload);
+        let exhaustive = search_cluster_orders(&topo, &layout, workload, EvalMode::Serial);
+        let (guided, stats) = synthesize_placement(&topo, &layout, workload);
         prop_assert_eq!(&guided.cluster_order, &exhaustive.cluster_order);
         prop_assert_eq!(
             guided.cost_seconds.to_bits(),

@@ -144,7 +144,7 @@ fn preemption_re_shard_is_deterministic_and_converges_to_a_fresh_plan() {
         cfg.parameter_count() / u64::from(degrees.pipeline),
         degrees.tensor,
     );
-    let fresh = GuidedPlanner.plan_placement(&replan.new_topology, &layout, grad);
+    let fresh = GuidedPlanner.plan_workload(&replan.new_topology, &layout, grad.into());
     assert_eq!(replan.placement.assignment, fresh.assignment);
     assert_eq!(replan.placement.cluster_order, fresh.cluster_order);
     assert_eq!(replan.placement.cost_seconds, fresh.cost_seconds);
