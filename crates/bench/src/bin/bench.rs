@@ -2,8 +2,9 @@
 //!
 //! Drives the four criterion suites (netsim, collectives, iteration,
 //! groups) with the short quick profile, measures netsim event throughput
-//! and the end-to-end `all_experiments` wall time, and writes the whole
-//! snapshot to `BENCH_netsim.json` at the workspace root.
+//! and the end-to-end `all_experiments` wall time, counts one paper
+//! cell's logical and engine flows (the twin census), and writes the
+//! whole snapshot to `BENCH_netsim.json` at the workspace root.
 //!
 //! Quick-profile numbers are for trend tracking, not precision: use
 //! `cargo bench` for the full measurement windows.
@@ -120,6 +121,15 @@ fn main() {
         session.trace.instant_count()
     );
 
+    // Twin census of one paper cell: how many logical flows the
+    // executor started, and how many engine flows netsim simulated.
+    let (logical_flows, engine_flows, census_events) = suites::netsim::twin_census();
+    println!(
+        "twin census ({}): {logical_flows} logical flows, {engine_flows} engine flows, \
+         {census_events} events",
+        suites::netsim::TWIN_CENSUS_CELL
+    );
+
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"profile\": \"quick\",");
@@ -129,6 +139,12 @@ fn main() {
     let _ = writeln!(out, "  \"netsim_large_events\": {large_events},");
     let _ = writeln!(out, "  \"all_experiments_wall_seconds\": {wall:.3},");
     let _ = writeln!(out, "  \"all_experiments_sections\": {},", sections.len());
+    let _ = writeln!(
+        out,
+        "  \"twin_census\": {{\"cell\": \"{}\", \"logical_flows\": {logical_flows}, \
+         \"engine_flows\": {engine_flows}, \"events\": {census_events}}},",
+        suites::netsim::TWIN_CENSUS_CELL
+    );
     out.push_str("  \"obs\": {\n    \"holmes_pg1_hybrid2\": ");
     out.push_str(obs.to_json(4).trim_start());
     out.push_str("\n  },\n");

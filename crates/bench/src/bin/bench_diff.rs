@@ -5,9 +5,9 @@
 //!
 //! * **Deterministic sections** must match *exactly* — the resilience
 //!   snapshot in full (it is a pure function of `(topology, preset,
-//!   seed)`), `BENCH_netsim.json`'s `obs` registry, probe event count
-//!   and section count, and `BENCH_hetero.json`'s partition splits and
-//!   variants. Any drift here is a behavior change, not noise.
+//!   seed)`), `BENCH_netsim.json`'s `obs` registry, probe event count,
+//!   section count and twin census, and `BENCH_hetero.json`'s partition
+//!   splits and variants. Any drift here is a behavior change, not noise.
 //! * **Wall-clock numbers** (suite `mean_ns`, `netsim_events_per_sec`,
 //!   `all_experiments_wall_seconds`) are machine-dependent; they gate only
 //!   on a relative slowdown beyond `HOLMES_BENCH_TOLERANCE` (default
@@ -155,6 +155,7 @@ fn check_netsim(gate: &mut Gate, base: &Value, fresh: &Value) {
         "netsim_probe_events",
         "netsim_large_events",
         "all_experiments_sections",
+        "twin_census",
         "obs",
     ] {
         match (base.get(key), fresh.get(key)) {

@@ -188,6 +188,31 @@ pub fn large_topology_probe() -> (u64, f64) {
     (sim.events_processed(), start.elapsed().as_secs_f64())
 }
 
+/// The paper cell [`twin_census`] counts: Table 4's 12-node
+/// three-cluster fleet (4 RoCE + 4 IB + 4 IB nodes), Holmes at PG3.
+pub const TWIN_CENSUS_CELL: &str = "table4_4r_4ib_4ib/pg3";
+
+/// Twin census of one observed iteration of [`TWIN_CENSUS_CELL`]:
+/// `(logical flows, engine flows, events)`. Logical flows are the
+/// transfers the executor starts, one observation record each; engine
+/// flows are what netsim simulates after merging same-instant twins
+/// (identical path, bytes and rate cap). All three are deterministic.
+pub fn twin_census() -> (u64, u64, u64) {
+    let mut session = holmes::obs::ObsSession::new();
+    let run = holmes::run_framework_observed(
+        holmes::FrameworkKind::Holmes,
+        &holmes_topology::presets::table4_4r_4ib_4ib(),
+        3,
+        &mut session,
+    )
+    .expect("the twin-census cell simulates");
+    (
+        session.registry.counter("netsim.flows_finished"),
+        run.report.flows,
+        run.report.events,
+    )
+}
+
 fn bench_shared_link(c: &mut Criterion) {
     let mut g = c.benchmark_group("netsim/shared_link_drain");
     for flows in [16u64, 64, 256] {

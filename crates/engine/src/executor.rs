@@ -278,7 +278,10 @@ pub struct IterationReport {
     pub collective_spans: HashMap<CollKind, Vec<(f64, f64)>>,
     /// Simulator events processed (diagnostic).
     pub events: u64,
-    /// Flows completed (diagnostic).
+    /// Engine flows completed (diagnostic): netsim simulates each group
+    /// of twin flows — started at one instant with identical path, bytes
+    /// and rate cap — as one engine flow, so this counts a group once.
+    /// Per-flow counts come from observation (`netsim.flows_finished`).
     pub flows: u64,
     /// Full per-device span timeline (compute, pipeline waits, collective
     /// waits) — see [`Timeline::to_chrome_trace`].
@@ -1067,8 +1070,14 @@ impl<'t> Executor<'t> {
             TransportPolicy::ForceTcpInterNode => self.fabric.route_forced_tcp(self.topo, from, to),
         };
         let arm_timeout = self.retry.is_some() && !route.path.is_empty();
+        // Only an armed timeout keeps the path (to relaunch the flow).
+        let (path, kept_path) = if arm_timeout {
+            (route.path.clone(), route.path)
+        } else {
+            (route.path, Vec::new())
+        };
         let id = self.sim.start_flow(FlowSpec {
-            path: route.path.clone(),
+            path,
             bytes,
             latency: route.latency,
             rate_cap: route.rate_cap,
@@ -1095,7 +1104,7 @@ impl<'t> Executor<'t> {
                 bytes,
                 semantic: token,
                 flow: id,
-                path: route.path,
+                path: kept_path,
                 retries_left: policy.max_retries,
                 timeout_seconds: timeout,
                 forced_tcp: lost_endpoint || self.transport == TransportPolicy::ForceTcpInterNode,
@@ -1312,7 +1321,7 @@ impl<'t> Executor<'t> {
             collective_wall_seconds: HashMap::new(),
             collective_spans: HashMap::new(),
             events: self.sim.events_processed(),
-            flows: self.sim.flows_completed(),
+            flows: self.sim.engine_flows_completed(),
             timeline: std::mem::take(&mut self.timeline),
             node_link_usage: Vec::new(),
             fault_windows: std::mem::take(&mut self.fault_windows),

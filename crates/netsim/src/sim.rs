@@ -4,18 +4,19 @@
 //! The engine itself lives in `sim_fast.rs`: a timer-wheel scheduler
 //! ([`sched::EventQueue`], ordered by `(time, seq)`), incremental
 //! per-component rate settlement, lazy `(rate, anchor)` flow progress in
-//! the struct-of-arrays [`FlowArena`], and finish/prediction heaps
-//! instead of per-event full scans. Its semantics are pinned by `RefSim`
-//! (a naive mirror of the same settlement spec) under proptest.
+//! the struct-of-arrays [`FlowArena`] (one slot per twin group), and
+//! slot-indexed finish/prediction heaps instead of per-event full scans.
+//! Its semantics are pinned by `RefSim` (a naive mirror of the same
+//! settlement spec, one flow per flow) under proptest.
 //!
 //! Observation ([`NetSim::enable_obs`]) is a passive tap on that one
 //! engine: hooks at its activation, settlement and detach points record
 //! flow lifetimes, link busy windows and park/resume instants without
 //! changing a single scheduled event or float operation.
 
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use crate::arena::FlowArena;
+use crate::arena::{FlowArena, FlowWindow, SlotHeap, TwinIndex};
 use crate::churn::ChurnKind;
 use crate::fault::FaultSchedule;
 use crate::flow::{FlowId, FlowSpec};
@@ -76,42 +77,26 @@ pub(crate) enum Payload {
 /// rounding from rate recomputations).
 pub(crate) const DONE_EPS: f64 = 0.5;
 
-/// Finish-heap entry: the predicted instant `remaining`
-/// crosses [`DONE_EPS`], as fractional nanoseconds.
+/// Finish-heap key: the predicted instant `remaining` crosses
+/// [`DONE_EPS`], as fractional nanoseconds, in `total_cmp` order.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FinishEntry {
-    pub crossing: f64,
-    pub slot: u32,
-    pub epoch: u32,
-}
+pub(crate) struct Crossing(pub f64);
 
-impl PartialEq for FinishEntry {
+impl PartialEq for Crossing {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
-impl Eq for FinishEntry {}
-impl Ord for FinishEntry {
+impl Eq for Crossing {}
+impl Ord for Crossing {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.crossing
-            .total_cmp(&other.crossing)
-            .then_with(|| self.slot.cmp(&other.slot))
-            .then_with(|| self.epoch.cmp(&other.epoch))
+        self.0.total_cmp(&other.0)
     }
 }
-impl PartialOrd for FinishEntry {
+impl PartialOrd for Crossing {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
-}
-
-/// Prediction-heap entry: the whole-nanosecond completion
-/// prediction `anchor + max(1, ceil(remaining / rate))`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct PredEntry {
-    pub pred: SimTime,
-    pub slot: u32,
-    pub epoch: u32,
 }
 
 /// The fluid-flow network simulator.
@@ -157,42 +142,42 @@ pub struct NetSim {
     /// Scheduled churn transitions, referenced by `Payload::Churn` index:
     /// `(node, kind, links flipped atomically)`.
     pub(crate) churn_table: Vec<(u32, ChurnKind, Vec<LinkId>)>,
-    /// Flows cancelled while still in their latency phase: their queued
-    /// `FlowStart` becomes a no-op. The set size is exactly the number of
-    /// tombstoned events still in the queue ([`NetSim::stalled`]).
-    pub(crate) cancelled_pending: HashSet<FlowId>,
     /// Per-link accumulated traffic and busy time. Bytes are settled
     /// whenever a crossing flow's rate changes or it detaches, so they
     /// are complete whenever the link carries no flow (every busy-window
     /// edge) and final once the simulation drains.
     pub(crate) link_stats: Vec<LinkStats>,
-    /// Per-link count of active flows crossing it.
+    /// Per-link count of active logical flows crossing it (a twin group
+    /// counts its multiplicity).
     pub(crate) link_nflows: Vec<u32>,
     /// Per-link busy-window open time (byte/busy accounting).
     pub(crate) link_open: Vec<SimTime>,
-    /// Per-link list of active flow slots crossing it (component walks).
+    /// Per-link list of active arena slots crossing it (component walks).
     /// Positions are mirrored in `FlowArena::link_pos`.
     pub(crate) link_flows: Vec<Vec<u32>>,
-    /// Struct-of-arrays storage for flows past their latency phase.
+    /// Struct-of-arrays storage for flows past their latency phase, one
+    /// slot per twin group.
     pub(crate) flows: FlowArena,
-    /// Flow id → arena slot (lookup and id-ordered iteration).
-    pub(crate) id_to_slot: BTreeMap<u64, u32>,
-    /// Flows still in their latency phase.
-    pub(crate) pending: BTreeMap<FlowId, FlowSpec>,
+    /// Every started flow's state by id: latency-phase specs, tombstones
+    /// and active members (lookup and id-ordered iteration).
+    pub(crate) window: FlowWindow,
+    /// Twin groups opened in the current `FlowStart` batch.
+    pub(crate) twins: TwinIndex,
     pub(crate) queue: EventQueue<Payload>,
     pub(crate) backlog: VecDeque<Completion>,
-    pub(crate) next_flow: u64,
     pub(crate) next_seq: u64,
     pub(crate) flows_completed: u64,
+    pub(crate) engine_flows_completed: u64,
     pub(crate) events_processed: u64,
     /// Rates-check register: the single earliest predicted completion,
     /// kept outside the queue so superseded predictions never enter it.
     pub(crate) check: Option<(SimTime, u64)>,
-    /// Finish heap: eps-crossing instants, lazily invalidated by flow
-    /// epoch.
-    pub(crate) finish_heap: BinaryHeap<std::cmp::Reverse<FinishEntry>>,
-    /// Prediction heap backing the check register.
-    pub(crate) pred_heap: BinaryHeap<std::cmp::Reverse<PredEntry>>,
+    /// Eps-crossing instant of every slot transferring at a positive
+    /// rate (and of zero-byte flows at activation).
+    pub(crate) finish_heap: SlotHeap<Crossing>,
+    /// Completion prediction of every slot transferring at a positive
+    /// rate; its minimum backs the check register.
+    pub(crate) pred_heap: SlotHeap<SimTime>,
     // Scratch: generation-stamped per-link water-fill state and component
     // worklists, reused to avoid per-call allocation on the hot path.
     pub(crate) wf_gen: u32,
@@ -208,7 +193,8 @@ pub struct NetSim {
     pub(crate) wf_unfixed: Vec<u32>,
     pub(crate) dirty_links: Vec<u32>,
     pub(crate) dirty_flows: Vec<u32>,
-    pub(crate) harvest_slots: Vec<u32>,
+    /// Harvest scratch: `(id, token, slot, last member of its group)`.
+    pub(crate) harvest: Vec<(u64, u64, u32, bool)>,
     /// Flow-level observation collector; `None` (the default) skips every
     /// hook.
     pub(crate) obs: Option<Box<NetObsState>>,
@@ -232,6 +218,15 @@ impl NetSim {
         self.flows_completed
     }
 
+    /// Number of engine flows that have fully completed: a group of twin
+    /// flows (activated at one instant with identical path, bytes and
+    /// rate cap) is simulated as one engine flow and counts once here,
+    /// while [`NetSim::flows_completed`] counts each of its members.
+    #[inline]
+    pub fn engine_flows_completed(&self) -> u64 {
+        self.engine_flows_completed
+    }
+
     /// Number of events processed (diagnostic).
     #[inline]
     pub fn events_processed(&self) -> u64 {
@@ -250,7 +245,7 @@ impl NetSim {
     pub fn enable_obs(&mut self) {
         if self.obs.is_none() {
             assert!(
-                self.id_to_slot.is_empty() && self.pending.is_empty() && self.events_processed == 0,
+                self.inflight_flows() == 0 && self.events_processed == 0,
                 "enable_obs must be called before simulation activity"
             );
             self.obs = Some(Box::default());
@@ -271,8 +266,8 @@ impl NetSim {
         // their anchors, computed without settling them: moving an anchor
         // here would change the float operations of every later event.
         let mut bytes: Vec<f64> = self.link_stats.iter().map(|s| s.bytes).collect();
-        for &slot in self.id_to_slot.values() {
-            let s = slot as usize;
+        for (_, member) in self.window.active() {
+            let s = member.slot as usize;
             let elapsed = self.now.since(self.flows.anchor[s]).0 as f64;
             let moved = (self.flows.rate[s] * elapsed).min(self.flows.remaining[s]);
             for l in self.flows.path[s].as_slice() {
@@ -431,12 +426,9 @@ impl NetSim {
     /// completed or never existed. Bytes moved before cancellation stay
     /// attributed to link statistics; no completion is delivered.
     pub fn cancel_flow(&mut self, id: FlowId) -> bool {
-        if self.pending.remove(&id).is_some() {
-            // Its FlowStart event is still queued; tombstone it.
-            self.cancelled_pending.insert(id);
-            return true;
-        }
-        self.fast_cancel_active(id)
+        // A latency-phase flow's FlowStart event is still queued;
+        // tombstone it.
+        self.window.cancel_pending(id) || self.fast_cancel_active(id)
     }
 
     /// True when the simulation can make no further progress on its own
@@ -447,25 +439,22 @@ impl NetSim {
     /// count.
     pub fn stalled(&self) -> bool {
         self.backlog.is_empty()
-            && !self.id_to_slot.is_empty()
+            && self.window.active_count() > 0
             && self.check.is_none()
-            && self.queue.len() == self.cancelled_pending.len()
+            && self.queue.len() == self.window.tombstone_count()
     }
 
     /// Tokens of flows currently parked at rate zero (in flow-id order).
     pub fn parked_flow_tokens(&self) -> Vec<u64> {
-        self.id_to_slot
-            .values()
-            .filter_map(|&slot| {
-                let s = slot as usize;
-                (self.flows.rate[s] <= 0.0).then_some(self.flows.tokens[s])
-            })
+        self.window
+            .active()
+            .filter_map(|(_, m)| (self.flows.rate[m.slot as usize] <= 0.0).then_some(m.token))
             .collect()
     }
 
     /// Number of currently in-flight flows (latency phase included).
     pub fn inflight_flows(&self) -> usize {
-        self.id_to_slot.len() + self.pending.len()
+        self.window.active_count() + self.window.pending_count()
     }
 
     /// Start a flow; completion arrives later via [`NetSim::next`].
@@ -479,10 +468,8 @@ impl NetSim {
                 "flow references unregistered link {link:?}"
             );
         }
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
         let start = self.now + spec.latency;
-        self.pending.insert(id, spec);
+        let id = self.window.start(spec);
         self.push_event(start, Payload::FlowStart(id));
         id
     }
@@ -750,7 +737,7 @@ mod tests {
         assert_eq!(sim.drain().len(), 5);
         assert_eq!(sim.flows.capacity_slots(), slots_after_first_wave);
         assert_eq!(sim.flows.free_slots(), slots_after_first_wave);
-        assert!(sim.id_to_slot.is_empty());
+        assert_eq!(sim.window.active_count(), 0);
     }
 
     #[test]
@@ -1064,6 +1051,40 @@ mod tests {
         assert!(report.park_events[0].parked);
         assert!(!report.park_events[1].parked);
         assert_eq!(report.park_events[0].at, SimTime(250_000_000));
+    }
+
+    #[test]
+    fn twins_run_as_one_engine_flow_and_complete_in_id_order() {
+        let (mut sim, link) = sim_with_link(1e9);
+        // Ids 0, 2 and 3 are twins; id 1 differs only in size.
+        sim.start_flow(flow_on(link, 1_000_000, 10));
+        sim.start_flow(flow_on(link, 2_000_000, 11));
+        sim.start_flow(flow_on(link, 1_000_000, 12));
+        sim.start_flow(flow_on(link, 1_000_000, 13));
+        sim.set_timer(SimDuration::from_micros(100), 99);
+        assert_eq!(sim.next(), Some(Completion::Timer { token: 99 }));
+        assert_eq!(sim.link_nflows, vec![4], "a group counts its members");
+        assert_eq!(sim.flows.capacity_slots(), 2, "four flows, two slots");
+        // Cancel the group's representative mid-transfer: the next id
+        // takes over and the other twins keep their shared progress.
+        assert!(sim.cancel_flow(FlowId(0)));
+        assert!(!sim.cancel_flow(FlowId(0)));
+        let tokens: Vec<u64> = sim
+            .drain()
+            .into_iter()
+            .map(|c| match c {
+                Completion::Flow { token, .. } => token,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(tokens, vec![12, 13, 11]);
+        assert_eq!(sim.flows_completed(), 3);
+        assert_eq!(sim.engine_flows_completed(), 2);
+        assert_eq!(sim.link_nflows, vec![0]);
+        // 1 GB/s shared four ways for 100 µs, then three ways: the twins'
+        // remaining 975,000 bytes take 2.925 ms; flow 1 then finishes
+        // its last 1,000,000 bytes alone at 1 byte/ns.
+        assert_eq!(sim.now(), SimTime(4_025_000));
     }
 
     #[test]

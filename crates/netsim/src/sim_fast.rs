@@ -19,31 +19,45 @@
 //! * Finished flows are found through a min-heap of eps-crossing
 //!   instants (`anchor + (remaining − DONE_EPS)/rate`) popped at every
 //!   harvest event, preserving the historical "any flow at ≤ DONE_EPS
-//!   finishes at any harvest event" early-finish rule. Heap entries are
-//!   lazily invalidated by a per-slot epoch bumped on every rate change.
-//! * A single `(time, seq)` check register holds the earliest valid
-//!   completion prediction outside the event queue, so superseded
-//!   predictions never enter the queue at all.
+//!   finishes at any harvest event" early-finish rule.
+//! * A single `(time, seq)` check register holds the earliest completion
+//!   prediction outside the event queue, so superseded predictions never
+//!   enter the queue at all. Both heaps hold one entry per arena slot,
+//!   moved in place on every rate change.
+//! * **Twin groups.** Flows activated in one same-instant `FlowStart`
+//!   batch with identical `(path, bytes, rate cap)` share one arena slot
+//!   of multiplicity `k`. They are exact twins for life: every flow
+//!   frozen in a water-fill round gets exactly that round's bottleneck
+//!   (its cap is at least the bottleneck by construction), so twins are
+//!   frozen in the same round at the same rate and keep one anchor and
+//!   one remaining byte count. The group counts `k` in `link_nflows` and
+//!   `wf_n`, and each round subtracts the bottleneck `k` times in place —
+//!   the same operations, on equal operands, as `k` separate flows.
+//!   Harvest fans the group out into `k` completions in flow-id order;
+//!   cancelling one member credits its bytes and leaves the others'
+//!   anchor alone. Merging happens only inside the batch: a timer between
+//!   two `FlowStart`s at one instant splits the batch and takes a check
+//!   seq, so twins from different batches stay apart.
 //!
 //! Link statistics are settled at rate-change granularity and busy time
 //! via 0↔1 flow-count window transitions; totals are final once the
-//! simulation drains.
+//! simulation drains. A group settles its `k` members' bytes together,
+//! so a link total can differ in the last ulp from settling them one by
+//! one between other flows; no time depends on those bytes.
 //!
-//! Observation hooks sit at the settlement points and only read state:
-//! flow records open in `fast_activate` and close in `fast_harvest` /
-//! `fast_cancel_active`, link busy windows open and close at the 0↔1
-//! `link_nflows` edges (where `link_stats` bytes are complete, since
-//! every flow is settled before it detaches), and park/resume
-//! transitions are scanned over the id-sorted component at the end of
-//! `fast_recompute`.
+//! Observation hooks sit at the settlement points, only read state and
+//! still see one record per logical flow: flow records open in
+//! `fast_activate` and close in `fast_harvest` / `fast_cancel_active`,
+//! link busy windows open and close at the 0↔1 `link_nflows` edges
+//! (where `link_stats` bytes are complete, since every flow is settled
+//! before it detaches), and park/resume transitions are scanned over the
+//! component's members in id order at the end of `fast_recompute`.
 
-use std::cmp::Reverse;
-
-use crate::arena::PathVec;
-use crate::flow::{FlowId, FlowSpec};
+use crate::arena::{twin_key, Member, PathVec};
+use crate::flow::FlowId;
 use crate::link::LinkCapacity;
 use crate::obs::FlowOutcome;
-use crate::sim::{Completion, FinishEntry, NetSim, Payload, PredEntry, DONE_EPS};
+use crate::sim::{Completion, Crossing, NetSim, Payload, DONE_EPS};
 use crate::time::{SimDuration, SimTime};
 
 impl NetSim {
@@ -54,12 +68,20 @@ impl NetSim {
                 return Some(done);
             }
             // Choose the earlier of the queue head and the check register
-            // by the same (time, seq) order the old heap used.
-            let take_check = match (self.queue.peek(), self.check) {
+            // by the same (time, seq) order the old heap used. A check
+            // below the head's lower bound wins without a peek, which
+            // would move the wheel clock past `now`.
+            let take_check = match (self.queue.head_bound(), self.check) {
                 (None, None) => return None,
                 (Some(_), None) => false,
                 (None, Some(_)) => true,
-                (Some(ev), Some((ct, cseq))) => (ct.0, cseq) < (ev.time, ev.seq),
+                (Some(bound), Some((ct, cseq))) => {
+                    (ct.0, cseq) < bound
+                        || self
+                            .queue
+                            .peek()
+                            .is_none_or(|ev| (ct.0, cseq) < (ev.time, ev.seq))
+                }
             };
             if take_check {
                 let (t, _) = self
@@ -85,10 +107,18 @@ impl NetSim {
                 Payload::FlowStart(id) => {
                     self.dirty_links.clear();
                     self.dirty_flows.clear();
+                    self.twins.clear();
                     self.fast_activate(id);
                     // Batch every other flow start at this same instant so
                     // rates are recomputed once, not per flow.
-                    while let Some(peek) = self.queue.peek() {
+                    while self
+                        .queue
+                        .head_bound()
+                        .is_some_and(|(t, _)| t == self.now.0)
+                    {
+                        let Some(peek) = self.queue.peek() else {
+                            break;
+                        };
                         if peek.time != self.now.0 {
                             break;
                         }
@@ -148,19 +178,17 @@ impl NetSim {
         }
     }
 
-    /// Activate a pending flow: arena insert, link membership, busy
+    /// Activate a pending flow. A flow identical in `(path, bytes, rate
+    /// cap)` to one activated earlier in this batch joins that flow's twin
+    /// group; any other gets an arena slot, link membership and busy
     /// windows. Rate assignment happens in the subsequent recompute;
-    /// zero-byte flows get an immediately-ripe finish entry so the
-    /// harvest pass (which runs before the recompute) completes them at
-    /// this same event.
+    /// zero-byte flows get an immediately-ripe finish entry so the harvest
+    /// pass (which runs before the recompute) completes them at this same
+    /// event.
     fn fast_activate(&mut self, id: FlowId) {
-        let Some(spec) = self.pending.remove(&id) else {
-            // Cancelled during its latency phase: the queued FlowStart is
-            // a tombstoned no-op.
-            assert!(
-                self.cancelled_pending.remove(&id),
-                "FlowStart for unknown pending flow"
-            );
+        // `None`: cancelled during its latency phase, so the queued
+        // FlowStart is a tombstoned no-op.
+        let Some(spec) = self.window.activate(id) else {
             return;
         };
         if let Some(obs) = self.obs.as_deref_mut() {
@@ -178,27 +206,56 @@ impl NetSim {
         } else {
             f64::INFINITY
         };
-        let FlowSpec {
-            path, bytes, token, ..
-        } = spec;
-        let slot = self.flows.insert(
-            id,
-            token,
-            bytes as f64,
-            cap,
-            PathVec::from_vec(path),
-            self.now,
-        );
-        self.id_to_slot.insert(id.0, slot);
+        let key = twin_key(&spec.path, spec.bytes, cap);
+        if let Some(group) = key.as_ref().and_then(|k| self.twins.get_mut(k)) {
+            let (slot, last) = *group;
+            group.1 = id.0;
+            self.fast_join_twin(slot, last, id.0);
+            return;
+        }
+        let bytes = spec.bytes as f64;
+        let slot = self
+            .flows
+            .insert(id, bytes, cap, PathVec::from_vec(spec.path), self.now);
+        if let Some(member) = self.window.member_mut(id.0) {
+            member.slot = slot;
+        }
+        if let Some(key) = key {
+            self.twins.insert(key, (slot, id.0));
+        }
         self.fast_attach_links(slot);
         self.dirty_flows.push(slot);
-        if bytes as f64 <= DONE_EPS {
-            self.finish_heap.push(Reverse(FinishEntry {
-                crossing: self.now.0 as f64,
-                slot,
-                epoch: self.flows.epoch[slot as usize],
-            }));
+        if bytes <= DONE_EPS {
+            self.finish_heap.set(slot, Crossing(self.now.0 as f64));
         }
+    }
+
+    /// Add flow `id` to the twin group in `slot`, behind its last member
+    /// `last`. The group's links are already attached and their busy
+    /// windows open; only the counts grow.
+    fn fast_join_twin(&mut self, slot: u32, last: u64, id: u64) {
+        let s = slot as usize;
+        if let Some(member) = self.window.member_mut(last) {
+            member.next = Some(id);
+        }
+        if let Some(member) = self.window.member_mut(id) {
+            member.slot = slot;
+        }
+        self.flows.mult[s] += 1;
+        for j in 0..self.flows.path[s].as_slice().len() {
+            self.link_nflows[self.flows.path[s].as_slice()[j].0 as usize] += 1;
+        }
+    }
+
+    /// The members of `slot`'s twin group, in id order.
+    fn members(&self, slot: u32) -> impl Iterator<Item = (u64, Member)> + '_ {
+        let mut next = Some(self.flows.ids[slot as usize]);
+        std::iter::from_fn(move || {
+            let id = next?;
+            let member = *self.window.member(id)?;
+            next = member.next;
+            Some((id, member))
+        })
     }
 
     /// Register `slot` in every path link's flow list, maintaining the
@@ -217,13 +274,14 @@ impl NetSim {
                     obs.on_link_window_opened(link, self.now, self.link_stats[l].bytes);
                 }
             }
-            self.link_nflows[l] += 1;
+            self.link_nflows[l] += self.flows.mult[s];
         }
     }
 
-    /// Remove `slot` from every path link's flow list (fixing up the
-    /// swapped entry's mirrored position), close busy windows on →0
-    /// transitions, and mark the links dirty for the next recompute.
+    /// Remove `slot`'s whole group from every path link's flow list
+    /// (fixing up the swapped entry's mirrored position), close busy
+    /// windows on →0 transitions, and mark the links dirty for the next
+    /// recompute.
     fn fast_detach_links(&mut self, slot: u32) {
         let s = slot as usize;
         let npath = self.flows.path[s].as_slice().len();
@@ -248,7 +306,7 @@ impl NetSim {
                     }
                 }
             }
-            self.link_nflows[l] -= 1;
+            self.link_nflows[l] -= self.flows.mult[s];
             if self.link_nflows[l] == 0 {
                 let busy = self.now.since(self.link_open[l]).0 as f64;
                 self.link_stats[l].busy_seconds += busy * 1e-9;
@@ -260,8 +318,20 @@ impl NetSim {
         }
     }
 
-    /// Settle `slot`'s progress to `now` and attribute the moved bytes to
-    /// its links. No-op when no time passed since its anchor.
+    /// Attribute `moved` bytes to each of slot `s`'s links, once per
+    /// member counted in `members`.
+    fn credit_links(&mut self, s: usize, moved: f64, members: u32) {
+        for j in 0..self.flows.path[s].as_slice().len() {
+            let l = self.flows.path[s].as_slice()[j].0 as usize;
+            for _ in 0..members {
+                self.link_stats[l].bytes += moved;
+            }
+        }
+    }
+
+    /// Settle `slot`'s progress to `now` and attribute the moved bytes of
+    /// every member to its links. No-op when no time passed since its
+    /// anchor.
     fn fast_settle_flow(&mut self, slot: u32) {
         let s = slot as usize;
         let elapsed = self.now.since(self.flows.anchor[s]).0 as f64;
@@ -273,11 +343,7 @@ impl NetSim {
                 if self.flows.remaining[s] < 0.0 {
                     self.flows.remaining[s] = 0.0;
                 }
-                let npath = self.flows.path[s].as_slice().len();
-                for j in 0..npath {
-                    let l = self.flows.path[s].as_slice()[j].0 as usize;
-                    self.link_stats[l].bytes += moved;
-                }
+                self.credit_links(s, moved, self.flows.mult[s]);
             }
         }
         self.flows.anchor[s] = self.now;
@@ -285,8 +351,8 @@ impl NetSim {
 
     /// Assign a freshly computed rate. Bitwise-equal reassignments are
     /// skipped entirely — the flow's anchor, prediction and heap entries
-    /// all remain valid. On change: settle, bump the epoch (invalidating
-    /// old heap entries) and push new finish/prediction entries.
+    /// all remain valid. On change: settle, then move the slot's finish
+    /// and prediction entries (or drop them when it parks).
     fn fast_assign_rate(&mut self, slot: u32, new_rate: f64) {
         let s = slot as usize;
         // Bitwise compare, deliberately not `==`: the skip is only sound
@@ -297,81 +363,126 @@ impl NetSim {
         }
         self.fast_settle_flow(slot);
         self.flows.rate[s] = new_rate;
-        self.flows.epoch[s] = self.flows.epoch[s].wrapping_add(1);
         if new_rate > 0.0 {
             let rem = self.flows.remaining[s];
-            let epoch = self.flows.epoch[s];
             let crossing = self.now.0 as f64 + (rem - DONE_EPS) / new_rate;
-            self.finish_heap.push(Reverse(FinishEntry {
-                crossing,
-                slot,
-                epoch,
-            }));
+            self.finish_heap.set(slot, Crossing(crossing));
             let ns = (rem / new_rate).ceil().min(1e18) as u64;
-            let pred = self.now + SimDuration::from_nanos(ns.max(1));
             self.pred_heap
-                .push(Reverse(PredEntry { pred, slot, epoch }));
+                .set(slot, self.now + SimDuration::from_nanos(ns.max(1)));
+        } else {
+            self.finish_heap.remove(slot);
+            self.pred_heap.remove(slot);
         }
     }
 
     /// Complete every flow whose eps-crossing has passed, in flow-id
-    /// order. Their links are pushed onto `dirty_links` for the
-    /// subsequent recompute.
+    /// order. A twin group fans out into one completion per member and
+    /// leaves its links with its last member, where harvesting the
+    /// members one by one would detach the last of them. Detached links
+    /// are pushed onto `dirty_links` for the subsequent recompute.
     fn fast_harvest(&mut self) {
         let now_f = self.now.0 as f64;
-        let mut slots = std::mem::take(&mut self.harvest_slots);
-        slots.clear();
-        while let Some(&Reverse(top)) = self.finish_heap.peek() {
-            let s = top.slot as usize;
-            if !self.flows.live[s] || self.flows.epoch[s] != top.epoch {
-                self.finish_heap.pop();
-                continue;
-            }
-            if top.crossing <= now_f {
-                self.finish_heap.pop();
-                slots.push(top.slot);
+        let mut ripe = std::mem::take(&mut self.harvest);
+        ripe.clear();
+        while let Some((Crossing(crossing), slot)) = self.finish_heap.peek() {
+            if crossing <= now_f {
+                self.finish_heap.remove(slot);
+                for (id, member) in self.members(slot) {
+                    ripe.push((id, member.token, slot, member.next.is_none()));
+                }
             } else {
                 break;
             }
         }
-        if !slots.is_empty() {
-            slots.sort_unstable_by_key(|&sl| self.flows.ids[sl as usize]);
-            for &slot in &slots {
-                let s = slot as usize;
-                self.fast_settle_flow(slot);
-                let id = FlowId(self.flows.ids[s]);
-                let token = self.flows.tokens[s];
-                self.fast_detach_links(slot);
+        if !ripe.is_empty() {
+            ripe.sort_unstable_by_key(|r| r.0);
+            for &(id, token, slot, last) in &ripe {
+                if last {
+                    self.fast_release(slot);
+                    self.engine_flows_completed += 1;
+                }
+                let id = FlowId(id);
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.on_flow_closed(id, self.now, FlowOutcome::Finished);
                 }
-                self.id_to_slot.remove(&id.0);
-                self.flows.remove(slot);
+                self.window.retire(id.0);
                 self.flows_completed += 1;
                 self.backlog.push_back(Completion::Flow { id, token });
             }
         }
-        self.harvest_slots = slots;
+        self.harvest = ripe;
+    }
+
+    /// Settle `slot`'s whole group, detach it from its links, drop its
+    /// heap entries and free the slot.
+    fn fast_release(&mut self, slot: u32) {
+        self.fast_settle_flow(slot);
+        self.fast_detach_links(slot);
+        self.finish_heap.remove(slot);
+        self.pred_heap.remove(slot);
+        self.flows.remove(slot);
     }
 
     /// Cancel an actively transferring flow (the post-latency path of
     /// [`NetSim::cancel_flow`]).
     pub(crate) fn fast_cancel_active(&mut self, id: FlowId) -> bool {
-        let Some(&slot) = self.id_to_slot.get(&id.0) else {
+        let Some(&member) = self.window.member(id.0) else {
             return false;
         };
+        let slot = member.slot;
         self.dirty_links.clear();
         self.dirty_flows.clear();
-        self.fast_settle_flow(slot);
-        self.fast_detach_links(slot);
+        if self.flows.mult[slot as usize] == 1 {
+            self.fast_release(slot);
+        } else {
+            self.fast_leave_twin(id.0, member);
+        }
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.on_flow_closed(id, self.now, FlowOutcome::Cancelled);
         }
-        self.id_to_slot.remove(&id.0);
-        self.flows.remove(slot);
+        self.window.retire(id.0);
         self.fast_recompute();
         self.fast_update_check();
         true
+    }
+
+    /// Take member `id` out of a twin group of two or more. Its bytes
+    /// moved since the shared anchor are credited to its links without
+    /// settling the group, so the remaining members keep exactly the
+    /// anchor and remaining bytes they would have alone; if `id` was the
+    /// group's representative, the next member takes over.
+    fn fast_leave_twin(&mut self, id: u64, member: Member) {
+        let s = member.slot as usize;
+        let elapsed = self.now.since(self.flows.anchor[s]).0 as f64;
+        let rate = self.flows.rate[s];
+        if elapsed > 0.0 && rate > 0.0 {
+            let moved = (rate * elapsed).min(self.flows.remaining[s]);
+            self.credit_links(s, moved, 1);
+        }
+        self.flows.mult[s] -= 1;
+        for j in 0..self.flows.path[s].as_slice().len() {
+            let l = self.flows.path[s].as_slice()[j].0;
+            self.link_nflows[l as usize] -= 1;
+            self.dirty_links.push(l);
+        }
+        if self.flows.ids[s] == id {
+            if let Some(next) = member.next {
+                self.flows.ids[s] = next;
+            }
+            return;
+        }
+        let mut prev = self.flows.ids[s];
+        while let Some(p) = self.window.member_mut(prev) {
+            match p.next {
+                Some(next) if next == id => {
+                    p.next = member.next;
+                    break;
+                }
+                Some(next) => prev = next,
+                None => break,
+            }
+        }
     }
 
     /// Recompute max-min fair rates for the connected component(s)
@@ -379,8 +490,8 @@ impl NetSim {
     ///
     /// The water-fill is the historical global round loop restricted to
     /// the component: same share arithmetic (`cap_left / n`), same global
-    /// minimum and `1e-9` threshold grouping, same id-ordered freeze and
-    /// `cap_left` subtraction order — so every rate matches a global
+    /// minimum and `1e-9` threshold grouping, same freeze rounds and
+    /// `cap_left` subtractions — so every rate matches a global
     /// water-fill bit for bit while untouched components pay nothing.
     pub(crate) fn fast_recompute(&mut self) {
         if self.dirty_links.is_empty() && self.dirty_flows.is_empty() {
@@ -460,7 +571,10 @@ impl NetSim {
             self.comp_flows = comp_flows;
             return;
         }
-        // Freeze order is flow-id order, like the historical pass.
+        // Freeze order is representative-id order, like the historical
+        // pass. Within a round every frozen flow subtracts the same
+        // bottleneck, so where a group's other members would have sat in
+        // that order changes no `wf_cap` bit.
         comp_flows.sort_unstable_by_key(|&sl| self.flows.ids[sl as usize]);
 
         // Working set of not-yet-frozen flows, compacted in place per
@@ -487,7 +601,7 @@ impl NetSim {
                     self.fast_assign_rate(fs, 0.0);
                     for j in 0..npath {
                         let l = self.flows.path[s].as_slice()[j].0 as usize;
-                        self.wf_n[l] -= 1;
+                        self.wf_n[l] -= self.flows.mult[s];
                     }
                 } else {
                     unfixed[w] = fs;
@@ -530,8 +644,8 @@ impl NetSim {
             }
 
             // Freeze every flow bound by this constraint, compacting the
-            // survivors in place; `wf_cap` subtraction happens in flow-id
-            // order, bit-for-bit like the historical pass.
+            // survivors in place. Each frozen flow's rate is the
+            // bottleneck, subtracted once per group member.
             let before = unfixed.len();
             let mut w = 0;
             for r in 0..unfixed.len() {
@@ -549,11 +663,13 @@ impl NetSim {
                 if constrained_by_cap || constrained_by_link {
                     let rate = self.flows.rate_cap[s].min(bottleneck);
                     self.fast_assign_rate(fs, rate);
-                    let npath = self.flows.path[s].as_slice().len();
+                    let k = self.flows.mult[s];
                     for j in 0..npath {
                         let l = self.flows.path[s].as_slice()[j].0 as usize;
-                        self.wf_cap[l] = (self.wf_cap[l] - rate).max(0.0);
-                        self.wf_n[l] -= 1;
+                        for _ in 0..k {
+                            self.wf_cap[l] = (self.wf_cap[l] - rate).max(0.0);
+                        }
+                        self.wf_n[l] -= k;
                     }
                 } else {
                     unfixed[w] = fs;
@@ -573,17 +689,19 @@ impl NetSim {
             unfixed.truncate(w);
         }
         // Park/resume transitions: only component flows can change rate,
-        // and the id-sorted scan keeps same-instant events in flow-id
-        // order.
-        if let Some(obs) = self.obs.as_deref_mut() {
+        // and scanning their members in id order keeps same-instant
+        // events in flow-id order.
+        if self.obs.is_some() {
+            let mut members: Vec<(u64, u64, f64)> = Vec::new();
             for &fs in &comp_flows {
-                let s = fs as usize;
-                obs.on_flow_rate(
-                    FlowId(self.flows.ids[s]),
-                    self.flows.tokens[s],
-                    self.flows.rate[s],
-                    self.now,
-                );
+                let rate = self.flows.rate[fs as usize];
+                members.extend(self.members(fs).map(|(id, m)| (id, m.token, rate)));
+            }
+            members.sort_unstable_by_key(|m| m.0);
+            if let Some(obs) = self.obs.as_deref_mut() {
+                for (id, token, rate) in members {
+                    obs.on_flow_rate(FlowId(id), token, rate, self.now);
+                }
             }
         }
         self.wf_unfixed = unfixed;
@@ -592,21 +710,13 @@ impl NetSim {
     }
 
     /// Refresh the check register from the prediction heap: the earliest
-    /// valid prediction, clamped one nanosecond into the future so a
+    /// prediction, clamped one nanosecond into the future so a
     /// floating-point corner can never re-arm a check in the past.
     pub(crate) fn fast_update_check(&mut self) {
-        self.check = None;
-        while let Some(&Reverse(top)) = self.pred_heap.peek() {
-            let s = top.slot as usize;
-            if !self.flows.live[s] || self.flows.epoch[s] != top.epoch {
-                self.pred_heap.pop();
-                continue;
-            }
-            let t = top.pred.max(SimTime(self.now.0 + 1));
+        self.check = self.pred_heap.peek().map(|(pred, _)| {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.check = Some((t, seq));
-            break;
-        }
+            (pred.max(SimTime(self.now.0 + 1)), seq)
+        });
     }
 }

@@ -8,11 +8,12 @@
 //! **byte-identical completion streams**, integer-nanosecond timestamps
 //! included. This pins every moving part the fast engine added: the
 //! timer-wheel ordering, the check register, component-local
-//! water-filling, bitwise-skip rate assignment and the epoch-versioned
-//! finish heap — and that observing a run, or taking its report
-//! mid-run, changes none of it. The observed run's report must also hold
-//! its record invariants (one record per activated flow, alternating
-//! park/resume transitions).
+//! water-filling, bitwise-skip rate assignment, the slot-indexed finish
+//! and prediction heaps and twin groups (same-instant identical flows
+//! simulated as one, which `RefSim` never merges) — and that observing a
+//! run, or taking its report mid-run, changes none of it. The observed
+//! run's report must also hold its record invariants (one record per
+//! activated flow, alternating park/resume transitions).
 //!
 //! Generator discipline: capacities and rate caps come from
 //! well-separated round sets (powers of two × 1 GB/s, halved by degraded
@@ -33,8 +34,10 @@ use holmes_netsim::{
 
 /// Capacities all engines pick from: powers of two in GB/s.
 const CAPS: [f64; 4] = [1e9, 2e9, 4e9, 8e9];
-/// Per-flow rate caps (bytes/s); `INFINITY` means uncapped.
-const RATE_CAPS: [f64; 4] = [f64::INFINITY, 0.5e9, 1e9, 2e9];
+/// Per-flow rate caps (bytes/s); `INFINITY` means uncapped. The first
+/// four are what the random generators draw; the last two are odd values
+/// no link share can come near, for the twin generator's pathless flows.
+const RATE_CAPS: [f64; 6] = [f64::INFINITY, 0.5e9, 1e9, 2e9, 0.3e9, 0.7e9];
 /// Health transitions faults pick from.
 const HEALTHS: [LinkHealth; 4] = [
     LinkHealth::Down,
@@ -48,6 +51,13 @@ const CANCEL_BASE: u64 = 1_000_000;
 
 /// Timer token of the mid-run probe (see [`SimLike::probe`]).
 const PROBE: u64 = u64::MAX;
+
+/// Sizes twin specs pick from: zero-byte flows, and sizes shared across
+/// specs, so flows that are not twins often differ only in path or cap.
+const TWIN_BYTES: [u64; 5] = [0, 1_000, 3_000_000, 7_000_000, 20_000_000];
+/// Latencies twin specs pick from, in µs: few enough that unrelated
+/// specs often start at one instant and share an activation batch.
+const TWIN_LATENCY_US: [u64; 3] = [0, 5, 20];
 
 /// Membership transitions churn events pick from.
 const CHURN_KINDS: [ChurnKind; 3] = [
@@ -148,6 +158,20 @@ impl SimLike for RefSim {
     }
 }
 
+/// Indices of the scenario links flow `i` crosses, in path order.
+fn flow_links(sc: &Scenario, i: usize) -> Vec<usize> {
+    let (_, _, a, b, _, pathless_die) = sc.flows[i];
+    if pathless_die == 0 {
+        return Vec::new();
+    }
+    let (a, b) = (a % sc.links.len(), b % sc.links.len());
+    if a == b {
+        vec![a]
+    } else {
+        vec![a, b]
+    }
+}
+
 /// Drive one simulator through the scenario, returning the full
 /// completion log stamped with exact integer-nanosecond clocks. Cancel
 /// timers fire *through* the event stream, so every driver observes them
@@ -175,22 +199,19 @@ fn run_scenario<S: SimLike>(sim: &mut S, sc: &Scenario) -> String {
         );
     }
     let mut ids = Vec::new();
-    for (token, &(bytes, lat_us, a, b, cap, pathless_die)) in sc.flows.iter().enumerate() {
-        let mut path = Vec::new();
-        if pathless_die != 0 {
-            path.push(links[a % links.len()]);
-            let lb = links[b % links.len()];
-            if lb != path[0] {
-                path.push(lb);
-            }
-        }
-        ids.push(sim.start_flow(FlowSpec {
-            path,
-            bytes,
-            latency: SimDuration::from_micros(lat_us),
-            rate_cap: RATE_CAPS[cap],
-            token: token as u64,
-        }));
+    for (token, &(bytes, lat_us, _, _, cap, _)) in sc.flows.iter().enumerate() {
+        ids.push(
+            sim.start_flow(FlowSpec {
+                path: flow_links(sc, token)
+                    .into_iter()
+                    .map(|l| links[l])
+                    .collect(),
+                bytes,
+                latency: SimDuration::from_micros(lat_us),
+                rate_cap: RATE_CAPS[cap],
+                token: token as u64,
+            }),
+        );
     }
     for (i, &(delay_us, _)) in sc.cancels.iter().enumerate() {
         sim.set_timer(SimDuration::from_micros(delay_us), CANCEL_BASE + i as u64);
@@ -299,10 +320,120 @@ fn check_report(sc: &Scenario, log: &str, sim: &NetSim, report: &NetObsReport) -
     for w in &report.link_windows {
         prop_assert!(w.start <= w.end && w.bytes >= 0.0, "bad window {:?}", w);
     }
+
+    // Bytes are conserved per logical flow, twins included: a link
+    // carried at most the bytes of the flows crossing it, and at least
+    // those of the flows that finished on it, less each one's sub-byte
+    // finishing residue.
+    let finished: BTreeSet<u64> = report
+        .flows
+        .iter()
+        .filter(|f| f.outcome == FlowOutcome::Finished)
+        .map(|f| f.token)
+        .collect();
+    for l in 0..sc.links.len() {
+        let carried: f64 = report
+            .link_windows
+            .iter()
+            .filter(|w| w.link.0 as usize == l)
+            .map(|w| w.bytes)
+            .sum();
+        let (mut most, mut least) = (0.0, 0.0);
+        for (i, f) in sc.flows.iter().enumerate() {
+            if flow_links(sc, i).contains(&l) {
+                most += f.0 as f64;
+                if finished.contains(&(i as u64)) {
+                    least += f.0 as f64 - 0.5;
+                }
+            }
+        }
+        prop_assert!(
+            carried <= most * (1.0 + 1e-9) + 1e-6 && carried >= least * (1.0 - 1e-9) - 1e-6,
+            "link {} carried {} bytes, outside [{}, {}]",
+            l,
+            carried,
+            least,
+            most
+        );
+    }
     Ok(())
 }
 
+/// A twin spec as drawn: (bytes index, latency index, first link,
+/// second link, cap index, pathless die).
+type FlowDraw = (usize, usize, usize, usize, usize, usize);
+/// A scenario flow row; see [`Scenario::flows`].
+type FlowRow = (u64, u64, usize, usize, usize, usize);
+
+/// Expand twin specs into a flow list: each `(spec, copies)` starts
+/// `copies` times verbatim, and an xorshift stream seeded by `shuffle`
+/// permutes the list so a group's ids interleave with other flows'.
+///
+/// Twins make many flows start and finish together, so rounds of
+/// `cap / 3`-style shares come up often, and their float residues can
+/// land within the `1e-9` tie threshold of an exact share in another
+/// component — the near-tie where component-local and global settlement
+/// legitimately differ. The expansion keeps to one linked component:
+/// every path starts at link 0. Pathless flows (components of their own)
+/// are uncapped or take an odd cap no share comes near.
+fn expand_twins(specs: &[(FlowDraw, usize)], mut shuffle: u64) -> Vec<FlowRow> {
+    let mut flows = Vec::new();
+    for &((bytes, lat, _, b, cap, pathless_die), copies) in specs {
+        let cap = if pathless_die == 0 {
+            [0, 4, 5][cap % 3]
+        } else {
+            cap
+        };
+        for _ in 0..copies {
+            flows.push((
+                TWIN_BYTES[bytes],
+                TWIN_LATENCY_US[lat],
+                0,
+                b,
+                cap,
+                pathless_die,
+            ));
+        }
+    }
+    shuffle |= 1;
+    for i in (1..flows.len()).rev() {
+        shuffle ^= shuffle << 13;
+        shuffle ^= shuffle >> 7;
+        shuffle ^= shuffle << 17;
+        flows.swap(i, (shuffle % (i as u64 + 1)) as usize);
+    }
+    flows
+}
+
 proptest! {
+    /// The twin pin: every spec starts one to four times with identical
+    /// path, bytes, latency and cap, so the fast engine merges most
+    /// activations into twin groups while `RefSim` runs each flow alone.
+    /// Pathless, linked and zero-byte flows mix with non-twins on shared
+    /// links; cancels hit single members (the group's representative too)
+    /// in the latency phase and mid-transfer; faults and churn park and
+    /// revive whole groups. All three drivers must agree byte for byte.
+    #[test]
+    fn twin_groups_match_reference(
+        links in prop::collection::vec(0usize..4, 1..4),
+        specs in prop::collection::vec(
+            ((0usize..5, 0usize..3, 0usize..4, 0usize..4, 0usize..4, 0usize..3), 1usize..5),
+            1..8,
+        ),
+        shuffle in 0u64..u64::MAX,
+        faults in prop::collection::vec((0u64..30_000, 0usize..4, 0usize..4), 0..6),
+        churn in prop::collection::vec((0u64..30_000, 0usize..4, 0usize..3), 0..3),
+        cancels in prop::collection::vec(
+            (prop_oneof![0u64..25, 0u64..30_000], 0usize..32),
+            0..6,
+        ),
+        probe_us in 0u64..30_000,
+    ) {
+        let flows = expand_twins(&specs, shuffle);
+        let sc = Scenario { links, flows, faults, cancels, churn, probe_us: None };
+        check_all_drivers(&sc, probe_us)?;
+    }
+
     /// The tentpole pin: fast engine (observed or not) and reference
     /// implementation emit byte-identical completion streams over random
     /// flow/fault/cancel schedules, fault parking included.

@@ -6,6 +6,7 @@
 //! scenario reports the same counts — no leakage between executions),
 //! and observation never changes what the simulator does.
 
+use holmes_repro::engine::IterationReport;
 use holmes_repro::obs::{Layer, ObsSession};
 use holmes_repro::topology::presets;
 use holmes_repro::{
@@ -88,4 +89,56 @@ fn observation_is_invisible_to_the_simulation() {
     let observed_r = run_resilient_observed(&topo, 3, FaultPreset::FlakyTrunk, 99, &mut session)
         .expect("observed");
     assert_eq!(plain_r.log_text(), observed_r.log_text());
+}
+
+/// Every field of a report, floats as exact bit patterns (Debug prints
+/// the shortest round-trip form) and maps in key order.
+fn report_bits(r: &IterationReport) -> String {
+    let mut maps: Vec<String> = r
+        .collective_wall_seconds
+        .iter()
+        .map(|(kind, secs)| format!("wall {kind:?} {secs:?}"))
+        .chain(
+            r.collective_spans
+                .iter()
+                .map(|(kind, spans)| format!("spans {kind:?} {spans:?}")),
+        )
+        .collect();
+    maps.sort_unstable();
+    format!(
+        "{:?} {:?} {:?} {:?} {:?} {:?} {maps:?} {} {} {:?} {:?} {:?} {:?} {} {}",
+        r.total_seconds,
+        r.device_finish_seconds,
+        r.device_compute_seconds,
+        r.forward_seconds_max,
+        r.backward_seconds_max,
+        r.optimizer_seconds_max,
+        r.events,
+        r.flows,
+        r.timeline.spans,
+        r.node_link_usage,
+        r.fault_windows,
+        r.degraded_conditions,
+        r.flow_retries,
+        r.tcp_fallback_flows,
+    )
+}
+
+#[test]
+fn twin_flows_are_observed_one_record_each() {
+    // Table 4's 12-node three-cluster cell at PG3: 72,960 flows start in
+    // one iteration, and most are twins (same instant, path, bytes and
+    // rate cap) that netsim simulates as one engine flow.
+    let topo = presets::table4_4r_4ib_4ib();
+    let plain = run_framework(FrameworkKind::Holmes, &topo, 3).expect("plain");
+    let mut session = ObsSession::new();
+    let observed =
+        run_framework_observed(FrameworkKind::Holmes, &topo, 3, &mut session).expect("observed");
+    assert_eq!(report_bits(&plain.report), report_bits(&observed.report));
+    // Observation still keeps one record per logical flow, while the
+    // engine flow count shows the merging at work.
+    let finished = session.registry.counter("netsim.flows_finished");
+    assert_eq!(finished, 72_960);
+    assert_eq!(observed.report.flows, 6_018);
+    assert_eq!(session.registry.counter("netsim.flows"), 6_018);
 }
