@@ -3,8 +3,9 @@
 //! Drives the four criterion suites (netsim, collectives, iteration,
 //! groups) with the short quick profile, measures netsim event throughput
 //! and the end-to-end `all_experiments` wall time, counts one paper
-//! cell's logical and engine flows (the twin census), and writes the
-//! whole snapshot to `BENCH_netsim.json` at the workspace root.
+//! cell's logical flows, launch entries and engine flows (the twin
+//! census), and writes the whole snapshot to `BENCH_netsim.json` at the
+//! workspace root.
 //!
 //! Quick-profile numbers are for trend tracking, not precision: use
 //! `cargo bench` for the full measurement windows.
@@ -123,10 +124,11 @@ fn main() {
 
     // Twin census of one paper cell: how many logical flows the
     // executor started, and how many engine flows netsim simulated.
-    let (logical_flows, engine_flows, census_events) = suites::netsim::twin_census();
+    let (logical_flows, launch_entries, engine_flows, census_events) =
+        suites::netsim::twin_census();
     println!(
-        "twin census ({}): {logical_flows} logical flows, {engine_flows} engine flows, \
-         {census_events} events",
+        "twin census ({}): {logical_flows} logical flows, {launch_entries} launch entries, \
+         {engine_flows} engine flows, {census_events} events",
         suites::netsim::TWIN_CENSUS_CELL
     );
 
@@ -142,7 +144,8 @@ fn main() {
     let _ = writeln!(
         out,
         "  \"twin_census\": {{\"cell\": \"{}\", \"logical_flows\": {logical_flows}, \
-         \"engine_flows\": {engine_flows}, \"events\": {census_events}}},",
+         \"launch_entries\": {launch_entries}, \"engine_flows\": {engine_flows}, \
+         \"events\": {census_events}}},",
         suites::netsim::TWIN_CENSUS_CELL
     );
     out.push_str("  \"obs\": {\n    \"holmes_pg1_hybrid2\": ");

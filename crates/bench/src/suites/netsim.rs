@@ -17,6 +17,7 @@ fn drain_shared_link(flows: u64) -> u64 {
             latency: SimDuration::from_micros(token % 7),
             rate_cap: 25e9,
             token,
+            count: 1,
         });
     }
     let mut n = 0;
@@ -41,6 +42,7 @@ fn drain_mesh(links: u32, flows: u64) -> u64 {
             latency: SimDuration::from_micros(1),
             rate_cap: f64::INFINITY,
             token,
+            count: 1,
         });
     }
     let mut n = 0;
@@ -98,6 +100,7 @@ pub fn events_per_sec_probe() -> (u64, f64) {
                     latency: SimDuration::from_micros((step + i as u64) % 5),
                     rate_cap: f64::INFINITY,
                     token,
+                    count: 1,
                 });
                 token += 1;
             }
@@ -110,6 +113,7 @@ pub fn events_per_sec_probe() -> (u64, f64) {
                 latency: SimDuration::from_micros(step % 3),
                 rate_cap: f64::INFINITY,
                 token,
+                count: 1,
             });
             token += 1;
         }
@@ -158,6 +162,7 @@ pub fn large_topology_probe() -> (u64, f64) {
                         latency: SimDuration::from_micros((wave + step + (i as u64 % 7)) % 9),
                         rate_cap: f64::INFINITY,
                         token: *token,
+                        count: 1,
                     });
                     *token += 1;
                 }
@@ -177,6 +182,7 @@ pub fn large_topology_probe() -> (u64, f64) {
                     latency: SimDuration::from_micros((wave + step) % 4),
                     rate_cap: f64::INFINITY,
                     token,
+                    count: 1,
                 });
                 token += 1;
             }
@@ -193,11 +199,14 @@ pub fn large_topology_probe() -> (u64, f64) {
 pub const TWIN_CENSUS_CELL: &str = "table4_4r_4ib_4ib/pg3";
 
 /// Twin census of one observed iteration of [`TWIN_CENSUS_CELL`]:
-/// `(logical flows, engine flows, events)`. Logical flows are the
-/// transfers the executor starts, one observation record each; engine
-/// flows are what netsim simulates after merging same-instant twins
-/// (identical path, bytes and rate cap). All three are deterministic.
-pub fn twin_census() -> (u64, u64, u64) {
+/// `(logical flows, launch entries, engine flows, events)`. Logical flows
+/// are the transfers the executor replays, one observation record each;
+/// launch entries are the counted netsim entries it starts for them (a
+/// collective round's transfers sharing source node, destination node and
+/// bytes start as one); engine flows are what netsim simulates after
+/// merging same-instant twins (identical path, bytes and rate cap). All
+/// four are deterministic.
+pub fn twin_census() -> (u64, u64, u64, u64) {
     let mut session = holmes::obs::ObsSession::new();
     let run = holmes::run_framework_observed(
         holmes::FrameworkKind::Holmes,
@@ -208,6 +217,7 @@ pub fn twin_census() -> (u64, u64, u64) {
     .expect("the twin-census cell simulates");
     (
         session.registry.counter("netsim.flows_finished"),
+        run.report.launch_entries,
         run.report.flows,
         run.report.events,
     )

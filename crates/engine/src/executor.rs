@@ -7,11 +7,23 @@
 //! last flow of round `r` lands, so the replay inherits full max-min
 //! contention fidelity from the simulator while the *algorithm* stays
 //! single-sourced with the analytic layers.
+//!
+//! A round's transfers that share (source node, destination node, bytes)
+//! launch as one counted netsim entry ([`FlowSpec::count`]). They share a
+//! route, latency and rate cap and start at one instant with consecutive
+//! event seqs, so netsim would fold them into one twin group anyway; the
+//! entry spares the per-flow route lookup, token, `FlowStart` event,
+//! activation and completion. The group shares fate under faults too: a
+//! timeout, retry, TCP fallback or churn cancel acts on the whole entry,
+//! and the fault counters add its count. Routes come from a per-execution
+//! [`RouteTable`] instead of a topology walk per transfer.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use holmes_netsim::algo::CollSchedule;
-use holmes_netsim::{ChurnKind, Completion, Fabric, FlowId, FlowSpec, LinkId, NetSim, SimDuration};
+use holmes_netsim::{
+    ChurnKind, Completion, Fabric, FlowId, FlowSpec, LinkId, NetSim, RouteTable, SimDuration,
+};
 use holmes_topology::{Rank, Topology};
 
 use crate::fault::{DegradedCondition, FaultPlan, FaultTarget, FaultWindow, RetryPolicy};
@@ -178,6 +190,46 @@ pub enum ExecError {
         /// When the drain arrived, in iteration seconds.
         at_seconds: f64,
     },
+    /// A device carries two programs in [`ExecutionSpec::programs`].
+    /// Checked before any flow starts.
+    ///
+    /// ```
+    /// # use holmes_engine::ExecError;
+    /// # use holmes_topology::Rank;
+    /// let e = ExecError::DuplicateProgram { device: Rank(3) };
+    /// assert!(e.to_string().contains("two programs"));
+    /// ```
+    DuplicateProgram {
+        /// The device named twice.
+        device: Rank,
+    },
+    /// A collective lists no member devices. Checked before any flow
+    /// starts.
+    ///
+    /// ```
+    /// # use holmes_engine::ExecError;
+    /// let e = ExecError::EmptyCollective { id: 2 };
+    /// assert!(e.to_string().contains("no members"));
+    /// ```
+    EmptyCollective {
+        /// Collective id.
+        id: u32,
+    },
+    /// A program, a send endpoint or a collective member names a rank
+    /// past the topology's last device. Checked before any flow starts.
+    ///
+    /// ```
+    /// # use holmes_engine::ExecError;
+    /// # use holmes_topology::Rank;
+    /// let e = ExecError::RankOutsideTopology { rank: Rank(64), devices: 32 };
+    /// assert!(e.to_string().contains("outside the topology"));
+    /// ```
+    RankOutsideTopology {
+        /// The offending rank.
+        rank: Rank,
+        /// Devices in the topology.
+        devices: u32,
+    },
     /// A link fault names fabric the run does not have: a node index past
     /// the topology's last node, or [`FaultTarget::Trunk`] without
     /// [`FaultPlan::trunk_bytes_per_sec`]. Checked before any flow starts.
@@ -230,6 +282,13 @@ impl std::fmt::Display for ExecError {
                 "node {node} draining since {at_seconds:.3}s; collectives cannot \
                  continue without its ranks"
             ),
+            ExecError::DuplicateProgram { device } => {
+                write!(f, "device {device} has two programs")
+            }
+            ExecError::EmptyCollective { id } => write!(f, "collective {id} has no members"),
+            ExecError::RankOutsideTopology { rank, devices } => {
+                write!(f, "rank {rank} is outside the topology ({devices} devices)")
+            }
             ExecError::FaultTargetMissing { target } => {
                 write!(
                     f,
@@ -283,6 +342,10 @@ pub struct IterationReport {
     /// and rate cap — as one engine flow, so this counts a group once.
     /// Per-flow counts come from observation (`netsim.flows_finished`).
     pub flows: u64,
+    /// Netsim entries the executor started (diagnostic): a collective
+    /// round's transfers sharing source node, destination node and bytes
+    /// start as one counted entry, every other transfer as its own.
+    pub launch_entries: u64,
     /// Full per-device span timeline (compute, pipeline waits, collective
     /// waits) — see [`Timeline::to_chrome_trace`].
     pub timeline: Timeline,
@@ -358,18 +421,64 @@ struct DevState {
     wait_since: f64,
 }
 
+/// One counted netsim entry of a collective round: the round's transfers
+/// from `from`'s node to `to`'s node of `bytes` each, `count` of them,
+/// represented by the first of them.
+#[derive(Debug, Clone, Copy)]
+struct Launch {
+    from: Rank,
+    to: Rank,
+    bytes: u64,
+    count: u32,
+}
+
+/// Group each round of `schedule` into [`Launch`]es by (source node,
+/// destination node, bytes), in first-appearance order. Returns the
+/// launches of every round back to back and each round's end offset.
+fn group_rounds(schedule: &CollSchedule, gpus_per_node: u32) -> (Vec<Launch>, Vec<u32>) {
+    let mut launches: Vec<Launch> = Vec::new();
+    // The current round's group keys, parallel to its launches.
+    let mut keys: Vec<(u32, u32, u64)> = Vec::new();
+    let mut round_ends = Vec::with_capacity(schedule.rounds().len());
+    for round in schedule.rounds() {
+        let start = launches.len();
+        keys.clear();
+        for t in round.transfers() {
+            let key = (t.from.0 / gpus_per_node, t.to.0 / gpus_per_node, t.bytes);
+            // Ring-ordered rounds put a node pair's transfers side by
+            // side, so the newest group is the likeliest match.
+            match keys.iter().rposition(|k| *k == key) {
+                Some(i) => launches[start + i].count += 1,
+                None => {
+                    keys.push(key);
+                    launches.push(Launch {
+                        from: t.from,
+                        to: t.to,
+                        bytes: t.bytes,
+                        count: 1,
+                    });
+                }
+            }
+        }
+        round_ends.push(launches.len() as u32);
+    }
+    (launches, round_ends)
+}
+
 #[derive(Debug)]
 struct CollState {
     kind: CollKind,
     devices: Vec<Rank>,
     /// The IR round schedule replayed by every channel (each channel
     /// carries `bytes / channels` of the buffer, so one schedule serves
-    /// all of them).
-    schedule: CollSchedule,
+    /// all of them), grouped into counted entries: round `r` launches
+    /// `launches[round_ends[r - 1]..round_ends[r]]`.
+    launches: Vec<Launch>,
+    round_ends: Vec<u32>,
     /// Per-channel current round.
     round: Vec<u32>,
     arrived: u32,
-    /// Per-channel outstanding flows of the current round.
+    /// Per-channel outstanding entries of the current round.
     outstanding: Vec<u32>,
     /// Channels that finished all rounds.
     channels_done: u32,
@@ -394,13 +503,15 @@ enum LinkClass {
     Eth,
 }
 
-/// Retry bookkeeping for one tracked transfer (only allocated when a
-/// fault plan arms timeouts).
+/// Retry bookkeeping for one tracked entry (only allocated when a fault
+/// plan arms timeouts).
 #[derive(Debug)]
 struct AttemptState {
     from: Rank,
     to: Rank,
     bytes: u64,
+    /// Logical transfers the entry stands for.
+    count: u32,
     /// The semantic token (`MsgArrived` / `CollFlow`) dispatched when
     /// any attempt of this transfer completes.
     semantic: u64,
@@ -416,6 +527,7 @@ struct Executor<'t> {
     topo: &'t Topology,
     sim: NetSim,
     fabric: Fabric,
+    routes: RouteTable,
     transport: TransportPolicy,
     devs: Vec<DevState>,
     programs: Vec<Vec<Op>>,
@@ -425,7 +537,6 @@ struct Executor<'t> {
     msg_index: HashMap<MsgKey, usize>,
     msg_arrived: Vec<bool>,
     msg_waiter: Vec<Option<usize>>,
-    dev_of_rank: HashMap<Rank, usize>,
     timeline: Timeline,
     /// Armed only when the fault plan carries link faults, so the
     /// fault-free path stays byte-identical.
@@ -459,6 +570,8 @@ struct Executor<'t> {
     /// leak across `execute*` calls, and observed runs merge this
     /// registry straight into the session.
     counters: holmes_obs::Registry,
+    /// Netsim entries started ([`IterationReport::launch_entries`]).
+    launch_entries: u64,
 }
 
 /// Execute a spec on a topology. See [`IterationReport`].
@@ -510,6 +623,7 @@ fn execute_inner(
     plan: Option<&FaultPlan>,
     obs: Option<&mut holmes_obs::ObsSession>,
 ) -> Result<IterationReport, ExecError> {
+    check_spec(topo, &spec)?;
     if let Some(plan) = plan {
         check_fault_targets(topo, plan)?;
     }
@@ -567,12 +681,7 @@ fn execute_inner(
     let n = spec.programs.len();
     let mut devs = Vec::with_capacity(n);
     let mut programs = Vec::with_capacity(n);
-    let mut dev_of_rank = HashMap::with_capacity(n);
-    for (idx, (rank, program)) in spec.programs.into_iter().enumerate() {
-        assert!(
-            dev_of_rank.insert(rank, idx).is_none(),
-            "device {rank} has two programs"
-        );
+    for (rank, program) in spec.programs {
         devs.push(DevState {
             rank,
             pc: 0,
@@ -590,10 +699,6 @@ fn execute_inner(
         .collectives
         .into_iter()
         .map(|c| {
-            assert!(
-                !c.devices.is_empty(),
-                "collective needs at least one member"
-            );
             let channels = c.channels.max(1);
             // One IR schedule per instance; degenerate groups (n ≤ 1)
             // yield an empty schedule and complete instantly on launch.
@@ -601,7 +706,7 @@ fn execute_inner(
                 .kind
                 .schedule(&c.devices, c.bytes / u64::from(channels), |r| {
                     topo.coord(r)
-                        .expect("collective rank belongs to the topology")
+                        .expect("check_spec keeps collective ranks inside the topology")
                         .cluster
                         .0
                 });
@@ -624,10 +729,12 @@ fn execute_inner(
                     c.kind
                 );
             }
+            let (launches, round_ends) = group_rounds(&schedule, topo.gpus_per_node());
             CollState {
                 kind: c.kind,
                 devices: c.devices,
-                schedule,
+                launches,
+                round_ends,
                 round: vec![0; channels as usize],
                 arrived: 0,
                 outstanding: vec![0; channels as usize],
@@ -665,6 +772,7 @@ fn execute_inner(
     let mut exec = Executor {
         topo,
         sim,
+        routes: fabric.route_table(),
         fabric,
         transport: spec.transport,
         devs,
@@ -674,7 +782,6 @@ fn execute_inner(
         msg_index: HashMap::new(),
         msg_arrived: Vec::new(),
         msg_waiter: Vec::new(),
-        dev_of_rank,
         timeline: Timeline::default(),
         retry,
         attempts: Vec::new(),
@@ -689,6 +796,7 @@ fn execute_inner(
         fault_windows: Vec::new(),
         conditions,
         counters: holmes_obs::Registry::new(),
+        launch_entries: 0,
     };
     let result = exec.run();
     if let Some(session) = obs {
@@ -696,6 +804,40 @@ fn execute_inner(
         crate::obs::record_execution(session, &exec.counters, result.as_ref().ok(), net.as_ref());
     }
     result
+}
+
+/// Reject specs the executor cannot replay: a device with two programs, a
+/// collective without members, or a program device, send endpoint or
+/// collective member outside the topology.
+fn check_spec(topo: &Topology, spec: &ExecutionSpec) -> Result<(), ExecError> {
+    let devices = topo.device_count();
+    let inside = |rank: Rank| {
+        if rank.0 < devices {
+            Ok(())
+        } else {
+            Err(ExecError::RankOutsideTopology { rank, devices })
+        }
+    };
+    let mut has_program = vec![false; devices as usize];
+    for (rank, program) in &spec.programs {
+        inside(*rank)?;
+        if std::mem::replace(&mut has_program[rank.0 as usize], true) {
+            return Err(ExecError::DuplicateProgram { device: *rank });
+        }
+        for op in program {
+            if let Op::Send { key, .. } = op {
+                inside(key.from)?;
+                inside(key.to)?;
+            }
+        }
+    }
+    for (id, c) in spec.collectives.iter().enumerate() {
+        if c.devices.is_empty() {
+            return Err(ExecError::EmptyCollective { id: id as u32 });
+        }
+        c.devices.iter().try_for_each(|&rank| inside(rank))?;
+    }
+    Ok(())
 }
 
 /// Reject link faults whose target has no fabric links: a node past the
@@ -742,7 +884,7 @@ impl<'t> Executor<'t> {
         }
         while let Some(completion) = self.sim.next() {
             match completion {
-                Completion::Flow { id, token } => {
+                Completion::Flow { id, token, .. } => {
                     if self.retry.is_some() {
                         if let Some(&a) = self.attempt_of_flow.get(&id) {
                             self.attempts[a].done = true;
@@ -968,7 +1110,9 @@ impl<'t> Executor<'t> {
             });
         }
         self.attempts[a].retries_left -= 1;
-        self.counters.counter_add("engine.flow_retries", 1);
+        let count = self.attempts[a].count;
+        self.counters
+            .counter_add("engine.flow_retries", u64::from(count));
         let old_flow = self.attempts[a].flow;
         self.sim.cancel_flow(old_flow);
         self.attempt_of_flow.remove(&old_flow);
@@ -1001,24 +1145,28 @@ impl<'t> Executor<'t> {
             self.attempts[a].bytes,
             self.attempts[a].semantic,
         );
-        let route = if fallback
+        let force_tcp = fallback
             || self.lost_rdma.contains(&self.fabric.node_of(from))
-            || self.lost_rdma.contains(&self.fabric.node_of(to))
-        {
-            self.counters.counter_add("engine.tcp_fallback_flows", 1);
-            self.fabric.route_forced_tcp(self.topo, from, to)
-        } else {
-            self.fabric.route(self.topo, from, to)
-        };
+            || self.lost_rdma.contains(&self.fabric.node_of(to));
+        if force_tcp {
+            self.counters
+                .counter_add("engine.tcp_fallback_flows", u64::from(count));
+        }
+        let route = self
+            .routes
+            .route(&self.fabric, self.topo, from, to, force_tcp);
+        let path = route.path.clone();
         let id = self.sim.start_flow(FlowSpec {
-            path: route.path.clone(),
+            path: path.clone(),
             bytes,
             latency: route.latency,
             rate_cap: route.rate_cap,
             token: semantic,
+            count,
         });
+        self.launch_entries += 1;
         self.attempts[a].flow = id;
-        self.attempts[a].path = route.path;
+        self.attempts[a].path = path;
         self.attempts[a].forced_tcp = fallback;
         self.attempt_of_flow.insert(id, a);
         if self.track_flows {
@@ -1046,7 +1194,9 @@ impl<'t> Executor<'t> {
         i
     }
 
-    fn route_flow(&mut self, from: Rank, to: Rank, bytes: u64, token: u64) {
+    /// Start `count` transfers of `bytes` from `from`'s node to `to`'s
+    /// node as one counted entry, represented by `from → to`.
+    fn route_flow(&mut self, from: Rank, to: Rank, bytes: u64, count: u32, token: u64) {
         if !self.lost_nodes.is_empty()
             && (self.lost_nodes.contains(&self.fabric.node_of(from))
                 || self.lost_nodes.contains(&self.fabric.node_of(to)))
@@ -1061,28 +1211,32 @@ impl<'t> Executor<'t> {
         let lost_endpoint = !self.lost_rdma.is_empty()
             && (self.lost_rdma.contains(&self.fabric.node_of(from))
                 || self.lost_rdma.contains(&self.fabric.node_of(to)));
-        let route = match self.transport {
-            TransportPolicy::Auto if lost_endpoint => {
-                self.counters.counter_add("engine.tcp_fallback_flows", 1);
-                self.fabric.route_forced_tcp(self.topo, from, to)
-            }
-            TransportPolicy::Auto => self.fabric.route(self.topo, from, to),
-            TransportPolicy::ForceTcpInterNode => self.fabric.route_forced_tcp(self.topo, from, to),
-        };
+        let nic_oblivious = self.transport == TransportPolicy::ForceTcpInterNode;
+        if lost_endpoint && !nic_oblivious {
+            self.counters
+                .counter_add("engine.tcp_fallback_flows", u64::from(count));
+        }
+        let force_tcp = lost_endpoint || nic_oblivious;
+        let route = self
+            .routes
+            .route(&self.fabric, self.topo, from, to, force_tcp);
+        let (latency, rate_cap) = (route.latency, route.rate_cap);
         let arm_timeout = self.retry.is_some() && !route.path.is_empty();
         // Only an armed timeout keeps the path (to relaunch the flow).
-        let (path, kept_path) = if arm_timeout {
-            (route.path.clone(), route.path)
+        let kept_path = if arm_timeout {
+            route.path.clone()
         } else {
-            (route.path, Vec::new())
+            Vec::new()
         };
         let id = self.sim.start_flow(FlowSpec {
-            path,
+            path: route.path.clone(),
             bytes,
-            latency: route.latency,
-            rate_cap: route.rate_cap,
+            latency,
+            rate_cap,
             token,
+            count,
         });
+        self.launch_entries += 1;
         if self.track_flows {
             self.inflight.insert(token, (id, from, to));
         }
@@ -1090,9 +1244,9 @@ impl<'t> Executor<'t> {
             let policy = self
                 .retry
                 .expect("arm_timeout is only set when a retry policy is configured");
-            let est = route.latency.as_secs_f64()
-                + if route.rate_cap.is_finite() && route.rate_cap > 0.0 {
-                    bytes as f64 / route.rate_cap
+            let est = latency.as_secs_f64()
+                + if rate_cap.is_finite() && rate_cap > 0.0 {
+                    bytes as f64 / rate_cap
                 } else {
                     0.0
                 };
@@ -1102,12 +1256,13 @@ impl<'t> Executor<'t> {
                 from,
                 to,
                 bytes,
+                count,
                 semantic: token,
                 flow: id,
                 path: kept_path,
                 retries_left: policy.max_retries,
                 timeout_seconds: timeout,
-                forced_tcp: lost_endpoint || self.transport == TransportPolicy::ForceTcpInterNode,
+                forced_tcp: force_tcp,
                 done: false,
             });
             self.attempt_of_flow.insert(id, a);
@@ -1159,7 +1314,7 @@ impl<'t> Executor<'t> {
                     debug_assert_eq!(key.from, self.devs[dev].rank, "send from wrong device");
                     let msg = self.msg_slot(key);
                     let token = self.token(Token::MsgArrived { msg });
-                    self.route_flow(key.from, key.to, bytes, token);
+                    self.route_flow(key.from, key.to, bytes, 1, token);
                     self.devs[dev].pc += 1;
                 }
                 Op::Recv { key } => {
@@ -1203,7 +1358,7 @@ impl<'t> Executor<'t> {
 
     fn launch_collective(&mut self, id: usize) {
         self.colls[id].launch_time = self.sim.now().as_secs_f64();
-        if self.colls[id].schedule.is_empty() {
+        if self.colls[id].round_ends.is_empty() {
             self.complete_collective(id);
             return;
         }
@@ -1212,15 +1367,23 @@ impl<'t> Executor<'t> {
         }
     }
 
+    /// Launch the current round of `channel`: one counted entry per
+    /// (source node, destination node, bytes) group.
     fn launch_round(&mut self, id: usize, channel: u32) {
         let coll = &self.colls[id];
         let round = coll.round[channel as usize] as usize;
-        let transfers = coll.schedule.rounds()[round].transfers().to_vec();
-        debug_assert!(!transfers.is_empty(), "round must have flows");
-        self.colls[id].outstanding[channel as usize] = transfers.len() as u32;
-        for t in transfers {
+        let start = if round == 0 {
+            0
+        } else {
+            coll.round_ends[round - 1] as usize
+        };
+        let end = coll.round_ends[round] as usize;
+        debug_assert!(end > start, "round must have flows");
+        self.colls[id].outstanding[channel as usize] = (end - start) as u32;
+        for i in start..end {
+            let l = self.colls[id].launches[i];
             let token = self.token(Token::CollFlow { coll: id, channel });
-            self.route_flow(t.from, t.to, t.bytes, token);
+            self.route_flow(l.from, l.to, l.bytes, l.count, token);
         }
     }
 
@@ -1231,7 +1394,7 @@ impl<'t> Executor<'t> {
             return;
         }
         self.colls[id].round[c] += 1;
-        if self.colls[id].round[c] < self.colls[id].schedule.round_count() {
+        if (self.colls[id].round[c] as usize) < self.colls[id].round_ends.len() {
             self.launch_round(id, channel);
         } else {
             self.colls[id].channels_done += 1;
@@ -1322,6 +1485,7 @@ impl<'t> Executor<'t> {
             collective_spans: HashMap::new(),
             events: self.sim.events_processed(),
             flows: self.sim.engine_flows_completed(),
+            launch_entries: self.launch_entries,
             timeline: std::mem::take(&mut self.timeline),
             node_link_usage: Vec::new(),
             fault_windows: std::mem::take(&mut self.fault_windows),
@@ -1365,7 +1529,7 @@ impl<'t> Executor<'t> {
             });
         }
         for c in &self.colls {
-            if c.done && !c.schedule.is_empty() {
+            if c.done && !c.round_ends.is_empty() {
                 report
                     .collective_wall_seconds
                     .entry(c.kind)
@@ -1378,7 +1542,6 @@ impl<'t> Executor<'t> {
                     .push((c.launch_time, c.launch_time + c.wall));
             }
         }
-        let _ = &self.dev_of_rank; // reserved for future cross-program queries
         Ok(report)
     }
 }
@@ -2089,10 +2252,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "two programs")]
     fn duplicate_device_programs_rejected() {
         let topo = topo2();
-        let _ = execute(
+        let r = execute(
             &topo,
             ExecutionSpec {
                 programs: vec![(Rank(0), vec![]), (Rank(0), vec![])],
@@ -2100,6 +2262,61 @@ mod tests {
                 transport: TransportPolicy::Auto,
             },
         );
+        assert_eq!(
+            r.unwrap_err(),
+            ExecError::DuplicateProgram { device: Rank(0) }
+        );
+    }
+
+    #[test]
+    fn empty_collective_is_a_typed_error() {
+        let topo = topo2();
+        let r = execute(
+            &topo,
+            ExecutionSpec {
+                programs: vec![(Rank(0), vec![])],
+                collectives: vec![CollectiveSpec::new(CollKind::AllReduce, vec![], 1 << 20)],
+                transport: TransportPolicy::Auto,
+            },
+        );
+        assert_eq!(r.unwrap_err(), ExecError::EmptyCollective { id: 0 });
+    }
+
+    #[test]
+    fn ranks_outside_the_topology_are_typed_errors() {
+        let topo = topo2();
+        let devices = topo.device_count();
+        let outside = Rank(devices);
+        let run = |programs: Vec<(Rank, Vec<Op>)>, collectives| {
+            execute(
+                &topo,
+                ExecutionSpec {
+                    programs,
+                    collectives,
+                    transport: TransportPolicy::Auto,
+                },
+            )
+            .unwrap_err()
+        };
+        let want = ExecError::RankOutsideTopology {
+            rank: outside,
+            devices,
+        };
+        // A program on a device past the last one.
+        assert_eq!(run(vec![(outside, vec![])], vec![]), want);
+        // A send to one.
+        let key = MsgKey {
+            from: Rank(0),
+            to: outside,
+            channel: Channel::Activation,
+            microbatch: 0,
+            chunk: 0,
+        };
+        let send = Op::Send { key, bytes: 1 };
+        assert_eq!(run(vec![(Rank(0), vec![send])], vec![]), want);
+        // A collective member.
+        let coll = CollectiveSpec::new(CollKind::AllReduce, vec![Rank(0), outside], 1 << 20);
+        assert_eq!(run(vec![(Rank(0), vec![])], vec![coll]), want);
     }
 }
 

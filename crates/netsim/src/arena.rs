@@ -10,8 +10,9 @@
 //! One arena slot carries a whole twin group: `mult` logical flows that
 //! were activated in the same batch with identical path, bytes and rate
 //! cap, and therefore share one rate, anchor and remaining byte count for
-//! their whole life. The group's members are chained in id order through
-//! the [`FlowWindow`]; the slot's `ids` entry is the lowest live member.
+//! their whole life. The group's members are flow entries, each standing
+//! for [`Member::count`] logical flows, chained in id order through the
+//! [`FlowWindow`]; the slot's `ids` entry is the lowest live member.
 //!
 //! Slots are recycled through a free list. [`SlotHeap`] keeps at most one
 //! key per slot and updates it in place, so heap entries never go stale.
@@ -101,7 +102,8 @@ pub(crate) type TwinIndex = std::collections::HashMap<[u64; 4], (u32, u64)>;
 pub(crate) struct FlowArena {
     /// Lowest live member id of the slot's twin group.
     pub ids: Vec<u64>,
-    /// Twin multiplicity: live logical flows sharing the slot.
+    /// Twin multiplicity: live logical flows sharing the slot (the sum of
+    /// its members' counts).
     pub mult: Vec<u32>,
     /// Bytes left at `anchor`, per member.
     pub remaining: Vec<f64>,
@@ -166,10 +168,12 @@ impl PathVec2 {
 }
 
 impl FlowArena {
-    /// Insert a one-member group, recycling a free slot when available.
+    /// Insert a one-member group of `mult` logical flows, recycling a free
+    /// slot when available.
     pub fn insert(
         &mut self,
         id: FlowId,
+        mult: u32,
         bytes: f64,
         rate_cap: f64,
         path: PathVec,
@@ -180,7 +184,7 @@ impl FlowArena {
             Some(slot) => {
                 let s = slot as usize;
                 self.ids[s] = id.0;
-                self.mult[s] = 1;
+                self.mult[s] = mult;
                 self.remaining[s] = bytes;
                 self.rate[s] = 0.0;
                 self.rate_cap[s] = rate_cap;
@@ -193,7 +197,7 @@ impl FlowArena {
             None => {
                 let slot = self.ids.len() as u32;
                 self.ids.push(id.0);
-                self.mult.push(1);
+                self.mult.push(mult);
                 self.remaining.push(bytes);
                 self.rate.push(0.0);
                 self.rate_cap.push(rate_cap);
@@ -345,6 +349,8 @@ pub(crate) struct Member {
     pub slot: u32,
     /// Caller token from the flow's spec.
     pub token: u64,
+    /// Logical flows the entry stands for.
+    pub count: u32,
     /// Next member of the same twin group, in id order.
     pub next: Option<u64>,
 }
@@ -398,6 +404,7 @@ impl FlowWindow {
                 self.states[i] = FlowState::Active(Member {
                     slot: u32::MAX,
                     token: spec.token,
+                    count: spec.count,
                     next: None,
                 });
                 self.pending -= 1;
@@ -516,6 +523,7 @@ mod tests {
         let mut arena = FlowArena::default();
         let a = arena.insert(
             FlowId(0),
+            1,
             10.0,
             f64::INFINITY,
             PathVec::from_vec(vec![LinkId(0)]),
@@ -525,6 +533,7 @@ mod tests {
         arena.remove(a);
         let b = arena.insert(
             FlowId(1),
+            2,
             20.0,
             f64::INFINITY,
             PathVec::from_vec(vec![]),
@@ -534,7 +543,10 @@ mod tests {
         assert_eq!(arena.capacity_slots(), 1);
         assert_eq!(arena.free_slots(), 0);
         assert_eq!(arena.anchor[b as usize], SimTime(5));
-        assert_eq!(arena.mult[b as usize], 1, "a recycled slot starts alone");
+        assert_eq!(
+            arena.mult[b as usize], 2,
+            "a recycled slot takes its entry's count"
+        );
     }
 
     #[test]

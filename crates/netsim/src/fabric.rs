@@ -241,6 +241,16 @@ impl Fabric {
         }
     }
 
+    /// A [`RouteTable`] for this fabric, with no route resolved yet.
+    pub fn route_table(&self) -> RouteTable {
+        let n = self.node_links.len();
+        RouteTable {
+            nodes: n,
+            index: vec![0; n * n * 2],
+            routes: Vec::new(),
+        }
+    }
+
     /// Build a ready-to-start [`FlowSpec`] for a transfer.
     pub fn flow_spec(
         &self,
@@ -257,7 +267,51 @@ impl Fabric {
             latency: route.latency,
             rate_cap: route.rate_cap,
             token,
+            count: 1,
         }
+    }
+}
+
+/// Memoised routes of one [`Fabric`], keyed by (source node, destination
+/// node, transport).
+///
+/// A route is a function of the two ranks' nodes and the transport
+/// alone: both endpoints' NICs, clusters and link handles are per node,
+/// and intra-node pairs ride the node's own NVLink/PCIe profile. So the
+/// first transfer of a node pair walks the topology once and every later
+/// one is a table hit, bit-identical to [`Fabric::route`] /
+/// [`Fabric::route_forced_tcp`]. Build one per fabric with
+/// [`Fabric::route_table`].
+#[derive(Debug, Clone)]
+pub struct RouteTable {
+    nodes: usize,
+    /// Per key, one past the position of its route in `routes`; 0 until
+    /// the key is first resolved.
+    index: Vec<u32>,
+    routes: Vec<Route>,
+}
+
+impl RouteTable {
+    /// The route from `a` to `b` on `fabric` (the fabric this table was
+    /// built for), forced down to TCP/Ethernet when `force_tcp` is set.
+    ///
+    /// # Panics
+    /// Panics when `a == b`, or when either rank is outside the topology.
+    pub fn route(
+        &mut self,
+        fabric: &Fabric,
+        topo: &Topology,
+        a: Rank,
+        b: Rank,
+        force_tcp: bool,
+    ) -> &Route {
+        assert_ne!(a, b, "no self-routes");
+        let key = (fabric.node_of(a) * self.nodes + fabric.node_of(b)) * 2 + usize::from(force_tcp);
+        if self.index[key] == 0 {
+            self.routes.push(fabric.route_with(topo, a, b, force_tcp));
+            self.index[key] = self.routes.len() as u32;
+        }
+        &self.routes[self.index[key] as usize - 1]
     }
 }
 
@@ -394,6 +448,69 @@ mod tests {
         let nv = fabric.route_forced_tcp(&topo, Rank(0), Rank(1));
         assert!(nv.path.is_empty());
         assert!(nv.rate_cap > 100e9);
+    }
+
+    /// Every ordered rank pair on `topo`, both transports: a table hit
+    /// equals the walked route bit for bit.
+    fn assert_table_matches_routes(topo: &Topology, fabric: &Fabric) {
+        let bits = |r: &Route| (r.path.clone(), r.rate_cap.to_bits(), r.latency);
+        let mut table = fabric.route_table();
+        for pass in 0..2 {
+            for a in 0..topo.device_count() {
+                for b in 0..topo.device_count() {
+                    if a == b {
+                        continue;
+                    }
+                    let (a, b) = (Rank(a), Rank(b));
+                    let auto = table.route(fabric, topo, a, b, false);
+                    assert_eq!(bits(auto), bits(&fabric.route(topo, a, b)), "pass {pass}");
+                    let tcp = table.route(fabric, topo, a, b, true);
+                    assert_eq!(
+                        bits(tcp),
+                        bits(&fabric.route_forced_tcp(topo, a, b)),
+                        "pass {pass}"
+                    );
+                }
+            }
+        }
+        // One resolved route per (node pair, transport) at most.
+        let nodes = fabric.node_count();
+        assert!(table.routes.len() <= nodes * nodes * 2);
+    }
+
+    #[test]
+    fn route_table_hits_equal_walked_routes() {
+        use holmes_topology::TopologyBuilder;
+        // Two clusters of unequal NICs.
+        let split = presets::hybrid_split(2, 2);
+        let mut sim = NetSim::new();
+        let fabric = Fabric::build(&split, &mut sim);
+        assert_table_matches_routes(&split, &fabric);
+        // The same fleet behind a shared inter-cluster trunk.
+        let mut sim = NetSim::new();
+        let trunked = Fabric::build_with_trunk(&split, &mut sim, 10e9);
+        assert_table_matches_routes(&split, &trunked);
+        // An oversubscribed RDMA switch beside a non-blocking cluster.
+        let tapered = TopologyBuilder::new()
+            .cluster("ib", 2, NicType::InfiniBand)
+            .oversubscription(4.0)
+            .cluster("roce", 2, NicType::RoCE)
+            .build()
+            .unwrap();
+        let mut sim = NetSim::new();
+        let fabric = Fabric::build(&tapered, &mut sim);
+        assert_table_matches_routes(&tapered, &fabric);
+    }
+
+    #[test]
+    #[should_panic(expected = "no self-routes")]
+    fn route_table_keeps_the_self_route_guard() {
+        let (topo, _, fabric) = hybrid();
+        let mut table = fabric.route_table();
+        // Resolve node 0's intra-node route first, so a cached entry
+        // exists under the key a self-route would hit.
+        table.route(&fabric, &topo, Rank(0), Rank(1), false);
+        table.route(&fabric, &topo, Rank(0), Rank(0), false);
     }
 
     #[test]

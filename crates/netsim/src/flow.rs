@@ -29,6 +29,12 @@ pub struct FlowSpec {
     pub rate_cap: f64,
     /// Opaque caller token, echoed in the completion event.
     pub token: u64,
+    /// Number of identical logical flows this entry stands for (at least
+    /// one). A counted entry is simulated, completed and cancelled as one
+    /// unit, exactly like `count` verbatim starts at the same instant,
+    /// which netsim would merge into one twin group anyway; it costs one
+    /// event and one completion instead of `count`.
+    pub count: u32,
 }
 
 impl FlowSpec {
@@ -40,6 +46,7 @@ impl FlowSpec {
             latency,
             rate_cap,
             token,
+            count: 1,
         }
     }
 }

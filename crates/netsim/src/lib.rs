@@ -20,7 +20,8 @@
 //!   [`NetSim::next`] to advance to the next completion.
 //! * [`Fabric`] — maps a [`holmes_topology::Topology`] onto simulator links
 //!   (per-node RDMA and Ethernet uplinks/downlinks, optional inter-cluster
-//!   trunk) and routes rank-to-rank transfers.
+//!   trunk) and routes rank-to-rank transfers; [`RouteTable`] memoises
+//!   those routes per node pair and transport for one execution.
 //! * [`algo`] — the collective algorithm IR: every algorithm (ring
 //!   reduce-scatter / all-gather / all-reduce, tree all-reduce, pipelined
 //!   broadcast, hierarchical cross-cluster all-reduce) is defined **once**
@@ -54,7 +55,7 @@ mod time;
 
 pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
 pub use communicator::Communicator;
-pub use fabric::{Fabric, Route};
+pub use fabric::{Fabric, Route, RouteTable};
 pub use fault::{FaultEvent, FaultSchedule};
 pub use flow::{FlowId, FlowSpec};
 pub use link::{LinkCapacity, LinkHealth, LinkId, LinkStats};

@@ -1,7 +1,10 @@
 //! Flow-level observability records for [`crate::NetSim`].
 //!
 //! When enabled via [`crate::NetSim::enable_obs`], the simulator keeps a
-//! record per activated flow (start → finish/cancel), an edge-triggered
+//! record per activated logical flow (start → finish/cancel; a counted
+//! entry of [`crate::FlowSpec::count`] flows expands into that many
+//! identical records, and its park/resume instants likewise), an
+//! edge-triggered
 //! busy window per link (opened when the link's active-flow count leaves
 //! zero, closed when it returns to zero, carrying the bytes moved over
 //! the window), and an instant per park/resume transition of a flow
@@ -106,8 +109,9 @@ impl NetObsReport {
 /// Internal collector owned by the simulator while observation is on.
 #[derive(Debug, Default)]
 pub(crate) struct NetObsState {
-    /// Flows activated but not yet finished/cancelled.
-    open_flows: BTreeMap<FlowId, FlowRecord>,
+    /// Flow entries activated but not yet finished/cancelled, with the
+    /// number of logical flows each stands for.
+    open_flows: BTreeMap<FlowId, (FlowRecord, u32)>,
     /// Closed flow records, completion order.
     closed_flows: Vec<FlowRecord>,
     /// Links with an open busy window: `(opened_at, bytes_at_open)`.
@@ -125,29 +129,28 @@ impl NetObsState {
         &mut self,
         id: FlowId,
         token: u64,
+        count: u32,
         bytes: u64,
         first_link: Option<LinkId>,
         now: SimTime,
     ) {
-        self.open_flows.insert(
+        let rec = FlowRecord {
             id,
-            FlowRecord {
-                id,
-                token,
-                bytes,
-                first_link,
-                start: now,
-                end: now,
-                outcome: FlowOutcome::InFlight,
-            },
-        );
+            token,
+            bytes,
+            first_link,
+            start: now,
+            end: now,
+            outcome: FlowOutcome::InFlight,
+        };
+        self.open_flows.insert(id, (rec, count));
     }
 
     pub(crate) fn on_flow_closed(&mut self, id: FlowId, now: SimTime, outcome: FlowOutcome) {
-        if let Some(mut rec) = self.open_flows.remove(&id) {
+        if let Some((mut rec, count)) = self.open_flows.remove(&id) {
             rec.end = now;
             rec.outcome = outcome;
-            self.closed_flows.push(rec);
+            push_copies(&mut self.closed_flows, rec, count);
         }
         self.parked.remove(&id);
     }
@@ -167,24 +170,30 @@ impl NetObsState {
         }
     }
 
-    /// Record a park/resume transition for `id` given its current rate.
-    pub(crate) fn on_flow_rate(&mut self, id: FlowId, token: u64, rate: f64, now: SimTime) {
+    /// Record a park/resume transition for entry `id` (`count` logical
+    /// flows) given its current rate.
+    pub(crate) fn on_flow_rate(
+        &mut self,
+        id: FlowId,
+        token: u64,
+        count: u32,
+        rate: f64,
+        now: SimTime,
+    ) {
         let is_parked = rate <= 0.0;
-        if is_parked && !self.parked.contains(&id) {
-            self.parked.insert(id);
-            self.park_events.push(ParkEvent {
+        let transition = if is_parked {
+            self.parked.insert(id)
+        } else {
+            self.parked.remove(&id)
+        };
+        if transition {
+            let event = ParkEvent {
                 flow: id,
                 token,
                 at: now,
-                parked: true,
-            });
-        } else if !is_parked && self.parked.remove(&id) {
-            self.park_events.push(ParkEvent {
-                flow: id,
-                token,
-                at: now,
-                parked: false,
-            });
+                parked: is_parked,
+            };
+            push_copies(&mut self.park_events, event, count);
         }
     }
 
@@ -192,9 +201,9 @@ impl NetObsState {
     /// `now`.
     pub(crate) fn into_report(mut self, now: SimTime, link_bytes: &[f64]) -> NetObsReport {
         let mut flows = std::mem::take(&mut self.closed_flows);
-        for (_, mut rec) in std::mem::take(&mut self.open_flows) {
+        for (_, (mut rec, count)) in std::mem::take(&mut self.open_flows) {
             rec.end = now;
-            flows.push(rec);
+            push_copies(&mut flows, rec, count);
         }
         let mut link_windows = std::mem::take(&mut self.closed_windows);
         for (link, (start, bytes_at_open)) in std::mem::take(&mut self.open_windows) {
@@ -212,4 +221,9 @@ impl NetObsState {
             park_events: self.park_events,
         }
     }
+}
+
+/// Push `count` copies of `item`: one per logical flow of an entry.
+fn push_copies<T: Clone>(out: &mut Vec<T>, item: T, count: u32) {
+    out.extend(std::iter::repeat_n(item, count as usize));
 }

@@ -105,8 +105,15 @@ impl RefSim {
         id
     }
 
-    /// Start a flow; same contract as [`crate::NetSim::start_flow`].
+    /// Start a flow; same contract as [`crate::NetSim::start_flow`], for
+    /// uncounted entries only: the reference runs one flow per flow, so a
+    /// counted entry is spelled as `count` verbatim starts.
+    ///
+    /// # Panics
+    /// Panics on an unregistered link or a [`FlowSpec::count`] other
+    /// than one.
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
+        assert_eq!(spec.count, 1, "RefSim runs one flow per flow");
         for link in &spec.path {
             assert!(
                 (link.0 as usize) < self.links.len(),
@@ -164,18 +171,34 @@ impl RefSim {
 
     /// Cancel a flow; same contract as [`crate::NetSim::cancel_flow`].
     pub fn cancel_flow(&mut self, id: FlowId) -> bool {
-        if self.pending.remove(&id.0).is_some() {
-            self.cancelled_pending.insert(id.0);
-            return true;
+        self.cancel_flows(&[id])
+    }
+
+    /// Cancel several flows at one instant with a single rate recompute:
+    /// the reference for cancelling a counted entry on
+    /// [`crate::NetSim`], which takes all of its logical flows out at
+    /// once. Cancelling them one by one instead re-shares bandwidth
+    /// after each, and a rate that changes and changes back re-anchors a
+    /// bystander the atomic cancel leaves alone. Returns `true` when
+    /// every listed flow was still in flight.
+    pub fn cancel_flows(&mut self, ids: &[FlowId]) -> bool {
+        let mut all = true;
+        let mut active = false;
+        for id in ids {
+            if self.pending.remove(&id.0).is_some() {
+                self.cancelled_pending.insert(id.0);
+            } else if let Some(mut f) = self.flows.remove(&id.0) {
+                Self::settle(&mut f, self.now);
+                active = true;
+            } else {
+                all = false;
+            }
         }
-        if let Some(mut f) = self.flows.remove(&id.0) {
-            Self::settle(&mut f, self.now);
+        if active {
             self.recompute();
             self.update_check();
-            true
-        } else {
-            false
         }
+        all
     }
 
     /// Number of in-flight flows (latency phase included).
@@ -351,6 +374,7 @@ impl RefSim {
             self.backlog.push_back(Completion::Flow {
                 id: FlowId(id),
                 token: f.token,
+                count: 1,
             });
         }
     }
@@ -490,6 +514,7 @@ mod tests {
             latency: SimDuration::ZERO,
             rate_cap: f64::INFINITY,
             token: 1,
+            count: 1,
         });
         sim.start_flow(FlowSpec {
             path: vec![link],
@@ -497,6 +522,7 @@ mod tests {
             latency: SimDuration::ZERO,
             rate_cap: f64::INFINITY,
             token: 2,
+            count: 1,
         });
         let log = sim.drain_timed();
         assert_eq!(log.len(), 2);
@@ -516,6 +542,7 @@ mod tests {
             latency: SimDuration::ZERO,
             rate_cap: f64::INFINITY,
             token: 1,
+            count: 1,
         });
         sim.schedule_fault_at(SimTime(250_000_000), link, LinkHealth::Down);
         sim.schedule_fault_at(SimTime(750_000_000), link, LinkHealth::Healthy);

@@ -34,6 +34,8 @@ pub enum Completion {
         id: FlowId,
         /// The caller token from the [`FlowSpec`].
         token: u64,
+        /// Logical flows the entry stood for ([`FlowSpec::count`]).
+        count: u32,
     },
     /// A timer set with [`NetSim::set_timer`] fired.
     Timer {
@@ -116,8 +118,12 @@ impl PartialOrd for Crossing {
 ///     latency: SimDuration::ZERO,
 ///     rate_cap: f64::INFINITY,
 ///     token: 42,
+///     count: 1,
 /// });
-/// assert_eq!(sim.next(), Some(Completion::Flow { id: holmes_netsim::FlowId(0), token: 42 }));
+/// assert_eq!(
+///     sim.next(),
+///     Some(Completion::Flow { id: holmes_netsim::FlowId(0), token: 42, count: 1 })
+/// );
 /// assert!((sim.now().as_secs_f64() - 0.5).abs() < 1e-9); // 500 MB at 1 GB/s
 /// ```
 #[derive(Debug, Default)]
@@ -193,8 +199,9 @@ pub struct NetSim {
     pub(crate) wf_unfixed: Vec<u32>,
     pub(crate) dirty_links: Vec<u32>,
     pub(crate) dirty_flows: Vec<u32>,
-    /// Harvest scratch: `(id, token, slot, last member of its group)`.
-    pub(crate) harvest: Vec<(u64, u64, u32, bool)>,
+    /// Harvest scratch: `(id, token, slot, count, last member of its
+    /// group)`.
+    pub(crate) harvest: Vec<(u64, u64, u32, u32, bool)>,
     /// Flow-level observation collector; `None` (the default) skips every
     /// hook.
     pub(crate) obs: Option<Box<NetObsState>>,
@@ -212,7 +219,8 @@ impl NetSim {
         self.now
     }
 
-    /// Number of flows that have fully completed.
+    /// Number of logical flows that have fully completed (a counted
+    /// entry counts its [`FlowSpec::count`]).
     #[inline]
     pub fn flows_completed(&self) -> u64 {
         self.flows_completed
@@ -220,8 +228,9 @@ impl NetSim {
 
     /// Number of engine flows that have fully completed: a group of twin
     /// flows (activated at one instant with identical path, bytes and
-    /// rate cap) is simulated as one engine flow and counts once here,
-    /// while [`NetSim::flows_completed`] counts each of its members.
+    /// rate cap, counted entries included) is simulated as one engine
+    /// flow and counts once here, while [`NetSim::flows_completed`]
+    /// counts each of its logical flows.
     #[inline]
     pub fn engine_flows_completed(&self) -> u64 {
         self.engine_flows_completed
@@ -271,7 +280,9 @@ impl NetSim {
             let elapsed = self.now.since(self.flows.anchor[s]).0 as f64;
             let moved = (self.flows.rate[s] * elapsed).min(self.flows.remaining[s]);
             for l in self.flows.path[s].as_slice() {
-                bytes[l.0 as usize] += moved;
+                for _ in 0..member.count {
+                    bytes[l.0 as usize] += moved;
+                }
             }
         }
         Some(state.into_report(self.now, &bytes))
@@ -444,24 +455,31 @@ impl NetSim {
             && self.queue.len() == self.window.tombstone_count()
     }
 
-    /// Tokens of flows currently parked at rate zero (in flow-id order).
+    /// Tokens of flows currently parked at rate zero (in flow-id order),
+    /// one per logical flow: a counted entry lists its token `count`
+    /// times.
     pub fn parked_flow_tokens(&self) -> Vec<u64> {
         self.window
             .active()
-            .filter_map(|(_, m)| (self.flows.rate[m.slot as usize] <= 0.0).then_some(m.token))
+            .filter(|(_, m)| self.flows.rate[m.slot as usize] <= 0.0)
+            .flat_map(|(_, m)| std::iter::repeat_n(m.token, m.count as usize))
             .collect()
     }
 
-    /// Number of currently in-flight flows (latency phase included).
+    /// Number of currently in-flight flow entries (latency phase
+    /// included); a counted entry counts once.
     pub fn inflight_flows(&self) -> usize {
         self.window.active_count() + self.window.pending_count()
     }
 
-    /// Start a flow; completion arrives later via [`NetSim::next`].
+    /// Start a flow entry of [`FlowSpec::count`] identical logical flows;
+    /// its one completion arrives later via [`NetSim::next`].
     ///
     /// # Panics
-    /// Panics if the spec references an unregistered link.
+    /// Panics if the spec references an unregistered link or counts no
+    /// flow.
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
+        assert!(spec.count >= 1, "a flow entry counts at least one flow");
         for link in &spec.path {
             assert!(
                 (link.0 as usize) < self.links.len(),
@@ -524,6 +542,7 @@ mod tests {
             latency: SimDuration::ZERO,
             rate_cap: f64::INFINITY,
             token,
+            count: 1,
         }
     }
 
@@ -536,7 +555,8 @@ mod tests {
             c,
             Completion::Flow {
                 id: FlowId(0),
-                token: 1
+                token: 1,
+                count: 1
             }
         );
         // 1 GB at 1 GB/s = 1 s.
@@ -581,7 +601,8 @@ mod tests {
             first,
             Completion::Flow {
                 id: FlowId(0),
-                token: 1
+                token: 1,
+                count: 1
             }
         );
         assert!((sim.now().as_secs_f64() - 0.5).abs() < 1e-6);
@@ -627,6 +648,7 @@ mod tests {
             latency: SimDuration::ZERO,
             rate_cap: f64::INFINITY,
             token: 0,
+            count: 1,
         });
         sim.next().unwrap();
         assert!((sim.now().as_secs_f64() - 1.0).abs() < 1e-6);
@@ -641,7 +663,8 @@ mod tests {
             c,
             Completion::Flow {
                 id: FlowId(0),
-                token: 9
+                token: 9,
+                count: 1
             }
         );
         assert!((sim.now().as_secs_f64() - 0.5).abs() < 1e-6);
@@ -752,6 +775,7 @@ mod tests {
                 latency: SimDuration::from_micros(t),
                 rate_cap: f64::INFINITY,
                 token: t,
+                count: 1,
             });
         }
         sim.drain();
@@ -795,7 +819,8 @@ mod tests {
             c,
             Completion::Flow {
                 id: FlowId(0),
-                token: 1
+                token: 1,
+                count: 1
             }
         );
         assert!(
@@ -976,6 +1001,7 @@ mod tests {
             latency: SimDuration::ZERO,
             rate_cap: f64::INFINITY,
             token: 0,
+            count: 1,
         });
     }
 
@@ -1098,7 +1124,8 @@ mod tests {
             c,
             Completion::Flow {
                 id: FlowId(0),
-                token: 3
+                token: 3,
+                count: 1
             }
         );
         assert_eq!(sim.now(), SimTime(7_000));

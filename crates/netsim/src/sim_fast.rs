@@ -33,11 +33,19 @@
 //!   one remaining byte count. The group counts `k` in `link_nflows` and
 //!   `wf_n`, and each round subtracts the bottleneck `k` times in place —
 //!   the same operations, on equal operands, as `k` separate flows.
-//!   Harvest fans the group out into `k` completions in flow-id order;
-//!   cancelling one member credits its bytes and leaves the others'
-//!   anchor alone. Merging happens only inside the batch: a timer between
-//!   two `FlowStart`s at one instant splits the batch and takes a check
-//!   seq, so twins from different batches stay apart.
+//!   Harvest fans the group out into one completion per member in
+//!   flow-id order; cancelling one member credits its bytes and leaves
+//!   the others' anchor alone. Merging happens only inside the batch: a
+//!   timer between two `FlowStart`s at one instant splits the batch and
+//!   takes a check seq, so twins from different batches stay apart.
+//! * **Counted entries.** A member is a flow entry standing for
+//!   `count ≥ 1` logical flows ([`crate::FlowSpec::count`]): `count`
+//!   verbatim starts at one instant would carry one `(time, seq)` run of
+//!   `FlowStart`s into one batch and one twin group, so the entry adds
+//!   `count` to `mult` and `link_nflows` in one step, completes as one
+//!   [`Completion::Flow`] carrying its count, and leaves its group whole
+//!   on cancel. `flows_completed` and observation still count logical
+//!   flows.
 //!
 //! Link statistics are settled at rate-change granularity and busy time
 //! via 0↔1 flow-count window transitions; totals are final once the
@@ -195,6 +203,7 @@ impl NetSim {
             obs.on_flow_activated(
                 id,
                 spec.token,
+                spec.count,
                 spec.bytes,
                 spec.path.first().copied(),
                 self.now,
@@ -210,13 +219,18 @@ impl NetSim {
         if let Some(group) = key.as_ref().and_then(|k| self.twins.get_mut(k)) {
             let (slot, last) = *group;
             group.1 = id.0;
-            self.fast_join_twin(slot, last, id.0);
+            self.fast_join_twin(slot, last, id.0, spec.count);
             return;
         }
         let bytes = spec.bytes as f64;
-        let slot = self
-            .flows
-            .insert(id, bytes, cap, PathVec::from_vec(spec.path), self.now);
+        let slot = self.flows.insert(
+            id,
+            spec.count,
+            bytes,
+            cap,
+            PathVec::from_vec(spec.path),
+            self.now,
+        );
         if let Some(member) = self.window.member_mut(id.0) {
             member.slot = slot;
         }
@@ -230,10 +244,10 @@ impl NetSim {
         }
     }
 
-    /// Add flow `id` to the twin group in `slot`, behind its last member
-    /// `last`. The group's links are already attached and their busy
-    /// windows open; only the counts grow.
-    fn fast_join_twin(&mut self, slot: u32, last: u64, id: u64) {
+    /// Add entry `id` of `count` logical flows to the twin group in
+    /// `slot`, behind its last member `last`. The group's links are
+    /// already attached and their busy windows open; only the counts grow.
+    fn fast_join_twin(&mut self, slot: u32, last: u64, id: u64, count: u32) {
         let s = slot as usize;
         if let Some(member) = self.window.member_mut(last) {
             member.next = Some(id);
@@ -241,9 +255,9 @@ impl NetSim {
         if let Some(member) = self.window.member_mut(id) {
             member.slot = slot;
         }
-        self.flows.mult[s] += 1;
+        self.flows.mult[s] += count;
         for j in 0..self.flows.path[s].as_slice().len() {
-            self.link_nflows[self.flows.path[s].as_slice()[j].0 as usize] += 1;
+            self.link_nflows[self.flows.path[s].as_slice()[j].0 as usize] += count;
         }
     }
 
@@ -377,8 +391,8 @@ impl NetSim {
     }
 
     /// Complete every flow whose eps-crossing has passed, in flow-id
-    /// order. A twin group fans out into one completion per member and
-    /// leaves its links with its last member, where harvesting the
+    /// order. A twin group fans out into one completion per member entry
+    /// and leaves its links with its last member, where harvesting the
     /// members one by one would detach the last of them. Detached links
     /// are pushed onto `dirty_links` for the subsequent recompute.
     fn fast_harvest(&mut self) {
@@ -388,8 +402,8 @@ impl NetSim {
         while let Some((Crossing(crossing), slot)) = self.finish_heap.peek() {
             if crossing <= now_f {
                 self.finish_heap.remove(slot);
-                for (id, member) in self.members(slot) {
-                    ripe.push((id, member.token, slot, member.next.is_none()));
+                for (id, m) in self.members(slot) {
+                    ripe.push((id, m.token, slot, m.count, m.next.is_none()));
                 }
             } else {
                 break;
@@ -397,7 +411,7 @@ impl NetSim {
         }
         if !ripe.is_empty() {
             ripe.sort_unstable_by_key(|r| r.0);
-            for &(id, token, slot, last) in &ripe {
+            for &(id, token, slot, count, last) in &ripe {
                 if last {
                     self.fast_release(slot);
                     self.engine_flows_completed += 1;
@@ -407,8 +421,9 @@ impl NetSim {
                     obs.on_flow_closed(id, self.now, FlowOutcome::Finished);
                 }
                 self.window.retire(id.0);
-                self.flows_completed += 1;
-                self.backlog.push_back(Completion::Flow { id, token });
+                self.flows_completed += u64::from(count);
+                self.backlog
+                    .push_back(Completion::Flow { id, token, count });
             }
         }
         self.harvest = ripe;
@@ -424,8 +439,8 @@ impl NetSim {
         self.flows.remove(slot);
     }
 
-    /// Cancel an actively transferring flow (the post-latency path of
-    /// [`NetSim::cancel_flow`]).
+    /// Cancel an actively transferring flow entry, all of its logical
+    /// flows at once (the post-latency path of [`NetSim::cancel_flow`]).
     pub(crate) fn fast_cancel_active(&mut self, id: FlowId) -> bool {
         let Some(&member) = self.window.member(id.0) else {
             return false;
@@ -433,7 +448,7 @@ impl NetSim {
         let slot = member.slot;
         self.dirty_links.clear();
         self.dirty_flows.clear();
-        if self.flows.mult[slot as usize] == 1 {
+        if self.flows.mult[slot as usize] == member.count {
             self.fast_release(slot);
         } else {
             self.fast_leave_twin(id.0, member);
@@ -447,23 +462,24 @@ impl NetSim {
         true
     }
 
-    /// Take member `id` out of a twin group of two or more. Its bytes
-    /// moved since the shared anchor are credited to its links without
-    /// settling the group, so the remaining members keep exactly the
-    /// anchor and remaining bytes they would have alone; if `id` was the
-    /// group's representative, the next member takes over.
+    /// Take member `id` out of a twin group that has other members. The
+    /// bytes its logical flows moved since the shared anchor are credited
+    /// to its links without settling the group, so the remaining members
+    /// keep exactly the anchor and remaining bytes they would have alone;
+    /// if `id` was the group's representative, the next member takes
+    /// over.
     fn fast_leave_twin(&mut self, id: u64, member: Member) {
         let s = member.slot as usize;
         let elapsed = self.now.since(self.flows.anchor[s]).0 as f64;
         let rate = self.flows.rate[s];
         if elapsed > 0.0 && rate > 0.0 {
             let moved = (rate * elapsed).min(self.flows.remaining[s]);
-            self.credit_links(s, moved, 1);
+            self.credit_links(s, moved, member.count);
         }
-        self.flows.mult[s] -= 1;
+        self.flows.mult[s] -= member.count;
         for j in 0..self.flows.path[s].as_slice().len() {
             let l = self.flows.path[s].as_slice()[j].0;
-            self.link_nflows[l as usize] -= 1;
+            self.link_nflows[l as usize] -= member.count;
             self.dirty_links.push(l);
         }
         if self.flows.ids[s] == id {
@@ -692,15 +708,15 @@ impl NetSim {
         // and scanning their members in id order keeps same-instant
         // events in flow-id order.
         if self.obs.is_some() {
-            let mut members: Vec<(u64, u64, f64)> = Vec::new();
+            let mut members: Vec<(u64, Member, f64)> = Vec::new();
             for &fs in &comp_flows {
                 let rate = self.flows.rate[fs as usize];
-                members.extend(self.members(fs).map(|(id, m)| (id, m.token, rate)));
+                members.extend(self.members(fs).map(|(id, m)| (id, m, rate)));
             }
             members.sort_unstable_by_key(|m| m.0);
             if let Some(obs) = self.obs.as_deref_mut() {
-                for (id, token, rate) in members {
-                    obs.on_flow_rate(FlowId(id), token, rate, self.now);
+                for (id, m, rate) in members {
+                    obs.on_flow_rate(FlowId(id), m.token, m.count, rate, self.now);
                 }
             }
         }

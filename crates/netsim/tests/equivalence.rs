@@ -5,15 +5,18 @@
 //! enabled — go through identical call sequences — random flow sets,
 //! scheduled fault transitions (including full outages that park flows),
 //! timers and timer-triggered cancellations — and must emit
-//! **byte-identical completion streams**, integer-nanosecond timestamps
-//! included. This pins every moving part the fast engine added: the
-//! timer-wheel ordering, the check register, component-local
-//! water-filling, bitwise-skip rate assignment, the slot-indexed finish
-//! and prediction heaps and twin groups (same-instant identical flows
-//! simulated as one, which `RefSim` never merges) — and that observing a
-//! run, or taking its report mid-run, changes none of it. The observed
-//! run's report must also hold its record invariants (one record per
-//! activated flow, alternating park/resume transitions).
+//! **byte-identical completion streams**, one line per logical flow,
+//! integer-nanosecond timestamps included. This pins every moving part
+//! the fast engine added: the timer-wheel ordering, the check register,
+//! component-local water-filling, bitwise-skip rate assignment, the
+//! slot-indexed finish and prediction heaps, twin groups (same-instant
+//! identical flows simulated as one, which `RefSim` never merges) and
+//! counted entries (`FlowSpec::count` flows started, completed and
+//! cancelled as one, which `RefSim` spells as that many verbatim starts)
+//! — and that observing a run, or taking its report mid-run, changes
+//! none of it. The observed run's report must also hold its record
+//! invariants (one record per activated logical flow, alternating
+//! park/resume transitions).
 //!
 //! Generator discipline: capacities and rate caps come from
 //! well-separated round sets (powers of two × 1 GB/s, halved by degraded
@@ -35,9 +38,21 @@ use holmes_netsim::{
 /// Capacities all engines pick from: powers of two in GB/s.
 const CAPS: [f64; 4] = [1e9, 2e9, 4e9, 8e9];
 /// Per-flow rate caps (bytes/s); `INFINITY` means uncapped. The first
-/// four are what the random generators draw; the last two are odd values
-/// no link share can come near, for the twin generator's pathless flows.
-const RATE_CAPS: [f64; 6] = [f64::INFINITY, 0.5e9, 1e9, 2e9, 0.3e9, 0.7e9];
+/// four are what the random generators draw; the next two are odd values
+/// for the twin generator's pathless flows. A share can still land on
+/// them (`(8 − 9·0.5)/5` is 0.7), so the counted generator's pathless
+/// flows take the last two, irrational multiples of 1 GB/s that no
+/// share of these small-denominator rationals comes within `1e-9` of.
+const RATE_CAPS: [f64; 8] = [
+    f64::INFINITY,
+    0.5e9,
+    1e9,
+    2e9,
+    0.3e9,
+    0.7e9,
+    1e9 / std::f64::consts::PI,
+    1e9 / std::f64::consts::E,
+];
 /// Health transitions faults pick from.
 const HEALTHS: [LinkHealth; 4] = [
     LinkHealth::Down,
@@ -84,6 +99,16 @@ struct Scenario {
     churn: Vec<(u64, usize, usize)>,
     /// When set, a probe timer fires after this many microseconds.
     probe_us: Option<u64>,
+    /// Logical flows per entry of `flows`; an entry missing here counts
+    /// one.
+    counts: Vec<u32>,
+}
+
+impl Scenario {
+    /// Logical flows entry `i` stands for.
+    fn count(&self, i: usize) -> u32 {
+        self.counts.get(i).copied().unwrap_or(1)
+    }
 }
 
 /// Everything the drivers do, expressed over the common sim surface.
@@ -93,10 +118,20 @@ trait SimLike {
     fn probe(&mut self) {}
     fn add_link(&mut self, cap: LinkCapacity) -> LinkId;
     fn start_flow(&mut self, spec: FlowSpec) -> FlowId;
+    /// Start a counted entry: one counted start on `NetSim`, `count`
+    /// verbatim starts on `RefSim`. Returns the ids to cancel it by.
+    fn start_entry(&mut self, spec: FlowSpec) -> Vec<FlowId> {
+        vec![self.start_flow(spec)]
+    }
     fn set_timer(&mut self, delay: SimDuration, token: u64);
     fn schedule_fault_at(&mut self, at: SimTime, link: LinkId, health: LinkHealth);
     fn schedule_churn_at(&mut self, at: SimTime, node: u32, kind: ChurnKind, links: &[LinkId]);
     fn cancel_flow(&mut self, id: FlowId) -> bool;
+    /// Cancel an entry started by [`SimLike::start_entry`]; `RefSim`
+    /// cancels its flows atomically.
+    fn cancel_entry(&mut self, ids: &[FlowId]) -> bool {
+        ids.iter().all(|&id| self.cancel_flow(id))
+    }
     fn next(&mut self) -> Option<Completion>;
     fn now(&self) -> SimTime;
 }
@@ -135,6 +170,12 @@ impl SimLike for RefSim {
     fn add_link(&mut self, cap: LinkCapacity) -> LinkId {
         RefSim::add_link(self, cap)
     }
+    fn start_entry(&mut self, spec: FlowSpec) -> Vec<FlowId> {
+        let one = FlowSpec { count: 1, ..spec };
+        (0..spec.count)
+            .map(|_| RefSim::start_flow(self, one.clone()))
+            .collect()
+    }
     fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
         RefSim::start_flow(self, spec)
     }
@@ -149,6 +190,9 @@ impl SimLike for RefSim {
     }
     fn cancel_flow(&mut self, id: FlowId) -> bool {
         RefSim::cancel_flow(self, id)
+    }
+    fn cancel_entry(&mut self, ids: &[FlowId]) -> bool {
+        RefSim::cancel_flows(self, ids)
     }
     fn next(&mut self) -> Option<Completion> {
         RefSim::next(self)
@@ -173,7 +217,9 @@ fn flow_links(sc: &Scenario, i: usize) -> Vec<usize> {
 }
 
 /// Drive one simulator through the scenario, returning the full
-/// completion log stamped with exact integer-nanosecond clocks. Cancel
+/// completion log stamped with exact integer-nanosecond clocks, one line
+/// per logical flow (flow ids are left out: a counted entry has one id on
+/// `NetSim` and `count` on `RefSim`; tokens name the entry). Cancel
 /// timers fire *through* the event stream, so every driver observes them
 /// at identical instants.
 fn run_scenario<S: SimLike>(sim: &mut S, sc: &Scenario) -> String {
@@ -201,7 +247,7 @@ fn run_scenario<S: SimLike>(sim: &mut S, sc: &Scenario) -> String {
     let mut ids = Vec::new();
     for (token, &(bytes, lat_us, _, _, cap, _)) in sc.flows.iter().enumerate() {
         ids.push(
-            sim.start_flow(FlowSpec {
+            sim.start_entry(FlowSpec {
                 path: flow_links(sc, token)
                     .into_iter()
                     .map(|l| links[l])
@@ -210,6 +256,7 @@ fn run_scenario<S: SimLike>(sim: &mut S, sc: &Scenario) -> String {
                 latency: SimDuration::from_micros(lat_us),
                 rate_cap: RATE_CAPS[cap],
                 token: token as u64,
+                count: sc.count(token),
             }),
         );
     }
@@ -229,14 +276,24 @@ fn run_scenario<S: SimLike>(sim: &mut S, sc: &Scenario) -> String {
             }
             if token >= CANCEL_BASE {
                 let (_, flow_idx) = sc.cancels[(token - CANCEL_BASE) as usize];
-                let cancelled = sim.cancel_flow(ids[flow_idx % ids.len()]);
+                let cancelled = sim.cancel_entry(&ids[flow_idx % ids.len()]);
                 log.push_str(&format!("cancel#{token} -> {cancelled}\n"));
                 continue;
             }
         }
-        log.push_str(&format!("{:?} @ {}ns\n", c, sim.now().0));
+        log.push_str(&completion_lines(c, sim.now()));
     }
     log
+}
+
+/// Log lines of one completion: one per logical flow for a flow entry.
+fn completion_lines(c: Completion, now: SimTime) -> String {
+    match c {
+        Completion::Flow { token, count, .. } => {
+            format!("flow tok={token} @ {}ns\n", now.0).repeat(count as usize)
+        }
+        other => format!("{other:?} @ {}ns\n", now.0),
+    }
 }
 
 fn observed_sim() -> NetSim {
@@ -272,10 +329,11 @@ fn check_all_drivers(sc: &Scenario, probe_us: u64) -> TestCaseResult {
 
 /// Record invariants of a drained observed run's report.
 fn check_report(sc: &Scenario, log: &str, sim: &NetSim, report: &NetObsReport) -> TestCaseResult {
-    // One record per activated flow: every flow except those cancelled
-    // in their latency phase. A cancel at the activation instant finds
-    // the flow active, since flow starts were queued before the timers.
-    let cancelled_pending = sc
+    // One record per activated logical flow: every entry's count except
+    // for entries cancelled in their latency phase. A cancel at the
+    // activation instant finds the entry active, since flow starts were
+    // queued before the timers.
+    let cancelled_pending: BTreeSet<usize> = sc
         .cancels
         .iter()
         .enumerate()
@@ -283,10 +341,22 @@ fn check_report(sc: &Scenario, log: &str, sim: &NetSim, report: &NetObsReport) -
             log.contains(&format!("cancel#{} -> true\n", CANCEL_BASE + i as u64))
                 && delay_us < sc.flows[flow % sc.flows.len()].1
         })
-        .count();
-    prop_assert_eq!(report.flows.len(), sc.flows.len() - cancelled_pending);
-    let ids: BTreeSet<FlowId> = report.flows.iter().map(|f| f.id).collect();
-    prop_assert_eq!(ids.len(), report.flows.len());
+        .map(|(_, &(_, flow))| flow % sc.flows.len())
+        .collect();
+    let activated: u32 = (0..sc.flows.len())
+        .filter(|i| !cancelled_pending.contains(i))
+        .map(|i| sc.count(i))
+        .sum();
+    prop_assert_eq!(report.flows.len(), activated as usize);
+    // An entry's records share its id, its count of them.
+    let mut records: BTreeMap<FlowId, (u64, u32)> = BTreeMap::new();
+    for f in &report.flows {
+        records.entry(f.id).or_insert((f.token, 0)).1 += 1;
+    }
+    for (id, &(token, n)) in &records {
+        prop_assert_eq!(n, sc.count(token as usize), "records of {:?}", id);
+    }
+    let ids: BTreeSet<FlowId> = records.keys().copied().collect();
     prop_assert_eq!(
         report.flows_with_outcome(FlowOutcome::Finished) as u64,
         sim.flows_completed()
@@ -301,21 +371,32 @@ fn check_report(sc: &Scenario, log: &str, sim: &NetSim, report: &NetObsReport) -
         .collect();
     prop_assert_eq!(in_flight, sim.parked_flow_tokens());
 
-    // Each flow's park and resume transitions alternate, park first.
-    let mut parked: BTreeMap<FlowId, bool> = BTreeMap::new();
+    // Each entry's park and resume transitions alternate, park first,
+    // each one recorded once per logical flow of the entry.
+    // (last transition, copies of it so far, copies due) per entry.
+    let mut parked: BTreeMap<FlowId, (bool, u32, u32)> = BTreeMap::new();
     for p in &report.park_events {
         prop_assert!(
             ids.contains(&p.flow),
             "park event of unrecorded {:?}",
             p.flow
         );
-        let was_parked = parked.insert(p.flow, p.parked).unwrap_or(false);
+        let due = sc.count(p.token as usize);
+        let (was_parked, copies, _) = parked.get(&p.flow).copied().unwrap_or((false, due, due));
+        if was_parked == p.parked && copies < due {
+            parked.insert(p.flow, (was_parked, copies + 1, due));
+            continue;
+        }
         prop_assert!(
-            was_parked != p.parked,
+            was_parked != p.parked && copies == due,
             "{:?} repeated a parked={} transition",
             p.flow,
             p.parked
         );
+        parked.insert(p.flow, (p.parked, 1, due));
+    }
+    for (id, &(_, copies, due)) in &parked {
+        prop_assert_eq!(copies, due, "transition copies of {:?}", id);
     }
     for w in &report.link_windows {
         prop_assert!(w.start <= w.end && w.bytes >= 0.0, "bad window {:?}", w);
@@ -341,9 +422,10 @@ fn check_report(sc: &Scenario, log: &str, sim: &NetSim, report: &NetObsReport) -
         let (mut most, mut least) = (0.0, 0.0);
         for (i, f) in sc.flows.iter().enumerate() {
             if flow_links(sc, i).contains(&l) {
-                most += f.0 as f64;
+                let n = f64::from(sc.count(i));
+                most += n * f.0 as f64;
                 if finished.contains(&(i as u64)) {
-                    least += f.0 as f64 - 0.5;
+                    least += n * (f.0 as f64 - 0.5);
                 }
             }
         }
@@ -405,7 +487,68 @@ fn expand_twins(specs: &[(FlowDraw, usize)], mut shuffle: u64) -> Vec<FlowRow> {
     flows
 }
 
+/// Expand counted entries into a flow list: entry `(pick, count)` starts
+/// spec `specs[pick % specs.len()]` as one entry of `count` logical
+/// flows. Entries drawing the same spec are twins of each other, so they
+/// activate in one batch and later ones join the twin slot the first one
+/// opened. Every path starts at link 0, as in [`expand_twins`], and
+/// pathless flows are uncapped or take an irrational cap, so no link
+/// share in another component comes within the tie threshold of theirs.
+fn expand_entries(specs: &[FlowDraw], entries: &[(usize, u32)]) -> (Vec<FlowRow>, Vec<u32>) {
+    entries
+        .iter()
+        .map(|&(pick, count)| {
+            let (bytes, lat, _, b, cap, pathless_die) = specs[pick % specs.len()];
+            let cap = if pathless_die == 0 {
+                [0, 6, 7][cap % 3]
+            } else {
+                cap
+            };
+            let row = (
+                TWIN_BYTES[bytes],
+                TWIN_LATENCY_US[lat],
+                0,
+                b,
+                cap,
+                pathless_die,
+            );
+            (row, count)
+        })
+        .unzip()
+}
+
 proptest! {
+    /// The counted-entry pin: every entry stands for one to four logical
+    /// flows, started on `NetSim` as one counted entry and on `RefSim` as
+    /// that many verbatim starts. Entries drawn from a small spec pool
+    /// often share path, bytes, latency and cap, so counted entries also
+    /// join twin slots opened by other entries of the same batch. Cancels
+    /// hit whole entries (the reference cancels each of its flows) in the
+    /// latency phase and mid-transfer, the representative of a twin slot
+    /// included; faults and churn park and revive them. The per-logical-
+    /// flow completion streams must agree byte for byte, and the observed
+    /// report must keep one record per logical flow.
+    #[test]
+    fn counted_entries_match_reference(
+        links in prop::collection::vec(0usize..4, 1..4),
+        specs in prop::collection::vec(
+            (0usize..5, 0usize..3, 0usize..4, 0usize..4, 0usize..4, 0usize..3),
+            1..5,
+        ),
+        entries in prop::collection::vec((0usize..8, 1u32..5), 1..10),
+        faults in prop::collection::vec((0u64..30_000, 0usize..4, 0usize..4), 0..6),
+        churn in prop::collection::vec((0u64..30_000, 0usize..4, 0usize..3), 0..3),
+        cancels in prop::collection::vec(
+            (prop_oneof![0u64..25, 0u64..30_000], 0usize..16),
+            0..6,
+        ),
+        probe_us in 0u64..30_000,
+    ) {
+        let (flows, counts) = expand_entries(&specs, &entries);
+        let sc = Scenario { links, flows, faults, cancels, churn, probe_us: None, counts };
+        check_all_drivers(&sc, probe_us)?;
+    }
+
     /// The twin pin: every spec starts one to four times with identical
     /// path, bytes, latency and cap, so the fast engine merges most
     /// activations into twin groups while `RefSim` runs each flow alone.
@@ -430,7 +573,7 @@ proptest! {
         probe_us in 0u64..30_000,
     ) {
         let flows = expand_twins(&specs, shuffle);
-        let sc = Scenario { links, flows, faults, cancels, churn, probe_us: None };
+        let sc = Scenario { links, flows, faults, cancels, churn, probe_us: None, counts: vec![] };
         check_all_drivers(&sc, probe_us)?;
     }
 
@@ -455,7 +598,7 @@ proptest! {
         cancels in prop::collection::vec((0u64..40_000, 0usize..24), 0..5),
         probe_us in 0u64..60_000,
     ) {
-        let sc = Scenario { links, flows, faults, cancels, churn: vec![], probe_us: None };
+        let sc = Scenario { links, flows, faults, cancels, churn: vec![], probe_us: None, counts: vec![] };
         check_all_drivers(&sc, probe_us)?;
     }
 
@@ -479,6 +622,7 @@ proptest! {
             cancels: vec![],
             churn: vec![],
             probe_us: None,
+            counts: vec![],
         };
         check_all_drivers(&sc, probe_us)?;
     }
@@ -507,7 +651,7 @@ proptest! {
         churn in prop::collection::vec((0u64..60_000, 0usize..4, 0usize..3), 1..8),
         probe_us in 0u64..60_000,
     ) {
-        let sc = Scenario { links, flows, faults, cancels, churn, probe_us: None };
+        let sc = Scenario { links, flows, faults, cancels, churn, probe_us: None, counts: vec![] };
         check_all_drivers(&sc, probe_us)?;
     }
 
@@ -539,6 +683,7 @@ proptest! {
                     latency: SimDuration::from_micros(i as u64 * 17),
                     rate_cap: f64::INFINITY,
                     token: i as u64,
+                    count: 1,
                 });
             }
             let mut log = String::new();

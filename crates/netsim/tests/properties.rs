@@ -109,6 +109,7 @@ proptest! {
                 latency: SimDuration::ZERO,
                 rate_cap: f64::INFINITY,
                 token: token as u64,
+                count: 1,
             });
         }
         let total: u64 = sizes.iter().sum();
@@ -132,6 +133,7 @@ proptest! {
                 latency: SimDuration::ZERO,
                 rate_cap: f64::INFINITY,
                 token,
+                count: 1,
             });
         }
         let mut finish_times = Vec::new();
@@ -161,6 +163,7 @@ proptest! {
                 latency: SimDuration::ZERO,
                 rate_cap: f64::INFINITY,
                 token: 999,
+                count: 1,
             });
             if with_bg {
                 for (i, &bytes) in bg.iter().enumerate() {
@@ -170,6 +173,7 @@ proptest! {
                         latency: SimDuration::ZERO,
                         rate_cap: f64::INFINITY,
                         token: i as u64,
+                        count: 1,
                     });
                 }
             }
@@ -213,6 +217,7 @@ proptest! {
                     latency: SimDuration::from_micros(lat_us),
                     rate_cap: 25e9,
                     token: token as u64,
+                    count: 1,
                 });
             }
             let (order, finish) = drain(&mut sim);
@@ -234,6 +239,7 @@ proptest! {
             latency: SimDuration::ZERO,
             rate_cap: cap,
             token: 0,
+            count: 1,
         });
         let (_, finish) = drain(&mut sim);
         let ideal = bytes as f64 / cap;
@@ -318,6 +324,7 @@ proptest! {
                         latency: SimDuration::from_micros(lat_us),
                         rate_cap: bw,
                         token,
+                        count: 1,
                     });
                     token += 1;
                 }
@@ -364,6 +371,7 @@ proptest! {
                     latency: SimDuration::from_micros(lat_us),
                     rate_cap: f64::INFINITY,
                     token: token as u64,
+                    count: 1,
                 });
             }
             drain_log(&mut sim)
@@ -403,6 +411,7 @@ proptest! {
                     latency: SimDuration::from_micros(lat_us),
                     rate_cap: 25e9,
                     token: token as u64,
+                    count: 1,
                 });
             }
             let mut log = String::new();

@@ -457,6 +457,7 @@ pub fn replan_for_delta(
                 latency: route.latency,
                 rate_cap: route.rate_cap,
                 token: i as u64,
+                count: 1,
             });
         }
         while sim.next().is_some() {}

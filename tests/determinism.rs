@@ -84,6 +84,7 @@ fn event_log() -> Vec<u8> {
             latency: SimDuration::from_micros(t * 5),
             rate_cap: if t % 4 == 0 { 0.9e9 } else { f64::INFINITY },
             token: t,
+            count: 1,
         });
     }
     let mut log = Vec::new();

@@ -55,6 +55,7 @@ fn mid_flight_degradation_completes() {
             latency: SimDuration::ZERO,
             rate_cap: f64::INFINITY,
             token,
+            count: 1,
         });
     }
     sim.set_timer(SimDuration::from_secs_f64(1.0), 99);
@@ -87,6 +88,7 @@ fn near_dead_link_stalls_but_terminates() {
         latency: SimDuration::ZERO,
         rate_cap: f64::INFINITY,
         token: 7,
+        count: 1,
     });
     let c = sim.next();
     assert!(c.is_none(), "a parked flow never completes: {c:?}");
