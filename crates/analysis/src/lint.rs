@@ -999,6 +999,20 @@ mod tests {
     }
 
     #[test]
+    fn custom_hasher_maps_are_still_tracked() {
+        // A third type parameter (a deterministic hasher) does not make
+        // iteration order meaningful: fields, lets and `HashMap::default()`
+        // bindings are tracked as before, and probing stays clean.
+        let src = "struct S {\n    inflight: HashMap<u64, (FlowId, Rank), WordHash>,\n}\nfn f(s: &S) {\n    let mut m: std::collections::HashMap<u32, u32, WordHash> = HashMap::default();\n    m.insert(1, 2);\n    let v = m.get(&1);\n    for (k, v) in &m { use_it(k, v); }\n    let ids: Vec<_> = s.inflight.iter().collect();\n}\n";
+        let lines: Vec<usize> = lint_source(SIM, src)
+            .iter()
+            .filter(|f| f.rule == Rule::HashIter)
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, vec![8, 9]);
+    }
+
+    #[test]
     fn hash_indexing_is_not_iteration() {
         let src = "fn f() {\n    let mut m: HashMap<u32, u32> = HashMap::new();\n    m.insert(1, 2);\n    let v = m[&1] + m.get(&2).copied().unwrap_or(0);\n    let has = m.contains_key(&3);\n}\n";
         assert!(lint_source(SIM, src).is_empty());

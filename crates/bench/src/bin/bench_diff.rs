@@ -32,11 +32,11 @@ use holmes_obs::json::{self, Value};
 const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
 const DEFAULT_TOLERANCE: f64 = 0.10;
 
-/// Events/sec of the pre-timer-wheel `BinaryHeap` + global-settlement
-/// core on the bench machine. The fast-engine rewrite must hold a *floor*
-/// above this, not merely avoid regressing against the newest baseline —
-/// otherwise a sequence of small tolerated regressions could quietly give
-/// the whole speedup back.
+/// Events/sec of the original global-settlement core (a full re-settle
+/// and water-fill on every event) on the bench machine. The fast-engine
+/// rewrite must hold a *floor* above this, not merely avoid regressing
+/// against the newest baseline — otherwise a sequence of small tolerated
+/// regressions could quietly give the whole speedup back.
 const LEGACY_EVENTS_PER_SEC: f64 = 135_162.0;
 /// The reference probe must stay at least this many times faster than the
 /// legacy core.

@@ -2,7 +2,7 @@
 
 use holmes_model::{embedding_params, layer_params, CommVolumes, TrainJob};
 use holmes_parallel::ParallelPlan;
-use holmes_topology::Topology;
+use holmes_topology::{Rank, Topology};
 
 use crate::compute::ComputeModel;
 use crate::dp_sync::DpSyncStrategy;
@@ -118,6 +118,14 @@ pub enum BuildError {
         /// Pipeline depth.
         pipeline: u32,
     },
+    /// The plan places a rank on a device the topology does not have
+    /// (for example, a plan made for a larger fleet).
+    RankOutsideTopology {
+        /// The first out-of-topology rank in logical order.
+        rank: Rank,
+        /// Devices in the topology.
+        devices: u32,
+    },
     /// Execution failed (deadlock etc.).
     Exec(ExecError),
 }
@@ -159,6 +167,12 @@ impl std::fmt::Display for BuildError {
                 "interleaved schedule requires micro-batches ({microbatches}) divisible by \
                  pipeline depth ({pipeline})"
             ),
+            BuildError::RankOutsideTopology { rank, devices } => {
+                write!(
+                    f,
+                    "plan rank {rank} is outside the topology ({devices} devices)"
+                )
+            }
             BuildError::Exec(e) => write!(f, "execution failed: {e}"),
         }
     }
@@ -188,6 +202,15 @@ pub fn build_iteration(
             model_layers: job.config.num_layers,
         });
     }
+    // Every stage and group below maps logical ranks through this
+    // assignment, so checking it once covers every device lookup.
+    let devices = topo.device_count();
+    if let Some(rank) = (0..plan.assignment.len())
+        .map(|l| plan.assignment.device_of(l))
+        .find(|r| r.0 >= devices)
+    {
+        return Err(BuildError::RankOutsideTopology { rank, devices });
+    }
 
     // Per-stage compute costs and parameter shards. On compute-uniform
     // fleets the stage's first device prices the whole stage (the
@@ -208,7 +231,9 @@ pub fn build_iteration(
         let has_logit = stage == p - 1;
         let mut priced = None;
         for &rank in price_members {
-            let dev = topo.device(rank).expect("plan devices in topology");
+            let dev = topo
+                .device(rank)
+                .expect("plan ranks were checked against the topology");
             let coord = dev.coord;
             let node = &topo.clusters()[coord.cluster.0 as usize].nodes[coord.node.0 as usize];
             let model = ComputeModel::with_interference(
@@ -268,7 +293,7 @@ pub fn build_iteration(
                 .iter()
                 .map(|&r| {
                     topo.device(r)
-                        .expect("plan devices in topology")
+                        .expect("plan ranks were checked against the topology")
                         .gpu
                         .memory_bytes()
                 })
@@ -289,11 +314,14 @@ pub fn build_iteration(
     // A flat all-reduce over a cluster-straddling group upgrades to the
     // hierarchical two-level algorithm (when enabled and the transport can
     // actually exploit intra-cluster RDMA).
-    let upgrade_kind = |kind: crate::executor::CollKind, devices: &[holmes_topology::Rank]| {
+    let upgrade_kind = |kind: crate::executor::CollKind, devices: &[Rank]| {
         use crate::executor::CollKind;
         let spans_clusters = || {
-            let cluster =
-                |r: holmes_topology::Rank| topo.coord(r).expect("plan devices in topology").cluster;
+            let cluster = |r: Rank| {
+                topo.coord(r)
+                    .expect("plan ranks were checked against the topology")
+                    .cluster
+            };
             devices
                 .split_first()
                 .is_some_and(|(&first, rest)| rest.iter().any(|&r| cluster(r) != cluster(first)))
@@ -543,7 +571,7 @@ struct ExpandCtx<'a> {
     plan: &'a ParallelPlan,
     job: &'a TrainJob,
     cfg: &'a EngineConfig,
-    device: holmes_topology::Rank,
+    device: Rank,
     logical: u32,
     stage: u32,
     stride: u32,
@@ -932,6 +960,20 @@ mod tests {
             simulate_iteration(&topo, &plan, &job, &EngineConfig::default()),
             Err(BuildError::BatchIndivisible { .. })
         ));
+    }
+
+    #[test]
+    fn plan_for_a_larger_fleet_is_a_typed_error() {
+        let big = holmes_topology::parse_topology_spec("ib:4+roce:4").unwrap();
+        let small = holmes_topology::parse_topology_spec("ib:4").unwrap();
+        let (plan, job) = plan_for(&big, 1, &UniformPartition, &[1.0, 1.0]);
+        let err = build_iteration(&small, &plan, &job, &EngineConfig::default()).unwrap_err();
+        let BuildError::RankOutsideTopology { rank, devices } = err else {
+            panic!("expected RankOutsideTopology, got {err:?}");
+        };
+        assert_eq!(devices, small.device_count());
+        assert!(rank.0 >= devices && rank.0 < big.device_count(), "{rank}");
+        assert!(err.to_string().contains("outside the topology"));
     }
 
     #[test]

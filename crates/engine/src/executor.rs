@@ -23,6 +23,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use holmes_netsim::algo::CollSchedule;
 use holmes_netsim::{
     ChurnKind, Completion, Fabric, FlowId, FlowSpec, LinkId, NetSim, RouteTable, SimDuration,
+    WordHash,
 };
 use holmes_topology::{Rank, Topology};
 
@@ -534,7 +535,8 @@ struct Executor<'t> {
     colls: Vec<CollState>,
     tokens: Vec<Token>,
     /// Msg bookkeeping: key → index into `msg_arrived`/`msg_waiter`.
-    msg_index: HashMap<MsgKey, usize>,
+    /// This and the other maps probed per event hash with [`WordHash`].
+    msg_index: HashMap<MsgKey, usize, WordHash>,
     msg_arrived: Vec<bool>,
     msg_waiter: Vec<Option<usize>>,
     timeline: Timeline,
@@ -542,7 +544,7 @@ struct Executor<'t> {
     /// fault-free path stays byte-identical.
     retry: Option<RetryPolicy>,
     attempts: Vec<AttemptState>,
-    attempt_of_flow: HashMap<FlowId, usize>,
+    attempt_of_flow: HashMap<FlowId, usize, WordHash>,
     /// Nodes whose RDMA NIC was declared lost: their traffic routes TCP.
     lost_rdma: HashSet<usize>,
     /// Nodes preempted or drained mid-run under a member-loss-tolerant
@@ -552,10 +554,10 @@ struct Executor<'t> {
     /// Semantic token → (flow, from, to) for every in-flight transfer.
     /// Maintained only when the plan carries churn (`track_flows`), so
     /// churn-free runs stay byte-identical.
-    inflight: HashMap<u64, (FlowId, Rank, Rank)>,
+    inflight: HashMap<u64, (FlowId, Rank, Rank), WordHash>,
     track_flows: bool,
     /// Compute-time multiplier per straggling rank.
-    straggler_of_rank: HashMap<Rank, f64>,
+    straggler_of_rank: HashMap<Rank, f64, WordHash>,
     /// Fabric link → owning node and class, for NIC-loss attribution.
     link_owner: HashMap<LinkId, (usize, LinkClass)>,
     /// Currently open non-healthy windows: link → (start, health).
@@ -681,7 +683,12 @@ fn execute_inner(
     let n = spec.programs.len();
     let mut devs = Vec::with_capacity(n);
     let mut programs = Vec::with_capacity(n);
+    let mut sends = 0;
     for (rank, program) in spec.programs {
+        sends += program
+            .iter()
+            .filter(|op| matches!(op, Op::Send { .. }))
+            .count();
         devs.push(DevState {
             rank,
             pc: 0,
@@ -749,7 +756,7 @@ fn execute_inner(
 
     let retry = plan.and_then(|p| (!p.link_faults.is_empty()).then_some(p.retry));
     let mut link_owner = HashMap::new();
-    let mut straggler_of_rank = HashMap::new();
+    let mut straggler_of_rank = HashMap::default();
     let mut conditions = Vec::new();
     if plan.is_some() {
         for node in 0..fabric.node_count() {
@@ -779,16 +786,16 @@ fn execute_inner(
         programs,
         colls,
         tokens: Vec::new(),
-        msg_index: HashMap::new(),
-        msg_arrived: Vec::new(),
-        msg_waiter: Vec::new(),
+        msg_index: HashMap::with_capacity_and_hasher(sends, WordHash::default()),
+        msg_arrived: Vec::with_capacity(sends),
+        msg_waiter: Vec::with_capacity(sends),
         timeline: Timeline::default(),
         retry,
         attempts: Vec::new(),
-        attempt_of_flow: HashMap::new(),
+        attempt_of_flow: HashMap::default(),
         lost_rdma: HashSet::new(),
         lost_nodes: HashSet::new(),
-        inflight: HashMap::new(),
+        inflight: HashMap::default(),
         track_flows: plan.is_some_and(|p| !p.churn.is_empty()),
         straggler_of_rank,
         link_owner,

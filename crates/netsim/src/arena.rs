@@ -87,11 +87,6 @@ pub(crate) fn twin_key(path: &[LinkId], bytes: u64, rate_cap: f64) -> Option<[u6
     ])
 }
 
-/// Batch-local twin index: twin key → (slot, id of the group's last
-/// member). Only ever probed, never iterated, so its hash order cannot
-/// reach the event order.
-pub(crate) type TwinIndex = std::collections::HashMap<[u64; 4], (u32, u64)>;
-
 /// Struct-of-arrays arena of flows past their latency phase.
 ///
 /// Every array is indexed by slot; `live[slot]` gates validity. Iteration

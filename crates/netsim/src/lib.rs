@@ -33,6 +33,8 @@
 //!   hot planner scoring (their equality to the fold is property-tested).
 //! * [`Communicator`] — an NCCL-like handle binding a rank set to the
 //!   fabric, exposing ring-neighbour routes and analytic collective costs.
+//! * [`WordHash`] — the deterministic word hasher for maps probed on
+//!   every event, here and in the executor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +47,7 @@ mod communicator;
 mod fabric;
 pub mod fault;
 mod flow;
+mod hash;
 mod link;
 pub mod obs;
 pub mod refsim;
@@ -58,6 +61,7 @@ pub use communicator::Communicator;
 pub use fabric::{Fabric, Route, RouteTable};
 pub use fault::{FaultEvent, FaultSchedule};
 pub use flow::{FlowId, FlowSpec};
+pub use hash::{WordHash, WordHasher};
 pub use link::{LinkCapacity, LinkHealth, LinkId, LinkStats};
 pub use obs::{FlowOutcome, FlowRecord, LinkWindow, NetObsReport, ParkEvent};
 pub use sim::{Completion, NetSim};

@@ -1,13 +1,14 @@
 //! `RefSim`: a deliberately naive reference implementation of the fast
 //! engine's settlement specification, used by the equivalence proptests.
 //!
-//! The production fast engine (`sim_fast.rs`) earns its throughput from a
-//! timer wheel, component-local water-filling over a lazily-invalidated
-//! constraint heap, struct-of-arrays flow storage and epoch-versioned
+//! The production fast engine (`sim_fast.rs`) earns its throughput from
+//! component-local water-filling over a lazily-invalidated constraint
+//! heap, struct-of-arrays flow storage, twin groups and slot-indexed
 //! finish/prediction heaps. `RefSim` implements the *same observable
 //! semantics* with none of that machinery:
 //!
-//! * a plain `BinaryHeap` ordered by `(time, seq)`;
+//! * its own `BinaryHeap` ordered by `(time, seq)`, sharing no code with
+//!   the engine's event queue;
 //! * flows in a `BTreeMap` (id-ordered iteration by construction);
 //! * a **global** water-fill (the historical round loop) on every harvest
 //!   event — sound because rate assignment is bitwise-skip: rates of

@@ -1,7 +1,7 @@
 //! The discrete-event simulator core: the public [`NetSim`] surface and
 //! its state container.
 //!
-//! The engine itself lives in `sim_fast.rs`: a timer-wheel scheduler
+//! The engine itself lives in `sim_fast.rs`: a binary-heap scheduler
 //! ([`sched::EventQueue`], ordered by `(time, seq)`), incremental
 //! per-component rate settlement, lazy `(rate, anchor)` flow progress in
 //! the struct-of-arrays [`FlowArena`] (one slot per twin group), and
@@ -14,12 +14,13 @@
 //! flow lifetimes, link busy windows and park/resume instants without
 //! changing a single scheduled event or float operation.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
-use crate::arena::{FlowArena, FlowWindow, SlotHeap, TwinIndex};
+use crate::arena::{FlowArena, FlowWindow, SlotHeap};
 use crate::churn::ChurnKind;
 use crate::fault::FaultSchedule;
 use crate::flow::{FlowId, FlowSpec};
+use crate::hash::WordHash;
 use crate::link::{LinkCapacity, LinkHealth, LinkId, LinkStats};
 use crate::obs::{NetObsReport, NetObsState};
 use crate::sched::EventQueue;
@@ -167,8 +168,10 @@ pub struct NetSim {
     /// Every started flow's state by id: latency-phase specs, tombstones
     /// and active members (lookup and id-ordered iteration).
     pub(crate) window: FlowWindow,
-    /// Twin groups opened in the current `FlowStart` batch.
-    pub(crate) twins: TwinIndex,
+    /// Twin groups opened in the current `FlowStart` batch: twin key →
+    /// (slot, id of the group's last member). Only ever probed, never
+    /// iterated, so its hash order cannot reach the event order.
+    pub(crate) twins: HashMap<[u64; 4], (u32, u64), WordHash>,
     pub(crate) queue: EventQueue<Payload>,
     pub(crate) backlog: VecDeque<Completion>,
     pub(crate) next_seq: u64,

@@ -75,21 +75,13 @@ impl NetSim {
             if let Some(done) = self.backlog.pop_front() {
                 return Some(done);
             }
-            // Choose the earlier of the queue head and the check register
-            // by the same (time, seq) order the old heap used. A check
-            // below the head's lower bound wins without a peek, which
-            // would move the wheel clock past `now`.
-            let take_check = match (self.queue.head_bound(), self.check) {
+            // The earlier of the queue head and the check register, by the
+            // same (time, seq) order: seqs are unique, so no tie remains.
+            let take_check = match (self.queue.peek(), self.check) {
                 (None, None) => return None,
                 (Some(_), None) => false,
                 (None, Some(_)) => true,
-                (Some(bound), Some((ct, cseq))) => {
-                    (ct.0, cseq) < bound
-                        || self
-                            .queue
-                            .peek()
-                            .is_none_or(|ev| (ct.0, cseq) < (ev.time, ev.seq))
-                }
+                (Some(ev), Some((ct, cseq))) => (ct.0, cseq) < (ev.time, ev.seq),
             };
             if take_check {
                 let (t, _) = self
@@ -119,24 +111,13 @@ impl NetSim {
                     self.fast_activate(id);
                     // Batch every other flow start at this same instant so
                     // rates are recomputed once, not per flow.
-                    while self
-                        .queue
-                        .head_bound()
-                        .is_some_and(|(t, _)| t == self.now.0)
+                    let now = self.now.0;
+                    while let Some(Payload::FlowStart(next_id)) =
+                        self.queue.peek().filter(|e| e.time == now).map(|e| e.item)
                     {
-                        let Some(peek) = self.queue.peek() else {
-                            break;
-                        };
-                        if peek.time != self.now.0 {
-                            break;
-                        }
-                        if let Payload::FlowStart(next_id) = peek.item {
-                            self.queue.pop();
-                            self.events_processed += 1;
-                            self.fast_activate(next_id);
-                        } else {
-                            break;
-                        }
+                        self.queue.pop();
+                        self.events_processed += 1;
+                        self.fast_activate(next_id);
                     }
                     self.fast_harvest();
                     self.fast_recompute();

@@ -7,7 +7,7 @@
 //! timers and timer-triggered cancellations — and must emit
 //! **byte-identical completion streams**, one line per logical flow,
 //! integer-nanosecond timestamps included. This pins every moving part
-//! the fast engine added: the timer-wheel ordering, the check register,
+//! the fast engine added: the event-queue ordering, the check register,
 //! component-local water-filling, bitwise-skip rate assignment, the
 //! slot-indexed finish and prediction heaps, twin groups (same-instant
 //! identical flows simulated as one, which `RefSim` never merges) and
@@ -23,7 +23,9 @@
 //! states) so that distinct water-fill constraint values are never within
 //! the historical `1e-9` tie threshold of each other without being
 //! exactly equal — the one regime where component-local and global
-//! settlement could legitimately group rounds differently.
+//! settlement could legitimately group rounds differently. Pathless flows
+//! are components of their own whose rate is their cap, so every
+//! generator gives them irrational caps ([`PATHLESS_CAPS`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -37,19 +39,17 @@ use holmes_netsim::{
 
 /// Capacities all engines pick from: powers of two in GB/s.
 const CAPS: [f64; 4] = [1e9, 2e9, 4e9, 8e9];
-/// Per-flow rate caps (bytes/s); `INFINITY` means uncapped. The first
-/// four are what the random generators draw; the next two are odd values
-/// for the twin generator's pathless flows. A share can still land on
-/// them (`(8 − 9·0.5)/5` is 0.7), so the counted generator's pathless
-/// flows take the last two, irrational multiples of 1 GB/s that no
-/// share of these small-denominator rationals comes within `1e-9` of.
-const RATE_CAPS: [f64; 8] = [
+/// Per-flow rate caps (bytes/s) of flows with a path; `INFINITY` means
+/// uncapped.
+const RATE_CAPS: [f64; 4] = [f64::INFINITY, 0.5e9, 1e9, 2e9];
+/// Rate caps of pathless flows, which form components of their own. A
+/// pathless flow's rate is its cap, so a round cap could land within the
+/// `1e-9` tie threshold of a float-residue link share elsewhere (`(8 −
+/// 3·(2/3))/3` against 2, `(8 − 9·0.5)/5` against 0.7). These are
+/// uncapped or irrational multiples of 1 GB/s, which no share of the
+/// generators' small-denominator rationals comes near.
+const PATHLESS_CAPS: [f64; 3] = [
     f64::INFINITY,
-    0.5e9,
-    1e9,
-    2e9,
-    0.3e9,
-    0.7e9,
     1e9 / std::f64::consts::PI,
     1e9 / std::f64::consts::E,
 ];
@@ -246,19 +246,23 @@ fn run_scenario<S: SimLike>(sim: &mut S, sc: &Scenario) -> String {
     }
     let mut ids = Vec::new();
     for (token, &(bytes, lat_us, _, _, cap, _)) in sc.flows.iter().enumerate() {
-        ids.push(
-            sim.start_entry(FlowSpec {
-                path: flow_links(sc, token)
-                    .into_iter()
-                    .map(|l| links[l])
-                    .collect(),
-                bytes,
-                latency: SimDuration::from_micros(lat_us),
-                rate_cap: RATE_CAPS[cap],
-                token: token as u64,
-                count: sc.count(token),
-            }),
-        );
+        let path: Vec<LinkId> = flow_links(sc, token)
+            .into_iter()
+            .map(|l| links[l])
+            .collect();
+        let rate_cap = if path.is_empty() {
+            PATHLESS_CAPS[cap % PATHLESS_CAPS.len()]
+        } else {
+            RATE_CAPS[cap]
+        };
+        ids.push(sim.start_entry(FlowSpec {
+            path,
+            bytes,
+            latency: SimDuration::from_micros(lat_us),
+            rate_cap,
+            token: token as u64,
+            count: sc.count(token),
+        }));
     }
     for (i, &(delay_us, _)) in sc.cancels.iter().enumerate() {
         sim.set_timer(SimDuration::from_micros(delay_us), CANCEL_BASE + i as u64);
@@ -457,15 +461,10 @@ type FlowRow = (u64, u64, usize, usize, usize, usize);
 /// component — the near-tie where component-local and global settlement
 /// legitimately differ. The expansion keeps to one linked component:
 /// every path starts at link 0. Pathless flows (components of their own)
-/// are uncapped or take an odd cap no share comes near.
+/// take a [`PATHLESS_CAPS`] cap, which no share comes near.
 fn expand_twins(specs: &[(FlowDraw, usize)], mut shuffle: u64) -> Vec<FlowRow> {
     let mut flows = Vec::new();
     for &((bytes, lat, _, b, cap, pathless_die), copies) in specs {
-        let cap = if pathless_die == 0 {
-            [0, 4, 5][cap % 3]
-        } else {
-            cap
-        };
         for _ in 0..copies {
             flows.push((
                 TWIN_BYTES[bytes],
@@ -491,19 +490,12 @@ fn expand_twins(specs: &[(FlowDraw, usize)], mut shuffle: u64) -> Vec<FlowRow> {
 /// spec `specs[pick % specs.len()]` as one entry of `count` logical
 /// flows. Entries drawing the same spec are twins of each other, so they
 /// activate in one batch and later ones join the twin slot the first one
-/// opened. Every path starts at link 0, as in [`expand_twins`], and
-/// pathless flows are uncapped or take an irrational cap, so no link
-/// share in another component comes within the tie threshold of theirs.
+/// opened. Every path starts at link 0, as in [`expand_twins`].
 fn expand_entries(specs: &[FlowDraw], entries: &[(usize, u32)]) -> (Vec<FlowRow>, Vec<u32>) {
     entries
         .iter()
         .map(|&(pick, count)| {
             let (bytes, lat, _, b, cap, pathless_die) = specs[pick % specs.len()];
-            let cap = if pathless_die == 0 {
-                [0, 6, 7][cap % 3]
-            } else {
-                cap
-            };
             let row = (
                 TWIN_BYTES[bytes],
                 TWIN_LATENCY_US[lat],
