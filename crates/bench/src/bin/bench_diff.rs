@@ -290,6 +290,7 @@ fn check_plansynth(gate: &mut Gate, base: &Value, fresh: &Value) {
         ("fleet64_plan_seconds", false),
         ("fleet12_plan_seconds", false),
         ("fleet8_p2_plan_seconds", false),
+        ("fleet_hetero10_p2_plan_seconds", false),
         ("oracle_plans_per_sec", true),
         ("progress_sweep_seconds", false),
     ] {

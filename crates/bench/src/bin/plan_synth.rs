@@ -5,19 +5,20 @@
 //! `bench_diff` gate:
 //!
 //! * **`search`** (deterministic, gated exactly) — per-scenario node
-//!   expansion and pruning counters plus the winning cost bits, for the
-//!   64-cluster aligned fleet, the 12-cluster unaligned fleet, the
-//!   8-cluster heterogeneous fleet at two pipeline stages (64-member DP
-//!   groups, each straddling four clusters: the planner's scaling case,
-//!   where pricing hierarchical all-reduces dominates), and the
-//!   three-cluster paper presets where the guided winner is re-checked
-//!   against the exhaustive oracle on every run.
+//!   expansion and pruning counters, the number of distinct DP-group
+//!   member sets priced, and the winning cost bits, for the 64-cluster
+//!   aligned fleet, the 12-cluster unaligned fleet, and the 8- and
+//!   10-cluster heterogeneous fleets at two pipeline stages (64- and
+//!   80-member DP groups straddling several clusters: the planner's
+//!   scaling case, where pricing hierarchical all-reduces dominates).
+//!   The three-cluster paper presets re-check the guided winner against
+//!   the exhaustive oracle on every run.
 //! * **`progress`** (deterministic, gated exactly) — the symbolic
 //!   progress checker swept over every fault preset on the resilience
 //!   environment: scenario and verdict counts, and the invariant that
 //!   the sweep stays counterexample-free.
 //! * **`wall`** (machine-dependent, gated by tolerance) — single-plan
-//!   wall-clock on all three fleets, guided plans/sec over the paper
+//!   wall-clock on all four fleets, guided plans/sec over the paper
 //!   presets, and the progress-checker sweep time (so `bench_diff`
 //!   catches a checker blowup the same way it catches a planner one).
 //!   The 64-cluster fleet must additionally plan in under a second —
@@ -193,20 +194,27 @@ fn main() {
         repeats,
     );
     let fleet8 = run_scenario("fleet8_p2", &presets::fleet_hetero(8, 2), 2, repeats);
+    let fleet10 = run_scenario(
+        "fleet_hetero10_p2",
+        &presets::fleet_hetero(10, 2),
+        2,
+        repeats,
+    );
     let plans_per_sec = oracle_sweep(repeats);
     let progress = progress_sweep(repeats);
 
-    let searched = [&fleet64, &fleet12, &fleet8];
+    let searched = [&fleet64, &fleet12, &fleet8, &fleet10];
     for s in searched {
         println!(
-            "{:<18} {:>3} clusters / {:>4} ranks  p={:<3} expanded {:>4}  pruned {:>4}  \
-             {:>9.3}ms  cost {:.6}s{}",
+            "{:<18} {:>3} clusters / {:>4} ranks  p={:<3} expanded {:>5}  pruned {:>5}  \
+             priced {:>4}  {:>9.3}ms  cost {:.6}s{}",
             s.name,
             s.clusters,
             s.ranks,
             s.pipeline,
             s.stats.expanded,
             s.stats.pruned_total(),
+            s.stats.priced,
             s.wall_seconds * 1e3,
             s.cost_seconds,
             if s.stats.heuristic_won {
@@ -261,6 +269,7 @@ fn main() {
             "      \"pruned_symmetry\": {},",
             s.stats.pruned_symmetry
         );
+        let _ = writeln!(out, "      \"priced\": {},", s.stats.priced);
         let _ = writeln!(out, "      \"heuristic_won\": {},", s.stats.heuristic_won);
         let _ = writeln!(out, "      \"cost_seconds\": {:?}", s.cost_seconds);
         let last = i + 1 == searched.len();
@@ -295,6 +304,11 @@ fn main() {
         out,
         "    \"fleet8_p2_plan_seconds\": {:?},",
         fleet8.wall_seconds
+    );
+    let _ = writeln!(
+        out,
+        "    \"fleet_hetero10_p2_plan_seconds\": {:?},",
+        fleet10.wall_seconds
     );
     let _ = writeln!(out, "    \"oracle_plans_per_sec\": {plans_per_sec:?},");
     let _ = writeln!(

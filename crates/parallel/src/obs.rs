@@ -81,8 +81,8 @@ pub fn record_search(session: &mut ObsSession, result: &PlacementSearchResult) {
 
 /// Record a finished guided synthesis run: the winner (via
 /// [`record_search`]'s counters and `placement-selected` event) plus the
-/// branch-and-bound search profile — expansion and per-rule pruning
-/// counters and a `synthesis-finished` event. All counts are
+/// branch-and-bound search profile — expansion, per-rule pruning and
+/// group-pricing counters and a `synthesis-finished` event. All counts are
 /// deterministic per topology, so recorded sessions are byte-identical
 /// across runs.
 pub fn record_synth(
@@ -97,6 +97,7 @@ pub fn record_synth(
     reg.counter_add("parallel.synth_pruned_bound", stats.pruned_bound);
     reg.counter_add("parallel.synth_pruned_dominated", stats.pruned_dominated);
     reg.counter_add("parallel.synth_pruned_symmetry", stats.pruned_symmetry);
+    reg.counter_add("parallel.synth_priced", stats.priced);
     session.trace.planning_event(
         Layer::Parallel,
         0,
@@ -196,6 +197,7 @@ mod tests {
         assert_eq!(render(), render());
         let (metrics, trace) = render();
         assert!(metrics.contains("parallel.synth_expanded"));
+        assert!(metrics.contains("parallel.synth_priced"));
         assert!(metrics.contains("parallel.placements_evaluated"));
         assert!(trace.contains("synthesis-finished"));
         assert!(trace.contains("placement-selected"));

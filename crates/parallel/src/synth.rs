@@ -49,8 +49,9 @@
 //! enumerate.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
+use holmes_netsim::WordHash;
 use holmes_topology::{Cluster, ClusterId, Rank, Topology};
 
 use crate::groups::GroupLayout;
@@ -99,6 +100,9 @@ pub struct SynthStats {
     /// Successors never generated because a structurally identical
     /// cluster with a smaller canonical rank was expanded instead.
     pub pruned_symmetry: u64,
+    /// DP groups actually priced: one per distinct member set the search
+    /// met, every later lookup of the same set being a memo hit.
+    pub priced: u64,
     /// True when no explored order strictly beat the heuristic incumbent,
     /// i.e. the fastest-first order is itself the canonical winner.
     pub heuristic_won: bool,
@@ -115,7 +119,6 @@ impl SynthStats {
 /// determines it last (its maximum logical rank): the synthesis prices
 /// group `det` the moment the order prefix covers rank `max_member`.
 struct GroupSpec {
-    index: u32,
     members: Vec<u32>,
     max_member: u32,
 }
@@ -126,13 +129,13 @@ fn group_specs(layout: &GroupLayout) -> Vec<GroupSpec> {
             let members = layout.dp_group(i);
             let max_member = members.iter().copied().max().unwrap_or(0);
             GroupSpec {
-                index: i,
                 members,
                 max_member,
             }
         })
         .collect();
-    specs.sort_by_key(|s| (s.max_member, s.index));
+    // Stable: groups with the same last member stay in index order.
+    specs.sort_by_key(|s| s.max_member);
     specs
 }
 
@@ -173,7 +176,7 @@ fn clean_boundaries(layout: &GroupLayout, specs: &[GroupSpec], n_total: usize) -
 fn aligned_solo_costs(
     topo: &Topology,
     layout: &GroupLayout,
-    workload: PlacementWorkload,
+    price: &mut impl FnMut(Vec<Rank>) -> f64,
 ) -> Option<Vec<f64>> {
     let degrees = layout.degrees();
     let (t, d) = (degrees.tensor as usize, degrees.data as usize);
@@ -194,17 +197,19 @@ fn aligned_solo_costs(
         let mut worst = 0.0f64;
         for base in (0..ranks.len()).step_by(block) {
             for m in 0..t {
-                let devices: Vec<Rank> = (0..d).map(|j| ranks[base + m + j * t]).collect();
-                // The group index is metadata only — cost depends on the
-                // device set, never on the index.
-                let cost = DpGroupNic::analyze_group(topo, 0, devices)
-                    .workload_cost_seconds(topo, workload);
-                worst = worst.max(cost);
+                worst = worst.max(price((0..d).map(|j| ranks[base + m + j * t]).collect()));
             }
         }
         solo.push(worst);
     }
     Some(solo)
+}
+
+/// One DP group's workload cost. The group index passed to
+/// [`DpGroupNic::analyze_group`] is metadata only: the cost depends on the
+/// member list, never on the index.
+fn group_cost(topo: &Topology, members: Vec<Rank>, workload: PlacementWorkload) -> f64 {
+    DpGroupNic::analyze_group(topo, 0, members).workload_cost_seconds(topo, workload)
 }
 
 /// Structurally identical clusters (same nodes, switch, oversubscription)
@@ -313,7 +318,31 @@ pub fn synthesize_placement(
         .collect();
     let specs = group_specs(layout);
     let clean = clean_boundaries(layout, &specs, topo.device_count() as usize);
-    let solo = aligned_solo_costs(topo, layout, workload);
+
+    // Group costs memoized by member *set* (the sorted member list) for
+    // this call: the same set recurs under every order of its clusters,
+    // and its cost does not depend on that order (DESIGN.md §10). A miss
+    // prices the list as the search built it; debug builds re-price every
+    // hit and check the bits.
+    let mut memo: HashMap<Vec<Rank>, f64, WordHash> = HashMap::default();
+    let mut priced = 0u64;
+    let mut price = |members: Vec<Rank>| -> f64 {
+        let mut set = members.clone();
+        set.sort_unstable();
+        if let Some(&cost) = memo.get(&set) {
+            debug_assert_eq!(
+                cost.to_bits(),
+                group_cost(topo, members, workload).to_bits(),
+                "group cost depends on the order of its cluster blocks"
+            );
+            return cost;
+        }
+        priced += 1;
+        let cost = group_cost(topo, members, workload);
+        memo.insert(set, cost);
+        cost
+    };
+    let solo = aligned_solo_costs(topo, layout, &mut price);
     let h_of = |used: u128| -> f64 {
         match &solo {
             Some(costs) => costs
@@ -391,13 +420,13 @@ pub fn synthesize_placement(
             let mut g = state.g;
             let mut det = state.det;
             while det < specs.len() && (specs[det].max_member as usize) < n_new {
-                let spec = &specs[det];
-                let members: Vec<Rank> =
-                    spec.members.iter().map(|&l| devices[l as usize]).collect();
-                g = g.max(
-                    DpGroupNic::analyze_group(topo, spec.index, members)
-                        .workload_cost_seconds(topo, workload),
-                );
+                g = g.max(price(
+                    specs[det]
+                        .members
+                        .iter()
+                        .map(|&l| devices[l as usize])
+                        .collect(),
+                ));
                 det += 1;
             }
             let used = state.used | (1u128 << c);
@@ -433,6 +462,7 @@ pub fn synthesize_placement(
             }));
         }
     }
+    stats.priced = priced;
 
     match winner {
         Some(goal) => {

@@ -140,9 +140,10 @@ mod registry_export {
 }
 
 /// Guided synthesis is deterministic down to its search profile: the
-/// expansion and per-rule pruning counts are pinned per topology. Any
-/// change to the bound, the tie-break key, or the pruning rules shows up
-/// here as an exact-count diff, not a flaky drift.
+/// expansion, per-rule pruning and group-pricing counts are pinned per
+/// topology. Any change to the bound, the tie-break key, the pruning
+/// rules or the group-cost memo shows up here as an exact-count diff,
+/// not a flaky drift.
 #[test]
 fn guided_synthesis_node_counts_are_pinned() {
     use holmes_parallel::{synthesize_placement, SynthStats};
@@ -159,6 +160,7 @@ fn guided_synthesis_node_counts_are_pinned() {
                 pruned_bound: 3,
                 pruned_dominated: 0,
                 pruned_symmetry: 2,
+                priced: 4,
                 heuristic_won: true,
             },
         ),
@@ -173,6 +175,7 @@ fn guided_synthesis_node_counts_are_pinned() {
                 pruned_bound: 2,
                 pruned_dominated: 0,
                 pruned_symmetry: 2,
+                priced: 5,
                 heuristic_won: false,
             },
         ),
@@ -187,6 +190,7 @@ fn guided_synthesis_node_counts_are_pinned() {
                 pruned_bound: 1,
                 pruned_dominated: 0,
                 pruned_symmetry: 0,
+                priced: 64,
                 heuristic_won: true,
             },
         ),
@@ -201,6 +205,7 @@ fn guided_synthesis_node_counts_are_pinned() {
                 pruned_bound: 176,
                 pruned_dominated: 125,
                 pruned_symmetry: 516,
+                priced: 43,
                 heuristic_won: true,
             },
         ),

@@ -23,6 +23,22 @@ fn nic_strategy() -> impl Strategy<Value = NicType> {
     ]
 }
 
+/// Every ordering of `0..n`.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for rest in permutations(n - 1) {
+        for at in 0..=rest.len() {
+            let mut perm = rest.clone();
+            perm.insert(at, n - 1);
+            out.push(perm);
+        }
+    }
+    out
+}
+
 proptest! {
     /// Every group family of Eqs. 1/3/4 partitions the rank set, for any
     /// valid degree triple.
@@ -516,5 +532,97 @@ proptest! {
             stats
         );
         prop_assert_eq!(guided.assignment, exhaustive.assignment);
+    }
+
+    /// A DP group's workload cost depends on its member *set*, not on the
+    /// order of its per-cluster blocks: guided synthesis memoizes group
+    /// costs by the sorted member list, so every permutation of a member
+    /// list's cluster blocks must price bit-for-bit the same. Each cluster
+    /// contributes one strided run of ranks (stride `t`, possibly only
+    /// part of the cluster, as when a stage boundary splits it), on
+    /// topologies with oversubscribed or switchless clusters, mixed NIC
+    /// types and GPU generations inside one cluster, and a custom
+    /// inter-cluster Ethernet profile.
+    #[test]
+    fn group_cost_is_invariant_under_cluster_block_permutations(
+        // Per cluster: nodes as (NIC, GPU generation), a switch unless 0,
+        // oversubscription, and seeds for the block's start and length.
+        clusters in prop::collection::vec(
+            (
+                prop::collection::vec((nic_strategy(), 0usize..3), 1..=3),
+                0u8..4,
+                prop::sample::select(vec![1.0f64, 2.0, 3.5]),
+                0u32..1024,
+                0u32..1024,
+            ),
+            2..=4,
+        ),
+        gpus in prop::sample::select(vec![1u32, 2, 4]),
+        t in prop::sample::select(vec![1u32, 2, 4]),
+        inter in (0u8..2, 1.0f64..100.0, 1.0f64..50.0, 0.3f64..1.0),
+        mb in 1u64..64,
+        gflops in prop_oneof![Just(0.0f64), 1.0f64..500.0],
+    ) {
+        use holmes_repro::parallel::{DpGroupNic, PlacementWorkload};
+        use holmes_repro::topology::{Cluster, ClusterId, GpuProfile, Node, NicProfile};
+        let gens = [
+            GpuProfile::v100_32g(),
+            GpuProfile::a100_80g(),
+            GpuProfile::h100_80g(),
+        ];
+        let mut builder = TopologyBuilder::new();
+        for (i, (nodes, switch, oversubscription, _, _)) in clusters.iter().enumerate() {
+            builder = builder.custom_cluster(Cluster {
+                name: format!("c{i}"),
+                nodes: nodes
+                    .iter()
+                    .map(|&(nic, gen)| Node {
+                        gpu: gens[gen].clone(),
+                        ..Node::standard(NicProfile::reference(nic))
+                    })
+                    .collect(),
+                has_switch: *switch != 0,
+                oversubscription: *oversubscription,
+            });
+        }
+        let (custom, gbps, latency_us, efficiency) = inter;
+        if custom == 0 {
+            builder = builder.inter_cluster_ethernet(NicProfile {
+                bandwidth_gbps: gbps,
+                latency_us,
+                efficiency,
+                ..NicProfile::ethernet_25g()
+            });
+        }
+        let topo = builder.gpus_per_node(gpus).build().unwrap();
+        let blocks: Vec<Vec<Rank>> = clusters
+            .iter()
+            .enumerate()
+            .map(|(c, &(_, _, _, start, len))| {
+                let ranks = topo.cluster_ranks(ClusterId(c as u32));
+                let start = start as usize % ranks.len();
+                let room = (ranks.len() - 1 - start) / t as usize + 1;
+                let len = 1 + len as usize % room;
+                (0..len).map(|j| ranks[start + j * t as usize]).collect()
+            })
+            .collect();
+        let workload = PlacementWorkload::new(mb << 20, gflops * 1e9);
+        let cost_of = |perm: &[usize]| {
+            let members: Vec<Rank> = perm.iter().flat_map(|&b| blocks[b].clone()).collect();
+            DpGroupNic::analyze_group(&topo, 0, members).workload_cost_seconds(&topo, workload)
+        };
+        let sorted = cost_of(&(0..blocks.len()).collect::<Vec<_>>());
+        prop_assert!(sorted.is_finite() && sorted >= 0.0, "cost {sorted}");
+        for perm in permutations(blocks.len()) {
+            let cost = cost_of(&perm);
+            prop_assert_eq!(
+                cost.to_bits(),
+                sorted.to_bits(),
+                "block order {:?} prices {} against {} in cluster order",
+                perm,
+                cost,
+                sorted
+            );
+        }
     }
 }
