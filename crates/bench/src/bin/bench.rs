@@ -108,11 +108,11 @@ fn main() {
     // the snapshot. Everything in it derives from simulated time, so the
     // section is deterministic and the bench gate compares it exactly.
     let mut session = holmes::obs::ObsSession::new();
-    holmes::run_framework_observed(
+    holmes::run_framework(
         holmes::FrameworkKind::Holmes,
         &holmes_topology::presets::hybrid_two_cluster(2),
         1,
-        &mut session,
+        Some(&mut session),
     )
     .expect("observed reference iteration");
     let obs = session.report();

@@ -101,9 +101,9 @@ fn partition_row(preset: &'static str, topo: &Topology, pg: u8, pipeline: u32) -
         plan.scatter_gather,
     );
 
-    let (_, straggler_metrics) = simulate_iteration(topo, &plan, &req.job, &engine_cfg)
+    let (_, straggler_metrics) = simulate_iteration(topo, &plan, &req.job, &engine_cfg, None, None)
         .unwrap_or_else(|e| panic!("{preset}/straggler: {e}"));
-    let (_, eq2_metrics) = simulate_iteration(topo, &eq2_plan, &req.job, &engine_cfg)
+    let (_, eq2_metrics) = simulate_iteration(topo, &eq2_plan, &req.job, &engine_cfg, None, None)
         .unwrap_or_else(|e| panic!("{preset}/eq2: {e}"));
 
     PartitionRow {
@@ -191,7 +191,7 @@ fn resilience_variants() -> Vec<ResilienceVariant> {
     cells
         .into_iter()
         .map(|(env, topo, pg, preset)| {
-            let r = run_resilient(topo, pg, preset, SEED)
+            let r = run_resilient(topo, pg, preset, SEED, None, None)
                 .unwrap_or_else(|e| panic!("resilience {env}/{}: {e}", preset.name()));
             ResilienceVariant {
                 env,
@@ -240,8 +240,8 @@ fn hierarchical_variants() -> Vec<HierarchicalVariant> {
             let (plan, engine_cfg) =
                 plan_for(&topo, &req, cfg, DpSyncStrategy::DistributedOptimizer)
                     .expect("hetero plan");
-            let (_, metrics) =
-                simulate_iteration(&topo, &plan, &req.job, &engine_cfg).expect("hetero run");
+            let (_, metrics) = simulate_iteration(&topo, &plan, &req.job, &engine_cfg, None, None)
+                .expect("hetero run");
             (plan, metrics)
         };
         let (plan, auto_metrics) = run(&HolmesConfig::full());

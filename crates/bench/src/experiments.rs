@@ -41,7 +41,7 @@ fn environment(nic_env: &str, nodes: u32) -> Topology {
 }
 
 fn run_holmes(topo: &Topology, pg: u8) -> RunResult {
-    run_framework(FrameworkKind::Holmes, topo, pg).expect("scenario must run")
+    run_framework(FrameworkKind::Holmes, topo, pg, None).expect("scenario must run")
 }
 
 /// Table 1: PG1 on 4 nodes under each homogeneous NIC environment — the
@@ -276,7 +276,7 @@ pub fn table5() -> ExperimentSection {
         ("w/o Above Two", 168.0, 82.02),
     ];
     let measured: Vec<RunResult> = vec![
-        run_framework(FrameworkKind::MegatronLm, &topo, 3).unwrap(),
+        run_framework(FrameworkKind::MegatronLm, &topo, 3, None).unwrap(),
         run_holmes_with(&HolmesConfig::full(), &topo, 3).unwrap(),
         run_holmes_with(&HolmesConfig::without_self_adapting(), &topo, 3).unwrap(),
         run_holmes_with(&HolmesConfig::without_overlapped_optimizer(), &topo, 3).unwrap(),
@@ -416,7 +416,7 @@ pub fn fig6() -> ExperimentSection {
     )
     .header(["Framework", "TFLOPS", "Throughput (measured)"]);
     for (kind, paper) in rows {
-        let r = run_framework(kind, &topo, 3).unwrap();
+        let r = run_framework(kind, &topo, 3, None).unwrap();
         let tf = match paper {
             Some(p) => TableBuilder::paper_vs(p, r.metrics.tflops_per_gpu),
             None => format!("{:.0}", r.metrics.tflops_per_gpu),
@@ -451,9 +451,9 @@ pub fn fig7() -> ExperimentSection {
     for (pg, node_counts) in cases {
         for &nodes in node_counts {
             let topo = presets::hybrid_split(nodes / 2, nodes / 2);
-            let holmes = run_framework(FrameworkKind::Holmes, &topo, pg).unwrap();
+            let holmes = run_framework(FrameworkKind::Holmes, &topo, pg, None).unwrap();
             let speedup = |kind| {
-                let r = run_framework(kind, &topo, pg).unwrap();
+                let r = run_framework(kind, &topo, pg, None).unwrap();
                 holmes.metrics.throughput_samples_per_sec / r.metrics.throughput_samples_per_sec
             };
             t.row([
@@ -510,7 +510,7 @@ pub fn ext_scheduling() -> ExperimentSection {
         let plan = ParallelPlan::new(layout, assignment, layers, true);
         let nic = plan.nic_report(&topo);
         let (_, metrics) =
-            simulate_iteration(&topo, &plan, &job, &EngineConfig::default()).unwrap();
+            simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None).unwrap();
         t.row([
             label.to_string(),
             format!("{:.0}", metrics.tflops_per_gpu),
@@ -611,7 +611,7 @@ pub fn ext_schedules() -> ExperimentSection {
                 schedule,
                 ..EngineConfig::default()
             };
-            simulate_iteration(&topo, &plan, &job, &cfg)
+            simulate_iteration(&topo, &plan, &job, &cfg, None, None)
                 .map(|(_, m)| format!("{:.0}", m.tflops_per_gpu))
                 .unwrap_or_else(|e| format!("({e})"))
         };
@@ -656,7 +656,7 @@ pub fn ext_dp_strategies() -> ExperimentSection {
                 dp_sync,
                 ..base_cfg
             };
-            simulate_iteration(&topo, &plan, &req.job, &cfg)
+            simulate_iteration(&topo, &plan, &req.job, &cfg, None, None)
                 .map(|(_, m)| format!("{:.0}", m.tflops_per_gpu))
                 .unwrap_or_else(|e| format!("({e})"))
         };
@@ -692,7 +692,7 @@ pub fn ext_link_usage() -> ExperimentSection {
         "TFLOPS",
     ]);
     for kind in [FrameworkKind::Holmes, FrameworkKind::MegatronLm] {
-        let r = run_framework(kind, &topo, 1).expect("run");
+        let r = run_framework(kind, &topo, 1, None).expect("run");
         let rdma_gb: f64 = r
             .report
             .node_link_usage
@@ -749,7 +749,8 @@ pub fn ext_estimator_accuracy() -> ExperimentSection {
         )
         .expect("plan");
         let est = estimate_iteration(&topo, &plan, &req.job, &engine_cfg).expect("estimate");
-        let (report, _) = simulate_iteration(&topo, &plan, &req.job, &engine_cfg).expect("sim");
+        let (report, _) =
+            simulate_iteration(&topo, &plan, &req.job, &engine_cfg, None, None).expect("sim");
         t.row([
             env.to_string(),
             format!("{:.2}", est.seconds),
@@ -889,6 +890,7 @@ pub fn run_baseline(topo: &Topology, pg: u8) -> RunResult {
             ..HolmesConfig::default()
         },
         DpSyncStrategy::AllReduce,
+        None,
     )
     .expect("baseline must run")
 }

@@ -14,9 +14,7 @@
 use std::fmt::Write as _;
 
 use holmes::engine::DpSyncStrategy;
-use holmes::{
-    run_resilient_observed, run_resilient_observed_with_strategy, FaultPreset, ResilienceReport,
-};
+use holmes::{run_resilient, FaultPreset, ResilienceReport};
 use holmes_obs::{ObsReport, ObsSession};
 use holmes_topology::{presets, Topology};
 
@@ -64,7 +62,7 @@ pub fn run_family(quick: bool) -> Vec<ResilienceRow> {
     for (env, topo, pg) in environments(quick) {
         for preset in FaultPreset::ALL {
             let mut session = ObsSession::new();
-            let report = run_resilient_observed(&topo, pg, preset, SEED, &mut session)
+            let report = run_resilient(&topo, pg, preset, SEED, None, Some(&mut session))
                 .unwrap_or_else(|e| panic!("resilience {env}/{}: {e}", preset.name()));
             rows.push(ResilienceRow {
                 env,
@@ -74,9 +72,8 @@ pub fn run_family(quick: bool) -> Vec<ResilienceRow> {
             if churns(preset) {
                 let ps = DpSyncStrategy::ParameterServer { servers: 2 };
                 let mut session = ObsSession::new();
-                let report =
-                    run_resilient_observed_with_strategy(&topo, pg, preset, SEED, ps, &mut session)
-                        .unwrap_or_else(|e| panic!("resilience {env}/{}/ps: {e}", preset.name()));
+                let report = run_resilient(&topo, pg, preset, SEED, Some(ps), Some(&mut session))
+                    .unwrap_or_else(|e| panic!("resilience {env}/{}/ps: {e}", preset.name()));
                 rows.push(ResilienceRow {
                     env,
                     report,

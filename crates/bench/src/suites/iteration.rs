@@ -14,7 +14,7 @@ fn bench_table1_cell(c: &mut Criterion) {
     for nic in NicType::ALL {
         let topo = presets::homogeneous(nic, 4);
         g.bench_with_input(BenchmarkId::from_parameter(nic.label()), &topo, |b, t| {
-            b.iter(|| black_box(run_framework(FrameworkKind::Holmes, t, 1).unwrap()))
+            b.iter(|| black_box(run_framework(FrameworkKind::Holmes, t, 1, None).unwrap()))
         });
     }
     g.finish();
@@ -26,7 +26,7 @@ fn bench_table3_hybrid_scaling(c: &mut Criterion) {
     for nodes in [4u32, 6, 8] {
         let topo = presets::hybrid_two_cluster(nodes / 2);
         g.bench_with_input(BenchmarkId::from_parameter(nodes), &topo, |b, t| {
-            b.iter(|| black_box(run_framework(FrameworkKind::Holmes, t, 3).unwrap()))
+            b.iter(|| black_box(run_framework(FrameworkKind::Holmes, t, 3, None).unwrap()))
         });
     }
     g.finish();
@@ -36,7 +36,7 @@ fn bench_table3_hybrid_scaling(c: &mut Criterion) {
 fn bench_table4_cell(c: &mut Criterion) {
     c.bench_function("iteration/table4_12node_3cluster", |b| {
         let topo = presets::table4_4r_4ib_4ib();
-        b.iter(|| black_box(run_framework(FrameworkKind::Holmes, &topo, 6).unwrap()))
+        b.iter(|| black_box(run_framework(FrameworkKind::Holmes, &topo, 6, None).unwrap()))
     });
 }
 
@@ -48,7 +48,7 @@ fn bench_table5_row(c: &mut Criterion) {
         b.iter(|| black_box(run_holmes_with(&HolmesConfig::full(), &topo, 3).unwrap()))
     });
     g.bench_function("megatron_lm", |b| {
-        b.iter(|| black_box(run_framework(FrameworkKind::MegatronLm, &topo, 3).unwrap()))
+        b.iter(|| black_box(run_framework(FrameworkKind::MegatronLm, &topo, 3, None).unwrap()))
     });
     g.finish();
 }
@@ -57,7 +57,7 @@ fn bench_table5_row(c: &mut Criterion) {
 fn bench_fig7_largest(c: &mut Criterion) {
     c.bench_function("iteration/fig7_pg7_12nodes", |b| {
         let topo = presets::hybrid_split(6, 6);
-        b.iter(|| black_box(run_framework(FrameworkKind::Holmes, &topo, 7).unwrap()))
+        b.iter(|| black_box(run_framework(FrameworkKind::Holmes, &topo, 7, None).unwrap()))
     });
 }
 

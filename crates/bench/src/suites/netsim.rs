@@ -208,11 +208,11 @@ pub const TWIN_CENSUS_CELL: &str = "table4_4r_4ib_4ib/pg3";
 /// four are deterministic.
 pub fn twin_census() -> (u64, u64, u64, u64) {
     let mut session = holmes::obs::ObsSession::new();
-    let run = holmes::run_framework_observed(
+    let run = holmes::run_framework(
         holmes::FrameworkKind::Holmes,
         &holmes_topology::presets::table4_4r_4ib_4ib(),
         3,
-        &mut session,
+        Some(&mut session),
     )
     .expect("the twin-census cell simulates");
     (

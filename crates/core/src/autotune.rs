@@ -183,7 +183,7 @@ pub fn autotune_with_mode(
     let job = req.job;
     let simulate = |candidate: &Candidate| -> Option<TrainingMetrics> {
         let (plan, engine_cfg) = candidate.plan.as_deref()?;
-        simulate_iteration(topo, plan, &job, engine_cfg)
+        simulate_iteration(topo, plan, &job, engine_cfg, None, None)
             .ok()
             .map(|(_, metrics)| metrics)
     };
@@ -292,7 +292,7 @@ mod tests {
                 DpSyncStrategy::DistributedOptimizer,
             )
             .unwrap();
-            let (_, m) = simulate_iteration(&topo, &plan, &job, &engine_cfg).unwrap();
+            let (_, m) = simulate_iteration(&topo, &plan, &job, &engine_cfg, None, None).unwrap();
             best_exhaustive = best_exhaustive.min(m.iteration_seconds);
         }
         assert!(

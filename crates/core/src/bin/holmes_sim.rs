@@ -148,7 +148,7 @@ fn run(args: Args) -> Result<(), String> {
         };
         run_holmes_with(&cfg, &topo, args.pg)
     } else {
-        run_framework(args.framework, &topo, args.pg)
+        run_framework(args.framework, &topo, args.pg, None)
     }
     .map_err(|e| e.to_string())?;
 

@@ -235,7 +235,7 @@ mod tests {
         .unwrap();
         let job = PlanRequest::parameter_group(pg).job;
         let est = estimate_iteration(topo, &plan, &job, &engine_cfg).unwrap();
-        let (report, _) = simulate_iteration(topo, &plan, &job, &engine_cfg).unwrap();
+        let (report, _) = simulate_iteration(topo, &plan, &job, &engine_cfg, None, None).unwrap();
         (est.seconds, report.total_seconds)
     }
 

@@ -14,7 +14,7 @@
 //! // PG1 (3.6 B GPT) on two 2-node clusters: InfiniBand + RoCE, joined
 //! // only by Ethernet — the paper's "Hybird" environment.
 //! let topo = presets::hybrid_two_cluster(2);
-//! let result = run_framework(FrameworkKind::Holmes, &topo, 1).unwrap();
+//! let result = run_framework(FrameworkKind::Holmes, &topo, 1, None).unwrap();
 //! println!(
 //!     "Holmes: {:.0} TFLOPS/GPU, {:.2} samples/s",
 //!     result.metrics.tflops_per_gpu, result.metrics.throughput_samples_per_sec
@@ -56,8 +56,8 @@ pub use estimate::{estimate_iteration, IterationEstimate};
 pub use framework::FrameworkKind;
 pub use holmes_parallel::EvalMode;
 pub use planner::{
-    placement_gradient_bytes, placement_layer_flops, placement_stage_flops, plan_for,
-    plan_for_with, PlanError, PlanRequest,
+    placement_gradient_bytes, placement_layer_flops, placement_stage_flops, plan_for, PlanError,
+    PlanRequest,
 };
 pub use reliability::{
     CheckpointPlan, ChurnImpact, ElasticAction, ElasticDecision, ElasticPolicy, GoodputTrace,
@@ -65,14 +65,9 @@ pub use reliability::{
 };
 pub use report::TableBuilder;
 pub use resilience::{
-    run_resilient, run_resilient_observed, run_resilient_observed_with_strategy,
-    run_resilient_with_strategy, verify_preset_progress, ChurnRestart, FaultPreset,
-    ResilienceReport,
+    run_resilient, verify_preset_progress, ChurnRestart, FaultPreset, ResilienceReport,
 };
-pub use runner::{
-    run_framework, run_framework_observed, run_holmes_with, run_scenario, run_scenario_observed,
-    RunError, RunResult, Scenario,
-};
+pub use runner::{run_framework, run_holmes_with, run_scenario, RunError, RunResult, Scenario};
 pub use training::{simulate_training_run, TrainingRunConfig, TrainingRunReport};
 
 // Re-export the substrate crates so downstream users need one dependency.

@@ -108,7 +108,7 @@ pub fn plan_for(
 /// `HeuristicPlanner` scores one order, `GuidedPlanner` (the production
 /// default) proves its winner optimal, `ExhaustivePlanner` is the `M!`
 /// reference oracle for tests.
-pub fn plan_for_with(
+fn plan_for_with(
     topo: &Topology,
     req: &PlanRequest,
     cfg: &HolmesConfig,

@@ -14,15 +14,15 @@
 //! [`ResilienceReport::event_log`].
 
 use holmes_engine::{
-    simulate_iteration_observed, simulate_iteration_with_faults, DegradedCondition, DpSyncStrategy,
-    ExecError, FaultPlan, FaultWindow, TrainingMetrics,
+    simulate_iteration, DegradedCondition, DpSyncStrategy, EngineConfig, ExecError, FaultPlan,
+    FaultWindow, IterationReport, TrainingMetrics,
 };
 use holmes_model::CommVolumes;
 use holmes_netsim::{ChurnKind, LinkHealth, SimDuration, SimTime};
 use holmes_obs::{Layer, ObsSession};
 use holmes_parallel::{
-    replan_for_delta, DeltaReplanOutcome, GuidedPlanner, MigrationCosts, PlacementWorkload,
-    ReplanOutcome, TopologyDelta,
+    replan_for_delta, DeltaReplanOutcome, GuidedPlanner, MigrationCosts, ParallelPlan,
+    PlacementWorkload, ReplanOutcome, TopologyDelta,
 };
 use holmes_topology::{Rank, Topology};
 use rand::rngs::StdRng;
@@ -245,6 +245,58 @@ impl ResilienceReport {
     }
 }
 
+/// Plan `request` and run its clean baseline for a preset: the full
+/// Holmes plan ([`HolmesConfig::full`]), its engine config with `strategy`
+/// overriding the data-parallel sync, one clean iteration on the preset's
+/// fabric shape (including the trunk, for presets that fault it), and the
+/// preset's seeded fault plan placed against that clean iteration.
+fn plan_preset(
+    topo: &Topology,
+    request: &PlanRequest,
+    preset: FaultPreset,
+    seed: u64,
+    strategy: Option<DpSyncStrategy>,
+) -> Result<
+    (
+        ParallelPlan,
+        EngineConfig,
+        IterationReport,
+        TrainingMetrics,
+        FaultPlan,
+    ),
+    RunError,
+> {
+    // The full Holmes config prescribes the overlapped optimizer; an
+    // explicit strategy (the PS-vs-all-reduce probe) overrides it so the
+    // comparison really exercises the requested sync path.
+    let (plan, mut engine_cfg) = plan_for(
+        topo,
+        request,
+        &HolmesConfig::full(),
+        DpSyncStrategy::DistributedOptimizer,
+    )
+    .map_err(RunError::Plan)?;
+    if let Some(s) = strategy {
+        engine_cfg.dp_sync = s;
+    }
+    let trunk = preset
+        .needs_trunk()
+        .then(|| topo.inter_cluster_profile().effective_bytes_per_sec());
+    let mut clean_plan = FaultPlan::none();
+    clean_plan.trunk_bytes_per_sec = trunk;
+    let (clean_report, clean_metrics) = simulate_iteration(
+        topo,
+        &plan,
+        &request.job,
+        &engine_cfg,
+        Some(&clean_plan),
+        None,
+    )
+    .map_err(RunError::Engine)?;
+    let fault_plan = preset.build_plan(seed, clean_report.total_seconds, trunk, topo);
+    Ok((plan, engine_cfg, clean_report, clean_metrics, fault_plan))
+}
+
 /// Run one fault preset for a Table 2 parameter group on a topology.
 ///
 /// The plan is the full Holmes plan ([`HolmesConfig::full`]); the clean
@@ -252,72 +304,21 @@ impl ResilienceReport {
 /// (including the trunk, for presets that fault it). Fault onsets are
 /// placed relative to the measured clean iteration so they always land
 /// mid-iteration.
+///
+/// `strategy` overrides the data-parallel sync strategy. This is the
+/// PS-vs-all-reduce probe: running the same churn preset and seed under
+/// [`DpSyncStrategy::ParameterServer`] and a ring-based strategy yields
+/// the crossover — the PS run continues degraded where the ring run
+/// aborts into a checkpoint restart.
+///
+/// `obs` instruments the *faulted* run into the session. The clean
+/// baseline stays unobserved so the trace shows exactly one iteration's
+/// worth of spans. On top of the engine/netsim instrumentation the core
+/// layer contributes: `core.*` gauges for the clean/faulted wall-clocks
+/// and slowdown, a [`Layer::Core`] instant per degraded condition the
+/// executor reacted to, and — when a NIC loss triggered the parallel
+/// layer's downgrade pass — [`holmes_parallel::obs::record_replan`].
 pub fn run_resilient(
-    topo: &Topology,
-    parameter_group: u8,
-    preset: FaultPreset,
-    seed: u64,
-) -> Result<ResilienceReport, RunError> {
-    run_resilient_inner(topo, parameter_group, preset, seed, None, None)
-}
-
-/// [`run_resilient`] with an explicit data-parallel sync strategy.
-///
-/// This is the PS-vs-all-reduce probe: running the same churn preset and
-/// seed under [`DpSyncStrategy::ParameterServer`] and a ring-based
-/// strategy yields the crossover — the PS run continues degraded where
-/// the ring run aborts into a checkpoint restart.
-pub fn run_resilient_with_strategy(
-    topo: &Topology,
-    parameter_group: u8,
-    preset: FaultPreset,
-    seed: u64,
-    strategy: DpSyncStrategy,
-) -> Result<ResilienceReport, RunError> {
-    run_resilient_inner(topo, parameter_group, preset, seed, Some(strategy), None)
-}
-
-/// [`run_resilient`] with the *faulted* run instrumented into `session`.
-///
-/// The clean baseline stays unobserved so the trace shows exactly one
-/// iteration's worth of spans. On top of the engine/netsim instrumentation
-/// the core layer contributes: `core.*` gauges for the clean/faulted
-/// wall-clocks and slowdown, a [`Layer::Core`] instant per degraded
-/// condition the executor reacted to, and — when a NIC loss triggered the
-/// parallel layer's downgrade pass —
-/// [`holmes_parallel::obs::record_replan`].
-pub fn run_resilient_observed(
-    topo: &Topology,
-    parameter_group: u8,
-    preset: FaultPreset,
-    seed: u64,
-    session: &mut ObsSession,
-) -> Result<ResilienceReport, RunError> {
-    run_resilient_inner(topo, parameter_group, preset, seed, None, Some(session))
-}
-
-/// [`run_resilient_observed`] with an explicit data-parallel sync
-/// strategy — the instrumented form of the PS-vs-all-reduce probe the
-/// resilience bench family uses for its crossover rows.
-pub fn run_resilient_observed_with_strategy(
-    topo: &Topology,
-    parameter_group: u8,
-    preset: FaultPreset,
-    seed: u64,
-    strategy: DpSyncStrategy,
-    session: &mut ObsSession,
-) -> Result<ResilienceReport, RunError> {
-    run_resilient_inner(
-        topo,
-        parameter_group,
-        preset,
-        seed,
-        Some(strategy),
-        Some(session),
-    )
-}
-
-fn run_resilient_inner(
     topo: &Topology,
     parameter_group: u8,
     preset: FaultPreset,
@@ -325,41 +326,19 @@ fn run_resilient_inner(
     strategy: Option<DpSyncStrategy>,
     mut obs: Option<&mut ObsSession>,
 ) -> Result<ResilienceReport, RunError> {
-    let cfg = HolmesConfig::full();
     let request = PlanRequest::parameter_group(parameter_group);
-    // The full Holmes config prescribes the overlapped optimizer; an
-    // explicit strategy (the PS-vs-all-reduce probe) overrides it so the
-    // comparison really exercises the requested sync path.
-    let (plan, mut engine_cfg) =
-        plan_for(topo, &request, &cfg, DpSyncStrategy::DistributedOptimizer)
-            .map_err(RunError::Plan)?;
-    if let Some(s) = strategy {
-        engine_cfg.dp_sync = s;
-    }
+    let (plan, engine_cfg, clean_report, clean_metrics, fault_plan) =
+        plan_preset(topo, &request, preset, seed, strategy)?;
     let strategy = engine_cfg.dp_sync;
     let reliability = ReliabilityModel::default();
-
-    let trunk = preset
-        .needs_trunk()
-        .then(|| topo.inter_cluster_profile().effective_bytes_per_sec());
-    let mut clean_plan = FaultPlan::none();
-    clean_plan.trunk_bytes_per_sec = trunk;
-    let (clean_report, clean_metrics) =
-        simulate_iteration_with_faults(topo, &plan, &request.job, &engine_cfg, &clean_plan)
-            .map_err(RunError::Engine)?;
-
-    let fault_plan = preset.build_plan(seed, clean_report.total_seconds, trunk, topo);
-    let sim_result = match obs.as_deref_mut() {
-        Some(session) => simulate_iteration_observed(
-            topo,
-            &plan,
-            &request.job,
-            &engine_cfg,
-            Some(&fault_plan),
-            session,
-        ),
-        None => simulate_iteration_with_faults(topo, &plan, &request.job, &engine_cfg, &fault_plan),
-    };
+    let sim_result = simulate_iteration(
+        topo,
+        &plan,
+        &request.job,
+        &engine_cfg,
+        Some(&fault_plan),
+        obs.as_deref_mut(),
+    );
     // Churn that ring-based collectives cannot absorb kills the run: the
     // job pays the restart bill and replays the iteration. Everything
     // else propagates as a real error.
@@ -732,21 +711,8 @@ pub fn verify_preset_progress(
     seed: u64,
     space: holmes_analysis::EventSpace,
 ) -> Result<holmes_analysis::ProgressReport, RunError> {
-    let cfg = HolmesConfig::full();
     let request = PlanRequest::parameter_group(parameter_group);
-    let (plan, engine_cfg) = plan_for(topo, &request, &cfg, DpSyncStrategy::DistributedOptimizer)
-        .map_err(RunError::Plan)?;
-
-    let trunk = preset
-        .needs_trunk()
-        .then(|| topo.inter_cluster_profile().effective_bytes_per_sec());
-    let mut clean_plan = FaultPlan::none();
-    clean_plan.trunk_bytes_per_sec = trunk;
-    let (clean_report, _) =
-        simulate_iteration_with_faults(topo, &plan, &request.job, &engine_cfg, &clean_plan)
-            .map_err(RunError::Engine)?;
-    let fault_plan = preset.build_plan(seed, clean_report.total_seconds, trunk, topo);
-
+    let (plan, engine_cfg, _, _, fault_plan) = plan_preset(topo, &request, preset, seed, None)?;
     let spec = holmes_engine::build_iteration(topo, &plan, &request.job, &engine_cfg)
         .map_err(RunError::Engine)?;
 
@@ -775,7 +741,7 @@ mod tests {
     #[test]
     fn clean_preset_has_no_fault_activity() {
         let topo = presets::hybrid_two_cluster(2);
-        let r = run_resilient(&topo, 1, FaultPreset::Clean, 11).unwrap();
+        let r = run_resilient(&topo, 1, FaultPreset::Clean, 11, None, None).unwrap();
         assert!(r.fault_windows.is_empty());
         assert!(r.degraded_conditions.is_empty());
         assert_eq!(r.flow_retries, 0);
@@ -787,7 +753,7 @@ mod tests {
     #[test]
     fn flaky_trunk_stretches_the_run_without_retries() {
         let topo = presets::hybrid_two_cluster(2);
-        let r = run_resilient(&topo, 1, FaultPreset::FlakyTrunk, 11).unwrap();
+        let r = run_resilient(&topo, 1, FaultPreset::FlakyTrunk, 11, None, None).unwrap();
         assert!(r.slowdown() > 1.0, "{}", r.slowdown());
         assert!(!r.fault_windows.is_empty());
         // Degraded (not dead) links never trigger retries or fallback.
@@ -798,7 +764,7 @@ mod tests {
     #[test]
     fn dying_nic_completes_via_tcp_fallback_and_replans() {
         let topo = presets::hybrid_two_cluster(2);
-        let r = run_resilient(&topo, 1, FaultPreset::DyingNic, 7).unwrap();
+        let r = run_resilient(&topo, 1, FaultPreset::DyingNic, 7, None, None).unwrap();
         // The run completed (no ExecError) despite the permanent NIC
         // loss, slower than clean, with the loss detected and traffic
         // moved to TCP.
@@ -817,10 +783,10 @@ mod tests {
     #[test]
     fn observed_resilience_matches_unobserved_and_records_the_recovery() {
         let topo = presets::hybrid_two_cluster(2);
-        let plain = run_resilient(&topo, 1, FaultPreset::DyingNic, 7).unwrap();
+        let plain = run_resilient(&topo, 1, FaultPreset::DyingNic, 7, None, None).unwrap();
         let mut session = holmes_obs::ObsSession::new();
         let observed =
-            run_resilient_observed(&topo, 1, FaultPreset::DyingNic, 7, &mut session).unwrap();
+            run_resilient(&topo, 1, FaultPreset::DyingNic, 7, None, Some(&mut session)).unwrap();
         // Observation does not change the run.
         assert_eq!(plain.log_text(), observed.log_text());
         // Fault counters flow through the unified registry (satellite 5:
@@ -841,17 +807,17 @@ mod tests {
     #[test]
     fn same_seed_reproduces_the_event_log_byte_for_byte() {
         let topo = presets::hybrid_two_cluster(2);
-        let a = run_resilient(&topo, 1, FaultPreset::FlakyTrunk, 99).unwrap();
-        let b = run_resilient(&topo, 1, FaultPreset::FlakyTrunk, 99).unwrap();
+        let a = run_resilient(&topo, 1, FaultPreset::FlakyTrunk, 99, None, None).unwrap();
+        let b = run_resilient(&topo, 1, FaultPreset::FlakyTrunk, 99, None, None).unwrap();
         assert_eq!(a.log_text(), b.log_text());
-        let c = run_resilient(&topo, 1, FaultPreset::FlakyTrunk, 100).unwrap();
+        let c = run_resilient(&topo, 1, FaultPreset::FlakyTrunk, 100, None, None).unwrap();
         assert_ne!(a.log_text(), c.log_text());
     }
 
     #[test]
     fn preempt_storm_aborts_ring_sync_into_a_restart() {
         let topo = presets::hybrid_two_cluster(2);
-        let r = run_resilient(&topo, 1, FaultPreset::PreemptStorm, 13).unwrap();
+        let r = run_resilient(&topo, 1, FaultPreset::PreemptStorm, 13, None, None).unwrap();
         // Ring-based DP sync cannot continue without the preempted
         // ranks: the run dies at the first preempt and pays the restart
         // bill plus a replay.
@@ -871,12 +837,13 @@ mod tests {
     #[test]
     fn preempt_storm_survives_under_parameter_server() {
         let topo = presets::hybrid_two_cluster(2);
-        let r = run_resilient_with_strategy(
+        let r = run_resilient(
             &topo,
             1,
             FaultPreset::PreemptStorm,
             13,
-            DpSyncStrategy::ParameterServer { servers: 2 },
+            Some(DpSyncStrategy::ParameterServer { servers: 2 }),
+            None,
         )
         .unwrap();
         // Star-shaped PS rounds only stale the lost contributions: the
@@ -907,12 +874,12 @@ mod tests {
         let topo = presets::hybrid_two_cluster(2);
         let ps = DpSyncStrategy::ParameterServer { servers: 2 };
         let ar = DpSyncStrategy::DistributedOptimizer;
-        let clean_ar = run_resilient_with_strategy(&topo, 1, FaultPreset::Clean, 13, ar).unwrap();
-        let clean_ps = run_resilient_with_strategy(&topo, 1, FaultPreset::Clean, 13, ps).unwrap();
+        let clean_ar = run_resilient(&topo, 1, FaultPreset::Clean, 13, Some(ar), None).unwrap();
+        let clean_ps = run_resilient(&topo, 1, FaultPreset::Clean, 13, Some(ps), None).unwrap();
         let storm_ar =
-            run_resilient_with_strategy(&topo, 1, FaultPreset::PreemptStorm, 13, ar).unwrap();
+            run_resilient(&topo, 1, FaultPreset::PreemptStorm, 13, Some(ar), None).unwrap();
         let storm_ps =
-            run_resilient_with_strategy(&topo, 1, FaultPreset::PreemptStorm, 13, ps).unwrap();
+            run_resilient(&topo, 1, FaultPreset::PreemptStorm, 13, Some(ps), None).unwrap();
         assert!(
             clean_ar.faulted_seconds <= clean_ps.faulted_seconds,
             "clean: ring {} vs ps {}",
@@ -931,7 +898,7 @@ mod tests {
     #[test]
     fn scale_up_midrun_folds_the_new_node_in() {
         let topo = presets::hybrid_two_cluster(2);
-        let r = run_resilient(&topo, 1, FaultPreset::ScaleUpMidrun, 21).unwrap();
+        let r = run_resilient(&topo, 1, FaultPreset::ScaleUpMidrun, 21, None, None).unwrap();
         // The running iteration is unaffected by the announcement…
         assert!(r.restart.is_none());
         assert!((r.slowdown() - 1.0).abs() < 1e-9, "{}", r.slowdown());
@@ -950,7 +917,7 @@ mod tests {
     #[test]
     fn straggler_node_stretches_the_run_without_faults() {
         let topo = presets::hybrid_two_cluster(2);
-        let r = run_resilient(&topo, 1, FaultPreset::StragglerNode, 17).unwrap();
+        let r = run_resilient(&topo, 1, FaultPreset::StragglerNode, 17, None, None).unwrap();
         assert!(r.slowdown() > 1.2, "{}", r.slowdown());
         assert!(r.restart.is_none());
         assert_eq!(r.flow_retries, 0);
@@ -965,8 +932,8 @@ mod tests {
         let topo = presets::hybrid_two_cluster(2);
         let ps = DpSyncStrategy::ParameterServer { servers: 2 };
         for preset in [FaultPreset::PreemptStorm, FaultPreset::ScaleUpMidrun] {
-            let a = run_resilient_with_strategy(&topo, 1, preset, 5, ps).unwrap();
-            let b = run_resilient_with_strategy(&topo, 1, preset, 5, ps).unwrap();
+            let a = run_resilient(&topo, 1, preset, 5, Some(ps), None).unwrap();
+            let b = run_resilient(&topo, 1, preset, 5, Some(ps), None).unwrap();
             assert_eq!(a.log_text(), b.log_text(), "{}", preset.name());
         }
     }

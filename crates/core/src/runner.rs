@@ -1,9 +1,6 @@
 //! End-to-end simulation entry points.
 
-use holmes_engine::{
-    simulate_iteration, simulate_iteration_observed, DpSyncStrategy, IterationReport,
-    TrainingMetrics,
-};
+use holmes_engine::{simulate_iteration, DpSyncStrategy, IterationReport, TrainingMetrics};
 use holmes_obs::ObsSession;
 use holmes_parallel::NicSelectionReport;
 use holmes_topology::Topology;
@@ -84,54 +81,38 @@ impl std::error::Error for RunError {}
 ///
 /// `fallback_dp` selects the gradient-sync strategy when
 /// `cfg.overlapped_optimizer` is off.
+///
+/// With `obs` set the whole stack is instrumented into the session. It
+/// records, in order: the plan's Automatic-NIC-Selection outcome
+/// (planning-clock events under the parallel layer), then the executed
+/// iteration — engine timeline spans, netsim flow/link records and the
+/// unified metrics registry — and finally the `core.runs` counter. The
+/// returned [`RunResult`] is identical either way: observation never
+/// changes what the simulator does, only what it remembers.
 pub fn run_scenario(
     scenario: &Scenario,
     cfg: &HolmesConfig,
     fallback_dp: DpSyncStrategy,
-) -> Result<RunResult, RunError> {
-    let (plan, engine_cfg) =
-        plan_for(&scenario.topo, &scenario.request, cfg, fallback_dp).map_err(RunError::Plan)?;
-    let (report, metrics) =
-        simulate_iteration(&scenario.topo, &plan, &scenario.request.job, &engine_cfg)
-            .map_err(RunError::Engine)?;
-    let nic = plan.nic_report(&scenario.topo);
-    Ok(RunResult {
-        metrics,
-        report,
-        nic,
-        stage_layers: plan.stage_layers.clone(),
-    })
-}
-
-/// [`run_scenario`] with the whole stack instrumented into `session`.
-///
-/// Records, in order: the plan's Automatic-NIC-Selection outcome
-/// (planning-clock events under the parallel layer), then the executed
-/// iteration — engine timeline spans, netsim flow/link records and the
-/// unified metrics registry — via
-/// [`holmes_engine::simulate_iteration_observed`]. The returned
-/// [`RunResult`] is identical to the unobserved one: observation never
-/// changes what the simulator does, only what it remembers.
-pub fn run_scenario_observed(
-    scenario: &Scenario,
-    cfg: &HolmesConfig,
-    fallback_dp: DpSyncStrategy,
-    session: &mut ObsSession,
+    mut obs: Option<&mut ObsSession>,
 ) -> Result<RunResult, RunError> {
     let (plan, engine_cfg) =
         plan_for(&scenario.topo, &scenario.request, cfg, fallback_dp).map_err(RunError::Plan)?;
     let nic = plan.nic_report(&scenario.topo);
-    holmes_parallel::obs::record_nic_selection(session, &nic);
-    let (report, metrics) = simulate_iteration_observed(
+    if let Some(session) = obs.as_deref_mut() {
+        holmes_parallel::obs::record_nic_selection(session, &nic);
+    }
+    let (report, metrics) = simulate_iteration(
         &scenario.topo,
         &plan,
         &scenario.request.job,
         &engine_cfg,
         None,
-        session,
+        obs.as_deref_mut(),
     )
     .map_err(RunError::Engine)?;
-    session.registry.counter_add("core.runs", 1);
+    if let Some(session) = obs {
+        session.registry.counter_add("core.runs", 1);
+    }
     Ok(RunResult {
         metrics,
         report,
@@ -152,14 +133,17 @@ pub fn run_holmes_with(
         // Holmes without the overlapped optimizer still shards the
         // optimizer (it is built on Megatron's distributed optimizer).
         DpSyncStrategy::DistributedOptimizer,
+        None,
     )
 }
 
-/// Simulate one of the compared frameworks on a topology (Figures 6/7).
+/// Simulate one of the compared frameworks on a topology (Figures 6/7),
+/// optionally instrumented into `obs` (see [`run_scenario`]).
 pub fn run_framework(
     kind: FrameworkKind,
     topo: &Topology,
     parameter_group: u8,
+    obs: Option<&mut ObsSession>,
 ) -> Result<RunResult, RunError> {
     let cfg = kind.as_holmes_flags();
     // DeepSpeed's ZeRO-1 and Holmes's Megatron distributed optimizer both
@@ -174,27 +158,7 @@ pub fn run_framework(
         &Scenario::new(topo.clone(), parameter_group),
         &cfg,
         fallback,
-    )
-}
-
-/// [`run_framework`] with the run instrumented into `session`.
-pub fn run_framework_observed(
-    kind: FrameworkKind,
-    topo: &Topology,
-    parameter_group: u8,
-    session: &mut ObsSession,
-) -> Result<RunResult, RunError> {
-    let cfg = kind.as_holmes_flags();
-    let fallback = if kind.uses_zero1() || kind == FrameworkKind::Holmes {
-        DpSyncStrategy::DistributedOptimizer
-    } else {
-        DpSyncStrategy::AllReduce
-    };
-    run_scenario_observed(
-        &Scenario::new(topo.clone(), parameter_group),
-        &cfg,
-        fallback,
-        session,
+        obs,
     )
 }
 
@@ -207,7 +171,7 @@ mod tests {
     fn holmes_beats_every_baseline_on_hybrid() {
         let topo = presets::hybrid_split(4, 4); // Figure 6's environment
         let tflops = |kind| {
-            run_framework(kind, &topo, 3)
+            run_framework(kind, &topo, 3, None)
                 .unwrap()
                 .metrics
                 .tflops_per_gpu
@@ -244,7 +208,7 @@ mod tests {
         // self-adapting partition.
         assert!(no_sa >= no_ov, "overlap matters more: {no_sa} vs {no_ov}");
         // Even "w/o both" (NIC selection only) beats full Megatron-LM.
-        let mlm = run_framework(FrameworkKind::MegatronLm, &topo, 3)
+        let mlm = run_framework(FrameworkKind::MegatronLm, &topo, 3, None)
             .unwrap()
             .metrics
             .tflops_per_gpu;
@@ -257,7 +221,7 @@ mod tests {
     #[test]
     fn summary_mentions_the_key_numbers() {
         let topo = presets::hybrid_two_cluster(2);
-        let r = run_framework(FrameworkKind::Holmes, &topo, 1).unwrap();
+        let r = run_framework(FrameworkKind::Holmes, &topo, 1, None).unwrap();
         let s = r.summary();
         assert!(s.contains("TFLOPS/GPU"));
         assert!(s.contains("RDMA 2/2"));
@@ -266,10 +230,10 @@ mod tests {
     #[test]
     fn run_result_exposes_nic_analysis() {
         let topo = presets::hybrid_two_cluster(2);
-        let r = run_framework(FrameworkKind::Holmes, &topo, 1).unwrap();
+        let r = run_framework(FrameworkKind::Holmes, &topo, 1, None).unwrap();
         assert_eq!(r.nic.ethernet_groups, 0);
         assert_eq!(r.stage_layers.iter().sum::<u32>(), 30);
-        let r = run_framework(FrameworkKind::MegatronLm, &topo, 1).unwrap();
+        let r = run_framework(FrameworkKind::MegatronLm, &topo, 1, None).unwrap();
         assert!(r.metrics.tflops_per_gpu > 0.0);
     }
 
@@ -277,10 +241,9 @@ mod tests {
     fn observed_run_matches_unobserved_and_spans_three_layers() {
         use holmes_obs::{Layer, ObsSession};
         let topo = presets::hybrid_two_cluster(2);
-        let plain = run_framework(FrameworkKind::Holmes, &topo, 1).unwrap();
+        let plain = run_framework(FrameworkKind::Holmes, &topo, 1, None).unwrap();
         let mut session = ObsSession::new();
-        let observed =
-            run_framework_observed(FrameworkKind::Holmes, &topo, 1, &mut session).unwrap();
+        let observed = run_framework(FrameworkKind::Holmes, &topo, 1, Some(&mut session)).unwrap();
         // Observation must not perturb the simulated physics.
         assert_eq!(
             plain.metrics.iteration_seconds.to_bits(),
@@ -303,9 +266,9 @@ mod tests {
         // In a homogeneous IB cluster the NIC-awareness features are moot;
         // Megatron-LLaMA ≈ Holmes, and both beat plain Megatron-LM.
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
-        let holmes = run_framework(FrameworkKind::Holmes, &topo, 1).unwrap();
-        let llama = run_framework(FrameworkKind::MegatronLlama, &topo, 1).unwrap();
-        let lm = run_framework(FrameworkKind::MegatronLm, &topo, 1).unwrap();
+        let holmes = run_framework(FrameworkKind::Holmes, &topo, 1, None).unwrap();
+        let llama = run_framework(FrameworkKind::MegatronLlama, &topo, 1, None).unwrap();
+        let lm = run_framework(FrameworkKind::MegatronLm, &topo, 1, None).unwrap();
         let rel = (holmes.metrics.tflops_per_gpu - llama.metrics.tflops_per_gpu).abs()
             / holmes.metrics.tflops_per_gpu;
         assert!(rel < 0.05, "Holmes vs LLaMA rel diff {rel}");

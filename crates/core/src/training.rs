@@ -77,7 +77,7 @@ pub fn simulate_training_run(
 ) -> Result<TrainingRunReport, RunError> {
     assert!(run_cfg.iterations >= 1, "need at least one iteration");
     assert!(run_cfg.jitter >= 0.0, "jitter must be non-negative");
-    let base = run_scenario(scenario, cfg, DpSyncStrategy::DistributedOptimizer)?;
+    let base = run_scenario(scenario, cfg, DpSyncStrategy::DistributedOptimizer, None)?;
     let base_seconds = base.metrics.iteration_seconds;
     let mut rng = StdRng::seed_from_u64(run_cfg.seed);
 

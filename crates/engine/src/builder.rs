@@ -7,7 +7,7 @@ use holmes_topology::{Rank, Topology};
 use crate::compute::ComputeModel;
 use crate::dp_sync::DpSyncStrategy;
 use crate::executor::{
-    execute, CollectiveSpec, ExecError, ExecutionSpec, IterationReport, TransportPolicy,
+    execute_inner, CollectiveSpec, ExecError, ExecutionSpec, IterationReport, TransportPolicy,
 };
 use crate::metrics::TrainingMetrics;
 use crate::ops::{Channel, ComputeLabel, MsgKey, Op};
@@ -729,55 +729,29 @@ fn append_dp_tail(
 }
 
 /// Build and execute one iteration, returning the report and metrics.
+///
+/// `faults` runs the iteration under a deterministic
+/// [`crate::fault::FaultPlan`] (see
+/// [`crate::executor::execute_with_faults`]). `obs` instruments it: the
+/// session accumulates the merged engine + netsim trace, the execution's
+/// metrics and the `engine.iteration_seconds` gauge. Observation never
+/// changes the returned report or metrics.
 pub fn simulate_iteration(
     topo: &Topology,
     plan: &ParallelPlan,
     job: &TrainJob,
     cfg: &EngineConfig,
-) -> Result<(IterationReport, TrainingMetrics), BuildError> {
-    let spec = build_iteration(topo, plan, job, cfg)?;
-    let report = execute(topo, spec).map_err(BuildError::Exec)?;
-    let metrics = TrainingMetrics::from_report(job, plan.degrees().devices(), &report);
-    Ok((report, metrics))
-}
-
-/// Build and execute one iteration under a deterministic
-/// [`crate::fault::FaultPlan`] (see
-/// [`crate::executor::execute_with_faults`]). An empty plan behaves
-/// exactly like [`simulate_iteration`].
-pub fn simulate_iteration_with_faults(
-    topo: &Topology,
-    plan: &ParallelPlan,
-    job: &TrainJob,
-    cfg: &EngineConfig,
-    faults: &crate::fault::FaultPlan,
-) -> Result<(IterationReport, TrainingMetrics), BuildError> {
-    let spec = build_iteration(topo, plan, job, cfg)?;
-    let report =
-        crate::executor::execute_with_faults(topo, spec, faults).map_err(BuildError::Exec)?;
-    let metrics = TrainingMetrics::from_report(job, plan.degrees().devices(), &report);
-    Ok((report, metrics))
-}
-
-/// Build and execute one iteration with full observability (see
-/// [`crate::executor::execute_observed`]): the session accumulates the
-/// merged engine + netsim trace and the iteration's metrics. `faults`
-/// optionally runs the iteration under a deterministic fault plan.
-pub fn simulate_iteration_observed(
-    topo: &Topology,
-    plan: &ParallelPlan,
-    job: &TrainJob,
-    cfg: &EngineConfig,
     faults: Option<&crate::fault::FaultPlan>,
-    session: &mut holmes_obs::ObsSession,
+    mut obs: Option<&mut holmes_obs::ObsSession>,
 ) -> Result<(IterationReport, TrainingMetrics), BuildError> {
     let spec = build_iteration(topo, plan, job, cfg)?;
-    let report =
-        crate::executor::execute_observed(topo, spec, faults, session).map_err(BuildError::Exec)?;
+    let report = execute_inner(topo, spec, faults, obs.as_deref_mut()).map_err(BuildError::Exec)?;
     let metrics = TrainingMetrics::from_report(job, plan.degrees().devices(), &report);
-    session
-        .registry
-        .gauge_set("engine.iteration_seconds", metrics.iteration_seconds);
+    if let Some(session) = obs {
+        session
+            .registry
+            .gauge_set("engine.iteration_seconds", metrics.iteration_seconds);
+    }
     Ok((report, metrics))
 }
 
@@ -818,7 +792,7 @@ mod tests {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
         let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
         let (report, metrics) =
-            simulate_iteration(&topo, &plan, &job, &EngineConfig::default()).unwrap();
+            simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None).unwrap();
         // Table 1: 197 TFLOPS / 99.23 samples/s. The simulator should land
         // in the right regime (calibration is checked tightly in the core
         // crate; here we just require physical plausibility).
@@ -837,7 +811,7 @@ mod tests {
         let run = |nic| {
             let topo = presets::homogeneous(nic, 4);
             let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
-            simulate_iteration(&topo, &plan, &job, &EngineConfig::default())
+            simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None)
                 .unwrap()
                 .1
                 .tflops_per_gpu
@@ -854,12 +828,13 @@ mod tests {
         let hybrid = presets::hybrid_two_cluster(2);
         let (plan, job) = plan_for(&hybrid, 1, &UniformPartition, &[1.0, 1.0]);
         let (_, m_hybrid) =
-            simulate_iteration(&hybrid, &plan, &job, &EngineConfig::default()).unwrap();
+            simulate_iteration(&hybrid, &plan, &job, &EngineConfig::default(), None, None).unwrap();
 
         let eth = presets::homogeneous(NicType::Ethernet, 4);
         let (plan_e, job_e) = plan_for(&eth, 1, &UniformPartition, &[1.0, 1.0]);
         let (_, m_eth) =
-            simulate_iteration(&eth, &plan_e, &job_e, &EngineConfig::default()).unwrap();
+            simulate_iteration(&eth, &plan_e, &job_e, &EngineConfig::default(), None, None)
+                .unwrap();
         assert!(
             m_hybrid.tflops_per_gpu > m_eth.tflops_per_gpu,
             "hybrid {} vs ethernet {}",
@@ -872,14 +847,16 @@ mod tests {
     fn forced_tcp_baseline_is_slower_on_hybrid() {
         let topo = presets::hybrid_two_cluster(2);
         let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
-        let auto = simulate_iteration(&topo, &plan, &job, &EngineConfig::default())
+        let auto = simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None)
             .unwrap()
             .1;
         let tcp_cfg = EngineConfig {
             transport: TransportPolicy::ForceTcpInterNode,
             ..EngineConfig::default()
         };
-        let tcp = simulate_iteration(&topo, &plan, &job, &tcp_cfg).unwrap().1;
+        let tcp = simulate_iteration(&topo, &plan, &job, &tcp_cfg, None, None)
+            .unwrap()
+            .1;
         assert!(
             auto.tflops_per_gpu > tcp.tflops_per_gpu,
             "auto {} vs tcp {}",
@@ -892,14 +869,15 @@ mod tests {
     fn overlapped_optimizer_beats_blocking_distributed_optimizer() {
         let topo = presets::homogeneous(NicType::RoCE, 4);
         let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
-        let overlapped = simulate_iteration(&topo, &plan, &job, &EngineConfig::default())
-            .unwrap()
-            .1;
+        let overlapped =
+            simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None)
+                .unwrap()
+                .1;
         let blocking_cfg = EngineConfig {
             dp_sync: DpSyncStrategy::DistributedOptimizer,
             ..EngineConfig::default()
         };
-        let blocking = simulate_iteration(&topo, &plan, &job, &blocking_cfg)
+        let blocking = simulate_iteration(&topo, &plan, &job, &blocking_cfg, None, None)
             .unwrap()
             .1;
         assert!(
@@ -918,7 +896,7 @@ mod tests {
         // the end 1F1B should be at least as fast.
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
         let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
-        let f1b = simulate_iteration(&topo, &plan, &job, &EngineConfig::default())
+        let f1b = simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None)
             .unwrap()
             .0
             .total_seconds;
@@ -926,7 +904,7 @@ mod tests {
             schedule: ScheduleKind::GPipe,
             ..EngineConfig::default()
         };
-        let gp = simulate_iteration(&topo, &plan, &job, &gp_cfg)
+        let gp = simulate_iteration(&topo, &plan, &job, &gp_cfg, None, None)
             .unwrap()
             .0
             .total_seconds;
@@ -941,8 +919,12 @@ mod tests {
         let (plan_u, job) = plan_for(&topo, 1, &UniformPartition, &speeds);
         let (plan_sa, _) = plan_for(&topo, 1, &SelfAdaptingPartition::default(), &speeds);
         let cfg = EngineConfig::default();
-        let uni = simulate_iteration(&topo, &plan_u, &job, &cfg).unwrap().1;
-        let sa = simulate_iteration(&topo, &plan_sa, &job, &cfg).unwrap().1;
+        let uni = simulate_iteration(&topo, &plan_u, &job, &cfg, None, None)
+            .unwrap()
+            .1;
+        let sa = simulate_iteration(&topo, &plan_sa, &job, &cfg, None, None)
+            .unwrap()
+            .1;
         assert!(
             sa.tflops_per_gpu >= uni.tflops_per_gpu,
             "self-adapting {} vs uniform {}",
@@ -957,7 +939,7 @@ mod tests {
         let (plan, mut job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
         job.global_batch = 7; // not divisible by d=16 × micro 4
         assert!(matches!(
-            simulate_iteration(&topo, &plan, &job, &EngineConfig::default()),
+            simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None),
             Err(BuildError::BatchIndivisible { .. })
         ));
     }
@@ -982,7 +964,7 @@ mod tests {
         let (mut plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
         plan.stage_layers = vec![10, 10]; // model has 30
         assert!(matches!(
-            simulate_iteration(&topo, &plan, &job, &EngineConfig::default()),
+            simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None),
             Err(BuildError::LayerMismatch { .. })
         ));
     }
@@ -1226,7 +1208,8 @@ mod interleaved_tests {
             schedule: ScheduleKind::Interleaved { virtual_stages: 2 },
             ..EngineConfig::default()
         };
-        let (report, metrics) = simulate_iteration(&topo, &plan, &pg.job(), &cfg).unwrap();
+        let (report, metrics) =
+            simulate_iteration(&topo, &plan, &pg.job(), &cfg, None, None).unwrap();
         assert!(metrics.tflops_per_gpu > 100.0 && metrics.tflops_per_gpu < 312.0);
         assert!(report.reduce_scatter_seconds() > 0.0);
     }
@@ -1254,6 +1237,7 @@ mod interleaved_tests {
 mod config_option_tests {
     use super::*;
     use crate::dp_sync::DpSyncStrategy;
+    use crate::executor::execute;
     use holmes_model::ParameterGroup;
     use holmes_parallel::{
         GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, PartitionStrategy, Scheduler,
@@ -1277,7 +1261,7 @@ mod config_option_tests {
     fn recompute_activations_slows_the_iteration_predictably() {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
         let (plan, job) = pg1_plan(&topo);
-        let base = simulate_iteration(&topo, &plan, &job, &EngineConfig::default())
+        let base = simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None)
             .unwrap()
             .0
             .total_seconds;
@@ -1285,7 +1269,7 @@ mod config_option_tests {
             recompute_activations: true,
             ..EngineConfig::default()
         };
-        let recompute = simulate_iteration(&topo, &plan, &job, &cfg)
+        let recompute = simulate_iteration(&topo, &plan, &job, &cfg, None, None)
             .unwrap()
             .0
             .total_seconds;
@@ -1332,7 +1316,7 @@ mod config_option_tests {
                 dp_sync,
                 ..EngineConfig::default()
             };
-            simulate_iteration(&topo, &plan, &job, &cfg)
+            simulate_iteration(&topo, &plan, &job, &cfg, None, None)
                 .unwrap()
                 .0
                 .total_seconds

@@ -603,23 +603,15 @@ pub fn execute_with_faults(
     execute_inner(topo, spec, Some(plan), None)
 }
 
-/// Execute a spec (optionally under a [`FaultPlan`]) with full
-/// observability: the simulator collects flow-level records, and on
-/// return the session holds the merged engine + netsim trace spans plus
-/// the execution's metrics (fault counters, collective wall-time
-/// histogram, per-flow timings). Failed executions still contribute
-/// their counters and netsim records. The un-observed entry points skip
-/// every collection branch, so their behaviour is unchanged.
-pub fn execute_observed(
-    topo: &Topology,
-    spec: ExecutionSpec,
-    plan: Option<&FaultPlan>,
-    session: &mut holmes_obs::ObsSession,
-) -> Result<IterationReport, ExecError> {
-    execute_inner(topo, spec, plan, Some(session))
-}
-
-fn execute_inner(
+/// Shared body of [`execute`], [`execute_with_faults`] and
+/// [`crate::simulate_iteration`]. With `obs` set the simulator collects
+/// flow-level records, and on return the session holds the merged
+/// engine and netsim trace spans plus the execution's metrics (fault
+/// counters, collective wall-time histogram, per-flow timings). Failed
+/// executions still contribute their counters and netsim records.
+/// Without it every collection branch is skipped, so observation never
+/// changes behaviour.
+pub(crate) fn execute_inner(
     topo: &Topology,
     spec: ExecutionSpec,
     plan: Option<&FaultPlan>,

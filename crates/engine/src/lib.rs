@@ -57,15 +57,12 @@ pub mod schedule;
 pub mod timeline;
 pub mod validate;
 
-pub use builder::{
-    build_iteration, simulate_iteration, simulate_iteration_observed,
-    simulate_iteration_with_faults, BuildError, EngineConfig, ScheduleKind,
-};
+pub use builder::{build_iteration, simulate_iteration, BuildError, EngineConfig, ScheduleKind};
 pub use compute::{ComputeModel, StageCost};
 pub use dp_sync::DpSyncStrategy;
 pub use executor::{
-    execute, execute_observed, execute_with_faults, CollKind, CollectiveSpec, ExecError,
-    ExecutionSpec, IterationReport, NodeLinkUsage, TransportPolicy,
+    execute, execute_with_faults, CollKind, CollectiveSpec, ExecError, ExecutionSpec,
+    IterationReport, NodeLinkUsage, TransportPolicy,
 };
 pub use fault::{
     DegradedCondition, FaultPlan, FaultTarget, FaultWindow, LinkFault, RetryPolicy, Straggler,

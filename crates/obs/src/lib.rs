@@ -15,9 +15,9 @@
 //!   (`holmes-bench --bin bench_diff`). The `holmes-lint` determinism
 //!   rules scan this crate like they scan the simulator.
 //! * **Invisible to the run.** Instrumented code paths take the sink as
-//!   an `Option` (or expose separate `_observed` entry points) and only
-//!   read simulation state, so an observed run performs exactly the
-//!   events and float arithmetic of an un-observed one.
+//!   an `Option` and only read simulation state, so an observed run
+//!   performs exactly the events and float arithmetic of an un-observed
+//!   one.
 //!
 //! Components:
 //!
@@ -29,7 +29,7 @@
 //!   JSONL event log ([`TraceSink::to_jsonl`]), one process per
 //!   [`Layer`].
 //! * [`ObsSession`] — the `(Registry, TraceSink)` pair threaded through
-//!   the stack's `_observed` entry points.
+//!   the stack's run entry points as `obs: Option<&mut ObsSession>`.
 //! * [`ObsReport`] — the per-run structured-metrics snapshot the bench
 //!   bins embed in `BENCH_netsim.json` / `BENCH_resilience.json`.
 //! * [`json`] — a minimal hand-rolled JSON parser (the workspace has no

@@ -41,7 +41,7 @@ fn main() {
             name, r.metrics.tflops_per_gpu, delta, r.metrics.throughput_samples_per_sec
         );
     }
-    let mlm = run_framework(FrameworkKind::MegatronLm, &topo, 3).unwrap();
+    let mlm = run_framework(FrameworkKind::MegatronLm, &topo, 3, None).unwrap();
     println!(
         "{:<32} {:>8.1} ({:+.1}) {:>12.2}",
         "Megatron-LM (baseline)",

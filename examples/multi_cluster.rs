@@ -18,7 +18,7 @@ use holmes_repro::{run_framework, run_holmes_with, FrameworkKind, HolmesConfig};
 fn main() {
     // --- Two same-NIC clusters, Ethernet between sites -------------------
     let two_site_ib = presets::same_nic_two_clusters(NicType::InfiniBand, 2);
-    let r = run_framework(FrameworkKind::Holmes, &two_site_ib, 3).unwrap();
+    let r = run_framework(FrameworkKind::Holmes, &two_site_ib, 3, None).unwrap();
     println!("Two InfiniBand sites joined by Ethernet (PG3, 7.5 B):");
     println!(
         "  Holmes: {:.0} TFLOPS/GPU, {:.2} samples/s (upper bound = single IB cluster, \
@@ -31,12 +31,14 @@ fn main() {
         FrameworkKind::Holmes,
         &presets::homogeneous(NicType::InfiniBand, 4),
         3,
+        None,
     )
     .unwrap();
     let lower = run_framework(
         FrameworkKind::Holmes,
         &presets::homogeneous(NicType::Ethernet, 4),
         3,
+        None,
     )
     .unwrap();
     println!(
@@ -46,7 +48,7 @@ fn main() {
 
     // --- Three clusters with three different stages (Table 4) ------------
     let three = presets::table4_2r_2ib_2ib();
-    let r3 = run_framework(FrameworkKind::Holmes, &three, 5).unwrap();
+    let r3 = run_framework(FrameworkKind::Holmes, &three, 5, None).unwrap();
     println!("\nThree clusters (2 RoCE + 2 IB + 2 IB nodes), PG5 with pipeline depth 3:");
     println!(
         "  Holmes: {:.0} TFLOPS/GPU, {:.2} samples/s, stage layers {:?}",

@@ -80,6 +80,7 @@ fn main() {
                 &scenario,
                 &HolmesConfig::full(),
                 DpSyncStrategy::DistributedOptimizer,
+                None,
             ) {
                 Ok(r) => r,
                 Err(e) => {

@@ -27,7 +27,7 @@ fn main() {
         "framework", "TFLOPS/GPU", "samples/sec", "iter (s)"
     );
     for kind in FrameworkKind::ALL {
-        let result = run_framework(kind, &topo, 1).expect("simulation runs");
+        let result = run_framework(kind, &topo, 1, None).expect("simulation runs");
         println!(
             "{:<20} {:>12.1} {:>16.2} {:>12.2}",
             kind.name(),
@@ -39,7 +39,7 @@ fn main() {
 
     // Holmes's Automatic NIC Selection keeps every data-parallel group on
     // one RDMA technology:
-    let holmes = run_framework(FrameworkKind::Holmes, &topo, 1).unwrap();
+    let holmes = run_framework(FrameworkKind::Holmes, &topo, 1, None).unwrap();
     println!(
         "\nHolmes NIC selection: {}/{} data-parallel groups on RDMA; stage layers = {:?}",
         holmes.nic.rdma_groups,

@@ -18,7 +18,7 @@
 
 use holmes_repro::obs::ObsSession;
 use holmes_repro::topology::{presets, Rank};
-use holmes_repro::{run_framework_observed, FrameworkKind};
+use holmes_repro::{run_framework, FrameworkKind};
 
 fn main() {
     let mut out: Option<std::path::PathBuf> = None;
@@ -40,8 +40,7 @@ fn main() {
 
     let topo = presets::hybrid_two_cluster(2);
     let mut session = ObsSession::new();
-    let result =
-        run_framework_observed(FrameworkKind::Holmes, &topo, 1, &mut session).expect("run");
+    let result = run_framework(FrameworkKind::Holmes, &topo, 1, Some(&mut session)).expect("run");
     let tl = &result.report.timeline;
 
     println!(

@@ -86,7 +86,9 @@ fn hierarchical_allreduce_wins_for_spanning_dp_groups() {
             hierarchical_cross_cluster: hierarchical,
             ..EngineConfig::default()
         };
-        simulate_iteration(&topo, &plan, &pg.job(), &cfg).unwrap().0
+        simulate_iteration(&topo, &plan, &pg.job(), &cfg, None, None)
+            .unwrap()
+            .0
     };
     let hier = run(true);
     let flat = run(false);
@@ -134,7 +136,7 @@ fn analytic_dp_cost_ranks_like_simulation() {
             holmes_repro::parallel::NicSelectionReport::analyze(&topo, &layout, &assignment);
         analytic.push(report.dp_sync_cost_seconds(&topo, grad_bytes));
         simulated.push(
-            run_framework(FrameworkKind::Holmes, &topo, 1)
+            run_framework(FrameworkKind::Holmes, &topo, 1, None)
                 .unwrap()
                 .metrics
                 .iteration_seconds,
@@ -158,7 +160,7 @@ fn metrics_are_consistent_with_eq6() {
     use holmes_repro::model::{flops_per_iteration, ParameterGroup};
     use holmes_repro::{run_framework, FrameworkKind};
     let topo = presets::homogeneous(NicType::InfiniBand, 4);
-    let r = run_framework(FrameworkKind::Holmes, &topo, 1).unwrap();
+    let r = run_framework(FrameworkKind::Holmes, &topo, 1, None).unwrap();
     let job = ParameterGroup::table2(1).job();
     let expect = flops_per_iteration(&job.config, job.global_batch)
         / (r.metrics.iteration_seconds * 32.0)
@@ -174,8 +176,8 @@ fn metrics_are_consistent_with_eq6() {
 fn end_to_end_determinism() {
     use holmes_repro::{run_framework, FrameworkKind};
     let topo = presets::hybrid_two_cluster(2);
-    let a = run_framework(FrameworkKind::Holmes, &topo, 3).unwrap();
-    let b = run_framework(FrameworkKind::Holmes, &topo, 3).unwrap();
+    let a = run_framework(FrameworkKind::Holmes, &topo, 3, None).unwrap();
+    let b = run_framework(FrameworkKind::Holmes, &topo, 3, None).unwrap();
     assert_eq!(a.metrics.iteration_seconds, b.metrics.iteration_seconds);
     assert_eq!(a.report.events, b.report.events);
     assert_eq!(a.report.flows, b.report.flows);
@@ -216,7 +218,7 @@ fn every_device_gets_a_program_and_a_finish_time() {
 fn timeline_consistency() {
     use holmes_repro::{run_framework, FrameworkKind};
     let topo = presets::hybrid_two_cluster(2);
-    let r = run_framework(FrameworkKind::Holmes, &topo, 1).unwrap();
+    let r = run_framework(FrameworkKind::Holmes, &topo, 1, None).unwrap();
     let tl = &r.report.timeline;
     assert!(!tl.spans.is_empty());
     for (i, &device) in [Rank(0), Rank(16), Rank(31)].iter().enumerate() {

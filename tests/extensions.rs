@@ -100,7 +100,8 @@ fn estimator_accuracy_sweep() {
             )
             .unwrap();
             let est = estimate_iteration(topo, &plan, &req.job, &engine_cfg).unwrap();
-            let (report, _) = simulate_iteration(topo, &plan, &req.job, &engine_cfg).unwrap();
+            let (report, _) =
+                simulate_iteration(topo, &plan, &req.job, &engine_cfg, None, None).unwrap();
             let rel = (est.seconds - report.total_seconds).abs() / report.total_seconds;
             assert!(
                 rel < 0.30,

@@ -110,13 +110,13 @@ fn switchless_cluster_degrades_to_ethernet_speed() {
     let healthy = presets::homogeneous(NicType::InfiniBand, 4);
     let eth = presets::homogeneous(NicType::Ethernet, 4);
 
-    let t_broken = run_framework(FrameworkKind::Holmes, &broken, 1)
+    let t_broken = run_framework(FrameworkKind::Holmes, &broken, 1, None)
         .unwrap()
         .metrics;
-    let t_healthy = run_framework(FrameworkKind::Holmes, &healthy, 1)
+    let t_healthy = run_framework(FrameworkKind::Holmes, &healthy, 1, None)
         .unwrap()
         .metrics;
-    let t_eth = run_framework(FrameworkKind::Holmes, &eth, 1)
+    let t_eth = run_framework(FrameworkKind::Holmes, &eth, 1, None)
         .unwrap()
         .metrics;
 
@@ -147,10 +147,10 @@ fn slow_management_network_hurts_tcp_baseline_most() {
         .inter_cluster_ethernet(slow_eth)
         .build()
         .unwrap();
-    let holmes = run_framework(FrameworkKind::Holmes, &topo, 1)
+    let holmes = run_framework(FrameworkKind::Holmes, &topo, 1, None)
         .unwrap()
         .metrics;
-    let baseline = run_framework(FrameworkKind::MegatronLm, &topo, 1)
+    let baseline = run_framework(FrameworkKind::MegatronLm, &topo, 1, None)
         .unwrap()
         .metrics;
     // Holmes keeps DP on RDMA; only pipeline p2p suffers (and at 1 Gb/s

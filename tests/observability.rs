@@ -6,20 +6,17 @@
 //! scenario reports the same counts — no leakage between executions),
 //! and observation never changes what the simulator does.
 
-use holmes_repro::engine::IterationReport;
+use holmes_repro::engine::{DpSyncStrategy, IterationReport};
 use holmes_repro::obs::{Layer, ObsSession};
 use holmes_repro::topology::presets;
-use holmes_repro::{
-    run_framework, run_framework_observed, run_resilient, run_resilient_observed, FaultPreset,
-    FrameworkKind,
-};
+use holmes_repro::{run_framework, run_resilient, FaultPreset, FrameworkKind};
 
 #[test]
 fn merged_trace_is_byte_identical_across_runs() {
     let render = || {
         let topo = presets::hybrid_two_cluster(2);
         let mut session = ObsSession::new();
-        run_framework_observed(FrameworkKind::Holmes, &topo, 1, &mut session).expect("run");
+        run_framework(FrameworkKind::Holmes, &topo, 1, Some(&mut session)).expect("run");
         (
             session.trace.to_chrome_trace(),
             session.trace.to_jsonl(),
@@ -49,8 +46,8 @@ fn fault_counters_are_per_iteration_not_cumulative() {
     let topo = presets::hybrid_two_cluster(2);
     let run = || {
         let mut session = ObsSession::new();
-        let report =
-            run_resilient_observed(&topo, 1, FaultPreset::DyingNic, 7, &mut session).expect("run");
+        let report = run_resilient(&topo, 1, FaultPreset::DyingNic, 7, None, Some(&mut session))
+            .expect("run");
         (
             session.registry.counter("engine.flow_retries"),
             session.registry.counter("engine.tcp_fallback_flows"),
@@ -72,10 +69,10 @@ fn fault_counters_are_per_iteration_not_cumulative() {
 #[test]
 fn observation_is_invisible_to_the_simulation() {
     let topo = presets::hybrid_split(4, 4);
-    let plain = run_framework(FrameworkKind::Holmes, &topo, 3).expect("plain");
+    let plain = run_framework(FrameworkKind::Holmes, &topo, 3, None).expect("plain");
     let mut session = ObsSession::new();
     let observed =
-        run_framework_observed(FrameworkKind::Holmes, &topo, 3, &mut session).expect("observed");
+        run_framework(FrameworkKind::Holmes, &topo, 3, Some(&mut session)).expect("observed");
     assert_eq!(
         plain.metrics.iteration_seconds.to_bits(),
         observed.metrics.iteration_seconds.to_bits()
@@ -84,11 +81,20 @@ fn observation_is_invisible_to_the_simulation() {
     assert_eq!(plain.report.events, observed.report.events);
     assert_eq!(plain.report.flows, observed.report.flows);
 
-    let plain_r = run_resilient(&topo, 3, FaultPreset::FlakyTrunk, 99).expect("plain");
-    let mut session = ObsSession::new();
-    let observed_r = run_resilient_observed(&topo, 3, FaultPreset::FlakyTrunk, 99, &mut session)
-        .expect("observed");
-    assert_eq!(plain_r.log_text(), observed_r.log_text());
+    // Resilience runs too, the churn preset under a parameter server so
+    // an explicit strategy and a session travel through one call.
+    let ps = Some(DpSyncStrategy::ParameterServer { servers: 2 });
+    for (preset, seed, dp) in [
+        (FaultPreset::FlakyTrunk, 99, None),
+        (FaultPreset::PreemptStorm, 13, ps),
+    ] {
+        let plain = run_resilient(&topo, 3, preset, seed, dp, None).expect("plain");
+        let mut session = ObsSession::new();
+        let observed =
+            run_resilient(&topo, 3, preset, seed, dp, Some(&mut session)).expect("observed");
+        assert_eq!(plain.log_text(), observed.log_text(), "{}", preset.name());
+        assert_eq!(session.registry.counter("core.resilience_runs"), 1);
+    }
 }
 
 /// Every field of a report, floats as exact bit patterns (Debug prints
@@ -130,10 +136,10 @@ fn twin_flows_are_observed_one_record_each() {
     // one iteration, and most are twins (same instant, path, bytes and
     // rate cap) that netsim simulates as one engine flow.
     let topo = presets::table4_4r_4ib_4ib();
-    let plain = run_framework(FrameworkKind::Holmes, &topo, 3).expect("plain");
+    let plain = run_framework(FrameworkKind::Holmes, &topo, 3, None).expect("plain");
     let mut session = ObsSession::new();
     let observed =
-        run_framework_observed(FrameworkKind::Holmes, &topo, 3, &mut session).expect("observed");
+        run_framework(FrameworkKind::Holmes, &topo, 3, Some(&mut session)).expect("observed");
     assert_eq!(report_bits(&plain.report), report_bits(&observed.report));
     // Observation still keeps one record per logical flow, while the
     // engine flow count shows the merging at work.

@@ -6,7 +6,7 @@ use holmes_repro::topology::{presets, NicType};
 use holmes_repro::{calibration, run_framework, run_holmes_with, FrameworkKind, HolmesConfig};
 
 fn tflops(kind: FrameworkKind, topo: &holmes_repro::topology::Topology, pg: u8) -> f64 {
-    run_framework(kind, topo, pg)
+    run_framework(kind, topo, pg, None)
         .expect("run succeeds")
         .metrics
         .tflops_per_gpu
@@ -54,7 +54,7 @@ fn hybrid_close_to_rdma_far_above_ethernet() {
 fn table1_calibration_within_5_percent() {
     for nic in NicType::ALL {
         let topo = presets::homogeneous(nic, 4);
-        let r = run_framework(FrameworkKind::Holmes, &topo, 1).unwrap();
+        let r = run_framework(FrameworkKind::Holmes, &topo, 1, None).unwrap();
         let paper = calibration::paper_table1_tflops(nic);
         let rel = (r.metrics.tflops_per_gpu - paper).abs() / paper;
         assert!(
@@ -179,8 +179,8 @@ fn table4_three_clusters_beat_ethernet() {
 fn figure7_speedup_scales() {
     let speedup_at = |nodes: u32| {
         let topo = presets::hybrid_split(nodes / 2, nodes / 2);
-        let holmes = run_framework(FrameworkKind::Holmes, &topo, 7).unwrap();
-        let lm = run_framework(FrameworkKind::MegatronLm, &topo, 7).unwrap();
+        let holmes = run_framework(FrameworkKind::Holmes, &topo, 7, None).unwrap();
+        let lm = run_framework(FrameworkKind::MegatronLm, &topo, 7, None).unwrap();
         holmes.metrics.throughput_samples_per_sec / lm.metrics.throughput_samples_per_sec
     };
     let s4 = speedup_at(4);
@@ -199,7 +199,7 @@ fn table3_scaling_trends() {
         let mut prev_thpt = 0.0;
         for nodes in [4u32, 6, 8] {
             let topo = presets::homogeneous(env, nodes);
-            let r = run_framework(FrameworkKind::Holmes, &topo, 2).unwrap();
+            let r = run_framework(FrameworkKind::Holmes, &topo, 2, None).unwrap();
             assert!(
                 r.metrics.throughput_samples_per_sec > prev_thpt,
                 "{env} at {nodes} nodes: throughput must grow"
@@ -213,10 +213,10 @@ fn table3_scaling_trends() {
 #[test]
 fn large_models_run() {
     let topo = presets::hybrid_split(2, 2);
-    let r7 = run_framework(FrameworkKind::Holmes, &topo, 7).unwrap();
+    let r7 = run_framework(FrameworkKind::Holmes, &topo, 7, None).unwrap();
     assert!(r7.metrics.tflops_per_gpu > 30.0 && r7.metrics.tflops_per_gpu < 312.0);
     let topo12 = presets::hybrid_split(6, 6);
-    let r8 = run_framework(FrameworkKind::Holmes, &topo12, 8).unwrap();
+    let r8 = run_framework(FrameworkKind::Holmes, &topo12, 8, None).unwrap();
     assert!(r8.metrics.tflops_per_gpu > 30.0 && r8.metrics.tflops_per_gpu < 312.0);
     assert_eq!(r8.stage_layers.len(), 3);
 }

@@ -274,7 +274,7 @@ proptest! {
         let layers = UniformPartition.partition(12, &vec![1.0; p as usize]);
         let plan = ParallelPlan::new(layout, assignment, layers, true);
         let (report, metrics) =
-            simulate_iteration(&topo, &plan, &job, &EngineConfig::default()).unwrap();
+            simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None).unwrap();
         prop_assert!(metrics.tflops_per_gpu > 0.0);
         prop_assert!(metrics.tflops_per_gpu < 312.0, "cannot exceed peak");
         prop_assert!(report.total_seconds > 0.0);

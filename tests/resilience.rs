@@ -14,7 +14,7 @@
 use holmes_repro::engine::DpSyncStrategy;
 use holmes_repro::parallel::{GroupLayout, GuidedPlanner, ParallelDegrees, Planner};
 use holmes_repro::topology::presets;
-use holmes_repro::{run_resilient, run_resilient_with_strategy, FaultPreset, ReliabilityModel};
+use holmes_repro::{run_resilient, FaultPreset, ReliabilityModel};
 
 /// Tolerance between simulated and analytic goodput, absolute.
 ///
@@ -81,7 +81,7 @@ fn flakier_fleets_lower_simulated_goodput_monotonically() {
 fn two_cluster_nic_failure_recovers_and_replays_deterministically() {
     let topo = presets::hybrid_two_cluster(2);
     let seed = 42;
-    let r = run_resilient(&topo, 1, FaultPreset::DyingNic, seed)
+    let r = run_resilient(&topo, 1, FaultPreset::DyingNic, seed, None, None)
         .expect("NIC loss must recover, not error");
 
     // The run completed and was visibly degraded.
@@ -103,7 +103,7 @@ fn two_cluster_nic_failure_recovers_and_replays_deterministically() {
     assert!(replan.report.ethernet_groups > 0);
 
     // Byte-for-byte replay under the same seed.
-    let again = run_resilient(&topo, 1, FaultPreset::DyingNic, seed).unwrap();
+    let again = run_resilient(&topo, 1, FaultPreset::DyingNic, seed, None, None).unwrap();
     assert_eq!(r.log_text(), again.log_text());
     assert_eq!(r.log_text().as_bytes(), again.log_text().as_bytes());
 }
@@ -118,11 +118,11 @@ fn preemption_re_shard_is_deterministic_and_converges_to_a_fresh_plan() {
     let topo = presets::hybrid_two_cluster(2);
     let seed = 7;
     let ps = DpSyncStrategy::ParameterServer { servers: 2 };
-    let r = run_resilient_with_strategy(&topo, 1, FaultPreset::PreemptStorm, seed, ps)
+    let r = run_resilient(&topo, 1, FaultPreset::PreemptStorm, seed, Some(ps), None)
         .expect("the PS strategy tolerates member loss");
 
     // Deterministic re-shard: the full event log replays byte-for-byte.
-    let again = run_resilient_with_strategy(&topo, 1, FaultPreset::PreemptStorm, seed, ps).unwrap();
+    let again = run_resilient(&topo, 1, FaultPreset::PreemptStorm, seed, Some(ps), None).unwrap();
     assert_eq!(r.log_text().as_bytes(), again.log_text().as_bytes());
 
     // The storm triggered the migration-aware re-plan and it is sound:
