@@ -28,8 +28,7 @@ use std::time::Instant;
 use holmes::calibration::device_speed;
 use holmes::engine::{simulate_iteration, DpSyncStrategy};
 use holmes::{
-    autotune_with_mode, plan_for, run_resilient, AutotuneRequest, EvalMode, FaultPreset,
-    HolmesConfig, PlanRequest,
+    autotune, plan_for, run_resilient, AutotuneRequest, FaultPreset, HolmesConfig, PlanRequest,
 };
 use holmes_parallel::{ParallelPlan, PartitionStrategy, SelfAdaptingPartition};
 use holmes_topology::{presets, Topology};
@@ -147,9 +146,9 @@ struct AutotuneVariant {
 fn autotune_variant() -> AutotuneVariant {
     let topo = presets::gen_split_2c();
     let req = AutotuneRequest::new(PlanRequest::parameter_group(1).job);
-    // Serial finalists: the ranking is deterministic either way, but the
-    // serial reference path keeps the snapshot independent of thread count.
-    let ranked = autotune_with_mode(&topo, &req, &HolmesConfig::full(), EvalMode::Serial);
+    // The ranking does not depend on the thread count, so the snapshot
+    // is the same at any `RAYON_NUM_THREADS`.
+    let ranked = autotune(&topo, &req, &HolmesConfig::full());
     let best = ranked.first().expect("autotune found a candidate");
     AutotuneVariant {
         preset: "gen_split_2c",

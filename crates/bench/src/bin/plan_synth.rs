@@ -32,7 +32,7 @@ use holmes::topology::{presets, Topology};
 use holmes::{verify_preset_progress, FaultPreset};
 use holmes_analysis::EventSpace;
 use holmes_parallel::{
-    search_cluster_orders, synthesize_placement, EvalMode, GroupLayout, ParallelDegrees, SynthStats,
+    search_cluster_orders, synthesize_placement, GroupLayout, ParallelDegrees, SynthStats,
 };
 
 /// Where the JSON snapshot lands: the workspace root, independent of the
@@ -98,7 +98,7 @@ fn oracle_sweep(repeats: u32) -> f64 {
             ParallelDegrees::infer_data(1, *p, topo.device_count())
                 .expect("degrees divide the preset"),
         );
-        let oracle = search_cluster_orders(topo, &layout, GRADIENT_BYTES, EvalMode::Serial);
+        let oracle = search_cluster_orders(topo, &layout, GRADIENT_BYTES);
         for _ in 0..repeats {
             let start = Instant::now();
             let (guided, _) = synthesize_placement(topo, &layout, GRADIENT_BYTES);

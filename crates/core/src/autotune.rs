@@ -13,7 +13,7 @@
 
 use holmes_engine::{simulate_iteration, DpSyncStrategy, EngineConfig, TrainingMetrics};
 use holmes_model::{MemoryEstimate, TrainJob};
-use holmes_parallel::{EvalMode, ParallelPlan};
+use holmes_parallel::ParallelPlan;
 use holmes_topology::Topology;
 use rayon::prelude::*;
 
@@ -93,19 +93,9 @@ impl Candidate {
 /// Search for the fastest feasible plan of a job on a topology under a
 /// Holmes configuration. Returns all evaluated candidates, best first.
 ///
-/// Finalists are simulated in parallel; use [`autotune_with_mode`] to
-/// force the serial reference path.
+/// Finalists are simulated in parallel; the ranking does not depend on
+/// the thread count (`RAYON_NUM_THREADS=1` simulates them one by one).
 pub fn autotune(topo: &Topology, req: &AutotuneRequest, cfg: &HolmesConfig) -> Vec<Candidate> {
-    autotune_with_mode(topo, req, cfg, EvalMode::Parallel)
-}
-
-/// [`autotune`] with an explicit finalist evaluation mode.
-pub fn autotune_with_mode(
-    topo: &Topology,
-    req: &AutotuneRequest,
-    cfg: &HolmesConfig,
-    mode: EvalMode,
-) -> Vec<Candidate> {
     let n = topo.device_count();
     let g = topo.gpus_per_node();
     let mut candidates = Vec::new();
@@ -176,8 +166,8 @@ pub fn autotune_with_mode(
 
     // Simulate the top_k feasible estimates. Each finalist simulation is
     // independent (private `NetSim` per call), so they fan out across
-    // threads; results merge back in candidate order, keeping the final
-    // ranking identical to the serial path.
+    // threads; results merge back in candidate order, so the final ranking
+    // does not depend on the thread count.
     candidates.sort_by(|a, b| a.score().partial_cmp(&b.score()).expect("finite scores"));
     let k = req.top_k.min(candidates.len());
     let job = req.job;
@@ -187,10 +177,8 @@ pub fn autotune_with_mode(
             .ok()
             .map(|(_, metrics)| metrics)
     };
-    let finalist_metrics: Vec<Option<TrainingMetrics>> = match mode {
-        EvalMode::Parallel => candidates[..k].par_iter().map(simulate).collect(),
-        EvalMode::Serial => candidates[..k].iter().map(simulate).collect(),
-    };
+    let finalist_metrics: Vec<Option<TrainingMetrics>> =
+        candidates[..k].par_iter().map(simulate).collect();
     for (candidate, metrics) in candidates.iter_mut().zip(finalist_metrics) {
         candidate.simulated = metrics;
     }
@@ -303,27 +291,6 @@ mod tests {
         );
         // And the paper's own configuration must be in the search space.
         assert!(ranked.iter().any(|c| (c.tensor, c.pipeline) == (1, 2)));
-    }
-
-    #[test]
-    fn parallel_and_serial_rankings_are_identical() {
-        let topo = presets::hybrid_split(4, 4);
-        let req = AutotuneRequest::new(ParameterGroup::table2(3).job());
-        let cfg = HolmesConfig::full();
-        let par = autotune_with_mode(&topo, &req, &cfg, EvalMode::Parallel);
-        let ser = autotune_with_mode(&topo, &req, &cfg, EvalMode::Serial);
-        assert_eq!(par.len(), ser.len());
-        for (p, s) in par.iter().zip(&ser) {
-            assert_eq!(
-                (p.tensor, p.pipeline, p.data),
-                (s.tensor, s.pipeline, s.data)
-            );
-            assert_eq!(p.estimated_seconds.to_bits(), s.estimated_seconds.to_bits());
-            assert_eq!(
-                p.simulated.map(|m| m.iteration_seconds.to_bits()),
-                s.simulated.map(|m| m.iteration_seconds.to_bits()),
-            );
-        }
     }
 
     #[test]

@@ -88,16 +88,21 @@ fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
                 }
             }
             "--iterations" => {
-                args.iterations = Some(
-                    value("--iterations")?
-                        .parse()
-                        .map_err(|e| format!("--iterations: {e}"))?,
-                )
+                let iterations = value("--iterations")?
+                    .parse()
+                    .map_err(|e| format!("--iterations: {e}"))?;
+                if iterations == 0 {
+                    return Err("--iterations must be positive".to_owned());
+                }
+                args.iterations = Some(iterations);
             }
             "--alpha" => {
                 args.alpha = value("--alpha")?
                     .parse()
-                    .map_err(|e| format!("--alpha: {e}"))?
+                    .map_err(|e| format!("--alpha: {e}"))?;
+                if !(args.alpha.is_finite() && args.alpha > 0.0) {
+                    return Err("--alpha must be finite and positive".to_owned());
+                }
             }
             "--trace" => args.trace = Some(value("--trace")?),
             "--json" => args.json = true,
@@ -281,6 +286,13 @@ mod tests {
         assert!(parse(&["--framework", "pytorch"]).is_err());
         assert!(parse(&["--nodes", "abc"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--iterations", "0"]).is_err());
+        assert!(parse(&["--iterations", "-1"]).is_err());
+        for alpha in ["nan", "NaN", "0", "-0", "-1", "inf", "-inf"] {
+            assert!(parse(&["--alpha", alpha]).is_err(), "--alpha {alpha}");
+        }
+        assert_eq!(parse(&["--iterations", "1"]).unwrap().iterations, Some(1));
+        assert_eq!(parse(&["--alpha", "0.5"]).unwrap().alpha, 0.5);
     }
 
     #[test]

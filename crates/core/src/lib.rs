@@ -50,11 +50,10 @@ pub mod resilience;
 mod runner;
 pub mod training;
 
-pub use autotune::{autotune, autotune_with_mode, record_autotune, AutotuneRequest, Candidate};
+pub use autotune::{autotune, record_autotune, AutotuneRequest, Candidate};
 pub use config::HolmesConfig;
 pub use estimate::{estimate_iteration, IterationEstimate};
 pub use framework::FrameworkKind;
-pub use holmes_parallel::EvalMode;
 pub use planner::{
     placement_gradient_bytes, placement_layer_flops, placement_stage_flops, plan_for, PlanError,
     PlanRequest,

@@ -367,7 +367,7 @@ mod tests {
             let cfg = HolmesConfig::full();
             let (guided, _) =
                 plan_for(&topo, &req, &cfg, DpSyncStrategy::DistributedOptimizer).unwrap();
-            let strategies: [&dyn Planner; 2] = [&HeuristicPlanner, &ExhaustivePlanner::default()];
+            let strategies: [&dyn Planner; 2] = [&HeuristicPlanner, &ExhaustivePlanner];
             for planner in strategies {
                 let (plan, _) = plan_for_with(
                     &topo,

@@ -65,7 +65,7 @@ pub use plan::ParallelPlan;
 pub use scheduler::{
     DeviceAssignment, HolmesScheduler, InterleavedScheduler, Scheduler, SequentialScheduler,
 };
-pub use search::{assignment_for_order, search_cluster_orders, EvalMode, PlacementSearchResult};
+pub use search::{assignment_for_order, search_cluster_orders, PlacementSearchResult};
 pub use skew::PlacementWorkload;
 pub use straggler::{StageProfile, StragglerAwarePartition};
 pub use synth::{

@@ -6,10 +6,10 @@
 //! the trace's synthetic planning clock
 //! ([`holmes_obs::TraceSink::planning_event`]) — one deterministic tick
 //! per event, in emission order. Recording is strictly *post-hoc* over
-//! finished result structures: candidate evaluation may fan out across
-//! threads (`EvalMode::Parallel`), and threading a sink through that
-//! fan-out would make event order racy. Recording the ranked results
-//! afterwards keeps parallel and serial evaluation byte-identical.
+//! finished result structures: candidate evaluation fans out across
+//! threads, and threading a sink through that fan-out would make event
+//! order racy. Recording the ranked results afterwards keeps the trace
+//! byte-identical at any thread count.
 
 use holmes_obs::{Layer, ObsSession};
 

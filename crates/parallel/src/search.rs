@@ -6,8 +6,7 @@
 //! ([`NicSelectionReport::dp_sync_cost_seconds`]) under one
 //! [`PlacementWorkload`]: gradient sync plus compute-straggler skew, with
 //! a bare `u64` gradient volume standing for the zero-FLOPs workload. One
-//! entry, [`search_cluster_orders`], serves both pricing axes and both
-//! evaluation modes. It provides
+//! entry, [`search_cluster_orders`], serves both pricing axes. It provides
 //!
 //! * the **reference oracle** for the guided branch-and-bound planner in
 //!   [`crate::GuidedPlanner`] (the equivalence tests assert the guided search
@@ -21,11 +20,13 @@
 //! position — so among equal-cost orders the heuristic's fastest-first
 //! order wins, and every search strategy agrees on one winner.
 //!
-//! Permutations are *streamed*: the serial path mutates one scratch buffer
-//! (Heap's algorithm, one swap per step), the parallel path scores
-//! fixed-size chunks — exhaustive search stays memory-bounded even when
-//! `M!` is astronomically large (though at that scale you want
-//! [`crate::GuidedPlanner`] instead).
+//! Permutations are *streamed*: one scratch buffer (Heap's algorithm, one
+//! swap per step) fills fixed-size chunks that are scored with `par_iter`
+//! and folded in candidate order, so exhaustive search stays
+//! memory-bounded even when `M!` is astronomically large (though at that
+//! scale you want [`crate::GuidedPlanner`] instead). The winner never
+//! depends on the thread count: `RAYON_NUM_THREADS=1` scores each chunk
+//! serially in place and gives the same bits.
 
 use holmes_topology::{ClusterId, Topology};
 use rayon::prelude::*;
@@ -35,21 +36,6 @@ use crate::nic_selection::NicSelectionReport;
 use crate::scheduler::DeviceAssignment;
 use crate::skew::PlacementWorkload;
 use crate::synth::speed_rank_of;
-
-/// How a candidate-evaluation fan-out is executed.
-///
-/// Used by [`search_cluster_orders`] here and by the autotuner
-/// in the `holmes` crate. Parallel evaluation merges results in stable
-/// candidate order, so both modes produce identical rankings; `Serial` is
-/// the reference path the determinism tests compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Fan independent evaluations out across threads (default).
-    #[default]
-    Parallel,
-    /// Evaluate candidates one by one.
-    Serial,
-}
 
 /// Result of a placement search (exhaustive or guided).
 #[derive(Debug, Clone)]
@@ -138,20 +124,12 @@ impl Permutations {
         }
         None
     }
-
-    /// Visit every permutation with a callback (the zero-copy serial path).
-    pub(crate) fn for_each(n: usize, mut visit: impl FnMut(&[usize])) {
-        let mut perms = Permutations::new(n);
-        while let Some(p) = perms.next_perm() {
-            visit(p);
-        }
-    }
 }
 
 /// Tracks the canonical winner across streamed candidates: minimal
 /// `(cost, speed-rank-relabeled order)` under exact `f64` comparison and
-/// lexicographic tie-break. Folding is order-independent, so chunked
-/// parallel scoring and the serial scan agree bit-for-bit.
+/// lexicographic tie-break. Folding is order-independent, so the winner
+/// does not depend on how candidates are chunked or scheduled.
 struct CanonicalBest {
     rank_of: Vec<u16>,
     order: Vec<ClusterId>,
@@ -197,13 +175,11 @@ impl CanonicalBest {
 /// Search every cluster ordering, scoring each against `workload` (a bare
 /// `u64` gradient volume is the zero-FLOPs workload). Returns the canonical
 /// winner (minimal cost, ties toward the fastest-first relabeled
-/// lexicographic minimum); `mode` picks parallel or serial scoring, which
-/// agree on the winner, cost bits and evaluation count.
+/// lexicographic minimum).
 pub fn search_cluster_orders(
     topo: &Topology,
     layout: &GroupLayout,
     workload: impl Into<PlacementWorkload>,
-    mode: EvalMode,
 ) -> PlacementSearchResult {
     /// Orders scored per parallel batch — bounds live memory at
     /// `CHUNK · M · size_of::<ClusterId>()` instead of `M!`.
@@ -214,50 +190,31 @@ pub fn search_cluster_orders(
     let mut best = CanonicalBest::new(speed_rank_of(topo));
     let mut evaluated: u64 = 0;
 
-    match mode {
-        EvalMode::Serial => {
-            // Zero-copy path: score straight off the generator's scratch
-            // buffer; only a new winner is copied out.
-            let mut order: Vec<ClusterId> = Vec::with_capacity(m);
-            Permutations::for_each(m, |perm| {
-                order.clear();
-                order.extend(perm.iter().map(|&i| ClusterId(i as u32)));
-                let cost = cost_of_order(topo, layout, &order, workload);
-                evaluated += 1;
-                best.offer(&order, cost);
-            });
-        }
-        EvalMode::Parallel => {
-            let mut perms = Permutations::new(m);
-            let mut chunk: Vec<Vec<ClusterId>> = Vec::with_capacity(CHUNK);
-            loop {
-                chunk.clear();
-                while chunk.len() < CHUNK {
-                    match perms.next_perm() {
-                        Some(perm) => {
-                            chunk.push(perm.iter().map(|&i| ClusterId(i as u32)).collect())
-                        }
-                        None => break,
-                    }
-                }
-                if chunk.is_empty() {
-                    break;
-                }
-                let costs: Vec<f64> = chunk
-                    .par_iter()
-                    .map(|order| cost_of_order(topo, layout, order, workload))
-                    .collect();
-                for (order, cost) in chunk.iter().zip(costs) {
-                    evaluated += 1;
-                    best.offer(order, cost);
-                }
-                if chunk.len() < CHUNK {
-                    break;
-                }
+    let mut perms = Permutations::new(m);
+    let mut chunk: Vec<Vec<ClusterId>> = Vec::with_capacity(CHUNK);
+    loop {
+        chunk.clear();
+        while chunk.len() < CHUNK {
+            match perms.next_perm() {
+                Some(perm) => chunk.push(perm.iter().map(|&i| ClusterId(i as u32)).collect()),
+                None => break,
             }
         }
+        if chunk.is_empty() {
+            break;
+        }
+        let costs: Vec<f64> = chunk
+            .par_iter()
+            .map(|order| cost_of_order(topo, layout, order, workload))
+            .collect();
+        for (order, cost) in chunk.iter().zip(costs) {
+            evaluated += 1;
+            best.offer(order, cost);
+        }
+        if chunk.len() < CHUNK {
+            break;
+        }
     }
-
     let assignment = assignment_for_order(topo, &best.order);
     PlacementSearchResult {
         cluster_order: best.order,
@@ -281,8 +238,11 @@ mod tests {
     }
 
     fn collect_perms(n: usize) -> Vec<Vec<usize>> {
+        let mut perms = Permutations::new(n);
         let mut all = Vec::new();
-        Permutations::for_each(n, |p| all.push(p.to_vec()));
+        while let Some(p) = perms.next_perm() {
+            all.push(p.to_vec());
+        }
         all
     }
 
@@ -311,23 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_search_pick_the_same_winner() {
-        for (topo, p) in [
-            (presets::hybrid_two_cluster(2), 2u32),
-            (presets::table4_2r_2r_2ib(), 3),
-            (presets::table4_2r_2ib_2ib(), 3),
-            (presets::table4_4r_4ib_4ib(), 3),
-        ] {
-            let layout = layout_for(&topo, 1, p);
-            let par = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
-            let ser = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Serial);
-            assert_eq!(par.cluster_order, ser.cluster_order);
-            assert_eq!(par.cost_seconds.to_bits(), ser.cost_seconds.to_bits());
-            assert_eq!(par.evaluated, ser.evaluated);
-        }
-    }
-
-    #[test]
     fn heuristic_matches_exhaustive_on_paper_topologies() {
         for (topo, p) in [
             (presets::hybrid_two_cluster(2), 2u32),
@@ -336,7 +279,7 @@ mod tests {
             (presets::table4_4r_4ib_4ib(), 3),
         ] {
             let layout = layout_for(&topo, 1, p);
-            let exhaustive = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
+            let exhaustive = search_cluster_orders(&topo, &layout, GRAD);
             let heuristic = HolmesScheduler.assign(&topo, &layout);
             let heuristic_cost = NicSelectionReport::analyze(&topo, &layout, &heuristic)
                 .dp_sync_cost_seconds(&topo, GRAD);
@@ -355,7 +298,7 @@ mod tests {
         // be the heuristic's fastest-first order, not the identity.
         let topo = presets::table4_2r_2ib_2ib(); // RoCE, IB, IB
         let layout = layout_for(&topo, 1, 3);
-        let result = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
+        let result = search_cluster_orders(&topo, &layout, GRAD);
         assert_eq!(result.cluster_order, HolmesScheduler::cluster_order(&topo));
         assert_eq!(
             result.cluster_order,
@@ -369,7 +312,7 @@ mod tests {
         // search finds an order that minimizes the damage.
         let topo = presets::table4_2r_2ib_2ib(); // RoCE, IB, IB
         let layout = layout_for(&topo, 1, 2);
-        let result = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
+        let result = search_cluster_orders(&topo, &layout, GRAD);
         assert_eq!(result.evaluated, 6);
         // With p=2 over 3 clusters, each DP group (d=24) inevitably spans
         // a cluster boundary — no order can fully restore RDMA — but the
@@ -384,7 +327,7 @@ mod tests {
     fn single_cluster_search_is_trivial() {
         let topo = presets::homogeneous(holmes_topology::NicType::InfiniBand, 4);
         let layout = layout_for(&topo, 1, 2);
-        let result = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
+        let result = search_cluster_orders(&topo, &layout, GRAD);
         assert_eq!(result.evaluated, 1);
         assert_eq!(result.cluster_order, vec![ClusterId(0)]);
     }

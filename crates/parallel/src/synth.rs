@@ -58,7 +58,7 @@ use crate::groups::GroupLayout;
 use crate::nic_selection::DpGroupNic;
 use crate::scheduler::HolmesScheduler;
 use crate::search::{
-    assignment_for_order, cost_of_order, search_cluster_orders, EvalMode, PlacementSearchResult,
+    assignment_for_order, cost_of_order, search_cluster_orders, PlacementSearchResult,
 };
 use crate::skew::PlacementWorkload;
 
@@ -532,10 +532,7 @@ impl Planner for HeuristicPlanner {
 /// all `M!` orders against the planning workload via
 /// [`crate::search_cluster_orders`]; only usable at small `M`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ExhaustivePlanner {
-    /// Candidate evaluation mode (parallel by default).
-    pub mode: EvalMode,
-}
+pub struct ExhaustivePlanner;
 
 impl Planner for ExhaustivePlanner {
     fn plan_workload(
@@ -544,7 +541,7 @@ impl Planner for ExhaustivePlanner {
         layout: &GroupLayout,
         workload: PlacementWorkload,
     ) -> PlacementSearchResult {
-        search_cluster_orders(topo, layout, workload, self.mode)
+        search_cluster_orders(topo, layout, workload)
     }
 
     fn name(&self) -> &'static str {
@@ -602,7 +599,7 @@ mod tests {
 
     fn assert_matches_exhaustive(topo: &Topology, t: u32, p: u32) {
         let layout = layout_for(topo, t, p);
-        let exhaustive = search_cluster_orders(topo, &layout, GRAD, EvalMode::Serial);
+        let exhaustive = search_cluster_orders(topo, &layout, GRAD);
         let (guided, _) = synthesize_placement(topo, &layout, GRAD);
         assert_eq!(
             guided.cluster_order, exhaustive.cluster_order,
@@ -681,11 +678,7 @@ mod tests {
     fn planner_strategies_agree_on_small_topologies() {
         let topo = presets::table4_2r_2r_2ib();
         let layout = layout_for(&topo, 1, 3);
-        let strategies: [&dyn Planner; 3] = [
-            &HeuristicPlanner,
-            &ExhaustivePlanner::default(),
-            &GuidedPlanner,
-        ];
+        let strategies: [&dyn Planner; 3] = [&HeuristicPlanner, &ExhaustivePlanner, &GuidedPlanner];
         let results: Vec<PlacementSearchResult> = strategies
             .iter()
             .map(|s| s.plan_workload(&topo, &layout, GRAD.into()))
@@ -726,7 +719,7 @@ mod tests {
         ] {
             for p in ps {
                 let layout = layout_for(&topo, 1, p);
-                let exhaustive = search_cluster_orders(&topo, &layout, workload, EvalMode::Serial);
+                let exhaustive = search_cluster_orders(&topo, &layout, workload);
                 let (guided, _) = synthesize_placement(&topo, &layout, workload);
                 assert_eq!(guided.cluster_order, exhaustive.cluster_order, "p={p}");
                 assert_eq!(
@@ -796,7 +789,7 @@ mod tests {
         assert_eq!(result.cluster_order, HolmesScheduler::cluster_order(&topo));
         assert_eq!(stats.expanded, 0, "{stats:?}");
         // And the exhaustive oracle agrees on the winner.
-        let exhaustive = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Serial);
+        let exhaustive = search_cluster_orders(&topo, &layout, GRAD);
         assert_eq!(result.cluster_order, exhaustive.cluster_order);
         assert_eq!(
             result.cost_seconds.to_bits(),

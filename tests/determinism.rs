@@ -1,67 +1,149 @@
-//! Cross-crate determinism contracts for the parallel evaluation paths.
+//! Cross-crate determinism contracts.
 //!
-//! The autotuner and the placement search fan independent simulations out
-//! across threads; these tests pin the contract that the parallel mode is
-//! *observationally identical* to the serial reference — same winners,
+//! The autotuner and the placement search fan independent evaluations out
+//! across threads with `par_iter`; there is no separate serial mode.
+//! Serial means `RAYON_NUM_THREADS=1`, at which the vendored rayon maps in
+//! place on the calling thread. The shim reads that variable on every
+//! call, so only a fresh process can pin the thread count: the autotune
+//! and placement-search tests below each re-run this test binary at one
+//! and at four threads and require byte-equal reports — same winners,
 //! same rankings, bit-identical scores — on the paper's own topologies.
 //! A netsim check on top pins that the slab-backed active set preserves
 //! the exact event timeline of the original ordered-map implementation.
 
-use holmes::autotune::{autotune_with_mode, AutotuneRequest};
+use std::fmt::Write as _;
+use std::process::Command;
+
+use holmes::autotune::{autotune, AutotuneRequest};
 use holmes::model::ParameterGroup;
 use holmes::topology::presets;
-use holmes::{EvalMode, HolmesConfig};
+use holmes::HolmesConfig;
 use holmes_netsim::{FlowSpec, LinkCapacity, NetSim, SimDuration};
 use holmes_parallel::{search_cluster_orders, GroupLayout, ParallelDegrees};
 
-#[test]
-fn autotune_parallel_ranking_matches_serial_on_paper_topologies() {
+/// Set in the child process: print the report instead of spawning.
+const CHILD_ENV: &str = "HOLMES_DETERMINISM_CHILD";
+const REPORT_BEGIN: &str = "--- thread-count report ---";
+const REPORT_END: &str = "--- end of report ---";
+
+/// Autotune rankings on three paper topologies, with every score as raw
+/// bits.
+fn autotune_report() -> String {
+    let mut out = String::new();
     let cfg = HolmesConfig::full();
-    for (topo, group) in [
-        (presets::hybrid_split(4, 4), 3),
-        (presets::hybrid_two_cluster(2), 1),
-        (presets::table4_2r_2ib_2ib(), 5),
+    for (name, topo, group) in [
+        ("hybrid_split(4,4)", presets::hybrid_split(4, 4), 3),
+        ("hybrid_two_cluster(2)", presets::hybrid_two_cluster(2), 1),
+        ("table4_2r_2ib_2ib", presets::table4_2r_2ib_2ib(), 5),
     ] {
         let req = AutotuneRequest::new(ParameterGroup::table2(group).job());
-        let par = autotune_with_mode(&topo, &req, &cfg, EvalMode::Parallel);
-        let ser = autotune_with_mode(&topo, &req, &cfg, EvalMode::Serial);
-        assert_eq!(par.len(), ser.len(), "group {group}");
-        for (p, s) in par.iter().zip(&ser) {
-            assert_eq!(
-                (p.tensor, p.pipeline, p.data),
-                (s.tensor, s.pipeline, s.data),
-                "group {group}: ranking order diverged"
-            );
-            assert_eq!(
-                p.estimated_seconds.to_bits(),
-                s.estimated_seconds.to_bits(),
-                "group {group}: estimates must be bit-identical"
-            );
-            assert_eq!(
-                p.simulated.map(|m| m.iteration_seconds.to_bits()),
-                s.simulated.map(|m| m.iteration_seconds.to_bits()),
-                "group {group}: simulated metrics must be bit-identical"
-            );
+        for c in autotune(&topo, &req, &cfg) {
+            let sim = c.simulated.map_or("-".to_string(), |m| {
+                format!("{:#x}", m.iteration_seconds.to_bits())
+            });
+            writeln!(
+                out,
+                "autotune {name} PG{group}: t={} p={} d={} est={:#x} sim={sim}",
+                c.tensor,
+                c.pipeline,
+                c.data,
+                c.estimated_seconds.to_bits(),
+            )
+            .unwrap();
         }
+    }
+    out
+}
+
+/// Exhaustive-search winners on the table-4 presets, with every cost as
+/// raw bits.
+fn search_report() -> String {
+    let mut out = String::new();
+    const GRAD: u64 = 1 << 32;
+    for (name, topo, p) in [
+        (
+            "hybrid_two_cluster(2)",
+            presets::hybrid_two_cluster(2),
+            2u32,
+        ),
+        ("table4_2r_2r_2ib", presets::table4_2r_2r_2ib(), 3),
+        ("table4_2r_2ib_2ib", presets::table4_2r_2ib_2ib(), 3),
+        ("table4_4r_4ib_4ib", presets::table4_4r_4ib_4ib(), 3),
+        // Misaligned: p = 2 over three clusters, so the orders' costs differ.
+        ("table4_2r_2ib_2ib", presets::table4_2r_2ib_2ib(), 2),
+    ] {
+        let layout =
+            GroupLayout::new(ParallelDegrees::infer_data(1, p, topo.device_count()).unwrap());
+        let r = search_cluster_orders(&topo, &layout, GRAD);
+        writeln!(
+            out,
+            "search {name} p={p}: order={:?} cost={:#x} evaluated={}",
+            r.cluster_order,
+            r.cost_seconds.to_bits(),
+            r.evaluated,
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// Run test `name` alone in a child process at `threads` rayon workers
+/// and return the report it prints.
+fn report_at(name: &str, threads: &str) -> String {
+    let out = Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--exact", name, "--nocapture", "--test-threads", "1"])
+        .env(CHILD_ENV, "1")
+        .env("RAYON_NUM_THREADS", threads)
+        .output()
+        .expect("re-run the test binary");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+    assert!(
+        out.status.success(),
+        "child at RAYON_NUM_THREADS={threads} failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let begin = stdout.find(REPORT_BEGIN).expect("report start") + REPORT_BEGIN.len();
+    let end = stdout.find(REPORT_END).expect("report end");
+    stdout[begin..end].to_string()
+}
+
+/// In the child, print `report()`; in the parent, re-run test `name` at
+/// one and at four threads and require byte-equal reports. Returns the
+/// one-thread report in the parent, `None` in the child.
+fn same_report_at_one_and_four_threads(name: &str, report: fn() -> String) -> Option<String> {
+    if std::env::var_os(CHILD_ENV).is_some() {
+        print!("\n{REPORT_BEGIN}\n{}{REPORT_END}\n", report());
+        return None;
+    }
+    let serial = report_at(name, "1");
+    let parallel = report_at(name, "4");
+    assert_eq!(
+        serial, parallel,
+        "RAYON_NUM_THREADS=1 and =4 must give byte-equal reports"
+    );
+    Some(serial)
+}
+
+#[test]
+fn autotune_parallel_ranking_matches_serial_on_paper_topologies() {
+    if let Some(serial) = same_report_at_one_and_four_threads(
+        "autotune_parallel_ranking_matches_serial_on_paper_topologies",
+        autotune_report,
+    ) {
+        assert!(
+            serial.contains("\nautotune table4_2r_2ib_2ib PG5: "),
+            "report:\n{serial}"
+        );
     }
 }
 
 #[test]
 fn placement_search_parallel_winner_matches_serial_on_paper_topologies() {
-    const GRAD: u64 = 1 << 32;
-    for (topo, p) in [
-        (presets::hybrid_two_cluster(2), 2u32),
-        (presets::table4_2r_2r_2ib(), 3),
-        (presets::table4_2r_2ib_2ib(), 3),
-        (presets::table4_4r_4ib_4ib(), 3),
-    ] {
-        let layout =
-            GroupLayout::new(ParallelDegrees::infer_data(1, p, topo.device_count()).unwrap());
-        let par = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Parallel);
-        let ser = search_cluster_orders(&topo, &layout, GRAD, EvalMode::Serial);
-        assert_eq!(par.cluster_order, ser.cluster_order);
-        assert_eq!(par.cost_seconds.to_bits(), ser.cost_seconds.to_bits());
-        assert_eq!(par.evaluated, ser.evaluated);
+    if let Some(serial) = same_report_at_one_and_four_threads(
+        "placement_search_parallel_winner_matches_serial_on_paper_topologies",
+        search_report,
+    ) {
+        assert_eq!(serial.matches("\nsearch ").count(), 5, "report:\n{serial}");
     }
 }
 

@@ -330,12 +330,12 @@ proptest! {
         mb in 1u64..64,
     ) {
         use holmes_repro::analysis::verify_plan;
-        use holmes_repro::parallel::{search_cluster_orders, EvalMode};
+        use holmes_repro::parallel::search_cluster_orders;
         let topo = presets::hybrid_two_cluster(nodes);
         let n = topo.device_count();
         prop_assume!(n.is_multiple_of(t * 2));
         let layout = GroupLayout::new(ParallelDegrees::infer_data(t, 2, n).unwrap());
-        let result = search_cluster_orders(&topo, &layout, mb << 20, EvalMode::Parallel);
+        let result = search_cluster_orders(&topo, &layout, mb << 20);
         let total_layers = 24u32;
         let speeds = vec![2.0, 1.0];
         let stage_layers =
@@ -361,7 +361,7 @@ proptest! {
         p in 1u32..=4,
         mb in 1u64..64,
     ) {
-        use holmes_repro::parallel::{search_cluster_orders, synthesize_placement, EvalMode};
+        use holmes_repro::parallel::{search_cluster_orders, synthesize_placement};
         let mut builder = TopologyBuilder::new();
         for (i, (nodes, nic)) in spec.iter().enumerate() {
             builder = builder.cluster(format!("c{i}"), *nodes, *nic);
@@ -371,7 +371,7 @@ proptest! {
         prop_assume!(n.is_multiple_of(t * p));
         let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
         let gradient_bytes = mb << 20;
-        let exhaustive = search_cluster_orders(&topo, &layout, gradient_bytes, EvalMode::Serial);
+        let exhaustive = search_cluster_orders(&topo, &layout, gradient_bytes);
         let (guided, stats) = synthesize_placement(&topo, &layout, gradient_bytes);
         prop_assert_eq!(&guided.cluster_order, &exhaustive.cluster_order);
         prop_assert_eq!(
@@ -498,7 +498,7 @@ proptest! {
         gflops in 1.0f64..500.0,
     ) {
         use holmes_repro::parallel::{
-            search_cluster_orders, synthesize_placement, EvalMode, PlacementWorkload,
+            search_cluster_orders, synthesize_placement, PlacementWorkload,
         };
         use holmes_repro::topology::GpuProfile;
         let gens = [
@@ -520,7 +520,7 @@ proptest! {
         prop_assume!(n.is_multiple_of(t * p));
         let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
         let workload = PlacementWorkload::new(mb << 20, gflops * 1e9);
-        let exhaustive = search_cluster_orders(&topo, &layout, workload, EvalMode::Serial);
+        let exhaustive = search_cluster_orders(&topo, &layout, workload);
         let (guided, stats) = synthesize_placement(&topo, &layout, workload);
         prop_assert_eq!(&guided.cluster_order, &exhaustive.cluster_order);
         prop_assert_eq!(
@@ -532,6 +532,61 @@ proptest! {
             stats
         );
         prop_assert_eq!(guided.assignment, exhaustive.assignment);
+    }
+
+    /// The exhaustive optimum does not depend on the order in which a
+    /// fleet's clusters are listed: a random 2-4 cluster fleet mixing NIC
+    /// technologies and GPU generations, and the same fleet with its
+    /// clusters rotated and/or reversed, must give bit-equal
+    /// `search_cluster_orders` cost for any `(t, p)`, gradient volume and
+    /// non-negative stage FLOPs. Relabeling clusters only relabels the
+    /// `M!` candidate orders, so the minimum must not move.
+    #[test]
+    fn search_cost_is_invariant_under_cluster_listing_order(
+        spec in prop::collection::vec((1u32..=2, nic_strategy(), 0usize..3), 2..=4),
+        rotate in 0usize..4,
+        reverse in prop::sample::select(vec![false, true]),
+        t in 1u32..=2,
+        p in 1u32..=4,
+        mb in 1u64..64,
+        gflops in prop_oneof![Just(0.0f64), 0.0f64..500.0],
+    ) {
+        use holmes_repro::parallel::{search_cluster_orders, PlacementWorkload};
+        use holmes_repro::topology::{GpuProfile, Topology};
+        let gens = [
+            GpuProfile::v100_32g(),
+            GpuProfile::a100_80g(),
+            GpuProfile::h100_80g(),
+        ];
+        let build = |spec: &[(u32, NicType, usize)]| -> Topology {
+            let mut builder = TopologyBuilder::new();
+            for (i, &(nodes, nic, gen)) in spec.iter().enumerate() {
+                builder = builder.cluster_with_gpu(format!("c{i}"), nodes, nic, gens[gen].clone());
+            }
+            builder.build().unwrap()
+        };
+        let mut relisted = spec.clone();
+        relisted.rotate_left(rotate % spec.len());
+        if reverse {
+            relisted.reverse();
+        }
+        let (topo, other) = (build(&spec), build(&relisted));
+        let n = topo.device_count();
+        prop_assume!(n.is_multiple_of(t * p));
+        let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
+        let workload = PlacementWorkload::new(mb << 20, gflops * 1e9);
+        let a = search_cluster_orders(&topo, &layout, workload);
+        let b = search_cluster_orders(&other, &layout, workload);
+        prop_assert_eq!(
+            a.cost_seconds.to_bits(),
+            b.cost_seconds.to_bits(),
+            "listed {:?}: {}; relisted {:?}: {}",
+            spec,
+            a.cost_seconds,
+            relisted,
+            b.cost_seconds
+        );
+        prop_assert_eq!(a.evaluated, b.evaluated);
     }
 
     /// A DP group's workload cost depends on its member *set*, not on the
