@@ -22,7 +22,7 @@
 
 use std::process::ExitCode;
 
-use holmes::topology::{presets, NicType, Topology};
+use holmes::topology::{presets, NicType, Node, Topology};
 use holmes::{
     run_framework, run_holmes_with, simulate_training_run, FrameworkKind, HolmesConfig, Scenario,
     TrainingRunConfig,
@@ -118,6 +118,9 @@ fn build_topology(env: &str, nodes: u32) -> Result<Topology, String> {
     if nodes == 0 {
         return Err("--nodes must be positive".to_owned());
     }
+    // Bound the fleet before any node is allocated.
+    Topology::check_device_total(u64::from(nodes) * u64::from(Node::STANDARD_GPUS))
+        .map_err(|e| e.to_string())?;
     let half = (nodes / 2).max(1);
     Ok(match env {
         "infiniband" | "ib" => presets::homogeneous(NicType::InfiniBand, nodes),
@@ -291,6 +294,10 @@ mod tests {
         for alpha in ["nan", "NaN", "0", "-0", "-1", "inf", "-inf"] {
             assert!(parse(&["--alpha", alpha]).is_err(), "--alpha {alpha}");
         }
+        // Fleets past `MAX_DEVICES` are refused before any allocation.
+        assert!(build_topology("ib", 536_870_912).is_err());
+        assert!(build_topology("hybrid", 536_870_912).is_err());
+        assert!(holmes::topology::parse_topology_spec("ib:536870912").is_err());
         assert_eq!(parse(&["--iterations", "1"]).unwrap().iterations, Some(1));
         assert_eq!(parse(&["--alpha", "0.5"]).unwrap().alpha, 0.5);
     }

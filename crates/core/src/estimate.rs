@@ -6,11 +6,17 @@
 //! per-stage compute costs) into a microseconds-cheap prediction, and is
 //! cross-validated against the simulator in the test suite (and by the
 //! `estimator accuracy` extension experiment).
+//!
+//! Outside forced TCP, a data-parallel ring is priced exactly as the
+//! planner's NIC selection prices it: over the one uniform link
+//! [`ring_link`] returns. Hierarchical and parameter-server groups are
+//! priced by folding their schedules with per-node contention
+//! ([`holmes_netsim::algo::estimate_collective`]).
 
 use holmes_engine::{ComputeModel, DpSyncStrategy, EngineConfig, TransportPolicy};
 use holmes_model::{embedding_params, layer_params, CommVolumes, TrainJob};
-use holmes_netsim::{Communicator, Fabric, NetSim};
-use holmes_parallel::ParallelPlan;
+use holmes_netsim::collective::{all_gather_seconds, reduce_scatter_seconds, ring_link};
+use holmes_parallel::{DpGroupNic, ParallelPlan};
 use holmes_topology::Topology;
 
 /// Decomposed iteration-time estimate.
@@ -78,6 +84,7 @@ pub fn estimate_iteration(
     // Stage-boundary p2p: each boundary node forwards `G` pipeline groups'
     // activations per micro-batch in each direction; compare against the
     // compute available to hide it.
+    let forced_tcp = cfg.transport == TransportPolicy::ForceTcpInterNode;
     let p2p_seconds = if p > 1 {
         let act =
             CommVolumes::p2p_activation_bytes(&job.config, job.micro_batch, t, plan.scatter_gather);
@@ -85,7 +92,6 @@ pub fn estimate_iteration(
         let from = plan.stage_devices(0)[0];
         let to = plan.stage_devices(1)[0];
         let link = topo.link_between(from, to).ok()?;
-        let forced_tcp = cfg.transport == TransportPolicy::ForceTcpInterNode;
         let bw = if forced_tcp && !link.kind.is_intra_node() {
             // Approximate the forced-TCP path with the inter-cluster profile.
             topo.inter_cluster_profile().effective_bytes_per_sec()
@@ -111,46 +117,33 @@ pub fn estimate_iteration(
 
     // Data-parallel sync: ring cost on each stage's DP group; overlap hides
     // up to one backward of compute per the overlapped strategy.
-    let mut sim = NetSim::new();
-    let fabric = Fabric::build(topo, &mut sim);
     let mut dp_sync_seconds = 0.0f64;
     let mut optimizer_seconds = 0.0f64;
     for g in 0..plan.layout.dp_group_count() {
         let stage = g / t;
         let devices = plan.dp_group_devices(g);
+        let n = devices.len() as u32;
         let grad_bytes = CommVolumes::dp_gradient_bytes(stage_params[stage as usize], t);
         let param_bytes = stage_params[stage as usize] / u64::from(t) * 2;
         let (model, cost) = &models[stage as usize];
-        let comm = if cfg.transport == TransportPolicy::ForceTcpInterNode && devices.len() > 1 {
-            // Approximate: the forced-TCP ring bottoms out at the slowest
-            // node's Ethernet effective rate.
-            None
+        let (bw, lat) = if forced_tcp && n > 1 {
+            // Approximate: the forced-TCP ring bottoms out at the
+            // inter-cluster Ethernet effective rate.
+            let eth = topo.inter_cluster_profile();
+            (
+                eth.effective_bytes_per_sec(),
+                eth.latency_ns() as f64 * 1e-9,
+            )
         } else {
-            Some(Communicator::new(topo, &fabric, devices.clone()))
+            ring_link(topo, &devices, false).ok()?
         };
-        let (rs, ag) = match &comm {
-            Some(c) => (
-                c.reduce_scatter_seconds(grad_bytes),
-                c.all_gather_seconds(param_bytes),
-            ),
-            None => {
-                let eth = topo.inter_cluster_profile();
-                let n = devices.len() as u32;
-                let bw = eth.effective_bytes_per_sec();
-                let lat = eth.latency_ns() as f64 * 1e-9;
-                (
-                    holmes_netsim::collective::reduce_scatter_seconds(n, grad_bytes, bw, lat),
-                    holmes_netsim::collective::all_gather_seconds(n, param_bytes, bw, lat),
-                )
-            }
-        };
-        let spans_clusters = devices.split_first().is_some_and(|(&first, rest)| {
-            let cluster = |r| topo.coord(r).map(|c| c.cluster).ok();
-            rest.iter().any(|&r| cluster(r) != cluster(first))
-        });
+        let rs = reduce_scatter_seconds(n, grad_bytes, bw, lat);
+        let ag = all_gather_seconds(n, param_bytes, bw, lat);
         let sync = match cfg.dp_sync {
             DpSyncStrategy::AllReduce
-                if cfg.hierarchical_cross_cluster && spans_clusters && comm.is_some() =>
+                if cfg.hierarchical_cross_cluster
+                    && !forced_tcp
+                    && DpGroupNic::spans_clusters(topo, &devices) =>
             {
                 // The builder upgrades this group to the hierarchical
                 // all-reduce; score the same IR schedule the executor will
@@ -162,13 +155,8 @@ pub fn estimate_iteration(
                     grad_bytes,
                 )
             }
-            DpSyncStrategy::AllReduce => {
-                // all-reduce ≈ RS + AG over gradient bytes.
-                rs + match &comm {
-                    Some(c) => c.all_gather_seconds(grad_bytes),
-                    None => rs,
-                }
-            }
+            // all-reduce ≈ RS + AG over gradient bytes.
+            DpSyncStrategy::AllReduce => rs + all_gather_seconds(n, grad_bytes, bw, lat),
             DpSyncStrategy::DistributedOptimizer => rs + ag,
             // ZeRO-3 pays the same RS plus a *blocking* parameter gather
             // at the start of the iteration (same volume as the ZeRO-1

@@ -1,7 +1,7 @@
 //! Assembling plans into runnable iteration specs.
 
 use holmes_model::{embedding_params, layer_params, CommVolumes, TrainJob};
-use holmes_parallel::ParallelPlan;
+use holmes_parallel::{DpGroupNic, ParallelPlan};
 use holmes_topology::{Rank, Topology};
 
 use crate::compute::ComputeModel;
@@ -316,20 +316,10 @@ pub fn build_iteration(
     // actually exploit intra-cluster RDMA).
     let upgrade_kind = |kind: crate::executor::CollKind, devices: &[Rank]| {
         use crate::executor::CollKind;
-        let spans_clusters = || {
-            let cluster = |r: Rank| {
-                topo.coord(r)
-                    .expect("plan ranks were checked against the topology")
-                    .cluster
-            };
-            devices
-                .split_first()
-                .is_some_and(|(&first, rest)| rest.iter().any(|&r| cluster(r) != cluster(first)))
-        };
         if kind == CollKind::AllReduce
             && cfg.hierarchical_cross_cluster
             && cfg.transport == TransportPolicy::Auto
-            && spans_clusters()
+            && DpGroupNic::spans_clusters(topo, devices)
         {
             CollKind::HierarchicalAllReduce
         } else {

@@ -1,7 +1,8 @@
-//! Closed-form collective costs, derived from the [`crate::algo`] IR.
+//! Ring pricing on a uniform link: the bottleneck link of a ring
+//! ([`ring_link`]) and the closed-form ring costs over it.
 //!
 //! Each formula here is the algebraic result of folding the corresponding
-//! [`crate::algo`] round schedule over a **uniform** link model
+//! [`crate::algo`] ring schedule over a **uniform** link model
 //! ([`crate::algo::CollSchedule::seconds_uniform`]): every round costs
 //! `latency + chunk/bandwidth` (its transfers move concurrently and carry
 //! equal chunks), and rounds serialize. For the standard bandwidth-optimal
@@ -10,58 +11,48 @@
 //!
 //! * **reduce-scatter** — `n−1` rounds of `V/n`: `(n−1)·(lat + V/(n·bw))`;
 //! * **all-gather** — identical round structure;
-//! * **all-reduce** — reduce-scatter followed by all-gather;
-//! * **tree all-reduce** — `2·⌊log₂n⌋` full-buffer rounds (the heap
-//!   depth, [`crate::algo::tree_depth`]);
-//! * **broadcast** — `n−1` rounds of `V/(n−1)`: `(n−1)·lat + V/bw`.
+//! * **all-reduce** — reduce-scatter followed by all-gather.
 //!
-//! The formulas are kept in O(1) form because planner scoring evaluates
-//! them in hot search loops; the equality `closed form == schedule fold ==
-//! flow-level replay` is enforced for every algorithm by the property
-//! tests in `tests/properties.rs` and the module tests of [`crate::algo`].
-//! [`hierarchical_allreduce_seconds`] has no tidy closed form (it depends
-//! on the cluster-size vector), so it *is* a fold of the IR.
+//! The closed forms divide the volume in ℝ while the IR truncates chunks
+//! to whole bytes and sums rounds one by one, so the two differ in the
+//! last bits; the planner, the estimator and the compute model price with
+//! the closed forms, and `tests/properties.rs` bounds their distance from
+//! the fold and from a flow-level replay. Every other algorithm (tree,
+//! broadcast, hierarchical, parameter server) is priced only by folding
+//! its [`crate::algo`] schedule.
 
-/// Time for a point-to-point transfer: latency plus serialization.
-pub fn p2p_seconds(bytes: u64, bandwidth_bytes_per_sec: f64, latency_s: f64) -> f64 {
-    latency_s + bytes as f64 / bandwidth_bytes_per_sec
-}
+use holmes_topology::{Rank, Topology, TopologyError};
 
-/// Two-level hierarchical all-reduce cost over clusters of the given
-/// sizes: intra-cluster rounds priced at `(intra_bw, intra_lat)`,
-/// cross-cluster exchange rounds at `(inter_bw, inter_lat)`.
+/// The uniform link a ring over `devices` (in ring order) runs at: the
+/// slowest hop's bandwidth in bytes/s and the largest hop latency in
+/// seconds. With `tcp` set every inter-node hop is priced over the TCP
+/// fallback ([`Topology::tcp_link_between`]) instead of the best link.
+/// Hops sharing one fabric link are not slowed; the flow replay models
+/// that. A group of at most one rank moves nothing: `(∞, 0)`.
 ///
-/// Unlike the ring formulas above, this depends on the whole cluster-size
-/// vector, so it is computed by directly folding the
-/// [`crate::algo::hierarchical_all_reduce`] schedule over the two-tier
-/// link model — the IR *is* the formula. Used for trunk-limited scoring
-/// where no per-node [`holmes_topology::Topology`] is at hand; planners
-/// with a topology should prefer [`crate::algo::estimate_collective`],
-/// which also models per-node uplink contention.
-pub fn hierarchical_allreduce_seconds(
-    cluster_sizes: &[u32],
-    bytes: u64,
-    intra_bw: f64,
-    intra_lat: f64,
-    inter_bw: f64,
-    inter_lat: f64,
-) -> f64 {
-    use holmes_topology::Rank;
-    // Synthetic ranks: cluster c owns a consecutive id block.
-    let mut groups = Vec::with_capacity(cluster_sizes.len());
-    let mut cluster_of = Vec::new();
-    for (c, &size) in cluster_sizes.iter().enumerate() {
-        let base = cluster_of.len() as u32;
-        groups.push((base..base + size).map(Rank).collect::<Vec<_>>());
-        cluster_of.extend(std::iter::repeat_n(c, size as usize));
+/// # Errors
+/// [`TopologyError::RankOutOfRange`] when a member is not in `topo`.
+pub fn ring_link(
+    topo: &Topology,
+    devices: &[Rank],
+    tcp: bool,
+) -> Result<(f64, f64), TopologyError> {
+    let mut bw = f64::INFINITY;
+    let mut lat: f64 = 0.0;
+    if devices.len() <= 1 {
+        return Ok((bw, lat));
     }
-    crate::algo::hierarchical_all_reduce(&groups, bytes).seconds_on(|t| {
-        if cluster_of[t.from.0 as usize] == cluster_of[t.to.0 as usize] {
-            intra_lat + t.bytes as f64 / intra_bw
+    for (i, &a) in devices.iter().enumerate() {
+        let b = devices[(i + 1) % devices.len()];
+        let link = if tcp {
+            topo.tcp_link_between(a, b)?
         } else {
-            inter_lat + t.bytes as f64 / inter_bw
-        }
-    })
+            topo.link_between(a, b)?
+        };
+        bw = bw.min(link.bandwidth_bytes_per_sec);
+        lat = lat.max(link.latency_ns as f64 * 1e-9);
+    }
+    Ok((bw, lat))
 }
 
 /// Ring reduce-scatter over `n` ranks of a `bytes`-sized buffer.
@@ -96,35 +87,10 @@ pub fn ring_allreduce_seconds(
         + all_gather_seconds(n, bytes, bandwidth_bytes_per_sec, latency_s)
 }
 
-/// Binary-tree all-reduce over `n` ranks: `2·⌊log₂n⌋` full-buffer hops
-/// (the heap depth — [`crate::algo::tree_depth`], which the replayed
-/// [`crate::algo::tree_all_reduce`] schedule also uses). Latency-optimal:
-/// beats the ring for small buffers / large rings, which is why NCCL
-/// switches algorithms by message size.
-pub fn tree_allreduce_seconds(
-    n: u32,
-    bytes: u64,
-    bandwidth_bytes_per_sec: f64,
-    latency_s: f64,
-) -> f64 {
-    if n <= 1 {
-        return 0.0;
-    }
-    let depth = f64::from(crate::algo::tree_depth(n));
-    2.0 * depth * (latency_s + bytes as f64 / bandwidth_bytes_per_sec)
-}
-
-/// Pipelined ring broadcast of a `bytes`-sized buffer.
-pub fn broadcast_seconds(n: u32, bytes: u64, bandwidth_bytes_per_sec: f64, latency_s: f64) -> f64 {
-    if n <= 1 {
-        return 0.0;
-    }
-    f64::from(n - 1) * latency_s + bytes as f64 / bandwidth_bytes_per_sec
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use holmes_topology::{presets, NicType};
 
     const GB: u64 = 1_000_000_000;
     const BW: f64 = 1e9; // 1 GB/s
@@ -135,7 +101,6 @@ mod tests {
         assert_eq!(ring_allreduce_seconds(1, GB, BW, LAT), 0.0);
         assert_eq!(reduce_scatter_seconds(1, GB, BW, LAT), 0.0);
         assert_eq!(all_gather_seconds(0, GB, BW, LAT), 0.0);
-        assert_eq!(broadcast_seconds(1, GB, BW, LAT), 0.0);
     }
 
     #[test]
@@ -176,60 +141,61 @@ mod tests {
         assert!((t - 2.0 * 4.0 * LAT).abs() < 1e-12);
     }
 
-    #[test]
-    fn tree_beats_ring_for_small_buffers_and_loses_for_large() {
-        // 64 ranks, 4 KiB: ring pays 126 latencies, tree pays 12.
-        let small_ring = ring_allreduce_seconds(64, 4096, BW, LAT);
-        let small_tree = tree_allreduce_seconds(64, 4096, BW, LAT);
-        assert!(small_tree < small_ring, "{small_tree} vs {small_ring}");
-        // 64 ranks, 1 GiB: ring moves 2·V·(63/64), tree moves 2·6·V.
-        let big_ring = ring_allreduce_seconds(64, 1 << 30, BW, LAT);
-        let big_tree = tree_allreduce_seconds(64, 1 << 30, BW, LAT);
-        assert!(big_ring < big_tree, "{big_ring} vs {big_tree}");
+    fn link_over(topo: &Topology, ranks: std::ops::Range<u32>) -> (f64, f64) {
+        let devices: Vec<Rank> = ranks.map(Rank).collect();
+        ring_link(topo, &devices, false).unwrap()
     }
 
     #[test]
-    fn tree_depth_rounds() {
-        // Heap depth: n=2 → 1; n=8 → 3; n=9 → 3 (index 8 sits at level 3);
-        // n=17 → 4.
-        assert!((tree_allreduce_seconds(2, 0, BW, 1.0) - 2.0).abs() < 1e-12);
-        assert!((tree_allreduce_seconds(8, 0, BW, 1.0) - 6.0).abs() < 1e-12);
-        assert!((tree_allreduce_seconds(9, 0, BW, 1.0) - 6.0).abs() < 1e-12);
-        assert!((tree_allreduce_seconds(17, 0, BW, 1.0) - 8.0).abs() < 1e-12);
-        assert_eq!(tree_allreduce_seconds(1, 1 << 20, BW, LAT), 0.0);
+    fn singleton_ring_is_free() {
+        let topo = presets::homogeneous(NicType::InfiniBand, 2);
+        assert_eq!(link_over(&topo, 3..4), (f64::INFINITY, 0.0));
+        assert_eq!(ring_link(&topo, &[], true), Ok((f64::INFINITY, 0.0)));
     }
 
     #[test]
-    fn p2p_cost() {
-        assert!((p2p_seconds(GB, BW, LAT) - (1.0 + LAT)).abs() < 1e-12);
+    fn node_local_ring_runs_at_nvlink_speed() {
+        let topo = presets::homogeneous(NicType::InfiniBand, 2);
+        assert!(link_over(&topo, 0..8).0 > 100e9);
     }
 
     #[test]
-    fn hierarchical_beats_flat_ring_when_the_trunk_is_slow() {
-        // Two clusters of 16 ranks, fast RDMA inside (23 GB/s), slow
-        // Ethernet across (2.66 GB/s). A flat 32-rank ring pays every one
-        // of its 62 rounds at the Ethernet rate; the hierarchical schedule
-        // crosses Ethernet only in its 2 exchange rounds.
-        let (intra, inter) = (23e9, 2.66e9);
-        let flat = ring_allreduce_seconds(32, GB, inter, 1e-5);
-        let hier = hierarchical_allreduce_seconds(&[16, 16], GB, intra, 2e-6, inter, 3e-5);
-        assert!(hier < 0.25 * flat, "hier {hier} vs flat {flat}");
-        // Degenerate shapes stay total: one cluster ≡ flat intra ring,
-        // single rank ≡ free.
-        let one = hierarchical_allreduce_seconds(&[8], GB, intra, 1e-6, inter, 3e-5);
-        assert!((one - ring_allreduce_seconds(8, GB, intra, 1e-6)).abs() < 1e-12);
-        assert_eq!(
-            hierarchical_allreduce_seconds(&[1], GB, intra, 1e-6, inter, 3e-5),
-            0.0
+    fn two_node_ring_bound_by_nic() {
+        // Ranks ordered node-contiguously: the two boundary hops (7→8,
+        // 15→0) ride the per-port IB rate.
+        let topo = presets::homogeneous(NicType::InfiniBand, 2);
+        assert!((link_over(&topo, 0..16).0 - 23e9).abs() < 1e8);
+    }
+
+    #[test]
+    fn ib_ring_beats_roce_ring_beats_ethernet_ring() {
+        let seconds = |nic| {
+            let (bw, lat) = link_over(&presets::homogeneous(nic, 2), 0..16);
+            ring_allreduce_seconds(16, 1 << 30, bw, lat)
+        };
+        let (t_ib, t_roce, t_eth) = (
+            seconds(NicType::InfiniBand),
+            seconds(NicType::RoCE),
+            seconds(NicType::Ethernet),
         );
+        assert!(t_ib < t_roce, "IB {t_ib} vs RoCE {t_roce}");
+        assert!(t_roce < t_eth, "RoCE {t_roce} vs Ethernet {t_eth}");
     }
 
     #[test]
-    fn broadcast_is_pipelined() {
-        // Pipelined broadcast ≈ one serialization plus per-hop latencies —
-        // far cheaper than n−1 sequential full transfers.
-        let t = broadcast_seconds(8, GB, BW, LAT);
-        assert!(t < 1.1);
-        assert!(t > 1.0);
+    fn cross_cluster_ring_is_ethernet_bound() {
+        // One node per cluster; a ring across both must use TCP.
+        let topo = presets::hybrid_two_cluster(1);
+        assert!(link_over(&topo, 0..16).0 < 4e9);
+    }
+
+    #[test]
+    fn out_of_range_rank_is_an_error() {
+        let topo = presets::homogeneous(NicType::InfiniBand, 2);
+        let total = topo.device_count();
+        assert_eq!(
+            ring_link(&topo, &[Rank(0), Rank(total)], false),
+            Err(TopologyError::RankOutOfRange { rank: total, total })
+        );
     }
 }

@@ -28,11 +28,10 @@
 //!   as a round schedule of `(sender, receiver, bytes)` transfers. The
 //!   engine replays schedules flow-by-flow; the analytic layers fold the
 //!   same schedules over per-link cost models.
-//! * [`collective`] — the closed-form costs that folding [`algo`]
-//!   schedules over a uniform link yields, kept in O(1) algebraic form for
-//!   hot planner scoring (their equality to the fold is property-tested).
-//! * [`Communicator`] — an NCCL-like handle binding a rank set to the
-//!   fabric, exposing ring-neighbour routes and analytic collective costs.
+//! * [`collective`] — [`collective::ring_link`], the uniform link a ring
+//!   of ranks runs at (its slowest hop and largest latency), and the
+//!   closed-form ring reduce-scatter / all-gather / all-reduce costs over
+//!   such a link, which the planner and the estimator both use.
 //! * [`WordHash`] — the deterministic word hasher for maps probed on
 //!   every event, here and in the executor.
 
@@ -43,7 +42,6 @@ pub mod algo;
 mod arena;
 pub mod churn;
 pub mod collective;
-mod communicator;
 mod fabric;
 pub mod fault;
 mod flow;
@@ -57,7 +55,6 @@ mod sim_fast;
 mod time;
 
 pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
-pub use communicator::Communicator;
 pub use fabric::{Fabric, Route, RouteTable};
 pub use fault::{FaultEvent, FaultSchedule};
 pub use flow::{FlowId, FlowSpec};

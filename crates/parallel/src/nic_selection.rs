@@ -97,8 +97,11 @@ impl DpGroupNic {
         Some(nic)
     }
 
-    /// True when the group's members live in more than one cluster.
-    fn spans_clusters(topo: &Topology, devices: &[Rank]) -> bool {
+    /// True when the group's members live in more than one cluster: the
+    /// one test the engine's builder (hierarchical upgrade), this
+    /// classifier and the estimator share. Out-of-range ranks count as no
+    /// cluster.
+    pub fn spans_clusters(topo: &Topology, devices: &[Rank]) -> bool {
         devices.split_first().is_some_and(|(&first, rest)| {
             let cluster = |r| topo.coord(r).map(|c| c.cluster).ok();
             rest.iter().any(|&r| cluster(r) != cluster(first))
@@ -129,24 +132,12 @@ impl DpGroupNic {
             ),
             DpCollectiveAlgo::RingRdma | DpCollectiveAlgo::RingEthernet => {
                 // Ring over the group's device order: bottleneck hop
-                // binds — the uniform fold of the ring IR collapsed to
-                // its closed form. Downgraded groups price every hop
-                // over the Ethernet fallback even where the NICs are
-                // still nominally RDMA-compatible.
-                let mut bw = f64::INFINITY;
-                let mut lat: f64 = 0.0;
-                for (i, &a) in self.devices.iter().enumerate() {
-                    let b = self.devices[(i + 1) % self.devices.len()];
-                    let link = if self.forced_tcp {
-                        topo.tcp_link_between(a, b)
-                            .expect("candidate group members are ranks inside the topology")
-                    } else {
-                        topo.link_between(a, b)
-                            .expect("candidate group members are ranks inside the topology")
-                    };
-                    bw = bw.min(link.bandwidth_bytes_per_sec);
-                    lat = lat.max(link.latency_ns as f64 * 1e-9);
-                }
+                // binds. Downgraded groups price every hop over the
+                // Ethernet fallback even where the NICs are still
+                // nominally RDMA-compatible.
+                let (bw, lat) =
+                    holmes_netsim::collective::ring_link(topo, &self.devices, self.forced_tcp)
+                        .expect("candidate group members are ranks inside the topology");
                 holmes_netsim::collective::ring_allreduce_seconds(n, gradient_bytes, bw, lat)
             }
         }
@@ -445,14 +436,7 @@ mod tests {
         let grad = 1u64 << 30;
         let hier = report.dp_sync_cost_seconds(&topo, grad);
         let g = &report.groups[0];
-        let mut bw = f64::INFINITY;
-        let mut lat: f64 = 0.0;
-        for (i, &a) in g.devices.iter().enumerate() {
-            let b = g.devices[(i + 1) % g.devices.len()];
-            let link = topo.link_between(a, b).unwrap();
-            bw = bw.min(link.bandwidth_bytes_per_sec);
-            lat = lat.max(link.latency_ns as f64 * 1e-9);
-        }
+        let (bw, lat) = holmes_netsim::collective::ring_link(&topo, &g.devices, false).unwrap();
         let flat = holmes_netsim::collective::ring_allreduce_seconds(
             g.devices.len() as u32,
             grad,

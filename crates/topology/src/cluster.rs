@@ -29,11 +29,14 @@ pub struct Node {
 }
 
 impl Node {
+    /// GPUs on a paper-standard node ([`Node::standard`]).
+    pub const STANDARD_GPUS: u32 = 8;
+
     /// A paper-standard node: 8× A100-80GB behind the given NIC, NVLink
     /// internally, with a reference 25 Gb/s Ethernet fallback.
     pub fn standard(nic: NicProfile) -> Self {
         Node {
-            gpu_count: 8,
+            gpu_count: Self::STANDARD_GPUS,
             gpu: GpuProfile::a100_80g(),
             nic,
             ethernet: NicProfile::ethernet_25g(),

@@ -24,6 +24,11 @@ pub enum TopologyError {
         /// Total number of devices.
         total: u32,
     },
+    /// The topology would hold more than [`crate::MAX_DEVICES`] devices.
+    TooManyDevices {
+        /// Requested device count (saturated at `u64::MAX`).
+        total: u64,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -38,6 +43,11 @@ impl fmt::Display for TopologyError {
             TopologyError::RankOutOfRange { rank, total } => {
                 write!(f, "rank {rank} out of range for {total} devices")
             }
+            TopologyError::TooManyDevices { total } => write!(
+                f,
+                "topology would hold {total} devices, more than the {} supported",
+                crate::MAX_DEVICES
+            ),
         }
     }
 }

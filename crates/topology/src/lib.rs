@@ -42,4 +42,4 @@ pub use gpu::GpuProfile;
 pub use link::{LinkKind, LinkProfile};
 pub use nic::{NicProfile, NicType};
 pub use spec::parse_topology_spec;
-pub use topology::{Device, DeviceCoord, Rank, Topology};
+pub use topology::{Device, DeviceCoord, Rank, Topology, MAX_DEVICES};

@@ -14,6 +14,7 @@
 //! per-node GPU count (the §2.4 formalization requires a uniform `G`).
 
 use crate::builder::TopologyBuilder;
+use crate::cluster::Node;
 use crate::nic::NicType;
 use crate::topology::Topology;
 
@@ -30,9 +31,9 @@ pub fn parse_topology_spec(spec: &str) -> Result<Topology, String> {
     if spec.trim().is_empty() {
         return Err("empty topology spec".to_owned());
     }
-    let mut builder = TopologyBuilder::new();
+    let mut clusters = Vec::new();
     let mut gpus_per_node: Option<u32> = None;
-    for (i, part) in spec.trim().split('+').enumerate() {
+    for part in spec.trim().split('+') {
         let (nic_str, rest) = part
             .split_once(':')
             .ok_or_else(|| format!("cluster '{part}': expected nic:nodes[xgpus]"))?;
@@ -69,10 +70,15 @@ pub fn parse_topology_spec(spec: &str) -> Result<Topology, String> {
                 Some(_) => {}
             }
         }
-        builder = builder.cluster(format!("{nic}-{i}"), nodes, nic);
+        clusters.push((nic, nodes));
     }
-    if let Some(g) = gpus_per_node {
-        builder = builder.gpus_per_node(g);
+    // Bound the fleet before any node is allocated.
+    let nodes: u64 = clusters.iter().map(|&(_, n)| u64::from(n)).sum();
+    let g = gpus_per_node.unwrap_or(Node::STANDARD_GPUS);
+    Topology::check_device_total(nodes.saturating_mul(u64::from(g))).map_err(|e| e.to_string())?;
+    let mut builder = TopologyBuilder::new().gpus_per_node(g);
+    for (i, (nic, nodes)) in clusters.into_iter().enumerate() {
+        builder = builder.cluster(format!("{nic}-{i}"), nodes, nic);
     }
     builder.build().map_err(|e| e.to_string())
 }
@@ -137,6 +143,10 @@ mod tests {
             ("ib:2x0", "GPU count must be positive"),
             ("ib:2xfour", "bad GPU count"),
             ("ib:2x4+roce:2x8", "share one per-node GPU count"),
+            ("ib:536870912", "more than the 1048576 supported"),
+            ("ib:2x4294967295", "more than the 1048576 supported"),
+            ("ib:131072+roce:1", "more than the 1048576 supported"),
+            ("ib:4294967295x4294967295+ib:4294967295", "more than"),
         ] {
             let err = parse_topology_spec(spec).unwrap_err();
             assert!(err.contains(needle), "{spec}: {err}");

@@ -63,6 +63,11 @@ pub struct Device<'t> {
     pub nic_type: NicType,
 }
 
+/// Largest device count a [`Topology`] may hold. Every layer keeps
+/// per-device state and ranks are `u32`, so larger requests are rejected
+/// before any node or device is allocated.
+pub const MAX_DEVICES: u32 = 1 << 20;
+
 /// An immutable multi-cluster GPU topology.
 ///
 /// Construction goes through [`crate::TopologyBuilder`] or the presets; the
@@ -91,6 +96,13 @@ impl Topology {
         if g == 0 {
             return Err(TopologyError::NodeWithoutGpus);
         }
+        Self::check_device_total(
+            clusters
+                .iter()
+                .flat_map(|c| &c.nodes)
+                .map(|n| u64::from(n.gpu_count))
+                .sum(),
+        )?;
         let mut coords = Vec::new();
         for (ci, cluster) in clusters.iter().enumerate() {
             for (ni, node) in cluster.nodes.iter().enumerate() {
@@ -123,9 +135,23 @@ impl Topology {
         })
     }
 
+    /// `Ok` when `total` devices fit under [`MAX_DEVICES`]. Callers that
+    /// build topologies from outside input check `nodes × GPUs per node`
+    /// here before allocating any node.
+    ///
+    /// # Errors
+    /// [`TopologyError::TooManyDevices`] above the cap.
+    pub fn check_device_total(total: u64) -> Result<(), TopologyError> {
+        if total > u64::from(MAX_DEVICES) {
+            return Err(TopologyError::TooManyDevices { total });
+        }
+        Ok(())
+    }
+
     /// Total device count `N = G · Σ f_i`.
     #[inline]
     pub fn device_count(&self) -> u32 {
+        // `Topology::new` caps the count at `MAX_DEVICES`, so this fits.
         self.coords.len() as u32
     }
 
@@ -527,5 +553,22 @@ mod tests {
                 found: 4
             })
         ));
+    }
+
+    #[test]
+    fn oversized_topologies_are_rejected_before_allocation() {
+        // 2 × u32::MAX GPUs: summed in u64, refused before any coordinate.
+        let huge = crate::TopologyBuilder::new()
+            .cluster("c", 2, NicType::InfiniBand)
+            .gpus_per_node(u32::MAX)
+            .build();
+        assert_eq!(
+            huge.unwrap_err(),
+            TopologyError::TooManyDevices {
+                total: 2 * u64::from(u32::MAX)
+            }
+        );
+        assert!(Topology::check_device_total(u64::from(MAX_DEVICES)).is_ok());
+        assert!(Topology::check_device_total(u64::from(MAX_DEVICES) + 1).is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! for measurement) wherever both apply.
 
 use holmes_repro::engine::{execute, CollKind, CollectiveSpec, ExecutionSpec, TransportPolicy};
-use holmes_repro::netsim::{Communicator, Fabric, NetSim};
+use holmes_repro::netsim::collective::{ring_allreduce_seconds, ring_link};
 use holmes_repro::parallel::{GroupLayout, HolmesScheduler, ParallelDegrees, Scheduler};
 use holmes_repro::topology::{presets, NicType, Rank};
 
@@ -17,10 +17,8 @@ fn simulated_collective_matches_analytic_model() {
         let bytes: u64 = 1 << 30;
 
         // Analytic.
-        let mut sim = NetSim::new();
-        let fabric = Fabric::build(&topo, &mut sim);
-        let comm = Communicator::new(&topo, &fabric, devices.clone());
-        let analytic = comm.allreduce_seconds(bytes);
+        let (bw, lat) = ring_link(&topo, &devices, false).unwrap();
+        let analytic = ring_allreduce_seconds(devices.len() as u32, bytes, bw, lat);
 
         // Simulated.
         let programs = devices

@@ -9,7 +9,9 @@ use holmes_repro::parallel::{
     GroupLayout, HolmesScheduler, InterleavedScheduler, ParallelDegrees, ParallelPlan,
     PartitionStrategy, Scheduler, SelfAdaptingPartition, SequentialScheduler, UniformPartition,
 };
-use holmes_repro::topology::{presets, NicType, Rank, TopologyBuilder};
+use holmes_repro::topology::{
+    presets, Cluster, GpuProfile, NicProfile, NicType, Node, Rank, TopologyBuilder,
+};
 
 fn degrees_strategy() -> impl Strategy<Value = (u32, u32, u32)> {
     (1u32..=4, 1u32..=4, 1u32..=8)
@@ -37,6 +39,38 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
         }
     }
     out
+}
+
+/// One random cluster: nodes as (NIC, GPU generation), a switch unless
+/// the second field is 0, and the switch oversubscription ratio.
+type ClusterSpec = (Vec<(NicType, usize)>, u8, f64);
+
+fn cluster_strategy() -> impl Strategy<Value = ClusterSpec> {
+    (
+        prop::collection::vec((nic_strategy(), 0usize..3), 1..=3),
+        0u8..4,
+        prop::sample::select(vec![1.0f64, 2.0, 3.5]),
+    )
+}
+
+fn random_cluster(i: usize, (nodes, switch, oversubscription): &ClusterSpec) -> Cluster {
+    let gens = [
+        GpuProfile::v100_32g(),
+        GpuProfile::a100_80g(),
+        GpuProfile::h100_80g(),
+    ];
+    Cluster {
+        name: format!("c{i}"),
+        nodes: nodes
+            .iter()
+            .map(|&(nic, gen)| Node {
+                gpu: gens[gen].clone(),
+                ..Node::standard(NicProfile::reference(nic))
+            })
+            .collect(),
+        has_switch: *switch != 0,
+        oversubscription: *oversubscription,
+    }
 }
 
 proptest! {
@@ -552,7 +586,7 @@ proptest! {
         gflops in prop_oneof![Just(0.0f64), 0.0f64..500.0],
     ) {
         use holmes_repro::parallel::{search_cluster_orders, PlacementWorkload};
-        use holmes_repro::topology::{GpuProfile, Topology};
+        use holmes_repro::topology::Topology;
         let gens = [
             GpuProfile::v100_32g(),
             GpuProfile::a100_80g(),
@@ -600,18 +634,8 @@ proptest! {
     /// inter-cluster Ethernet profile.
     #[test]
     fn group_cost_is_invariant_under_cluster_block_permutations(
-        // Per cluster: nodes as (NIC, GPU generation), a switch unless 0,
-        // oversubscription, and seeds for the block's start and length.
-        clusters in prop::collection::vec(
-            (
-                prop::collection::vec((nic_strategy(), 0usize..3), 1..=3),
-                0u8..4,
-                prop::sample::select(vec![1.0f64, 2.0, 3.5]),
-                0u32..1024,
-                0u32..1024,
-            ),
-            2..=4,
-        ),
+        // Per cluster: its spec and seeds for the block's start and length.
+        clusters in prop::collection::vec((cluster_strategy(), 0u32..1024, 0u32..1024), 2..=4),
         gpus in prop::sample::select(vec![1u32, 2, 4]),
         t in prop::sample::select(vec![1u32, 2, 4]),
         inter in (0u8..2, 1.0f64..100.0, 1.0f64..50.0, 0.3f64..1.0),
@@ -619,26 +643,10 @@ proptest! {
         gflops in prop_oneof![Just(0.0f64), 1.0f64..500.0],
     ) {
         use holmes_repro::parallel::{DpGroupNic, PlacementWorkload};
-        use holmes_repro::topology::{Cluster, ClusterId, GpuProfile, Node, NicProfile};
-        let gens = [
-            GpuProfile::v100_32g(),
-            GpuProfile::a100_80g(),
-            GpuProfile::h100_80g(),
-        ];
+        use holmes_repro::topology::ClusterId;
         let mut builder = TopologyBuilder::new();
-        for (i, (nodes, switch, oversubscription, _, _)) in clusters.iter().enumerate() {
-            builder = builder.custom_cluster(Cluster {
-                name: format!("c{i}"),
-                nodes: nodes
-                    .iter()
-                    .map(|&(nic, gen)| Node {
-                        gpu: gens[gen].clone(),
-                        ..Node::standard(NicProfile::reference(nic))
-                    })
-                    .collect(),
-                has_switch: *switch != 0,
-                oversubscription: *oversubscription,
-            });
+        for (i, (cluster, _, _)) in clusters.iter().enumerate() {
+            builder = builder.custom_cluster(random_cluster(i, cluster));
         }
         let (custom, gbps, latency_us, efficiency) = inter;
         if custom == 0 {
@@ -653,7 +661,7 @@ proptest! {
         let blocks: Vec<Vec<Rank>> = clusters
             .iter()
             .enumerate()
-            .map(|(c, &(_, _, _, start, len))| {
+            .map(|(c, &(_, start, len))| {
                 let ranks = topo.cluster_ranks(ClusterId(c as u32));
                 let start = start as usize % ranks.len();
                 let room = (ranks.len() - 1 - start) / t as usize + 1;
@@ -679,5 +687,69 @@ proptest! {
                 sorted
             );
         }
+    }
+
+    /// The planner and the estimator price a data-parallel ring with one
+    /// function (`collective::ring_link`): on random single-cluster
+    /// fleets — mixed NICs and GPU generations, switchless and
+    /// oversubscribed switches — under any scheduler, the estimator's
+    /// all-reduce sync is bit-for-bit the planner's worst group cost.
+    #[test]
+    fn estimator_prices_dp_rings_like_the_planner(
+        cluster in cluster_strategy(),
+        gpus in prop::sample::select(vec![1u32, 2, 4]),
+        t in prop::sample::select(vec![1u32, 2, 4]),
+        p in 1u32..=4,
+        layers in 4u32..=12,
+        scheduler in 0usize..3,
+    ) {
+        use holmes_repro::engine::{DpSyncStrategy, EngineConfig};
+        use holmes_repro::estimate_iteration;
+        use holmes_repro::model::{embedding_params, layer_params, CommVolumes};
+        use holmes_repro::parallel::DpGroupNic;
+        let topo = TopologyBuilder::new()
+            .custom_cluster(random_cluster(0, &cluster))
+            .gpus_per_node(gpus)
+            .build()
+            .unwrap();
+        let n = topo.device_count();
+        prop_assume!(n.is_multiple_of(t * p));
+        let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
+        let job = TrainJob {
+            config: GptConfig::paper_standard(layers, 1024, 16),
+            micro_batch: 1,
+            global_batch: 4 * layout.degrees().data,
+        };
+        let assignment = [
+            &HolmesScheduler as &dyn Scheduler,
+            &SequentialScheduler,
+            &InterleavedScheduler,
+        ][scheduler]
+            .assign(&topo, &layout);
+        let stage_layers = UniformPartition.partition(layers, &vec![1.0; p as usize]);
+        let plan = ParallelPlan::new(layout, assignment, stage_layers.clone(), true);
+        let cfg = EngineConfig {
+            dp_sync: DpSyncStrategy::AllReduce,
+            ..EngineConfig::default()
+        };
+        let estimated = estimate_iteration(&topo, &plan, &job, &cfg).unwrap().dp_sync_seconds;
+        let mut planned = 0.0f64;
+        for g in 0..plan.layout.dp_group_count() {
+            let stage = (g / t) as usize;
+            let mut params = u64::from(stage_layers[stage]) * layer_params(&job.config);
+            if stage == 0 {
+                params += embedding_params(&job.config);
+            }
+            let group = DpGroupNic::analyze_group(&topo, g, plan.dp_group_devices(g));
+            planned = planned
+                .max(group.sync_cost_seconds(&topo, CommVolumes::dp_gradient_bytes(params, t)));
+        }
+        prop_assert_eq!(
+            estimated.to_bits(),
+            planned.to_bits(),
+            "estimated {} vs planned {}",
+            estimated,
+            planned
+        );
     }
 }
