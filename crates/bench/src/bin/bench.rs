@@ -10,42 +10,52 @@
 //! Quick-profile numbers are for trend tracking, not precision: use
 //! `cargo bench` for the full measurement windows.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use criterion::{BenchResult, Criterion, Throughput};
+use holmes_bench::snapshot::{round, Better, Snapshot};
 use holmes_bench::suites;
+use holmes_obs::json::{self, Value};
 
 /// Where the JSON snapshot lands: the workspace root, independent of the
 /// directory `cargo run` was invoked from.
 const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_netsim.json");
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
+/// Events/sec of the original global-settlement core (a full re-settle
+/// and water-fill on every event) on the bench machine. The fast-engine
+/// rewrite must hold a *floor* above this, not merely avoid regressing
+/// against the newest baseline — otherwise a sequence of small tolerated
+/// regressions could quietly give the whole speedup back.
+const LEGACY_EVENTS_PER_SEC: f64 = 135_162.0;
+/// The reference probe must stay at least this many times faster than the
+/// legacy core.
+const PROBE_SPEEDUP_FLOOR: f64 = 10.0;
+/// Absolute floor for the large-topology scenario, events/sec.
+const LARGE_EVENTS_FLOOR: f64 = 1_000_000.0;
 
-fn write_suite(out: &mut String, name: &str, results: &[BenchResult], last: bool) {
-    let _ = writeln!(out, "    \"{name}\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        let throughput = match r.throughput {
-            Some(Throughput::Bytes(b)) => format!(", \"throughput_bytes\": {b}"),
-            Some(Throughput::Elements(e)) => format!(", \"throughput_elements\": {e}"),
-            None => String::new(),
-        };
-        let _ = writeln!(
-            out,
-            "      {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \
-             \"min_ns\": {:.1}, \"iterations\": {}{}}}{comma}",
-            json_escape(&r.id),
-            r.mean_ns,
-            r.median_ns,
-            r.min_ns,
-            r.iterations,
-            throughput,
+/// Gate each benchmark's mean (as `<id>/mean_ns`) and return the suite's
+/// ungated rows.
+fn suite(snap: &mut Snapshot, results: &[BenchResult]) -> Value {
+    let rows = results.iter().map(|r| {
+        snap.toleranced(
+            &format!("{}/mean_ns", r.id),
+            round(r.mean_ns, 1),
+            Better::Lower,
         );
-    }
-    let _ = writeln!(out, "    ]{}", if last { "" } else { "," });
+        let mut row = vec![
+            ("id", r.id.as_str().into()),
+            ("median_ns", round(r.median_ns, 1).into()),
+            ("min_ns", round(r.min_ns, 1).into()),
+            ("iterations", r.iterations.into()),
+        ];
+        match r.throughput {
+            Some(Throughput::Bytes(b)) => row.push(("throughput_bytes", b.into())),
+            Some(Throughput::Elements(e)) => row.push(("throughput_elements", e.into())),
+            None => {}
+        }
+        json::obj(row)
+    });
+    Value::Arr(rows.collect())
 }
 
 fn main() {
@@ -132,32 +142,55 @@ fn main() {
         suites::netsim::TWIN_CENSUS_CELL
     );
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"profile\": \"quick\",");
-    let _ = writeln!(out, "  \"netsim_events_per_sec\": {:.0},", best_rate);
-    let _ = writeln!(out, "  \"netsim_probe_events\": {events},");
-    let _ = writeln!(out, "  \"netsim_events_per_sec_large\": {:.0},", large_rate);
-    let _ = writeln!(out, "  \"netsim_large_events\": {large_events},");
-    let _ = writeln!(out, "  \"all_experiments_wall_seconds\": {wall:.3},");
-    let _ = writeln!(out, "  \"all_experiments_sections\": {},", sections.len());
-    let _ = writeln!(
-        out,
-        "  \"twin_census\": {{\"cell\": \"{}\", \"logical_flows\": {logical_flows}, \
-         \"launch_entries\": {launch_entries}, \"engine_flows\": {engine_flows}, \
-         \"events\": {census_events}}},",
-        suites::netsim::TWIN_CENSUS_CELL
+    let mut snap = Snapshot::default();
+    snap.exact("profile", "quick");
+    snap.exact("netsim_probe_events", events);
+    snap.exact("netsim_large_events", large_events);
+    snap.exact("all_experiments_sections", sections.len());
+    let census = [
+        ("cell", suites::netsim::TWIN_CENSUS_CELL.into()),
+        ("logical_flows", logical_flows.into()),
+        ("launch_entries", launch_entries.into()),
+        ("engine_flows", engine_flows.into()),
+        ("events", census_events.into()),
+    ];
+    snap.exact("twin_census", json::obj(census));
+    snap.exact(
+        "obs",
+        json::obj([("holmes_pg1_hybrid2", obs.metrics.to_value())]),
     );
-    out.push_str("  \"obs\": {\n    \"holmes_pg1_hybrid2\": ");
-    out.push_str(obs.to_json(4).trim_start());
-    out.push_str("\n  },\n");
-    out.push_str("  \"suites\": {\n");
-    write_suite(&mut out, "netsim", &netsim, false);
-    write_suite(&mut out, "collectives", &collectives, false);
-    write_suite(&mut out, "iteration", &iteration, false);
-    write_suite(&mut out, "groups", &groups, true);
-    out.push_str("  }\n}\n");
+    // Wall-clock rates: tolerance against the baseline, plus absolute
+    // speedup floors so tolerated drift can never re-open the gap to the
+    // legacy core.
+    let floors = [
+        (
+            "netsim_events_per_sec",
+            best_rate,
+            PROBE_SPEEDUP_FLOOR * LEGACY_EVENTS_PER_SEC,
+        ),
+        (
+            "netsim_events_per_sec_large",
+            large_rate,
+            LARGE_EVENTS_FLOOR,
+        ),
+    ];
+    for (name, rate, floor) in floors {
+        snap.toleranced(name, round(rate, 0), Better::Higher);
+        snap.bound(&format!("toleranced.{name}.value"), ">=", floor, true);
+    }
+    snap.toleranced(
+        "all_experiments_wall_seconds",
+        round(wall, 3),
+        Better::Lower,
+    );
+    let suites = [
+        ("netsim", suite(&mut snap, &netsim)),
+        ("collectives", suite(&mut snap, &collectives)),
+        ("iteration", suite(&mut snap, &iteration)),
+        ("groups", suite(&mut snap, &groups)),
+    ];
+    snap.ungated("suites", json::obj(suites));
 
-    std::fs::write(OUT_PATH, &out).expect("write BENCH_netsim.json");
+    snap.write(OUT_PATH).expect("write BENCH_netsim.json");
     println!("wrote {OUT_PATH}");
 }

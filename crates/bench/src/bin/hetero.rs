@@ -4,25 +4,24 @@
 //! mixed-generation presets and writes `BENCH_hetero.json` at the
 //! workspace root for the `bench_diff` gate:
 //!
-//! * **`partition`** (deterministic, gated exactly) — per hetero preset:
+//! * **`partition`** (deterministic, in the `exact` map) — per hetero preset:
 //!   the straggler-aware layer split next to the uniform-rate Eq. 2 split
 //!   over the same placement, both simulated end to end, and the speedup
 //!   of the former over the latter. The acceptance criterion — the
 //!   straggler-aware partition strictly beats uniform Eq. 2 on simulated
 //!   iteration time — is asserted here and re-checked by `bench_diff`.
-//! * **`variants`** (deterministic, gated exactly) — the hetero stack
+//! * **`variants`** (deterministic, in the `exact` map) — the hetero stack
 //!   exercised beyond planning: the autotuner ranking degrees on a
 //!   generation-split fleet, the resilience family's straggler/churn
 //!   presets running on the mixed fleet (churn re-plans price compute
 //!   skew through `replan_for_delta`'s two-axis workload), and the
 //!   hierarchical cross-cluster all-reduce against the forced-TCP fallback.
-//! * **`wall`** (machine-dependent, gated by tolerance) — total bench
+//! * **wall times** (machine-dependent, in the `toleranced` map) — total bench
 //!   wall-clock.
 //!
 //! Pass `--full` to repeat the deterministic pass more times (CI runs the
 //! quick profile; the snapshot content is identical either way).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use holmes::calibration::device_speed;
@@ -30,6 +29,8 @@ use holmes::engine::{simulate_iteration, DpSyncStrategy};
 use holmes::{
     autotune, plan_for, run_resilient, AutotuneRequest, FaultPreset, HolmesConfig, PlanRequest,
 };
+use holmes_bench::snapshot::{Better, Snapshot};
+use holmes_obs::json;
 use holmes_parallel::{ParallelPlan, PartitionStrategy, SelfAdaptingPartition};
 use holmes_topology::{presets, Topology};
 
@@ -364,109 +365,70 @@ fn main() {
 
     let wall_seconds = start.elapsed().as_secs_f64();
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"profile\": \"{profile}\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    out.push_str("  \"partition\": {\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    \"{}\": {{", row.preset);
-        let _ = writeln!(out, "      \"parameter_group\": {},", row.parameter_group);
-        let _ = writeln!(out, "      \"pipeline\": {},", row.pipeline);
-        let _ = writeln!(out, "      \"ranks\": {},", row.ranks);
-        let _ = writeln!(out, "      \"generations\": {},", row.generations);
-        let _ = writeln!(
-            out,
-            "      \"straggler_layers\": {:?},",
-            row.straggler_layers
-        );
-        let _ = writeln!(out, "      \"eq2_layers\": {:?},", row.eq2_layers);
-        let _ = writeln!(
-            out,
-            "      \"straggler_seconds\": {:?},",
-            row.straggler_seconds
-        );
-        let _ = writeln!(out, "      \"eq2_seconds\": {:?},", row.eq2_seconds);
-        let _ = writeln!(out, "      \"speedup\": {:?}", row.speedup());
-        let _ = writeln!(out, "    }}{}", if i + 1 == rows.len() { "" } else { "," });
+    let mut snap = Snapshot::default();
+    let partition = rows.iter().map(|row| {
+        let fields = [
+            ("parameter_group", u32::from(row.parameter_group).into()),
+            ("pipeline", row.pipeline.into()),
+            ("ranks", row.ranks.into()),
+            ("generations", row.generations.into()),
+            ("straggler_layers", row.straggler_layers.clone().into()),
+            ("eq2_layers", row.eq2_layers.clone().into()),
+            ("straggler_seconds", row.straggler_seconds.into()),
+            ("eq2_seconds", row.eq2_seconds.into()),
+            ("speedup", row.speedup().into()),
+        ];
+        (row.preset, json::obj(fields))
+    });
+    snap.exact("partition", json::obj(partition));
+    let autotune = [
+        ("preset", tune.preset.into()),
+        ("tensor", tune.tensor.into()),
+        ("pipeline", tune.pipeline.into()),
+        ("data", tune.data.into()),
+        ("fits_memory", tune.fits_memory.into()),
+        ("estimated_seconds", tune.estimated_seconds.into()),
+        ("simulated_seconds", tune.simulated_seconds.into()),
+    ];
+    let resilience = resilience.iter().map(|r| {
+        let fields = [
+            ("env", r.env.into()),
+            ("clean_seconds", r.clean_seconds.into()),
+            ("faulted_seconds", r.faulted_seconds.into()),
+            ("flow_retries", r.flow_retries.into()),
+            ("tcp_fallback_flows", r.tcp_fallback_flows.into()),
+            ("delta_replan_moves", r.delta_replan_moves.into()),
+        ];
+        (r.preset, json::obj(fields))
+    });
+    let hierarchical = hier.iter().map(|h| {
+        let fields = [
+            ("preset", h.preset.into()),
+            ("pipeline", h.pipeline.into()),
+            ("groups", h.groups.into()),
+            ("rdma_groups", h.rdma_groups.into()),
+            ("hierarchical_groups", h.hierarchical_groups.into()),
+            ("auto_nic_seconds", h.auto_nic_seconds.into()),
+            ("forced_tcp_seconds", h.forced_tcp_seconds.into()),
+        ];
+        (h.label, json::obj(fields))
+    });
+    let variants = [
+        ("autotune", json::obj(autotune)),
+        ("resilience", json::obj(resilience)),
+        ("hierarchical", json::obj(hierarchical)),
+    ];
+    snap.exact("variants", json::obj(variants));
+    snap.toleranced("hetero_bench_seconds", wall_seconds, Better::Lower);
+    // Re-checked on every fresh run, whatever the baseline says: on every
+    // shipped hetero preset the straggler-aware partition strictly beats
+    // the uniform Eq. 2 split.
+    for row in &rows {
+        let path = format!("exact.partition.{}.speedup", row.preset);
+        snap.bound(&path, ">", 1.0, false);
     }
-    out.push_str("  },\n");
-    out.push_str("  \"variants\": {\n");
-    out.push_str("    \"autotune\": {\n");
-    let _ = writeln!(out, "      \"preset\": \"{}\",", tune.preset);
-    let _ = writeln!(out, "      \"tensor\": {},", tune.tensor);
-    let _ = writeln!(out, "      \"pipeline\": {},", tune.pipeline);
-    let _ = writeln!(out, "      \"data\": {},", tune.data);
-    let _ = writeln!(out, "      \"fits_memory\": {},", tune.fits_memory);
-    let _ = writeln!(
-        out,
-        "      \"estimated_seconds\": {:?},",
-        tune.estimated_seconds
-    );
-    let _ = writeln!(
-        out,
-        "      \"simulated_seconds\": {:?}",
-        tune.simulated_seconds
-    );
-    out.push_str("    },\n");
-    out.push_str("    \"resilience\": {\n");
-    for (i, r) in resilience.iter().enumerate() {
-        let _ = writeln!(out, "      \"{}\": {{", r.preset);
-        let _ = writeln!(out, "        \"env\": \"{}\",", r.env);
-        let _ = writeln!(out, "        \"clean_seconds\": {:?},", r.clean_seconds);
-        let _ = writeln!(out, "        \"faulted_seconds\": {:?},", r.faulted_seconds);
-        let _ = writeln!(out, "        \"flow_retries\": {},", r.flow_retries);
-        let _ = writeln!(
-            out,
-            "        \"tcp_fallback_flows\": {},",
-            r.tcp_fallback_flows
-        );
-        let _ = writeln!(
-            out,
-            "        \"delta_replan_moves\": {}",
-            r.delta_replan_moves
-        );
-        let _ = writeln!(
-            out,
-            "      }}{}",
-            if i + 1 == resilience.len() { "" } else { "," }
-        );
-    }
-    out.push_str("    },\n");
-    out.push_str("    \"hierarchical\": {\n");
-    for (i, h) in hier.iter().enumerate() {
-        let _ = writeln!(out, "      \"{}\": {{", h.label);
-        let _ = writeln!(out, "        \"preset\": \"{}\",", h.preset);
-        let _ = writeln!(out, "        \"pipeline\": {},", h.pipeline);
-        let _ = writeln!(out, "        \"groups\": {},", h.groups);
-        let _ = writeln!(out, "        \"rdma_groups\": {},", h.rdma_groups);
-        let _ = writeln!(
-            out,
-            "        \"hierarchical_groups\": {},",
-            h.hierarchical_groups
-        );
-        let _ = writeln!(
-            out,
-            "        \"auto_nic_seconds\": {:?},",
-            h.auto_nic_seconds
-        );
-        let _ = writeln!(
-            out,
-            "        \"forced_tcp_seconds\": {:?}",
-            h.forced_tcp_seconds
-        );
-        let _ = writeln!(
-            out,
-            "      }}{}",
-            if i + 1 == hier.len() { "" } else { "," }
-        );
-    }
-    out.push_str("    }\n");
-    out.push_str("  },\n");
-    out.push_str("  \"wall\": {\n");
-    let _ = writeln!(out, "    \"hetero_bench_seconds\": {wall_seconds:?}");
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    std::fs::write(OUT_PATH, &out).expect("write BENCH_hetero.json");
+    snap.ungated("profile", profile);
+    snap.ungated("seed", SEED);
+    snap.write(OUT_PATH).expect("write BENCH_hetero.json");
     println!("wrote {OUT_PATH}");
 }

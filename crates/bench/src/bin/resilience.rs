@@ -37,7 +37,8 @@ fn main() {
         );
     }
 
-    let out = resilience::to_json(&rows, profile);
-    std::fs::write(OUT_PATH, &out).expect("write BENCH_resilience.json");
+    resilience::snapshot(&rows, profile)
+        .write(OUT_PATH)
+        .expect("write BENCH_resilience.json");
     println!("wrote {OUT_PATH}");
 }

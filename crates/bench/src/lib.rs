@@ -28,6 +28,7 @@
 
 pub mod experiments;
 pub mod resilience;
+pub mod snapshot;
 pub mod suites;
 
 pub use experiments::{all_experiment_sections, ExperimentSection};

@@ -11,12 +11,13 @@
 //! run continues degraded. All rows are deterministic in the fixed seed,
 //! so the JSON snapshot is byte-stable across runs and machines.
 
-use std::fmt::Write as _;
-
 use holmes::engine::DpSyncStrategy;
 use holmes::{run_resilient, FaultPreset, ResilienceReport};
+use holmes_obs::json::{self, Value};
 use holmes_obs::{ObsReport, ObsSession};
 use holmes_topology::{presets, Topology};
+
+use crate::snapshot::{round, Snapshot};
 
 /// Seed shared by every row: the snapshot is a regression artifact, not a
 /// statistical sample.
@@ -85,165 +86,118 @@ pub fn run_family(quick: bool) -> Vec<ResilienceRow> {
     rows
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Serialize the family to the `BENCH_resilience.json` snapshot format.
-pub fn to_json(rows: &[ResilienceRow], profile: &str) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"profile\": \"{profile}\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    out.push_str("  \"scenarios\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let r = &row.report;
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"env\": \"{}\",", row.env);
-        let _ = writeln!(out, "      \"preset\": \"{}\",", r.preset.name());
-        let _ = writeln!(out, "      \"strategy\": \"{}\",", r.strategy.name());
-        let _ = writeln!(out, "      \"clean_seconds\": {:.6},", r.clean_seconds);
-        let _ = writeln!(out, "      \"faulted_seconds\": {:.6},", r.faulted_seconds);
-        let _ = writeln!(out, "      \"slowdown\": {:.4},", r.slowdown());
-        let _ = writeln!(out, "      \"fault_windows\": {},", r.fault_windows.len());
-        let _ = writeln!(out, "      \"flow_retries\": {},", r.flow_retries);
-        let _ = writeln!(
-            out,
-            "      \"tcp_fallback_flows\": {},",
-            r.tcp_fallback_flows
-        );
-        let _ = writeln!(
-            out,
-            "      \"lost_nics\": {},",
-            r.degraded_conditions
-                .iter()
-                .filter(|c| matches!(c, holmes::engine::DegradedCondition::LostNic { .. }))
-                .count()
-        );
-        match &r.replan {
-            Some(replan) => {
-                let _ = writeln!(
-                    out,
-                    "      \"replan\": {{\"downgraded_groups\": {:?}, \
-                     \"rdma_groups\": {}, \"ethernet_groups\": {}, \"dp_sync_slowdown\": {:.4}}},",
-                    replan.downgraded_groups,
-                    replan.report.rdma_groups,
-                    replan.report.ethernet_groups,
-                    replan.slowdown(),
-                );
-            }
-            None => {
-                let _ = writeln!(out, "      \"replan\": null,");
-            }
-        }
-        match &r.restart {
-            Some(restart) => {
-                let _ = writeln!(
-                    out,
-                    "      \"restart\": {{\"node\": {}, \"draining\": {}, \
-                     \"at_seconds\": {:.6}, \"restart_seconds\": {:.6}}},",
-                    restart.node, restart.draining, restart.at_seconds, restart.restart_seconds,
-                );
-            }
-            None => {
-                let _ = writeln!(out, "      \"restart\": null,");
-            }
-        }
-        match &r.delta_replan {
-            Some(dr) => {
-                let _ = writeln!(
-                    out,
-                    "      \"delta_replan\": {{\"devices\": {}, \"moves\": {}, \
-                     \"restored_groups\": {}, \"transfer_seconds\": {:.6}, \
-                     \"restore_seconds\": {:.6}, \"dp_sync_slowdown\": {:.4}}},",
-                    dr.new_topology.device_count(),
-                    dr.migration.moves.len(),
-                    dr.migration.restored_groups.len(),
-                    dr.migration.transfer_seconds,
-                    dr.migration.restore_seconds,
-                    dr.slowdown(),
-                );
-            }
-            None => {
-                let _ = writeln!(out, "      \"delta_replan\": null,");
-            }
-        }
-        match &r.elastic {
-            Some(e) => {
-                let _ = writeln!(
-                    out,
-                    "      \"elastic\": {{\"action\": \"{}\", \"wait\": {:.4}, \
-                     \"reshard\": {:.4}, \"restore\": {:.4}}},",
-                    e.action.name(),
-                    e.wait_goodput,
-                    e.reshard_goodput,
-                    e.restore_goodput,
-                );
-            }
-            None => {
-                let _ = writeln!(out, "      \"elastic\": null,");
-            }
-        }
-        out.push_str("      \"obs\": ");
-        out.push_str(row.obs.to_json(6).trim_start());
-        out.push_str(",\n");
-        out.push_str("      \"event_log\": [");
-        for (j, line) in r.event_log.iter().enumerate() {
-            let c = if j + 1 == r.event_log.len() { "" } else { ", " };
-            let _ = write!(out, "\"{}\"{c}", json_escape(line));
-        }
-        out.push_str("]\n");
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    out.push_str("  ],\n");
+/// The family as a `BENCH_resilience.json` snapshot. Every field is
+/// deterministic in the fixed seed, so the whole document is `exact`.
+pub fn snapshot(rows: &[ResilienceRow], profile: &str) -> Snapshot {
+    let mut snap = Snapshot::default();
+    snap.exact("profile", profile);
+    snap.exact("seed", SEED);
+    snap.exact("scenarios", rows.iter().map(scenario).collect::<Vec<_>>());
 
     // The headline curve: for each churn preset, the ring-based run vs
     // the parameter-server run of the identical fault timeline.
     // `ps_advantage > 1` means PS finished the iteration faster than the
     // ring strategy (which typically paid a checkpoint restart).
-    let pairs: Vec<(&ResilienceRow, &ResilienceRow)> = rows
+    let is_ps =
+        |row: &ResilienceRow| matches!(row.report.strategy, DpSyncStrategy::ParameterServer { .. });
+    let crossover = rows
         .iter()
-        .filter(|row| {
-            churns(row.report.preset)
-                && !matches!(row.report.strategy, DpSyncStrategy::ParameterServer { .. })
-        })
+        .filter(|ar| churns(ar.report.preset) && !is_ps(ar))
         .filter_map(|ar| {
-            rows.iter()
-                .find(|ps| {
-                    ps.env == ar.env
-                        && ps.report.preset == ar.report.preset
-                        && matches!(ps.report.strategy, DpSyncStrategy::ParameterServer { .. })
-                })
-                .map(|ps| (ar, ps))
-        })
-        .collect();
-    out.push_str("  \"ps_vs_ar_crossover\": [\n");
-    for (i, (ar, ps)) in pairs.iter().enumerate() {
-        let comma = if i + 1 == pairs.len() { "" } else { "," };
-        let advantage = if ps.report.faulted_seconds > 0.0 {
-            ar.report.faulted_seconds / ps.report.faulted_seconds
-        } else {
-            1.0
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"env\": \"{}\", \"preset\": \"{}\", \
-             \"ar_strategy\": \"{}\", \"ar_faulted_seconds\": {:.6}, \
-             \"ar_restarted\": {}, \"ps_faulted_seconds\": {:.6}, \
-             \"ps_restarted\": {}, \"ps_advantage\": {:.4}}}{comma}",
-            ar.env,
-            ar.report.preset.name(),
-            ar.report.strategy.name(),
-            ar.report.faulted_seconds,
-            ar.report.restart.is_some(),
-            ps.report.faulted_seconds,
-            ps.report.restart.is_some(),
-            advantage,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+            let ps = rows
+                .iter()
+                .find(|ps| ps.env == ar.env && ps.report.preset == ar.report.preset && is_ps(ps))?;
+            let advantage = if ps.report.faulted_seconds > 0.0 {
+                ar.report.faulted_seconds / ps.report.faulted_seconds
+            } else {
+                1.0
+            };
+            Some(json::obj([
+                ("env", ar.env.into()),
+                ("preset", ar.report.preset.name().into()),
+                ("ar_strategy", ar.report.strategy.name().into()),
+                (
+                    "ar_faulted_seconds",
+                    round(ar.report.faulted_seconds, 6).into(),
+                ),
+                ("ar_restarted", ar.report.restart.is_some().into()),
+                (
+                    "ps_faulted_seconds",
+                    round(ps.report.faulted_seconds, 6).into(),
+                ),
+                ("ps_restarted", ps.report.restart.is_some().into()),
+                ("ps_advantage", round(advantage, 4).into()),
+            ]))
+        });
+    snap.exact("ps_vs_ar_crossover", Value::Arr(crossover.collect()));
+    snap
+}
+
+fn scenario(row: &ResilienceRow) -> Value {
+    let r = &row.report;
+    let lost_nics = r
+        .degraded_conditions
+        .iter()
+        .filter(|c| matches!(c, holmes::engine::DegradedCondition::LostNic { .. }))
+        .count();
+    let replan = r.replan.as_ref().map_or(Value::Null, |replan| {
+        json::obj([
+            ("downgraded_groups", replan.downgraded_groups.clone().into()),
+            ("rdma_groups", replan.report.rdma_groups.into()),
+            ("ethernet_groups", replan.report.ethernet_groups.into()),
+            ("dp_sync_slowdown", round(replan.slowdown(), 4).into()),
+        ])
+    });
+    let restart = r.restart.as_ref().map_or(Value::Null, |restart| {
+        json::obj([
+            ("node", restart.node.into()),
+            ("draining", restart.draining.into()),
+            ("at_seconds", round(restart.at_seconds, 6).into()),
+            ("restart_seconds", round(restart.restart_seconds, 6).into()),
+        ])
+    });
+    let delta_replan = r.delta_replan.as_ref().map_or(Value::Null, |dr| {
+        json::obj([
+            ("devices", dr.new_topology.device_count().into()),
+            ("moves", dr.migration.moves.len().into()),
+            ("restored_groups", dr.migration.restored_groups.len().into()),
+            (
+                "transfer_seconds",
+                round(dr.migration.transfer_seconds, 6).into(),
+            ),
+            (
+                "restore_seconds",
+                round(dr.migration.restore_seconds, 6).into(),
+            ),
+            ("dp_sync_slowdown", round(dr.slowdown(), 4).into()),
+        ])
+    });
+    let elastic = r.elastic.as_ref().map_or(Value::Null, |e| {
+        json::obj([
+            ("action", e.action.name().into()),
+            ("wait", round(e.wait_goodput, 4).into()),
+            ("reshard", round(e.reshard_goodput, 4).into()),
+            ("restore", round(e.restore_goodput, 4).into()),
+        ])
+    });
+    json::obj([
+        ("env", row.env.into()),
+        ("preset", r.preset.name().into()),
+        ("strategy", r.strategy.name().into()),
+        ("clean_seconds", round(r.clean_seconds, 6).into()),
+        ("faulted_seconds", round(r.faulted_seconds, 6).into()),
+        ("slowdown", round(r.slowdown(), 4).into()),
+        ("fault_windows", r.fault_windows.len().into()),
+        ("flow_retries", r.flow_retries.into()),
+        ("tcp_fallback_flows", r.tcp_fallback_flows.into()),
+        ("lost_nics", lost_nics.into()),
+        ("replan", replan),
+        ("restart", restart),
+        ("delta_replan", delta_replan),
+        ("elastic", elastic),
+        ("obs", row.obs.metrics.to_value()),
+        ("event_log", r.event_log.clone().into()),
+    ])
 }
 
 #[cfg(test)]
@@ -260,7 +214,7 @@ mod tests {
         for (a, b) in rows.iter().zip(&again) {
             assert_eq!(a.report.log_text(), b.report.log_text());
         }
-        let json = to_json(&rows, "quick");
+        let json = json::write(&snapshot(&rows, "quick").into_value());
         assert!(json.contains("\"preset\": \"dying_nic\""));
         assert!(json.contains("\"preset\": \"preempt_storm\""));
         assert!(json.contains("\"strategy\": \"parameter-server\""));
@@ -273,8 +227,8 @@ mod tests {
         assert!(json.contains("engine.flow_retries"));
         assert!(json.ends_with("}\n"));
         // The whole snapshot — obs registries included — is byte-stable.
-        assert_eq!(json, to_json(&again, "quick"));
+        assert_eq!(json, json::write(&snapshot(&again, "quick").into_value()));
         // And it parses back as JSON.
-        holmes_obs::json::parse(&json).expect("snapshot is valid JSON");
+        json::parse(&json).expect("snapshot is valid JSON");
     }
 }

@@ -27,40 +27,68 @@ use crate::time::SimTime;
 /// most `src_up, trunk/switch, dst_down` — three links.
 const INLINE_LINKS: usize = 3;
 
-/// A flow's path: inline up to [`INLINE_LINKS`] entries, heap-spilled
+/// One entry per path link — a flow's route, or its positions in those
+/// links' flow lists: inline up to [`INLINE_LINKS`] entries, heap-spilled
 /// beyond that.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PathVec {
+pub(crate) struct InlineVec<T> {
     len: u8,
-    inline: [LinkId; INLINE_LINKS],
-    spill: Vec<LinkId>,
+    inline: [T; INLINE_LINKS],
+    spill: Vec<T>,
 }
 
-impl PathVec {
-    pub fn from_vec(path: Vec<LinkId>) -> Self {
-        if path.len() <= INLINE_LINKS {
-            let mut inline = [LinkId(0); INLINE_LINKS];
-            inline[..path.len()].copy_from_slice(&path);
-            PathVec {
-                len: path.len() as u8,
+/// A flow's route.
+pub(crate) type PathVec = InlineVec<LinkId>;
+
+impl<T: Copy + Default> InlineVec<T> {
+    /// `n` default entries, allocating only when `n` exceeds the inline
+    /// capacity.
+    fn with_len(n: usize) -> Self {
+        let inline = [T::default(); INLINE_LINKS];
+        if n <= INLINE_LINKS {
+            InlineVec {
+                len: n as u8,
                 inline,
                 spill: Vec::new(),
             }
         } else {
-            PathVec {
+            InlineVec {
                 len: u8::MAX,
-                inline: [LinkId(0); INLINE_LINKS],
-                spill: path,
+                inline,
+                spill: vec![T::default(); n],
+            }
+        }
+    }
+
+    pub fn from_vec(items: Vec<T>) -> Self {
+        if items.len() <= INLINE_LINKS {
+            let mut v = Self::with_len(items.len());
+            v.inline[..items.len()].copy_from_slice(&items);
+            v
+        } else {
+            InlineVec {
+                len: u8::MAX,
+                inline: [T::default(); INLINE_LINKS],
+                spill: items,
             }
         }
     }
 
     #[inline]
-    pub fn as_slice(&self) -> &[LinkId] {
+    pub fn as_slice(&self) -> &[T] {
         if self.len == u8::MAX {
             &self.spill
         } else {
             &self.inline[..self.len as usize]
+        }
+    }
+
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        if self.len == u8::MAX {
+            &mut self.spill
+        } else {
+            &mut self.inline[..self.len as usize]
         }
     }
 
@@ -111,55 +139,11 @@ pub(crate) struct FlowArena {
     pub path: Vec<PathVec>,
     /// Positions of this slot inside each path link's `link_flows` list,
     /// parallel to `path` (membership maintenance).
-    pub link_pos: Vec<PathVec2>,
+    pub link_pos: Vec<InlineVec<u32>>,
     /// Component-walk visitation stamp (scratch).
     pub visit: Vec<u32>,
     pub live: Vec<bool>,
     free: Vec<u32>,
-}
-
-/// Companion inline vec of `u32` positions, same shape as [`PathVec`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PathVec2 {
-    len: u8,
-    inline: [u32; INLINE_LINKS],
-    spill: Vec<u32>,
-}
-
-impl PathVec2 {
-    fn with_len(n: usize) -> Self {
-        if n <= INLINE_LINKS {
-            PathVec2 {
-                len: n as u8,
-                inline: [0; INLINE_LINKS],
-                spill: Vec::new(),
-            }
-        } else {
-            PathVec2 {
-                len: u8::MAX,
-                inline: [0; INLINE_LINKS],
-                spill: vec![0; n],
-            }
-        }
-    }
-
-    #[inline]
-    pub fn as_slice(&self) -> &[u32] {
-        if self.len == u8::MAX {
-            &self.spill
-        } else {
-            &self.inline[..self.len as usize]
-        }
-    }
-
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [u32] {
-        if self.len == u8::MAX {
-            &mut self.spill
-        } else {
-            &mut self.inline[..self.len as usize]
-        }
-    }
 }
 
 impl FlowArena {
@@ -185,7 +169,7 @@ impl FlowArena {
                 self.rate_cap[s] = rate_cap;
                 self.anchor[s] = now;
                 self.path[s] = path;
-                self.link_pos[s] = PathVec2::with_len(npath);
+                self.link_pos[s] = InlineVec::with_len(npath);
                 self.live[s] = true;
                 slot
             }
@@ -198,7 +182,7 @@ impl FlowArena {
                 self.rate_cap.push(rate_cap);
                 self.anchor.push(now);
                 self.path.push(path);
-                self.link_pos.push(PathVec2::with_len(npath));
+                self.link_pos.push(InlineVec::with_len(npath));
                 self.visit.push(0);
                 self.live.push(true);
                 slot

@@ -32,8 +32,9 @@
 //!   the stack's run entry points as `obs: Option<&mut ObsSession>`.
 //! * [`ObsReport`] — the per-run structured-metrics snapshot the bench
 //!   bins embed in `BENCH_netsim.json` / `BENCH_resilience.json`.
-//! * [`json`] — a minimal hand-rolled JSON parser (the workspace has no
-//!   serde), shared by the bench-gate differ and the round-trip tests.
+//! * [`json`] — a minimal hand-rolled JSON value tree, writer and parser
+//!   (the workspace has no serde): every BENCH snapshot and registry
+//!   export is written by it, and the bench-gate differ reads them back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,14 +78,6 @@ impl ObsSession {
 pub struct ObsReport {
     /// The deterministic metrics registry captured at the end of the run.
     pub metrics: Registry,
-}
-
-impl ObsReport {
-    /// Deterministic JSON text of the report, indented by `indent` spaces
-    /// so it can nest inside a hand-written bench snapshot.
-    pub fn to_json(&self, indent: usize) -> String {
-        self.metrics.to_json(indent)
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! JSON, which is what lets CI diff metrics exactly.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+
+use crate::json::{self, Value};
 
 /// A fixed-bucket histogram: `bounds[i]` is the inclusive upper edge of
 /// bucket `i`; one final overflow bucket catches everything above the
@@ -114,9 +115,9 @@ pub(crate) const DEFAULT_BOUNDS: &[f64] =
 /// r.counter_add("netsim.flows_completed", 3);
 /// r.gauge_set("engine.total_seconds", 1.25);
 /// r.observe_default("engine.coll.wall_seconds", 0.004);
-/// let json = r.to_json(0);
+/// let json = r.to_json();
 /// assert!(json.contains("\"netsim.flows_completed\": 3"));
-/// assert_eq!(json, r.to_json(0), "export is deterministic");
+/// assert_eq!(json, r.to_json(), "export is deterministic");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
@@ -197,76 +198,40 @@ impl Registry {
         }
     }
 
-    /// Deterministic JSON text export. Keys appear in `BTreeMap` order;
-    /// floats render via Rust's shortest-round-trip `{:?}` formatting, so
-    /// the bytes are a pure function of the recorded values. `indent`
-    /// shifts every line right (for nesting inside bench snapshots).
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let mut out = String::new();
-        let _ = writeln!(out, "{pad}{{");
-        let _ = writeln!(out, "{pad}  \"counters\": {{");
-        write_map(&mut out, &pad, &self.counters, |v| format!("{v}"));
-        let _ = writeln!(out, "{pad}  }},");
-        let _ = writeln!(out, "{pad}  \"gauges\": {{");
-        write_map(&mut out, &pad, &self.gauges, fmt_f64);
-        let _ = writeln!(out, "{pad}  }},");
-        let _ = writeln!(out, "{pad}  \"histograms\": {{");
-        let n = self.histograms.len();
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let comma = if i + 1 == n { "" } else { "," };
-            let bounds: Vec<String> = h.bounds.iter().map(fmt_f64).collect();
-            let counts: Vec<String> = h.counts.iter().map(|c| format!("{c}")).collect();
-            let _ = writeln!(
-                out,
-                "{pad}    \"{}\": {{\"bounds\": [{}], \"counts\": [{}], \"count\": {}, \"sum\": {}}}{comma}",
-                crate::json::escape(name),
-                bounds.join(", "),
-                counts.join(", "),
-                h.count,
-                fmt_f64(&h.sum),
-            );
-        }
-        let _ = writeln!(out, "{pad}  }}");
-        let _ = write!(out, "{pad}}}");
-        out
+    /// The registry as a JSON tree: `counters`, `gauges` and `histograms`
+    /// objects, keys in `BTreeMap` order, so the tree is a pure function
+    /// of the recorded values.
+    pub fn to_value(&self) -> Value {
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let fields = [
+                ("bounds", h.bounds.clone().into()),
+                ("counts", h.counts.clone().into()),
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+            ];
+            (name.clone(), json::obj(fields))
+        });
+        json::obj([
+            ("counters", named(&self.counters, |&c| c.into())),
+            ("gauges", named(&self.gauges, |&g| g.into())),
+            ("histograms", Value::Obj(histograms.collect())),
+        ])
+    }
+
+    /// Deterministic JSON text export: [`json::write`] of
+    /// [`Registry::to_value`].
+    pub fn to_json(&self) -> String {
+        json::write(&self.to_value())
     }
 }
 
-/// Render an `f64` as JSON: Rust's `{:?}` is the shortest representation
-/// that round-trips, and it is deterministic in the bit pattern — but it
-/// prints integral floats as `1.0` (valid JSON) and never produces the
-/// `inf`/`NaN` tokens JSON lacks, which we exclude by construction
-/// (panicking beats silently corrupting a CI artifact).
-fn fmt_f64(v: &f64) -> String {
-    assert!(v.is_finite(), "non-finite value in metrics export: {v}");
-    let s = format!("{v:?}");
-    // `{:?}` may emit exponent forms like `1e-6`, which JSON accepts.
-    s
-}
-
-fn write_map<V>(
-    out: &mut String,
-    pad: &str,
-    map: &BTreeMap<String, V>,
-    fmt: impl Fn(&V) -> String,
-) {
-    let n = map.len();
-    for (i, (name, v)) in map.iter().enumerate() {
-        let comma = if i + 1 == n { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "{pad}    \"{}\": {}{comma}",
-            crate::json::escape(name),
-            fmt(v)
-        );
-    }
+fn named<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> Value) -> Value {
+    Value::Obj(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{self, Value};
 
     #[test]
     fn counters_accumulate_and_default_to_zero() {
@@ -316,7 +281,7 @@ mod tests {
         r.counter_add("z.last", 1);
         r.counter_add("a.first", 2);
         r.gauge_set("mid", -0.25);
-        let text = r.to_json(2);
+        let text = r.to_json();
         let a = text.find("a.first").unwrap();
         let z = text.find("z.last").unwrap();
         assert!(a < z, "keys must export in BTreeMap order");
@@ -338,7 +303,7 @@ mod tests {
         for v in [0.0005, 0.05, 0.5, 2.0, 999.0, 1e6] {
             r.observe_default("rt", v); // existing bounds win
         }
-        let text = r.to_json(0);
+        let text = r.to_json();
         let v = json::parse(&text).expect("parse");
         let h = v.get("histograms").unwrap().get("rt").unwrap();
         let parsed_bounds: Vec<f64> = h

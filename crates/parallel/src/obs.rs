@@ -175,7 +175,7 @@ mod tests {
         let render = || {
             let mut s = ObsSession::new();
             record_nic_selection(&mut s, &report);
-            (s.registry.to_json(0), s.trace.to_chrome_trace())
+            (s.registry.to_json(), s.trace.to_chrome_trace())
         };
         assert_eq!(render(), render());
         let (metrics, trace) = render();
@@ -192,7 +192,7 @@ mod tests {
         let render = || {
             let mut s = ObsSession::new();
             record_synth(&mut s, &result, &stats);
-            (s.registry.to_json(0), s.trace.to_chrome_trace())
+            (s.registry.to_json(), s.trace.to_chrome_trace())
         };
         assert_eq!(render(), render());
         let (metrics, trace) = render();

@@ -211,7 +211,7 @@ mod registry_export {
                         _ => r.observe_default(NAMES[*k], *v),
                     }
                 }
-                r.to_json(0)
+                r.to_json()
             };
             let a = build();
             prop_assert_eq!(&a, &build());

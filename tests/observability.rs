@@ -20,7 +20,7 @@ fn merged_trace_is_byte_identical_across_runs() {
         (
             session.trace.to_chrome_trace(),
             session.trace.to_jsonl(),
-            session.registry.to_json(0),
+            session.registry.to_json(),
         )
     };
     let (trace_a, jsonl_a, metrics_a) = render();
