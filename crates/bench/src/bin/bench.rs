@@ -134,12 +134,21 @@ fn main() {
 
     // Twin census of one paper cell: how many logical flows the
     // executor started, and how many engine flows netsim simulated.
-    let (logical_flows, launch_entries, engine_flows, census_events) =
-        suites::netsim::twin_census();
+    let census = suites::netsim::twin_census();
+    let classes = census.classes;
     println!(
-        "twin census ({}): {logical_flows} logical flows, {launch_entries} launch entries, \
-         {engine_flows} engine flows, {census_events} events",
-        suites::netsim::TWIN_CENSUS_CELL
+        "twin census ({}): {} logical flows, {} launch entries, {} engine flows, {} events; \
+         {} devices in {} classes at start, {} splits, {} -> {} device advance steps",
+        suites::netsim::TWIN_CENSUS_CELL,
+        census.logical_flows,
+        census.launch_entries,
+        census.engine_flows,
+        census.events,
+        census.devices,
+        classes.classes_at_start,
+        classes.splits,
+        classes.steps_before(),
+        classes.steps_after(),
     );
 
     let mut snap = Snapshot::default();
@@ -147,14 +156,23 @@ fn main() {
     snap.exact("netsim_probe_events", events);
     snap.exact("netsim_large_events", large_events);
     snap.exact("all_experiments_sections", sections.len());
-    let census = [
+    let twins = [
         ("cell", suites::netsim::TWIN_CENSUS_CELL.into()),
-        ("logical_flows", logical_flows.into()),
-        ("launch_entries", launch_entries.into()),
-        ("engine_flows", engine_flows.into()),
-        ("events", census_events.into()),
+        ("logical_flows", census.logical_flows.into()),
+        ("launch_entries", census.launch_entries.into()),
+        ("engine_flows", census.engine_flows.into()),
+        ("events", census.events.into()),
     ];
-    snap.exact("twin_census", json::obj(census));
+    snap.exact("twin_census", json::obj(twins));
+    let class_census = [
+        ("cell", suites::netsim::TWIN_CENSUS_CELL.into()),
+        ("devices", census.devices.into()),
+        ("classes_at_start", classes.classes_at_start.into()),
+        ("splits", classes.splits.into()),
+        ("advance_steps_before", classes.steps_before().into()),
+        ("advance_steps_after", classes.steps_after().into()),
+    ];
+    snap.exact("class_census", json::obj(class_census));
     snap.exact(
         "obs",
         json::obj([("holmes_pg1_hybrid2", obs.metrics.to_value())]),

@@ -198,15 +198,29 @@ pub fn large_topology_probe() -> (u64, f64) {
 /// three-cluster fleet (4 RoCE + 4 IB + 4 IB nodes), Holmes at PG3.
 pub const TWIN_CENSUS_CELL: &str = "table4_4r_4ib_4ib/pg3";
 
-/// Twin census of one observed iteration of [`TWIN_CENSUS_CELL`]:
-/// `(logical flows, launch entries, engine flows, events)`. Logical flows
-/// are the transfers the executor replays, one observation record each;
-/// launch entries are the counted netsim entries it starts for them (a
-/// collective round's transfers sharing source node, destination node and
-/// bytes start as one); engine flows are what netsim simulates after
-/// merging same-instant twins (identical path, bytes and rate cap). All
-/// four are deterministic.
-pub fn twin_census() -> (u64, u64, u64, u64) {
+/// Twin and replica-class census of one observed iteration of
+/// [`TWIN_CENSUS_CELL`]. All of it is deterministic.
+#[derive(Debug, Clone, Copy)]
+pub struct TwinCensus {
+    /// Transfers the executor replays, one observation record each.
+    pub logical_flows: u64,
+    /// Counted netsim entries started for them: a collective round's
+    /// transfers sharing source node, destination node and bytes start
+    /// as one, and so do sends netsim would twin.
+    pub launch_entries: u64,
+    /// Flows netsim simulates after merging same-instant twins
+    /// (identical path, bytes and rate cap).
+    pub engine_flows: u64,
+    /// Netsim events processed.
+    pub events: u64,
+    /// Devices with a program.
+    pub devices: u64,
+    /// How the executor grouped device wake-ups into replica classes.
+    pub classes: holmes::engine::ClassCensus,
+}
+
+/// Run [`TWIN_CENSUS_CELL`] once, observed, and count it.
+pub fn twin_census() -> TwinCensus {
     let mut session = holmes::obs::ObsSession::new();
     let run = holmes::run_framework(
         holmes::FrameworkKind::Holmes,
@@ -215,12 +229,14 @@ pub fn twin_census() -> (u64, u64, u64, u64) {
         Some(&mut session),
     )
     .expect("the twin-census cell simulates");
-    (
-        session.registry.counter("netsim.flows_finished"),
-        run.report.launch_entries,
-        run.report.flows,
-        run.report.events,
-    )
+    TwinCensus {
+        logical_flows: session.registry.counter("netsim.flows_finished"),
+        launch_entries: run.report.launch_entries,
+        engine_flows: run.report.flows,
+        events: run.report.events,
+        devices: run.report.device_finish_seconds.len() as u64,
+        classes: run.report.classes,
+    }
 }
 
 fn bench_shared_link(c: &mut Criterion) {

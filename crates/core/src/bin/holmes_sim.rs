@@ -22,10 +22,10 @@
 
 use std::process::ExitCode;
 
+use holmes::engine::DpSyncStrategy;
 use holmes::topology::{presets, NicType, Node, Topology};
 use holmes::{
-    run_framework, run_holmes_with, simulate_training_run, FrameworkKind, HolmesConfig, Scenario,
-    TrainingRunConfig,
+    run_scenario, simulate_training_run, FrameworkKind, HolmesConfig, Scenario, TrainingRunConfig,
 };
 
 /// Parsed command line.
@@ -37,7 +37,9 @@ struct Args {
     pg: u8,
     framework: FrameworkKind,
     iterations: Option<u32>,
-    alpha: f64,
+    /// Self-Adapting Partition α; `None` keeps Holmes's default. Only
+    /// `--framework holmes` partitions adaptively.
+    alpha: Option<f64>,
     trace: Option<String>,
     json: bool,
 }
@@ -51,7 +53,7 @@ impl Default for Args {
             pg: 1,
             framework: FrameworkKind::Holmes,
             iterations: None,
-            alpha: 1.05,
+            alpha: None,
             trace: None,
             json: false,
         }
@@ -97,12 +99,13 @@ fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
                 args.iterations = Some(iterations);
             }
             "--alpha" => {
-                args.alpha = value("--alpha")?
+                let alpha: f64 = value("--alpha")?
                     .parse()
                     .map_err(|e| format!("--alpha: {e}"))?;
-                if !(args.alpha.is_finite() && args.alpha > 0.0) {
+                if !(alpha.is_finite() && alpha > 0.0) {
                     return Err("--alpha must be finite and positive".to_owned());
                 }
+                args.alpha = Some(alpha);
             }
             "--trace" => args.trace = Some(value("--trace")?),
             "--json" => args.json = true,
@@ -110,7 +113,23 @@ fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
+    if args.alpha.is_some() && args.framework != FrameworkKind::Holmes {
+        return Err(format!(
+            "--alpha applies only to --framework holmes, not {}",
+            args.framework
+        ));
+    }
     Ok(args)
+}
+
+/// The chosen framework's planner flags and gradient-sync fallback, with
+/// `--alpha` applied to Holmes's Self-Adapting Partition.
+fn framework_flags(args: &Args) -> (HolmesConfig, DpSyncStrategy) {
+    let mut cfg = args.framework.as_holmes_flags();
+    if let Some(alpha) = args.alpha {
+        cfg.alpha = alpha;
+    }
+    (cfg, args.framework.dp_fallback())
 }
 
 /// Build the topology for an environment name.
@@ -149,16 +168,9 @@ fn run(args: Args) -> Result<(), String> {
         );
     }
 
-    let result = if args.framework == FrameworkKind::Holmes {
-        let cfg = HolmesConfig {
-            alpha: args.alpha,
-            ..HolmesConfig::full()
-        };
-        run_holmes_with(&cfg, &topo, args.pg)
-    } else {
-        run_framework(args.framework, &topo, args.pg, None)
-    }
-    .map_err(|e| e.to_string())?;
+    let (cfg, fallback) = framework_flags(&args);
+    let result = run_scenario(&Scenario::new(topo.clone(), args.pg), &cfg, fallback, None)
+        .map_err(|e| e.to_string())?;
 
     if args.json {
         let layers: Vec<String> = result.stage_layers.iter().map(u32::to_string).collect();
@@ -198,13 +210,10 @@ fn run(args: Args) -> Result<(), String> {
     }
 
     if let Some(iterations) = args.iterations {
-        let cfg = HolmesConfig {
-            alpha: args.alpha,
-            ..HolmesConfig::full()
-        };
         let report = simulate_training_run(
             &Scenario::new(topo, args.pg),
             &cfg,
+            fallback,
             &TrainingRunConfig {
                 iterations,
                 ..TrainingRunConfig::default()
@@ -264,7 +273,7 @@ mod tests {
             "--pg",
             "3",
             "--framework",
-            "megatron-llama",
+            "holmes",
             "--iterations",
             "20",
             "--alpha",
@@ -276,9 +285,9 @@ mod tests {
         assert_eq!(args.env, "roce");
         assert_eq!(args.nodes, 8);
         assert_eq!(args.pg, 3);
-        assert_eq!(args.framework, FrameworkKind::MegatronLlama);
+        assert_eq!(args.framework, FrameworkKind::Holmes);
         assert_eq!(args.iterations, Some(20));
-        assert!((args.alpha - 1.1).abs() < 1e-12);
+        assert_eq!(args.alpha, Some(1.1));
         assert_eq!(args.trace.as_deref(), Some("/tmp/t.json"));
     }
 
@@ -299,7 +308,42 @@ mod tests {
         assert!(build_topology("hybrid", 536_870_912).is_err());
         assert!(holmes::topology::parse_topology_spec("ib:536870912").is_err());
         assert_eq!(parse(&["--iterations", "1"]).unwrap().iterations, Some(1));
-        assert_eq!(parse(&["--alpha", "0.5"]).unwrap().alpha, 0.5);
+        assert_eq!(parse(&["--alpha", "0.5"]).unwrap().alpha, Some(0.5));
+        // α tunes Holmes's adaptive partition; no baseline has one.
+        for framework in ["megatron-lm", "megatron-deepspeed", "megatron-llama"] {
+            let err = parse(&["--framework", framework, "--alpha", "1.1"]).unwrap_err();
+            assert!(err.contains("--alpha"), "{framework}: {err}");
+            assert!(parse(&["--framework", framework]).is_ok());
+        }
+    }
+
+    /// The multi-iteration run prices the chosen framework: jitter and
+    /// warm-up only ever add time, so every framework's mean is at least
+    /// its own single-iteration seconds (a run priced as Holmes would
+    /// undercut the slower baselines).
+    #[test]
+    fn training_run_prices_the_chosen_framework() {
+        let topo = build_topology("hybrid", 4).unwrap();
+        for framework in FrameworkKind::ALL {
+            let args = Args {
+                framework,
+                ..Args::default()
+            };
+            let (cfg, fallback) = framework_flags(&args);
+            let scenario = Scenario::new(topo.clone(), args.pg);
+            let single = run_scenario(&scenario, &cfg, fallback, None)
+                .unwrap()
+                .metrics
+                .iteration_seconds;
+            let run = TrainingRunConfig {
+                iterations: 4,
+                ..TrainingRunConfig::default()
+            };
+            let mean = simulate_training_run(&scenario, &cfg, fallback, &run)
+                .unwrap()
+                .mean_seconds;
+            assert!(mean >= single, "{framework}: mean {mean} < single {single}");
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Emulations of the LLM training frameworks the paper compares (§4.2).
 
+use holmes_engine::DpSyncStrategy;
+
 use crate::config::HolmesConfig;
 
 /// Which framework's behaviour to emulate.
@@ -76,6 +78,18 @@ impl FrameworkKind {
     /// DDP all-reduce (Megatron-LM).
     pub fn uses_zero1(self) -> bool {
         matches!(self, FrameworkKind::MegatronDeepSpeed)
+    }
+
+    /// The gradient-sync strategy this framework falls back to when the
+    /// overlapped optimizer is off. DeepSpeed's ZeRO-1 and Holmes's
+    /// Megatron distributed optimizer both reduce-scatter and all-gather;
+    /// plain Megatron-LM and -LLaMA use legacy DDP all-reduce.
+    pub fn dp_fallback(self) -> DpSyncStrategy {
+        if self.uses_zero1() || self == FrameworkKind::Holmes {
+            DpSyncStrategy::DistributedOptimizer
+        } else {
+            DpSyncStrategy::AllReduce
+        }
     }
 }
 

@@ -64,6 +64,18 @@ pub enum RunError {
     Plan(PlanError),
     /// Building or executing the iteration failed.
     Engine(holmes_engine::builder::BuildError),
+    /// A multi-iteration run asked for no iterations.
+    NoIterations,
+    /// A multi-iteration run's jitter is negative or not finite.
+    BadJitter {
+        /// The rejected jitter σ.
+        jitter: f64,
+    },
+    /// A multi-iteration run's warm-up penalty is negative or not finite.
+    BadWarmupPenalty {
+        /// The rejected penalty factor.
+        penalty: f64,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -71,6 +83,16 @@ impl std::fmt::Display for RunError {
         match self {
             RunError::Plan(e) => write!(f, "planning failed: {e}"),
             RunError::Engine(e) => write!(f, "engine failed: {e}"),
+            RunError::NoIterations => write!(f, "a training run needs at least one iteration"),
+            RunError::BadJitter { jitter } => {
+                write!(f, "jitter {jitter} must be finite and non-negative")
+            }
+            RunError::BadWarmupPenalty { penalty } => {
+                write!(
+                    f,
+                    "warm-up penalty {penalty} must be finite and non-negative"
+                )
+            }
         }
     }
 }
@@ -145,19 +167,10 @@ pub fn run_framework(
     parameter_group: u8,
     obs: Option<&mut ObsSession>,
 ) -> Result<RunResult, RunError> {
-    let cfg = kind.as_holmes_flags();
-    // DeepSpeed's ZeRO-1 and Holmes's Megatron distributed optimizer both
-    // fall back to reduce-scatter + all-gather; only plain Megatron-LM /
-    // -LLaMA use legacy DDP all-reduce when overlap is off.
-    let fallback = if kind.uses_zero1() || kind == FrameworkKind::Holmes {
-        DpSyncStrategy::DistributedOptimizer
-    } else {
-        DpSyncStrategy::AllReduce
-    };
     run_scenario(
         &Scenario::new(topo.clone(), parameter_group),
-        &cfg,
-        fallback,
+        &kind.as_holmes_flags(),
+        kind.dp_fallback(),
         obs,
     )
 }

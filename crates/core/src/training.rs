@@ -69,15 +69,36 @@ impl TrainingRunReport {
     }
 }
 
-/// Simulate a multi-iteration training run of a scenario.
+/// Simulate a multi-iteration training run of a scenario under a Holmes
+/// configuration; `fallback_dp` selects the gradient-sync strategy when
+/// `cfg.overlapped_optimizer` is off, as in [`run_scenario`] (a
+/// framework's pair is [`crate::FrameworkKind::as_holmes_flags`] and
+/// [`crate::FrameworkKind::dp_fallback`]).
+///
+/// Bad run settings are typed errors, checked before anything simulates:
+/// no iterations, or a jitter or warm-up penalty that is negative, NaN or
+/// infinite.
 pub fn simulate_training_run(
     scenario: &Scenario,
     cfg: &HolmesConfig,
+    fallback_dp: DpSyncStrategy,
     run_cfg: &TrainingRunConfig,
 ) -> Result<TrainingRunReport, RunError> {
-    assert!(run_cfg.iterations >= 1, "need at least one iteration");
-    assert!(run_cfg.jitter >= 0.0, "jitter must be non-negative");
-    let base = run_scenario(scenario, cfg, DpSyncStrategy::DistributedOptimizer, None)?;
+    if run_cfg.iterations == 0 {
+        return Err(RunError::NoIterations);
+    }
+    let valid = |x: f64| x.is_finite() && x >= 0.0;
+    if !valid(run_cfg.jitter) {
+        return Err(RunError::BadJitter {
+            jitter: run_cfg.jitter,
+        });
+    }
+    if !valid(run_cfg.warmup_penalty) {
+        return Err(RunError::BadWarmupPenalty {
+            penalty: run_cfg.warmup_penalty,
+        });
+    }
+    let base = run_scenario(scenario, cfg, fallback_dp, None)?;
     let base_seconds = base.metrics.iteration_seconds;
     let mut rng = StdRng::seed_from_u64(run_cfg.seed);
 
@@ -130,6 +151,7 @@ mod tests {
         let report = simulate_training_run(
             &scenario(),
             &HolmesConfig::full(),
+            DpSyncStrategy::DistributedOptimizer,
             &TrainingRunConfig::default(),
         )
         .unwrap();
@@ -147,7 +169,13 @@ mod tests {
             jitter: 0.0,
             ..TrainingRunConfig::default()
         };
-        let report = simulate_training_run(&scenario(), &HolmesConfig::full(), &cfg).unwrap();
+        let report = simulate_training_run(
+            &scenario(),
+            &HolmesConfig::full(),
+            DpSyncStrategy::DistributedOptimizer,
+            &cfg,
+        )
+        .unwrap();
         let first = report.iteration_seconds[0];
         assert!(report
             .iteration_seconds
@@ -159,11 +187,29 @@ mod tests {
     #[test]
     fn same_seed_reproduces_same_run() {
         let cfg = TrainingRunConfig::default();
-        let a = simulate_training_run(&scenario(), &HolmesConfig::full(), &cfg).unwrap();
-        let b = simulate_training_run(&scenario(), &HolmesConfig::full(), &cfg).unwrap();
+        let a = simulate_training_run(
+            &scenario(),
+            &HolmesConfig::full(),
+            DpSyncStrategy::DistributedOptimizer,
+            &cfg,
+        )
+        .unwrap();
+        let b = simulate_training_run(
+            &scenario(),
+            &HolmesConfig::full(),
+            DpSyncStrategy::DistributedOptimizer,
+            &cfg,
+        )
+        .unwrap();
         assert_eq!(a.iteration_seconds, b.iteration_seconds);
         let different_seed = TrainingRunConfig { seed: 7, ..cfg };
-        let c = simulate_training_run(&scenario(), &HolmesConfig::full(), &different_seed).unwrap();
+        let c = simulate_training_run(
+            &scenario(),
+            &HolmesConfig::full(),
+            DpSyncStrategy::DistributedOptimizer,
+            &different_seed,
+        )
+        .unwrap();
         assert_ne!(a.iteration_seconds, c.iteration_seconds);
     }
 
@@ -172,6 +218,7 @@ mod tests {
         let base = simulate_training_run(
             &scenario(),
             &HolmesConfig::full(),
+            DpSyncStrategy::DistributedOptimizer,
             &TrainingRunConfig {
                 jitter: 0.0,
                 ..TrainingRunConfig::default()
@@ -182,6 +229,7 @@ mod tests {
         let jittered = simulate_training_run(
             &scenario(),
             &HolmesConfig::full(),
+            DpSyncStrategy::DistributedOptimizer,
             &TrainingRunConfig::default(),
         )
         .unwrap();
@@ -196,10 +244,57 @@ mod tests {
         let report = simulate_training_run(
             &scenario(),
             &HolmesConfig::full(),
+            DpSyncStrategy::DistributedOptimizer,
             &TrainingRunConfig::default(),
         )
         .unwrap();
         let days = report.days_for_tokens(report.tokens_per_sec * 86_400.0);
         assert!((days - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bad_run_settings_are_typed_errors() {
+        let run = |cfg: TrainingRunConfig| {
+            simulate_training_run(
+                &scenario(),
+                &HolmesConfig::full(),
+                DpSyncStrategy::DistributedOptimizer,
+                &cfg,
+            )
+        };
+        let base = TrainingRunConfig::default();
+        assert!(matches!(
+            run(TrainingRunConfig {
+                iterations: 0,
+                ..base
+            }),
+            Err(RunError::NoIterations)
+        ));
+        for jitter in [-0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = run(TrainingRunConfig { jitter, ..base }).unwrap_err();
+            assert!(
+                matches!(err, RunError::BadJitter { jitter: j } if j.to_bits() == jitter.to_bits()),
+                "jitter {jitter}: {err}"
+            );
+        }
+        for penalty in [-1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = run(TrainingRunConfig {
+                warmup_penalty: penalty,
+                ..base
+            })
+            .unwrap_err();
+            assert!(
+                matches!(err, RunError::BadWarmupPenalty { penalty: p } if p.to_bits() == penalty.to_bits()),
+                "penalty {penalty}: {err}"
+            );
+        }
+        // The boundary values themselves are valid.
+        let edge = TrainingRunConfig {
+            iterations: 1,
+            warmup_penalty: 0.0,
+            jitter: 0.0,
+            ..base
+        };
+        assert_eq!(run(edge).unwrap().iteration_seconds.len(), 1);
     }
 }

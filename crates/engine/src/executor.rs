@@ -17,6 +17,18 @@
 //! timeout, retry, TCP fallback or churn cancel acts on the whole entry,
 //! and the fault counters add its count. Routes come from a per-execution
 //! [`RouteTable`] instead of a topology walk per transfer.
+//!
+//! Devices advance in replica classes. A device that starts a compute op
+//! parks on its class's one compute timer, and later devices whose
+//! timers would fire at the same instant and pop right behind it join
+//! that class instead of scheduling their own. When the timer fires the
+//! class wakes its members in join order, which is the order their own
+//! timers would have popped in. Point-to-point sends that netsim would
+//! merge into one twin group (same instant, route and bytes, started
+//! back to back) start as one counted entry whose completion delivers
+//! every message it carries in send order. Each rule checks the exact
+//! condition under which the merged event replays the per-device ones,
+//! so a class of one is simply today's path (DESIGN.md §6.1.2).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -345,8 +357,11 @@ pub struct IterationReport {
     pub flows: u64,
     /// Netsim entries the executor started (diagnostic): a collective
     /// round's transfers sharing source node, destination node and bytes
-    /// start as one counted entry, every other transfer as its own.
+    /// start as one counted entry, and so do point-to-point sends that
+    /// would twin-merge in netsim; every other transfer starts as its own.
     pub launch_entries: u64,
+    /// Replica-class census of the run (diagnostic).
+    pub classes: ClassCensus,
     /// Full per-device span timeline (compute, pipeline waits, collective
     /// waits) — see [`Timeline::to_chrome_trace`].
     pub timeline: Timeline,
@@ -396,6 +411,43 @@ impl IterationReport {
             total += ce - cs;
         }
         total
+    }
+}
+
+/// How the executor grouped device wake-ups into replica classes
+/// (diagnostic). A device *advance step* is one wake-up that resumes
+/// devices: a fired compute timer or a landed message. Before classes,
+/// every device took its own step for each; with them a class timer or
+/// a counted send entry resumes all of its devices in one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ClassCensus {
+    /// Classes formed by the devices' first advance at time zero.
+    pub classes_at_start: u64,
+    /// Classes whose members did not all move on to one next class:
+    /// they parked on different timers, directly or after waiting for
+    /// messages or collectives that released them at different instants.
+    pub splits: u64,
+    /// Compute ops started: one timer each without classes.
+    pub compute_timers: u64,
+    /// Class compute timers actually scheduled.
+    pub class_timers: u64,
+    /// Devices resumed by a landed message.
+    pub recv_wakeups: u64,
+    /// Send-entry completions that resumed at least one device.
+    pub recv_steps: u64,
+}
+
+impl ClassCensus {
+    /// Device advance steps without classes: one per compute op and one
+    /// per message wake-up.
+    pub fn steps_before(&self) -> u64 {
+        self.compute_timers + self.recv_wakeups
+    }
+
+    /// Device advance steps taken: one per class timer and one per send
+    /// entry that resumed devices.
+    pub fn steps_after(&self) -> u64 {
+        self.class_timers + self.recv_steps
     }
 }
 
@@ -491,10 +543,23 @@ struct CollState {
 
 #[derive(Debug, Clone, Copy)]
 enum Token {
-    ComputeDone { dev: usize },
-    MsgArrived { msg: usize },
-    CollFlow { coll: usize, channel: u32 },
-    FlowTimeout { attempt: usize },
+    /// Replica class `class`'s compute timer fired.
+    ComputeDone {
+        class: u32,
+    },
+    /// A send entry landed: it carried the messages
+    /// `sent[first..first + count]`.
+    MsgArrived {
+        first: u32,
+        count: u32,
+    },
+    CollFlow {
+        coll: usize,
+        channel: u32,
+    },
+    FlowTimeout {
+        attempt: usize,
+    },
 }
 
 /// Which side of a node's connectivity a fabric link implements.
@@ -502,6 +567,21 @@ enum Token {
 enum LinkClass {
     Rdma,
     Eth,
+}
+
+/// The newest point-to-point send entry, while later sends may still
+/// join it as extra logical flows.
+#[derive(Debug, Clone, Copy)]
+struct OpenSend {
+    flow: FlowId,
+    token: u64,
+    /// Source and destination node: with the transport fixed they
+    /// determine the route, so its latency and rate cap too.
+    nodes: (usize, usize),
+    bytes: u64,
+    /// When the entry was started and when it starts streaming, in ns.
+    started: u64,
+    at: u64,
 }
 
 /// Retry bookkeeping for one tracked entry (only allocated when a fault
@@ -574,6 +654,52 @@ struct Executor<'t> {
     counters: holmes_obs::Registry,
     /// Netsim entries started ([`IterationReport::launch_entries`]).
     launch_entries: u64,
+    /// Replica classes: the devices parked on each class's compute timer,
+    /// in join order (emptied when the timer fires).
+    classes: Vec<Vec<usize>>,
+    /// Each device's latest class ([`NO_CLASS`] before its first).
+    class_of: Vec<u32>,
+    /// Per class, the class its members moved on to: [`NO_CLASS`] until
+    /// the first one parks again, [`SPLIT`] once two parted ways.
+    successor: Vec<u32>,
+    /// Classes whose pending timer a new device may still join, with the
+    /// instant (ns) it fires at.
+    open_classes: Vec<(u64, u32)>,
+    /// The newest send entry, while a send may still join it.
+    open_send: Option<OpenSend>,
+    /// `sim.seq_mark()` just after the executor's own newest event.
+    seq_mark: u64,
+    /// Message slots of every send entry, entry after entry.
+    sent: Vec<usize>,
+    /// Sends may join entries: off when faults track or retry single
+    /// transfers, and in `solo` runs.
+    join_sends: bool,
+    /// Classes of one and one entry per send, today's per-device path
+    /// (set only by tests, as the reference the class path must match).
+    solo: bool,
+    census: ClassCensus,
+}
+
+/// No class yet, or no successor yet.
+const NO_CLASS: u32 = u32::MAX;
+/// A class whose members moved on to different classes.
+const SPLIT: u32 = u32::MAX - 1;
+
+#[cfg(test)]
+thread_local! {
+    /// Forces classes of one in executions started on this thread.
+    pub(crate) static SOLO: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+fn solo_forced() -> bool {
+    #[cfg(test)]
+    {
+        SOLO.with(|s| s.get())
+    }
+    #[cfg(not(test))]
+    {
+        false
+    }
 }
 
 /// Execute a spec on a topology. See [`IterationReport`].
@@ -768,6 +894,9 @@ pub(crate) fn execute_inner(
             });
         }
     }
+    let track_flows = plan.is_some_and(|p| !p.churn.is_empty());
+    let seq_mark = sim.seq_mark();
+    let solo = solo_forced();
     let mut exec = Executor {
         topo,
         sim,
@@ -788,7 +917,7 @@ pub(crate) fn execute_inner(
         lost_rdma: HashSet::new(),
         lost_nodes: HashSet::new(),
         inflight: HashMap::default(),
-        track_flows: plan.is_some_and(|p| !p.churn.is_empty()),
+        track_flows,
         straggler_of_rank,
         link_owner,
         open_faults: BTreeMap::new(),
@@ -796,6 +925,16 @@ pub(crate) fn execute_inner(
         conditions,
         counters: holmes_obs::Registry::new(),
         launch_entries: 0,
+        classes: Vec::new(),
+        class_of: vec![NO_CLASS; n],
+        successor: Vec::new(),
+        open_classes: Vec::new(),
+        open_send: None,
+        seq_mark,
+        sent: Vec::with_capacity(sends),
+        join_sends: !solo && retry.is_none() && !track_flows,
+        solo,
+        census: ClassCensus::default(),
     };
     let result = exec.run();
     if let Some(session) = obs {
@@ -881,6 +1020,7 @@ impl<'t> Executor<'t> {
         for dev in 0..self.devs.len() {
             self.advance(dev);
         }
+        self.census.classes_at_start = self.classes.len() as u64;
         while let Some(completion) = self.sim.next() {
             match completion {
                 Completion::Flow { id, token, .. } => {
@@ -912,23 +1052,22 @@ impl<'t> Executor<'t> {
 
     fn dispatch(&mut self, token: u64) -> Result<(), ExecError> {
         match self.tokens[token as usize] {
-            Token::ComputeDone { dev } => {
-                // A churn-retired device may still have a compute timer in
-                // flight; its program is over, so the tick is a no-op.
-                if self.devs[dev].status != DevStatus::Done {
-                    self.devs[dev].pc += 1;
-                    self.devs[dev].status = DevStatus::Runnable;
-                    self.advance(dev);
+            Token::ComputeDone { class } => self.wake_class(class),
+            Token::MsgArrived { first, count } => {
+                let mut woken = 0;
+                for i in first..first + count {
+                    let msg = self.sent[i as usize];
+                    self.msg_arrived[msg] = true;
+                    if let Some(dev) = self.msg_waiter[msg].take() {
+                        woken += 1;
+                        self.end_wait_span(dev, SpanKind::RecvWait);
+                        self.devs[dev].pc += 1;
+                        self.devs[dev].status = DevStatus::Runnable;
+                        self.advance(dev);
+                    }
                 }
-            }
-            Token::MsgArrived { msg } => {
-                self.msg_arrived[msg] = true;
-                if let Some(dev) = self.msg_waiter[msg].take() {
-                    self.end_wait_span(dev, SpanKind::RecvWait);
-                    self.devs[dev].pc += 1;
-                    self.devs[dev].status = DevStatus::Runnable;
-                    self.advance(dev);
-                }
+                self.census.recv_wakeups += woken;
+                self.census.recv_steps += u64::from(woken > 0);
             }
             Token::CollFlow { coll, channel } => {
                 self.coll_flow_done(coll, channel);
@@ -1098,7 +1237,7 @@ impl<'t> Executor<'t> {
             // via `on_fault`; here we only push the deadline out.
             let next = self.attempts[a].timeout_seconds;
             let t = self.token(Token::FlowTimeout { attempt: a });
-            self.sim.set_timer(SimDuration::from_secs_f64(next), t);
+            self.set_timer(SimDuration::from_secs_f64(next), t);
             return Ok(());
         }
         if self.attempts[a].retries_left == 0 {
@@ -1155,15 +1294,15 @@ impl<'t> Executor<'t> {
             .routes
             .route(&self.fabric, self.topo, from, to, force_tcp);
         let path = route.path.clone();
-        let id = self.sim.start_flow(FlowSpec {
+        let spec = FlowSpec {
             path: path.clone(),
             bytes,
             latency: route.latency,
             rate_cap: route.rate_cap,
             token: semantic,
             count,
-        });
-        self.launch_entries += 1;
+        };
+        let id = self.start_flow(spec);
         self.attempts[a].flow = id;
         self.attempts[a].path = path;
         self.attempts[a].forced_tcp = fallback;
@@ -1173,7 +1312,7 @@ impl<'t> Executor<'t> {
         }
         let next = self.attempts[a].timeout_seconds;
         let t = self.token(Token::FlowTimeout { attempt: a });
-        self.sim.set_timer(SimDuration::from_secs_f64(next), t);
+        self.set_timer(SimDuration::from_secs_f64(next), t);
         Ok(())
     }
 
@@ -1193,9 +1332,145 @@ impl<'t> Executor<'t> {
         i
     }
 
+    /// Close the open classes and send entry if the simulator scheduled
+    /// an event of its own since the executor's newest one: it may sit
+    /// between a class's timer and a joiner's.
+    fn sync_mark(&mut self) {
+        if self.sim.seq_mark() != self.seq_mark {
+            self.open_classes.clear();
+            self.open_send = None;
+            self.seq_mark = self.sim.seq_mark();
+        }
+    }
+
+    /// Account for an event the executor is about to schedule at `at`
+    /// (ns): it would pop between an open class's timer or the open send
+    /// entry's start at that instant and any later joiner, so those close.
+    fn before_push(&mut self, at: u64) {
+        self.sync_mark();
+        self.open_classes.retain(|&(t, _)| t != at);
+        if self.open_send.is_some_and(|s| s.at == at) {
+            self.open_send = None;
+        }
+        self.seq_mark += 1;
+    }
+
+    fn set_timer(&mut self, delay: SimDuration, token: u64) {
+        self.before_push(self.sim.now().0 + delay.0);
+        self.sim.set_timer(delay, token);
+    }
+
+    /// Start a netsim entry. A send joins no entry started before
+    /// another, so every start closes the open send.
+    fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
+        self.before_push(self.sim.now().0 + spec.latency.0);
+        self.open_send = None;
+        self.launch_entries += 1;
+        self.sim.start_flow(spec)
+    }
+
+    /// Park computing device `dev` for `seconds` on a class timer: the
+    /// open class firing at the same instant, or a new one.
+    fn park(&mut self, dev: usize, seconds: f64) {
+        self.census.compute_timers += 1;
+        let delay = SimDuration::from_secs_f64(seconds);
+        let at = self.sim.now().0 + delay.0;
+        self.sync_mark();
+        let open = self.open_classes.iter().find(|&&(t, _)| t == at);
+        if let Some(&(_, class)) = open.filter(|_| !self.solo) {
+            self.classes[class as usize].push(dev);
+            self.follow(dev, class);
+            return;
+        }
+        let class = self.classes.len() as u32;
+        self.classes.push(vec![dev]);
+        self.successor.push(NO_CLASS);
+        self.follow(dev, class);
+        let token = self.token(Token::ComputeDone { class });
+        self.set_timer(delay, token);
+        self.census.class_timers += 1;
+        self.open_classes.push((at, class));
+    }
+
+    /// Move `dev` from its previous class to `class`, counting a split
+    /// the first time the previous class's members part ways.
+    fn follow(&mut self, dev: usize, class: u32) {
+        let prev = std::mem::replace(&mut self.class_of[dev], class);
+        if let Some(next) = self.successor.get_mut(prev as usize) {
+            if *next == NO_CLASS {
+                *next = class;
+            } else if *next != class && *next != SPLIT {
+                *next = SPLIT;
+                self.census.splits += 1;
+            }
+        }
+    }
+
+    /// Class `class`'s timer fired: resume its members in join order,
+    /// as their own timers would have popped.
+    fn wake_class(&mut self, class: u32) {
+        self.open_classes.retain(|&(_, c)| c != class);
+        let members = std::mem::take(&mut self.classes[class as usize]);
+        for &dev in &members {
+            // A churn-retired member's program is over: its tick is a
+            // no-op.
+            if self.devs[dev].status != DevStatus::Done {
+                self.devs[dev].pc += 1;
+                self.devs[dev].status = DevStatus::Runnable;
+                self.advance(dev);
+            }
+        }
+    }
+
+    /// Send one message of `bytes` from `from` to `to`, delivered as
+    /// message slot `msg`: as an extra logical flow of the open send
+    /// entry when netsim would twin it with that entry, else as a new
+    /// entry.
+    fn send(&mut self, from: Rank, to: Rank, bytes: u64, msg: usize) {
+        let nodes = (self.fabric.node_of(from), self.fabric.node_of(to));
+        self.sync_mark();
+        if let Some(open) = self.open_send {
+            if open.nodes == nodes
+                && open.bytes == bytes
+                && open.started == self.sim.now().0
+                && self.sim.extend_pending_flow(open.flow, 1)
+            {
+                self.sent.push(msg);
+                if let Token::MsgArrived { count, .. } = &mut self.tokens[open.token as usize] {
+                    *count += 1;
+                }
+                return;
+            }
+        }
+        let first = self.sent.len() as u32;
+        self.sent.push(msg);
+        let token = self.token(Token::MsgArrived { first, count: 1 });
+        if let Some((flow, at)) = self.route_flow(from, to, bytes, 1, token) {
+            if self.join_sends {
+                self.open_send = Some(OpenSend {
+                    flow,
+                    token,
+                    nodes,
+                    bytes,
+                    started: self.sim.now().0,
+                    at,
+                });
+            }
+        }
+    }
+
     /// Start `count` transfers of `bytes` from `from`'s node to `to`'s
-    /// node as one counted entry, represented by `from → to`.
-    fn route_flow(&mut self, from: Rank, to: Rank, bytes: u64, count: u32, token: u64) {
+    /// node as one counted entry, represented by `from → to`. Returns the
+    /// entry and the instant (ns) it starts streaming, or `None` when an
+    /// endpoint's node left and the token was delivered as stale.
+    fn route_flow(
+        &mut self,
+        from: Rank,
+        to: Rank,
+        bytes: u64,
+        count: u32,
+        token: u64,
+    ) -> Option<(FlowId, u64)> {
         if !self.lost_nodes.is_empty()
             && (self.lost_nodes.contains(&self.fabric.node_of(from))
                 || self.lost_nodes.contains(&self.fabric.node_of(to)))
@@ -1204,8 +1479,8 @@ impl<'t> Executor<'t> {
             // stale, not pending. Deliver the semantic token through the
             // event queue (zero-delay timer) so ordering relative to other
             // completions stays deterministic.
-            self.sim.set_timer(SimDuration::from_secs_f64(0.0), token);
-            return;
+            self.set_timer(SimDuration::from_secs_f64(0.0), token);
+            return None;
         }
         let lost_endpoint = !self.lost_rdma.is_empty()
             && (self.lost_rdma.contains(&self.fabric.node_of(from))
@@ -1227,15 +1502,15 @@ impl<'t> Executor<'t> {
         } else {
             Vec::new()
         };
-        let id = self.sim.start_flow(FlowSpec {
+        let spec = FlowSpec {
             path: route.path.clone(),
             bytes,
             latency,
             rate_cap,
             token,
             count,
-        });
-        self.launch_entries += 1;
+        };
+        let id = self.start_flow(spec);
         if self.track_flows {
             self.inflight.insert(token, (id, from, to));
         }
@@ -1266,8 +1541,9 @@ impl<'t> Executor<'t> {
             });
             self.attempt_of_flow.insert(id, a);
             let t = self.token(Token::FlowTimeout { attempt: a });
-            self.sim.set_timer(SimDuration::from_secs_f64(timeout), t);
+            self.set_timer(SimDuration::from_secs_f64(timeout), t);
         }
+        Some((id, self.sim.now().0 + latency.0))
     }
 
     /// Execute ops for `dev` until it blocks or finishes.
@@ -1304,16 +1580,13 @@ impl<'t> Executor<'t> {
                         _ => {}
                     }
                     d.status = DevStatus::Computing;
-                    let token = self.token(Token::ComputeDone { dev });
-                    self.sim
-                        .set_timer(SimDuration::from_secs_f64(seconds), token);
+                    self.park(dev, seconds);
                     return;
                 }
                 Op::Send { key, bytes } => {
                     debug_assert_eq!(key.from, self.devs[dev].rank, "send from wrong device");
                     let msg = self.msg_slot(key);
-                    let token = self.token(Token::MsgArrived { msg });
-                    self.route_flow(key.from, key.to, bytes, 1, token);
+                    self.send(key.from, key.to, bytes, msg);
                     self.devs[dev].pc += 1;
                 }
                 Op::Recv { key } => {
@@ -1485,6 +1758,7 @@ impl<'t> Executor<'t> {
             events: self.sim.events_processed(),
             flows: self.sim.engine_flows_completed(),
             launch_entries: self.launch_entries,
+            classes: self.census,
             timeline: std::mem::take(&mut self.timeline),
             node_link_usage: Vec::new(),
             fault_windows: std::mem::take(&mut self.fault_windows),

@@ -45,6 +45,8 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+#[cfg(test)]
+mod class_oracle;
 pub mod compute;
 pub mod dp_sync;
 pub mod executor;
@@ -61,7 +63,7 @@ pub use builder::{build_iteration, simulate_iteration, BuildError, EngineConfig,
 pub use compute::{ComputeModel, StageCost};
 pub use dp_sync::DpSyncStrategy;
 pub use executor::{
-    execute, execute_with_faults, CollKind, CollectiveSpec, ExecError, ExecutionSpec,
+    execute, execute_with_faults, ClassCensus, CollKind, CollectiveSpec, ExecError, ExecutionSpec,
     IterationReport, NodeLinkUsage, TransportPolicy,
 };
 pub use fault::{

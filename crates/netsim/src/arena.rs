@@ -402,6 +402,22 @@ impl FlowWindow {
         }
     }
 
+    /// Add `by` logical flows to `id`'s entry while it is still in its
+    /// latency phase and short enough to twin ([`twin_key`]). `false`,
+    /// changing nothing, otherwise.
+    pub fn grow_pending(&mut self, id: FlowId, by: u32) -> bool {
+        let Some(i) = self.index(id.0) else {
+            return false;
+        };
+        match &mut self.states[i] {
+            FlowState::Pending(spec) if spec.path.len() <= INLINE_LINKS => {
+                spec.count += by;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Tombstone a flow still in its latency phase. `false` when `id` is
     /// not pending.
     pub fn cancel_pending(&mut self, id: FlowId) -> bool {

@@ -245,6 +245,18 @@ impl NetSim {
         self.events_processed
     }
 
+    /// Event sequence numbers handed out so far: one per
+    /// [`NetSim::start_flow`], [`NetSim::set_timer`] and scheduled fault or
+    /// churn, plus one per refresh of the internal completion check. Two
+    /// same-instant timers pop back to back exactly when no sequence
+    /// number between theirs went to another event at that instant, so a
+    /// caller that sees the mark move by more than its own calls knows
+    /// the simulator scheduled something of its own in between.
+    #[inline]
+    pub fn seq_mark(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Enable flow-level observation: per-flow lifetimes, per-link busy
     /// windows and park/resume instants accumulate until
     /// [`NetSim::take_obs`]. Observation only reads engine state, so an
@@ -493,6 +505,20 @@ impl NetSim {
         let id = self.window.start(spec);
         self.push_event(start, Payload::FlowStart(id));
         id
+    }
+
+    /// Add `by` logical flows to entry `id` while it is still in its
+    /// latency phase; `false`, changing nothing, once it has started
+    /// streaming or when its path is too long for netsim to merge twins.
+    ///
+    /// Exact when the caller would otherwise start `by` flows identical
+    /// to `id` in path, bytes, latency and rate cap as the very next
+    /// flows, with no other event scheduled at `id`'s start instant in
+    /// between: those flows would join `id`'s twin group in the same
+    /// `FlowStart` batch and complete right behind it, which is what one
+    /// counted entry does ([`FlowSpec::count`]).
+    pub fn extend_pending_flow(&mut self, id: FlowId, by: u32) -> bool {
+        self.window.grow_pending(id, by)
     }
 
     /// Schedule a timer completion after `delay`.

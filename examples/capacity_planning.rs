@@ -8,6 +8,7 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
+use holmes_repro::engine::DpSyncStrategy;
 use holmes_repro::model::ParameterGroup;
 use holmes_repro::topology::presets;
 use holmes_repro::{
@@ -63,6 +64,7 @@ fn main() {
     let run = simulate_training_run(
         &scenario,
         &HolmesConfig::full(),
+        DpSyncStrategy::DistributedOptimizer,
         &TrainingRunConfig {
             iterations: 100,
             ..TrainingRunConfig::default()

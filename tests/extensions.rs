@@ -136,6 +136,7 @@ fn training_run_tokens_reflect_environment() {
         simulate_training_run(
             &Scenario::new(presets::homogeneous(nic, 4), 1),
             &HolmesConfig::full(),
+            holmes_repro::engine::DpSyncStrategy::DistributedOptimizer,
             &TrainingRunConfig {
                 iterations: 10,
                 ..TrainingRunConfig::default()

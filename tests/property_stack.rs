@@ -4,14 +4,18 @@
 
 use proptest::prelude::*;
 
+use holmes_repro::engine::{simulate_iteration, DpSyncStrategy};
 use holmes_repro::model::{GptConfig, TrainJob};
+use holmes_repro::parallel::DeviceAssignment;
 use holmes_repro::parallel::{
     GroupLayout, HolmesScheduler, InterleavedScheduler, ParallelDegrees, ParallelPlan,
     PartitionStrategy, Scheduler, SelfAdaptingPartition, SequentialScheduler, UniformPartition,
 };
 use holmes_repro::topology::{
-    presets, Cluster, GpuProfile, NicProfile, NicType, Node, Rank, TopologyBuilder,
+    presets, Cluster, ClusterId, DeviceCoord, GpuProfile, NicProfile, NicType, Node, Rank,
+    Topology, TopologyBuilder,
 };
+use holmes_repro::{plan_for, run_scenario, HolmesConfig, Scenario};
 
 fn degrees_strategy() -> impl Strategy<Value = (u32, u32, u32)> {
     (1u32..=4, 1u32..=4, 1u32..=8)
@@ -71,6 +75,53 @@ fn random_cluster(i: usize, (nodes, switch, oversubscription): &ClusterSpec) -> 
         has_switch: *switch != 0,
         oversubscription: *oversubscription,
     }
+}
+
+/// A fleet built from `(nodes, NIC, GPU generation)` cluster specs, the
+/// same fleet with its clusters listed in `order`, and a small t = 1
+/// request at pipeline depth `p`.
+fn relisted_fleet(
+    spec: &[(u32, NicType, usize)],
+    order: &[usize],
+    p: u32,
+) -> (
+    holmes_repro::topology::Topology,
+    holmes_repro::topology::Topology,
+    holmes_repro::PlanRequest,
+) {
+    let gens = [
+        GpuProfile::v100_32g(),
+        GpuProfile::a100_80g(),
+        GpuProfile::h100_80g(),
+    ];
+    let build = |spec: &mut dyn Iterator<Item = (u32, NicType, usize)>| {
+        let mut builder = TopologyBuilder::new();
+        for (i, (nodes, nic, gen)) in spec.enumerate() {
+            builder = builder.cluster_with_gpu(format!("c{i}"), nodes, nic, gens[gen].clone());
+        }
+        builder.build().unwrap()
+    };
+    let request = holmes_repro::PlanRequest {
+        tensor_parallel: 1,
+        pipeline_parallel: p,
+        job: TrainJob {
+            config: GptConfig::paper_standard(12, 1024, 16),
+            micro_batch: 2,
+            global_batch: 256,
+        },
+    };
+    (
+        build(&mut spec.iter().copied()),
+        build(&mut order.iter().map(|&i| spec[i])),
+        request,
+    )
+}
+
+/// Iteration seconds and the sorted device-finish times, as bits.
+fn finish_bits(seconds: f64, finish: &[f64]) -> (u64, Vec<u64>) {
+    let mut bits: Vec<u64> = finish.iter().map(|t| t.to_bits()).collect();
+    bits.sort_unstable();
+    (seconds.to_bits(), bits)
 }
 
 proptest! {
@@ -621,6 +672,88 @@ proptest! {
             b.cost_seconds
         );
         prop_assert_eq!(a.evaluated, b.evaluated);
+    }
+
+    /// `simulate_iteration` does not depend on the order in which a
+    /// fleet's clusters are listed: a random 2-4 cluster fleet mixing NIC
+    /// technologies and GPU generations is planned once, and the plan,
+    /// relabeled onto the same fleet with its clusters permuted, must
+    /// simulate to bit-identical iteration seconds and the same multiset
+    /// of device-finish bits (ranks are relabeled, so finish times are
+    /// compared sorted). Replica classes form in device order, so this
+    /// guards that class formation never leaks into the result.
+    #[test]
+    fn simulated_iteration_is_invariant_under_cluster_listing_order(
+        spec in prop::collection::vec((1u32..=2, nic_strategy(), 0usize..3), 2..=4),
+        perm in 0usize..24,
+        p in prop::sample::select(vec![1u32, 2, 4]),
+    ) {
+        let orders = permutations(spec.len());
+        let order = &orders[perm % orders.len()];
+        let (topo, relisted, request) = relisted_fleet(&spec, order, p);
+        let Ok((plan, cfg)) =
+            plan_for(&topo, &request, &HolmesConfig::full(), DpSyncStrategy::DistributedOptimizer)
+        else {
+            prop_assume!(false);
+            unreachable!()
+        };
+        // Cluster `j` of the relisted fleet is cluster `order[j]` here.
+        let moved = |rank: Rank| {
+            let c = topo.coord(rank).unwrap();
+            let j = order.iter().position(|&i| i as u32 == c.cluster.0).unwrap();
+            relisted
+                .rank_of(DeviceCoord { cluster: ClusterId(j as u32), ..c })
+                .unwrap()
+        };
+        let devices = (0..plan.assignment.len())
+            .map(|l| moved(plan.assignment.device_of(l)))
+            .collect();
+        let relabeled = ParallelPlan::new(
+            plan.layout,
+            DeviceAssignment::from_permutation(devices),
+            plan.stage_layers.clone(),
+            plan.scatter_gather,
+        );
+        let simulate = |topo: &Topology, plan: &ParallelPlan| {
+            simulate_iteration(topo, plan, &request.job, &cfg, None, None)
+                .map(|(r, m)| finish_bits(m.iteration_seconds, &r.device_finish_seconds))
+                .map_err(|e| e.to_string())
+        };
+        let (a, b) = (simulate(&topo, &plan), simulate(&relisted, &relabeled));
+        prop_assert_eq!(&a, &b, "listed {:?}: {:?}\nrelisted in order {:?}: {:?}", spec, a, order, b);
+    }
+
+    /// The same relation one layer up, through `plan_for`: each listing
+    /// is planned on its own. Ignored because it fails at the parent
+    /// commit too: `plan_for` lays pipeline stages over clusters in
+    /// listed order, so `[(2, RoCE, H100), (1, RoCE, V100), (1, RoCE,
+    /// V100)]` at p = 4 plans stage layers [5, 5, 1, 1] and simulates
+    /// 1.1141 s, while the listing `[V100, V100, H100]` plans [1, 1, 5,
+    /// 5] and simulates 1.0685 s. Making the planner order-free moves
+    /// paper-cell plans, so it is left to ROADMAP item 14.
+    #[test]
+    #[ignore = "finding: plan_for places stages in cluster listing order (ROADMAP item 14)"]
+    fn planned_iteration_is_invariant_under_cluster_listing_order(
+        spec in prop::collection::vec((1u32..=2, nic_strategy(), 0usize..3), 2..=4),
+        perm in 0usize..24,
+        p in prop::sample::select(vec![1u32, 2, 4]),
+    ) {
+        let orders = permutations(spec.len());
+        let order = &orders[perm % orders.len()];
+        let (topo, relisted, request) = relisted_fleet(&spec, order, p);
+        let run = |topo: Topology| {
+            let scenario = Scenario { topo, request };
+            run_scenario(
+                &scenario,
+                &HolmesConfig::full(),
+                DpSyncStrategy::DistributedOptimizer,
+                None,
+            )
+            .map(|r| finish_bits(r.metrics.iteration_seconds, &r.report.device_finish_seconds))
+            .map_err(|e| e.to_string())
+        };
+        let (a, b) = (run(topo), run(relisted));
+        prop_assert_eq!(&a, &b, "listed {:?}: {:?}\nrelisted in order {:?}: {:?}", spec, a, order, b);
     }
 
     /// A DP group's workload cost depends on its member *set*, not on the
