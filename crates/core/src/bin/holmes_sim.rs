@@ -157,20 +157,21 @@ fn run(args: Args) -> Result<(), String> {
         Some(spec) => holmes::topology::parse_topology_spec(spec)?,
         None => build_topology(&args.env, args.nodes)?,
     };
+    let gpus = topo.device_count();
     if !args.json {
         println!(
             "env={} nodes={} gpus={} pg={} framework={}",
             args.env,
             topo.node_count(),
-            topo.device_count(),
+            gpus,
             args.pg,
             args.framework
         );
     }
 
     let (cfg, fallback) = framework_flags(&args);
-    let result = run_scenario(&Scenario::new(topo.clone(), args.pg), &cfg, fallback, None)
-        .map_err(|e| e.to_string())?;
+    let scenario = Scenario::new(topo, args.pg);
+    let result = run_scenario(&scenario, &cfg, fallback, None).map_err(|e| e.to_string())?;
 
     if args.json {
         let layers: Vec<String> = result.stage_layers.iter().map(u32::to_string).collect();
@@ -179,7 +180,7 @@ fn run(args: Args) -> Result<(), String> {
              \"tflops_per_gpu\":{:.3},\"samples_per_sec\":{:.3},\"stage_layers\":[{}],\
              \"rdma_dp_groups\":{},\"total_dp_groups\":{}}}",
             args.framework,
-            topo.device_count(),
+            gpus,
             args.pg,
             result.metrics.iteration_seconds,
             result.metrics.tflops_per_gpu,
@@ -211,7 +212,7 @@ fn run(args: Args) -> Result<(), String> {
 
     if let Some(iterations) = args.iterations {
         let report = simulate_training_run(
-            &Scenario::new(topo, args.pg),
+            &scenario,
             &cfg,
             fallback,
             &TrainingRunConfig {
