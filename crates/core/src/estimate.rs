@@ -67,7 +67,11 @@ pub fn estimate_iteration(
             job.micro_batch,
             node.nic.compute_interference,
         );
-        let cost = model.stage_cost(plan.stage_layers[stage as usize], stage == p - 1);
+        let mut cost = model.stage_cost(plan.stage_layers[stage as usize], stage == p - 1);
+        if cfg.recompute_activations {
+            // Recompute replays the forward before each backward.
+            cost.bwd_seconds += cost.fwd_seconds;
+        }
         slot_max = slot_max.max(cost.fwd_seconds + cost.bwd_seconds);
         let mut params = u64::from(plan.stage_layers[stage as usize]) * layer_params(&job.config);
         if stage == 0 {
@@ -78,8 +82,9 @@ pub fn estimate_iteration(
     }
 
     let compute_seconds = f64::from(m) * slot_max;
-    // 1F1B / GPipe bubble: (p − 1) slots of the slowest stage.
-    let bubble_seconds = f64::from(p - 1) * slot_max;
+    // Fill/drain bubble: (p − 1) slots of the slowest stage. Interleaving
+    // fills and drains with units of one chunk, 1/v of a slot each.
+    let bubble_seconds = f64::from(p - 1) * slot_max / f64::from(cfg.schedule.virtual_stages());
 
     // Stage-boundary p2p: each boundary node forwards `G` pipeline groups'
     // activations per micro-batch in each direction; compare against the
@@ -275,6 +280,72 @@ mod tests {
             + e.optimizer_seconds;
         assert!((e.seconds - sum).abs() < 1e-12);
         assert!(e.compute_seconds > 0.0 && e.bubble_seconds > 0.0);
+    }
+
+    #[test]
+    fn estimate_ranks_interleaving_like_the_simulator() {
+        // The m = 4 cell of the pipeline-schedules extension: PG3 on 4-node
+        // IB at p = 4, where the bubble dominates and each added virtual
+        // stage shrinks it.
+        use holmes_engine::ScheduleKind;
+        use holmes_model::ParameterGroup;
+        use holmes_parallel::{
+            GroupLayout, HolmesScheduler, ParallelDegrees, PartitionStrategy, Scheduler,
+            UniformPartition,
+        };
+        let topo = presets::homogeneous(NicType::InfiniBand, 4);
+        let mut job = ParameterGroup::table2(3).job();
+        job.global_batch = 128;
+        let layout =
+            GroupLayout::new(ParallelDegrees::infer_data(1, 4, topo.device_count()).unwrap());
+        let assignment = HolmesScheduler.assign(&topo, &layout);
+        let layers = UniformPartition.partition(job.config.num_layers, &[1.0; 4]);
+        let plan = ParallelPlan::new(layout, assignment, layers, true);
+        let times = |schedule| {
+            let cfg = EngineConfig {
+                schedule,
+                ..EngineConfig::default()
+            };
+            let est = estimate_iteration(&topo, &plan, &job, &cfg)
+                .unwrap()
+                .seconds;
+            let (report, _) = simulate_iteration(&topo, &plan, &job, &cfg, None, None).unwrap();
+            (est, report.total_seconds)
+        };
+        let f1b = times(ScheduleKind::OneFOneB);
+        let v2 = times(ScheduleKind::Interleaved { virtual_stages: 2 });
+        let v3 = times(ScheduleKind::Interleaved { virtual_stages: 3 });
+        assert!(
+            f1b.1 > v2.1 && v2.1 > v3.1,
+            "simulated {f1b:?} {v2:?} {v3:?}"
+        );
+        assert!(
+            f1b.0 > v2.0 && v2.0 > v3.0,
+            "estimated {f1b:?} {v2:?} {v3:?}"
+        );
+    }
+
+    #[test]
+    fn recompute_raises_estimated_compute() {
+        let topo = presets::homogeneous(NicType::InfiniBand, 4);
+        let (plan, engine_cfg) = plan_for(
+            &topo,
+            &PlanRequest::parameter_group(1),
+            &HolmesConfig::full(),
+            DpSyncStrategy::DistributedOptimizer,
+        )
+        .unwrap();
+        let job = PlanRequest::parameter_group(1).job;
+        let base = estimate_iteration(&topo, &plan, &job, &engine_cfg).unwrap();
+        let recompute_cfg = EngineConfig {
+            recompute_activations: true,
+            ..engine_cfg
+        };
+        let recompute = estimate_iteration(&topo, &plan, &job, &recompute_cfg).unwrap();
+        assert!(
+            recompute.compute_seconds > base.compute_seconds,
+            "{recompute:?} vs {base:?}"
+        );
     }
 
     #[test]

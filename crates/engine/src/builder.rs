@@ -4,14 +4,14 @@ use holmes_model::{embedding_params, layer_params, CommVolumes, TrainJob};
 use holmes_parallel::{DpGroupNic, ParallelPlan};
 use holmes_topology::{Rank, Topology};
 
-use crate::compute::ComputeModel;
+use crate::compute::{ComputeModel, StageCost};
 use crate::dp_sync::DpSyncStrategy;
 use crate::executor::{
     execute_inner, CollectiveSpec, ExecError, ExecutionSpec, IterationReport, TransportPolicy,
 };
 use crate::metrics::TrainingMetrics;
 use crate::ops::{Channel, ComputeLabel, MsgKey, Op};
-use crate::schedule::{GPipe, OneFOneB, PipelineSchedule, Slot};
+use crate::schedule::{gpipe, one_f_one_b, peak_in_flight, Interleaved, Unit};
 
 /// Which pipeline schedule the engine expands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,12 +31,22 @@ pub enum ScheduleKind {
 }
 
 impl ScheduleKind {
-    fn schedule(self) -> Box<dyn PipelineSchedule> {
+    /// Model chunks per device: `v` for [`ScheduleKind::Interleaved`]
+    /// (at least 1), 1 for every other schedule.
+    pub fn virtual_stages(self) -> u32 {
         match self {
-            ScheduleKind::GPipe => Box::new(GPipe),
-            ScheduleKind::OneFOneB => Box::new(OneFOneB),
+            ScheduleKind::Interleaved { virtual_stages } => virtual_stages.max(1),
+            ScheduleKind::GPipe | ScheduleKind::OneFOneB => 1,
+        }
+    }
+
+    /// Unit order for `stage` of a `p`-deep pipeline over `m` micro-batches.
+    fn units(self, stage: u32, p: u32, m: u32) -> Vec<Unit> {
+        match self {
+            ScheduleKind::GPipe => gpipe(m),
+            ScheduleKind::OneFOneB => one_f_one_b(stage, p, m),
             ScheduleKind::Interleaved { .. } => {
-                unreachable!("interleaved uses the unit expansion path")
+                Interleaved::new(self.virtual_stages()).units(stage, p, m)
             }
         }
     }
@@ -212,14 +222,23 @@ pub fn build_iteration(
         return Err(BuildError::RankOutsideTopology { rank, devices });
     }
 
-    // Per-stage compute costs and parameter shards. On compute-uniform
-    // fleets the stage's first device prices the whole stage (the
-    // historical rule, kept bit-identical); when the fleet mixes device
-    // generations every pipeline send waits for the stage's slowest
-    // member, so the stage is priced at the *max* over its members'
-    // compute costs (first member retained on exact ties).
+    let v = cfg.schedule.virtual_stages();
+    if matches!(cfg.schedule, ScheduleKind::Interleaved { .. }) && m % p != 0 {
+        return Err(BuildError::InterleavedIndivisible {
+            microbatches: m,
+            pipeline: p,
+        });
+    }
+
+    // Per-stage unit lists, chunk costs and parameter shards, built once
+    // for all the stage's devices. On compute-uniform fleets the stage's
+    // first device prices the whole stage (the historical rule, kept
+    // bit-identical); when the fleet mixes device generations every
+    // pipeline send waits for the stage's slowest member, so the stage is
+    // priced at the *max* over its members' compute costs (first member
+    // retained on exact ties).
     let uniform_compute = topo.uniform_compute();
-    let mut stage_costs = Vec::with_capacity(p as usize);
+    let mut stages = Vec::with_capacity(p as usize);
     let mut stage_params = Vec::with_capacity(p as usize);
     for stage in 0..p {
         let stage_devices = plan.stage_devices(stage);
@@ -228,8 +247,8 @@ pub fn build_iteration(
         } else {
             &stage_devices[..]
         };
-        let has_logit = stage == p - 1;
-        let mut priced = None;
+        let layers = plan.stage_layers[stage as usize];
+        let mut priced: Option<(StageCost, ComputeModel)> = None;
         for &rank in price_members {
             let dev = topo
                 .device(rank)
@@ -244,45 +263,47 @@ pub fn build_iteration(
                 job.micro_batch,
                 node.nic.compute_interference,
             );
-            let cost = model.stage_cost(plan.stage_layers[stage as usize], has_logit);
+            let cost = model.stage_cost(layers, stage == p - 1);
             let total = cost.fwd_seconds + cost.bwd_seconds;
-            let slower = match &priced {
-                None => true,
-                Some((best, _)) => {
-                    let best: &crate::compute::StageCost = best;
-                    total
-                        .total_cmp(&(best.fwd_seconds + best.bwd_seconds))
-                        .is_gt()
-                }
-            };
+            let slower = priced.as_ref().is_none_or(|(best, _)| {
+                total
+                    .total_cmp(&(best.fwd_seconds + best.bwd_seconds))
+                    .is_gt()
+            });
             if slower {
                 priced = Some((cost, model));
             }
         }
-        let (mut cost, model) = priced.expect("stage has at least one device");
-        if cfg.recompute_activations {
-            // Recompute replays the forward before each backward.
-            cost.bwd_seconds += cost.fwd_seconds;
-        }
-        stage_costs.push((cost, model));
-        let mut params = u64::from(plan.stage_layers[stage as usize]) * layer_params(&job.config);
+        let (_, model) = priced.expect("stage has at least one device");
+        // The stage's layers split across its `v` chunks, remainder to the
+        // earliest chunks; the last *global* chunk `c·p + s` carries the
+        // logit.
+        let chunk_costs: Vec<StageCost> = (0..v)
+            .map(|c| {
+                let chunk_layers = layers / v + u32::from(c < layers % v);
+                let mut cost = model.stage_cost(chunk_layers, c * p + stage == p * v - 1);
+                if cfg.recompute_activations {
+                    // Recompute replays the forward before each backward.
+                    cost.bwd_seconds += cost.fwd_seconds;
+                }
+                cost
+            })
+            .collect();
+        let units = cfg.schedule.units(stage, p, m);
+        let mut params = u64::from(layers) * layer_params(&job.config);
         if stage == 0 {
             params += embedding_params(&job.config);
         }
         if cfg.enforce_memory {
-            // In-flight micro-batches: 1F1B bounds them by the remaining
-            // pipeline depth; GPipe keeps all m.
-            let in_flight = match cfg.schedule {
-                ScheduleKind::GPipe => m,
-                _ => (p - stage).min(m),
-            };
+            // Peak live units, each holding the largest chunk's (chunk 0's)
+            // activations: GPipe keeps all m, 1F1B `min(p − s, m)`.
             let estimate = holmes_model::MemoryEstimate::for_rank_with_recompute(
                 &job.config,
                 params,
                 t,
                 job.micro_batch,
-                in_flight,
-                plan.stage_layers[stage as usize],
+                peak_in_flight(&units),
+                layers.div_ceil(v),
                 cfg.dp_sync.optimizer_shards(d),
                 cfg.recompute_activations,
             );
@@ -307,6 +328,7 @@ pub fn build_iteration(
                 });
             }
         }
+        stages.push((units, chunk_costs, model));
         stage_params.push(params);
     }
 
@@ -376,176 +398,109 @@ pub fn build_iteration(
 
     let act_bytes =
         CommVolumes::p2p_activation_bytes(&job.config, job.micro_batch, t, plan.scatter_gather);
-    let interleaved = match cfg.schedule {
-        ScheduleKind::Interleaved { virtual_stages } => {
-            let v = virtual_stages.max(1);
-            if m % p != 0 {
-                return Err(BuildError::InterleavedIndivisible {
-                    microbatches: m,
-                    pipeline: p,
-                });
-            }
-            Some(v)
-        }
-        _ => None,
-    };
     let stride = t * d;
 
-    // Per-device programs, in logical-rank order.
+    // Per-device programs, in logical-rank order. The model's global chunk
+    // order is `gc = c·p + s`: activations flow `(c, p−1) → (c+1, 0)`
+    // across the wrap boundary, gradients the reverse. Message keys carry
+    // the *boundary's* earlier global chunk id so sender and receiver
+    // agree. With `p = 1` every chunk is local and nothing is sent.
     let n = degrees.devices();
     let mut programs = Vec::with_capacity(n as usize);
     for logical in 0..n {
         let device = plan.assignment.device_of(logical);
         let stage = plan.layout.stage_of(logical);
-        let dp_group = plan.layout.dp_group_of(logical);
-        let (cost, model) = &stage_costs[stage as usize];
-        let prev = (stage > 0).then(|| plan.assignment.device_of(logical - stride));
-        let next = (stage + 1 < p).then(|| plan.assignment.device_of(logical + stride));
-
-        if let Some(v) = interleaved {
-            let mut prologue = Vec::new();
-            if let Some(coll) = prologue_ids[dp_group as usize] {
-                prologue.push(Op::CollStart { id: coll });
-                prologue.push(Op::CollWait { id: coll });
-            }
-            let mut ops = expand_interleaved_units(
-                ExpandCtx {
-                    plan,
-                    job,
-                    cfg,
-                    device,
-                    logical,
-                    stage,
-                    stride,
-                    act_bytes,
-                    pre_ids: &pre_ids[dp_group as usize],
-                },
-                v,
-                m,
-                &stage_costs,
-            );
-            if !prologue.is_empty() {
-                prologue.extend(ops);
-                ops = prologue;
-            }
-            append_dp_tail(
-                &mut ops,
-                cfg,
-                &pre_ids[dp_group as usize],
-                &post_ids[dp_group as usize],
-                model,
-                stage_params[stage as usize]
-                    / u64::from(t)
-                    / u64::from(cfg.dp_sync.optimizer_shards(d)),
-            );
-            programs.push((device, ops));
-            continue;
+        let dp_group = plan.layout.dp_group_of(logical) as usize;
+        let (pre, post) = (&pre_ids[dp_group], &post_ids[dp_group]);
+        let (units, chunk_costs, model) = &stages[stage as usize];
+        let dev_at = |s: u32| plan.assignment.device_of(logical % stride + s * stride);
+        let prev = dev_at(if stage > 0 { stage - 1 } else { p - 1 });
+        let next = dev_at(if stage + 1 < p { stage + 1 } else { 0 });
+        // At most three ops per unit, plus the prologue, the chunked final
+        // backward and the tail: never reallocates.
+        let mut ops = Vec::with_capacity(3 * units.len() + 4 * (pre.len() + post.len()) + 3);
+        if let Some(id) = prologue_ids[dp_group] {
+            ops.push(Op::CollStart { id });
+            ops.push(Op::CollWait { id });
         }
-
-        let schedule = cfg.schedule.schedule();
-        let slots = schedule.slots(stage, p, m);
-        let last_backward = slots
-            .iter()
-            .rposition(|s| matches!(s, Slot::Backward { .. }));
-        let mut ops = Vec::with_capacity(4 * m as usize + 8);
-        if let Some(coll) = prologue_ids[dp_group as usize] {
-            ops.push(Op::CollStart { id: coll });
-            ops.push(Op::CollWait { id: coll });
-        }
-        for (idx, slot) in slots.iter().enumerate() {
-            match *slot {
-                Slot::Forward { mb } => {
-                    if let Some(prev) = prev {
-                        ops.push(Op::Recv {
-                            key: MsgKey {
-                                from: prev,
-                                to: device,
-                                channel: Channel::Activation,
-                                microbatch: mb,
-                                chunk: 0,
-                            },
-                        });
-                    }
-                    ops.push(Op::Compute {
-                        label: ComputeLabel::Forward { microbatch: mb },
-                        seconds: cost.fwd_seconds,
+        for (idx, unit) in units.iter().enumerate() {
+            let (mb, cost) = (unit.mb, &chunk_costs[unit.chunk as usize]);
+            let gc = unit.chunk * p + stage;
+            let has_prev = gc > 0 && prev != device;
+            let has_next = gc + 1 < p * v && next != device;
+            let key = |from, to, channel, chunk| MsgKey {
+                from,
+                to,
+                channel,
+                microbatch: mb,
+                chunk,
+            };
+            if unit.forward {
+                if has_prev {
+                    ops.push(Op::Recv {
+                        key: key(prev, device, Channel::Activation, gc - 1),
                     });
-                    if let Some(next) = next {
-                        ops.push(Op::Send {
-                            key: MsgKey {
-                                from: device,
-                                to: next,
-                                channel: Channel::Activation,
-                                microbatch: mb,
-                                chunk: 0,
-                            },
-                            bytes: act_bytes,
-                        });
-                    }
                 }
-                Slot::Backward { mb } => {
-                    if let Some(next) = next {
-                        ops.push(Op::Recv {
-                            key: MsgKey {
-                                from: next,
-                                to: device,
-                                channel: Channel::Gradient,
-                                microbatch: mb,
-                                chunk: 0,
-                            },
-                        });
-                    }
-                    let overlap_here =
-                        cfg.dp_sync.overlaps_backward() && Some(idx) == last_backward;
-                    if overlap_here {
-                        // Chunk the final backward; a gradient bucket's
-                        // reduce-scatter launches after each chunk.
-                        let buckets = pre_ids[dp_group as usize].len() as u32;
-                        let chunk_seconds = cost.bwd_seconds / f64::from(buckets);
-                        for (k, &coll) in pre_ids[dp_group as usize].iter().enumerate() {
-                            ops.push(Op::Compute {
-                                label: ComputeLabel::BackwardChunk {
-                                    microbatch: mb,
-                                    chunk: k as u32,
-                                },
-                                seconds: chunk_seconds,
-                            });
-                            ops.push(Op::CollStart { id: coll });
-                        }
-                    } else {
-                        ops.push(Op::Compute {
-                            label: ComputeLabel::Backward { microbatch: mb },
-                            seconds: cost.bwd_seconds,
-                        });
-                    }
-                    if let Some(prev) = prev {
-                        ops.push(Op::Send {
-                            key: MsgKey {
-                                from: device,
-                                to: prev,
-                                channel: Channel::Gradient,
-                                microbatch: mb,
-                                chunk: 0,
-                            },
-                            bytes: act_bytes,
-                        });
-                    }
+                ops.push(Op::Compute {
+                    label: ComputeLabel::Forward { microbatch: mb },
+                    seconds: cost.fwd_seconds,
+                });
+                if has_next {
+                    ops.push(Op::Send {
+                        key: key(device, next, Channel::Activation, gc),
+                        bytes: act_bytes,
+                    });
                 }
+                continue;
+            }
+            if has_next {
+                ops.push(Op::Recv {
+                    key: key(next, device, Channel::Gradient, gc),
+                });
+            }
+            if cfg.dp_sync.overlaps_backward() && idx + 1 == units.len() {
+                // Chunk the final backward; a gradient bucket's
+                // reduce-scatter launches after each chunk.
+                let chunk_seconds = cost.bwd_seconds / f64::from((pre.len() as u32).max(1));
+                for (k, &id) in pre.iter().enumerate() {
+                    ops.push(Op::Compute {
+                        label: ComputeLabel::BackwardChunk {
+                            microbatch: mb,
+                            chunk: k as u32,
+                        },
+                        seconds: chunk_seconds,
+                    });
+                    ops.push(Op::CollStart { id });
+                }
+            } else {
+                ops.push(Op::Compute {
+                    label: ComputeLabel::Backward { microbatch: mb },
+                    seconds: cost.bwd_seconds,
+                });
+            }
+            if has_prev {
+                ops.push(Op::Send {
+                    key: key(device, prev, Channel::Gradient, gc - 1),
+                    bytes: act_bytes,
+                });
             }
         }
 
         // Gradient synchronization + optimizer step + parameter gather.
-        append_dp_tail(
-            &mut ops,
-            cfg,
-            &pre_ids[dp_group as usize],
-            &post_ids[dp_group as usize],
-            model,
-            stage_params[stage as usize]
-                / u64::from(t)
-                / u64::from(cfg.dp_sync.optimizer_shards(d)),
-        );
-
+        if !cfg.dp_sync.overlaps_backward() {
+            ops.extend(pre.iter().map(|&id| Op::CollStart { id }));
+        }
+        ops.extend(pre.iter().map(|&id| Op::CollWait { id }));
+        ops.push(Op::Compute {
+            label: ComputeLabel::Optimizer,
+            seconds: model.optimizer_seconds(
+                stage_params[stage as usize]
+                    / u64::from(t)
+                    / u64::from(cfg.dp_sync.optimizer_shards(d)),
+            ),
+        });
+        ops.extend(post.iter().map(|&id| Op::CollStart { id }));
+        ops.extend(post.iter().map(|&id| Op::CollWait { id }));
         programs.push((device, ops));
     }
 
@@ -554,168 +509,6 @@ pub fn build_iteration(
         collectives,
         transport: cfg.transport,
     })
-}
-
-/// Shared context for interleaved unit expansion.
-struct ExpandCtx<'a> {
-    plan: &'a ParallelPlan,
-    job: &'a TrainJob,
-    cfg: &'a EngineConfig,
-    device: Rank,
-    logical: u32,
-    stage: u32,
-    stride: u32,
-    act_bytes: u64,
-    pre_ids: &'a [u32],
-}
-
-/// Expand Megatron's interleaved virtual-pipeline units into ops for one
-/// device. With `v` chunks per device the model's global chunk order is
-/// `gc = c·p + s`: activations flow `(c, p−1) → (c+1, 0)` across the wrap
-/// boundary, gradients the reverse. Message keys carry the *boundary's*
-/// earlier global chunk id so sender and receiver agree.
-fn expand_interleaved_units(
-    ctx: ExpandCtx<'_>,
-    v: u32,
-    m: u32,
-    stage_costs: &[(crate::compute::StageCost, ComputeModel)],
-) -> Vec<Op> {
-    use crate::schedule::Interleaved;
-
-    let plan = ctx.plan;
-    let degrees = plan.degrees();
-    let p = degrees.pipeline;
-    let (s, device) = (ctx.stage, ctx.device);
-    let pp_index = ctx.logical % ctx.stride;
-    let dev_at = |stage: u32| plan.assignment.device_of(pp_index + stage * ctx.stride);
-    let prev_dev = if s > 0 { dev_at(s - 1) } else { dev_at(p - 1) };
-    let next_dev = if s + 1 < p { dev_at(s + 1) } else { dev_at(0) };
-
-    // Per-chunk layer counts: the device's stage layers split across its v
-    // chunks, remainder to the earliest chunks.
-    let device_layers = plan.stage_layers[s as usize];
-    let chunk_layers = |c: u32| device_layers / v + u32::from(c < device_layers % v);
-    // Per-chunk compute costs (the last *global* chunk carries the logit).
-    let model = &stage_costs[s as usize].1;
-    let costs: Vec<crate::compute::StageCost> = (0..v)
-        .map(|c| {
-            let gc = c * p + s;
-            model.stage_cost(chunk_layers(c), gc == p * v - 1)
-        })
-        .collect();
-    let _ = ctx.job;
-
-    let units = Interleaved::new(v).units(s, p, m);
-    let last_unit = units.len().saturating_sub(1);
-    let mut ops = Vec::with_capacity(4 * units.len() + 8);
-    for (idx, unit) in units.iter().enumerate() {
-        let (c, mb) = (unit.chunk, unit.mb);
-        let gc = c * p + s;
-        if unit.forward {
-            if gc > 0 && prev_dev != device {
-                ops.push(Op::Recv {
-                    key: MsgKey {
-                        from: prev_dev,
-                        to: device,
-                        channel: Channel::Activation,
-                        microbatch: mb,
-                        chunk: gc - 1,
-                    },
-                });
-            }
-            ops.push(Op::Compute {
-                label: ComputeLabel::Forward { microbatch: mb },
-                seconds: costs[c as usize].fwd_seconds,
-            });
-            if gc + 1 < p * v && next_dev != device {
-                ops.push(Op::Send {
-                    key: MsgKey {
-                        from: device,
-                        to: next_dev,
-                        channel: Channel::Activation,
-                        microbatch: mb,
-                        chunk: gc,
-                    },
-                    bytes: ctx.act_bytes,
-                });
-            }
-        } else {
-            if gc + 1 < p * v && next_dev != device {
-                ops.push(Op::Recv {
-                    key: MsgKey {
-                        from: next_dev,
-                        to: device,
-                        channel: Channel::Gradient,
-                        microbatch: mb,
-                        chunk: gc,
-                    },
-                });
-            }
-            let overlap_here = ctx.cfg.dp_sync.overlaps_backward() && idx == last_unit;
-            if overlap_here {
-                let buckets = ctx.pre_ids.len() as u32;
-                let chunk_seconds = costs[c as usize].bwd_seconds / f64::from(buckets.max(1));
-                for (k, &coll) in ctx.pre_ids.iter().enumerate() {
-                    ops.push(Op::Compute {
-                        label: ComputeLabel::BackwardChunk {
-                            microbatch: mb,
-                            chunk: k as u32,
-                        },
-                        seconds: chunk_seconds,
-                    });
-                    ops.push(Op::CollStart { id: coll });
-                }
-            } else {
-                ops.push(Op::Compute {
-                    label: ComputeLabel::Backward { microbatch: mb },
-                    seconds: costs[c as usize].bwd_seconds,
-                });
-            }
-            if gc > 0 && prev_dev != device {
-                ops.push(Op::Send {
-                    key: MsgKey {
-                        from: device,
-                        to: prev_dev,
-                        channel: Channel::Gradient,
-                        microbatch: mb,
-                        chunk: gc - 1,
-                    },
-                    bytes: ctx.act_bytes,
-                });
-            }
-        }
-    }
-    ops
-}
-
-/// Append the gradient-sync / optimizer / parameter-gather tail shared by
-/// every schedule.
-fn append_dp_tail(
-    ops: &mut Vec<Op>,
-    cfg: &EngineConfig,
-    pre_ids: &[u32],
-    post_ids: &[u32],
-    model: &ComputeModel,
-    optimizer_local_params: u64,
-) {
-    if !cfg.dp_sync.overlaps_backward() {
-        for &coll in pre_ids {
-            ops.push(Op::CollStart { id: coll });
-        }
-    }
-    for &coll in pre_ids {
-        ops.push(Op::CollWait { id: coll });
-    }
-    ops.push(Op::Compute {
-        label: ComputeLabel::Optimizer,
-        seconds: model.optimizer_seconds(optimizer_local_params),
-    });
-    for &coll in post_ids {
-        ops.push(Op::CollStart { id: coll });
-    }
-    for &coll in post_ids {
-        ops.push(Op::CollWait { id: coll });
-    }
 }
 
 /// Build and execute one iteration, returning the report and metrics.
@@ -1251,25 +1044,32 @@ mod config_option_tests {
     fn recompute_activations_slows_the_iteration_predictably() {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
         let (plan, job) = pg1_plan(&topo);
-        let base = simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None)
-            .unwrap()
-            .0
-            .total_seconds;
-        let cfg = EngineConfig {
-            recompute_activations: true,
-            ..EngineConfig::default()
-        };
-        let recompute = simulate_iteration(&topo, &plan, &job, &cfg, None, None)
-            .unwrap()
-            .0
-            .total_seconds;
-        // Backward goes from 2×fwd to 3×fwd: the compute-bound part grows
-        // by ≈ 1/3; the full iteration by somewhat less.
-        let ratio = recompute / base;
-        assert!(
-            (1.15..1.40).contains(&ratio),
-            "recompute ratio {ratio} (base {base}, recompute {recompute})"
-        );
+        for schedule in [
+            ScheduleKind::GPipe,
+            ScheduleKind::OneFOneB,
+            ScheduleKind::Interleaved { virtual_stages: 1 },
+            ScheduleKind::Interleaved { virtual_stages: 2 },
+        ] {
+            let run = |recompute_activations| {
+                let cfg = EngineConfig {
+                    schedule,
+                    recompute_activations,
+                    ..EngineConfig::default()
+                };
+                simulate_iteration(&topo, &plan, &job, &cfg, None, None)
+                    .unwrap()
+                    .0
+                    .total_seconds
+            };
+            let (base, recompute) = (run(false), run(true));
+            // Backward goes from 2×fwd to 3×fwd: the compute-bound part
+            // grows by ≈ 1/3; the full iteration by somewhat less.
+            let ratio = recompute / base;
+            assert!(
+                (1.15..1.40).contains(&ratio),
+                "{schedule:?}: recompute ratio {ratio} (base {base}, recompute {recompute})"
+            );
+        }
     }
 
     #[test]
@@ -1371,6 +1171,33 @@ mod memory_enforcement_tests {
             ..EngineConfig::default()
         };
         assert!(build_iteration(&topo, &plan, &job, &cfg).is_ok());
+    }
+
+    #[test]
+    fn interleaved_warmup_charges_more_activations_than_1f1b() {
+        // Megatron's interleaved warm-up runs `2(p−s−1)` forwards before
+        // the first backward, so stage 0 keeps 3 micro-batches alive at
+        // p = 2 where 1F1B keeps 2. Both out of memory: compare the bill.
+        let topo = presets::homogeneous(NicType::InfiniBand, 4);
+        let (plan, job) = plan_for_pg(&topo, 7, 1, 2);
+        let needed = |schedule| {
+            let cfg = EngineConfig {
+                schedule,
+                enforce_memory: true,
+                ..EngineConfig::default()
+            };
+            match build_iteration(&topo, &plan, &job, &cfg) {
+                Err(BuildError::OutOfMemory {
+                    stage: 0,
+                    needed_bytes,
+                    ..
+                }) => needed_bytes,
+                other => panic!("{schedule:?}: expected stage-0 OOM, got {other:?}"),
+            }
+        };
+        let f1b = needed(ScheduleKind::OneFOneB);
+        let inter = needed(ScheduleKind::Interleaved { virtual_stages: 1 });
+        assert!(inter > f1b, "interleaved {inter} vs 1f1b {f1b}");
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! * [`ops`] — the op vocabulary ([`Op`], [`MsgKey`], [`ComputeLabel`]).
 //! * [`compute`] — analytic per-stage compute durations (GEMM efficiency
 //!   curve + intra-node tensor-parallel all-reduce overhead).
-//! * [`schedule`] — pipeline schedules: GPipe and 1F1B / PipeDream-Flush
-//!   (the paper's schedule).
+//! * [`schedule`] — pipeline schedules: GPipe, 1F1B / PipeDream-Flush
+//!   (the paper's schedule) and Megatron's interleaved virtual pipeline,
+//!   each a generator of one [`schedule::Unit`] stream per stage.
 //! * [`dp_sync`] — gradient-synchronization strategies: plain ring
 //!   all-reduce, non-overlapped distributed optimizer (ZeRO-1-style
 //!   reduce-scatter + all-gather), and the *Overlapped Distributed
@@ -31,8 +32,9 @@
 //!   [`holmes_netsim::algo`] and is replayed flow-by-flow — the same
 //!   schedules the planner's closed forms and topology folds are derived
 //!   from, so measurement and scoring cannot drift.
-//! * [`builder`] — assembles the above into a runnable [`ExecutionSpec`];
-//!   upgrades flat all-reduces to [`CollKind::HierarchicalAllReduce`] for
+//! * [`builder`] — assembles the above into a runnable [`ExecutionSpec`],
+//!   expanding every schedule's units into ops in one loop; upgrades
+//!   flat all-reduces to [`CollKind::HierarchicalAllReduce`] for
 //!   data-parallel groups that straddle clusters (see
 //!   [`EngineConfig::hierarchical_cross_cluster`]).
 //! * [`progress`] — the abstract-step bridge into the

@@ -29,9 +29,9 @@ pub struct MsgKey {
     pub channel: Channel,
     /// Micro-batch index the payload belongs to.
     pub microbatch: u32,
-    /// Model-chunk index of the *receiving* unit (0 for non-interleaved
-    /// schedules; disambiguates transfers when a device hosts several
-    /// virtual pipeline chunks).
+    /// Global model-chunk id `c·p + s` of the boundary's earlier side
+    /// (the stage index without interleaving); disambiguates transfers
+    /// when a device hosts several virtual pipeline chunks.
     pub chunk: u32,
 }
 

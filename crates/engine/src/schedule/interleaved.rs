@@ -4,22 +4,10 @@
 //! with `p` devices the model is split into `p·v` chunks and the warm-up
 //! pattern interleaves chunks so the bubble shrinks from
 //! `(p−1)/(m+p−1)` to roughly `(p−1)/(v·m+p−1)`. The paper's experiments
-//! enable this schedule (§4.1); the engine's iteration builder uses plain
-//! 1F1B (same bubble *shape*, chunk-oblivious), while this module provides
-//! the faithful unit ordering for bubble analysis and the ablation bench.
+//! enable this schedule (§4.1). The engine's iteration builder expands
+//! these units like every other schedule's, pricing each chunk on its own.
 
-use super::{PipelineSchedule, Slot};
-
-/// One scheduled unit of the interleaved schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VirtualSlot {
-    /// Model chunk on this device (`0..v`).
-    pub chunk: u32,
-    /// Micro-batch index (`0..m`).
-    pub mb: u32,
-    /// Forward (`true`) or backward (`false`).
-    pub forward: bool,
-}
+use super::Unit;
 
 /// The interleaved schedule with `v` virtual chunks per device.
 #[derive(Debug, Clone, Copy)]
@@ -29,7 +17,8 @@ pub struct Interleaved {
 }
 
 impl Interleaved {
-    /// Construct; `virtual_stages == 1` degenerates to plain 1F1B.
+    /// Construct; at `virtual_stages == 1` every unit is on chunk 0, but
+    /// the warm-up is Megatron's `2(p−s−1)` units, deeper than 1F1B's.
     pub fn new(virtual_stages: u32) -> Self {
         assert!(virtual_stages >= 1, "need at least one virtual stage");
         Interleaved { virtual_stages }
@@ -60,7 +49,7 @@ impl Interleaved {
     ///
     /// # Panics
     /// Panics unless `microbatches % stages == 0` (Megatron's requirement).
-    pub fn units(&self, stage: u32, stages: u32, microbatches: u32) -> Vec<VirtualSlot> {
+    pub fn units(&self, stage: u32, stages: u32, microbatches: u32) -> Vec<Unit> {
         let (p, v, m) = (stages, self.virtual_stages, microbatches);
         assert!(stage < p, "stage out of range");
         assert!(
@@ -75,7 +64,7 @@ impl Interleaved {
         };
         let mut out = Vec::with_capacity(2 * total_units as usize);
         for u in 0..warmup {
-            out.push(VirtualSlot {
+            out.push(Unit {
                 chunk: self.chunk_of(u, p, true),
                 mb: self.mb_of(u, p),
                 forward: true,
@@ -84,19 +73,19 @@ impl Interleaved {
         let steady = total_units - warmup;
         for i in 0..steady {
             let fu = warmup + i;
-            out.push(VirtualSlot {
+            out.push(Unit {
                 chunk: self.chunk_of(fu, p, true),
                 mb: self.mb_of(fu, p),
                 forward: true,
             });
-            out.push(VirtualSlot {
+            out.push(Unit {
                 chunk: self.chunk_of(i, p, false),
                 mb: self.mb_of(i, p),
                 forward: false,
             });
         }
         for u in steady..total_units {
-            out.push(VirtualSlot {
+            out.push(Unit {
                 chunk: self.chunk_of(u, p, false),
                 mb: self.mb_of(u, p),
                 forward: false,
@@ -104,65 +93,12 @@ impl Interleaved {
         }
         out
     }
-
-    /// Analytic bubble fraction of the interleaved schedule:
-    /// `(p−1) / (v·m + p − 1)` — the headline benefit of interleaving.
-    pub fn bubble_fraction(&self, stages: u32, microbatches: u32) -> f64 {
-        let p = f64::from(stages);
-        let vm = f64::from(self.virtual_stages) * f64::from(microbatches);
-        (p - 1.0) / (vm + p - 1.0)
-    }
-}
-
-impl PipelineSchedule for Interleaved {
-    /// Chunk-oblivious projection: with `v == 1` this is exactly the unit
-    /// sequence; with `v > 1` units of all chunks are flattened onto
-    /// micro-batch slots in unit order (each forward/backward of a
-    /// micro-batch appears `v` times conceptually, so the projection is
-    /// only exposed for `v == 1`).
-    fn slots(&self, stage: u32, stages: u32, microbatches: u32) -> Vec<Slot> {
-        assert_eq!(
-            self.virtual_stages, 1,
-            "slot projection only valid for v=1; use units() for v>1"
-        );
-        self.units(stage, stages, microbatches)
-            .into_iter()
-            .map(|u| {
-                if u.forward {
-                    Slot::Forward { mb: u.mb }
-                } else {
-                    Slot::Backward { mb: u.mb }
-                }
-            })
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "interleaved"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-
-    fn assert_units_valid(units: &[VirtualSlot], v: u32, m: u32) {
-        let mut fwd = HashSet::new();
-        let mut bwd = HashSet::new();
-        for u in units {
-            assert!(u.chunk < v);
-            assert!(u.mb < m);
-            if u.forward {
-                assert!(fwd.insert((u.chunk, u.mb)), "dup fwd {u:?}");
-            } else {
-                assert!(fwd.contains(&(u.chunk, u.mb)), "bwd before fwd: {u:?}");
-                assert!(bwd.insert((u.chunk, u.mb)), "dup bwd {u:?}");
-            }
-        }
-        assert_eq!(fwd.len() as u32, v * m);
-        assert_eq!(bwd.len() as u32, v * m);
-    }
+    use crate::schedule::{assert_valid_units, peak_in_flight};
 
     #[test]
     fn units_cover_every_chunk_microbatch_pair() {
@@ -172,7 +108,7 @@ mod tests {
                     let m = p * groups;
                     for s in 0..p {
                         let units = Interleaved::new(v).units(s, p, m);
-                        assert_units_valid(&units, v, m);
+                        assert_valid_units(&units, v, m);
                     }
                 }
             }
@@ -180,24 +116,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_slot_projection_is_a_valid_schedule() {
-        // Note: Megatron's interleaved warm-up is `2(p−s−1)` units even at
-        // v=1 (deeper warm-up than plain 1F1B's `p−s−1`), so the projection
-        // is a *valid* schedule but not bit-identical to OneFOneB.
-        use crate::schedule::{assert_valid_schedule, PipelineSchedule};
-        for s in 0..4u32 {
-            let inter = Interleaved::new(1).slots(s, 4, 8);
-            assert_valid_schedule(&inter, 8);
-        }
-    }
-
-    #[test]
-    fn interleaving_shrinks_the_bubble() {
-        let v1 = Interleaved::new(1).bubble_fraction(8, 16);
-        let v4 = Interleaved::new(4).bubble_fraction(8, 16);
-        assert!(v4 < v1);
-        assert!((v1 - 7.0 / 23.0).abs() < 1e-12);
-        assert!((v4 - 7.0 / 71.0).abs() < 1e-12);
+    fn v1_warmup_is_deeper_than_1f1b() {
+        // Megatron's interleaved warm-up is `2(p−s−1)` units even at v=1,
+        // deeper than plain 1F1B's `p−s−1`, so more activations stay alive.
+        let units = Interleaved::new(1).units(0, 4, 8);
+        assert!(units.iter().all(|u| u.chunk == 0));
+        assert!(units[..7].iter().all(|u| u.forward));
+        assert!(!units[7].forward);
+        assert_eq!(peak_in_flight(&units), 7);
+        assert_eq!(peak_in_flight(&Interleaved::new(2).units(0, 4, 8)), 11);
     }
 
     #[test]
@@ -207,14 +134,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "slot projection")]
-    fn slot_projection_rejected_for_v2() {
-        Interleaved::new(2).slots(0, 4, 8);
-    }
-
-    #[test]
     fn single_stage_pipeline_is_all_warmup() {
         let units = Interleaved::new(2).units(0, 1, 3);
-        assert_units_valid(&units, 2, 3);
+        assert_valid_units(&units, 2, 3);
     }
 }

@@ -205,36 +205,57 @@ mod tests {
 
     #[test]
     fn builder_output_is_always_valid() {
-        // Every schedule × strategy combination the builder can produce
-        // must pass static validation.
+        // Every depth × schedule × strategy × recompute combination the
+        // builder can produce must pass static validation and execute.
         let topo = presets::hybrid_two_cluster(2);
         let pg = ParameterGroup::table2(1);
-        let degrees = ParallelDegrees::infer_data(1, 2, topo.device_count()).unwrap();
-        let layout = GroupLayout::new(degrees);
-        let assignment = HolmesScheduler.assign(&topo, &layout);
-        let layers = UniformPartition.partition(30, &[1.0, 1.0]);
-        let plan = ParallelPlan::new(layout, assignment, layers, true);
-        for schedule in [
-            ScheduleKind::GPipe,
-            ScheduleKind::OneFOneB,
-            ScheduleKind::Interleaved { virtual_stages: 2 },
-        ] {
-            for dp_sync in [
-                DpSyncStrategy::AllReduce,
-                DpSyncStrategy::DistributedOptimizer,
-                DpSyncStrategy::overlapped(),
-                DpSyncStrategy::Zero3,
+        let job = pg.job();
+        let mut built = 0;
+        for p in [1u32, 2, 4] {
+            let degrees = ParallelDegrees::infer_data(1, p, topo.device_count()).unwrap();
+            let layout = GroupLayout::new(degrees);
+            let assignment = HolmesScheduler.assign(&topo, &layout);
+            let layers = UniformPartition.partition(30, &vec![1.0; p as usize]);
+            let plan = ParallelPlan::new(layout, assignment, layers, true);
+            for schedule in [
+                ScheduleKind::GPipe,
+                ScheduleKind::OneFOneB,
+                ScheduleKind::Interleaved { virtual_stages: 1 },
+                ScheduleKind::Interleaved { virtual_stages: 2 },
+                ScheduleKind::Interleaved { virtual_stages: 3 },
             ] {
-                let cfg = EngineConfig {
-                    schedule,
-                    dp_sync,
-                    ..EngineConfig::default()
-                };
-                let spec = build_iteration(&topo, &plan, &pg.job(), &cfg).unwrap();
-                let errors = validate_spec(&spec);
-                assert!(errors.is_empty(), "{schedule:?}/{dp_sync:?}: {errors:?}");
+                for dp_sync in [
+                    DpSyncStrategy::AllReduce,
+                    DpSyncStrategy::DistributedOptimizer,
+                    DpSyncStrategy::overlapped(),
+                    DpSyncStrategy::Zero3,
+                    DpSyncStrategy::parameter_server(),
+                ] {
+                    for recompute_activations in [false, true] {
+                        let cfg = EngineConfig {
+                            schedule,
+                            dp_sync,
+                            recompute_activations,
+                            ..EngineConfig::default()
+                        };
+                        let case =
+                            format!("p={p} {schedule:?}/{dp_sync:?}/{recompute_activations}");
+                        let spec = match build_iteration(&topo, &plan, &job, &cfg) {
+                            Err(crate::builder::BuildError::InterleavedIndivisible { .. }) => {
+                                continue
+                            }
+                            other => other.unwrap_or_else(|e| panic!("{case}: {e}")),
+                        };
+                        let errors = validate_spec(&spec);
+                        assert!(errors.is_empty(), "{case}: {errors:?}");
+                        crate::executor::execute(&topo, spec)
+                            .unwrap_or_else(|e| panic!("{case}: {e}"));
+                        built += 1;
+                    }
+                }
             }
         }
+        assert!(built >= 100, "only {built} cells built");
     }
 
     #[test]
