@@ -11,8 +11,10 @@
 //! so each `(t, p)` cell is scored on its *optimal* cluster order, not
 //! just the fastest-first heuristic.
 
-use holmes_engine::{simulate_iteration, DpSyncStrategy, EngineConfig, TrainingMetrics};
-use holmes_model::{MemoryEstimate, TrainJob};
+use holmes_engine::{
+    price_stages, simulate_iteration, DpSyncStrategy, EngineConfig, StagePrice, TrainingMetrics,
+};
+use holmes_model::TrainJob;
 use holmes_parallel::ParallelPlan;
 use holmes_topology::Topology;
 use rayon::prelude::*;
@@ -59,7 +61,8 @@ pub struct Candidate {
     pub estimated_seconds: f64,
     /// Simulated metrics (only for the `top_k` finalists).
     pub simulated: Option<TrainingMetrics>,
-    /// Whether the largest stage fits in device memory.
+    /// Whether every stage fits its smallest member's memory, by the
+    /// same [`price_stages`] verdict the builder enforces.
     pub fits_memory: bool,
     /// Plan and engine config built during enumeration, cached so the
     /// finalist simulation pass does not re-run `plan_for`.
@@ -125,40 +128,17 @@ pub fn autotune(topo: &Topology, req: &AutotuneRequest, cfg: &HolmesConfig) -> V
             let Some(est) = estimate_iteration(topo, &plan, &req.job, &engine_cfg) else {
                 continue;
             };
-            // Memory feasibility on the heaviest stage.
-            let cfg_model = req.job.config;
-            let (heaviest_stage, &max_layers) = plan
-                .stage_layers
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &layers)| layers)
-                .expect("p >= 1");
-            let stage_params = u64::from(max_layers) * holmes_model::layer_params(&cfg_model)
-                + holmes_model::embedding_params(&cfg_model);
-            // The heaviest stage must fit its *smallest* member: on a
-            // mixed-generation fleet the stage's weakest device binds.
-            let capacity = plan
-                .stage_devices(heaviest_stage as u32)
-                .iter()
-                .map(|&r| topo.device(r).expect("device exists").gpu.memory_bytes())
-                .min()
-                .expect("stage has at least one device");
-            let mem = MemoryEstimate::for_rank(
-                &cfg_model,
-                stage_params,
-                t,
-                req.job.micro_batch,
-                p,
-                max_layers,
-                engine_cfg.dp_sync.optimizer_shards(d),
-            );
+            // Memory feasibility: the builder's own per-stage verdict.
+            let Ok(stages) = price_stages(topo, &plan, &req.job, &engine_cfg) else {
+                continue;
+            };
             candidates.push(Candidate {
                 tensor: t,
                 pipeline: p,
                 data: d,
                 estimated_seconds: est.seconds,
                 simulated: None,
-                fits_memory: mem.fits_in(capacity),
+                fits_memory: stages.iter().all(StagePrice::fits_memory),
                 plan: Some(Box::new((plan, engine_cfg))),
             });
         }
@@ -345,5 +325,45 @@ mod tests {
         assert!(best.tensor >= 4, "39B needs tensor parallelism: {best:?}");
         // And at least one t=1 candidate was evaluated and marked OOM.
         assert!(ranked.iter().any(|c| c.tensor == 1 && !c.fits_memory));
+    }
+
+    #[test]
+    fn memory_verdict_matches_the_builder() {
+        use holmes_engine::{build_iteration, BuildError};
+        for topo in [
+            presets::homogeneous(holmes_topology::NicType::InfiniBand, 4),
+            presets::hybrid_two_cluster(4),
+        ] {
+            for pg in [3, 7] {
+                let job = ParameterGroup::table2(pg).job();
+                // No finalists: only the enumeration's verdicts matter.
+                let req = AutotuneRequest {
+                    top_k: 0,
+                    ..AutotuneRequest::new(job)
+                };
+                for c in autotune(&topo, &req, &HolmesConfig::full()) {
+                    let (plan, engine_cfg) =
+                        c.plan.as_deref().expect("enumeration caches the plan");
+                    let built = build_iteration(
+                        &topo,
+                        plan,
+                        &job,
+                        &EngineConfig {
+                            enforce_memory: true,
+                            ..*engine_cfg
+                        },
+                    );
+                    let builder_fits = !matches!(built, Err(BuildError::OutOfMemory { .. }));
+                    assert_eq!(
+                        c.fits_memory,
+                        builder_fits,
+                        "PG{pg} t={} p={} on {} devices",
+                        c.tensor,
+                        c.pipeline,
+                        topo.device_count()
+                    );
+                }
+            }
+        }
     }
 }

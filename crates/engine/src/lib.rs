@@ -32,7 +32,9 @@
 //!   [`holmes_netsim::algo`] and is replayed flow-by-flow — the same
 //!   schedules the planner's closed forms and topology folds are derived
 //!   from, so measurement and scoring cannot drift.
-//! * [`builder`] — assembles the above into a runnable [`ExecutionSpec`],
+//! * [`builder`] — prices every stage once ([`price_stages`]: the
+//!   slowest member's compute, chunk costs, units, memory need) and
+//!   assembles the above into a runnable [`ExecutionSpec`],
 //!   expanding every schedule's units into ops in one loop; upgrades
 //!   flat all-reduces to [`CollKind::HierarchicalAllReduce`] for
 //!   data-parallel groups that straddle clusters (see
@@ -61,7 +63,10 @@ pub mod schedule;
 pub mod timeline;
 pub mod validate;
 
-pub use builder::{build_iteration, simulate_iteration, BuildError, EngineConfig, ScheduleKind};
+pub use builder::{
+    build_iteration, price_stages, simulate_iteration, BuildError, EngineConfig, ScheduleKind,
+    StagePrice,
+};
 pub use compute::{ComputeModel, StageCost};
 pub use dp_sync::DpSyncStrategy;
 pub use executor::{

@@ -28,35 +28,13 @@ pub struct MemoryEstimate {
 impl MemoryEstimate {
     /// Estimate for a rank holding `stage_params` parameters of the model,
     /// split `t` ways by tensor parallelism, with `in_flight_microbatches`
-    /// micro-batches of activations resident (1F1B keeps at most `p` in
-    /// flight on the first stage), and optimizer states sharded over
-    /// `optimizer_shards` ranks (1 = no distributed optimizer).
-    pub fn for_rank(
-        cfg: &GptConfig,
-        stage_params: u64,
-        tensor_parallel: u32,
-        micro_batch: u32,
-        in_flight_microbatches: u32,
-        layers_on_stage: u32,
-        optimizer_shards: u32,
-    ) -> MemoryEstimate {
-        Self::for_rank_with_recompute(
-            cfg,
-            stage_params,
-            tensor_parallel,
-            micro_batch,
-            in_flight_microbatches,
-            layers_on_stage,
-            optimizer_shards,
-            false,
-        )
-    }
-
-    /// Like [`MemoryEstimate::for_rank`], optionally with *full* activation
-    /// recomputation (only the layer-boundary activation of each in-flight
-    /// micro-batch is stored; everything else is replayed in backward).
+    /// micro-batches of activations resident on `layers_on_stage` layers,
+    /// and optimizer states sharded over `optimizer_shards` ranks (1 = no
+    /// distributed optimizer). With `full_recompute` only the
+    /// layer-boundary activation of each in-flight micro-batch is stored;
+    /// everything else is replayed in backward.
     #[allow(clippy::too_many_arguments)]
-    pub fn for_rank_with_recompute(
+    pub fn for_rank(
         cfg: &GptConfig,
         stage_params: u64,
         tensor_parallel: u32,
@@ -120,9 +98,9 @@ mod tests {
         let pg = ParameterGroup::table2(7);
         let total = parameter_count(&pg.config);
         let stage = total / 2;
-        let t1 = MemoryEstimate::for_rank(&pg.config, stage, 1, 4, 2, 24, 16);
+        let t1 = MemoryEstimate::for_rank(&pg.config, stage, 1, 4, 2, 24, 16, false);
         assert!(!t1.fits_in(GIB80), "t=1 must not fit");
-        let t8 = MemoryEstimate::for_rank(&pg.config, stage, 8, 4, 2, 24, 16);
+        let t8 = MemoryEstimate::for_rank(&pg.config, stage, 8, 4, 2, 24, 16, false);
         assert!(
             t8.fits_in(GIB80),
             "t=8 should fit: {} GiB",
@@ -134,7 +112,7 @@ mod tests {
     fn pg1_fits_without_tensor_parallelism() {
         let pg = ParameterGroup::table2(1);
         let stage = parameter_count(&pg.config) / 2;
-        let est = MemoryEstimate::for_rank(&pg.config, stage, 1, 4, 2, 15, 16);
+        let est = MemoryEstimate::for_rank(&pg.config, stage, 1, 4, 2, 15, 16, false);
         assert!(est.fits_in(GIB80));
     }
 
@@ -142,8 +120,8 @@ mod tests {
     fn optimizer_sharding_reduces_footprint() {
         let pg = ParameterGroup::table2(3);
         let stage = parameter_count(&pg.config) / 2;
-        let unsharded = MemoryEstimate::for_rank(&pg.config, stage, 1, 4, 2, 18, 1);
-        let sharded = MemoryEstimate::for_rank(&pg.config, stage, 1, 4, 2, 18, 16);
+        let unsharded = MemoryEstimate::for_rank(&pg.config, stage, 1, 4, 2, 18, 1, false);
+        let sharded = MemoryEstimate::for_rank(&pg.config, stage, 1, 4, 2, 18, 16, false);
         assert!(sharded.optimizer_bytes < unsharded.optimizer_bytes);
         assert_eq!(
             sharded.weights_and_grads_bytes,
@@ -155,9 +133,8 @@ mod tests {
     fn full_recompute_shrinks_activations() {
         let pg = ParameterGroup::table2(3);
         let stage = parameter_count(&pg.config) / 2;
-        let normal = MemoryEstimate::for_rank(&pg.config, stage, 1, 4, 2, 18, 16);
-        let recompute =
-            MemoryEstimate::for_rank_with_recompute(&pg.config, stage, 1, 4, 2, 18, 16, true);
+        let normal = MemoryEstimate::for_rank(&pg.config, stage, 1, 4, 2, 18, 16, false);
+        let recompute = MemoryEstimate::for_rank(&pg.config, stage, 1, 4, 2, 18, 16, true);
         assert!(recompute.activations_bytes * 10 < normal.activations_bytes);
         assert_eq!(
             recompute.weights_and_grads_bytes,

@@ -7,7 +7,7 @@
 //! land on RDMA-homogeneous device sets (fast) or straddle incompatible
 //! NICs (forced down to Ethernet).
 
-use holmes_topology::{ClusterId, Rank, Topology};
+use holmes_topology::{ClusterId, Node, Rank, Topology};
 
 use crate::groups::GroupLayout;
 
@@ -231,8 +231,10 @@ impl Scheduler for InterleavedScheduler {
 pub struct HolmesScheduler;
 
 impl HolmesScheduler {
-    /// Cluster visit order: descending effective NIC bandwidth, stable on
-    /// ties (preserves topology order).
+    /// Cluster visit order: descending by (effective NIC bandwidth, GPU
+    /// peak TFLOPS, node count), so the order does not depend on how the
+    /// clusters are listed unless they tie on all three (ties keep
+    /// topology order).
     ///
     /// Public because this order doubles as the planning stack's *canonical
     /// relabeling*: the guided and exhaustive planners ([`crate::GuidedPlanner`],
@@ -241,24 +243,22 @@ impl HolmesScheduler {
     /// position here, so "fastest-first" wins every tie and the heuristic,
     /// exhaustive, and guided strategies agree on one canonical winner.
     pub fn cluster_order(topo: &Topology) -> Vec<ClusterId> {
-        let mut order: Vec<(usize, f64)> = topo
+        let mut order: Vec<(f64, f64, usize, u32)> = topo
             .clusters()
             .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let bw = c
-                    .nodes
-                    .iter()
-                    .map(|n| n.nic.effective_bytes_per_sec())
-                    .fold(0.0, f64::max);
-                (i, bw)
+            .zip(0..)
+            .map(|(c, i)| {
+                let fastest = |rate: fn(&Node) -> f64| c.nodes.iter().map(rate).fold(0.0, f64::max);
+                let bw = fastest(|n| n.nic.effective_bytes_per_sec());
+                (bw, fastest(|n| n.gpu.peak_tflops), c.nodes.len(), i)
             })
             .collect();
-        order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        order
-            .into_iter()
-            .map(|(i, _)| ClusterId(i as u32))
-            .collect()
+        order.sort_by(|a, b| {
+            b.0.total_cmp(&a.0)
+                .then(b.1.total_cmp(&a.1))
+                .then(b.2.cmp(&a.2))
+        });
+        order.into_iter().map(|(.., i)| ClusterId(i)).collect()
     }
 }
 

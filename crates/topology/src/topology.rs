@@ -349,12 +349,12 @@ impl Topology {
         self.clusters[0].uniform_nic_type().is_some()
     }
 
-    /// True when every node carries the same [`GpuProfile`] — the fleet is
-    /// compute-uniform and per-device rate modelling degenerates to a single
-    /// FLOPs rate. Heterogeneous-*compute* planning (straggler-aware
-    /// partitioning, skew-priced DP groups) only activates when this is
-    /// false, so compute-uniform topologies keep their historical plans
-    /// bit-for-bit.
+    /// True when every node carries the same [`GpuProfile`]: the fleet is
+    /// compute-uniform. A descriptive predicate for reports; no pricing
+    /// branches on it. On such a fleet the skew-priced DP groups and the
+    /// straggler-aware partition reduce to their NIC-only forms bit for
+    /// bit, while a stage mixing NICs still pays for its slowest member
+    /// (NIC compute interference differs).
     pub fn uniform_compute(&self) -> bool {
         let mut nodes = self.clusters.iter().flat_map(|c| &c.nodes);
         match nodes.next() {

@@ -10,11 +10,11 @@
 //! cargo run --release --example plan_explorer
 //! ```
 
-use holmes_repro::engine::DpSyncStrategy;
-use holmes_repro::model::{GptConfig, MemoryEstimate, ParameterGroup, TrainJob};
+use holmes_repro::engine::{price_stages, simulate_iteration, DpSyncStrategy, StagePrice};
+use holmes_repro::model::{GptConfig, ParameterGroup, TrainJob};
 use holmes_repro::parallel::{GroupLayout, GuidedPlanner, ParallelDegrees};
 use holmes_repro::topology::presets;
-use holmes_repro::{placement_gradient_bytes, run_scenario, HolmesConfig, PlanRequest, Scenario};
+use holmes_repro::{placement_gradient_bytes, plan_for, HolmesConfig, PlanRequest};
 
 fn main() {
     // Fleet: 8 nodes split across an InfiniBand and a RoCE cluster.
@@ -53,35 +53,28 @@ fn main() {
             if cfg.num_layers < p {
                 continue;
             }
-            // Memory feasibility: the largest stage must fit in 80 GiB.
-            let stage_params = u64::from(cfg.num_layers.div_ceil(p))
-                * holmes_repro::model::layer_params(&cfg)
-                + holmes_repro::model::embedding_params(&cfg);
-            let mem = MemoryEstimate::for_rank(
-                &cfg,
-                stage_params,
-                t,
-                job.micro_batch,
-                p,
-                cfg.num_layers.div_ceil(p),
-                d,
-            );
-            let fits = mem.fits_in(80 * 1024 * 1024 * 1024);
-
-            let scenario = Scenario {
-                topo: topo.clone(),
-                request: PlanRequest {
-                    tensor_parallel: t,
-                    pipeline_parallel: p,
-                    job,
-                },
+            let request = PlanRequest {
+                tensor_parallel: t,
+                pipeline_parallel: p,
+                job,
             };
-            let result = match run_scenario(
-                &scenario,
+            let simulated = plan_for(
+                &topo,
+                &request,
                 &HolmesConfig::full(),
                 DpSyncStrategy::DistributedOptimizer,
-                None,
-            ) {
+            )
+            .map_err(|e| e.to_string())
+            .and_then(|(plan, engine_cfg)| {
+                // Memory feasibility: the builder's own verdict, every
+                // stage against its smallest member.
+                let fits = price_stages(&topo, &plan, &job, &engine_cfg)
+                    .is_ok_and(|stages| stages.iter().all(StagePrice::fits_memory));
+                simulate_iteration(&topo, &plan, &job, &engine_cfg, None, None)
+                    .map(|(_, metrics)| (metrics, fits))
+                    .map_err(|e| e.to_string())
+            });
+            let (metrics, fits) = match simulated {
                 Ok(r) => r,
                 Err(e) => {
                     println!("{t:>3} {p:>3} {d:>4}      — infeasible: {e}");
@@ -90,7 +83,7 @@ fn main() {
             };
             // The guided planner's search trace for this cell: how much
             // of the cluster-order space branch-and-bound actually
-            // visited to certify the placement it handed `run_scenario`.
+            // visited to certify the placement it handed the builder.
             let degrees = ParallelDegrees::infer_data(t, p, n).expect("degrees divide the fleet");
             let layout = GroupLayout::new(degrees);
             let (placement, stats) = GuidedPlanner.plan_workload_with_stats(
@@ -104,8 +97,8 @@ fn main() {
                 p,
                 d,
                 m,
-                result.metrics.tflops_per_gpu,
-                result.metrics.throughput_samples_per_sec,
+                metrics.tflops_per_gpu,
+                metrics.throughput_samples_per_sec,
                 if fits { "yes" } else { "NO (OOM)" },
                 stats.expanded,
                 stats.pruned_total(),
@@ -119,7 +112,7 @@ fn main() {
                 }
             );
             if fits {
-                let score = result.metrics.throughput_samples_per_sec;
+                let score = metrics.throughput_samples_per_sec;
                 if best.is_none_or(|(b, _, _)| score > b) {
                     best = Some((score, t, p));
                 }
