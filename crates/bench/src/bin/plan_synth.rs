@@ -7,10 +7,11 @@
 //! * **`search`** (deterministic, in the `exact` map) — per-scenario node
 //!   expansion and pruning counters, the number of distinct DP-group
 //!   member sets priced, and the winning cost bits, for the 64-cluster
-//!   aligned fleet, the 12-cluster unaligned fleet, and the 8- and
-//!   10-cluster heterogeneous fleets at two pipeline stages (64- and
-//!   80-member DP groups straddling several clusters: the planner's
-//!   scaling case, where pricing hierarchical all-reduces dominates).
+//!   aligned fleet, the 12-cluster unaligned fleet, and the 8-, 10- and
+//!   12-cluster heterogeneous fleets at two pipeline stages (64-, 80- and
+//!   96-member DP groups straddling several clusters: the planner's
+//!   scaling case, where dominance on partly placed groups keeps the
+//!   number of expanded prefixes down).
 //!   The three-cluster paper presets re-check the guided winner against
 //!   the exhaustive oracle on every run.
 //! * **`progress`** (deterministic, in the `exact` map) — the symbolic
@@ -18,7 +19,7 @@
 //!   environment: scenario and verdict counts, and the invariant that
 //!   the sweep stays counterexample-free.
 //! * **wall times** (machine-dependent, in the `toleranced` map) — single-plan
-//!   wall-clock on all four fleets, guided plans/sec over the paper
+//!   wall-clock on all five fleets, guided plans/sec over the paper
 //!   presets, and the progress-checker sweep time (so `bench_diff`
 //!   catches a checker blowup the same way it catches a planner one).
 //!   The 64-cluster fleet must additionally plan in under a second —
@@ -201,10 +202,16 @@ fn main() {
         2,
         repeats,
     );
+    let fleet12_hetero = run_scenario(
+        "fleet_hetero12_p2",
+        &presets::fleet_hetero(12, 2),
+        2,
+        repeats,
+    );
     let plans_per_sec = oracle_sweep(repeats);
     let progress = progress_sweep(repeats);
 
-    let searched = [&fleet64, &fleet12, &fleet8, &fleet10];
+    let searched = [&fleet64, &fleet12, &fleet8, &fleet10, &fleet12_hetero];
     for s in searched {
         println!(
             "{:<18} {:>3} clusters / {:>4} ranks  p={:<3} expanded {:>5}  pruned {:>5}  \
@@ -283,6 +290,10 @@ fn main() {
         ("fleet12_plan_seconds", fleet12.wall_seconds),
         ("fleet8_p2_plan_seconds", fleet8.wall_seconds),
         ("fleet_hetero10_p2_plan_seconds", fleet10.wall_seconds),
+        (
+            "fleet_hetero12_p2_plan_seconds",
+            fleet12_hetero.wall_seconds,
+        ),
     ] {
         snap.toleranced(name, seconds, Better::Lower);
     }

@@ -101,7 +101,9 @@ pub fn estimate_iteration(
     let p2p_seconds = if p > 1 {
         let act =
             CommVolumes::p2p_activation_bytes(&job.config, job.micro_batch, t, plan.scatter_gather);
-        // Worst boundary: the slowest link out of stage 0.
+        // One boundary only: the link from stage 0's first device to
+        // stage 1's first device. Later boundaries, often the slower
+        // cross-cluster ones, are not priced (ROADMAP item 16).
         let from = plan.stage_devices(0)[0];
         let to = plan.stage_devices(1)[0];
         let link = topo.link_between(from, to).ok()?;

@@ -35,10 +35,12 @@
 //!   *bound* (a successor whose bound reaches the heuristic incumbent can
 //!   never beat it — the incumbent's canonical key `[0, 1, …]` is the
 //!   global lexicographic minimum, so it also wins every cost tie);
-//!   *dominance* (two states over the same cluster *set* whose boundary
-//!   splits no group share all future costs, so the one with the larger
-//!   bound and larger canonical prefix is never part of the canonical
-//!   winner); *symmetry* (structurally identical clusters are
+//!   *dominance* (two states over the same cluster *set* whose partly
+//!   placed DP groups hold the same member sets share all future costs,
+//!   so the one with the larger `g` and larger canonical prefix is never
+//!   part of the canonical winner; [`partial_signature`] keys those sets
+//!   in O(clusters) per successor and is empty at boundaries that split
+//!   no group); *symmetry* (structurally identical clusters are
 //!   interchangeable, and the canonical winner visits the members of each
 //!   such class in ascending canonical rank, so only the lowest-ranked
 //!   unvisited member of each class is ever appended).
@@ -49,7 +51,7 @@
 //! enumerate.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 
 use holmes_netsim::WordHash;
 use holmes_topology::{Cluster, ClusterId, Rank, Topology};
@@ -93,9 +95,9 @@ pub struct SynthStats {
     /// Successors discarded because their admissible bound already met or
     /// exceeded the heuristic incumbent's cost.
     pub pruned_bound: u64,
-    /// Successors discarded by mask dominance: an already-pushed state
-    /// over the same cluster set was at least as cheap and canonically
-    /// smaller.
+    /// Successors discarded by dominance: an already-pushed state over
+    /// the same cluster set, with the same partly placed DP-group member
+    /// sets, was at least as cheap and canonically smaller.
     pub pruned_dominated: u64,
     /// Successors never generated because a structurally identical
     /// cluster with a smaller canonical rank was expanded instead.
@@ -139,28 +141,41 @@ fn group_specs(layout: &GroupLayout) -> Vec<GroupSpec> {
     specs
 }
 
-/// `clean[n]` is true when no DP group has members on both sides of
-/// logical boundary `n` — the precondition for mask dominance: with no
-/// straddling group, two prefixes over the same cluster set split the
-/// plan's groups identically into "already priced" and "priced by any
-/// common completion", so their futures share every cost term.
-fn clean_boundaries(layout: &GroupLayout, specs: &[GroupSpec], n_total: usize) -> Vec<bool> {
-    let mut straddled = vec![0i32; n_total + 2];
-    for spec in specs {
-        let min = spec.members.iter().copied().min().unwrap_or(0) as usize;
-        let max = spec.max_member as usize;
-        // Boundaries in (min, max] split this group.
-        straddled[min + 1] += 1;
-        straddled[max + 1] -= 1;
+/// The partial-group signature of a prefix that ends at logical boundary
+/// `n`: with the visited mask, the dominance key of the prefix.
+///
+/// DP group `(q, m)` is logical ranks `q·t·d + j·t + m`, so only groups of
+/// the stage block holding boundary `n` can be partly placed, and none is
+/// when `d = 1` or `n` ends a block. A visited cluster that overlaps that
+/// block sits at logical offset `off` and places its local devices
+/// `first..` inside it, device `i` joining group `(off + i) mod t`. So one
+/// `(speed rank, first, off mod t)` triple per overlapping cluster fixes
+/// every partial group's placed member set. The walk goes backward from
+/// the prefix end and stops at the block start, so it visits only the
+/// overlapping clusters and sorts no member list.
+fn partial_signature(
+    canon: &[u16],
+    size_by_rank: &[usize],
+    n: usize,
+    (t, d): (usize, usize),
+) -> Vec<(u16, u32, u32)> {
+    let block_start = n - n % (t * d);
+    let mut signature = Vec::new();
+    if d == 1 || block_start == n {
+        return signature;
     }
-    debug_assert_eq!(layout.degrees().devices(), n_total as u32);
-    let mut clean = vec![true; n_total + 1];
-    let mut depth = 0i32;
-    for (n, flag) in clean.iter_mut().enumerate() {
-        depth += straddled[n];
-        *flag = depth == 0;
+    let mut end = n;
+    for &rank in canon.iter().rev() {
+        let off = end - size_by_rank[usize::from(rank)];
+        let first = block_start.saturating_sub(off);
+        signature.push((rank, first as u32, (off % t) as u32));
+        if off <= block_start {
+            break;
+        }
+        end = off;
     }
-    clean
+    signature.sort_unstable();
+    signature
 }
 
 /// Exact per-cluster future group costs, available only when every
@@ -221,6 +236,11 @@ fn clusters_interchangeable(a: &Cluster, b: &Cluster) -> bool {
         && a.has_switch == b.has_switch
         && a.oversubscription.total_cmp(&b.oversubscription).is_eq()
 }
+
+/// Dominance frontiers keyed by (visited mask, [`partial_signature`]):
+/// the Pareto set over `(g, canon)` of the states pushed with that key.
+/// Only probed, never iterated.
+type Frontiers = HashMap<(u128, Vec<(u16, u32, u32)>), Vec<(f64, Vec<u16>)>, WordHash>;
 
 /// A partial plan on the open list.
 struct PartialPlan {
@@ -316,8 +336,13 @@ pub fn synthesize_placement(
     let cluster_ranks: Vec<Vec<Rank>> = (0..m)
         .map(|c| topo.cluster_ranks(ClusterId(c as u32)))
         .collect();
+    let size_by_rank: Vec<usize> = heuristic_order
+        .iter()
+        .map(|c| cluster_ranks[c.0 as usize].len())
+        .collect();
+    let degrees = layout.degrees();
+    let td = (degrees.tensor as usize, degrees.data as usize);
     let specs = group_specs(layout);
-    let clean = clean_boundaries(layout, &specs, topo.device_count() as usize);
 
     // Group costs memoized by member *set* (the sorted member list) for
     // this call: the same set recurs under every order of its clusters,
@@ -367,11 +392,10 @@ pub fn synthesize_placement(
     }
 
     let mut heap: BinaryHeap<Reverse<PartialPlan>> = BinaryHeap::new();
-    // Per-mask dominance frontiers: the Pareto set over (g, canon). An
-    // entry dominates a candidate with the same mask when it is at least
-    // as cheap *and* canonically smaller — then every completion of the
-    // candidate is matched by a no-worse, canonically smaller one.
-    let mut frontier: BTreeMap<u128, Vec<(f64, Vec<u16>)>> = BTreeMap::new();
+    // An entry dominates a candidate with the same key when it is at
+    // least as cheap *and* canonically smaller — then every completion of
+    // the candidate is matched by a no-worse, canonically smaller one.
+    let mut frontier = Frontiers::default();
     let mut seq: u64 = 0;
 
     let root_bound = h_of(0);
@@ -437,18 +461,17 @@ pub fn synthesize_placement(
             }
             let mut canon = state.canon.clone();
             canon.push(rank_of[c]);
-            if clean[n_new] {
-                let entries = frontier.entry(used).or_default();
-                if entries
-                    .iter()
-                    .any(|(g2, c2)| g2.total_cmp(&g).is_le() && *c2 < canon)
-                {
-                    stats.pruned_dominated += 1;
-                    continue;
-                }
-                entries.retain(|(g2, c2)| !(g.total_cmp(g2).is_le() && canon < *c2));
-                entries.push((g, canon.clone()));
+            let signature = partial_signature(&canon, &size_by_rank, n_new, td);
+            let entries = frontier.entry((used, signature)).or_default();
+            if entries
+                .iter()
+                .any(|(g2, c2)| g2.total_cmp(&g).is_le() && *c2 < canon)
+            {
+                stats.pruned_dominated += 1;
+                continue;
             }
+            entries.retain(|(g2, c2)| !(g.total_cmp(g2).is_le() && canon < *c2));
+            entries.push((g, canon.clone()));
             seq += 1;
             stats.pushed += 1;
             heap.push(Reverse(PartialPlan {
@@ -761,6 +784,22 @@ mod tests {
             priced.cost_seconds,
             sync_only.cost_seconds
         );
+    }
+
+    #[test]
+    fn partial_signature_keys_the_clusters_in_the_open_block() {
+        // t = 2, d = 3: stage blocks of 6 ranks. Clusters of 4, 3 and 2
+        // devices visited in speed-rank order end at boundary 9, inside
+        // block [6, 12): rank 1 enters it at local device 2 from offset 4,
+        // rank 2 whole from offset 7.
+        let sizes = [4, 3, 2];
+        assert_eq!(
+            partial_signature(&[0, 1, 2], &sizes, 9, (2, 3)),
+            vec![(1, 2, 0), (2, 0, 1)]
+        );
+        // A boundary that ends a block, or d = 1, splits no group.
+        assert!(partial_signature(&[0, 2], &sizes, 6, (2, 3)).is_empty());
+        assert!(partial_signature(&[0, 1, 2], &sizes, 9, (2, 1)).is_empty());
     }
 
     #[test]

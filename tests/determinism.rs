@@ -228,14 +228,23 @@ mod registry_export {
 /// not a flaky drift.
 #[test]
 fn guided_synthesis_node_counts_are_pinned() {
-    use holmes_parallel::{synthesize_placement, SynthStats};
-    // (preset, t, p, expected stats, expect heuristic order)
-    let cases: [(&str, holmes::topology::Topology, u32, u32, SynthStats); 4] = [
+    use holmes_parallel::{synthesize_placement, PlacementWorkload, SynthStats};
+    let gradient_only = PlacementWorkload::from(1u64 << 32);
+    // (name, preset, t, p, workload, expected stats)
+    let cases: [(
+        &str,
+        holmes::topology::Topology,
+        u32,
+        u32,
+        PlacementWorkload,
+        SynthStats,
+    ); 5] = [
         (
             "table4_4r_4ib_4ib p2",
             presets::table4_4r_4ib_4ib(),
             1,
             2,
+            gradient_only,
             SynthStats {
                 expanded: 4,
                 pushed: 4,
@@ -251,6 +260,7 @@ fn guided_synthesis_node_counts_are_pinned() {
             presets::table4_2r_2ib_2ib(),
             1,
             2,
+            gradient_only,
             SynthStats {
                 expanded: 5,
                 pushed: 6,
@@ -266,6 +276,7 @@ fn guided_synthesis_node_counts_are_pinned() {
             presets::synthetic_fleet(64, 2),
             1,
             64,
+            gradient_only,
             SynthStats {
                 expanded: 0,
                 pushed: 0,
@@ -281,6 +292,7 @@ fn guided_synthesis_node_counts_are_pinned() {
             presets::synthetic_fleet(12, 2),
             1,
             6,
+            gradient_only,
             SynthStats {
                 expanded: 136,
                 pushed: 136,
@@ -291,12 +303,31 @@ fn guided_synthesis_node_counts_are_pinned() {
                 heuristic_won: true,
             },
         ),
+        // Mixed generations at p = 2: each 64-member DP group spans four
+        // clusters, so most prefix boundaries leave one partly placed and
+        // dominance keys on the partial-group signature.
+        (
+            "fleet_hetero8 p2 skew",
+            presets::fleet_hetero(8, 2),
+            1,
+            2,
+            PlacementWorkload::new(1 << 32, 2.5e13),
+            SynthStats {
+                expanded: 348,
+                pushed: 366,
+                pruned_bound: 192,
+                pruned_dominated: 499,
+                pruned_symmetry: 0,
+                priced: 70,
+                heuristic_won: false,
+            },
+        ),
     ];
-    for (name, topo, t, p, expected) in cases {
+    for (name, topo, t, p, workload, expected) in cases {
         let n = topo.device_count();
         let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
-        let (r1, s1) = synthesize_placement(&topo, &layout, 1 << 32);
-        let (r2, s2) = synthesize_placement(&topo, &layout, 1 << 32);
+        let (r1, s1) = synthesize_placement(&topo, &layout, workload);
+        let (r2, s2) = synthesize_placement(&topo, &layout, workload);
         assert_eq!(s1, expected, "{name}: search profile drifted");
         assert_eq!(s1, s2, "{name}: non-deterministic stats");
         assert_eq!(r1.cluster_order, r2.cluster_order, "{name}");

@@ -619,6 +619,58 @@ proptest! {
         prop_assert_eq!(guided.assignment, exhaustive.assignment);
     }
 
+    /// Guided == exhaustive on wider fleets whose stage blocks cut
+    /// clusters at varying offsets: 5-6 clusters of 1-3 nodes, 1-3 GPUs
+    /// per node, mixed NIC technologies and GPU generations, t ∈ {1, 2, 4}
+    /// and any pipeline depth that divides the fleet. Cluster sizes that
+    /// are not multiples of `t` or of the stage block leave DP groups
+    /// partly placed at most prefix boundaries, which is where dominance
+    /// keys on the partial-group signature; the winner must still be the
+    /// oracle's exact one.
+    #[test]
+    fn guided_synthesis_matches_exhaustive_when_blocks_cut_clusters(
+        spec in prop::collection::vec((1u32..=3, nic_strategy(), 0usize..3), 5..=6),
+        gpus in 1u32..=3,
+        t in prop::sample::select(vec![1u32, 2, 4]),
+        pick in 0usize..64,
+        mb in 1u64..64,
+        gflops in prop_oneof![Just(0.0f64), 1.0f64..500.0],
+    ) {
+        use holmes_repro::parallel::{
+            search_cluster_orders, synthesize_placement, PlacementWorkload,
+        };
+        let gens = [
+            GpuProfile::v100_32g(),
+            GpuProfile::a100_80g(),
+            GpuProfile::h100_80g(),
+        ];
+        let mut builder = TopologyBuilder::new().gpus_per_node(gpus);
+        for (i, &(nodes, nic, gen)) in spec.iter().enumerate() {
+            builder = builder.cluster_with_gpu(format!("c{i}"), nodes, nic, gens[gen].clone());
+        }
+        let topo = builder.build().unwrap();
+        let n = topo.device_count();
+        prop_assume!(n.is_multiple_of(t));
+        let depths: Vec<u32> = (1..=n / t).filter(|p| (n / t).is_multiple_of(*p)).collect();
+        let p = depths[pick % depths.len()];
+        let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
+        let workload = PlacementWorkload::new(mb << 20, gflops * 1e9);
+        let exhaustive = search_cluster_orders(&topo, &layout, workload);
+        let (guided, stats) = synthesize_placement(&topo, &layout, workload);
+        prop_assert_eq!(&guided.cluster_order, &exhaustive.cluster_order);
+        prop_assert_eq!(
+            guided.cost_seconds.to_bits(),
+            exhaustive.cost_seconds.to_bits(),
+            "t={} p={}: guided {} vs exhaustive {} ({:?})",
+            t,
+            p,
+            guided.cost_seconds,
+            exhaustive.cost_seconds,
+            stats
+        );
+        prop_assert_eq!(guided.assignment, exhaustive.assignment);
+    }
+
     /// The exhaustive optimum does not depend on the order in which a
     /// fleet's clusters are listed: a random 2-4 cluster fleet mixing NIC
     /// technologies and GPU generations, and the same fleet with its
