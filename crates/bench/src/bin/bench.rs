@@ -138,7 +138,8 @@ fn main() {
     let classes = census.classes;
     println!(
         "twin census ({}): {} logical flows, {} launch entries, {} engine flows, {} events; \
-         {} devices in {} classes at start, {} splits, {} -> {} device advance steps",
+         {} devices in {} classes at start, {} splits, {} -> {} device advance steps, \
+         {} of {} collectives folded",
         suites::netsim::TWIN_CENSUS_CELL,
         census.logical_flows,
         census.launch_entries,
@@ -149,6 +150,8 @@ fn main() {
         classes.splits,
         classes.steps_before(),
         classes.steps_after(),
+        classes.collectives_folded,
+        classes.collectives,
     );
 
     let mut snap = Snapshot::default();
@@ -171,6 +174,8 @@ fn main() {
         ("splits", classes.splits.into()),
         ("advance_steps_before", classes.steps_before().into()),
         ("advance_steps_after", classes.steps_after().into()),
+        ("collectives", classes.collectives.into()),
+        ("collectives_folded", classes.collectives_folded.into()),
     ];
     snap.exact("class_census", json::obj(class_census));
     snap.exact(

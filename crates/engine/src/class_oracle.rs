@@ -9,13 +9,14 @@ use holmes_parallel::{
     GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, PartitionStrategy, Scheduler,
     UniformPartition,
 };
-use holmes_topology::{presets, NicType, Rank, Topology};
+use holmes_topology::{presets, NicProfile, NicType, Rank, Topology, TopologyBuilder};
 use proptest::prelude::*;
 
 use crate::builder::{build_iteration, EngineConfig, ScheduleKind};
 use crate::dp_sync::DpSyncStrategy;
 use crate::executor::{
-    execute_inner, ExecError, ExecutionSpec, IterationReport, TransportPolicy, SOLO,
+    execute_inner, CollKind, CollectiveSpec, ExecError, ExecutionSpec, IterationReport,
+    TransportPolicy, SOLO,
 };
 use crate::fault::{FaultPlan, FaultTarget};
 use crate::ops::{Channel, ComputeLabel, MsgKey, Op};
@@ -112,6 +113,8 @@ fn both_ways(
             prop_assert_eq!(a.classes.compute_timers, b.classes.compute_timers);
             prop_assert_eq!(a.classes.recv_wakeups, b.classes.recv_wakeups);
             prop_assert_eq!(a.classes.class_timers, a.classes.compute_timers);
+            prop_assert_eq!(a.classes.collectives, b.classes.collectives);
+            prop_assert_eq!(a.classes.collectives_folded, 0);
             prop_assert!(b.classes.steps_after() <= a.classes.steps_after());
             prop_assert!(b.events <= a.events);
             prop_assert!(b.launch_entries <= a.launch_entries);
@@ -326,13 +329,238 @@ fn lockstep(
     (topo, spec)
 }
 
+/// Collective kinds the sibling programs draw from.
+const KINDS: [CollKind; 8] = [
+    CollKind::AllReduce,
+    CollKind::TreeAllReduce,
+    CollKind::ReduceScatter,
+    CollKind::AllGather,
+    CollKind::Broadcast,
+    CollKind::HierarchicalAllReduce,
+    CollKind::PsPush { servers: 1 },
+    CollKind::PsPull { servers: 2 },
+];
+
+/// Member layouts of the sibling groups, as rank offsets: a pair across
+/// the two nodes, two per node in node-major and in interleaved ring
+/// order, three members, and the pair starting on the second node.
+const SHAPES: [&[u32]; 5] = [
+    &[0, 8],
+    &[0, 4, 8, 12],
+    &[0, 8, 4, 12],
+    &[0, 8, 12],
+    &[8, 0],
+];
+
+/// How the sibling programs of [`siblings`] are drawn. Per-group lists
+/// cycle by group index, so one entry makes the groups alike.
+#[derive(Debug, Clone)]
+struct Siblings {
+    /// Nodes without NIC latency: inter-node round-0 entries start at
+    /// their launch instant.
+    zero_latency: bool,
+    /// Odd groups move to a second node pair of a four-node fleet.
+    spread: bool,
+    /// Groups.
+    m: u32,
+    shapes: Vec<usize>,
+    kinds: Vec<usize>,
+    bytes: Vec<u64>,
+    channels: Vec<u32>,
+    /// What a group's last member runs right after its `CollStart`: `0`
+    /// nothing, `1` a send of `send_bytes` to the receiver, `2 + i` a
+    /// compute op of `menu[i]`.
+    mids: Vec<usize>,
+    send_bytes: u64,
+    /// The last member of every group but the first skips its first
+    /// compute op and waits instead for a zero-byte message from rank 7,
+    /// whose program sits right behind the first group's.
+    gate: bool,
+    /// Per wave, the menu entry the groups compute for before launching.
+    picks: Vec<usize>,
+    skew: usize,
+}
+
+/// Hand-made sibling collectives, the shape of a stage's data-parallel
+/// groups: group `s` holds ranks `s + offset` for the offsets of its
+/// [`SHAPES`] entry. In every wave each group computes for
+/// `menu[(picks[wave] + s * skew) % menu.len()]`, launches one
+/// collective, runs its `mids` op and waits. The menu holds zero, one
+/// nanosecond and the intra- and inter-node route latencies, so
+/// launches, timers and round-0 flow starts collide at one instant; the
+/// receiver, rank 15, takes every send.
+fn siblings(d: &Siblings) -> (Topology, ExecutionSpec) {
+    let nic = NicProfile {
+        latency_us: if d.zero_latency { 0.0 } else { 2.0 },
+        ..NicProfile::infiniband_200g()
+    };
+    let nodes = if d.spread { 4 } else { 2 };
+    let topo = TopologyBuilder::new()
+        .cluster_with_profile("ib", nodes, nic)
+        .build()
+        .expect("two or four IB nodes");
+    let mut sim = holmes_netsim::NetSim::new();
+    let fabric = holmes_netsim::Fabric::build(&topo, &mut sim);
+    let lat = |a: u32, b: u32| fabric.route(&topo, Rank(a), Rank(b)).latency.as_secs_f64();
+    let (inter, intra) = (lat(0, 8), lat(0, 1));
+    let menu = [0.0, 1e-9, inter, intra, 2.0 * inter, inter + intra, 1e-3];
+    let (gate, receiver) = (Rank(7), Rank(15));
+    let cycle = |len: usize, s: u32| s as usize % len;
+    let key = |from: Rank, to: Rank, microbatch: u32| MsgKey {
+        from,
+        to,
+        channel: Channel::Activation,
+        microbatch,
+        chunk: 0,
+    };
+    let mut programs = Vec::new();
+    let mut collectives = Vec::new();
+    let mut gate_sends = Vec::new();
+    let mut recvs = Vec::new();
+    for s in 0..d.m {
+        let base = s + if d.spread && s % 2 == 1 { 16 } else { 0 };
+        let shape = SHAPES[d.shapes[cycle(d.shapes.len(), s)]];
+        let group: Vec<Rank> = shape.iter().map(|o| Rank(base + o)).collect();
+        let last = group.len() - 1;
+        let mut ops = vec![Vec::new(); group.len()];
+        for (wave, &p) in d.picks.iter().enumerate() {
+            let id = collectives.len() as u32;
+            collectives.push(CollectiveSpec {
+                kind: KINDS[d.kinds[cycle(d.kinds.len(), s)]],
+                devices: group.clone(),
+                bytes: d.bytes[cycle(d.bytes.len(), s)],
+                channels: d.channels[cycle(d.channels.len(), s)],
+            });
+            for (i, program) in ops.iter_mut().enumerate() {
+                if d.gate && s > 0 && i == last && wave == 0 {
+                    let k = key(gate, group[i], 0);
+                    gate_sends.push(Op::Send { key: k, bytes: 0 });
+                    program.push(Op::Recv { key: k });
+                } else {
+                    program.push(Op::Compute {
+                        label: ComputeLabel::Forward {
+                            microbatch: wave as u32,
+                        },
+                        seconds: menu[(p + s as usize * d.skew) % menu.len()],
+                    });
+                }
+                program.push(Op::CollStart { id });
+                match d.mids[cycle(d.mids.len(), s)] {
+                    _ if i != last => {}
+                    0 => {}
+                    1 => {
+                        let k = key(group[i], receiver, wave as u32);
+                        program.push(Op::Send {
+                            key: k,
+                            bytes: d.send_bytes,
+                        });
+                        recvs.push(Op::Recv { key: k });
+                    }
+                    mid => program.push(Op::Compute {
+                        label: ComputeLabel::Optimizer,
+                        seconds: menu[mid - 2],
+                    }),
+                }
+                program.push(Op::CollWait { id });
+            }
+        }
+        programs.extend(group.into_iter().zip(ops));
+    }
+    if !gate_sends.is_empty() {
+        let first_group = SHAPES[d.shapes[0]].len();
+        programs.insert(first_group, (gate, gate_sends));
+    }
+    programs.push((receiver, recvs));
+    let spec = ExecutionSpec {
+        programs,
+        collectives,
+        transport: TransportPolicy::Auto,
+    };
+    (topo, spec)
+}
+
+/// Sibling program `i`, built so that one rule under which a
+/// collective may fold into the open class (DESIGN.md §6.1.2) decides
+/// the outcome: two groups launch back to back with a send between
+/// whose completion lands in the class's harvest; with a timer at a
+/// round-0 start instant between; behind a gate message that activates
+/// the class's zero-latency entries before the joiner launches; with
+/// one and two channels of the same slices; with unequal bytes; as
+/// tree all-reduces of two and three members, whose rounds differ only
+/// in counts; or three groups as parameter-server pulls. Every wave
+/// after the first computes for `picks`, drawn at random.
+fn template(i: usize, picks: &[usize]) -> Siblings {
+    let base = Siblings {
+        zero_latency: false,
+        spread: false,
+        m: 2,
+        shapes: vec![0],
+        kinds: vec![0],
+        bytes: vec![1 << 20],
+        channels: vec![1],
+        mids: vec![0],
+        send_bytes: 0,
+        gate: false,
+        picks: std::iter::once(0).chain(picks.iter().copied()).collect(),
+        skew: 0,
+    };
+    match i {
+        // A 325,000-byte send crosses NVLink in exactly the gap between
+        // the intra- and inter-node latencies, so it completes in the
+        // harvest of the zero-byte pushes launched with it.
+        0 => Siblings {
+            kinds: vec![6],
+            bytes: vec![0],
+            mids: vec![1],
+            send_bytes: 325_000,
+            ..base
+        },
+        1 => Siblings {
+            mids: vec![4],
+            ..base
+        },
+        2 => Siblings {
+            zero_latency: true,
+            shapes: vec![4],
+            kinds: vec![6],
+            gate: true,
+            skew: 1,
+            picks: std::iter::once(3).chain(picks.iter().copied()).collect(),
+            ..base
+        },
+        3 => Siblings {
+            bytes: vec![4096, 8192],
+            channels: vec![1, 2],
+            ..base
+        },
+        4 => Siblings {
+            bytes: vec![4096, 1 << 20],
+            ..base
+        },
+        5 => Siblings {
+            shapes: vec![0, 3],
+            kinds: vec![1],
+            ..base
+        },
+        _ => Siblings {
+            m: 3,
+            shapes: vec![1],
+            kinds: vec![7],
+            ..base
+        },
+    }
+}
+
+/// Hand-made sibling templates [`template`] can build.
+const TEMPLATES: usize = 7;
+
 proptest! {
     /// Built iterations, clean or faulted, give bit-equal reports with
     /// and without classes (or the same typed error).
     #[test]
     fn classes_replay_the_per_device_path_bit_for_bit(
         fleet in (0u8..4, 1u32..=4, nic()),
-        shape in (prop::sample::select(vec![1u32, 2]), prop::sample::select(vec![1u32, 2, 4])),
+        shape in (prop::sample::select(vec![1u32, 2, 4, 8]), prop::sample::select(vec![1u32, 2, 4])),
         dp in dp_sync(),
         sched in schedule(),
         tcp in prop::sample::select(vec![false, true]),
@@ -372,6 +600,40 @@ proptest! {
         let (topo, spec) = lockstep(k, &orders, &picks, skew, bytes);
         both_ways(&topo, &spec, None)?;
     }
+
+    /// Sibling collectives launched back to back, alike or not, with
+    /// sends, timers and zero-latency starts between and around them:
+    /// half the cases are hand-made templates, half drawn at random.
+    #[test]
+    fn classes_fold_sibling_collectives_bit_for_bit(
+        pick in 0usize..2 * TEMPLATES,
+        fleet in (prop::sample::select(vec![false, true]), prop::sample::select(vec![false, true])),
+        m in 1u32..=3,
+        shapes in prop::collection::vec(0usize..SHAPES.len(), 1..=2),
+        kinds in prop::collection::vec(0usize..KINDS.len(), 1..=2),
+        bytes in prop::collection::vec(
+            prop::sample::select(vec![0u64, 1, 4096, 8192, 1 << 20]),
+            1..=2,
+        ),
+        channels in prop::collection::vec(1u32..=2, 1..=2),
+        mids in prop::collection::vec(0usize..9, 1..=2),
+        send_bytes in prop::sample::select(vec![0u64, 4096, 325_000]),
+        gate in prop::sample::select(vec![false, true]),
+        picks in prop::collection::vec(0usize..7, 1..=3),
+        skew in 0usize..3,
+    ) {
+        let draw = if pick < TEMPLATES {
+            template(pick, &picks[1..])
+        } else {
+            Siblings {
+                zero_latency: fleet.0,
+                spread: fleet.1,
+                m, shapes, kinds, bytes, channels, mids, send_bytes, gate, picks, skew,
+            }
+        };
+        let (topo, spec) = siblings(&draw);
+        both_ways(&topo, &spec, None)?;
+    }
 }
 
 /// On a paper-shaped cell classes do cut the work: fewer timers, fewer
@@ -388,4 +650,25 @@ fn classes_cut_timers_and_send_entries_on_a_pipeline() {
     assert!(c.class_timers * 4 <= c.compute_timers, "{c:?}");
     assert!(c.steps_after() * 4 <= c.steps_before(), "{c:?}");
     assert!(c.recv_steps < c.recv_wakeups, "{c:?}");
+}
+
+/// With tensor-parallel siblings each stage runs `t` mirror-image DP
+/// collectives at one instant, and they fold into collective classes:
+/// fewer entries and events, every report field unchanged.
+#[test]
+fn sibling_dp_collectives_fold_into_classes() {
+    let cfg = EngineConfig {
+        dp_sync: DpSyncStrategy::DistributedOptimizer,
+        ..EngineConfig::default()
+    };
+    let (topo, spec) =
+        built((0, 4, NicType::InfiniBand), (4, 2), &cfg).expect("4 IB nodes fit t = 4, p = 2");
+    let solo = run(&topo, &spec, None, true).expect("the solo cell executes");
+    let report = both_ways(&topo, &spec, None)
+        .expect("collective classes replay one collective per instance")
+        .expect("the clean cell executes");
+    let c = report.classes;
+    assert!(c.collectives_folded * 2 >= c.collectives, "{c:?}");
+    assert!(report.launch_entries * 2 <= solo.launch_entries);
+    assert!(report.events * 2 <= solo.events);
 }

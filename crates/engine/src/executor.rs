@@ -26,9 +26,13 @@
 //! timers would have popped in. Point-to-point sends that netsim would
 //! merge into one twin group (same instant, route and bytes, started
 //! back to back) start as one counted entry whose completion delivers
-//! every message it carries in send order. Each rule checks the exact
-//! condition under which the merged event replays the per-device ones,
-//! so a class of one is simply today's path (DESIGN.md §6.1.2).
+//! every message it carries in send order. Collectives go the same way:
+//! a collective launched at the same instant as the newest one, with the
+//! same node-level rounds, right behind it, folds into that collective's
+//! class and rides its counted entries round by round. Each rule checks
+//! the exact condition under which the merged event replays the
+//! per-device ones, so a class of one is simply today's path (DESIGN.md
+//! §6.1.2).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -435,6 +439,11 @@ pub struct ClassCensus {
     pub recv_wakeups: u64,
     /// Send-entry completions that resumed at least one device.
     pub recv_steps: u64,
+    /// Collective instances launched with rounds to replay.
+    pub collectives: u64,
+    /// Of those, instances folded into another's rounds: one collective
+    /// class replays its rounds for all of them.
+    pub collectives_folded: u64,
 }
 
 impl ClassCensus {
@@ -528,6 +537,9 @@ struct CollState {
     /// `launches[round_ends[r - 1]..round_ends[r]]`.
     launches: Vec<Launch>,
     round_ends: Vec<u32>,
+    /// Collectives folded into this one's rounds, in join order: each
+    /// entry carries its launch's count once per class member.
+    followers: Vec<usize>,
     /// Per-channel current round.
     round: Vec<u32>,
     arrived: u32,
@@ -581,6 +593,15 @@ struct OpenSend {
     bytes: u64,
     /// When the entry was started and when it starts streaming, in ns.
     started: u64,
+    at: u64,
+}
+
+/// The newest collective launched with rounds, while a collective
+/// launched at the same instant may still fold into its class.
+#[derive(Debug, Clone, Copy)]
+struct OpenColl {
+    leader: usize,
+    /// Launch instant, in ns.
     at: u64,
 }
 
@@ -667,15 +688,22 @@ struct Executor<'t> {
     open_classes: Vec<(u64, u32)>,
     /// The newest send entry, while a send may still join it.
     open_send: Option<OpenSend>,
+    /// The newest collective class, while a collective may still fold
+    /// into it, with its round-0 entries and their distinct start
+    /// instants (ns).
+    open_coll: Option<OpenColl>,
+    open_coll_flows: Vec<FlowId>,
+    open_coll_starts: Vec<u64>,
     /// `sim.seq_mark()` just after the executor's own newest event.
     seq_mark: u64,
     /// Message slots of every send entry, entry after entry.
     sent: Vec<usize>,
-    /// Sends may join entries: off when faults track or retry single
-    /// transfers, and in `solo` runs.
-    join_sends: bool,
-    /// Classes of one and one entry per send, today's per-device path
-    /// (set only by tests, as the reference the class path must match).
+    /// Sends may join entries and collectives may fold into classes: off
+    /// when faults track or retry single transfers, and in `solo` runs.
+    joins: bool,
+    /// Classes of one, one entry per send and one collective per
+    /// instance, today's per-device path (set only by tests, as the
+    /// reference the class path must match).
     solo: bool,
     census: ClassCensus,
 }
@@ -860,6 +888,7 @@ pub(crate) fn execute_inner(
                 devices: c.devices,
                 launches,
                 round_ends,
+                followers: Vec::new(),
                 round: vec![0; channels as usize],
                 arrived: 0,
                 outstanding: vec![0; channels as usize],
@@ -930,9 +959,12 @@ pub(crate) fn execute_inner(
         successor: Vec::new(),
         open_classes: Vec::new(),
         open_send: None,
+        open_coll: None,
+        open_coll_flows: Vec::new(),
+        open_coll_starts: Vec::new(),
         seq_mark,
         sent: Vec::with_capacity(sends),
-        join_sends: !solo && retry.is_none() && !track_flows,
+        joins: !solo && retry.is_none() && !track_flows,
         solo,
         census: ClassCensus::default(),
     };
@@ -1334,7 +1366,9 @@ impl<'t> Executor<'t> {
 
     /// Close the open classes and send entry if the simulator scheduled
     /// an event of its own since the executor's newest one: it may sit
-    /// between a class's timer and a joiner's.
+    /// between a class's timer and a joiner's. The open collective class
+    /// stays: netsim batches every flow start of an instant regardless
+    /// of sequence numbers between them.
     fn sync_mark(&mut self) {
         if self.sim.seq_mark() != self.seq_mark {
             self.open_classes.clear();
@@ -1344,13 +1378,17 @@ impl<'t> Executor<'t> {
     }
 
     /// Account for an event the executor is about to schedule at `at`
-    /// (ns): it would pop between an open class's timer or the open send
-    /// entry's start at that instant and any later joiner, so those close.
+    /// (ns): it would pop between an open class's timer, the open send
+    /// entry's start or one of the open collective's round-0 starts at
+    /// that instant and any later joiner, so those close.
     fn before_push(&mut self, at: u64) {
         self.sync_mark();
         self.open_classes.retain(|&(t, _)| t != at);
         if self.open_send.is_some_and(|s| s.at == at) {
             self.open_send = None;
+        }
+        if self.open_coll.is_some() && self.open_coll_starts.contains(&at) {
+            self.open_coll = None;
         }
         self.seq_mark += 1;
     }
@@ -1360,11 +1398,13 @@ impl<'t> Executor<'t> {
         self.sim.set_timer(delay, token);
     }
 
-    /// Start a netsim entry. A send joins no entry started before
-    /// another, so every start closes the open send.
+    /// Start a netsim entry. A send or collective joins no entry started
+    /// before another, so every start closes the open send and the open
+    /// collective class.
     fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
         self.before_push(self.sim.now().0 + spec.latency.0);
         self.open_send = None;
+        self.open_coll = None;
         self.launch_entries += 1;
         self.sim.start_flow(spec)
     }
@@ -1446,7 +1486,7 @@ impl<'t> Executor<'t> {
         self.sent.push(msg);
         let token = self.token(Token::MsgArrived { first, count: 1 });
         if let Some((flow, at)) = self.route_flow(from, to, bytes, 1, token) {
-            if self.join_sends {
+            if self.joins {
                 self.open_send = Some(OpenSend {
                     flow,
                     token,
@@ -1634,13 +1674,77 @@ impl<'t> Executor<'t> {
             self.complete_collective(id);
             return;
         }
+        self.census.collectives += 1;
+        if self.fold(id) {
+            self.census.collectives_folded += 1;
+            return;
+        }
+        self.open_coll_flows.clear();
+        self.open_coll_starts.clear();
         for channel in 0..self.colls[id].round.len() as u32 {
             self.launch_round(id, channel);
         }
+        if self.joins {
+            self.open_coll = Some(OpenColl {
+                leader: id,
+                at: self.sim.now().0,
+            });
+        }
+    }
+
+    /// Fold collective `id`, launching now, into the open collective
+    /// class when netsim would run it in lockstep with the class: it
+    /// launches at the class's instant with the same channels and
+    /// node-level rounds, no entry started and no event was pushed at a
+    /// round-0 start instant in between (either closes the class), and
+    /// every round-0 entry of the class can still grow. Its entries
+    /// would then take the flow ids right behind the class's, twin with
+    /// them in one `FlowStart` batch and complete in the same harvest
+    /// right behind them, round after round; the class's counted entries
+    /// carry them instead (DESIGN.md §6.1.2).
+    fn fold(&mut self, id: usize) -> bool {
+        let Some(open) = self.open_coll else {
+            return false;
+        };
+        if open.at != self.sim.now().0
+            || !self.same_rounds(open.leader, id)
+            || !self
+                .open_coll_flows
+                .iter()
+                .all(|&f| self.sim.pending_flow_extends(f))
+        {
+            return false;
+        }
+        // Round-0 entries went out channel after channel, each channel's
+        // in launch order.
+        let per_channel = self.colls[id].round_ends[0] as usize;
+        for (j, &flow) in self.open_coll_flows.iter().enumerate() {
+            let by = self.colls[id].launches[j % per_channel].count;
+            let grown = self.sim.extend_pending_flow(flow, by);
+            debug_assert!(grown, "a checked entry must extend");
+        }
+        self.colls[open.leader].followers.push(id);
+        true
+    }
+
+    /// Whether collectives `a` and `b` replay the same channels and
+    /// rounds of (source node, destination node, bytes, count) launches,
+    /// so their entries share routes round by round. The kind is only a
+    /// label netsim never sees, so it need not match.
+    fn same_rounds(&self, a: usize, b: usize) -> bool {
+        let (a, b) = (&self.colls[a], &self.colls[b]);
+        let node = |r: Rank| self.fabric.node_of(r);
+        a.round.len() == b.round.len()
+            && a.round_ends == b.round_ends
+            && a.launches.iter().zip(&b.launches).all(|(x, y)| {
+                (node(x.from), node(x.to), x.bytes, x.count)
+                    == (node(y.from), node(y.to), y.bytes, y.count)
+            })
     }
 
     /// Launch the current round of `channel`: one counted entry per
-    /// (source node, destination node, bytes) group.
+    /// (source node, destination node, bytes) group, counted once per
+    /// class member. Round 0's entries are kept for later folds.
     fn launch_round(&mut self, id: usize, channel: u32) {
         let coll = &self.colls[id];
         let round = coll.round[channel as usize] as usize;
@@ -1650,12 +1754,19 @@ impl<'t> Executor<'t> {
             coll.round_ends[round - 1] as usize
         };
         let end = coll.round_ends[round] as usize;
+        let members = 1 + coll.followers.len() as u32;
         debug_assert!(end > start, "round must have flows");
         self.colls[id].outstanding[channel as usize] = (end - start) as u32;
         for i in start..end {
             let l = self.colls[id].launches[i];
             let token = self.token(Token::CollFlow { coll: id, channel });
-            self.route_flow(l.from, l.to, l.bytes, l.count, token);
+            let started = self.route_flow(l.from, l.to, l.bytes, l.count * members, token);
+            if let Some((flow, at)) = started.filter(|_| round == 0 && self.joins) {
+                self.open_coll_flows.push(flow);
+                if !self.open_coll_starts.contains(&at) {
+                    self.open_coll_starts.push(at);
+                }
+            }
         }
     }
 
@@ -1676,17 +1787,22 @@ impl<'t> Executor<'t> {
         }
     }
 
+    /// Complete collective `id` and then every collective folded into
+    /// its class, in join order, as their own last entries would have.
     fn complete_collective(&mut self, id: usize) {
-        let now = self.sim.now().as_secs_f64();
-        self.colls[id].done = true;
-        self.colls[id].wall = now - self.colls[id].launch_time;
-        let kind = self.colls[id].kind;
-        let waiters = std::mem::take(&mut self.colls[id].waiters);
-        for dev in waiters {
-            self.end_wait_span(dev, SpanKind::CollWait(kind));
-            self.devs[dev].pc += 1;
-            self.devs[dev].status = DevStatus::Runnable;
-            self.advance(dev);
+        let followers = std::mem::take(&mut self.colls[id].followers);
+        for member in std::iter::once(id).chain(followers) {
+            let now = self.sim.now().as_secs_f64();
+            self.colls[member].done = true;
+            self.colls[member].wall = now - self.colls[member].launch_time;
+            let kind = self.colls[member].kind;
+            let waiters = std::mem::take(&mut self.colls[member].waiters);
+            for dev in waiters {
+                self.end_wait_span(dev, SpanKind::CollWait(kind));
+                self.devs[dev].pc += 1;
+                self.devs[dev].status = DevStatus::Runnable;
+                self.advance(dev);
+            }
         }
     }
 

@@ -402,20 +402,30 @@ impl FlowWindow {
         }
     }
 
+    /// The index of `id`'s entry while it is in its latency phase and
+    /// short enough to twin ([`twin_key`]).
+    fn growable_index(&self, id: FlowId) -> Option<usize> {
+        let i = self.index(id.0)?;
+        matches!(&self.states[i], FlowState::Pending(spec) if spec.path.len() <= INLINE_LINKS)
+            .then_some(i)
+    }
+
+    /// True while [`FlowWindow::grow_pending`] would grow `id`'s entry.
+    pub fn growable(&self, id: FlowId) -> bool {
+        self.growable_index(id).is_some()
+    }
+
     /// Add `by` logical flows to `id`'s entry while it is still in its
     /// latency phase and short enough to twin ([`twin_key`]). `false`,
     /// changing nothing, otherwise.
     pub fn grow_pending(&mut self, id: FlowId, by: u32) -> bool {
-        let Some(i) = self.index(id.0) else {
+        let Some(i) = self.growable_index(id) else {
             return false;
         };
-        match &mut self.states[i] {
-            FlowState::Pending(spec) if spec.path.len() <= INLINE_LINKS => {
-                spec.count += by;
-                true
-            }
-            _ => false,
+        if let FlowState::Pending(spec) = &mut self.states[i] {
+            spec.count += by;
         }
+        true
     }
 
     /// Tombstone a flow still in its latency phase. `false` when `id` is

@@ -521,6 +521,14 @@ impl NetSim {
         self.window.grow_pending(id, by)
     }
 
+    /// True exactly when [`NetSim::extend_pending_flow`] would extend
+    /// entry `id` now: it is still in its latency phase and its path is
+    /// short enough to twin. Lets a caller check a set of entries before
+    /// extending all of them or none.
+    pub fn pending_flow_extends(&self, id: FlowId) -> bool {
+        self.window.growable(id)
+    }
+
     /// Schedule a timer completion after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let at = self.now + delay;
