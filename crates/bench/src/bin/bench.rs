@@ -139,7 +139,7 @@ fn main() {
     println!(
         "twin census ({}): {} logical flows, {} launch entries, {} engine flows, {} events; \
          {} devices in {} classes at start, {} splits, {} -> {} device advance steps, \
-         {} of {} collectives folded",
+         {} of {} collectives folded, {} schedules built",
         suites::netsim::TWIN_CENSUS_CELL,
         census.logical_flows,
         census.launch_entries,
@@ -152,6 +152,7 @@ fn main() {
         classes.steps_after(),
         classes.collectives_folded,
         classes.collectives,
+        classes.schedules_built,
     );
 
     let mut snap = Snapshot::default();
@@ -176,6 +177,7 @@ fn main() {
         ("advance_steps_after", classes.steps_after().into()),
         ("collectives", classes.collectives.into()),
         ("collectives_folded", classes.collectives_folded.into()),
+        ("schedules_built", classes.schedules_built.into()),
     ];
     snap.exact("class_census", json::obj(class_census));
     snap.exact(

@@ -12,7 +12,8 @@
 //! just the fastest-first heuristic.
 
 use holmes_engine::{
-    price_stages, simulate_iteration, DpSyncStrategy, EngineConfig, StagePrice, TrainingMetrics,
+    price_stages, simulate_iteration, DpSyncStrategy, EngineConfig, IterationReport, StagePrice,
+    TrainingMetrics,
 };
 use holmes_model::TrainJob;
 use holmes_parallel::ParallelPlan;
@@ -61,12 +62,37 @@ pub struct Candidate {
     pub estimated_seconds: f64,
     /// Simulated metrics (only for the `top_k` finalists).
     pub simulated: Option<TrainingMetrics>,
+    /// The finalist simulation's work: its [`IterationReport::events`],
+    /// [`IterationReport::flows`] and
+    /// [`IterationReport::launch_entries`] (zero when not simulated).
+    pub simulated_work: SimulatedWork,
     /// Whether every stage fits its smallest member's memory, by the
     /// same [`price_stages`] verdict the builder enforces.
     pub fits_memory: bool,
     /// Plan and engine config built during enumeration, cached so the
     /// finalist simulation pass does not re-run `plan_for`.
     plan: Option<Box<(ParallelPlan, EngineConfig)>>,
+}
+
+/// Work counters of one finalist simulation, copied from its report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimulatedWork {
+    /// Simulator events processed.
+    pub events: u64,
+    /// Engine flows completed.
+    pub flows: u64,
+    /// Netsim entries the executor started.
+    pub launch_entries: u64,
+}
+
+impl SimulatedWork {
+    fn of(report: &IterationReport) -> Self {
+        SimulatedWork {
+            events: report.events,
+            flows: report.flows,
+            launch_entries: report.launch_entries,
+        }
+    }
 }
 
 impl Candidate {
@@ -138,6 +164,7 @@ pub fn autotune(topo: &Topology, req: &AutotuneRequest, cfg: &HolmesConfig) -> V
                 data: d,
                 estimated_seconds: est.seconds,
                 simulated: None,
+                simulated_work: SimulatedWork::default(),
                 fits_memory: stages.iter().all(StagePrice::fits_memory),
                 plan: Some(Box::new((plan, engine_cfg))),
             });
@@ -151,16 +178,19 @@ pub fn autotune(topo: &Topology, req: &AutotuneRequest, cfg: &HolmesConfig) -> V
     candidates.sort_by(|a, b| a.score().partial_cmp(&b.score()).expect("finite scores"));
     let k = req.top_k.min(candidates.len());
     let job = req.job;
-    let simulate = |candidate: &Candidate| -> Option<TrainingMetrics> {
+    let simulate = |candidate: &Candidate| -> Option<(TrainingMetrics, SimulatedWork)> {
         let (plan, engine_cfg) = candidate.plan.as_deref()?;
         simulate_iteration(topo, plan, &job, engine_cfg, None, None)
             .ok()
-            .map(|(_, metrics)| metrics)
+            .map(|(report, metrics)| (metrics, SimulatedWork::of(&report)))
     };
-    let finalist_metrics: Vec<Option<TrainingMetrics>> =
+    let finalists: Vec<Option<(TrainingMetrics, SimulatedWork)>> =
         candidates[..k].par_iter().map(simulate).collect();
-    for (candidate, metrics) in candidates.iter_mut().zip(finalist_metrics) {
-        candidate.simulated = metrics;
+    for (candidate, finalist) in candidates.iter_mut().zip(finalists) {
+        if let Some((metrics, work)) = finalist {
+            candidate.simulated = Some(metrics);
+            candidate.simulated_work = work;
+        }
     }
     // Final ranking: simulated finalists first (measured beats estimated —
     // an optimistic estimate must not leapfrog a measured candidate), each
@@ -175,8 +205,9 @@ pub fn autotune(topo: &Topology, req: &AutotuneRequest, cfg: &HolmesConfig) -> V
 
 /// Record a finished autotune search into an observability session: one
 /// `candidate-scored` planning event per ranked candidate (best first,
-/// matching the returned order) plus summary counters and the winner's
-/// iteration time.
+/// matching the returned order) plus summary counters, the finalist
+/// simulations' summed `netsim.events`, `netsim.flows` and
+/// `engine.launch_entries`, and the winner's iteration time.
 ///
 /// Recording is post-hoc over the ranked list for the same reason the
 /// parallel layer's is ([`holmes_parallel::obs`]): finalist simulation
@@ -189,6 +220,14 @@ pub fn record_autotune(session: &mut holmes_obs::ObsSession, ranked: &[Candidate
     reg.counter_add(
         "core.autotune_simulated",
         ranked.iter().filter(|c| c.simulated.is_some()).count() as u64,
+    );
+    // The finalist simulations' work, as observed executions record it.
+    let work = ranked.iter().map(|c| c.simulated_work);
+    reg.counter_add("netsim.events", work.clone().map(|w| w.events).sum());
+    reg.counter_add("netsim.flows", work.clone().map(|w| w.flows).sum());
+    reg.counter_add(
+        "engine.launch_entries",
+        work.map(|w| w.launch_entries).sum(),
     );
     if let Some(best) = ranked.first() {
         reg.gauge_set(
@@ -299,6 +338,30 @@ mod tests {
             .registry
             .gauge("core.autotune_best_seconds")
             .is_some());
+    }
+
+    #[test]
+    fn recorded_finalist_work_matches_resimulation() {
+        let topo = presets::hybrid_two_cluster(2);
+        let job = ParameterGroup::table2(1).job();
+        let ranked = autotune(&topo, &AutotuneRequest::new(job), &HolmesConfig::full());
+        let mut want = SimulatedWork::default();
+        for c in ranked.iter().filter(|c| c.simulated.is_some()) {
+            let (plan, engine_cfg) = c.plan.as_deref().expect("finalists carry their plan");
+            let (report, _) = simulate_iteration(&topo, plan, &job, engine_cfg, None, None)
+                .expect("a finalist simulates again");
+            assert_eq!(c.simulated_work, SimulatedWork::of(&report));
+            want.events += report.events;
+            want.flows += report.flows;
+            want.launch_entries += report.launch_entries;
+        }
+        assert!(want.events > 0);
+        let mut session = holmes_obs::ObsSession::new();
+        record_autotune(&mut session, &ranked);
+        let reg = &session.registry;
+        assert_eq!(reg.counter("netsim.events"), want.events);
+        assert_eq!(reg.counter("netsim.flows"), want.flows);
+        assert_eq!(reg.counter("engine.launch_entries"), want.launch_entries);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod resilience;
 mod runner;
 pub mod training;
 
-pub use autotune::{autotune, record_autotune, AutotuneRequest, Candidate};
+pub use autotune::{autotune, record_autotune, AutotuneRequest, Candidate, SimulatedWork};
 pub use config::HolmesConfig;
 pub use estimate::{estimate_iteration, IterationEstimate};
 pub use framework::FrameworkKind;

@@ -24,7 +24,7 @@ use crate::ops::{Channel, ComputeLabel, MsgKey, Op};
 /// Every report field classes must not move, with floats as bits. The
 /// collective maps are listed in kind order (hash maps iterate in
 /// per-instance order).
-fn fingerprint(r: &IterationReport) -> String {
+pub(crate) fn fingerprint(r: &IterationReport) -> String {
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut walls: Vec<_> = r
         .collective_wall_seconds
@@ -141,7 +141,7 @@ fn topology(kind: u8, nodes: u32, nic: NicType) -> Topology {
     }
 }
 
-fn nic() -> impl Strategy<Value = NicType> {
+pub(crate) fn nic() -> impl Strategy<Value = NicType> {
     prop_oneof![
         Just(NicType::InfiniBand),
         Just(NicType::RoCE),
@@ -149,7 +149,7 @@ fn nic() -> impl Strategy<Value = NicType> {
     ]
 }
 
-fn dp_sync() -> impl Strategy<Value = DpSyncStrategy> {
+pub(crate) fn dp_sync() -> impl Strategy<Value = DpSyncStrategy> {
     prop_oneof![
         Just(DpSyncStrategy::AllReduce),
         Just(DpSyncStrategy::DistributedOptimizer),
@@ -159,7 +159,7 @@ fn dp_sync() -> impl Strategy<Value = DpSyncStrategy> {
     ]
 }
 
-fn schedule() -> impl Strategy<Value = ScheduleKind> {
+pub(crate) fn schedule() -> impl Strategy<Value = ScheduleKind> {
     prop_oneof![
         Just(ScheduleKind::OneFOneB),
         Just(ScheduleKind::GPipe),
@@ -170,7 +170,7 @@ fn schedule() -> impl Strategy<Value = ScheduleKind> {
 /// Raw draws for a fault plan: link faults as (at ns, node, health,
 /// RDMA or Ethernet), churn as (at ns, node, kind), stragglers as (rank,
 /// slowdown), and an optional trunk.
-type RawFaults = (
+pub(crate) type RawFaults = (
     Vec<(u64, u32, u8, u8)>,
     Vec<(u64, u32, u8)>,
     Vec<(u32, f64)>,
@@ -179,7 +179,7 @@ type RawFaults = (
 
 /// Fault draws on the scale of one small iteration (tens of milliseconds
 /// to seconds), over at most 4 nodes and 32 ranks.
-fn raw_faults() -> impl Strategy<Value = RawFaults> {
+pub(crate) fn raw_faults() -> impl Strategy<Value = RawFaults> {
     (
         prop::collection::vec((0u64..3_000_000_000, 0u32..4, 0u8..4, 0u8..2), 0..3),
         prop::collection::vec((0u64..3_000_000_000, 0u32..5, 0u8..3), 0..2),
@@ -193,7 +193,10 @@ fn raw_faults() -> impl Strategy<Value = RawFaults> {
 
 /// The fault plan of `raw` on `topo`, dropping link faults and stragglers
 /// outside it (churn on a missing node stays: a pure membership signal).
-fn fault_plan(topo: &Topology, (faults, churn, stragglers, trunk): RawFaults) -> FaultPlan {
+pub(crate) fn fault_plan(
+    topo: &Topology,
+    (faults, churn, stragglers, trunk): RawFaults,
+) -> FaultPlan {
     let mut plan = FaultPlan {
         trunk_bytes_per_sec: trunk,
         ..FaultPlan::default()
@@ -232,7 +235,7 @@ fn fault_plan(topo: &Topology, (faults, churn, stragglers, trunk): RawFaults) ->
 
 /// A planned, built iteration on a small random fleet, or `None` when
 /// the shape does not fit.
-fn built(
+pub(crate) fn built(
     (kind, nodes, nic): (u8, u32, NicType),
     (t, p): (u32, u32),
     cfg: &EngineConfig,

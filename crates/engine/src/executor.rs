@@ -2,11 +2,16 @@
 //!
 //! Collectives are not hand-rolled here: every algorithm's round/chunk
 //! structure comes from the shared [`holmes_netsim::algo`] IR. The
-//! executor builds one [`CollSchedule`] per collective instance (per
-//! channel) and replays it flow-by-flow — round `r+1` launches when the
-//! last flow of round `r` lands, so the replay inherits full max-min
-//! contention fidelity from the simulator while the *algorithm* stays
-//! single-sourced with the analytic layers.
+//! executor builds one [`CollSchedule`] per distinct (kind, members,
+//! bytes per channel) and replays it flow-by-flow for every instance and
+//! channel — round `r+1` launches when the last flow of round `r` lands,
+//! so the replay inherits full max-min contention fidelity from the
+//! simulator while the *algorithm* stays single-sourced with the
+//! analytic layers.
+//!
+//! Setup lowers the spec once: every send and receive gets a dense
+//! message slot and every collective a shared schedule, so the event
+//! loop hashes no message key and builds no schedule.
 //!
 //! A round's transfers that share (source node, destination node, bytes)
 //! launch as one counted netsim entry ([`FlowSpec::count`]). They share a
@@ -44,7 +49,7 @@ use holmes_netsim::{
 use holmes_topology::{Rank, Topology};
 
 use crate::fault::{DegradedCondition, FaultPlan, FaultTarget, FaultWindow, RetryPolicy};
-use crate::ops::{ComputeLabel, MsgKey, Op};
+use crate::ops::{Channel, ComputeLabel, MsgKey, Op};
 use crate::timeline::{Span, SpanKind, Timeline};
 
 pub use holmes_netsim::algo::CollKind;
@@ -444,6 +449,9 @@ pub struct ClassCensus {
     /// Of those, instances folded into another's rounds: one collective
     /// class replays its rounds for all of them.
     pub collectives_folded: u64,
+    /// Distinct collective schedules built: instances with the same
+    /// kind, members and bytes per channel share one.
+    pub schedules_built: u64,
 }
 
 impl ClassCensus {
@@ -472,6 +480,8 @@ enum DevStatus {
 #[derive(Debug)]
 struct DevState {
     rank: Rank,
+    /// Index of the program's first op in [`Executor::op_msg`].
+    first_op: usize,
     pc: usize,
     status: DevStatus,
     finish: f64,
@@ -494,10 +504,20 @@ struct Launch {
     count: u32,
 }
 
+/// A collective's IR round schedule grouped into counted entries: round
+/// `r` launches `launches[round_ends[r - 1]..round_ends[r]]`. Each
+/// channel carries `bytes / channels` of the buffer, so one schedule
+/// serves all of them, and instances with the same kind, members and
+/// bytes per channel share one.
+#[derive(Debug)]
+struct Rounds {
+    launches: Vec<Launch>,
+    round_ends: Vec<u32>,
+}
+
 /// Group each round of `schedule` into [`Launch`]es by (source node,
-/// destination node, bytes), in first-appearance order. Returns the
-/// launches of every round back to back and each round's end offset.
-fn group_rounds(schedule: &CollSchedule, gpus_per_node: u32) -> (Vec<Launch>, Vec<u32>) {
+/// destination node, bytes), in first-appearance order.
+fn group_rounds(schedule: &CollSchedule, gpus_per_node: u32) -> Rounds {
     let mut launches: Vec<Launch> = Vec::new();
     // The current round's group keys, parallel to its launches.
     let mut keys: Vec<(u32, u32, u64)> = Vec::new();
@@ -524,19 +544,19 @@ fn group_rounds(schedule: &CollSchedule, gpus_per_node: u32) -> (Vec<Launch>, Ve
         }
         round_ends.push(launches.len() as u32);
     }
-    (launches, round_ends)
+    Rounds {
+        launches,
+        round_ends,
+    }
 }
 
 #[derive(Debug)]
 struct CollState {
     kind: CollKind,
     devices: Vec<Rank>,
-    /// The IR round schedule replayed by every channel (each channel
-    /// carries `bytes / channels` of the buffer, so one schedule serves
-    /// all of them), grouped into counted entries: round `r` launches
-    /// `launches[round_ends[r - 1]..round_ends[r]]`.
-    launches: Vec<Launch>,
-    round_ends: Vec<u32>,
+    /// Index of the [`Rounds`] every channel replays in
+    /// [`Executor::schedules`].
+    rounds: usize,
     /// Collectives folded into this one's rounds, in join order: each
     /// entry carries its launch's count once per class member.
     followers: Vec<usize>,
@@ -633,11 +653,14 @@ struct Executor<'t> {
     transport: TransportPolicy,
     devs: Vec<DevState>,
     programs: Vec<Vec<Op>>,
+    /// Per op of every program, back to back in program order: a send's
+    /// or receive's message slot, an index into `msg_arrived` and
+    /// `msg_waiter` resolved once at setup ([`lower`]).
+    op_msg: Vec<u32>,
     colls: Vec<CollState>,
+    /// The distinct schedules the collectives replay.
+    schedules: Vec<Rounds>,
     tokens: Vec<Token>,
-    /// Msg bookkeeping: key → index into `msg_arrived`/`msg_waiter`.
-    /// This and the other maps probed per event hash with [`WordHash`].
-    msg_index: HashMap<MsgKey, usize, WordHash>,
     msg_arrived: Vec<bool>,
     msg_waiter: Vec<Option<usize>>,
     timeline: Timeline,
@@ -678,6 +701,8 @@ struct Executor<'t> {
     /// Replica classes: the devices parked on each class's compute timer,
     /// in join order (emptied when the timer fires).
     classes: Vec<Vec<usize>>,
+    /// Member vectors of fired classes, cleared for reuse by new ones.
+    spare_classes: Vec<Vec<usize>>,
     /// Each device's latest class ([`NO_CLASS`] before its first).
     class_of: Vec<u32>,
     /// Per class, the class its members moved on to: [`NO_CLASS`] until
@@ -771,7 +796,7 @@ pub(crate) fn execute_inner(
     plan: Option<&FaultPlan>,
     obs: Option<&mut holmes_obs::ObsSession>,
 ) -> Result<IterationReport, ExecError> {
-    check_spec(topo, &spec)?;
+    let lowered = lower(topo, &spec)?;
     if let Some(plan) = plan {
         check_fault_targets(topo, plan)?;
     }
@@ -829,14 +854,11 @@ pub(crate) fn execute_inner(
     let n = spec.programs.len();
     let mut devs = Vec::with_capacity(n);
     let mut programs = Vec::with_capacity(n);
-    let mut sends = 0;
+    let mut first_op = 0;
     for (rank, program) in spec.programs {
-        sends += program
-            .iter()
-            .filter(|op| matches!(op, Op::Send { .. }))
-            .count();
         devs.push(DevState {
             rank,
+            first_op,
             pc: 0,
             status: DevStatus::Runnable,
             finish: 0.0,
@@ -846,52 +868,67 @@ pub(crate) fn execute_inner(
             optimizer_seconds: 0.0,
             wait_since: 0.0,
         });
+        first_op += program.len();
         programs.push(program);
     }
-    let colls = spec
-        .collectives
-        .into_iter()
-        .map(|c| {
-            let channels = c.channels.max(1);
-            // One IR schedule per instance; degenerate groups (n ≤ 1)
-            // yield an empty schedule and complete instantly on launch.
-            let schedule = c
-                .kind
-                .schedule(&c.devices, c.bytes / u64::from(channels), |r| {
-                    topo.coord(r)
-                        .expect("check_spec keeps collective ranks inside the topology")
-                        .cluster
-                        .0
-                });
+    // One IR schedule per distinct (kind, members, bytes per channel):
+    // the overlapped optimizer's buckets of a DP group share theirs.
+    // Degenerate groups (n ≤ 1) yield an empty schedule and complete
+    // instantly on launch.
+    let mut schedules: Vec<Rounds> = Vec::new();
+    let mut memo: HashMap<(CollKind, &[Rank], u64), usize> = HashMap::new();
+    let mut rounds_of = Vec::with_capacity(spec.collectives.len());
+    // Collective entries launched at most: each channel launches every
+    // entry of its schedule once.
+    let mut coll_entries = 0;
+    for c in &spec.collectives {
+        let channels = c.channels.max(1);
+        let bytes = c.bytes / u64::from(channels);
+        let next = schedules.len();
+        let rounds = *memo
+            .entry((c.kind, c.devices.as_slice(), bytes))
+            .or_insert(next);
+        if rounds == next {
+            let schedule = c.kind.schedule(&c.devices, bytes, |r| {
+                topo.coord(r)
+                    .expect("lower keeps collective ranks inside the topology")
+                    .cluster
+                    .0
+            });
             // Static artifact check next to the spec validation above:
             // every generated schedule must satisfy the collective-IR
             // invariants (byte conservation, coverage, link existence, …)
             // before the simulator replays a single flow of it.
             #[cfg(debug_assertions)]
             {
-                let defects = holmes_analysis::verify_collective(
-                    topo,
-                    c.kind,
-                    &c.devices,
-                    c.bytes / u64::from(channels),
-                    &schedule,
-                );
+                let defects =
+                    holmes_analysis::verify_collective(topo, c.kind, &c.devices, bytes, &schedule);
                 assert!(
                     defects.is_empty(),
                     "generated {:?} schedule violates IR invariants: {defects:?}",
                     c.kind
                 );
             }
-            let (launches, round_ends) = group_rounds(&schedule, topo.gpus_per_node());
+            schedules.push(group_rounds(&schedule, topo.gpus_per_node()));
+        }
+        coll_entries += channels as usize * schedules[rounds].launches.len();
+        rounds_of.push(rounds);
+    }
+    drop(memo);
+    let colls = spec
+        .collectives
+        .into_iter()
+        .zip(rounds_of)
+        .map(|(c, rounds)| {
+            let channels = c.channels.max(1) as usize;
             CollState {
                 kind: c.kind,
                 devices: c.devices,
-                launches,
-                round_ends,
+                rounds,
                 followers: Vec::new(),
-                round: vec![0; channels as usize],
+                round: vec![0; channels],
                 arrived: 0,
-                outstanding: vec![0; channels as usize],
+                outstanding: vec![0; channels],
                 channels_done: 0,
                 done: false,
                 launch_time: 0.0,
@@ -934,12 +971,22 @@ pub(crate) fn execute_inner(
         transport: spec.transport,
         devs,
         programs,
+        op_msg: lowered.op_msg,
         colls,
-        tokens: Vec::new(),
-        msg_index: HashMap::with_capacity_and_hasher(sends, WordHash::default()),
-        msg_arrived: Vec::with_capacity(sends),
-        msg_waiter: Vec::with_capacity(sends),
-        timeline: Timeline::default(),
+        census: ClassCensus {
+            schedules_built: schedules.len() as u64,
+            ..ClassCensus::default()
+        },
+        schedules,
+        // One class timer per compute op, one entry per send and each
+        // collective entry once per channel, at most.
+        tokens: Vec::with_capacity(lowered.compute_ops + lowered.sends + coll_entries),
+        msg_arrived: vec![false; lowered.messages],
+        msg_waiter: vec![None; lowered.messages],
+        // One span per compute op and at most one per wait.
+        timeline: Timeline {
+            spans: Vec::with_capacity(lowered.compute_ops + lowered.wait_ops),
+        },
         retry,
         attempts: Vec::new(),
         attempt_of_flow: HashMap::default(),
@@ -955,6 +1002,7 @@ pub(crate) fn execute_inner(
         counters: holmes_obs::Registry::new(),
         launch_entries: 0,
         classes: Vec::new(),
+        spare_classes: Vec::new(),
         class_of: vec![NO_CLASS; n],
         successor: Vec::new(),
         open_classes: Vec::new(),
@@ -963,10 +1011,9 @@ pub(crate) fn execute_inner(
         open_coll_flows: Vec::new(),
         open_coll_starts: Vec::new(),
         seq_mark,
-        sent: Vec::with_capacity(sends),
+        sent: Vec::with_capacity(lowered.sends),
         joins: !solo && retry.is_none() && !track_flows,
         solo,
-        census: ClassCensus::default(),
     };
     let result = exec.run();
     if let Some(session) = obs {
@@ -976,10 +1023,40 @@ pub(crate) fn execute_inner(
     result
 }
 
-/// Reject specs the executor cannot replay: a device with two programs, a
-/// collective without members, or a program device, send endpoint or
-/// collective member outside the topology.
-fn check_spec(topo: &Topology, spec: &ExecutionSpec) -> Result<(), ExecError> {
+/// A point-to-point stream: the messages from one device to another on
+/// one channel and model chunk. Its keys differ only in microbatch.
+type StreamKey = (Rank, Rank, Channel, u32);
+
+/// The message slot of an op that is neither a send nor a receive.
+const NO_MSG: u32 = u32::MAX;
+
+/// Streams the setup walk keeps at hand per program: a pipeline stage
+/// talks to at most two neighbours on two channels per model chunk.
+const STREAM_CACHE: usize = 8;
+
+/// What one walk over a spec's programs resolves before the event loop
+/// starts, so no executed op hashes a [`MsgKey`].
+struct Lowered {
+    /// Per op of every program, back to back in program order: the
+    /// message slot of a send or receive, [`NO_MSG`] for other ops.
+    /// Sends and receives of one key share a slot.
+    op_msg: Vec<u32>,
+    /// Distinct message keys, the slots.
+    messages: usize,
+    sends: usize,
+    compute_ops: usize,
+    /// Receives and collective waits: the ops that may record a wait span.
+    wait_ops: usize,
+}
+
+/// Check a spec and resolve its messages. Rejects what the executor
+/// cannot replay: a device with two programs, a collective without
+/// members, or a program device, send endpoint or collective member
+/// outside the topology. Every send and receive gets the slot of its
+/// key: its stream is found in a small per-program cache (a hash lookup
+/// on a miss), then its microbatch by binary search in the stream's
+/// sorted (microbatch, slot) list, so nothing is sized by a key's value.
+fn lower(topo: &Topology, spec: &ExecutionSpec) -> Result<Lowered, ExecError> {
     let devices = topo.device_count();
     let inside = |rank: Rank| {
         if rank.0 < devices {
@@ -988,17 +1065,78 @@ fn check_spec(topo: &Topology, spec: &ExecutionSpec) -> Result<(), ExecError> {
             Err(ExecError::RankOutsideTopology { rank, devices })
         }
     };
+    let ops = spec.programs.iter().map(|(_, p)| p.len()).sum();
+    let mut lowered = Lowered {
+        op_msg: Vec::with_capacity(ops),
+        messages: 0,
+        sends: 0,
+        compute_ops: 0,
+        wait_ops: 0,
+    };
     let mut has_program = vec![false; devices as usize];
+    let mut stream_of: HashMap<StreamKey, usize> = HashMap::new();
+    let mut streams: Vec<Vec<(u32, u32)>> = Vec::new();
+    let mut cache: Vec<(StreamKey, usize)> = Vec::with_capacity(STREAM_CACHE);
     for (rank, program) in &spec.programs {
         inside(*rank)?;
         if std::mem::replace(&mut has_program[rank.0 as usize], true) {
             return Err(ExecError::DuplicateProgram { device: *rank });
         }
+        cache.clear();
         for op in program {
-            if let Op::Send { key, .. } = op {
-                inside(key.from)?;
-                inside(key.to)?;
-            }
+            let key = match *op {
+                Op::Send { key, .. } => {
+                    inside(key.from)?;
+                    inside(key.to)?;
+                    lowered.sends += 1;
+                    Some(key)
+                }
+                Op::Recv { key } => {
+                    lowered.wait_ops += 1;
+                    Some(key)
+                }
+                Op::Compute { .. } => {
+                    lowered.compute_ops += 1;
+                    None
+                }
+                Op::CollWait { .. } => {
+                    lowered.wait_ops += 1;
+                    None
+                }
+                Op::CollStart { .. } => None,
+            };
+            let Some(key) = key else {
+                lowered.op_msg.push(NO_MSG);
+                continue;
+            };
+            let stream_key = (key.from, key.to, key.channel, key.chunk);
+            let cached = cache.iter().rev().find(|(k, _)| *k == stream_key);
+            let stream = match cached {
+                Some(&(_, stream)) => stream,
+                None => {
+                    let next = streams.len();
+                    let stream = *stream_of.entry(stream_key).or_insert(next);
+                    if stream == next {
+                        streams.push(Vec::new());
+                    }
+                    if cache.len() == STREAM_CACHE {
+                        cache.remove(0);
+                    }
+                    cache.push((stream_key, stream));
+                    stream
+                }
+            };
+            let slots = &mut streams[stream];
+            let slot = match slots.binary_search_by_key(&key.microbatch, |&(mb, _)| mb) {
+                Ok(i) => slots[i].1,
+                Err(i) => {
+                    let slot = lowered.messages as u32;
+                    slots.insert(i, (key.microbatch, slot));
+                    lowered.messages += 1;
+                    slot
+                }
+            };
+            lowered.op_msg.push(slot);
         }
     }
     for (id, c) in spec.collectives.iter().enumerate() {
@@ -1007,7 +1145,7 @@ fn check_spec(topo: &Topology, spec: &ExecutionSpec) -> Result<(), ExecError> {
         }
         c.devices.iter().try_for_each(|&rank| inside(rank))?;
     }
-    Ok(())
+    Ok(lowered)
 }
 
 /// Reject link faults whose target has no fabric links: a node past the
@@ -1205,12 +1343,12 @@ impl<'t> Executor<'t> {
             {
                 continue;
             }
+            let pc = self.devs[dev].pc;
             match self.devs[dev].status {
-                DevStatus::WaitingMsg(key) => {
-                    if let Some(&msg) = self.msg_index.get(&key) {
-                        if self.msg_waiter[msg] == Some(dev) {
-                            self.msg_waiter[msg] = None;
-                        }
+                DevStatus::WaitingMsg(_) => {
+                    let msg = self.msg_of(dev, pc);
+                    if self.msg_waiter[msg] == Some(dev) {
+                        self.msg_waiter[msg] = None;
                     }
                 }
                 DevStatus::WaitingColl(id) => {
@@ -1218,15 +1356,14 @@ impl<'t> Executor<'t> {
                 }
                 _ => {}
             }
-            let pc = self.devs[dev].pc;
-            let remaining: Vec<Op> = self.programs[dev][pc..].to_vec();
-            self.devs[dev].pc = self.programs[dev].len();
+            let len = self.programs[dev].len();
+            self.devs[dev].pc = len;
             self.devs[dev].status = DevStatus::Done;
             self.devs[dev].finish = now;
-            for op in remaining {
-                match op {
-                    Op::Send { key, .. } => {
-                        let msg = self.msg_slot(key);
+            for i in pc..len {
+                match self.programs[dev][i] {
+                    Op::Send { .. } => {
+                        let msg = self.msg_of(dev, i);
                         if !self.msg_arrived[msg] {
                             self.msg_arrived[msg] = true;
                             if let Some(w) = self.msg_waiter[msg].take() {
@@ -1353,15 +1490,9 @@ impl<'t> Executor<'t> {
         (self.tokens.len() - 1) as u64
     }
 
-    fn msg_slot(&mut self, key: MsgKey) -> usize {
-        if let Some(&i) = self.msg_index.get(&key) {
-            return i;
-        }
-        let i = self.msg_arrived.len();
-        self.msg_arrived.push(false);
-        self.msg_waiter.push(None);
-        self.msg_index.insert(key, i);
-        i
+    /// The message slot of device `dev`'s send or receive at `pc`.
+    fn msg_of(&self, dev: usize, pc: usize) -> usize {
+        self.op_msg[self.devs[dev].first_op + pc] as usize
     }
 
     /// Close the open classes and send entry if the simulator scheduled
@@ -1423,7 +1554,9 @@ impl<'t> Executor<'t> {
             return;
         }
         let class = self.classes.len() as u32;
-        self.classes.push(vec![dev]);
+        let mut members = self.spare_classes.pop().unwrap_or_default();
+        members.push(dev);
+        self.classes.push(members);
         self.successor.push(NO_CLASS);
         self.follow(dev, class);
         let token = self.token(Token::ComputeDone { class });
@@ -1450,7 +1583,7 @@ impl<'t> Executor<'t> {
     /// as their own timers would have popped.
     fn wake_class(&mut self, class: u32) {
         self.open_classes.retain(|&(_, c)| c != class);
-        let members = std::mem::take(&mut self.classes[class as usize]);
+        let mut members = std::mem::take(&mut self.classes[class as usize]);
         for &dev in &members {
             // A churn-retired member's program is over: its tick is a
             // no-op.
@@ -1460,6 +1593,8 @@ impl<'t> Executor<'t> {
                 self.advance(dev);
             }
         }
+        members.clear();
+        self.spare_classes.push(members);
     }
 
     /// Send one message of `bytes` from `from` to `to`, delivered as
@@ -1625,13 +1760,13 @@ impl<'t> Executor<'t> {
                 }
                 Op::Send { key, bytes } => {
                     debug_assert_eq!(key.from, self.devs[dev].rank, "send from wrong device");
-                    let msg = self.msg_slot(key);
+                    let msg = self.msg_of(dev, pc);
                     self.send(key.from, key.to, bytes, msg);
                     self.devs[dev].pc += 1;
                 }
                 Op::Recv { key } => {
                     debug_assert_eq!(key.to, self.devs[dev].rank, "recv on wrong device");
-                    let msg = self.msg_slot(key);
+                    let msg = self.msg_of(dev, pc);
                     if self.msg_arrived[msg] {
                         self.devs[dev].pc += 1;
                     } else {
@@ -1670,7 +1805,7 @@ impl<'t> Executor<'t> {
 
     fn launch_collective(&mut self, id: usize) {
         self.colls[id].launch_time = self.sim.now().as_secs_f64();
-        if self.colls[id].round_ends.is_empty() {
+        if self.rounds(id).round_ends.is_empty() {
             self.complete_collective(id);
             return;
         }
@@ -1717,9 +1852,10 @@ impl<'t> Executor<'t> {
         }
         // Round-0 entries went out channel after channel, each channel's
         // in launch order.
-        let per_channel = self.colls[id].round_ends[0] as usize;
+        let rounds = &self.schedules[self.colls[id].rounds];
+        let per_channel = rounds.round_ends[0] as usize;
         for (j, &flow) in self.open_coll_flows.iter().enumerate() {
-            let by = self.colls[id].launches[j % per_channel].count;
+            let by = rounds.launches[j % per_channel].count;
             let grown = self.sim.extend_pending_flow(flow, by);
             debug_assert!(grown, "a checked entry must extend");
         }
@@ -1733,13 +1869,24 @@ impl<'t> Executor<'t> {
     /// label netsim never sees, so it need not match.
     fn same_rounds(&self, a: usize, b: usize) -> bool {
         let (a, b) = (&self.colls[a], &self.colls[b]);
+        if a.round.len() != b.round.len() {
+            return false;
+        }
+        if a.rounds == b.rounds {
+            return true;
+        }
+        let (a, b) = (&self.schedules[a.rounds], &self.schedules[b.rounds]);
         let node = |r: Rank| self.fabric.node_of(r);
-        a.round.len() == b.round.len()
-            && a.round_ends == b.round_ends
+        a.round_ends == b.round_ends
             && a.launches.iter().zip(&b.launches).all(|(x, y)| {
                 (node(x.from), node(x.to), x.bytes, x.count)
                     == (node(y.from), node(y.to), y.bytes, y.count)
             })
+    }
+
+    /// The schedule collective `id` replays.
+    fn rounds(&self, id: usize) -> &Rounds {
+        &self.schedules[self.colls[id].rounds]
     }
 
     /// Launch the current round of `channel`: one counted entry per
@@ -1748,17 +1895,18 @@ impl<'t> Executor<'t> {
     fn launch_round(&mut self, id: usize, channel: u32) {
         let coll = &self.colls[id];
         let round = coll.round[channel as usize] as usize;
+        let members = 1 + coll.followers.len() as u32;
+        let round_ends = &self.rounds(id).round_ends;
         let start = if round == 0 {
             0
         } else {
-            coll.round_ends[round - 1] as usize
+            round_ends[round - 1] as usize
         };
-        let end = coll.round_ends[round] as usize;
-        let members = 1 + coll.followers.len() as u32;
+        let end = round_ends[round] as usize;
         debug_assert!(end > start, "round must have flows");
         self.colls[id].outstanding[channel as usize] = (end - start) as u32;
         for i in start..end {
-            let l = self.colls[id].launches[i];
+            let l = self.rounds(id).launches[i];
             let token = self.token(Token::CollFlow { coll: id, channel });
             let started = self.route_flow(l.from, l.to, l.bytes, l.count * members, token);
             if let Some((flow, at)) = started.filter(|_| round == 0 && self.joins) {
@@ -1777,7 +1925,7 @@ impl<'t> Executor<'t> {
             return;
         }
         self.colls[id].round[c] += 1;
-        if (self.colls[id].round[c] as usize) < self.colls[id].round_ends.len() {
+        if (self.colls[id].round[c] as usize) < self.rounds(id).round_ends.len() {
             self.launch_round(id, channel);
         } else {
             self.colls[id].channels_done += 1;
@@ -1918,7 +2066,7 @@ impl<'t> Executor<'t> {
             });
         }
         for c in &self.colls {
-            if c.done && !c.round_ends.is_empty() {
+            if c.done && !self.schedules[c.rounds].round_ends.is_empty() {
                 report
                     .collective_wall_seconds
                     .entry(c.kind)
@@ -2045,9 +2193,53 @@ mod tests {
             transport: TransportPolicy::Auto,
         };
         match execute(&topo, spec) {
-            Err(ExecError::Deadlock { stuck }) => assert_eq!(stuck.len(), 1),
+            Err(ExecError::Deadlock { stuck }) => {
+                assert_eq!(stuck, [format!("r8 at op 0 waiting for {key:?}")]);
+            }
             other => panic!("expected deadlock, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn largest_labels_run_like_small_ones() {
+        // Message slots are found by search, not indexed by a key's
+        // value, so the largest microbatch and chunk run like the
+        // smallest.
+        let topo = topo2();
+        let run = |label: u32| {
+            let key = MsgKey {
+                from: Rank(0),
+                to: Rank(8),
+                channel: Channel::Gradient,
+                microbatch: label,
+                chunk: label,
+            };
+            let spec = ExecutionSpec {
+                programs: vec![
+                    (
+                        Rank(0),
+                        vec![
+                            fwd(0, 0.5),
+                            Op::Send {
+                                key,
+                                bytes: 1 << 30,
+                            },
+                        ],
+                    ),
+                    (Rank(8), vec![Op::Recv { key }, fwd(1, 0.25)]),
+                ],
+                collectives: vec![],
+                transport: TransportPolicy::Auto,
+            };
+            execute(&topo, spec).unwrap()
+        };
+        let (small, largest) = (run(0), run(u32::MAX));
+        assert!(largest.total_seconds > 0.75, "{}", largest.total_seconds);
+        assert_eq!(
+            small.total_seconds.to_bits(),
+            largest.total_seconds.to_bits()
+        );
+        assert_eq!(small.timeline.spans, largest.timeline.spans);
     }
 
     #[test]

@@ -59,6 +59,8 @@ pub mod metrics;
 mod obs;
 pub mod ops;
 pub mod progress;
+#[cfg(test)]
+mod relabel_oracle;
 pub mod schedule;
 pub mod timeline;
 pub mod validate;
