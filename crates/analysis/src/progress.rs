@@ -598,9 +598,8 @@ fn run_collective(
     let mut trace = Vec::new();
     let mut counterexamples = Vec::new();
     let mut degraded_run = false;
-    let rounds = coll.schedule.rounds();
     let mut next_event = 0usize;
-    for (r, round) in rounds.iter().enumerate() {
+    for (r, round) in coll.schedule.rounds().enumerate() {
         while next_event < events.len() && events[next_event].boundary as usize <= r {
             let e = events[next_event];
             state.apply(e.event, &mut trace, e.boundary);
@@ -896,7 +895,7 @@ fn contribution_flow(
     for i in 0..n {
         contrib[i * words + i / 64] |= 1u64 << (i % 64);
     }
-    for (r, round) in schedule.rounds().iter().enumerate() {
+    for (r, round) in schedule.rounds().enumerate() {
         let snap = contrib.clone();
         for t in round.transfers() {
             let (Some(&f), Some(&to)) = (idx.get(&t.from), idx.get(&t.to)) else {

@@ -553,7 +553,7 @@ pub fn verify_schedule_structure(
 
     let mut senders: BTreeSet<Rank> = BTreeSet::new();
     let mut receivers: BTreeSet<Rank> = BTreeSet::new();
-    for (round, r) in schedule.rounds().iter().enumerate() {
+    for (round, r) in schedule.rounds().enumerate() {
         if r.transfers().is_empty() {
             errors.push(VerifyError::EmptyRound { round });
         }
@@ -618,11 +618,7 @@ fn rounds_form_dag(schedule: &CollSchedule) -> bool {
     // rounds. Kahn's algorithm, aggregated per layer: every node of round
     // r shares the in-degree |round r−1|, so one counter per round
     // suffices.
-    let sizes: Vec<usize> = schedule
-        .rounds()
-        .iter()
-        .map(|r| r.transfers().len())
-        .collect();
+    let sizes: Vec<usize> = schedule.rounds().map(|r| r.transfers().len()).collect();
     let total: usize = sizes.iter().sum();
     let mut indegree: Vec<usize> = (0..sizes.len())
         .map(|r| if r == 0 { 0 } else { sizes[r - 1] })
@@ -715,7 +711,7 @@ pub fn verify_collective(
     // transfer multisets. Sorting by (from, to, bytes) gives a canonical
     // order for the comparison without constraining producers.
     let canonical = kind.schedule(devices, bytes, cluster_of);
-    for (i, (got, want)) in schedule.rounds().iter().zip(canonical.rounds()).enumerate() {
+    for (i, (got, want)) in schedule.rounds().zip(canonical.rounds()).enumerate() {
         if sorted_transfers(got.transfers()) != sorted_transfers(want.transfers()) {
             errors.push(VerifyError::ShapeMismatch { round: i });
         }

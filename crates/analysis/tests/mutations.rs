@@ -36,8 +36,7 @@ fn cluster_of(topo: &Topology) -> impl Fn(Rank) -> u32 + '_ {
 
 /// Rebuild a schedule with one mutation applied to its transfer matrix.
 fn mutate(s: &CollSchedule, f: impl FnOnce(&mut Vec<Vec<Transfer>>)) -> CollSchedule {
-    let mut rounds: Vec<Vec<Transfer>> =
-        s.rounds().iter().map(|r| r.transfers().to_vec()).collect();
+    let mut rounds: Vec<Vec<Transfer>> = s.rounds().map(|r| r.transfers().to_vec()).collect();
     f(&mut rounds);
     CollSchedule::from_rounds(rounds.into_iter().map(Round::new).collect())
 }
@@ -247,7 +246,6 @@ fn hierarchical_mutations_detected() {
     // the phase shape both break.
     let inter_round = good
         .rounds()
-        .iter()
         .position(|r| {
             r.transfers()
                 .iter()

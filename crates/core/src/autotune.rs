@@ -2,7 +2,7 @@
 //!
 //! The paper fixes Table 2's degrees by hand; a production framework needs
 //! to *find* them. The tuner enumerates feasible degree combinations,
-//! prunes with memory checks and the closed-form
+//! prunes with memory checks and the analytic
 //! [`crate::estimate::estimate_iteration`], then simulates the `top_k`
 //! survivors for an accurate ranking — the classic estimate-then-measure
 //! search loop. Every candidate's placement routes through

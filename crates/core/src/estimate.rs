@@ -1,21 +1,23 @@
-//! Closed-form iteration-time estimation.
+//! Analytic iteration-time estimation.
 //!
 //! The event-driven simulator is the ground truth, but plan *search* wants
 //! thousands of what-if evaluations. This estimator composes the analytic
-//! building blocks (pipeline-bubble formula, ring-collective cost models,
-//! per-stage compute costs) into a microseconds-cheap prediction, and is
-//! cross-validated against the simulator in the test suite (and by the
-//! `estimator accuracy` extension experiment).
+//! building blocks (pipeline-bubble formula, folds of the collective
+//! schedules, per-stage compute costs) into a microseconds-cheap
+//! prediction, and is cross-validated against the simulator in the test
+//! suite (and by the `estimator accuracy` extension experiment).
 //!
-//! Outside forced TCP, a data-parallel ring is priced exactly as the
-//! planner's NIC selection prices it: over the one uniform link
-//! [`ring_link`] returns. Hierarchical and parameter-server groups are
-//! priced by folding their schedules with per-node contention
+//! A flat data-parallel ring folds its [`holmes_netsim::algo`] schedule
+//! over one uniform link. Outside forced TCP that link is the one
+//! [`ring_link`] returns, so an all-reduce ring is priced exactly as the
+//! planner's NIC selection prices it. Hierarchical and parameter-server
+//! groups are priced by folding their schedules with per-node contention
 //! ([`holmes_netsim::algo::estimate_collective`]).
 
 use holmes_engine::{ComputeModel, DpSyncStrategy, EngineConfig, TransportPolicy};
 use holmes_model::{embedding_params, layer_params, CommVolumes, TrainJob};
-use holmes_netsim::collective::{all_gather_seconds, reduce_scatter_seconds, ring_link};
+use holmes_netsim::algo::{estimate_collective, CollKind};
+use holmes_netsim::collective::ring_link;
 use holmes_parallel::{DpGroupNic, ParallelPlan};
 use holmes_topology::Topology;
 
@@ -63,8 +65,10 @@ pub fn estimate_iteration(
     let mut slot_max = 0.0f64; // fwd+bwd of the slowest stage
     let mut stage_params = Vec::with_capacity(p as usize);
     let mut models = Vec::with_capacity(p as usize);
+    // Pipeline group 0 holds every stage's first device, in stage order.
+    let first_devices = plan.pp_group_devices(0);
     for stage in 0..p {
-        let device0 = plan.stage_devices(stage)[0];
+        let device0 = first_devices[stage as usize];
         let coord = topo.coord(device0).ok()?;
         let node = &topo.clusters()[coord.cluster.0 as usize].nodes[coord.node.0 as usize];
         let model = ComputeModel::with_interference(
@@ -104,8 +108,7 @@ pub fn estimate_iteration(
         // One boundary only: the link from stage 0's first device to
         // stage 1's first device. Later boundaries, often the slower
         // cross-cluster ones, are not priced (ROADMAP item 16).
-        let from = plan.stage_devices(0)[0];
-        let to = plan.stage_devices(1)[0];
+        let (from, to) = (first_devices[0], first_devices[1]);
         let link = topo.link_between(from, to).ok()?;
         let bw = if forced_tcp && !link.kind.is_intra_node() {
             // Approximate the forced-TCP path with the inter-cluster profile.
@@ -116,15 +119,8 @@ pub fn estimate_iteration(
         let g = f64::from(topo.gpus_per_node());
         // Per node per micro-batch slot: G groups × act bytes × 2 dirs
         // through a (ports-limited) uplink ≈ g/ports flows per port.
-        let per_slot = g * act.max(1) as f64 * 2.0
-            / (bw
-                * f64::from(
-                    plan.stage_devices(0)
-                        .first()
-                        .and_then(|r| topo.device(*r).ok())
-                        .map(|dev| dev.nic.ports_per_node)
-                        .unwrap_or(1),
-                ));
+        let ports = topo.device(from).ok()?.nic.ports_per_node;
+        let per_slot = g * act.max(1) as f64 * 2.0 / (bw * f64::from(ports));
         (f64::from(m) * (per_slot - slot_max).max(0.0)).max(0.0)
     } else {
         0.0
@@ -137,11 +133,10 @@ pub fn estimate_iteration(
     for g in 0..plan.layout.dp_group_count() {
         let stage = g / t;
         let devices = plan.dp_group_devices(g);
-        let n = devices.len() as u32;
         let grad_bytes = CommVolumes::dp_gradient_bytes(stage_params[stage as usize], t);
         let param_bytes = stage_params[stage as usize] / u64::from(t) * 2;
         let (model, cost) = &models[stage as usize];
-        let (bw, lat) = if forced_tcp && n > 1 {
+        let (bw, lat) = if forced_tcp && devices.len() > 1 {
             // Approximate: the forced-TCP ring bottoms out at the
             // inter-cluster Ethernet effective rate.
             let eth = topo.inter_cluster_profile();
@@ -152,8 +147,10 @@ pub fn estimate_iteration(
         } else {
             ring_link(topo, &devices, false).ok()?
         };
-        let rs = reduce_scatter_seconds(n, grad_bytes, bw, lat);
-        let ag = all_gather_seconds(n, param_bytes, bw, lat);
+        let ring = |kind: CollKind, bytes| {
+            kind.schedule(&devices, bytes, |_| 0)
+                .seconds_uniform(bw, lat)
+        };
         let sync = match cfg.dp_sync {
             DpSyncStrategy::AllReduce
                 if cfg.hierarchical_cross_cluster
@@ -163,39 +160,26 @@ pub fn estimate_iteration(
                 // The builder upgrades this group to the hierarchical
                 // all-reduce; score the same IR schedule the executor will
                 // replay (fold with per-node contention).
-                holmes_netsim::algo::estimate_collective(
-                    topo,
-                    holmes_netsim::algo::CollKind::HierarchicalAllReduce,
-                    &devices,
-                    grad_bytes,
-                )
+                estimate_collective(topo, CollKind::HierarchicalAllReduce, &devices, grad_bytes)
             }
-            // all-reduce ≈ RS + AG over gradient bytes.
-            DpSyncStrategy::AllReduce => rs + all_gather_seconds(n, grad_bytes, bw, lat),
-            DpSyncStrategy::DistributedOptimizer => rs + ag,
+            DpSyncStrategy::AllReduce => ring(CollKind::AllReduce, grad_bytes),
             // ZeRO-3 pays the same RS plus a *blocking* parameter gather
             // at the start of the iteration (same volume as the ZeRO-1
             // trailing gather, but never overlapped with the cooldown).
-            DpSyncStrategy::Zero3 => rs + ag,
+            DpSyncStrategy::DistributedOptimizer | DpSyncStrategy::Zero3 => {
+                ring(CollKind::ReduceScatter, grad_bytes) + ring(CollKind::AllGather, param_bytes)
+            }
             DpSyncStrategy::OverlappedOptimizer { .. } => {
                 // The RS hides under the final backward.
-                (rs - cost.bwd_seconds).max(0.0) + ag
+                (ring(CollKind::ReduceScatter, grad_bytes) - cost.bwd_seconds).max(0.0)
+                    + ring(CollKind::AllGather, param_bytes)
             }
             DpSyncStrategy::ParameterServer { servers } => {
                 // Push + pull, each a single star-shaped round: score the
                 // same IR schedules the executor will replay (the incast
                 // contention at the servers is the whole point).
-                holmes_netsim::algo::estimate_collective(
-                    topo,
-                    holmes_netsim::algo::CollKind::PsPush { servers },
-                    &devices,
-                    grad_bytes,
-                ) + holmes_netsim::algo::estimate_collective(
-                    topo,
-                    holmes_netsim::algo::CollKind::PsPull { servers },
-                    &devices,
-                    param_bytes,
-                )
+                estimate_collective(topo, CollKind::PsPush { servers }, &devices, grad_bytes)
+                    + estimate_collective(topo, CollKind::PsPull { servers }, &devices, param_bytes)
             }
         };
         dp_sync_seconds = dp_sync_seconds.max(sync);

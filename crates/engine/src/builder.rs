@@ -273,9 +273,14 @@ pub fn price_stages(
         let layers = plan.stage_layers[stage as usize];
         // Every pipeline send waits for the stage's slowest member, so its
         // compute model prices the whole stage (the first member on ties).
+        // Adjacent members on one node share its model: price it once.
         let (_, model) = stage_devices
-            .iter()
-            .map(|&rank| {
+            .chunk_by(|&a, &b| {
+                let (a, b) = (device(a).coord, device(b).coord);
+                (a.cluster, a.node) == (b.cluster, b.node)
+            })
+            .map(|members| {
+                let rank = members[0];
                 let coord = device(rank).coord;
                 let node = &topo.clusters()[coord.cluster.0 as usize].nodes[coord.node.0 as usize];
                 let model = ComputeModel::with_interference(

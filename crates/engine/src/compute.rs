@@ -8,8 +8,8 @@
 //! compute durations analytically.
 
 use holmes_model::{layer_fwd_flops_per_sample, logit_fwd_flops_per_sample, GptConfig};
-use holmes_netsim::collective::ring_allreduce_seconds;
-use holmes_topology::{GpuProfile, LinkProfile};
+use holmes_netsim::algo::CollKind;
+use holmes_topology::{GpuProfile, LinkProfile, Rank};
 
 /// Forward/backward durations for one micro-batch on one device of a stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,12 +89,14 @@ impl ComputeModel {
             * u64::from(self.cfg.seq_len)
             * u64::from(self.cfg.hidden_size)
             * 2;
-        2.0 * ring_allreduce_seconds(
-            self.tensor_parallel,
-            bytes,
-            self.intra_link.bandwidth_bytes_per_sec,
-            self.intra_link.latency_ns as f64 * 1e-9,
-        )
+        // Any t ranks: every hop of the ring runs over the intra-node link.
+        let ranks: Vec<Rank> = (0..self.tensor_parallel).map(Rank).collect();
+        2.0 * CollKind::AllReduce
+            .schedule(&ranks, bytes, |_| 0)
+            .seconds_uniform(
+                self.intra_link.bandwidth_bytes_per_sec,
+                self.intra_link.latency_ns as f64 * 1e-9,
+            )
     }
 
     /// Durations for a stage holding `layers` transformer layers.

@@ -252,6 +252,39 @@ pub enum ExecError {
         /// Devices in the topology.
         devices: u32,
     },
+    /// A `CollStart` or `CollWait` names a collective id past the end of
+    /// [`ExecutionSpec::collectives`]. Checked before any flow starts.
+    ///
+    /// ```
+    /// # use holmes_engine::ExecError;
+    /// let e = ExecError::UnknownCollective { id: 3 };
+    /// assert!(e.to_string().contains("unknown collective"));
+    /// ```
+    UnknownCollective {
+        /// The collective id no spec entry carries.
+        id: u32,
+    },
+    /// One message key is sent twice, or received twice: which send a
+    /// receive consumes would be ambiguous. Checked before any flow
+    /// starts.
+    ///
+    /// ```
+    /// # use holmes_engine::{Channel, ExecError, MsgKey};
+    /// # use holmes_topology::Rank;
+    /// let key = MsgKey {
+    ///     from: Rank(0),
+    ///     to: Rank(8),
+    ///     channel: Channel::Activation,
+    ///     microbatch: 0,
+    ///     chunk: 0,
+    /// };
+    /// let e = ExecError::DuplicateMessage { key };
+    /// assert!(e.to_string().contains("twice"));
+    /// ```
+    DuplicateMessage {
+        /// The key sent (or received) a second time.
+        key: MsgKey,
+    },
     /// A link fault names fabric the run does not have: a node index past
     /// the topology's last node, or [`FaultTarget::Trunk`] without
     /// [`FaultPlan::trunk_bytes_per_sec`]. Checked before any flow starts.
@@ -310,6 +343,10 @@ impl std::fmt::Display for ExecError {
             ExecError::EmptyCollective { id } => write!(f, "collective {id} has no members"),
             ExecError::RankOutsideTopology { rank, devices } => {
                 write!(f, "rank {rank} is outside the topology ({devices} devices)")
+            }
+            ExecError::UnknownCollective { id } => write!(f, "unknown collective id {id}"),
+            ExecError::DuplicateMessage { key } => {
+                write!(f, "message {key:?} is sent or received twice")
             }
             ExecError::FaultTargetMissing { target } => {
                 write!(
@@ -521,7 +558,7 @@ fn group_rounds(schedule: &CollSchedule, gpus_per_node: u32) -> Rounds {
     let mut launches: Vec<Launch> = Vec::new();
     // The current round's group keys, parallel to its launches.
     let mut keys: Vec<(u32, u32, u64)> = Vec::new();
-    let mut round_ends = Vec::with_capacity(schedule.rounds().len());
+    let mut round_ends = Vec::with_capacity(schedule.round_count() as usize);
     for round in schedule.rounds() {
         let start = launches.len();
         keys.clear();
@@ -1051,8 +1088,9 @@ struct Lowered {
 
 /// Check a spec and resolve its messages. Rejects what the executor
 /// cannot replay: a device with two programs, a collective without
-/// members, or a program device, send endpoint or collective member
-/// outside the topology. Every send and receive gets the slot of its
+/// members, a collective op naming no collective, a message key sent or
+/// received twice, or a program device, send endpoint or collective
+/// member outside the topology. Every send and receive gets the slot of its
 /// key: its stream is found in a small per-program cache (a hash lookup
 /// on a miss), then its microbatch by binary search in the stream's
 /// sorted (microbatch, slot) list, so nothing is sized by a key's value.
@@ -1077,6 +1115,15 @@ fn lower(topo: &Topology, spec: &ExecutionSpec) -> Result<Lowered, ExecError> {
     let mut stream_of: HashMap<StreamKey, usize> = HashMap::new();
     let mut streams: Vec<Vec<(u32, u32)>> = Vec::new();
     let mut cache: Vec<(StreamKey, usize)> = Vec::with_capacity(STREAM_CACHE);
+    // Per slot: whether a send (bit 0) and a receive (bit 1) were seen.
+    let mut posted: Vec<u8> = Vec::new();
+    let known = |id: u32| {
+        if (id as usize) < spec.collectives.len() {
+            Ok(())
+        } else {
+            Err(ExecError::UnknownCollective { id })
+        }
+    };
     for (rank, program) in &spec.programs {
         inside(*rank)?;
         if std::mem::replace(&mut has_program[rank.0 as usize], true) {
@@ -1084,26 +1131,30 @@ fn lower(topo: &Topology, spec: &ExecutionSpec) -> Result<Lowered, ExecError> {
         }
         cache.clear();
         for op in program {
-            let key = match *op {
+            let (key, bit) = match *op {
                 Op::Send { key, .. } => {
                     inside(key.from)?;
                     inside(key.to)?;
                     lowered.sends += 1;
-                    Some(key)
+                    (Some(key), 1)
                 }
                 Op::Recv { key } => {
                     lowered.wait_ops += 1;
-                    Some(key)
+                    (Some(key), 2)
                 }
                 Op::Compute { .. } => {
                     lowered.compute_ops += 1;
-                    None
+                    (None, 0)
                 }
-                Op::CollWait { .. } => {
+                Op::CollWait { id } => {
+                    known(id)?;
                     lowered.wait_ops += 1;
-                    None
+                    (None, 0)
                 }
-                Op::CollStart { .. } => None,
+                Op::CollStart { id } => {
+                    known(id)?;
+                    (None, 0)
+                }
             };
             let Some(key) = key else {
                 lowered.op_msg.push(NO_MSG);
@@ -1133,9 +1184,15 @@ fn lower(topo: &Topology, spec: &ExecutionSpec) -> Result<Lowered, ExecError> {
                     let slot = lowered.messages as u32;
                     slots.insert(i, (key.microbatch, slot));
                     lowered.messages += 1;
+                    posted.push(0);
                     slot
                 }
             };
+            let seen = &mut posted[slot as usize];
+            if *seen & bit != 0 {
+                return Err(ExecError::DuplicateMessage { key });
+            }
+            *seen |= bit;
             lowered.op_msg.push(slot);
         }
     }
@@ -2898,6 +2955,46 @@ mod tests {
         // A collective member.
         let coll = CollectiveSpec::new(CollKind::AllReduce, vec![Rank(0), outside], 1 << 20);
         assert_eq!(run(vec![(Rank(0), vec![])], vec![coll]), want);
+    }
+
+    #[test]
+    fn unknown_collectives_and_twice_posted_keys_are_typed_errors() {
+        let topo = topo2();
+        let run = |programs: Vec<(Rank, Vec<Op>)>, collectives| {
+            execute(
+                &topo,
+                ExecutionSpec {
+                    programs,
+                    collectives,
+                    transport: TransportPolicy::Auto,
+                },
+            )
+            .unwrap_err()
+        };
+        // A start or a wait past the last collective.
+        let want = ExecError::UnknownCollective { id: 3 };
+        assert_eq!(
+            run(vec![(Rank(0), vec![Op::CollStart { id: 3 }])], vec![]),
+            want
+        );
+        let coll = CollectiveSpec::new(CollKind::AllReduce, vec![Rank(0), Rank(8)], 1 << 20);
+        let wait = vec![(Rank(0), vec![Op::CollWait { id: 3 }])];
+        assert_eq!(run(wait, vec![coll]), want);
+        // One key sent twice, or received twice.
+        let key = MsgKey {
+            from: Rank(0),
+            to: Rank(8),
+            channel: Channel::Activation,
+            microbatch: 2,
+            chunk: 0,
+        };
+        let send = Op::Send { key, bytes: 1 };
+        let recv = Op::Recv { key };
+        let want = ExecError::DuplicateMessage { key };
+        let twice_sent = vec![(Rank(0), vec![send, send]), (Rank(8), vec![recv])];
+        assert_eq!(run(twice_sent, vec![]), want);
+        let twice_received = vec![(Rank(8), vec![recv, recv]), (Rank(0), vec![send])];
+        assert_eq!(run(twice_received, vec![]), want);
     }
 }
 

@@ -30,8 +30,8 @@
 //!   binary tree, and the two-level hierarchical cross-cluster
 //!   all-reduce) expands through the shared IR in
 //!   [`holmes_netsim::algo`] and is replayed flow-by-flow — the same
-//!   schedules the planner's closed forms and topology folds are derived
-//!   from, so measurement and scoring cannot drift.
+//!   schedules the planner's folds price, so measurement and scoring
+//!   cannot drift.
 //! * [`builder`] — prices every stage once ([`price_stages`]: the
 //!   slowest member's compute, chunk costs, units, memory need) and
 //!   assembles the above into a runnable [`ExecutionSpec`],

@@ -110,21 +110,28 @@ fn relabel(spec: &ExecutionSpec, seed: u64) -> (ExecutionSpec, BTreeMap<MsgKey, 
 }
 
 /// Whether debug builds refuse `spec` (and `plan`) by panic before it
-/// runs: a structural defect other than an unmatched send or receive
-/// (one key sent twice is one), or a fault plan the progress checker
-/// convicts. Release builds run such specs.
+/// runs: a structural defect that `lower` leaves to the debug gate (not
+/// an unmatched send or receive, and not the duplicate keys and unknown
+/// collectives `lower` returns as typed errors), or a fault plan the
+/// progress checker convicts. Release builds run such specs.
 fn refused_in_debug(topo: &Topology, spec: &ExecutionSpec, plan: Option<&FaultPlan>) -> bool {
-    let hard = validate_spec(spec)
-        .iter()
-        .any(|d| !matches!(d, SpecError::UnmatchedRecv(_) | SpecError::UnmatchedSend(_)));
+    let hard = validate_spec(spec).iter().any(|d| {
+        !matches!(
+            d,
+            SpecError::UnmatchedRecv(_)
+                | SpecError::UnmatchedSend(_)
+                | SpecError::DuplicateKey(_)
+                | SpecError::UnknownCollective(_)
+        )
+    });
     let convicted = plan.is_some_and(|p| !p.is_empty())
         && !crate::progress::check_execution(topo, spec, plan).is_clean();
     cfg!(debug_assertions) && (hard || convicted)
 }
 
 /// Run `spec` and its relabeling and require the same outcome: reports
-/// bit-equal in every field, or the same error, whose deadlock text
-/// names the relabeled keys.
+/// bit-equal in every field, or the same error, whose deadlock text or
+/// duplicate key names the relabeled keys.
 fn relabeled_alike(
     topo: &Topology,
     spec: &ExecutionSpec,
@@ -158,6 +165,13 @@ fn relabeled_alike(
                 })
                 .collect();
             prop_assert_eq!(want, b);
+            Ok(None)
+        }
+        (
+            Err(ExecError::DuplicateMessage { key: a }),
+            Err(ExecError::DuplicateMessage { key: b }),
+        ) => {
+            prop_assert_eq!(map[&a], b);
             Ok(None)
         }
         (Err(a), Err(b)) => {
@@ -373,8 +387,9 @@ proptest! {
 }
 
 /// Each template runs its case: the receive waits, the second send of a
-/// key is harmless, reversed microbatches all land, the preempted
-/// sender's message is delivered stale, and the orphan deadlocks.
+/// key is a typed error naming it, reversed microbatches all land, the
+/// preempted sender's message is delivered stale, and the orphan
+/// deadlocks.
 #[test]
 fn templates_exercise_their_cases() {
     for i in 0..TEMPLATES {
@@ -390,7 +405,10 @@ fn templates_exercise_their_cases() {
                 let r = report.expect("a template without an orphan receive completes");
                 assert!(r.total_seconds > 0.1, "{}", r.total_seconds);
             }
-            1 => assert!(report.is_ok(), "{report:?}"),
+            1 => assert!(
+                matches!(report, Err(ExecError::DuplicateMessage { key }) if key.microbatch == 3),
+                "{report:?}"
+            ),
             // The receiver wakes at the preemption, before the sender's
             // compute would have ended.
             3 => {

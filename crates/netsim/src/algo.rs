@@ -7,18 +7,25 @@
 //! when every transfer of round `r` has landed, exactly like the
 //! synchronous ring/tree steps of NCCL's algorithms.
 //!
+//! A schedule is stored run-length: `(round, repeat)` runs whose
+//! in-order expansion ([`CollSchedule::rounds`]) is the round list. A
+//! ring collective is one run of `n` transfers, a hierarchical
+//! all-reduce a handful, whatever the member count.
+//!
 //! Three layers consume one schedule:
 //!
 //! 1. the **engine executor** replays it flow-by-flow on [`crate::NetSim`]
 //!    for full contention fidelity;
-//! 2. the **analytic layer** folds it over a per-link cost model
-//!    ([`CollSchedule::seconds_on`] / [`estimate_on_topology`]) — the
-//!    ring closed forms in [`crate::collective`] are the algebraic result
-//!    of that fold on a uniform fabric, and the property-test suite
-//!    bounds their distance from the fold;
+//! 2. the **analytic layer** folds it over a cost model: the uniform
+//!    `latency + bytes/bw` link ([`CollSchedule::seconds_uniform`]), any
+//!    per-transfer cost ([`CollSchedule::seconds_on`]) or the topology
+//!    with per-node contention ([`estimate_on_topology`]). Every fold
+//!    prices a run's round once and adds that cost `repeat` times, so it
+//!    is bit-equal to pricing each expanded round;
 //! 3. the **planner** (`holmes-parallel`'s NIC selection and placement
-//!    search, `holmes`'s estimator) scores candidate plans with the
-//!    derived costs.
+//!    search, `holmes`'s estimator, the engine's tensor-parallel compute
+//!    model) scores candidate plans with the derived costs; there is no
+//!    closed-form cost beside the fold.
 //!
 //! Algorithms: ring reduce-scatter / all-gather / all-reduce, binary-tree
 //! all-reduce, pipelined ring broadcast, and the two-level
@@ -141,71 +148,89 @@ impl Round {
 }
 
 /// An ordered list of rounds — the complete description of one collective
-/// algorithm instance.
+/// algorithm instance — stored run-length: each `(round, repeat)` run is
+/// its round executed `repeat ≥ 1` times back to back. A ring is one run
+/// however many members it has.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CollSchedule {
-    rounds: Vec<Round>,
+    runs: Vec<(Round, u32)>,
 }
 
 impl CollSchedule {
     /// The empty schedule (degenerate groups: nothing to move).
     pub fn empty() -> Self {
-        CollSchedule { rounds: Vec::new() }
+        CollSchedule { runs: Vec::new() }
     }
 
-    /// Build a schedule from explicit rounds. Like [`Round::new`] this is
-    /// for verification tooling; production schedules come from the
-    /// algorithm constructors / [`CollKind::schedule`].
+    /// Build a schedule from explicit rounds, each a run of one. Like
+    /// [`Round::new`] this is for verification tooling; production
+    /// schedules come from the algorithm constructors /
+    /// [`CollKind::schedule`].
     pub fn from_rounds(rounds: Vec<Round>) -> Self {
-        CollSchedule { rounds }
+        CollSchedule {
+            runs: rounds.into_iter().map(|round| (round, 1)).collect(),
+        }
     }
 
-    /// The rounds, in execution order.
-    #[inline]
-    pub fn rounds(&self) -> &[Round] {
-        &self.rounds
+    /// The rounds, in execution order, each run expanded.
+    pub fn rounds(&self) -> impl Iterator<Item = &Round> + Clone {
+        self.runs
+            .iter()
+            .flat_map(|(round, repeat)| std::iter::repeat_n(round, *repeat as usize))
     }
 
     /// Number of rounds.
-    #[inline]
     pub fn round_count(&self) -> u32 {
-        self.rounds.len() as u32
+        self.runs.iter().map(|(_, repeat)| repeat).sum()
     }
 
     /// True when there is nothing to do (n ≤ 1 groups).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.rounds.is_empty()
+        self.runs.is_empty()
     }
 
     /// Total bytes moved across all rounds and transfers.
     pub fn total_bytes(&self) -> u64 {
-        self.rounds
+        self.runs
             .iter()
-            .flat_map(|r| &r.transfers)
-            .map(|t| t.bytes)
+            .map(|(round, repeat)| {
+                u64::from(*repeat) * round.transfers.iter().map(|t| t.bytes).sum::<u64>()
+            })
             .sum()
+    }
+
+    /// Fold the schedule over a per-round cost: each run's round is priced
+    /// once and its cost added `repeat` times, in order, from `0.0` — the
+    /// same terms in the same order as pricing every expanded round, so
+    /// the result is bit-equal to that per-round sum.
+    fn fold(&self, mut round_cost: impl FnMut(&Round) -> f64) -> f64 {
+        let mut total = 0.0f64;
+        for (round, repeat) in &self.runs {
+            let seconds = round_cost(round);
+            for _ in 0..*repeat {
+                total += seconds;
+            }
+        }
+        total
     }
 
     /// Fold the schedule over a per-transfer cost model: each round costs
     /// the maximum of its transfer costs (they move concurrently), rounds
     /// serialize. This is the generic analytic evaluation of the IR.
     pub fn seconds_on(&self, mut transfer_cost: impl FnMut(&Transfer) -> f64) -> f64 {
-        self.rounds
-            .iter()
-            .map(|round| {
-                round
-                    .transfers
-                    .iter()
-                    .map(&mut transfer_cost)
-                    .fold(0.0, f64::max)
-            })
-            .sum()
+        self.fold(|round| {
+            round
+                .transfers
+                .iter()
+                .map(&mut transfer_cost)
+                .fold(0.0, f64::max)
+        })
     }
 
     /// [`CollSchedule::seconds_on`] with a uniform `latency + bytes/bw`
-    /// link model — the fold the closed forms in [`crate::collective`]
-    /// are derived from.
+    /// link model: how the planner, the estimator and the compute model
+    /// price a ring over its [`crate::collective::ring_link`].
     pub fn seconds_uniform(&self, bandwidth_bytes_per_sec: f64, latency_s: f64) -> f64 {
         self.seconds_on(|t| latency_s + t.bytes as f64 / bandwidth_bytes_per_sec)
     }
@@ -213,11 +238,11 @@ impl CollSchedule {
 
 /// Depth of the binary heap over `n` ranks (root at depth 0):
 /// `⌊log₂n⌋`, `0` for the degenerate `n ≤ 1`. Shared by the schedule
-/// constructor and the closed forms — the single definition in the
-/// workspace (it used to exist twice, once per layer, and the copies had
-/// drifted: the closed form said `⌈log₂n⌉` while the executor's heap
-/// layout has no rank at that level for non-powers-of-two, leaving its
-/// deepest round empty).
+/// constructor and the verifier's expected totals — the single definition
+/// in the workspace (it used to exist twice, once per layer, and the
+/// copies had drifted: a closed form said `⌈log₂n⌉` while the executor's
+/// heap layout has no rank at that level for non-powers-of-two, leaving
+/// its deepest round empty).
 pub fn tree_depth(n: u32) -> u32 {
     if n <= 1 {
         return 0;
@@ -243,24 +268,27 @@ pub fn partition_by_cluster(devices: &[Rank], cluster_of: impl Fn(Rank) -> u32) 
     groups
 }
 
-/// `count` rounds in which every rank sends `chunk` bytes to its ring
-/// successor — the skeleton of all ring collectives.
-fn ring_rounds(devices: &[Rank], count: u32, chunk: u64) -> Vec<Round> {
-    vec![ring_round(devices, chunk); count as usize]
+/// A schedule of one run: `round` executed `repeat` times.
+fn one_run(round: Round, repeat: u32) -> CollSchedule {
+    CollSchedule {
+        runs: vec![(round, repeat)],
+    }
 }
 
-/// One round in which every rank sends `chunk` bytes to its ring successor.
+/// One round in which every rank sends `chunk` bytes to its ring successor
+/// — the skeleton of all ring collectives.
 fn ring_round(devices: &[Rank], chunk: u64) -> Round {
-    let n = devices.len();
-    Round {
-        transfers: (0..n)
-            .map(|i| Transfer {
-                from: devices[i],
-                to: devices[(i + 1) % n],
-                bytes: chunk,
-            })
-            .collect(),
+    let mut transfers = Vec::with_capacity(devices.len());
+    let hop = |from, to| Transfer {
+        from,
+        to,
+        bytes: chunk,
+    };
+    transfers.extend(devices.windows(2).map(|w| hop(w[0], w[1])));
+    if let (Some(&last), Some(&first)) = (devices.last(), devices.first()) {
+        transfers.push(hop(last, first));
     }
+    Round { transfers }
 }
 
 /// Ring reduce-scatter: `n−1` rounds of `V/n` chunks.
@@ -269,9 +297,7 @@ pub fn ring_reduce_scatter(devices: &[Rank], bytes: u64) -> CollSchedule {
     if n <= 1 {
         return CollSchedule::empty();
     }
-    CollSchedule {
-        rounds: ring_rounds(devices, n as u32 - 1, bytes / n),
-    }
+    one_run(ring_round(devices, bytes / n), n as u32 - 1)
 }
 
 /// Ring all-gather: `n−1` rounds of `V/n` chunks (the mirror image of
@@ -287,9 +313,7 @@ pub fn ring_all_reduce(devices: &[Rank], bytes: u64) -> CollSchedule {
     if n <= 1 {
         return CollSchedule::empty();
     }
-    CollSchedule {
-        rounds: ring_rounds(devices, 2 * (n as u32 - 1), bytes / n),
-    }
+    one_run(ring_round(devices, bytes / n), 2 * (n as u32 - 1))
 }
 
 /// Pipelined ring broadcast: `n−1` rounds of `V/(n−1)` chunks.
@@ -298,16 +322,14 @@ pub fn ring_broadcast(devices: &[Rank], bytes: u64) -> CollSchedule {
     if n <= 1 {
         return CollSchedule::empty();
     }
-    CollSchedule {
-        rounds: ring_rounds(devices, n - 1, bytes / u64::from(n - 1)),
-    }
+    one_run(ring_round(devices, bytes / u64::from(n - 1)), n - 1)
 }
 
 /// Binary-tree all-reduce over the binary-heap layout of `devices`:
 /// `⌊log₂n⌋` reduce rounds climbing from the deepest level to the root,
 /// then `⌊log₂n⌋` broadcast rounds descending back, each hop carrying the
 /// full buffer. Every round is non-empty (heap level `l` always contains
-/// index `2^l − 1`).
+/// index `2^l − 1`) and a run of one.
 pub fn tree_all_reduce(devices: &[Rank], bytes: u64) -> CollSchedule {
     let n = devices.len() as u32;
     if n <= 1 {
@@ -338,7 +360,7 @@ pub fn tree_all_reduce(devices: &[Rank], bytes: u64) -> CollSchedule {
             }
         })
         .collect();
-    CollSchedule { rounds }
+    CollSchedule::from_rounds(rounds)
 }
 
 /// Two-level hierarchical all-reduce over per-cluster groups (each group
@@ -353,23 +375,13 @@ pub fn tree_all_reduce(devices: &[Rank], bytes: u64) -> CollSchedule {
 ///    crosses the slow Ethernet trunk, spread over every node's uplink;
 /// 3. **intra-cluster all-gather** — mirror of phase 1.
 ///
-/// With one (non-empty) cluster this degenerates to the flat ring
-/// all-reduce; with ≤ 1 total ranks the schedule is empty.
+/// Each intra pass is one run per active-cluster set (the round only
+/// changes when the pass reaches some cluster's `n_c − 1`) and the
+/// exchange is one run of `2(k−1)`, so a group is a handful of distinct
+/// rounds however many members it has. With one (non-empty) cluster this
+/// degenerates to the flat ring all-reduce; with ≤ 1 total ranks the
+/// schedule is empty.
 pub fn hierarchical_all_reduce(groups: &[Vec<Rank>], bytes: u64) -> CollSchedule {
-    let rounds = hierarchical_runs(groups, bytes)
-        .into_iter()
-        .flat_map(|(round, repeat)| std::iter::repeat_n(round, repeat as usize))
-        .collect();
-    CollSchedule { rounds }
-}
-
-/// [`hierarchical_all_reduce`] in run-length form: `(round, repeat)`
-/// pairs whose in-order expansion is the schedule. Each intra pass is one
-/// run per active-cluster set (the round only changes when `r` reaches
-/// some cluster's `n_c − 1`), and the exchange is one round repeated
-/// `2(k−1)` times — so a group is a handful of distinct rounds however
-/// many members it has.
-fn hierarchical_runs(groups: &[Vec<Rank>], bytes: u64) -> Vec<(Round, u32)> {
     let groups: Vec<&[Rank]> = groups
         .iter()
         .filter(|g| !g.is_empty())
@@ -377,12 +389,10 @@ fn hierarchical_runs(groups: &[Vec<Rank>], bytes: u64) -> Vec<(Round, u32)> {
         .collect();
     let total: usize = groups.iter().map(|g| g.len()).sum();
     if total <= 1 {
-        return Vec::new();
+        return CollSchedule::empty();
     }
     if groups.len() == 1 {
-        // The flat ring all-reduce: `2(n−1)` rounds of `V/n`.
-        let n = groups[0].len();
-        return vec![(ring_round(groups[0], bytes / n as u64), 2 * (n as u32 - 1))];
+        return ring_all_reduce(groups[0], bytes);
     }
     let k = groups.len();
     let s_max = groups
@@ -432,7 +442,7 @@ fn hierarchical_runs(groups: &[Vec<Rank>], bytes: u64) -> Vec<(Round, u32)> {
     runs.push((Round { transfers }, 2 * (k as u32 - 1)));
 
     intra_pass(&mut runs);
-    runs
+    CollSchedule { runs }
 }
 
 /// Effective server count for a PS group: at least one, at most the
@@ -465,9 +475,7 @@ pub fn ps_push(devices: &[Rank], bytes: u64, servers: u32) -> CollSchedule {
             })
         })
         .collect();
-    CollSchedule {
-        rounds: vec![Round { transfers }],
-    }
+    one_run(Round { transfers }, 1)
 }
 
 /// Parameter-server parameter pull: mirror of [`ps_push`] — each server
@@ -491,9 +499,7 @@ pub fn ps_pull(devices: &[Rank], bytes: u64, servers: u32) -> CollSchedule {
             })
         })
         .collect();
-    CollSchedule {
-        rounds: vec![Round { transfers }],
-    }
+    one_run(Round { transfers }, 1)
 }
 
 /// Evaluate a schedule against a concrete [`Topology`]'s per-link cost
@@ -501,22 +507,14 @@ pub fn ps_pull(devices: &[Rank], bytes: u64, servers: u32) -> CollSchedule {
 /// leave (or enter) the same node over the same transport share that
 /// node's aggregate uplink (downlink), and RDMA traffic through an
 /// oversubscribed cluster switch shares its bisection — mirroring how
-/// [`crate::Fabric`] registers links for the flow-level simulator.
+/// [`crate::Fabric`] registers links for the flow-level simulator. Each
+/// run's round is priced once, like [`CollSchedule::seconds_on`].
 ///
 /// On an uncontended fabric this reduces to
 /// [`CollSchedule::seconds_uniform`] at the bottleneck link's rate; under
 /// contention it stays a close analytic proxy for the executor's
 /// max-min-fair replay (the cross-validation tests bound the gap).
 pub fn estimate_on_topology(topo: &Topology, schedule: &CollSchedule) -> f64 {
-    fold_runs(topo, schedule.rounds().iter().map(|round| (round, 1)))
-}
-
-/// The fold behind [`estimate_on_topology`], over run-length
-/// `(round, repeat)` pairs. A round equal to the one priced just before
-/// it reuses that cost, and every repeat adds the round's cost once, so
-/// the total sums the same terms in the same order as pricing each round
-/// of the expanded schedule.
-fn fold_runs<'a>(topo: &Topology, runs: impl IntoIterator<Item = (&'a Round, u32)>) -> f64 {
     let gpus_per_node = topo.gpus_per_node().max(1);
     // Contention counters: `(node, rdma)` slots per node-level link and
     // one per cluster switch.
@@ -524,95 +522,81 @@ fn fold_runs<'a>(topo: &Topology, runs: impl IntoIterator<Item = (&'a Round, u32
     let mut src = vec![0u32; 2 * topo.device_count().div_ceil(gpus_per_node) as usize];
     let mut dst = src.clone();
     let mut switch_flows = vec![0u32; topo.cluster_count() as usize];
-    let mut prev: Option<(&Round, f64)> = None;
-    let mut total = 0.0f64;
-    for (round, repeat) in runs {
-        let round_s = match prev {
-            Some((last, s)) if last == round => s,
-            _ => {
-                src.fill(0);
-                dst.fill(0);
-                switch_flows.fill(0);
-                // First pass: how many concurrent flows share each
-                // node-level link.
-                for t in round.transfers() {
-                    let profile = topo
-                        .link_between(t.from, t.to)
-                        .expect("schedule ranks belong to the topology");
-                    if profile.kind.is_intra_node() {
-                        continue;
-                    }
-                    let rdma = profile.kind.is_rdma();
-                    src[slot(t.from, rdma)] += 1;
-                    dst[slot(t.to, rdma)] += 1;
-                    if rdma {
-                        let cluster = topo
-                            .coord(t.from)
-                            .expect("schedule transfers reference ranks inside the topology")
-                            .cluster
-                            .0;
-                        switch_flows[cluster as usize] += 1;
-                    }
-                }
-                // Second pass: per-transfer cost under fair sharing; the
-                // slowest transfer bounds the round.
-                let mut round_s = 0.0f64;
-                for t in round.transfers() {
-                    let profile = topo
-                        .link_between(t.from, t.to)
-                        .expect("schedule ranks belong to the topology");
-                    let lat = profile.latency_ns as f64 * 1e-9;
-                    let mut bw = profile.bandwidth_bytes_per_sec;
-                    if !profile.kind.is_intra_node() {
-                        let rdma = profile.kind.is_rdma();
-                        let ca = topo
-                            .coord(t.from)
-                            .expect("schedule transfers reference ranks inside the topology");
-                        let cb = topo
-                            .coord(t.to)
-                            .expect("schedule transfers reference ranks inside the topology");
-                        let na = &topo.clusters()[ca.cluster.0 as usize].nodes[ca.node.0 as usize];
-                        let nb = &topo.clusters()[cb.cluster.0 as usize].nodes[cb.node.0 as usize];
-                        let (up, down) = if rdma {
-                            (
-                                na.nic.node_uplink_bytes_per_sec(),
-                                nb.nic.node_uplink_bytes_per_sec(),
-                            )
-                        } else {
-                            (
-                                na.ethernet.node_uplink_bytes_per_sec(),
-                                nb.ethernet.node_uplink_bytes_per_sec(),
-                            )
-                        };
-                        let s = f64::from(src[slot(t.from, rdma)]);
-                        let d = f64::from(dst[slot(t.to, rdma)]);
-                        bw = bw.min(up / s).min(down / d);
-                        if rdma {
-                            let cluster = &topo.clusters()[ca.cluster.0 as usize];
-                            if cluster.oversubscription > 1.0 {
-                                let flows = f64::from(switch_flows[ca.cluster.0 as usize]);
-                                bw = bw.min(cluster.switch_bisection_bytes_per_sec() / flows);
-                            }
-                        }
-                    }
-                    round_s = round_s.max(lat + t.bytes as f64 / bw);
-                }
-                round_s
+    schedule.fold(|round| {
+        src.fill(0);
+        dst.fill(0);
+        switch_flows.fill(0);
+        // First pass: how many concurrent flows share each node-level
+        // link.
+        for t in round.transfers() {
+            let profile = topo
+                .link_between(t.from, t.to)
+                .expect("schedule ranks belong to the topology");
+            if profile.kind.is_intra_node() {
+                continue;
             }
-        };
-        for _ in 0..repeat {
-            total += round_s;
+            let rdma = profile.kind.is_rdma();
+            src[slot(t.from, rdma)] += 1;
+            dst[slot(t.to, rdma)] += 1;
+            if rdma {
+                let cluster = topo
+                    .coord(t.from)
+                    .expect("schedule transfers reference ranks inside the topology")
+                    .cluster
+                    .0;
+                switch_flows[cluster as usize] += 1;
+            }
         }
-        prev = Some((round, round_s));
-    }
-    total
+        // Second pass: per-transfer cost under fair sharing; the slowest
+        // transfer bounds the round.
+        let mut round_s = 0.0f64;
+        for t in round.transfers() {
+            let profile = topo
+                .link_between(t.from, t.to)
+                .expect("schedule ranks belong to the topology");
+            let lat = profile.latency_ns as f64 * 1e-9;
+            let mut bw = profile.bandwidth_bytes_per_sec;
+            if !profile.kind.is_intra_node() {
+                let rdma = profile.kind.is_rdma();
+                let ca = topo
+                    .coord(t.from)
+                    .expect("schedule transfers reference ranks inside the topology");
+                let cb = topo
+                    .coord(t.to)
+                    .expect("schedule transfers reference ranks inside the topology");
+                let na = &topo.clusters()[ca.cluster.0 as usize].nodes[ca.node.0 as usize];
+                let nb = &topo.clusters()[cb.cluster.0 as usize].nodes[cb.node.0 as usize];
+                let (up, down) = if rdma {
+                    (
+                        na.nic.node_uplink_bytes_per_sec(),
+                        nb.nic.node_uplink_bytes_per_sec(),
+                    )
+                } else {
+                    (
+                        na.ethernet.node_uplink_bytes_per_sec(),
+                        nb.ethernet.node_uplink_bytes_per_sec(),
+                    )
+                };
+                let s = f64::from(src[slot(t.from, rdma)]);
+                let d = f64::from(dst[slot(t.to, rdma)]);
+                bw = bw.min(up / s).min(down / d);
+                if rdma {
+                    let cluster = &topo.clusters()[ca.cluster.0 as usize];
+                    if cluster.oversubscription > 1.0 {
+                        let flows = f64::from(switch_flows[ca.cluster.0 as usize]);
+                        bw = bw.min(cluster.switch_bisection_bytes_per_sec() / flows);
+                    }
+                }
+            }
+            round_s = round_s.max(lat + t.bytes as f64 / bw);
+        }
+        round_s
+    })
 }
 
 /// [`estimate_on_topology`] for a [`CollKind`] over `devices`, deriving
 /// the cluster partition from the topology — the planner-facing helper
-/// behind NIC-selection scoring and the core estimator. Hierarchical
-/// groups are folded straight from their runs, without materialising the
-/// expanded schedule.
+/// behind NIC-selection scoring and the core estimator.
 pub fn estimate_collective(topo: &Topology, kind: CollKind, devices: &[Rank], bytes: u64) -> f64 {
     let cluster_of = |r: Rank| {
         topo.coord(r)
@@ -620,10 +604,6 @@ pub fn estimate_collective(topo: &Topology, kind: CollKind, devices: &[Rank], by
             .cluster
             .0
     };
-    if kind == CollKind::HierarchicalAllReduce {
-        let runs = hierarchical_runs(&partition_by_cluster(devices, cluster_of), bytes);
-        return fold_runs(topo, runs.iter().map(|(round, repeat)| (round, *repeat)));
-    }
     estimate_on_topology(topo, &kind.schedule(devices, bytes, cluster_of))
 }
 
@@ -657,7 +637,7 @@ mod tests {
             let s = tree_all_reduce(&ranks(n), V);
             assert_eq!(s.round_count(), 2 * tree_depth(n));
             assert!(
-                s.rounds().iter().all(|r| !r.transfers().is_empty()),
+                s.rounds().all(|r| !r.transfers().is_empty()),
                 "empty round at n = {n}"
             );
         }
@@ -689,6 +669,7 @@ mod tests {
         let n = 8u32;
         let rs = ring_reduce_scatter(&ranks(n), V);
         assert_eq!(rs.round_count(), n - 1);
+        assert_eq!(rs.runs.len(), 1, "a ring is one run");
         for round in rs.rounds() {
             assert_eq!(round.transfers().len(), n as usize);
             for t in round.transfers() {
@@ -699,7 +680,12 @@ mod tests {
         assert_eq!(ring_all_reduce(&ranks(n), V).round_count(), 2 * (n - 1));
         assert_eq!(ring_broadcast(&ranks(n), V).round_count(), n - 1);
         assert_eq!(
-            ring_broadcast(&ranks(n), V).rounds()[0].transfers()[0].bytes,
+            ring_broadcast(&ranks(n), V)
+                .rounds()
+                .next()
+                .unwrap()
+                .transfers()[0]
+                .bytes,
             V / u64::from(n - 1)
         );
     }
@@ -739,7 +725,7 @@ mod tests {
         assert_eq!(s.round_count(), 3 + 2 + 3);
         // Inter rounds (indices 3, 4) carry V/(s_max·k) chunks across
         // clusters only; intra rounds never cross.
-        for (i, round) in s.rounds().iter().enumerate() {
+        for (i, round) in s.rounds().enumerate() {
             let inter = i == 3 || i == 4;
             for t in round.transfers() {
                 let crosses = (t.from.0 < 4) != (t.to.0 < 4);
@@ -769,7 +755,6 @@ mod tests {
         let s = hierarchical_all_reduce(&[ranks(4), vec![Rank(9)]], V);
         let exchanged: u64 = s
             .rounds()
-            .iter()
             .flat_map(|r| r.transfers())
             .filter(|t| t.from == Rank(9))
             .map(|t| t.bytes)
@@ -783,29 +768,53 @@ mod tests {
     }
 
     #[test]
-    fn uniform_fold_matches_closed_forms() {
-        // The crate::collective ring formulas must be the algebraic
-        // evaluation of these schedules — checked here for a spread of
-        // sizes and again property-based in tests/properties.rs.
-        use crate::collective;
-        for n in [2u32, 3, 5, 8, 17, 32] {
-            let devices = ranks(n);
-            // The IR truncates chunk sizes to whole bytes (`V / n`), the
-            // closed forms divide in ℝ — allow the ≤ n-bytes-per-round gap.
-            let close = |a: f64, b: f64| (a - b).abs() < 1e-6 * b.max(1.0);
-            assert!(close(
-                ring_reduce_scatter(&devices, V).seconds_uniform(BW, LAT),
-                collective::reduce_scatter_seconds(n, V, BW, LAT)
-            ));
-            assert!(close(
-                ring_all_gather(&devices, V).seconds_uniform(BW, LAT),
-                collective::all_gather_seconds(n, V, BW, LAT)
-            ));
-            assert!(close(
-                ring_all_reduce(&devices, V).seconds_uniform(BW, LAT),
-                collective::ring_allreduce_seconds(n, V, BW, LAT)
-            ));
+    fn single_rank_rings_are_free() {
+        for n in [0, 1] {
+            assert_eq!(ring_all_reduce(&ranks(n), V).seconds_uniform(BW, LAT), 0.0);
+            assert_eq!(
+                ring_reduce_scatter(&ranks(n), V).seconds_uniform(BW, LAT),
+                0.0
+            );
+            assert_eq!(ring_all_gather(&ranks(n), V).seconds_uniform(BW, LAT), 0.0);
         }
+    }
+
+    #[test]
+    fn allreduce_is_rs_then_ag() {
+        // The all-reduce's rounds are the reduce-scatter's followed by the
+        // all-gather's, so its fold is theirs up to summation order.
+        let d = ranks(8);
+        let ar = ring_all_reduce(&d, V).seconds_uniform(BW, LAT);
+        let rs = ring_reduce_scatter(&d, V).seconds_uniform(BW, LAT);
+        let ag = ring_all_gather(&d, V).seconds_uniform(BW, LAT);
+        assert!((ar - (rs + ag)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn allreduce_traffic_approaches_2v_for_large_n() {
+        // At zero latency, all-reduce time → 2·V·(n−1)/n ÷ BW.
+        let gb = 1_000_000_000u64;
+        let t = ring_all_reduce(&ranks(1000), gb).seconds_uniform(BW, 0.0);
+        let ideal = 2.0 * (gb as f64) * 999.0 / 1000.0 / BW;
+        assert!((t - ideal).abs() < 1e-9);
+        assert!(t < 2.0 * gb as f64 / BW);
+    }
+
+    #[test]
+    fn ring_cost_is_monotone_in_volume_latency_and_bandwidth() {
+        let d = ranks(8);
+        let seconds = |bytes, bw, lat| ring_all_reduce(&d, bytes).seconds_uniform(bw, lat);
+        let base = seconds(V, BW, LAT);
+        assert!(seconds(2 * V, BW, LAT) > base);
+        assert!(seconds(V, BW, 10.0 * LAT) > base);
+        assert!(seconds(V, 2.0 * BW, LAT) < base);
+    }
+
+    #[test]
+    fn latency_term_scales_with_ring_size() {
+        // With a zero-byte payload, cost is purely (n−1)·latency per phase.
+        let t = ring_all_reduce(&ranks(5), 0).seconds_uniform(BW, LAT);
+        assert!((t - 2.0 * 4.0 * LAT).abs() < 1e-12);
     }
 
     #[test]
@@ -873,34 +882,42 @@ mod tests {
     }
 
     #[test]
-    fn fold_reuses_only_equal_consecutive_rounds() {
+    fn explicit_rounds_are_priced_one_by_one_in_order() {
         use holmes_topology::{presets, NicType};
-        // [A, A, B, A]: the second A reuses the first's cost, B is priced
-        // afresh, and the last A (after B) must be priced again — never
-        // confused with B's cost.
+        // [A, A, B, A] as runs of one: each round adds its own cost, in
+        // order, from zero.
         let topo = presets::same_nic_two_clusters(NicType::InfiniBand, 2);
-        let a = ring_all_reduce(&ranks(32), V).rounds()[0].clone();
-        let b = tree_all_reduce(&ranks(32), V).rounds()[0].clone();
+        let a = ring_all_reduce(&ranks(32), V)
+            .rounds()
+            .next()
+            .unwrap()
+            .clone();
+        let b = tree_all_reduce(&ranks(32), V)
+            .rounds()
+            .next()
+            .unwrap()
+            .clone();
         let price =
             |r: &Round| estimate_on_topology(&topo, &CollSchedule::from_rounds(vec![r.clone()]));
         let (pa, pb) = (price(&a), price(&b));
         assert_ne!(pa.to_bits(), pb.to_bits());
         let schedule = CollSchedule::from_rounds(vec![a.clone(), a.clone(), b, a]);
+        assert_eq!(schedule.round_count(), 4);
         let folded = estimate_on_topology(&topo, &schedule);
         assert_eq!(folded.to_bits(), (0.0 + pa + pa + pb + pa).to_bits());
     }
 
     #[test]
-    fn hierarchical_runs_expand_to_the_schedule() {
+    fn hierarchical_schedule_is_a_few_runs() {
         // Unequal clusters: the intra pass splits where the 2-member
         // cluster drops out, and the exchange is one repeated round.
         let groups = vec![ranks(5), vec![Rank(8), Rank(9)], vec![Rank(16)]];
-        let runs = hierarchical_runs(&groups, V);
-        let repeats: Vec<u32> = runs.iter().map(|(_, n)| *n).collect();
-        assert_eq!(repeats, vec![1, 3, 4, 1, 3]);
         let s = hierarchical_all_reduce(&groups, V);
+        let repeats: Vec<u32> = s.runs.iter().map(|(_, n)| *n).collect();
+        assert_eq!(repeats, vec![1, 3, 4, 1, 3]);
         assert_eq!(s.round_count(), repeats.iter().sum::<u32>());
-        assert!(hierarchical_runs(&[ranks(1)], V).is_empty());
+        assert_eq!(s.rounds().count(), s.round_count() as usize);
+        assert!(hierarchical_all_reduce(&[ranks(1)], V).is_empty());
     }
 
     #[test]

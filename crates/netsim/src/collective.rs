@@ -1,25 +1,9 @@
-//! Ring pricing on a uniform link: the bottleneck link of a ring
-//! ([`ring_link`]) and the closed-form ring costs over it.
-//!
-//! Each formula here is the algebraic result of folding the corresponding
-//! [`crate::algo`] ring schedule over a **uniform** link model
-//! ([`crate::algo::CollSchedule::seconds_uniform`]): every round costs
-//! `latency + chunk/bandwidth` (its transfers move concurrently and carry
-//! equal chunks), and rounds serialize. For the standard bandwidth-optimal
-//! ring algorithms (Patarasuk & Yuan, the paper's \[26\], and the
-//! Ring-AllReduce the paper describes in §3.2) that fold collapses to:
-//!
-//! * **reduce-scatter** — `n−1` rounds of `V/n`: `(n−1)·(lat + V/(n·bw))`;
-//! * **all-gather** — identical round structure;
-//! * **all-reduce** — reduce-scatter followed by all-gather.
-//!
-//! The closed forms divide the volume in ℝ while the IR truncates chunks
-//! to whole bytes and sums rounds one by one, so the two differ in the
-//! last bits; the planner, the estimator and the compute model price with
-//! the closed forms, and `tests/properties.rs` bounds their distance from
-//! the fold and from a flow-level replay. Every other algorithm (tree,
-//! broadcast, hierarchical, parameter server) is priced only by folding
-//! its [`crate::algo`] schedule.
+//! The uniform link a ring of ranks runs at ([`ring_link`]): its
+//! slowest hop and largest hop latency. The planner's NIC selection, the
+//! estimator and the cross-crate tests price a flat ring by folding its
+//! [`crate::algo`] schedule over that link
+//! ([`crate::algo::CollSchedule::seconds_uniform`]); no ring cost has a
+//! closed form of its own.
 
 use holmes_topology::{Rank, Topology, TopologyError};
 
@@ -55,91 +39,10 @@ pub fn ring_link(
     Ok((bw, lat))
 }
 
-/// Ring reduce-scatter over `n` ranks of a `bytes`-sized buffer.
-pub fn reduce_scatter_seconds(
-    n: u32,
-    bytes: u64,
-    bandwidth_bytes_per_sec: f64,
-    latency_s: f64,
-) -> f64 {
-    if n <= 1 {
-        return 0.0;
-    }
-    let steps = f64::from(n - 1);
-    let chunk = bytes as f64 / f64::from(n);
-    steps * (latency_s + chunk / bandwidth_bytes_per_sec)
-}
-
-/// Ring all-gather over `n` ranks of a `bytes`-sized buffer.
-pub fn all_gather_seconds(n: u32, bytes: u64, bandwidth_bytes_per_sec: f64, latency_s: f64) -> f64 {
-    // Identical step structure to reduce-scatter.
-    reduce_scatter_seconds(n, bytes, bandwidth_bytes_per_sec, latency_s)
-}
-
-/// Ring all-reduce = reduce-scatter + all-gather.
-pub fn ring_allreduce_seconds(
-    n: u32,
-    bytes: u64,
-    bandwidth_bytes_per_sec: f64,
-    latency_s: f64,
-) -> f64 {
-    reduce_scatter_seconds(n, bytes, bandwidth_bytes_per_sec, latency_s)
-        + all_gather_seconds(n, bytes, bandwidth_bytes_per_sec, latency_s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use holmes_topology::{presets, NicType};
-
-    const GB: u64 = 1_000_000_000;
-    const BW: f64 = 1e9; // 1 GB/s
-    const LAT: f64 = 1e-5;
-
-    #[test]
-    fn single_rank_collectives_are_free() {
-        assert_eq!(ring_allreduce_seconds(1, GB, BW, LAT), 0.0);
-        assert_eq!(reduce_scatter_seconds(1, GB, BW, LAT), 0.0);
-        assert_eq!(all_gather_seconds(0, GB, BW, LAT), 0.0);
-    }
-
-    #[test]
-    fn allreduce_equals_rs_plus_ag() {
-        let ar = ring_allreduce_seconds(8, GB, BW, LAT);
-        let rs = reduce_scatter_seconds(8, GB, BW, LAT);
-        let ag = all_gather_seconds(8, GB, BW, LAT);
-        assert!((ar - (rs + ag)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn allreduce_traffic_approaches_2v_for_large_n() {
-        // At zero latency, all-reduce time → 2·V·(n−1)/n ÷ BW.
-        let t = ring_allreduce_seconds(1000, GB, BW, 0.0);
-        let ideal = 2.0 * (GB as f64) * 999.0 / 1000.0 / BW;
-        assert!((t - ideal).abs() < 1e-9);
-        assert!(t < 2.0 * GB as f64 / BW);
-    }
-
-    #[test]
-    fn cost_is_monotone_in_volume() {
-        let a = ring_allreduce_seconds(8, GB, BW, LAT);
-        let b = ring_allreduce_seconds(8, 2 * GB, BW, LAT);
-        assert!(b > a);
-    }
-
-    #[test]
-    fn cost_is_monotone_in_latency_and_inverse_in_bandwidth() {
-        let base = ring_allreduce_seconds(8, GB, BW, LAT);
-        assert!(ring_allreduce_seconds(8, GB, BW, 10.0 * LAT) > base);
-        assert!(ring_allreduce_seconds(8, GB, 2.0 * BW, LAT) < base);
-    }
-
-    #[test]
-    fn latency_term_scales_with_ring_size() {
-        // With a zero-byte payload, cost is purely (n−1)·latency per phase.
-        let t = ring_allreduce_seconds(5, 0, BW, LAT);
-        assert!((t - 2.0 * 4.0 * LAT).abs() < 1e-12);
-    }
 
     fn link_over(topo: &Topology, ranks: std::ops::Range<u32>) -> (f64, f64) {
         let devices: Vec<Rank> = ranks.map(Rank).collect();
@@ -171,7 +74,8 @@ mod tests {
     fn ib_ring_beats_roce_ring_beats_ethernet_ring() {
         let seconds = |nic| {
             let (bw, lat) = link_over(&presets::homogeneous(nic, 2), 0..16);
-            ring_allreduce_seconds(16, 1 << 30, bw, lat)
+            let devices: Vec<Rank> = (0..16).map(Rank).collect();
+            crate::algo::ring_all_reduce(&devices, 1 << 30).seconds_uniform(bw, lat)
         };
         let (t_ib, t_roce, t_eth) = (
             seconds(NicType::InfiniBand),

@@ -25,13 +25,13 @@
 //! * [`algo`] — the collective algorithm IR: every algorithm (ring
 //!   reduce-scatter / all-gather / all-reduce, tree all-reduce, pipelined
 //!   broadcast, hierarchical cross-cluster all-reduce) is defined **once**
-//!   as a round schedule of `(sender, receiver, bytes)` transfers. The
-//!   engine replays schedules flow-by-flow; the analytic layers fold the
-//!   same schedules over per-link cost models.
+//!   as a run-length round schedule of `(sender, receiver, bytes)`
+//!   transfers. The engine replays schedules flow-by-flow; the analytic
+//!   layers fold the same schedules over per-link cost models, and no
+//!   collective has a second, closed-form cost.
 //! * [`collective`] — [`collective::ring_link`], the uniform link a ring
-//!   of ranks runs at (its slowest hop and largest latency), and the
-//!   closed-form ring reduce-scatter / all-gather / all-reduce costs over
-//!   such a link, which the planner and the estimator both use.
+//!   of ranks runs at (its slowest hop and largest latency), over which
+//!   the planner and the estimator fold ring schedules.
 //! * [`WordHash`] — the deterministic word hasher for maps probed on
 //!   every event, here and in the executor.
 

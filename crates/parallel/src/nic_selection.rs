@@ -7,6 +7,7 @@
 //! data-parallel communication cost — the signal the Holmes planner uses to
 //! choose between candidate assignments.
 
+use holmes_netsim::algo::CollKind;
 use holmes_topology::{NicType, Rank, Topology};
 
 use crate::groups::GroupLayout;
@@ -119,14 +120,13 @@ impl DpGroupNic {
     /// bounds and full-plan costs are bit-identical (`f64::max` over
     /// non-negative finite values is fold-order independent).
     pub fn sync_cost_seconds(&self, topo: &Topology, gradient_bytes: u64) -> f64 {
-        let n = self.devices.len() as u32;
-        if n <= 1 {
+        if self.devices.len() <= 1 {
             return 0.0;
         }
         match self.algo {
             DpCollectiveAlgo::HierarchicalTwoLevel => holmes_netsim::algo::estimate_collective(
                 topo,
-                holmes_netsim::algo::CollKind::HierarchicalAllReduce,
+                CollKind::HierarchicalAllReduce,
                 &self.devices,
                 gradient_bytes,
             ),
@@ -138,7 +138,9 @@ impl DpGroupNic {
                 let (bw, lat) =
                     holmes_netsim::collective::ring_link(topo, &self.devices, self.forced_tcp)
                         .expect("candidate group members are ranks inside the topology");
-                holmes_netsim::collective::ring_allreduce_seconds(n, gradient_bytes, bw, lat)
+                CollKind::AllReduce
+                    .schedule(&self.devices, gradient_bytes, |_| 0)
+                    .seconds_uniform(bw, lat)
             }
         }
     }
@@ -437,12 +439,9 @@ mod tests {
         let hier = report.dp_sync_cost_seconds(&topo, grad);
         let g = &report.groups[0];
         let (bw, lat) = holmes_netsim::collective::ring_link(&topo, &g.devices, false).unwrap();
-        let flat = holmes_netsim::collective::ring_allreduce_seconds(
-            g.devices.len() as u32,
-            grad,
-            bw,
-            lat,
-        );
+        let flat = CollKind::AllReduce
+            .schedule(&g.devices, grad, |_| 0)
+            .seconds_uniform(bw, lat);
         assert!(hier < flat, "hier {hier} vs flat {flat}");
     }
 

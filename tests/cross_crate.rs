@@ -3,12 +3,13 @@
 //! for measurement) wherever both apply.
 
 use holmes_repro::engine::{execute, CollKind, CollectiveSpec, ExecutionSpec, TransportPolicy};
-use holmes_repro::netsim::collective::{ring_allreduce_seconds, ring_link};
+use holmes_repro::netsim::collective::ring_link;
 use holmes_repro::parallel::{GroupLayout, HolmesScheduler, ParallelDegrees, Scheduler};
 use holmes_repro::topology::{presets, NicType, Rank};
 
-/// Simulated ring all-reduce time must match the closed-form model on an
-/// uncontended fabric (same algorithm, same bottleneck).
+/// Simulated ring all-reduce time must match its schedule folded over the
+/// ring's bottleneck link on an uncontended fabric (same algorithm, same
+/// bottleneck).
 #[test]
 fn simulated_collective_matches_analytic_model() {
     for nic in [NicType::InfiniBand, NicType::RoCE] {
@@ -18,7 +19,9 @@ fn simulated_collective_matches_analytic_model() {
 
         // Analytic.
         let (bw, lat) = ring_link(&topo, &devices, false).unwrap();
-        let analytic = ring_allreduce_seconds(devices.len() as u32, bytes, bw, lat);
+        let analytic = CollKind::AllReduce
+            .schedule(&devices, bytes, |_| 0)
+            .seconds_uniform(bw, lat);
 
         // Simulated.
         let programs = devices
