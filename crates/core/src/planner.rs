@@ -1,6 +1,6 @@
 //! The Holmes planner: topology + job + feature flags → parallel plan.
 
-use holmes_engine::{DpSyncStrategy, EngineConfig, ScheduleKind, TransportPolicy};
+use holmes_engine::{BuildError, DpSyncStrategy, EngineConfig, ScheduleKind, TransportPolicy};
 use holmes_model::{CommVolumes, ParameterGroup, TrainJob};
 use holmes_parallel::{
     DegreeError, GroupLayout, GuidedPlanner, NicSelectionReport, ParallelDegrees, ParallelPlan,
@@ -36,16 +36,20 @@ impl PlanRequest {
 }
 
 /// Planning failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// The degrees do not divide the topology's device count.
     Degrees(DegreeError),
+    /// The job cannot run at the inferred degrees (the builder's
+    /// [`BuildError::BatchIndivisible`]), found before placement search.
+    Infeasible(BuildError),
 }
 
 impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::Degrees(e) => write!(f, "invalid parallel degrees: {e}"),
+            PlanError::Infeasible(e) => write!(f, "{e}"),
         }
     }
 }
@@ -121,6 +125,7 @@ fn plan_for_with(
         topo.device_count(),
     )
     .map_err(PlanError::Degrees)?;
+    holmes_engine::builder::microbatches(&req.job, degrees.data).map_err(PlanError::Infeasible)?;
     let layout = GroupLayout::new(degrees);
     let gradient_bytes = placement_gradient_bytes(&req.job, degrees);
     // The placement workload prices gradient sync plus each DP group's
@@ -373,6 +378,50 @@ mod tests {
             placement_gradient_bytes(&req.job, sharded),
             placement_gradient_bytes(&req.job, degrees) / 2
         );
+    }
+
+    /// A planner that fails the test if asked to search.
+    struct NoSearch;
+
+    impl Planner for NoSearch {
+        fn plan_workload(
+            &self,
+            _: &Topology,
+            _: &GroupLayout,
+            _: PlacementWorkload,
+        ) -> holmes_parallel::PlacementSearchResult {
+            panic!("an infeasible batch reached placement search")
+        }
+
+        fn name(&self) -> &'static str {
+            "no-search"
+        }
+    }
+
+    #[test]
+    fn indivisible_batch_is_refused_before_placement_search() {
+        // 512 replicas of micro-batch 4 cannot split PG 1's 768 samples.
+        let topo = presets::synthetic_fleet(64, 2);
+        let req = PlanRequest::parameter_group(1);
+        let want = PlanError::Infeasible(BuildError::BatchIndivisible {
+            global_batch: 768,
+            data_parallel: 512,
+            micro_batch: 4,
+        });
+        let cfg = HolmesConfig::full();
+        let dp = DpSyncStrategy::DistributedOptimizer;
+        assert_eq!(
+            plan_for_with(&topo, &req, &cfg, dp, &NoSearch).unwrap_err(),
+            want
+        );
+        let mut session = holmes_obs::ObsSession::new();
+        let err = crate::run_framework(crate::FrameworkKind::Holmes, &topo, 1, Some(&mut session))
+            .unwrap_err();
+        assert!(
+            matches!(&err, crate::RunError::Plan(e) if *e == want),
+            "{err}"
+        );
+        assert_eq!(session.registry.counter("parallel.synth_expanded"), 0);
     }
 
     #[test]

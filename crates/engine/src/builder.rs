@@ -217,6 +217,17 @@ impl StagePrice {
     }
 }
 
+/// Micro-batches per replica of `job` across `d` data-parallel replicas,
+/// or [`BuildError::BatchIndivisible`].
+pub fn microbatches(job: &TrainJob, d: u32) -> Result<u32, BuildError> {
+    job.microbatches_per_replica(d)
+        .ok_or(BuildError::BatchIndivisible {
+            global_batch: job.global_batch,
+            data_parallel: d,
+            micro_batch: job.micro_batch,
+        })
+}
+
 /// Price every pipeline stage of a plan: compute model, chunk costs,
 /// unit list, parameters and memory need, one [`StagePrice`] per stage.
 ///
@@ -233,13 +244,7 @@ pub fn price_stages(
 ) -> Result<Vec<StagePrice>, BuildError> {
     let degrees = plan.degrees();
     let (t, p, d) = (degrees.tensor, degrees.pipeline, degrees.data);
-    let m = job
-        .microbatches_per_replica(d)
-        .ok_or(BuildError::BatchIndivisible {
-            global_batch: job.global_batch,
-            data_parallel: d,
-            micro_batch: job.micro_batch,
-        })?;
+    let m = microbatches(job, d)?;
     if plan.total_layers() != job.config.num_layers {
         return Err(BuildError::LayerMismatch {
             plan_layers: plan.total_layers(),

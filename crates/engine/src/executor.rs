@@ -51,6 +51,7 @@ use holmes_topology::{Rank, Topology};
 use crate::fault::{DegradedCondition, FaultPlan, FaultTarget, FaultWindow, RetryPolicy};
 use crate::ops::{Channel, ComputeLabel, MsgKey, Op};
 use crate::timeline::{Span, SpanKind, Timeline};
+use crate::validate::SpecError;
 
 pub use holmes_netsim::algo::CollKind;
 
@@ -252,39 +253,10 @@ pub enum ExecError {
         /// Devices in the topology.
         devices: u32,
     },
-    /// A `CollStart` or `CollWait` names a collective id past the end of
-    /// [`ExecutionSpec::collectives`]. Checked before any flow starts.
-    ///
-    /// ```
-    /// # use holmes_engine::ExecError;
-    /// let e = ExecError::UnknownCollective { id: 3 };
-    /// assert!(e.to_string().contains("unknown collective"));
-    /// ```
-    UnknownCollective {
-        /// The collective id no spec entry carries.
-        id: u32,
-    },
-    /// One message key is sent twice, or received twice: which send a
-    /// receive consumes would be ambiguous. Checked before any flow
-    /// starts.
-    ///
-    /// ```
-    /// # use holmes_engine::{Channel, ExecError, MsgKey};
-    /// # use holmes_topology::Rank;
-    /// let key = MsgKey {
-    ///     from: Rank(0),
-    ///     to: Rank(8),
-    ///     channel: Channel::Activation,
-    ///     microbatch: 0,
-    ///     chunk: 0,
-    /// };
-    /// let e = ExecError::DuplicateMessage { key };
-    /// assert!(e.to_string().contains("twice"));
-    /// ```
-    DuplicateMessage {
-        /// The key sent (or received) a second time.
-        key: MsgKey,
-    },
+    /// The spec's structure is broken: the first hard [`SpecError`] met
+    /// (any but an unmatched send or receive, which surfaces as
+    /// [`ExecError::Deadlock`]). Checked before any flow starts.
+    InvalidSpec(SpecError),
     /// A link fault names fabric the run does not have: a node index past
     /// the topology's last node, or [`FaultTarget::Trunk`] without
     /// [`FaultPlan::trunk_bytes_per_sec`]. Checked before any flow starts.
@@ -344,10 +316,7 @@ impl std::fmt::Display for ExecError {
             ExecError::RankOutsideTopology { rank, devices } => {
                 write!(f, "rank {rank} is outside the topology ({devices} devices)")
             }
-            ExecError::UnknownCollective { id } => write!(f, "unknown collective id {id}"),
-            ExecError::DuplicateMessage { key } => {
-                write!(f, "message {key:?} is sent or received twice")
-            }
+            ExecError::InvalidSpec(d) => write!(f, "invalid spec: {d}"),
             ExecError::FaultTargetMissing { target } => {
                 write!(
                     f,
@@ -794,9 +763,8 @@ fn solo_forced() -> bool {
 
 /// Execute a spec on a topology. See [`IterationReport`].
 ///
-/// In debug builds the spec is statically validated first
-/// ([`crate::validate::validate_spec`]); a structurally broken spec
-/// panics with the defect list instead of deadlocking mid-simulation.
+/// A structurally broken spec returns [`ExecError::InvalidSpec`] before
+/// any flow starts, in every build profile.
 pub fn execute(topo: &Topology, spec: ExecutionSpec) -> Result<IterationReport, ExecError> {
     execute_inner(topo, spec, None, None)
 }
@@ -837,29 +805,12 @@ pub(crate) fn execute_inner(
     if let Some(plan) = plan {
         check_fault_targets(topo, plan)?;
     }
+    // Symbolic progress gate: when a fault plan is armed, model-check the
+    // collectives against exactly the events it can produce (stalls,
+    // livelocks, unsound member-loss claims) before replaying a flow.
     #[cfg(debug_assertions)]
-    {
-        let defects = crate::validate::validate_spec(&spec);
-        // Unmatched receives surface as dynamic deadlocks (some tests rely
-        // on that); only hard structural defects panic here.
-        let hard: Vec<_> = defects
-            .iter()
-            .filter(|d| {
-                !matches!(
-                    d,
-                    crate::validate::SpecError::UnmatchedRecv(_)
-                        | crate::validate::SpecError::UnmatchedSend(_)
-                )
-            })
-            .collect();
-        assert!(hard.is_empty(), "structurally invalid spec: {hard:?}");
-        // Symbolic progress gate beside the structural one: when a fault
-        // plan is armed, model-check the collectives against exactly the
-        // events that plan can produce (stalls, livelocks, unsound
-        // member-loss claims) before replaying a single flow.
-        if plan.is_some_and(|p| !p.is_empty()) {
-            crate::progress::debug_check(topo, &spec, plan);
-        }
+    if plan.is_some_and(|p| !p.is_empty()) {
+        crate::progress::debug_check(topo, &spec, plan);
     }
     let mut sim = NetSim::new();
     if obs.is_some() {
@@ -932,10 +883,10 @@ pub(crate) fn execute_inner(
                     .cluster
                     .0
             });
-            // Static artifact check next to the spec validation above:
-            // every generated schedule must satisfy the collective-IR
-            // invariants (byte conservation, coverage, link existence, …)
-            // before the simulator replays a single flow of it.
+            // Static artifact check: every generated schedule must satisfy
+            // the collective-IR invariants (byte conservation, coverage,
+            // link existence, …) before the simulator replays a single
+            // flow of it.
             #[cfg(debug_assertions)]
             {
                 let defects =
@@ -1088,12 +1039,15 @@ struct Lowered {
 
 /// Check a spec and resolve its messages. Rejects what the executor
 /// cannot replay: a device with two programs, a collective without
-/// members, a collective op naming no collective, a message key sent or
-/// received twice, or a program device, send endpoint or collective
-/// member outside the topology. Every send and receive gets the slot of its
-/// key: its stream is found in a small per-program cache (a hash lookup
-/// on a miss), then its microbatch by binary search in the stream's
-/// sorted (microbatch, slot) list, so nothing is sized by a key's value.
+/// members, a program device, send endpoint or collective member outside
+/// the topology, and every hard [`SpecError`] in
+/// [`crate::validate_spec`]'s sense (unmatched sends and receives are
+/// left to the run). Every send and receive gets the slot of its key:
+/// its stream is found in a small per-program cache (a hash lookup on a
+/// miss), then its microbatch by binary search in the stream's sorted
+/// (microbatch, slot) list, so nothing is sized by a key's value.
+/// Collective ops are checked against per-collective program stamps, so
+/// the walk stays linear in ops plus collective memberships.
 fn lower(topo: &Topology, spec: &ExecutionSpec) -> Result<Lowered, ExecError> {
     let devices = topo.device_count();
     let inside = |rank: Rank| {
@@ -1103,6 +1057,39 @@ fn lower(topo: &Topology, spec: &ExecutionSpec) -> Result<Lowered, ExecError> {
             Err(ExecError::RankOutsideTopology { rank, devices })
         }
     };
+    let refuse = |defect| Err(ExecError::InvalidSpec(defect));
+    // One scratch allocation (each extra setup allocation measurably slows
+    // the event loop through its heap layout): per device, a has-program
+    // flag and, by a counting sort, its collectives, ascending, at
+    // `member_of[first[d]..first[d + 1]]`; per collective, the program being
+    // walked if a member, its last starter and its least unstarted member.
+    let (n, colls) = (devices as usize, spec.collectives.len());
+    let memberships: usize = spec.collectives.iter().map(|c| c.devices.len()).sum();
+    let mut scratch = vec![0u32; 2 * n + 1 + memberships + 3 * colls];
+    let (has_program, rest) = scratch.split_at_mut(n);
+    let (first, rest) = rest.split_at_mut(n + 1);
+    let (member_of, stamps) = rest.split_at_mut(memberships);
+    stamps.fill(u32::MAX);
+    let (member_in, rest) = stamps.split_at_mut(colls);
+    let (started_in, missing) = rest.split_at_mut(colls);
+    for (id, c) in spec.collectives.iter().enumerate() {
+        if c.devices.is_empty() {
+            return Err(ExecError::EmptyCollective { id: id as u32 });
+        }
+        for &rank in &c.devices {
+            inside(rank)?;
+            first[rank.0 as usize] += 1;
+        }
+    }
+    for d in 1..=n {
+        first[d] += first[d - 1];
+    }
+    for (id, c) in spec.collectives.iter().enumerate().rev() {
+        for rank in &c.devices {
+            first[rank.0 as usize] -= 1;
+            member_of[first[rank.0 as usize] as usize] = id as u32;
+        }
+    }
     let ops = spec.programs.iter().map(|(_, p)| p.len()).sum();
     let mut lowered = Lowered {
         op_msg: Vec::with_capacity(ops),
@@ -1111,48 +1098,56 @@ fn lower(topo: &Topology, spec: &ExecutionSpec) -> Result<Lowered, ExecError> {
         compute_ops: 0,
         wait_ops: 0,
     };
-    let mut has_program = vec![false; devices as usize];
     let mut stream_of: HashMap<StreamKey, usize> = HashMap::new();
     let mut streams: Vec<Vec<(u32, u32)>> = Vec::new();
     let mut cache: Vec<(StreamKey, usize)> = Vec::with_capacity(STREAM_CACHE);
     // Per slot: whether a send (bit 0) and a receive (bit 1) were seen.
     let mut posted: Vec<u8> = Vec::new();
-    let known = |id: u32| {
-        if (id as usize) < spec.collectives.len() {
-            Ok(())
-        } else {
-            Err(ExecError::UnknownCollective { id })
+    for (p, (rank, program)) in spec.programs.iter().enumerate() {
+        let (p, device) = (p as u32, *rank);
+        inside(device)?;
+        if std::mem::replace(&mut has_program[device.0 as usize], 1) == 1 {
+            return Err(ExecError::DuplicateProgram { device });
         }
-    };
-    for (rank, program) in &spec.programs {
-        inside(*rank)?;
-        if std::mem::replace(&mut has_program[rank.0 as usize], true) {
-            return Err(ExecError::DuplicateProgram { device: *rank });
+        let mine =
+            &member_of[first[device.0 as usize] as usize..first[device.0 as usize + 1] as usize];
+        for &c in mine {
+            member_in[c as usize] = p;
         }
         cache.clear();
         for op in program {
             let (key, bit) = match *op {
-                Op::Send { key, .. } => {
-                    inside(key.from)?;
+                // A send posted by `key.from` is inside the topology.
+                Op::Send { key, .. } if key.from == device => {
                     inside(key.to)?;
                     lowered.sends += 1;
                     (Some(key), 1)
                 }
-                Op::Recv { key } => {
+                Op::Recv { key } if key.to == device => {
                     lowered.wait_ops += 1;
                     (Some(key), 2)
+                }
+                Op::Send { key, .. } | Op::Recv { key } => {
+                    return refuse(SpecError::MisroutedOp(key))
                 }
                 Op::Compute { .. } => {
                     lowered.compute_ops += 1;
                     (None, 0)
                 }
-                Op::CollWait { id } => {
-                    known(id)?;
-                    lowered.wait_ops += 1;
-                    (None, 0)
-                }
-                Op::CollStart { id } => {
-                    known(id)?;
+                Op::CollStart { id } | Op::CollWait { id } => {
+                    let c = id as usize;
+                    if c >= colls {
+                        return refuse(SpecError::UnknownCollective(id));
+                    }
+                    if member_in[c] != p {
+                        return refuse(SpecError::NotACollectiveMember { id, device });
+                    }
+                    match (matches!(op, Op::CollStart { .. }), started_in[c] == p) {
+                        (true, true) => return refuse(SpecError::RepeatedCollStart { id, device }),
+                        (true, false) => started_in[c] = p,
+                        (false, false) => return refuse(SpecError::WaitBeforeStart { id, device }),
+                        (false, true) => lowered.wait_ops += 1,
+                    }
                     (None, 0)
                 }
             };
@@ -1190,19 +1185,22 @@ fn lower(topo: &Topology, spec: &ExecutionSpec) -> Result<Lowered, ExecError> {
             };
             let seen = &mut posted[slot as usize];
             if *seen & bit != 0 {
-                return Err(ExecError::DuplicateMessage { key });
+                return refuse(SpecError::DuplicateKey(key));
             }
             *seen |= bit;
             lowered.op_msg.push(slot);
         }
-    }
-    for (id, c) in spec.collectives.iter().enumerate() {
-        if c.devices.is_empty() {
-            return Err(ExecError::EmptyCollective { id: id as u32 });
+        for &c in mine.iter().filter(|&&c| started_in[c as usize] != p) {
+            missing[c as usize] = missing[c as usize].min(device.0);
         }
-        c.devices.iter().try_for_each(|&rank| inside(rank))?;
     }
-    Ok(lowered)
+    // Once any member starts a collective, every member with a program
+    // must; an entirely unused collective is harmless.
+    let unstarted = (0..colls).find(|&c| started_in[c] != u32::MAX && missing[c] != u32::MAX);
+    match unstarted.map(|c| (c as u32, Rank(missing[c]))) {
+        Some((id, device)) => refuse(SpecError::MissingCollStart { id, device }),
+        None => Ok(lowered),
+    }
 }
 
 /// Reject link faults whose target has no fabric links: a node past the
@@ -1287,10 +1285,7 @@ impl<'t> Executor<'t> {
                     self.msg_arrived[msg] = true;
                     if let Some(dev) = self.msg_waiter[msg].take() {
                         woken += 1;
-                        self.end_wait_span(dev, SpanKind::RecvWait);
-                        self.devs[dev].pc += 1;
-                        self.devs[dev].status = DevStatus::Runnable;
-                        self.advance(dev);
+                        self.resume(dev, SpanKind::RecvWait);
                     }
                 }
                 self.census.recv_wakeups += woken;
@@ -1424,20 +1419,11 @@ impl<'t> Executor<'t> {
                         if !self.msg_arrived[msg] {
                             self.msg_arrived[msg] = true;
                             if let Some(w) = self.msg_waiter[msg].take() {
-                                self.end_wait_span(w, SpanKind::RecvWait);
-                                self.devs[w].pc += 1;
-                                self.devs[w].status = DevStatus::Runnable;
-                                self.advance(w);
+                                self.resume(w, SpanKind::RecvWait);
                             }
                         }
                     }
-                    Op::CollStart { id } => {
-                        let id = id as usize;
-                        self.colls[id].arrived += 1;
-                        if self.colls[id].arrived as usize == self.colls[id].devices.len() {
-                            self.launch_collective(id);
-                        }
-                    }
+                    Op::CollStart { id } => self.arrive(id as usize),
                     _ => {}
                 }
             }
@@ -1816,21 +1802,15 @@ impl<'t> Executor<'t> {
                     return;
                 }
                 Op::Send { key, bytes } => {
-                    debug_assert_eq!(key.from, self.devs[dev].rank, "send from wrong device");
                     let msg = self.msg_of(dev, pc);
                     self.send(key.from, key.to, bytes, msg);
                     self.devs[dev].pc += 1;
                 }
                 Op::Recv { key } => {
-                    debug_assert_eq!(key.to, self.devs[dev].rank, "recv on wrong device");
                     let msg = self.msg_of(dev, pc);
                     if self.msg_arrived[msg] {
                         self.devs[dev].pc += 1;
                     } else {
-                        debug_assert!(
-                            self.msg_waiter[msg].is_none(),
-                            "two receivers for one message"
-                        );
                         self.msg_waiter[msg] = Some(dev);
                         self.devs[dev].status = DevStatus::WaitingMsg(key);
                         self.devs[dev].wait_since = self.sim.now().as_secs_f64();
@@ -1838,11 +1818,7 @@ impl<'t> Executor<'t> {
                     }
                 }
                 Op::CollStart { id } => {
-                    let id = id as usize;
-                    self.colls[id].arrived += 1;
-                    if self.colls[id].arrived as usize == self.colls[id].devices.len() {
-                        self.launch_collective(id);
-                    }
+                    self.arrive(id as usize);
                     self.devs[dev].pc += 1;
                 }
                 Op::CollWait { id } => {
@@ -2003,12 +1979,25 @@ impl<'t> Executor<'t> {
             let kind = self.colls[member].kind;
             let waiters = std::mem::take(&mut self.colls[member].waiters);
             for dev in waiters {
-                self.end_wait_span(dev, SpanKind::CollWait(kind));
-                self.devs[dev].pc += 1;
-                self.devs[dev].status = DevStatus::Runnable;
-                self.advance(dev);
+                self.resume(dev, SpanKind::CollWait(kind));
             }
         }
+    }
+
+    /// Count a member's arrival at collective `id`; the last one launches it.
+    fn arrive(&mut self, id: usize) {
+        self.colls[id].arrived += 1;
+        if self.colls[id].arrived as usize == self.colls[id].devices.len() {
+            self.launch_collective(id);
+        }
+    }
+
+    /// End `dev`'s wait, step past the op it blocked on and run on.
+    fn resume(&mut self, dev: usize, kind: SpanKind) {
+        self.end_wait_span(dev, kind);
+        self.devs[dev].pc += 1;
+        self.devs[dev].status = DevStatus::Runnable;
+        self.advance(dev);
     }
 
     /// Close a wait span opened when `dev` blocked. Zero-length waits are
@@ -2972,7 +2961,7 @@ mod tests {
             .unwrap_err()
         };
         // A start or a wait past the last collective.
-        let want = ExecError::UnknownCollective { id: 3 };
+        let want = ExecError::InvalidSpec(SpecError::UnknownCollective(3));
         assert_eq!(
             run(vec![(Rank(0), vec![Op::CollStart { id: 3 }])], vec![]),
             want
@@ -2990,11 +2979,85 @@ mod tests {
         };
         let send = Op::Send { key, bytes: 1 };
         let recv = Op::Recv { key };
-        let want = ExecError::DuplicateMessage { key };
+        let want = ExecError::InvalidSpec(SpecError::DuplicateKey(key));
         let twice_sent = vec![(Rank(0), vec![send, send]), (Rank(8), vec![recv])];
         assert_eq!(run(twice_sent, vec![]), want);
         let twice_received = vec![(Rank(8), vec![recv, recv]), (Rank(0), vec![send])];
         assert_eq!(run(twice_received, vec![]), want);
+    }
+
+    #[test]
+    fn structural_defects_are_refused_in_every_profile() {
+        // Each spec must be refused before any flow starts, in both build
+        // profiles: replayed, they return a wrong `Ok` (a start by a
+        // non-member or a second start counts as another member's arrival)
+        // or a deadlock found only after simulating.
+        let topo = presets::hybrid_two_cluster(2);
+        let (r0, r1, r9) = (Rank(0), Rank(1), Rank(9));
+        let key = MsgKey {
+            from: r0,
+            to: r1,
+            channel: Channel::Activation,
+            microbatch: 0,
+            chunk: 0,
+        };
+        let (start, wait) = (Op::CollStart { id: 0 }, Op::CollWait { id: 0 });
+        let late = compute(ComputeLabel::Optimizer, 0.5);
+        let cases = [
+            (
+                vec![
+                    (r9, vec![Op::Send { key, bytes: 8 }]),
+                    (r1, vec![Op::Recv { key }]),
+                ],
+                SpecError::MisroutedOp(key),
+            ),
+            (
+                vec![
+                    (r9, vec![start]),
+                    (r0, vec![start, wait]),
+                    (r1, vec![late, start, wait]),
+                ],
+                SpecError::NotACollectiveMember { id: 0, device: r9 },
+            ),
+            (
+                vec![(r0, vec![start, wait]), (r1, vec![late])],
+                SpecError::MissingCollStart { id: 0, device: r1 },
+            ),
+            (
+                vec![(r0, vec![wait, start]), (r1, vec![start, wait])],
+                SpecError::WaitBeforeStart { id: 0, device: r0 },
+            ),
+            (
+                vec![
+                    (r0, vec![start, start, wait]),
+                    (r1, vec![late, start, wait]),
+                ],
+                SpecError::RepeatedCollStart { id: 0, device: r0 },
+            ),
+            (
+                vec![
+                    (r0, vec![start, start, wait]),
+                    (r1, vec![late, start, start, wait]),
+                ],
+                SpecError::RepeatedCollStart { id: 0, device: r0 },
+            ),
+        ];
+        for (programs, defect) in cases {
+            let spec = ExecutionSpec {
+                programs,
+                collectives: vec![CollectiveSpec::new(
+                    CollKind::AllReduce,
+                    vec![r0, r1],
+                    1 << 20,
+                )],
+                transport: TransportPolicy::Auto,
+            };
+            assert!(crate::validate_spec(&spec).contains(&defect), "{defect}");
+            assert_eq!(
+                execute(&topo, spec).unwrap_err(),
+                ExecError::InvalidSpec(defect)
+            );
+        }
     }
 }
 

@@ -15,7 +15,7 @@ use crate::class_oracle::{built, dp_sync, fault_plan, fingerprint, nic, raw_faul
 use crate::executor::{execute_inner, ExecError, ExecutionSpec, IterationReport, TransportPolicy};
 use crate::fault::FaultPlan;
 use crate::ops::{Channel, ComputeLabel, MsgKey, Op};
-use crate::validate::{validate_spec, SpecError};
+use crate::validate::SpecError;
 
 /// SplitMix64, the relabeling's draw stream.
 fn splitmix(state: &mut u64) -> u64 {
@@ -109,36 +109,25 @@ fn relabel(spec: &ExecutionSpec, seed: u64) -> (ExecutionSpec, BTreeMap<MsgKey, 
     (relabeled, map)
 }
 
-/// Whether debug builds refuse `spec` (and `plan`) by panic before it
-/// runs: a structural defect that `lower` leaves to the debug gate (not
-/// an unmatched send or receive, and not the duplicate keys and unknown
-/// collectives `lower` returns as typed errors), or a fault plan the
-/// progress checker convicts. Release builds run such specs.
-fn refused_in_debug(topo: &Topology, spec: &ExecutionSpec, plan: Option<&FaultPlan>) -> bool {
-    let hard = validate_spec(spec).iter().any(|d| {
-        !matches!(
-            d,
-            SpecError::UnmatchedRecv(_)
-                | SpecError::UnmatchedSend(_)
-                | SpecError::DuplicateKey(_)
-                | SpecError::UnknownCollective(_)
-        )
-    });
-    let convicted = plan.is_some_and(|p| !p.is_empty())
-        && !crate::progress::check_execution(topo, spec, plan).is_clean();
-    cfg!(debug_assertions) && (hard || convicted)
+/// Whether debug builds refuse `spec` under `plan` by panic before it
+/// runs: the progress checker convicts the fault plan. Release builds
+/// run such specs.
+fn convicted_in_debug(topo: &Topology, spec: &ExecutionSpec, plan: Option<&FaultPlan>) -> bool {
+    cfg!(debug_assertions)
+        && plan.is_some_and(|p| !p.is_empty())
+        && !crate::progress::check_execution(topo, spec, plan).is_clean()
 }
 
 /// Run `spec` and its relabeling and require the same outcome: reports
 /// bit-equal in every field, or the same error, whose deadlock text or
-/// duplicate key names the relabeled keys.
+/// structural defect names the relabeled keys.
 fn relabeled_alike(
     topo: &Topology,
     spec: &ExecutionSpec,
     plan: Option<&FaultPlan>,
     seed: u64,
 ) -> Result<Option<IterationReport>, TestCaseError> {
-    if refused_in_debug(topo, spec, plan) {
+    if convicted_in_debug(topo, spec, plan) {
         return Ok(None);
     }
     let (relabeled, map) = relabel(spec, seed);
@@ -167,11 +156,13 @@ fn relabeled_alike(
             prop_assert_eq!(want, b);
             Ok(None)
         }
-        (
-            Err(ExecError::DuplicateMessage { key: a }),
-            Err(ExecError::DuplicateMessage { key: b }),
-        ) => {
-            prop_assert_eq!(map[&a], b);
+        (Err(ExecError::InvalidSpec(a)), Err(ExecError::InvalidSpec(b))) => {
+            let want = match a {
+                SpecError::DuplicateKey(key) => SpecError::DuplicateKey(map[&key]),
+                SpecError::MisroutedOp(key) => SpecError::MisroutedOp(map[&key]),
+                other => other,
+            };
+            prop_assert_eq!(want, b);
             Ok(None)
         }
         (Err(a), Err(b)) => {
@@ -395,7 +386,7 @@ fn templates_exercise_their_cases() {
     for i in 0..TEMPLATES {
         let (topo, spec, plan) = p2p(&template(i, 3));
         relabeled_alike(&topo, &spec, plan.as_ref(), 11).expect("relabeled run matches");
-        if refused_in_debug(&topo, &spec, plan.as_ref()) {
+        if convicted_in_debug(&topo, &spec, plan.as_ref()) {
             continue;
         }
         let report = execute_inner(&topo, spec, plan.as_ref(), None);
@@ -406,7 +397,10 @@ fn templates_exercise_their_cases() {
                 assert!(r.total_seconds > 0.1, "{}", r.total_seconds);
             }
             1 => assert!(
-                matches!(report, Err(ExecError::DuplicateMessage { key }) if key.microbatch == 3),
+                matches!(
+                    report,
+                    Err(ExecError::InvalidSpec(SpecError::DuplicateKey(key))) if key.microbatch == 3
+                ),
                 "{report:?}"
             ),
             // The receiver wakes at the preemption, before the sender's

@@ -4,7 +4,10 @@
 //! blocked devices), but a structurally broken spec — an unmatched receive,
 //! a collective op on a non-member, an id out of range — is cheaper to
 //! catch before any simulation runs. Schedule generators are tested against
-//! this validator, and `execute` debug-asserts it.
+//! this validator. `execute` refuses every hard defect (all but unmatched
+//! sends and receives) with [`crate::ExecError::InvalidSpec`] in every build
+//! profile, through its own linear setup walk; this validator lists every
+//! defect and is that walk's reference oracle.
 //!
 //! All bookkeeping uses `BTreeMap`/`BTreeSet`: a multi-defect spec must
 //! report its errors in one deterministic (key-sorted) order, run to run —
@@ -12,6 +15,8 @@
 //! (and trip `holmes-lint`'s hash-iteration rule).
 
 use std::collections::{BTreeMap, BTreeSet};
+
+use holmes_topology::Rank;
 
 use crate::executor::{CollectiveSpec, ExecutionSpec};
 use crate::ops::{MsgKey, Op};
@@ -35,7 +40,7 @@ pub enum SpecError {
         /// The collective id.
         id: u32,
         /// The offending device.
-        device: holmes_topology::Rank,
+        device: Rank,
     },
     /// A member device never starts a collective it must participate in
     /// (every member appearing in any program must arrive or the launch
@@ -44,14 +49,22 @@ pub enum SpecError {
         /// The collective id.
         id: u32,
         /// The member that never arrives.
-        device: holmes_topology::Rank,
+        device: Rank,
     },
     /// A `CollWait` with no preceding `CollStart` on the same device.
     WaitBeforeStart {
         /// The collective id.
         id: u32,
         /// The waiting device.
-        device: holmes_topology::Rank,
+        device: Rank,
+    },
+    /// A device starts one collective twice: its second start would
+    /// count as another member's arrival.
+    RepeatedCollStart {
+        /// The collective id.
+        id: u32,
+        /// The device starting it again.
+        device: Rank,
     },
 }
 
@@ -72,6 +85,9 @@ impl std::fmt::Display for SpecError {
             SpecError::WaitBeforeStart { id, device } => {
                 write!(f, "{device} waits on collective {id} before starting it")
             }
+            SpecError::RepeatedCollStart { id, device } => {
+                write!(f, "{device} starts collective {id} twice")
+            }
         }
     }
 }
@@ -81,64 +97,50 @@ pub fn validate_spec(spec: &ExecutionSpec) -> Vec<SpecError> {
     let mut errors = Vec::new();
     let mut sends: BTreeMap<MsgKey, u32> = BTreeMap::new();
     let mut recvs: BTreeMap<MsgKey, u32> = BTreeMap::new();
-    let members: Vec<BTreeSet<holmes_topology::Rank>> = spec
+    let members: Vec<BTreeSet<Rank>> = spec
         .collectives
         .iter()
         .map(|c: &CollectiveSpec| c.devices.iter().copied().collect())
         .collect();
     // Which devices actually appear in programs (a collective member with
     // no program at all cannot arrive).
-    let mut started: Vec<BTreeSet<holmes_topology::Rank>> =
-        vec![BTreeSet::new(); spec.collectives.len()];
+    let mut started: Vec<BTreeSet<Rank>> = vec![BTreeSet::new(); spec.collectives.len()];
     let mut used: Vec<bool> = vec![false; spec.collectives.len()];
 
-    for (device, ops) in &spec.programs {
+    for &(device, ref ops) in &spec.programs {
         let mut started_here: BTreeSet<u32> = BTreeSet::new();
         for op in ops {
             match *op {
-                Op::Send { key, .. } => {
-                    if key.from != *device {
+                Op::Send { key, .. } | Op::Recv { key } => {
+                    let (owner, posted) = match op {
+                        Op::Send { .. } => (key.from, &mut sends),
+                        _ => (key.to, &mut recvs),
+                    };
+                    if owner != device {
                         errors.push(SpecError::MisroutedOp(key));
                     }
-                    *sends.entry(key).or_insert(0) += 1;
+                    *posted.entry(key).or_insert(0) += 1;
                 }
-                Op::Recv { key } => {
-                    if key.to != *device {
-                        errors.push(SpecError::MisroutedOp(key));
+                Op::CollStart { id } | Op::CollWait { id } => {
+                    let start = matches!(op, Op::CollStart { .. });
+                    match members.get(id as usize) {
+                        None => errors.push(SpecError::UnknownCollective(id)),
+                        Some(m) if !m.contains(&device) => {
+                            errors.push(SpecError::NotACollectiveMember { id, device })
+                        }
+                        Some(_) => {
+                            used[id as usize] = true;
+                            if start {
+                                started[id as usize].insert(device);
+                                if !started_here.insert(id) {
+                                    errors.push(SpecError::RepeatedCollStart { id, device })
+                                }
+                            } else if !started_here.contains(&id) {
+                                errors.push(SpecError::WaitBeforeStart { id, device })
+                            }
+                        }
                     }
-                    *recvs.entry(key).or_insert(0) += 1;
                 }
-                Op::CollStart { id } => match members.get(id as usize) {
-                    None => errors.push(SpecError::UnknownCollective(id)),
-                    Some(m) if !m.contains(device) => {
-                        errors.push(SpecError::NotACollectiveMember {
-                            id,
-                            device: *device,
-                        })
-                    }
-                    Some(_) => {
-                        started[id as usize].insert(*device);
-                        started_here.insert(id);
-                        used[id as usize] = true;
-                    }
-                },
-                Op::CollWait { id } => match members.get(id as usize) {
-                    None => errors.push(SpecError::UnknownCollective(id)),
-                    Some(m) if !m.contains(device) => {
-                        errors.push(SpecError::NotACollectiveMember {
-                            id,
-                            device: *device,
-                        })
-                    }
-                    Some(_) if !started_here.contains(&id) => {
-                        used[id as usize] = true;
-                        errors.push(SpecError::WaitBeforeStart {
-                            id,
-                            device: *device,
-                        })
-                    }
-                    Some(_) => used[id as usize] = true,
-                },
                 Op::Compute { .. } => {}
             }
         }
@@ -161,17 +163,16 @@ pub fn validate_spec(spec: &ExecutionSpec) -> Vec<SpecError> {
         }
     }
 
-    let programmed: BTreeSet<holmes_topology::Rank> =
-        spec.programs.iter().map(|(d, _)| *d).collect();
+    let programmed: BTreeSet<Rank> = spec.programs.iter().map(|(d, _)| *d).collect();
     for (id, m) in members.iter().enumerate() {
         if !used[id] {
             continue; // entirely unused collective: harmless
         }
-        for device in m {
-            if programmed.contains(device) && !started[id].contains(device) {
+        for &device in m {
+            if programmed.contains(&device) && !started[id].contains(&device) {
                 errors.push(SpecError::MissingCollStart {
                     id: id as u32,
-                    device: *device,
+                    device,
                 });
             }
         }
@@ -183,8 +184,9 @@ pub fn validate_spec(spec: &ExecutionSpec) -> Vec<SpecError> {
 mod tests {
     use super::*;
     use crate::builder::{build_iteration, EngineConfig, ScheduleKind};
+    use crate::class_oracle::{built, dp_sync, nic, schedule};
     use crate::dp_sync::DpSyncStrategy;
-    use crate::executor::CollKind;
+    use crate::executor::{execute, CollKind, ExecError};
     use crate::ops::{Channel, ComputeLabel};
     use holmes_model::ParameterGroup;
     use holmes_parallel::{
@@ -192,6 +194,7 @@ mod tests {
         UniformPartition,
     };
     use holmes_topology::{presets, Rank};
+    use proptest::prelude::*;
 
     fn key(from: u32, to: u32, mb: u32) -> MsgKey {
         MsgKey {
@@ -256,6 +259,121 @@ mod tests {
             }
         }
         assert!(built >= 100, "only {built} cells built");
+    }
+
+    /// The defects `execute` refuses: all but unmatched sends and
+    /// receives, which it leaves to the run.
+    fn hard(spec: &ExecutionSpec) -> Vec<SpecError> {
+        validate_spec(spec)
+            .into_iter()
+            .filter(|d| !matches!(d, SpecError::UnmatchedRecv(_) | SpecError::UnmatchedSend(_)))
+            .collect()
+    }
+
+    /// Apply one structural mutation to a built spec: re-home a send or
+    /// receive onto another device (`kind` 0); move a `CollStart` to a
+    /// non-member (1) or post a copy there (2); drop one (3), or its
+    /// `CollWait`s too (4); swap one with its `CollWait` (5); or post it
+    /// twice (6). `pick` chooses the op, `to` where it goes. Returns
+    /// false when the spec has no op the mutation applies to.
+    fn mutate(spec: &mut ExecutionSpec, kind: u8, pick: usize, to: usize) -> bool {
+        let sites: Vec<(usize, usize)> = spec
+            .programs
+            .iter()
+            .enumerate()
+            .flat_map(|(p, (_, ops))| (0..ops.len()).map(move |i| (p, i)))
+            .filter(|&(p, i)| match spec.programs[p].1[i] {
+                Op::Send { .. } | Op::Recv { .. } => kind == 0,
+                Op::CollStart { .. } => kind != 0,
+                _ => false,
+            })
+            .collect();
+        if sites.is_empty() || spec.programs.len() < 2 {
+            return false;
+        }
+        let (p, i) = sites[pick % sites.len()];
+        let programs = &mut spec.programs;
+        let op = programs[p].1[i];
+        let id = match op {
+            Op::CollStart { id } => id,
+            _ => u32::MAX,
+        };
+        let outsiders: Vec<usize> = match kind {
+            0 => (0..programs.len()).filter(|&q| q != p).collect(),
+            1 | 2 => {
+                let members = &spec.collectives[id as usize].devices;
+                let outside = |q: &usize| !members.contains(&programs[*q].0);
+                (0..programs.len()).filter(outside).collect()
+            }
+            _ => Vec::new(),
+        };
+        match kind {
+            0..=2 if outsiders.is_empty() => return false,
+            0..=2 => {
+                if kind != 2 {
+                    programs[p].1.remove(i);
+                }
+                let q = outsiders[to % outsiders.len()];
+                let at = to % (programs[q].1.len() + 1);
+                programs[q].1.insert(at, op);
+            }
+            3 | 4 => {
+                programs[p].1.remove(i);
+                if kind == 4 {
+                    programs[p].1.retain(|o| *o != Op::CollWait { id });
+                }
+            }
+            5 => {
+                let wait = Op::CollWait { id };
+                let Some(j) = programs[p].1[i..].iter().position(|o| *o == wait) else {
+                    return false;
+                };
+                programs[p].1.swap(i, i + j);
+            }
+            _ => {
+                let len = programs[p].1.len();
+                programs[p].1.insert(i + 1 + to % (len - i), op);
+            }
+        }
+        true
+    }
+
+    proptest! {
+        /// `execute` refuses a structurally mutated built iteration with
+        /// one of the validator's hard defects exactly when the validator
+        /// finds any, and runs the unmutated iteration.
+        #[test]
+        fn spec_mutations_are_refused_iff_validate_spec_finds_a_hard_defect(
+            fleet in (0u8..4, 1u32..=4, nic()),
+            shape in (
+                prop::sample::select(vec![1u32, 2, 4]),
+                prop::sample::select(vec![1u32, 2, 4]),
+            ),
+            (dp, sched) in (dp_sync(), schedule()),
+            (kind, pick, to) in (0u8..7, 0usize..usize::MAX, 0usize..usize::MAX),
+        ) {
+            let cfg = EngineConfig {
+                schedule: sched,
+                dp_sync: dp,
+                ..EngineConfig::default()
+            };
+            let fitted = built(fleet, shape, &cfg);
+            prop_assume!(fitted.is_some());
+            let (topo, mut spec) = fitted.expect("prop_assume! rejected shapes that do not fit");
+            prop_assert!(execute(&topo, spec.clone()).is_ok());
+            prop_assume!(mutate(&mut spec, kind, pick, to));
+            let hard = hard(&spec);
+            match execute(&topo, spec) {
+                Err(ExecError::InvalidSpec(d)) => {
+                    prop_assert!(hard.contains(&d), "{d} not in {hard:?}")
+                }
+                other => prop_assert!(
+                    hard.is_empty(),
+                    "{hard:?} but {:?}",
+                    other.map(|r| r.total_seconds)
+                ),
+            }
+        }
     }
 
     #[test]
