@@ -155,11 +155,11 @@ impl FaultPreset {
             }
             FaultPreset::StragglerNode => {
                 // Node 1 throttles: every one of its ranks slows by the
-                // same seeded factor.
+                // same seeded factor. A one-node fleet has no node 1.
                 let slowdown = uniform(2.0, 3.0);
                 let g = topo.gpus_per_node();
-                for gpu in 0..g {
-                    plan.straggler(Rank(g + gpu), slowdown);
+                for rank in (g..2 * g).take_while(|&r| r < topo.device_count()) {
+                    plan.straggler(Rank(rank), slowdown);
                 }
             }
         }
@@ -731,7 +731,7 @@ pub fn verify_preset_progress(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holmes_topology::presets;
+    use holmes_topology::{presets, NicType};
 
     #[test]
     fn clean_preset_has_no_fault_activity() {
@@ -920,6 +920,17 @@ mod tests {
             .degraded_conditions
             .iter()
             .any(|c| matches!(c, DegradedCondition::Straggler { .. })));
+    }
+
+    #[test]
+    fn straggler_node_on_a_one_node_fleet_names_no_missing_rank() {
+        let topo = presets::homogeneous(NicType::InfiniBand, 1);
+        let r = run_resilient(&topo, 1, FaultPreset::StragglerNode, 7, None, None).unwrap();
+        assert!(
+            r.degraded_conditions.is_empty(),
+            "{:?}",
+            r.degraded_conditions
+        );
     }
 
     #[test]

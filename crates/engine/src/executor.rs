@@ -23,6 +23,11 @@
 //! and the fault counters add its count. Routes come from a per-execution
 //! [`RouteTable`] instead of a topology walk per transfer.
 //!
+//! Under link faults or churn every started entry gets one record, in
+//! token order: retries, churn cancellation and NIC-loss attribution all
+//! read it, and a relaunch goes through the first launch's routine
+//! (DESIGN.md §7).
+//!
 //! Devices advance in replica classes. A device that starts a compute op
 //! parks on its class's one compute timer, and later devices whose
 //! timers would fire at the same instant and pop right behind it join
@@ -39,16 +44,17 @@
 //! per-device ones, so a class of one is simply today's path (DESIGN.md
 //! §6.1.2).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use holmes_netsim::algo::CollSchedule;
 use holmes_netsim::{
     ChurnKind, Completion, Fabric, FlowId, FlowSpec, LinkId, NetSim, RouteTable, SimDuration,
-    WordHash,
 };
 use holmes_topology::{Rank, Topology};
 
-use crate::fault::{DegradedCondition, FaultPlan, FaultTarget, FaultWindow, RetryPolicy};
+use crate::fault::{
+    DegradedCondition, FaultPlan, FaultTarget, FaultWindow, RetryPolicy, Straggler,
+};
 use crate::ops::{Channel, ComputeLabel, MsgKey, Op};
 use crate::timeline::{Span, SpanKind, Timeline};
 use crate::validate::SpecError;
@@ -270,6 +276,15 @@ pub enum ExecError {
         /// The fault target with no fabric links behind it.
         target: FaultTarget,
     },
+    /// A straggler names a rank past the topology's last device, or a
+    /// slowdown that is not a finite positive factor. Checked before any
+    /// flow starts.
+    BadStraggler {
+        /// The straggling rank.
+        rank: Rank,
+        /// Its compute-time multiplier.
+        slowdown: f64,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -323,6 +338,11 @@ impl std::fmt::Display for ExecError {
                     "fault plan targets {target:?}, which is not in the fabric"
                 )
             }
+            ExecError::BadStraggler { rank, slowdown } => write!(
+                f,
+                "straggler {rank} with slowdown {slowdown}: the rank must be in the \
+                 topology and the slowdown finite and positive"
+            ),
         }
     }
 }
@@ -404,10 +424,11 @@ impl IterationReport {
 
     /// Union-of-spans seconds for a collective kind.
     pub fn collective_kind_seconds(&self, kind: CollKind) -> f64 {
-        let mut spans = match self.collective_spans.get(&kind) {
-            None => return 0.0,
-            Some(spans) => spans.clone(),
-        };
+        let mut spans = self
+            .collective_spans
+            .get(&kind)
+            .cloned()
+            .unwrap_or_default();
         spans.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let mut total = 0.0;
         let mut current: Option<(f64, f64)> = None;
@@ -417,7 +438,6 @@ impl IterationReport {
                 Some((cs, ce)) => {
                     total += ce - cs;
                     current = Some((start, end));
-                    let _ = cs;
                 }
                 None => current = Some((start, end)),
             }
@@ -499,9 +519,9 @@ struct DevState {
     wait_since: f64,
 }
 
-/// One counted netsim entry of a collective round: the round's transfers
-/// from `from`'s node to `to`'s node of `bytes` each, `count` of them,
-/// represented by the first of them.
+/// Transfers started as one counted netsim entry: `count` transfers of
+/// `bytes` each from `from`'s node to `to`'s node, represented by the
+/// first of them (a collective round's group, or sends).
 #[derive(Debug, Clone, Copy)]
 struct Launch {
     from: Rank,
@@ -595,16 +615,10 @@ enum Token {
         coll: usize,
         channel: u32,
     },
+    /// Entry `entry`'s timeout fired.
     FlowTimeout {
-        attempt: usize,
+        entry: usize,
     },
-}
-
-/// Which side of a node's connectivity a fabric link implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LinkClass {
-    Rdma,
-    Eth,
 }
 
 /// The newest point-to-point send entry, while later sends may still
@@ -631,24 +645,35 @@ struct OpenColl {
     at: u64,
 }
 
-/// Retry bookkeeping for one tracked entry (only allocated when a fault
-/// plan arms timeouts).
+/// One started netsim entry, recorded when the fault plan carries link
+/// faults or churn: retries, churn cancellation and NIC-loss attribution
+/// all read it.
 #[derive(Debug)]
-struct AttemptState {
-    from: Rank,
-    to: Rank,
-    bytes: u64,
-    /// Logical transfers the entry stands for.
-    count: u32,
+struct Entry {
+    /// The transfers the entry carries.
+    launch: Launch,
     /// The semantic token (`MsgArrived` / `CollFlow`) dispatched when
-    /// any attempt of this transfer completes.
-    semantic: u64,
+    /// any attempt of the entry completes.
+    token: u64,
+    /// The current attempt.
     flow: FlowId,
-    path: Vec<LinkId>,
+    /// Whether the current attempt was routed over TCP/Ethernet.
+    tcp: bool,
     retries_left: u32,
     timeout_seconds: f64,
-    forced_tcp: bool,
+    /// Landed, or cancelled and delivered as stale.
     done: bool,
+}
+
+/// What the fault path declared lost on one node.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeLoss {
+    /// The RDMA NIC: traffic touching the node routes over TCP.
+    nic: bool,
+    /// The node itself, preempted or drained under a member-loss-tolerant
+    /// spec: its devices are retired and transfers touching it are
+    /// delivered at once as stale.
+    node: bool,
 }
 
 struct Executor<'t> {
@@ -670,38 +695,33 @@ struct Executor<'t> {
     msg_arrived: Vec<bool>,
     msg_waiter: Vec<Option<usize>>,
     timeline: Timeline,
-    /// Armed only when the fault plan carries link faults, so the
-    /// fault-free path stays byte-identical.
+    /// [`FaultPlan::armed_retry`]: set only when the fault plan carries
+    /// link faults, so no other run times a flow out.
     retry: Option<RetryPolicy>,
-    attempts: Vec<AttemptState>,
-    attempt_of_flow: HashMap<FlowId, usize, WordHash>,
-    /// Nodes whose RDMA NIC was declared lost: their traffic routes TCP.
-    lost_rdma: HashSet<usize>,
-    /// Nodes preempted or drained mid-run under a member-loss-tolerant
-    /// spec: their devices are retired and transfers touching them are
-    /// delivered instantly as stale.
-    lost_nodes: HashSet<usize>,
-    /// Semantic token → (flow, from, to) for every in-flight transfer.
-    /// Maintained only when the plan carries churn (`track_flows`), so
-    /// churn-free runs stay byte-identical.
-    inflight: HashMap<u64, (FlowId, Rank, Rank), WordHash>,
-    track_flows: bool,
-    /// Compute-time multiplier per straggling rank.
-    straggler_of_rank: HashMap<Rank, f64, WordHash>,
-    /// Fabric link → owning node and class, for NIC-loss attribution.
-    link_owner: HashMap<LinkId, (usize, LinkClass)>,
+    /// Whether started entries are recorded in `entries`: when the fault
+    /// plan carries link faults or churn.
+    track: bool,
+    /// Every entry started while `track` is set, pathless intra-node ones
+    /// included, in start order, which is token order: a completion finds
+    /// its entry by binary search on the token.
+    entries: Vec<Entry>,
+    /// Per node, what the fault path declared lost (empty without a
+    /// fault plan).
+    lost: Vec<NodeLoss>,
+    /// Per device rank, its compute-time multiplier (empty unless the
+    /// plan has stragglers).
+    slowdown: Vec<f64>,
     /// Currently open non-healthy windows: link → (start, health).
     /// Ordered map: the iteration-end sweep drains it into the report, and
     /// that emission order must be deterministic (link-id sorted).
     open_faults: BTreeMap<LinkId, (f64, holmes_netsim::LinkHealth)>,
     fault_windows: Vec<FaultWindow>,
     conditions: Vec<DegradedCondition>,
-    /// Registry-backed fault counters (`engine.flow_retries`,
-    /// `engine.tcp_fallback_flows`). Living in a fresh registry per
-    /// execution pins the per-iteration semantics: counters can never
-    /// leak across `execute*` calls, and observed runs merge this
-    /// registry straight into the session.
-    counters: holmes_obs::Registry,
+    /// Logical transfers retried ([`IterationReport::flow_retries`]).
+    flow_retries: u64,
+    /// Logical transfers routed over TCP after a NIC loss
+    /// ([`IterationReport::tcp_fallback_flows`]).
+    tcp_fallback_flows: u64,
     /// Netsim entries started ([`IterationReport::launch_entries`]).
     launch_entries: u64,
     /// Replica classes: the devices parked on each class's compute timer,
@@ -730,7 +750,8 @@ struct Executor<'t> {
     /// Message slots of every send entry, entry after entry.
     sent: Vec<usize>,
     /// Sends may join entries and collectives may fold into classes: off
-    /// when faults track or retry single transfers, and in `solo` runs.
+    /// when `track` is set (faults act on single entries), and in `solo`
+    /// runs.
     joins: bool,
     /// Classes of one, one entry per send and one collective per
     /// instance, today's per-device path (set only by tests, as the
@@ -820,25 +841,6 @@ pub(crate) fn execute_inner(
         Some(bw) => Fabric::build_with_trunk(topo, &mut sim, bw),
         None => Fabric::build(topo, &mut sim),
     };
-    if let Some(plan) = plan {
-        for f in &plan.link_faults {
-            for link in resolve_fault_target(&fabric, f.target) {
-                sim.schedule_fault_at(f.at, link, f.health);
-            }
-        }
-        for c in &plan.churn {
-            // A node outside the fabric (a join announcing capacity that
-            // is not wired up yet) carries no links: the event is a pure
-            // membership signal.
-            let links = if (c.node as usize) < fabric.node_count() {
-                let (rdma_up, rdma_down, eth_up, eth_down) = fabric.node_link_ids(c.node as usize);
-                vec![rdma_up, rdma_down, eth_up, eth_down]
-            } else {
-                Vec::new()
-            };
-            sim.schedule_churn_at(c.at, c.node, c.kind, &links);
-        }
-    }
     let n = spec.programs.len();
     let mut devs = Vec::with_capacity(n);
     let mut programs = Vec::with_capacity(n);
@@ -926,29 +928,35 @@ pub(crate) fn execute_inner(
         })
         .collect();
 
-    let retry = plan.and_then(|p| (!p.link_faults.is_empty()).then_some(p.retry));
-    let mut link_owner = HashMap::new();
-    let mut straggler_of_rank = HashMap::default();
-    let mut conditions = Vec::new();
-    if plan.is_some() {
-        for node in 0..fabric.node_count() {
-            let (rdma_up, rdma_down, eth_up, eth_down) = fabric.node_link_ids(node);
-            link_owner.insert(rdma_up, (node, LinkClass::Rdma));
-            link_owner.insert(rdma_down, (node, LinkClass::Rdma));
-            link_owner.insert(eth_up, (node, LinkClass::Eth));
-            link_owner.insert(eth_down, (node, LinkClass::Eth));
-        }
-    }
+    let retry = plan.and_then(FaultPlan::armed_retry);
+    let track = plan.is_some_and(|p| !p.link_faults.is_empty() || !p.churn.is_empty());
+    let (mut lost, mut slowdown, mut conditions) = (Vec::new(), Vec::new(), Vec::new());
     if let Some(plan) = plan {
+        for f in &plan.link_faults {
+            for link in resolve_fault_target(&fabric, f.target) {
+                sim.schedule_fault_at(f.at, link, f.health);
+            }
+        }
+        for c in &plan.churn {
+            // A node outside the fabric (a join announcing capacity that
+            // is not wired up yet) carries no links: the event is a pure
+            // membership signal.
+            let node = c.node as usize;
+            let links = (node < fabric.node_count()).then(|| fabric.node_link_ids(node));
+            let links = links.map_or(Vec::new(), |(ru, rd, eu, ed)| vec![ru, rd, eu, ed]);
+            sim.schedule_churn_at(c.at, c.node, c.kind, &links);
+        }
+        lost = vec![NodeLoss::default(); fabric.node_count()];
         for s in &plan.stragglers {
-            straggler_of_rank.insert(s.rank, s.slowdown);
+            // `check_fault_targets` kept the rank inside the topology.
+            slowdown.resize(topo.device_count() as usize, 1.0);
+            slowdown[s.rank.0 as usize] = s.slowdown;
             conditions.push(DegradedCondition::Straggler {
                 rank: s.rank,
                 slowdown: s.slowdown,
             });
         }
     }
-    let track_flows = plan.is_some_and(|p| !p.churn.is_empty());
     let seq_mark = sim.seq_mark();
     let solo = solo_forced();
     let mut exec = Executor {
@@ -976,18 +984,15 @@ pub(crate) fn execute_inner(
             spans: Vec::with_capacity(lowered.compute_ops + lowered.wait_ops),
         },
         retry,
-        attempts: Vec::new(),
-        attempt_of_flow: HashMap::default(),
-        lost_rdma: HashSet::new(),
-        lost_nodes: HashSet::new(),
-        inflight: HashMap::default(),
-        track_flows,
-        straggler_of_rank,
-        link_owner,
+        track,
+        entries: Vec::new(),
+        lost,
+        slowdown,
         open_faults: BTreeMap::new(),
         fault_windows: Vec::new(),
         conditions,
-        counters: holmes_obs::Registry::new(),
+        flow_retries: 0,
+        tcp_fallback_flows: 0,
         launch_entries: 0,
         classes: Vec::new(),
         spare_classes: Vec::new(),
@@ -1000,13 +1005,18 @@ pub(crate) fn execute_inner(
         open_coll_starts: Vec::new(),
         seq_mark,
         sent: Vec::with_capacity(lowered.sends),
-        joins: !solo && retry.is_none() && !track_flows,
+        joins: !solo && !track,
         solo,
     };
     let result = exec.run();
     if let Some(session) = obs {
         let net = exec.sim.take_obs();
-        crate::obs::record_execution(session, &exec.counters, result.as_ref().ok(), net.as_ref());
+        crate::obs::record_execution(
+            session,
+            (exec.flow_retries, exec.tcp_fallback_flows),
+            result.as_ref().ok(),
+            net.as_ref(),
+        );
     }
     result
 }
@@ -1039,9 +1049,9 @@ struct Lowered {
 
 /// Check a spec and resolve its messages. Rejects what the executor
 /// cannot replay: a device with two programs, a collective without
-/// members, a program device, send endpoint or collective member outside
-/// the topology, and every hard [`SpecError`] in
-/// [`crate::validate_spec`]'s sense (unmatched sends and receives are
+/// members or listing one twice, a program device, send endpoint or
+/// collective member outside the topology, and every hard [`SpecError`]
+/// in [`crate::validate_spec`]'s sense (unmatched sends and receives are
 /// left to the run). Every send and receive gets the slot of its key:
 /// its stream is found in a small per-program cache (a hash lookup on a
 /// miss), then its microbatch by binary search in the stream's sorted
@@ -1088,6 +1098,15 @@ fn lower(topo: &Topology, spec: &ExecutionSpec) -> Result<Lowered, ExecError> {
         for rank in &c.devices {
             first[rank.0 as usize] -= 1;
             member_of[first[rank.0 as usize] as usize] = id as u32;
+        }
+    }
+    // A collective listing a device twice sits twice in a row in that
+    // device's ascending list.
+    for d in 0..n {
+        let listed = &member_of[first[d] as usize..first[d + 1] as usize];
+        if let Some(w) = listed.windows(2).find(|w| w[0] == w[1]) {
+            let (id, device) = (w[0], Rank(d as u32));
+            return refuse(SpecError::DuplicateMember { id, device });
         }
     }
     let ops = spec.programs.iter().map(|(_, p)| p.len()).sum();
@@ -1206,7 +1225,14 @@ fn lower(topo: &Topology, spec: &ExecutionSpec) -> Result<Lowered, ExecError> {
 /// Reject link faults whose target has no fabric links: a node past the
 /// topology's last node, or the trunk when the plan builds none. Churn
 /// on an out-of-range node stays valid (a pure membership signal).
+/// Reject stragglers on a rank past the topology's last device or with a
+/// slowdown that is not finite and positive.
 fn check_fault_targets(topo: &Topology, plan: &FaultPlan) -> Result<(), ExecError> {
+    for &Straggler { rank, slowdown } in &plan.stragglers {
+        if rank.0 >= topo.device_count() || !(slowdown.is_finite() && slowdown > 0.0) {
+            return Err(ExecError::BadStraggler { rank, slowdown });
+        }
+    }
     for f in &plan.link_faults {
         let present = match f.target {
             FaultTarget::NodeRdma(node) | FaultTarget::NodeEth(node) => node < topo.node_count(),
@@ -1222,21 +1248,11 @@ fn check_fault_targets(topo: &Topology, plan: &FaultPlan) -> Result<(), ExecErro
 /// Expand a topology-level fault target into the fabric links it covers
 /// (already checked present by [`check_fault_targets`]).
 fn resolve_fault_target(fabric: &Fabric, target: FaultTarget) -> Vec<LinkId> {
+    let links = |node: u32| fabric.node_link_ids(node as usize);
     match target {
-        FaultTarget::NodeRdma(node) => {
-            let (up, down, _, _) = fabric.node_link_ids(node as usize);
-            vec![up, down]
-        }
-        FaultTarget::NodeEth(node) => {
-            let (_, _, up, down) = fabric.node_link_ids(node as usize);
-            vec![up, down]
-        }
-        FaultTarget::Trunk => {
-            let trunk = fabric
-                .trunk()
-                .expect("trunk presence is checked before the fabric is built");
-            vec![trunk]
-        }
+        FaultTarget::NodeRdma(node) => vec![links(node).0, links(node).1],
+        FaultTarget::NodeEth(node) => vec![links(node).2, links(node).3],
+        FaultTarget::Trunk => fabric.trunk().into_iter().collect(),
     }
 }
 
@@ -1248,14 +1264,13 @@ impl<'t> Executor<'t> {
         self.census.classes_at_start = self.classes.len() as u64;
         while let Some(completion) = self.sim.next() {
             match completion {
-                Completion::Flow { id, token, .. } => {
-                    if self.retry.is_some() {
-                        if let Some(&a) = self.attempt_of_flow.get(&id) {
-                            self.attempts[a].done = true;
-                        }
-                    }
-                    if self.track_flows {
-                        self.inflight.remove(&token);
+                Completion::Flow { token, .. } => {
+                    if self.track {
+                        let e = self
+                            .entries
+                            .binary_search_by_key(&token, |e| e.token)
+                            .expect("a tracked run records every entry it starts");
+                        self.entries[e].done = true;
                     }
                     self.dispatch(token)?;
                 }
@@ -1294,7 +1309,7 @@ impl<'t> Executor<'t> {
             Token::CollFlow { coll, channel } => {
                 self.coll_flow_done(coll, channel);
             }
-            Token::FlowTimeout { attempt } => self.handle_timeout(attempt)?,
+            Token::FlowTimeout { entry } => self.handle_timeout(entry)?,
         }
         Ok(())
     }
@@ -1339,7 +1354,7 @@ impl<'t> Executor<'t> {
             return Ok(());
         }
         let node_idx = node as usize;
-        if node_idx >= self.fabric.node_count() || !self.lost_nodes.insert(node_idx) {
+        if node_idx >= self.lost.len() || std::mem::replace(&mut self.lost[node_idx].node, true) {
             return Ok(());
         }
         // A collective blocks continuation only when it threads *through*
@@ -1348,7 +1363,7 @@ impl<'t> Executor<'t> {
         // has no survivor left to wedge (its retired members auto-arrive
         // and the stale schedule drains at zero cost).
         let tolerant = self.colls.iter().all(|c| {
-            let lost = |r: &Rank| self.lost_nodes.contains(&self.fabric.node_of(*r));
+            let lost = |r: &Rank| self.lost[self.fabric.node_of(*r)].node;
             c.kind.survives_member_loss()
                 || !c.devices.iter().any(&lost)
                 || c.devices.iter().all(lost)
@@ -1365,26 +1380,19 @@ impl<'t> Executor<'t> {
                 },
             });
         }
-        // Cancel in-flight transfers touching the node and deliver their
-        // semantic tokens immediately: the data is stale, not lost.
-        // Token-sorted so the run stays deterministic (`inflight` is a
-        // hash map).
-        let mut doomed: Vec<(u64, FlowId)> = self
-            .inflight
-            .iter()
-            .filter(|&(_, &(_, from, to))| {
-                self.fabric.node_of(from) == node_idx || self.fabric.node_of(to) == node_idx
-            })
-            .map(|(&tok, &(flow, _, _))| (tok, flow))
-            .collect();
-        doomed.sort_unstable_by_key(|&(tok, _)| tok);
-        for (tok, flow) in doomed {
-            self.sim.cancel_flow(flow);
-            self.inflight.remove(&tok);
-            if let Some(a) = self.attempt_of_flow.remove(&flow) {
-                self.attempts[a].done = true;
+        // Cancel in-flight entries touching the node, in token order, and
+        // deliver their semantic tokens immediately: the data is stale,
+        // not lost. Entries the deliveries start cannot touch the node.
+        for e in 0..self.entries.len() {
+            let rec = &self.entries[e];
+            let touches = |r: Rank| self.fabric.node_of(r) == node_idx;
+            if rec.done || !(touches(rec.launch.from) || touches(rec.launch.to)) {
+                continue;
             }
-            self.dispatch(tok)?;
+            let (flow, token) = (rec.flow, rec.token);
+            self.sim.cancel_flow(flow);
+            self.entries[e].done = true;
+            self.dispatch(token)?;
         }
         // Retire the node's devices: deliver each one's unsent pipeline
         // messages (stale) and arrive at its pending collectives so the
@@ -1431,100 +1439,67 @@ impl<'t> Executor<'t> {
         Ok(())
     }
 
-    /// React to an armed flow timeout: ignore if the transfer landed,
-    /// extend the deadline if it is merely slow, cancel + relaunch (with
-    /// TCP fallback on NIC death) if it is parked on a dead link.
-    fn handle_timeout(&mut self, a: usize) -> Result<(), ExecError> {
-        if self.attempts[a].done {
+    /// React to entry `e`'s armed timeout: ignore it if the entry
+    /// landed, push the deadline out if it is merely slow, cancel and
+    /// relaunch it (over TCP on NIC death) if it is parked on a dead link.
+    fn handle_timeout(&mut self, e: usize) -> Result<(), ExecError> {
+        let policy = self.retry.expect("timeouts need a retry policy");
+        let rec = &mut self.entries[e];
+        if rec.done {
             return Ok(());
         }
-        let policy = self.retry.expect("timeout armed without a retry policy");
-        self.attempts[a].timeout_seconds *= policy.backoff_multiplier;
-        let parked = self
-            .sim
-            .parked_flow_tokens()
-            .contains(&self.attempts[a].semantic);
-        if !parked {
+        rec.timeout_seconds *= policy.backoff_multiplier;
+        if !self.sim.parked_flow_tokens().contains(&rec.token) {
             // Slow but moving (degraded or contended): surfacing happens
             // via `on_fault`; here we only push the deadline out.
-            let next = self.attempts[a].timeout_seconds;
-            let t = self.token(Token::FlowTimeout { attempt: a });
-            self.set_timer(SimDuration::from_secs_f64(next), t);
+            let next = SimDuration::from_secs_f64(rec.timeout_seconds);
+            let t = self.token(Token::FlowTimeout { entry: e });
+            self.set_timer(next, t);
             return Ok(());
         }
-        if self.attempts[a].retries_left == 0 {
+        if rec.retries_left == 0 {
             return Err(ExecError::Unrecoverable {
-                from: self.attempts[a].from,
-                to: self.attempts[a].to,
+                from: rec.launch.from,
+                to: rec.launch.to,
                 attempts: policy.max_retries + 1,
             });
         }
-        self.attempts[a].retries_left -= 1;
-        let count = self.attempts[a].count;
-        self.counters
-            .counter_add("engine.flow_retries", u64::from(count));
-        let old_flow = self.attempts[a].flow;
-        self.sim.cancel_flow(old_flow);
-        self.attempt_of_flow.remove(&old_flow);
-        // Attribute the park: a down RDMA link means the owning node's
-        // NIC is lost — declare it and fall back to TCP for this and all
-        // future traffic touching the node (paper §3.2 fallback).
-        let now = self.sim.now().as_secs_f64();
-        let mut fallback = self.attempts[a].forced_tcp;
-        if !fallback {
-            for i in 0..self.attempts[a].path.len() {
-                let link = self.attempts[a].path[i];
-                let down = self.sim.link_health(link).is_some_and(|h| h.is_down());
-                if !down {
-                    continue;
-                }
-                if let Some(&(node, LinkClass::Rdma)) = self.link_owner.get(&link) {
-                    if self.lost_rdma.insert(node) {
-                        self.conditions.push(DegradedCondition::LostNic {
-                            node: node as u32,
-                            at_seconds: now,
-                        });
-                    }
-                    fallback = true;
+        rec.retries_left -= 1;
+        let (l, token, flow, tcp) = (rec.launch, rec.token, rec.flow, rec.tcp);
+        self.flow_retries += u64::from(l.count);
+        self.sim.cancel_flow(flow);
+        // Attribute the park: a down RDMA link on the entry's route means
+        // its node's NIC is lost, so declare it and fall back to TCP for
+        // this and all future traffic touching the node (paper §3.2
+        // fallback). An RDMA route's only RDMA links are the sender node's
+        // uplink and the receiver node's downlink, in that order.
+        let (src, dst) = (self.fabric.node_of(l.from), self.fabric.node_of(l.to));
+        if !tcp {
+            let route = self
+                .routes
+                .route(&self.fabric, self.topo, l.from, l.to, false);
+            let (up, down) = (
+                self.fabric.node_link_ids(src).0,
+                self.fabric.node_link_ids(dst).1,
+            );
+            for (link, node) in [(up, src), (down, dst)] {
+                let dead = self.sim.link_health(link).is_some_and(|h| h.is_down());
+                if dead
+                    && route.path.contains(&link)
+                    && !std::mem::replace(&mut self.lost[node].nic, true)
+                {
+                    self.conditions.push(DegradedCondition::LostNic {
+                        node: node as u32,
+                        at_seconds: self.sim.now().as_secs_f64(),
+                    });
                 }
             }
         }
-        let (from, to, bytes, semantic) = (
-            self.attempts[a].from,
-            self.attempts[a].to,
-            self.attempts[a].bytes,
-            self.attempts[a].semantic,
-        );
-        let force_tcp = fallback
-            || self.lost_rdma.contains(&self.fabric.node_of(from))
-            || self.lost_rdma.contains(&self.fabric.node_of(to));
+        let force_tcp = tcp || self.lost[src].nic || self.lost[dst].nic;
         if force_tcp {
-            self.counters
-                .counter_add("engine.tcp_fallback_flows", u64::from(count));
+            self.tcp_fallback_flows += u64::from(l.count);
         }
-        let route = self
-            .routes
-            .route(&self.fabric, self.topo, from, to, force_tcp);
-        let path = route.path.clone();
-        let spec = FlowSpec {
-            path: path.clone(),
-            bytes,
-            latency: route.latency,
-            rate_cap: route.rate_cap,
-            token: semantic,
-            count,
-        };
-        let id = self.start_flow(spec);
-        self.attempts[a].flow = id;
-        self.attempts[a].path = path;
-        self.attempts[a].forced_tcp = fallback;
-        self.attempt_of_flow.insert(id, a);
-        if self.track_flows {
-            self.inflight.insert(semantic, (id, from, to));
-        }
-        let next = self.attempts[a].timeout_seconds;
-        let t = self.token(Token::FlowTimeout { attempt: a });
-        self.set_timer(SimDuration::from_secs_f64(next), t);
+        self.launch(l, token, force_tcp, Some(e));
         Ok(())
     }
 
@@ -1663,7 +1638,13 @@ impl<'t> Executor<'t> {
         let first = self.sent.len() as u32;
         self.sent.push(msg);
         let token = self.token(Token::MsgArrived { first, count: 1 });
-        if let Some((flow, at)) = self.route_flow(from, to, bytes, 1, token) {
+        let l = Launch {
+            from,
+            to,
+            bytes,
+            count: 1,
+        };
+        if let Some((flow, at)) = self.route_flow(l, token) {
             if self.joins {
                 self.open_send = Some(OpenSend {
                     flow,
@@ -1677,91 +1658,96 @@ impl<'t> Executor<'t> {
         }
     }
 
-    /// Start `count` transfers of `bytes` from `from`'s node to `to`'s
-    /// node as one counted entry, represented by `from → to`. Returns the
-    /// entry and the instant (ns) it starts streaming, or `None` when an
-    /// endpoint's node left and the token was delivered as stale.
-    fn route_flow(
-        &mut self,
-        from: Rank,
-        to: Rank,
-        bytes: u64,
-        count: u32,
-        token: u64,
-    ) -> Option<(FlowId, u64)> {
-        if !self.lost_nodes.is_empty()
-            && (self.lost_nodes.contains(&self.fabric.node_of(from))
-                || self.lost_nodes.contains(&self.fabric.node_of(to)))
-        {
-            // One endpoint left the job: the member's contribution is
-            // stale, not pending. Deliver the semantic token through the
-            // event queue (zero-delay timer) so ordering relative to other
-            // completions stays deterministic.
-            self.set_timer(SimDuration::from_secs_f64(0.0), token);
-            return None;
+    /// Start `l` as one counted entry delivering `token`, over TCP when
+    /// an endpoint's NIC was lost or the transport ignores NICs. Returns
+    /// the entry and the instant (ns) it starts streaming, or `None` when
+    /// an endpoint's node left and the token was delivered as stale.
+    fn route_flow(&mut self, l: Launch, token: u64) -> Option<(FlowId, u64)> {
+        let mut lost_nic = false;
+        if !self.lost.is_empty() {
+            let (a, b) = (
+                self.lost[self.fabric.node_of(l.from)],
+                self.lost[self.fabric.node_of(l.to)],
+            );
+            if a.node || b.node {
+                // One endpoint left the job: the member's contribution is
+                // stale, not pending. Deliver the semantic token through
+                // the event queue (zero-delay timer) so ordering relative
+                // to other completions stays deterministic.
+                self.set_timer(SimDuration::from_secs_f64(0.0), token);
+                return None;
+            }
+            lost_nic = a.nic || b.nic;
         }
-        let lost_endpoint = !self.lost_rdma.is_empty()
-            && (self.lost_rdma.contains(&self.fabric.node_of(from))
-                || self.lost_rdma.contains(&self.fabric.node_of(to)));
         let nic_oblivious = self.transport == TransportPolicy::ForceTcpInterNode;
-        if lost_endpoint && !nic_oblivious {
-            self.counters
-                .counter_add("engine.tcp_fallback_flows", u64::from(count));
+        if lost_nic && !nic_oblivious {
+            self.tcp_fallback_flows += u64::from(l.count);
         }
-        let force_tcp = lost_endpoint || nic_oblivious;
+        Some(self.launch(l, token, lost_nic || nic_oblivious, None))
+    }
+
+    /// Start `l` as one netsim entry delivering `token`, over TCP/Ethernet
+    /// when `tcp`, as a new attempt of entry record `relaunch` or, in a
+    /// tracked run, under a new record. Under armed retries an entry that
+    /// leaves its node gets a timeout, priced from its first route.
+    /// Returns the entry and the instant (ns) it starts streaming.
+    fn launch(
+        &mut self,
+        l: Launch,
+        token: u64,
+        tcp: bool,
+        relaunch: Option<usize>,
+    ) -> (FlowId, u64) {
         let route = self
             .routes
-            .route(&self.fabric, self.topo, from, to, force_tcp);
-        let (latency, rate_cap) = (route.latency, route.rate_cap);
-        let arm_timeout = self.retry.is_some() && !route.path.is_empty();
-        // Only an armed timeout keeps the path (to relaunch the flow).
-        let kept_path = if arm_timeout {
-            route.path.clone()
-        } else {
-            Vec::new()
-        };
+            .route(&self.fabric, self.topo, l.from, l.to, tcp);
+        let (latency, rate_cap, pathless) = (route.latency, route.rate_cap, route.path.is_empty());
         let spec = FlowSpec {
             path: route.path.clone(),
-            bytes,
+            bytes: l.bytes,
             latency,
             rate_cap,
             token,
-            count,
+            count: l.count,
         };
-        let id = self.start_flow(spec);
-        if self.track_flows {
-            self.inflight.insert(token, (id, from, to));
+        let flow = self.start_flow(spec);
+        let at = self.sim.now().0 + latency.0;
+        if !self.track {
+            return (flow, at);
         }
-        if arm_timeout {
-            let policy = self
-                .retry
-                .expect("arm_timeout is only set when a retry policy is configured");
-            let est = latency.as_secs_f64()
-                + if rate_cap.is_finite() && rate_cap > 0.0 {
-                    bytes as f64 / rate_cap
-                } else {
-                    0.0
-                };
-            let timeout = (est * policy.timeout_factor).max(policy.min_timeout_seconds);
-            let a = self.attempts.len();
-            self.attempts.push(AttemptState {
-                from,
-                to,
-                bytes,
-                count,
-                semantic: token,
-                flow: id,
-                path: kept_path,
-                retries_left: policy.max_retries,
-                timeout_seconds: timeout,
-                forced_tcp: force_tcp,
-                done: false,
-            });
-            self.attempt_of_flow.insert(id, a);
-            let t = self.token(Token::FlowTimeout { attempt: a });
-            self.set_timer(SimDuration::from_secs_f64(timeout), t);
+        let e = match relaunch {
+            Some(e) => {
+                self.entries[e].flow = flow;
+                self.entries[e].tcp = tcp;
+                e
+            }
+            None => {
+                // Without armed retries the policy goes unused.
+                let policy = self.retry.unwrap_or_default();
+                let est = latency.as_secs_f64()
+                    + if rate_cap.is_finite() && rate_cap > 0.0 {
+                        l.bytes as f64 / rate_cap
+                    } else {
+                        0.0
+                    };
+                self.entries.push(Entry {
+                    launch: l,
+                    token,
+                    flow,
+                    tcp,
+                    retries_left: policy.max_retries,
+                    timeout_seconds: (est * policy.timeout_factor).max(policy.min_timeout_seconds),
+                    done: false,
+                });
+                self.entries.len() - 1
+            }
+        };
+        if self.retry.is_some() && !pathless {
+            let timeout = SimDuration::from_secs_f64(self.entries[e].timeout_seconds);
+            let t = self.token(Token::FlowTimeout { entry: e });
+            self.set_timer(timeout, t);
         }
-        Some((id, self.sim.now().0 + latency.0))
+        (flow, at)
     }
 
     /// Execute ops for `dev` until it blocks or finishes.
@@ -1776,12 +1762,8 @@ impl<'t> Executor<'t> {
             let op = self.programs[dev][pc];
             match op {
                 Op::Compute { label, seconds } => {
-                    let seconds = seconds
-                        * self
-                            .straggler_of_rank
-                            .get(&self.devs[dev].rank)
-                            .copied()
-                            .unwrap_or(1.0);
+                    let rank = self.devs[dev].rank.0 as usize;
+                    let seconds = seconds * self.slowdown.get(rank).copied().unwrap_or(1.0);
                     let start = self.sim.now().as_secs_f64();
                     self.timeline.spans.push(Span {
                         device: self.devs[dev].rank,
@@ -1941,7 +1923,8 @@ impl<'t> Executor<'t> {
         for i in start..end {
             let l = self.rounds(id).launches[i];
             let token = self.token(Token::CollFlow { coll: id, channel });
-            let started = self.route_flow(l.from, l.to, l.bytes, l.count * members, token);
+            let count = l.count * members;
+            let started = self.route_flow(Launch { count, ..l }, token);
             if let Some((flow, at)) = started.filter(|_| round == 0 && self.joins) {
                 self.open_coll_flows.push(flow);
                 if !self.open_coll_starts.contains(&at) {
@@ -2044,25 +2027,14 @@ impl<'t> Executor<'t> {
             }
         }
 
+        let max = |f: fn(&DevState) -> f64| self.devs.iter().map(f).fold(0.0, f64::max);
         let mut report = IterationReport {
-            total_seconds: self.devs.iter().map(|d| d.finish).fold(0.0, f64::max),
+            total_seconds: max(|d| d.finish),
             device_finish_seconds: self.devs.iter().map(|d| d.finish).collect(),
             device_compute_seconds: self.devs.iter().map(|d| d.compute_seconds).collect(),
-            forward_seconds_max: self
-                .devs
-                .iter()
-                .map(|d| d.forward_seconds)
-                .fold(0.0, f64::max),
-            backward_seconds_max: self
-                .devs
-                .iter()
-                .map(|d| d.backward_seconds)
-                .fold(0.0, f64::max),
-            optimizer_seconds_max: self
-                .devs
-                .iter()
-                .map(|d| d.optimizer_seconds)
-                .fold(0.0, f64::max),
+            forward_seconds_max: max(|d| d.forward_seconds),
+            backward_seconds_max: max(|d| d.backward_seconds),
+            optimizer_seconds_max: max(|d| d.optimizer_seconds),
             collective_wall_seconds: HashMap::new(),
             collective_spans: HashMap::new(),
             events: self.sim.events_processed(),
@@ -2073,8 +2045,8 @@ impl<'t> Executor<'t> {
             node_link_usage: Vec::new(),
             fault_windows: std::mem::take(&mut self.fault_windows),
             degraded_conditions: std::mem::take(&mut self.conditions),
-            flow_retries: self.counters.counter("engine.flow_retries"),
-            tcp_fallback_flows: self.counters.counter("engine.tcp_fallback_flows"),
+            flow_retries: self.flow_retries,
+            tcp_fallback_flows: self.tcp_fallback_flows,
         };
         // Close windows the schedule never restored at the iteration end
         // (leftover retry timers can drain the simulator clock past the
@@ -2876,6 +2848,83 @@ mod tests {
             r.degraded_conditions[0],
             DegradedCondition::Straggler { rank: Rank(1), .. }
         ));
+    }
+
+    /// Two 0.5 s forwards on two IB nodes' first devices, r1 straggling
+    /// by `slowdown` (or `rank` straggling instead).
+    fn straggler_probe(rank: Rank, slowdown: f64) -> Result<IterationReport, ExecError> {
+        let spec = ExecutionSpec {
+            programs: vec![(Rank(0), vec![fwd(0, 0.5)]), (Rank(1), vec![fwd(0, 0.5)])],
+            collectives: vec![],
+            transport: TransportPolicy::Auto,
+        };
+        let mut plan = FaultPlan::none();
+        plan.straggler(rank, slowdown);
+        execute_with_faults(&topo2(), spec, &plan)
+    }
+
+    #[test]
+    fn an_infinite_slowdown_is_a_typed_error() {
+        assert!(matches!(
+            straggler_probe(Rank(1), f64::INFINITY),
+            Err(ExecError::BadStraggler { rank: Rank(1), slowdown }) if slowdown == f64::INFINITY
+        ));
+    }
+
+    #[test]
+    fn a_nan_slowdown_is_a_typed_error() {
+        assert!(matches!(
+            straggler_probe(Rank(1), f64::NAN),
+            Err(ExecError::BadStraggler { rank: Rank(1), slowdown }) if slowdown.is_nan()
+        ));
+    }
+
+    #[test]
+    fn a_negative_slowdown_is_a_typed_error() {
+        assert_eq!(
+            straggler_probe(Rank(1), -2.0).unwrap_err(),
+            ExecError::BadStraggler {
+                rank: Rank(1),
+                slowdown: -2.0
+            }
+        );
+    }
+
+    #[test]
+    fn a_straggler_outside_the_topology_is_a_typed_error() {
+        assert_eq!(
+            straggler_probe(Rank(999), 2.0).unwrap_err(),
+            ExecError::BadStraggler {
+                rank: Rank(999),
+                slowdown: 2.0
+            }
+        );
+    }
+
+    #[test]
+    fn a_collective_listing_a_member_twice_is_a_typed_error() {
+        // r0 and r1 each start and wait on a collective listing r1 twice:
+        // it would wait for a third arrival that never comes.
+        let topo = presets::hybrid_two_cluster(2);
+        let coll = vec![Op::CollStart { id: 0 }, Op::CollWait { id: 0 }];
+        let spec = ExecutionSpec {
+            programs: vec![(Rank(0), coll.clone()), (Rank(1), coll)],
+            collectives: vec![CollectiveSpec::new(
+                CollKind::AllReduce,
+                vec![Rank(0), Rank(1), Rank(1)],
+                1 << 20,
+            )],
+            transport: TransportPolicy::Auto,
+        };
+        let defect = SpecError::DuplicateMember {
+            id: 0,
+            device: Rank(1),
+        };
+        assert_eq!(crate::validate_spec(&spec), std::slice::from_ref(&defect));
+        assert_eq!(
+            execute(&topo, spec).unwrap_err(),
+            ExecError::InvalidSpec(defect)
+        );
     }
 
     #[test]

@@ -110,9 +110,9 @@ pub struct FaultPlan {
     pub churn: Vec<NodeChurn>,
     /// Straggling devices.
     pub stragglers: Vec<Straggler>,
-    /// Recovery parameters; timeouts are armed only when `link_faults`
-    /// is non-empty, so a fault-free plan leaves the clean path
-    /// byte-identical.
+    /// Recovery parameters, in force only when [`FaultPlan::armed_retry`]
+    /// returns them: timeouts are armed only when `link_faults` is
+    /// non-empty, so a plan without link faults never times a flow out.
     pub retry: RetryPolicy,
     /// When set, the fabric is built with a shared inter-cluster trunk
     /// of this capacity (bytes/second) — required for
@@ -130,6 +130,12 @@ impl FaultPlan {
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.link_faults.is_empty() && self.churn.is_empty() && self.stragglers.is_empty()
+    }
+
+    /// The retry policy the executor and the progress checker arm:
+    /// `retry` when the plan carries link faults, else `None`.
+    pub fn armed_retry(&self) -> Option<RetryPolicy> {
+        (!self.link_faults.is_empty()).then_some(self.retry)
     }
 
     /// Append a health transition on `target` at `at`.

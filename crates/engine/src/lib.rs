@@ -55,6 +55,8 @@ pub mod compute;
 pub mod dp_sync;
 pub mod executor;
 pub mod fault;
+#[cfg(test)]
+mod fault_pin;
 pub mod metrics;
 mod obs;
 pub mod ops;

@@ -13,7 +13,7 @@
 //! order inside histograms must not depend on hash iteration.
 
 use holmes_netsim::obs::{FlowOutcome, NetObsReport};
-use holmes_obs::{Layer, ObsSession, Registry};
+use holmes_obs::{Layer, ObsSession};
 
 use crate::executor::IterationReport;
 
@@ -24,17 +24,24 @@ use crate::executor::IterationReport;
 /// construction (edge-triggered on the active-flow count).
 const FLOW_TRACK_BASE: u64 = 10_000;
 
-/// Fold one execution's outputs into the session. `report` is `None` when
-/// the run failed (fault-degraded executions still contribute their
-/// counters and netsim records); `net` is `None` when the simulator ran
-/// unobserved.
+/// Fold one execution's outputs into the session, its fault counters
+/// first (each added when non-zero). `report` is `None` when the run
+/// failed (fault-degraded executions still contribute their counters and
+/// netsim records); `net` is `None` when the simulator ran unobserved.
 pub(crate) fn record_execution(
     session: &mut ObsSession,
-    counters: &Registry,
+    (retries, fallbacks): (u64, u64),
     report: Option<&IterationReport>,
     net: Option<&NetObsReport>,
 ) {
-    session.registry.merge(counters);
+    if retries > 0 {
+        session.registry.counter_add("engine.flow_retries", retries);
+    }
+    if fallbacks > 0 {
+        session
+            .registry
+            .counter_add("engine.tcp_fallback_flows", fallbacks);
+    }
     if let Some(report) = report {
         record_report(session, report);
     }

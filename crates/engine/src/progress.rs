@@ -8,8 +8,8 @@
 //!
 //! * the per-collective schedule is regenerated exactly as the executor
 //!   does (bytes split across channels, cluster-major grouping);
-//! * the retry model is armed under the executor's own rule (retry only
-//!   when the plan schedules link faults) with the plan's fuel bound;
+//! * the retry model is armed by the executor's own rule,
+//!   [`FaultPlan::armed_retry`], with the plan's fuel bound;
 //! * each concrete fault/churn event maps to its abstract counterpart,
 //!   and — since concrete events fire at wall-clock times the abstract
 //!   domain cannot see — every event is swept across a sample of round
@@ -53,14 +53,10 @@ pub fn progress_spec(
             )
         })
         .collect();
-    // Mirror of the executor: retry machinery is armed only when the
-    // plan schedules link faults; churn-only plans run without it.
-    let retry = plan.and_then(|p| {
-        (!p.link_faults.is_empty()).then_some(RetryModel {
-            max_retries: Some(p.retry.max_retries),
-            backoff_multiplier: p.retry.backoff_multiplier,
-            tcp_fallback: true,
-        })
+    let retry = plan.and_then(FaultPlan::armed_retry).map(|p| RetryModel {
+        max_retries: Some(p.max_retries),
+        backoff_multiplier: p.backoff_multiplier,
+        tcp_fallback: true,
     });
     ProgressSpec {
         collectives,

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use holmes_topology::Rank;
 
-use crate::executor::{CollectiveSpec, ExecutionSpec};
+use crate::executor::ExecutionSpec;
 use crate::ops::{MsgKey, Op};
 
 /// A structural defect in an execution spec.
@@ -66,6 +66,14 @@ pub enum SpecError {
         /// The device starting it again.
         device: Rank,
     },
+    /// A collective lists one device twice: it waits for one arrival
+    /// per listed member, so it would never launch.
+    DuplicateMember {
+        /// The collective id.
+        id: u32,
+        /// The device listed again.
+        device: Rank,
+    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -88,6 +96,9 @@ impl std::fmt::Display for SpecError {
             SpecError::RepeatedCollStart { id, device } => {
                 write!(f, "{device} starts collective {id} twice")
             }
+            SpecError::DuplicateMember { id, device } => {
+                write!(f, "collective {id} lists {device} twice")
+            }
         }
     }
 }
@@ -97,11 +108,14 @@ pub fn validate_spec(spec: &ExecutionSpec) -> Vec<SpecError> {
     let mut errors = Vec::new();
     let mut sends: BTreeMap<MsgKey, u32> = BTreeMap::new();
     let mut recvs: BTreeMap<MsgKey, u32> = BTreeMap::new();
-    let members: Vec<BTreeSet<Rank>> = spec
-        .collectives
-        .iter()
-        .map(|c: &CollectiveSpec| c.devices.iter().copied().collect())
-        .collect();
+    let mut members: Vec<BTreeSet<Rank>> = vec![BTreeSet::new(); spec.collectives.len()];
+    for (id, c) in (0u32..).zip(&spec.collectives) {
+        for &device in &c.devices {
+            if !members[id as usize].insert(device) {
+                errors.push(SpecError::DuplicateMember { id, device });
+            }
+        }
+    }
     // Which devices actually appear in programs (a collective member with
     // no program at all cannot arrive).
     let mut started: Vec<BTreeSet<Rank>> = vec![BTreeSet::new(); spec.collectives.len()];
@@ -186,7 +200,7 @@ mod tests {
     use crate::builder::{build_iteration, EngineConfig, ScheduleKind};
     use crate::class_oracle::{built, dp_sync, nic, schedule};
     use crate::dp_sync::DpSyncStrategy;
-    use crate::executor::{execute, CollKind, ExecError};
+    use crate::executor::{execute, CollKind, CollectiveSpec, ExecError};
     use crate::ops::{Channel, ComputeLabel};
     use holmes_model::ParameterGroup;
     use holmes_parallel::{
@@ -274,9 +288,19 @@ mod tests {
     /// receive onto another device (`kind` 0); move a `CollStart` to a
     /// non-member (1) or post a copy there (2); drop one (3), or its
     /// `CollWait`s too (4); swap one with its `CollWait` (5); or post it
-    /// twice (6). `pick` chooses the op, `to` where it goes. Returns
-    /// false when the spec has no op the mutation applies to.
+    /// twice (6). `pick` chooses the op, `to` where it goes. Or repeat a
+    /// member of collective `pick` at position `to` of its list (7).
+    /// Returns false when the spec has no op the mutation applies to.
     fn mutate(spec: &mut ExecutionSpec, kind: u8, pick: usize, to: usize) -> bool {
+        if kind == 7 {
+            let colls = spec.collectives.len().max(1);
+            let Some(c) = spec.collectives.get_mut(pick % colls) else {
+                return false;
+            };
+            let member = c.devices[pick % c.devices.len()];
+            c.devices.insert(to % (c.devices.len() + 1), member);
+            return true;
+        }
         let sites: Vec<(usize, usize)> = spec
             .programs
             .iter()
@@ -350,7 +374,7 @@ mod tests {
                 prop::sample::select(vec![1u32, 2, 4]),
             ),
             (dp, sched) in (dp_sync(), schedule()),
-            (kind, pick, to) in (0u8..7, 0usize..usize::MAX, 0usize..usize::MAX),
+            (kind, pick, to) in (0u8..8, 0usize..usize::MAX, 0usize..usize::MAX),
         ) {
             let cfg = EngineConfig {
                 schedule: sched,
