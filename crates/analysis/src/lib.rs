@@ -33,8 +33,8 @@ pub use lint::{
 pub use progress::{
     check_progress, check_progress_with_scenarios, check_scenario, derive_member_loss_tolerance,
     enumerate_events, enumerate_scenarios, verify_moves_executable, verify_replan_progress,
-    AbstractLink, Counterexample, EventSpace, FailKind, ProgressCollective, ProgressEvent,
-    ProgressReport, ProgressSpec, ProgressVerdict, RetryModel, ScenarioEvent, WaitNode,
+    Counterexample, EventSpace, FailKind, ProgressCollective, ProgressEvent, ProgressReport,
+    ProgressSpec, ProgressVerdict, RetryModel, ScenarioEvent, WaitNode,
 };
 pub use verify::{
     expected_totals, verify_collective, verify_dp_groups, verify_hetero_partition,

@@ -28,6 +28,8 @@
 //!
 //! The abstract domain is deliberately coarse: per-node RDMA/Ethernet
 //! link health plus the trunk, a lost-node set, and a TCP-fallback set.
+//! Links are netsim's [`FaultTarget`]s, the type the engine's fault
+//! plans name, so a concrete fault maps onto the domain unchanged.
 //! Timing, backoff, and bandwidth are abstracted away — only *routability*
 //! and *fuel* matter for progress. Because round barriers are total
 //! (every transfer of round `r+1` waits on all of round `r`), a blocked
@@ -45,23 +47,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use holmes_netsim::algo::{CollKind, CollSchedule};
+use holmes_netsim::FaultTarget;
 use holmes_parallel::{DeltaReplanOutcome, MigrationPlan};
 use holmes_topology::{Rank, Topology};
 
 use crate::verify::{verify_replan, VerifyError};
-
-/// A link in the abstract fault domain: per-node NIC endpoints plus the
-/// cross-cluster trunk. Mirrors the engine's `FaultTarget` without
-/// depending on the engine crate (analysis stays upstream of it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AbstractLink {
-    /// The RDMA NIC of one node (global node index).
-    NodeRdma(u32),
-    /// The Ethernet NIC of one node (global node index).
-    NodeEth(u32),
-    /// The inter-cluster trunk.
-    Trunk,
-}
 
 /// One abstract event, drawn from the PR 3 fault and PR 8 churn
 /// machinery.
@@ -70,17 +60,17 @@ pub enum ProgressEvent {
     /// A link drops to degraded service (completes, slowly).
     LinkDegraded {
         /// The affected link.
-        link: AbstractLink,
+        link: FaultTarget,
     },
     /// A link goes down entirely (flows on it park).
     LinkDown {
         /// The affected link.
-        link: AbstractLink,
+        link: FaultTarget,
     },
     /// A link recovers to healthy.
     LinkUp {
         /// The affected link.
-        link: AbstractLink,
+        link: FaultTarget,
     },
     /// A node is preempted (its devices vanish immediately).
     NodePreempt {
@@ -129,7 +119,8 @@ pub struct RetryModel {
 }
 
 impl Default for RetryModel {
-    /// Mirrors the engine's `RetryPolicy::default()` fuel bound.
+    /// Mirrors the engine's `RetryPolicy::default()` fuel bound and
+    /// backoff (an engine unit test holds the two equal).
     fn default() -> Self {
         RetryModel {
             max_retries: Some(4),
@@ -199,7 +190,7 @@ pub struct ProgressSpec {
     /// never retry — any park is a stall).
     pub retry: Option<RetryModel>,
     /// Whether the fabric has an inter-cluster trunk (cross-cluster
-    /// TCP routes then also ride [`AbstractLink::Trunk`]).
+    /// TCP routes then also ride [`FaultTarget::Trunk`]).
     pub has_trunk: bool,
     /// Extra wait-for edges beyond the structural barrier edges. The IR's
     /// list-of-rounds encoding is acyclic by construction, so this is the
@@ -353,7 +344,7 @@ pub fn enumerate_events(topo: &Topology, spec: &ProgressSpec) -> Vec<ProgressEve
     }
     let mut events = Vec::new();
     for &n in &nodes {
-        for link in [AbstractLink::NodeRdma(n), AbstractLink::NodeEth(n)] {
+        for link in [FaultTarget::NodeRdma(n), FaultTarget::NodeEth(n)] {
             events.push(ProgressEvent::LinkDegraded { link });
             events.push(ProgressEvent::LinkDown { link });
         }
@@ -363,10 +354,10 @@ pub fn enumerate_events(topo: &Topology, spec: &ProgressSpec) -> Vec<ProgressEve
     }
     if spec.has_trunk {
         events.push(ProgressEvent::LinkDegraded {
-            link: AbstractLink::Trunk,
+            link: FaultTarget::Trunk,
         });
         events.push(ProgressEvent::LinkDown {
-            link: AbstractLink::Trunk,
+            link: FaultTarget::Trunk,
         });
     }
     events
@@ -453,8 +444,8 @@ enum LossKind {
 
 #[derive(Debug, Clone, Default)]
 struct AbstractState {
-    degraded: BTreeSet<AbstractLink>,
-    down: BTreeSet<AbstractLink>,
+    degraded: BTreeSet<FaultTarget>,
+    down: BTreeSet<FaultTarget>,
     lost: BTreeMap<u32, LossKind>,
     /// Nodes whose RDMA traffic has been declared dead and rerouted
     /// over TCP (paper §3.2 fallback).
@@ -487,7 +478,7 @@ impl AbstractState {
                 // A join restores link health at the node's slot but the
                 // schedule under check predates it: lost devices stay
                 // lost.
-                for link in [AbstractLink::NodeRdma(node), AbstractLink::NodeEth(node)] {
+                for link in [FaultTarget::NodeRdma(node), FaultTarget::NodeEth(node)] {
                     self.degraded.remove(&link);
                     self.down.remove(&link);
                 }
@@ -504,7 +495,7 @@ fn route_links(
     state: &AbstractState,
     from: Rank,
     to: Rank,
-) -> Vec<AbstractLink> {
+) -> Vec<FaultTarget> {
     let nf = node_of(topo, from);
     let nt = node_of(topo, to);
     if nf == nt {
@@ -515,11 +506,11 @@ fn route_links(
         .map(|p| p.kind.is_rdma())
         .unwrap_or(false);
     if rdma && !state.lost_rdma.contains(&nf) && !state.lost_rdma.contains(&nt) {
-        return vec![AbstractLink::NodeRdma(nf), AbstractLink::NodeRdma(nt)];
+        return vec![FaultTarget::NodeRdma(nf), FaultTarget::NodeRdma(nt)];
     }
-    let mut links = vec![AbstractLink::NodeEth(nf), AbstractLink::NodeEth(nt)];
+    let mut links = vec![FaultTarget::NodeEth(nf), FaultTarget::NodeEth(nt)];
     if has_trunk && cross_cluster(topo, from, to) {
-        links.push(AbstractLink::Trunk);
+        links.push(FaultTarget::Trunk);
     }
     links
 }
@@ -671,12 +662,12 @@ fn run_collective(
             let mut links = route_links(topo, spec.has_trunk, &state, t.from, t.to);
             if links.iter().any(|l| state.down.contains(l))
                 && retry.tcp_fallback
-                && links.iter().any(|l| matches!(l, AbstractLink::NodeRdma(_)))
+                && links.iter().any(|l| matches!(l, FaultTarget::NodeRdma(_)))
             {
                 // §3.2 fallback: declare the dead RDMA side lost and
                 // reroute over Ethernet.
                 for l in &links {
-                    if let AbstractLink::NodeRdma(n) = l {
+                    if let FaultTarget::NodeRdma(n) = l {
                         if state.down.contains(l) {
                             state.lost_rdma.insert(*n);
                             trace.push(format!("rerouting node {n} over TCP after RDMA loss"));
@@ -1041,7 +1032,7 @@ mod tests {
         let scenario = [ScenarioEvent {
             boundary: 0,
             event: ProgressEvent::LinkDown {
-                link: AbstractLink::NodeRdma(0),
+                link: FaultTarget::NodeRdma(0),
             },
         }];
         let (verdict, ces) = check_scenario(&topo, &spec, &scenario);
@@ -1057,13 +1048,13 @@ mod tests {
             ScenarioEvent {
                 boundary: 0,
                 event: ProgressEvent::LinkDown {
-                    link: AbstractLink::NodeRdma(0),
+                    link: FaultTarget::NodeRdma(0),
                 },
             },
             ScenarioEvent {
                 boundary: 0,
                 event: ProgressEvent::LinkDown {
-                    link: AbstractLink::NodeEth(0),
+                    link: FaultTarget::NodeEth(0),
                 },
             },
         ];

@@ -4,8 +4,8 @@
 //! checks are neither vacuous nor cross-wired.
 
 use holmes_analysis::progress::{
-    check_progress_with_scenarios, check_scenario, AbstractLink, FailKind, ProgressCollective,
-    ProgressEvent, ProgressSpec, ProgressVerdict, RetryModel, ScenarioEvent, WaitNode,
+    check_progress_with_scenarios, check_scenario, FailKind, ProgressCollective, ProgressEvent,
+    ProgressSpec, ProgressVerdict, RetryModel, ScenarioEvent, WaitNode,
 };
 use holmes_analysis::{
     verify_collective, verify_dp_groups, verify_hetero_partition, verify_migration,
@@ -13,6 +13,7 @@ use holmes_analysis::{
     verify_schedule_structure, verify_stage_memory, VerifyError,
 };
 use holmes_netsim::algo::{CollKind, CollSchedule, Round, Transfer};
+use holmes_netsim::FaultTarget;
 use holmes_parallel::{
     replan_for_delta, DeltaReplanOutcome, DpCollectiveAlgo, DpGroupNic, GroupLayout, GuidedPlanner,
     HolmesScheduler, MigrationCosts, ParallelDegrees, ParallelPlan, Scheduler, StageProfile,
@@ -679,13 +680,13 @@ fn unbounded_retry_detected_as_livelock() {
         ScenarioEvent {
             boundary: 0,
             event: ProgressEvent::LinkDown {
-                link: AbstractLink::NodeRdma(0),
+                link: FaultTarget::NodeRdma(0),
             },
         },
         ScenarioEvent {
             boundary: 0,
             event: ProgressEvent::LinkDown {
-                link: AbstractLink::NodeEth(0),
+                link: FaultTarget::NodeEth(0),
             },
         },
     ];
@@ -773,7 +774,7 @@ fn parked_flows_without_retry_detected_as_stall() {
     let scenario = [ScenarioEvent {
         boundary: 0,
         event: ProgressEvent::LinkDown {
-            link: AbstractLink::NodeRdma(0),
+            link: FaultTarget::NodeRdma(0),
         },
     }];
     let (verdict, counterexamples) = check_scenario(&topo, &spec, &scenario);

@@ -933,7 +933,7 @@ pub(crate) fn execute_inner(
     let (mut lost, mut slowdown, mut conditions) = (Vec::new(), Vec::new(), Vec::new());
     if let Some(plan) = plan {
         for f in &plan.link_faults {
-            for link in resolve_fault_target(&fabric, f.target) {
+            for link in fabric.links_of(f.target) {
                 sim.schedule_fault_at(f.at, link, f.health);
             }
         }
@@ -1243,17 +1243,6 @@ fn check_fault_targets(topo: &Topology, plan: &FaultPlan) -> Result<(), ExecErro
         }
     }
     Ok(())
-}
-
-/// Expand a topology-level fault target into the fabric links it covers
-/// (already checked present by [`check_fault_targets`]).
-fn resolve_fault_target(fabric: &Fabric, target: FaultTarget) -> Vec<LinkId> {
-    let links = |node: u32| fabric.node_link_ids(node as usize);
-    match target {
-        FaultTarget::NodeRdma(node) => vec![links(node).0, links(node).1],
-        FaultTarget::NodeEth(node) => vec![links(node).2, links(node).3],
-        FaultTarget::Trunk => fabric.trunk().into_iter().collect(),
-    }
 }
 
 impl<'t> Executor<'t> {

@@ -1,11 +1,15 @@
 //! Engine-level fault plans and degraded-mode recovery policy.
 //!
-//! The netsim layer speaks raw [`LinkId`]s; an experiment wants to say
-//! "node 3 loses its RDMA NIC at t = 2 s" or "the inter-cluster trunk
-//! flaps". A [`FaultPlan`] expresses faults against *topology-level*
-//! targets ([`FaultTarget`]) plus straggler GPU slowdowns, and
-//! [`crate::executor::execute_with_faults`] translates them onto fabric
-//! links when the simulator is built.
+//! An experiment wants to say "node 3 loses its RDMA NIC at t = 2 s" or
+//! "the inter-cluster trunk flaps". A [`FaultPlan`] lists such faults in
+//! netsim's own vocabulary — link faults against a [`FaultTarget`]
+//! (re-exported here from `holmes_netsim`), membership events as
+//! [`ChurnEvent`]s — plus straggler GPU slowdowns, and
+//! [`crate::executor::execute_with_faults`] schedules them on the
+//! simulator once the fabric is built. A link fault whose target the
+//! fabric lacks (a node past the last, or the trunk when
+//! [`FaultPlan::trunk_bytes_per_sec`] is unset) fails the run with
+//! [`crate::ExecError::FaultTargetMissing`] before any work.
 //!
 //! Recovery is the executor's job, parameterized by [`RetryPolicy`]:
 //! every inter-node flow launched under a fault plan is armed with a
@@ -19,22 +23,9 @@
 //! than dead) links stretch the timeline visibly — surfaced as
 //! [`DegradedCondition::DegradedLink`] — without spurious cancellation.
 
-use holmes_netsim::{ChurnKind, LinkHealth, LinkId, SimTime};
+pub use holmes_netsim::FaultTarget;
+use holmes_netsim::{ChurnEvent, ChurnKind, LinkHealth, LinkId, SimTime};
 use holmes_topology::Rank;
-
-/// A topology-level fault location, resolved to fabric links at
-/// execution time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultTarget {
-    /// Both directions of a node's RDMA uplink (the NIC itself).
-    NodeRdma(u32),
-    /// Both directions of a node's Ethernet uplink.
-    NodeEth(u32),
-    /// The inter-cluster trunk; execution fails with
-    /// [`crate::ExecError::FaultTargetMissing`] unless the plan sets
-    /// [`FaultPlan::trunk_bytes_per_sec`].
-    Trunk,
-}
 
 /// One scheduled health transition of a [`FaultTarget`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,27 +78,16 @@ impl Default for RetryPolicy {
     }
 }
 
-/// One scheduled node-membership event: the node's RDMA *and* Ethernet
-/// uplinks flip atomically at `at` (down for preempt/drain, up for a
-/// join), and the executor receives the event as a first-class
-/// completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeChurn {
-    /// Simulated time at which the event takes effect.
-    pub at: SimTime,
-    /// Global node index (cluster-major, like [`FaultTarget`]).
-    pub node: u32,
-    /// What happens to the node.
-    pub kind: ChurnKind,
-}
-
 /// A deterministic fault scenario for one executed iteration.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Link-health transitions, applied in `(at, order)` order.
     pub link_faults: Vec<LinkFault>,
-    /// Node-membership events, applied in `(at, order)` order.
-    pub churn: Vec<NodeChurn>,
+    /// Node-membership events, applied in `(at, order)` order: each
+    /// flips the node's RDMA *and* Ethernet uplinks atomically (down for
+    /// preempt/drain, up for a join), and the executor receives it as a
+    /// first-class completion.
+    pub churn: Vec<ChurnEvent>,
     /// Straggling devices.
     pub stragglers: Vec<Straggler>,
     /// Recovery parameters, in force only when [`FaultPlan::armed_retry`]
@@ -163,7 +143,7 @@ impl FaultPlan {
 
     /// Append a membership event on `node` at `at`.
     pub fn churn_event(&mut self, at: SimTime, node: u32, kind: ChurnKind) -> &mut Self {
-        self.churn.push(NodeChurn { at, node, kind });
+        self.churn.push(ChurnEvent { at, node, kind });
         self
     }
 

@@ -9,11 +9,14 @@
 //! * the per-collective schedule is regenerated exactly as the executor
 //!   does (bytes split across channels, cluster-major grouping);
 //! * the retry model is armed by the executor's own rule,
-//!   [`FaultPlan::armed_retry`], with the plan's fuel bound;
-//! * each concrete fault/churn event maps to its abstract counterpart,
-//!   and — since concrete events fire at wall-clock times the abstract
-//!   domain cannot see — every event is swept across a sample of round
-//!   boundaries, over-approximating the arrival times.
+//!   [`FaultPlan::armed_retry`], with the plan's fuel bound (a unit test
+//!   holds `RetryModel::default()` equal to the default policy's model);
+//! * each concrete fault/churn event maps to its abstract counterpart
+//!   (a link fault keeps its netsim [`FaultTarget`](holmes_netsim::FaultTarget),
+//!   the checker's link type too), and — since concrete events fire at
+//!   wall-clock times the abstract domain cannot see — every event is
+//!   swept across a sample of round boundaries, over-approximating the
+//!   arrival times.
 //!
 //! The executor calls [`debug_check`] next to its PR 4 structural
 //! verifier: any counterexample (stall, livelock, wait cycle, unsound
@@ -21,14 +24,14 @@
 //! flow launches.
 
 use holmes_analysis::progress::{
-    check_progress_with_scenarios, AbstractLink, ProgressCollective, ProgressEvent, ProgressReport,
-    ProgressSpec, RetryModel, ScenarioEvent,
+    check_progress_with_scenarios, ProgressCollective, ProgressEvent, ProgressReport, ProgressSpec,
+    RetryModel, ScenarioEvent,
 };
 use holmes_netsim::{ChurnKind, LinkHealth};
 use holmes_topology::Topology;
 
 use crate::executor::ExecutionSpec;
-use crate::fault::{FaultPlan, FaultTarget};
+use crate::fault::{FaultPlan, RetryPolicy};
 
 /// Build the abstract progress spec for an execution: one
 /// [`ProgressCollective`] per collective (schedule regenerated with the
@@ -53,11 +56,7 @@ pub fn progress_spec(
             )
         })
         .collect();
-    let retry = plan.and_then(FaultPlan::armed_retry).map(|p| RetryModel {
-        max_retries: Some(p.max_retries),
-        backoff_multiplier: p.backoff_multiplier,
-        tcp_fallback: true,
-    });
+    let retry = plan.and_then(FaultPlan::armed_retry).map(retry_model);
     ProgressSpec {
         collectives,
         retry,
@@ -66,12 +65,13 @@ pub fn progress_spec(
     }
 }
 
-/// Map one concrete fault target into the abstract link domain.
-pub fn abstract_link(target: FaultTarget) -> AbstractLink {
-    match target {
-        FaultTarget::NodeRdma(n) => AbstractLink::NodeRdma(n),
-        FaultTarget::NodeEth(n) => AbstractLink::NodeEth(n),
-        FaultTarget::Trunk => AbstractLink::Trunk,
+/// The checker's view of a retry policy: its fuel bound and backoff,
+/// with the NIC-loss TCP fallback the executor always offers.
+fn retry_model(policy: RetryPolicy) -> RetryModel {
+    RetryModel {
+        max_retries: Some(policy.max_retries),
+        backoff_multiplier: policy.backoff_multiplier,
+        tcp_fallback: true,
     }
 }
 
@@ -81,7 +81,7 @@ pub fn abstract_link(target: FaultTarget) -> AbstractLink {
 pub fn plan_events(plan: &FaultPlan) -> Vec<ProgressEvent> {
     let mut events = Vec::new();
     for f in &plan.link_faults {
-        let link = abstract_link(f.target);
+        let link = f.target;
         events.push(match f.health {
             LinkHealth::Healthy => ProgressEvent::LinkUp { link },
             LinkHealth::Degraded { .. } => ProgressEvent::LinkDegraded { link },
@@ -168,6 +168,13 @@ mod tests {
             }],
             transport: TransportPolicy::default(),
         }
+    }
+
+    #[test]
+    fn default_retry_model_is_the_default_policy() {
+        // `verify_preset_progress` arms `RetryModel::default()` for its
+        // generic sweep; it must stay the executor's default policy.
+        assert_eq!(RetryModel::default(), retry_model(RetryPolicy::default()));
     }
 
     #[test]

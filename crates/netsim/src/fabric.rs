@@ -16,6 +16,21 @@ use crate::link::{LinkCapacity, LinkId};
 use crate::sim::NetSim;
 use crate::time::SimDuration;
 
+/// A topology-level fault location: the links one fault or recovery
+/// acts on, named by what fails rather than by [`LinkId`]. Node indices
+/// are global and cluster-major, like [`Fabric::node_of`]'s.
+/// [`Fabric::links_of`] expands a target to its links.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum FaultTarget {
+    /// Both directions of a node's RDMA uplink (the NIC itself).
+    NodeRdma(u32),
+    /// Both directions of a node's Ethernet uplink.
+    NodeEth(u32),
+    /// The inter-cluster trunk, present only on a fabric built with
+    /// [`Fabric::build_with_trunk`].
+    Trunk,
+}
+
 /// Per-node link handles.
 #[derive(Debug, Clone, Copy)]
 struct NodeLinks {
@@ -98,12 +113,6 @@ impl Fabric {
         (rank.0 / self.gpus_per_node) as usize
     }
 
-    /// The trunk link, when one was configured.
-    #[inline]
-    pub fn trunk(&self) -> Option<LinkId> {
-        self.trunk
-    }
-
     /// Number of nodes with registered links.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -126,118 +135,69 @@ impl Fabric {
         self.route_with(topo, a, b, false)
     }
 
-    /// Like [`Fabric::route`], but inter-node transfers are forced down to
-    /// the TCP/Ethernet path regardless of RDMA availability.
-    ///
-    /// This models NIC-oblivious frameworks in a heterogeneous environment:
-    /// stock NCCL selects a transport that works for *every* pair in the
-    /// job, so one incompatible NIC pairing demotes the whole job to
-    /// sockets (the paper §3.2: traditional frameworks "can only support
-    /// using the low-speed Ethernet NIC" in heterogeneous environments).
-    pub fn route_forced_tcp(&self, topo: &Topology, a: Rank, b: Rank) -> Route {
-        self.route_with(topo, a, b, true)
-    }
-
+    /// The route for a transfer from `a` to `b`, over the profile
+    /// [`Topology::tcp_link_between`] prices when `force_tcp` is set (a
+    /// NIC loss, or a NIC-oblivious framework that demotes the whole job
+    /// to sockets, paper §3.2) and [`Topology::link_between`] otherwise.
+    /// Each link kind has one path: none for NVLink/PCIe, the two nodes'
+    /// RDMA links plus an oversubscribed cluster's switch, or their
+    /// Ethernet links plus the trunk across clusters.
     fn route_with(&self, topo: &Topology, a: Rank, b: Rank, force_tcp: bool) -> Route {
         assert_ne!(a, b, "no self-routes");
-        let profile = topo
-            .link_between(a, b)
-            .expect("ranks belong to the fabric's topology");
-        if force_tcp && !profile.kind.is_intra_node() {
-            let src = self.node_links[self.node_of(a)];
-            let dst = self.node_links[self.node_of(b)];
-            let (ca, cb) = (
-                topo.coord(a)
-                    .expect("fabric routes are built only for ranks inside the topology")
-                    .cluster,
-                topo.coord(b)
-                    .expect("fabric routes are built only for ranks inside the topology")
-                    .cluster,
-            );
-            let eth = if ca == cb {
-                // Within one cluster: the slower endpoint's Ethernet NIC.
-                let na = &topo.clusters()[ca.0 as usize].nodes[topo
-                    .coord(a)
-                    .expect("fabric routes are built only for ranks inside the topology")
-                    .node
-                    .0 as usize];
-                let nb = &topo.clusters()[cb.0 as usize].nodes[topo
-                    .coord(b)
-                    .expect("fabric routes are built only for ranks inside the topology")
-                    .node
-                    .0 as usize];
-                if na.ethernet.effective_bytes_per_sec() <= nb.ethernet.effective_bytes_per_sec() {
-                    na.ethernet
-                } else {
-                    nb.ethernet
-                }
-            } else {
-                *topo.inter_cluster_profile()
-            };
-            let mut path = vec![src.eth_up, dst.eth_down];
-            if ca != cb {
-                if let Some(trunk) = self.trunk {
-                    path.push(trunk);
-                }
-            }
-            return Route {
-                path,
-                rate_cap: eth.effective_bytes_per_sec(),
-                latency: SimDuration::from_nanos(eth.latency_ns()),
-            };
+        let profile = if force_tcp {
+            topo.tcp_link_between(a, b)
+        } else {
+            topo.link_between(a, b)
         }
-        let latency = SimDuration::from_nanos(profile.latency_ns);
-        match profile.kind {
-            LinkKind::NvLink | LinkKind::PciE => Route {
-                path: Vec::new(),
-                rate_cap: profile.bandwidth_bytes_per_sec,
-                latency,
-            },
+        .expect("ranks belong to the fabric's topology");
+        let cluster = |r: Rank| {
+            topo.coord(r)
+                .expect("fabric routes are built only for ranks inside the topology")
+                .cluster
+        };
+        let src = self.node_links[self.node_of(a)];
+        let dst = self.node_links[self.node_of(b)];
+        let path = match profile.kind {
+            LinkKind::NvLink | LinkKind::PciE => Vec::new(),
             LinkKind::Rdma(_) => {
-                let src = self.node_links[self.node_of(a)];
-                let dst = self.node_links[self.node_of(b)];
                 let mut path = vec![src.rdma_up, dst.rdma_down];
                 // Oversubscribed fabrics bottleneck inter-node RDMA at the
                 // cluster switch's bisection.
-                let cluster = topo
-                    .coord(a)
-                    .expect("fabric routes are built only for ranks inside the topology")
-                    .cluster;
-                if let Some(switch) = self.cluster_switches[cluster.0 as usize] {
-                    path.push(switch);
-                }
-                Route {
-                    path,
-                    rate_cap: profile.bandwidth_bytes_per_sec,
-                    latency,
-                }
+                path.extend(self.cluster_switches[cluster(a).0 as usize]);
+                path
             }
             LinkKind::Tcp => {
-                let src = self.node_links[self.node_of(a)];
-                let dst = self.node_links[self.node_of(b)];
                 let mut path = vec![src.eth_up, dst.eth_down];
-                let cross_cluster = {
-                    let ca = topo
-                        .coord(a)
-                        .expect("fabric routes are built only for ranks inside the topology")
-                        .cluster;
-                    let cb = topo
-                        .coord(b)
-                        .expect("fabric routes are built only for ranks inside the topology")
-                        .cluster;
-                    ca != cb
-                };
-                if cross_cluster {
-                    if let Some(trunk) = self.trunk {
-                        path.push(trunk);
-                    }
+                if cluster(a) != cluster(b) {
+                    path.extend(self.trunk);
                 }
-                Route {
-                    path,
-                    rate_cap: profile.bandwidth_bytes_per_sec,
-                    latency,
-                }
+                path
             }
+        };
+        Route {
+            path,
+            rate_cap: profile.bandwidth_bytes_per_sec,
+            latency: SimDuration::from_nanos(profile.latency_ns),
+        }
+    }
+
+    /// The fabric links a fault on `target` acts on: both directions of
+    /// a node's NIC, or the trunk (none when the fabric was built
+    /// without one).
+    ///
+    /// # Panics
+    /// Panics when a node target lies past the fabric's last node.
+    pub fn links_of(&self, target: FaultTarget) -> Vec<LinkId> {
+        match target {
+            FaultTarget::NodeRdma(node) => {
+                let l = self.node_links[node as usize];
+                vec![l.rdma_up, l.rdma_down]
+            }
+            FaultTarget::NodeEth(node) => {
+                let l = self.node_links[node as usize];
+                vec![l.eth_up, l.eth_down]
+            }
+            FaultTarget::Trunk => self.trunk.into_iter().collect(),
         }
     }
 
@@ -279,9 +239,8 @@ impl Fabric {
 /// alone: both endpoints' NICs, clusters and link handles are per node,
 /// and intra-node pairs ride the node's own NVLink/PCIe profile. So the
 /// first transfer of a node pair walks the topology once and every later
-/// one is a table hit, bit-identical to [`Fabric::route`] /
-/// [`Fabric::route_forced_tcp`]. Build one per fabric with
-/// [`Fabric::route_table`].
+/// one is a table hit, bit-identical to walking it again. Build one per
+/// fabric with [`Fabric::route_table`].
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     nodes: usize,
@@ -442,10 +401,10 @@ mod tests {
     fn forced_tcp_demotes_rdma_pairs() {
         let (topo, _, fabric) = hybrid();
         let rdma = fabric.route(&topo, Rank(0), Rank(8));
-        let tcp = fabric.route_forced_tcp(&topo, Rank(0), Rank(8));
+        let tcp = fabric.route_with(&topo, Rank(0), Rank(8), true);
         assert!(tcp.rate_cap < rdma.rate_cap / 5.0);
         // Intra-node stays on NVLink even when forced.
-        let nv = fabric.route_forced_tcp(&topo, Rank(0), Rank(1));
+        let nv = fabric.route_with(&topo, Rank(0), Rank(1), true);
         assert!(nv.path.is_empty());
         assert!(nv.rate_cap > 100e9);
     }
@@ -467,7 +426,7 @@ mod tests {
                     let tcp = table.route(fabric, topo, a, b, true);
                     assert_eq!(
                         bits(tcp),
-                        bits(&fabric.route_forced_tcp(topo, a, b)),
+                        bits(&fabric.route_with(topo, a, b, true)),
                         "pass {pass}"
                     );
                 }
@@ -514,11 +473,26 @@ mod tests {
     }
 
     #[test]
+    fn fault_targets_expand_to_their_links() {
+        let topo = presets::hybrid_two_cluster(2);
+        let mut sim = NetSim::new();
+        let fabric = Fabric::build(&topo, &mut sim);
+        let (ru, rd, eu, ed) = fabric.node_link_ids(3);
+        assert_eq!(fabric.links_of(FaultTarget::NodeRdma(3)), vec![ru, rd]);
+        assert_eq!(fabric.links_of(FaultTarget::NodeEth(3)), vec![eu, ed]);
+        assert!(fabric.links_of(FaultTarget::Trunk).is_empty());
+        // The trunk is the third hop of every cross-cluster route.
+        let trunked = Fabric::build_with_trunk(&topo, &mut sim, 10e9);
+        let cross = trunked.route(&topo, Rank(0), Rank(16));
+        assert_eq!(trunked.links_of(FaultTarget::Trunk), cross.path[2..]);
+    }
+
+    #[test]
     fn forced_tcp_cross_cluster_matches_auto() {
         let (topo, _, fabric) = hybrid();
         // Cross-cluster pairs were already TCP under auto routing.
         let auto = fabric.route(&topo, Rank(0), Rank(16));
-        let forced = fabric.route_forced_tcp(&topo, Rank(0), Rank(16));
+        let forced = fabric.route_with(&topo, Rank(0), Rank(16), true);
         assert_eq!(auto.rate_cap, forced.rate_cap);
         assert_eq!(auto.path.len(), forced.path.len());
     }

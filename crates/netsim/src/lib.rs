@@ -22,6 +22,13 @@
 //!   (per-node RDMA and Ethernet uplinks/downlinks, optional inter-cluster
 //!   trunk) and routes rank-to-rank transfers; [`RouteTable`] memoises
 //!   those routes per node pair and transport for one execution.
+//! * The fault vocabulary every layer shares: a [`FaultTarget`] names the
+//!   links one fault acts on ([`Fabric::links_of`] expands it), a
+//!   [`LinkHealth`] is the state they enter, scheduled with
+//!   [`NetSim::schedule_fault_at`]; a [`ChurnEvent`] is one node leaving
+//!   or joining, scheduled with [`NetSim::schedule_churn_at`]. The
+//!   engine's fault plans and the symbolic progress checker speak these
+//!   same types.
 //! * [`algo`] — the collective algorithm IR: every algorithm (ring
 //!   reduce-scatter / all-gather / all-reduce, tree all-reduce, pipelined
 //!   broadcast, hierarchical cross-cluster all-reduce) is defined **once**
@@ -43,7 +50,6 @@ mod arena;
 pub mod churn;
 pub mod collective;
 mod fabric;
-pub mod fault;
 mod flow;
 mod hash;
 mod link;
@@ -54,9 +60,8 @@ mod sim;
 mod sim_fast;
 mod time;
 
-pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
-pub use fabric::{Fabric, Route, RouteTable};
-pub use fault::{FaultEvent, FaultSchedule};
+pub use churn::{ChurnEvent, ChurnKind};
+pub use fabric::{Fabric, FaultTarget, Route, RouteTable};
 pub use flow::{FlowId, FlowSpec};
 pub use hash::{WordHash, WordHasher};
 pub use link::{LinkCapacity, LinkHealth, LinkId, LinkStats};

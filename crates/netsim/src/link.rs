@@ -46,8 +46,9 @@ impl LinkCapacity {
 /// Operational health of a link — the per-link fault state machine.
 ///
 /// Transitions are driven by [`crate::NetSim::set_link_health`], either
-/// directly or via a scheduled [`crate::fault::FaultSchedule`]. Health
-/// scales the link's *nominal* capacity (set at registration or by
+/// directly or at a scheduled instant by
+/// [`crate::NetSim::schedule_fault_at`]. Health scales the link's
+/// *nominal* capacity (set at registration or by
 /// [`crate::NetSim::set_link_capacity`]) into its effective capacity:
 ///
 /// ```text

@@ -18,7 +18,6 @@ use std::collections::{HashMap, VecDeque};
 
 use crate::arena::{FlowArena, FlowWindow, SlotHeap};
 use crate::churn::ChurnKind;
-use crate::fault::FaultSchedule;
 use crate::flow::{FlowId, FlowSpec};
 use crate::hash::WordHash;
 use crate::link::{LinkCapacity, LinkHealth, LinkId, LinkStats};
@@ -43,9 +42,9 @@ pub enum Completion {
         /// The caller token.
         token: u64,
     },
-    /// A scheduled fault event ([`NetSim::schedule_fault_at`] /
-    /// [`NetSim::inject_faults`]) took effect. The new health is already
-    /// applied when the completion is delivered.
+    /// A scheduled fault event ([`NetSim::schedule_fault_at`]) took
+    /// effect. The new health is already applied when the completion is
+    /// delivered.
     Fault {
         /// Affected link.
         link: LinkId,
@@ -413,15 +412,6 @@ impl NetSim {
         self.fault_table.push((link, health));
         let at = at.max(self.now);
         self.push_event(at, Payload::Fault(idx));
-    }
-
-    /// Inject a whole [`FaultSchedule`]. Injecting an empty schedule is a
-    /// no-op: the event timeline is byte-identical to a fault-free run
-    /// (property-tested).
-    pub fn inject_faults(&mut self, schedule: &FaultSchedule) {
-        for ev in schedule.events() {
-            self.schedule_fault_at(ev.at, ev.link, ev.health);
-        }
     }
 
     /// Schedule a node-membership transition at absolute time `at`
@@ -933,9 +923,8 @@ mod tests {
     fn flap_parks_then_revives_through_the_event_stream() {
         let (mut sim, link) = sim_with_link(1e9);
         sim.start_flow(flow_on(link, 1_000_000_000, 1));
-        let mut faults = crate::fault::FaultSchedule::new();
-        faults.flap(link, SimTime(500_000_000), SimTime(2_500_000_000));
-        sim.inject_faults(&faults);
+        sim.schedule_fault_at(SimTime(500_000_000), link, LinkHealth::Down);
+        sim.schedule_fault_at(SimTime(2_500_000_000), link, LinkHealth::Healthy);
         let log = sim.drain();
         // down, up, flow — the parked 500 MB resumes at 2.5 s, +0.5 s.
         assert_eq!(log.len(), 3);

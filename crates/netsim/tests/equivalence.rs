@@ -14,9 +14,10 @@
 //! counted entries (`FlowSpec::count` flows started, completed and
 //! cancelled as one, which `RefSim` spells as that many verbatim starts)
 //! — and that observing a run, or taking its report mid-run, changes
-//! none of it. The observed run's report must also hold its record
-//! invariants (one record per activated logical flow, alternating
-//! park/resume transitions).
+//! none of it. The fast engine also runs every scenario twice and must
+//! replay the same log, membership churn included. The observed run's
+//! report must also hold its record invariants (one record per activated
+//! logical flow, alternating park/resume transitions).
 //!
 //! Generator discipline: capacities and rate caps come from
 //! well-separated round sets (powers of two × 1 GB/s, halved by degraded
@@ -33,8 +34,8 @@ use proptest::prelude::*;
 
 use holmes_netsim::refsim::RefSim;
 use holmes_netsim::{
-    ChurnKind, ChurnSchedule, Completion, FlowId, FlowOutcome, FlowSpec, LinkCapacity, LinkHealth,
-    LinkId, NetObsReport, NetSim, SimDuration, SimTime,
+    ChurnKind, Completion, FlowId, FlowOutcome, FlowSpec, LinkCapacity, LinkHealth, LinkId,
+    NetObsReport, NetSim, SimDuration, SimTime,
 };
 
 /// Capacities all engines pick from: powers of two in GB/s.
@@ -307,11 +308,15 @@ fn observed_sim() -> NetSim {
 }
 
 /// Run the scenario on all three drivers and require byte-identical
-/// streams, then check the observed run's report. A second observed run
+/// streams — the fast engine twice, so every scenario also replays
+/// byte-identically from the same input — then check the observed run's
+/// report. A second observed run
 /// takes its report from a probe timer at `probe_us`; its stream must
 /// match the unobserved run with the same (no-op) probe.
 fn check_all_drivers(sc: &Scenario, probe_us: u64) -> TestCaseResult {
     let plain = run_scenario(&mut NetSim::new(), sc);
+    let replay = run_scenario(&mut NetSim::new(), sc);
+    prop_assert_eq!(plain.as_bytes(), replay.as_bytes());
     let reference = run_scenario(&mut RefSim::new(), sc);
     prop_assert_eq!(plain.as_bytes(), reference.as_bytes());
 
@@ -645,51 +650,5 @@ proptest! {
     ) {
         let sc = Scenario { links, flows, faults, cancels, churn, probe_us: None, counts: vec![] };
         check_all_drivers(&sc, probe_us)?;
-    }
-
-    /// Seeded churn timelines ([`ChurnSchedule::poisson`]) replay
-    /// byte-identically per seed on every driver: same seed → same log on
-    /// one engine, across engines and under observation, and the events
-    /// arrive as scheduled.
-    #[test]
-    fn seeded_churn_replays_byte_identically_per_seed(
-        seed in 0u64..1_000,
-        nflows in 1usize..8,
-        bytes in 1_000_000u64..20_000_000,
-    ) {
-        // Two "nodes" of two links each; every flow crosses one link of
-        // each node, so preemptions park real traffic.
-        let schedule = ChurnSchedule::poisson(seed, &[0, 1], 0.05, 0.01, 0.005);
-        let drive = |sim: &mut dyn SimLike| {
-            let links: Vec<LinkId> = (0..4)
-                .map(|i| sim.add_link(LinkCapacity::new(CAPS[i % CAPS.len()])))
-                .collect();
-            for ev in schedule.events() {
-                let owned = &links[(ev.node as usize * 2)..(ev.node as usize * 2 + 2)];
-                sim.schedule_churn_at(ev.at, ev.node, ev.kind, owned);
-            }
-            for i in 0..nflows {
-                sim.start_flow(FlowSpec {
-                    path: vec![links[i % 2], links[2 + i % 2]],
-                    bytes: bytes + i as u64 * 7_919,
-                    latency: SimDuration::from_micros(i as u64 * 17),
-                    rate_cap: f64::INFINITY,
-                    token: i as u64,
-                    count: 1,
-                });
-            }
-            let mut log = String::new();
-            while let Some(c) = sim.next() {
-                log.push_str(&format!("{:?} @ {}ns\n", c, sim.now().0));
-            }
-            log
-        };
-        let fast = drive(&mut NetSim::new());
-        let fast_again = drive(&mut NetSim::new());
-        let reference = drive(&mut RefSim::new());
-        let observed = drive(&mut observed_sim());
-        prop_assert_eq!(fast.as_bytes(), fast_again.as_bytes());
-        prop_assert_eq!(fast.as_bytes(), reference.as_bytes());
-        prop_assert_eq!(fast.as_bytes(), observed.as_bytes());
     }
 }

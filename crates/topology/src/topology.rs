@@ -258,15 +258,10 @@ impl Topology {
     pub fn link_between(&self, a: Rank, b: Rank) -> Result<LinkProfile, TopologyError> {
         let ca = self.coord(a)?;
         let cb = self.coord(b)?;
-        let node_a = &self.clusters[ca.cluster.0 as usize].nodes[ca.node.0 as usize];
-        let node_b = &self.clusters[cb.cluster.0 as usize].nodes[cb.node.0 as usize];
-
-        if ca.cluster == cb.cluster && ca.node == cb.node {
-            return Ok(node_a.intra_link);
-        }
-
-        if ca.cluster == cb.cluster {
+        if ca.cluster == cb.cluster && ca.node != cb.node {
             let cluster = &self.clusters[ca.cluster.0 as usize];
+            let node_a = &cluster.nodes[ca.node.0 as usize];
+            let node_b = &cluster.nodes[cb.node.0 as usize];
             if cluster.has_switch && node_a.nic.nic_type.rdma_compatible(node_b.nic.nic_type) {
                 // RDMA path; the slower endpoint's NIC bounds the flow.
                 let (slow, fast);
@@ -281,35 +276,19 @@ impl Topology {
                     latency_ns: slow.latency_ns().max(fast.latency_ns()),
                 });
             }
-            // Incompatible NICs inside one cluster: only Ethernet works.
-            let eth = if node_a.ethernet.effective_bytes_per_sec()
-                <= node_b.ethernet.effective_bytes_per_sec()
-            {
-                &node_a.ethernet
-            } else {
-                &node_b.ethernet
-            };
-            return Ok(LinkProfile {
-                kind: LinkKind::Tcp,
-                bandwidth_bytes_per_sec: eth.effective_bytes_per_sec(),
-                latency_ns: eth.latency_ns(),
-            });
         }
-
-        // Cross-cluster: plain Ethernet, possibly long-haul.
-        Ok(LinkProfile {
-            kind: LinkKind::Tcp,
-            bandwidth_bytes_per_sec: self.inter_cluster.effective_bytes_per_sec(),
-            latency_ns: self.inter_cluster.latency_ns(),
-        })
+        // Same node, or a pair that cannot ride RDMA.
+        self.tcp_link_between(a, b)
     }
 
     /// Resolve the transport between two distinct devices with RDMA
     /// *excluded* — the path traffic takes after a NIC failure forces the
     /// pair down to TCP. Same-node pairs still ride NVLink (a NIC loss
     /// does not affect the intra-node fabric); everything else rides the
-    /// Ethernet fallback exactly as [`Topology::link_between`] prices it
-    /// for RDMA-incompatible pairs.
+    /// Ethernet fallback: the slower endpoint's Ethernet NIC inside a
+    /// cluster, the inter-cluster profile across clusters.
+    /// [`Topology::link_between`] returns this profile for every pair
+    /// that cannot ride RDMA.
     pub fn tcp_link_between(&self, a: Rank, b: Rank) -> Result<LinkProfile, TopologyError> {
         let ca = self.coord(a)?;
         let cb = self.coord(b)?;
