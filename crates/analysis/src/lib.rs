@@ -5,14 +5,18 @@
 //! * [`verify`] — the **artifact verifier**: structural checks over the
 //!   things the stack *generates* (collective-IR schedules, parallel
 //!   plans, pipeline partitions, NIC-selection reports) against the
-//!   topology they target. The engine executor debug-asserts these next
-//!   to its spec validator; the workspace property suite uses them as an
+//!   topology they target. The workspace property suite uses them as an
 //!   oracle; the mutation tests prove every error variant is reachable.
 //! * [`progress`] — the **symbolic progress checker**: a small-scope
 //!   model checker that abstractly executes every schedule against an
 //!   enumerated fault/churn event space and proves deadlock-freedom,
 //!   bounded-retry termination, member-loss soundness, and replan
 //!   reachability, with typed counterexample traces on violation.
+//!   `holmes::progress` maps the engine's specs and fault plans into its
+//!   domain.
+//!
+//! Nothing here runs on the execution path: `holmes-engine` does not
+//! depend on this crate, and this crate does not depend on the engine.
 //! * [`lint`] — the **determinism lint** behind the `holmes-lint` binary:
 //!   a line/token source scanner enforcing repo-specific rules clippy
 //!   cannot (no unordered-map iteration in event-ordered paths, no

@@ -120,7 +120,7 @@ pub struct RetryModel {
 
 impl Default for RetryModel {
     /// Mirrors the engine's `RetryPolicy::default()` fuel bound and
-    /// backoff (an engine unit test holds the two equal).
+    /// backoff (a unit test in `holmes::progress` holds the two equal).
     fn default() -> Self {
         RetryModel {
             max_retries: Some(4),
@@ -307,7 +307,7 @@ impl EventSpace {
         }
     }
 
-    /// Singles only, capped — for debug asserts on hot paths.
+    /// Singles only, capped — for gate tests that sweep many cells.
     pub fn quick() -> Self {
         EventSpace {
             pairwise: false,
@@ -957,8 +957,8 @@ pub fn check_progress(topo: &Topology, spec: &ProgressSpec, space: EventSpace) -
 }
 
 /// Like [`check_progress`], but sweeping an explicit scenario list
-/// instead of the enumerated event space — the engine's debug gate uses
-/// this to check exactly the events a concrete `FaultPlan` can produce.
+/// instead of the enumerated event space — `holmes::progress` uses this
+/// to check exactly the events a concrete `FaultPlan` can produce.
 /// The static properties (wait-for acyclicity, member-loss claim
 /// derivation) are checked regardless of the scenarios given.
 pub fn check_progress_with_scenarios(

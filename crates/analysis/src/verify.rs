@@ -4,10 +4,10 @@
 //! partitions (paper Eq. 2), NIC-homogeneous DP groups (paper §3.2) — can
 //! be checked structurally before a single simulated flow is launched.
 //! The checks here are pure functions over the artifacts plus the
-//! [`Topology`] they will run on; the engine executor debug-asserts them
-//! next to its `validate_spec` pass, the mutation tests exercise every
-//! error variant, and the workspace property suite uses them as an oracle
-//! for every schedule and plan the stack can produce.
+//! [`Topology`] they will run on; the mutation tests exercise every error
+//! variant, and the workspace property suite uses them as an oracle for
+//! every schedule and plan the stack can produce (every collective the
+//! builder emits, every input the executor accepts).
 //!
 //! Invariants checked per collective schedule:
 //!

@@ -131,8 +131,8 @@ struct ProgressSweep {
 
 /// Run the symbolic progress checker over every fault preset on the
 /// resilience CI environment — same topology, parameter group, and seed
-/// as `BENCH_resilience.json`, same bounded event space as the engine's
-/// debug gate. Verdict totals are a pure function of the inputs and are
+/// as `BENCH_resilience.json`, same bounded event space as the preset
+/// gate tests. Verdict totals are a pure function of the inputs and are
 /// gated exactly; the sweep wall time rides the tolerance gate so a
 /// checker slowdown trips CI like a planner one would.
 fn progress_sweep(repeats: u32) -> ProgressSweep {

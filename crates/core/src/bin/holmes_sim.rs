@@ -16,13 +16,15 @@
 //!                (default: holmes)
 //!   --iterations simulate a multi-iteration run of this length
 //!   --alpha      Self-Adapting Partition α (default: 1.05)
-//!   --trace      write a Chrome-trace JSON of one iteration to FILE
+//!   --trace      write the merged engine + netsim Chrome-trace JSON of
+//!                one iteration to FILE
 //!   --json       print the result as a JSON object instead of text
 //! ```
 
 use std::process::ExitCode;
 
 use holmes::engine::DpSyncStrategy;
+use holmes::obs::ObsSession;
 use holmes::topology::{presets, NicType, Node, Topology};
 use holmes::{
     run_scenario, simulate_training_run, FrameworkKind, HolmesConfig, Scenario, TrainingRunConfig,
@@ -171,7 +173,11 @@ fn run(args: Args) -> Result<(), String> {
 
     let (cfg, fallback) = framework_flags(&args);
     let scenario = Scenario::new(topo, args.pg);
-    let result = run_scenario(&scenario, &cfg, fallback, None).map_err(|e| e.to_string())?;
+    // The trace is the merged engine + netsim session trace; observing
+    // the run does not change its result.
+    let mut session = args.trace.as_ref().map(|_| ObsSession::new());
+    let result =
+        run_scenario(&scenario, &cfg, fallback, session.as_mut()).map_err(|e| e.to_string())?;
 
     if args.json {
         let layers: Vec<String> = result.stage_layers.iter().map(u32::to_string).collect();
@@ -204,8 +210,8 @@ fn run(args: Args) -> Result<(), String> {
         );
     }
 
-    if let Some(path) = &args.trace {
-        std::fs::write(path, result.report.timeline.to_chrome_trace())
+    if let (Some(path), Some(session)) = (&args.trace, &session) {
+        std::fs::write(path, session.trace.to_chrome_trace())
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("chrome trace written to {path}");
     }

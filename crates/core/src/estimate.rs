@@ -18,7 +18,7 @@ use holmes_engine::{ComputeModel, DpSyncStrategy, EngineConfig, TransportPolicy}
 use holmes_model::{embedding_params, layer_params, CommVolumes, TrainJob};
 use holmes_netsim::algo::{estimate_collective, CollKind};
 use holmes_netsim::collective::ring_link;
-use holmes_parallel::{DpGroupNic, ParallelPlan};
+use holmes_parallel::ParallelPlan;
 use holmes_topology::Topology;
 
 /// Decomposed iteration-time estimate.
@@ -152,17 +152,15 @@ pub fn estimate_iteration(
                 .seconds_uniform(bw, lat)
         };
         let sync = match cfg.dp_sync {
-            DpSyncStrategy::AllReduce
-                if cfg.hierarchical_cross_cluster
-                    && !forced_tcp
-                    && DpGroupNic::spans_clusters(topo, &devices) =>
-            {
-                // The builder upgrades this group to the hierarchical
-                // all-reduce; score the same IR schedule the executor will
-                // replay (fold with per-node contention).
-                estimate_collective(topo, CollKind::HierarchicalAllReduce, &devices, grad_bytes)
+            // Where the builder upgrades this group to the hierarchical
+            // all-reduce, score the same IR schedule the executor will
+            // replay (fold with per-node contention).
+            DpSyncStrategy::AllReduce => {
+                match cfg.upgrade_kind(topo, CollKind::AllReduce, &devices) {
+                    CollKind::AllReduce => ring(CollKind::AllReduce, grad_bytes),
+                    kind => estimate_collective(topo, kind, &devices, grad_bytes),
+                }
             }
-            DpSyncStrategy::AllReduce => ring(CollKind::AllReduce, grad_bytes),
             // ZeRO-3 pays the same RS plus a *blocking* parameter gather
             // at the start of the iteration (same volume as the ZeRO-1
             // trailing gather, but never overlapped with the cooldown).

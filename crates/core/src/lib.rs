@@ -44,6 +44,7 @@ mod config;
 pub mod estimate;
 mod framework;
 mod planner;
+pub mod progress;
 pub mod reliability;
 mod report;
 pub mod resilience;

@@ -4,7 +4,7 @@
 //! an abstract fault/churn event space; this module is the bridge from
 //! the executor's concrete world — [`ExecutionSpec`], [`FaultPlan`],
 //! retry arming rules — into that abstract domain, so the checker's
-//! model provably mirrors what `execute_inner` actually does:
+//! model provably mirrors what the executor actually does:
 //!
 //! * the per-collective schedule is regenerated exactly as the executor
 //!   does (bytes split across channels, cluster-major grouping);
@@ -18,20 +18,20 @@
 //!   swept across a sample of round boundaries, over-approximating the
 //!   arrival times.
 //!
-//! The executor calls [`debug_check`] next to its PR 4 structural
-//! verifier: any counterexample (stall, livelock, wait cycle, unsound
-//! member-loss claim) panics in debug builds before a single simulated
-//! flow launches.
+//! It lives here, not in `holmes-engine`, because this crate is the one
+//! that links both the engine and `holmes-analysis`: the runtime never
+//! runs the checker. Its callers are [`crate::verify_preset_progress`]
+//! (the `progress_check` tool and the preset gate tests) and the
+//! differential test that holds the abstract verdicts against the
+//! concrete simulator.
 
 use holmes_analysis::progress::{
     check_progress_with_scenarios, ProgressCollective, ProgressEvent, ProgressReport, ProgressSpec,
     RetryModel, ScenarioEvent,
 };
+use holmes_engine::{ExecutionSpec, FaultPlan, RetryPolicy};
 use holmes_netsim::{ChurnKind, LinkHealth};
 use holmes_topology::Topology;
-
-use crate::executor::ExecutionSpec;
-use crate::fault::{FaultPlan, RetryPolicy};
 
 /// Build the abstract progress spec for an execution: one
 /// [`ProgressCollective`] per collective (schedule regenerated with the
@@ -134,25 +134,10 @@ pub fn check_execution(
     check_progress_with_scenarios(topo, &pspec, &scenarios)
 }
 
-/// Debug-build gate wired into `execute_inner` beside the structural
-/// verifier: panic with the counterexample traces if the symbolic
-/// checker finds a progress violation in the spec the executor is about
-/// to run.
-pub fn debug_check(topo: &Topology, spec: &ExecutionSpec, plan: Option<&FaultPlan>) {
-    let report = check_execution(topo, spec, plan);
-    assert!(
-        report.is_clean(),
-        "symbolic progress checker found violations: {:#?}",
-        report.counterexamples
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::CollectiveSpec;
-    use crate::executor::TransportPolicy;
-    use holmes_netsim::algo::CollKind;
+    use holmes_engine::{CollKind, CollectiveSpec, TransportPolicy};
     use holmes_netsim::SimTime;
     use holmes_topology::{presets, Rank};
 

@@ -7,7 +7,8 @@ use holmes_topology::{Rank, Topology};
 use crate::compute::{ComputeModel, StageCost};
 use crate::dp_sync::DpSyncStrategy;
 use crate::executor::{
-    execute_inner, CollectiveSpec, ExecError, ExecutionSpec, IterationReport, TransportPolicy,
+    execute_inner, CollKind, CollectiveSpec, ExecError, ExecutionSpec, IterationReport,
+    TransportPolicy,
 };
 use crate::metrics::TrainingMetrics;
 use crate::ops::{Channel, ComputeLabel, MsgKey, Op};
@@ -77,6 +78,26 @@ pub struct EngineConfig {
     /// through the inter-cluster Ethernet hops. On by default; disable to
     /// reproduce the flat-ring baseline.
     pub hierarchical_cross_cluster: bool,
+}
+
+impl EngineConfig {
+    /// The collective a data-parallel group actually runs for `kind`: a
+    /// flat all-reduce over a group that spans clusters becomes
+    /// [`CollKind::HierarchicalAllReduce`] when
+    /// [`EngineConfig::hierarchical_cross_cluster`] is on and the
+    /// transport is [`TransportPolicy::Auto`]; every other kind is kept.
+    /// The builder emits this kind and the estimator prices it.
+    pub fn upgrade_kind(&self, topo: &Topology, kind: CollKind, devices: &[Rank]) -> CollKind {
+        if kind == CollKind::AllReduce
+            && self.hierarchical_cross_cluster
+            && self.transport == TransportPolicy::Auto
+            && DpGroupNic::spans_clusters(topo, devices)
+        {
+            CollKind::HierarchicalAllReduce
+        } else {
+            kind
+        }
+    }
 }
 
 impl Default for EngineConfig {
@@ -379,21 +400,6 @@ pub fn build_iteration(
     }
 
     // Data-parallel collectives: one set of bucketed specs per DP group.
-    // A flat all-reduce over a cluster-straddling group upgrades to the
-    // hierarchical two-level algorithm (when enabled and the transport can
-    // actually exploit intra-cluster RDMA).
-    let upgrade_kind = |kind: crate::executor::CollKind, devices: &[Rank]| {
-        use crate::executor::CollKind;
-        if kind == CollKind::AllReduce
-            && cfg.hierarchical_cross_cluster
-            && cfg.transport == TransportPolicy::Auto
-            && DpGroupNic::spans_clusters(topo, devices)
-        {
-            CollKind::HierarchicalAllReduce
-        } else {
-            kind
-        }
-    };
     let pre_fracs = cfg.dp_sync.pre_optimizer_collectives();
     let post_fracs = cfg.dp_sync.post_optimizer_collectives();
     let mut collectives = Vec::new();
@@ -423,7 +429,7 @@ pub fn build_iteration(
         for (kind, frac) in &pre_fracs {
             pre.push(collectives.len() as u32);
             collectives.push(CollectiveSpec {
-                kind: upgrade_kind(*kind, &devices),
+                kind: cfg.upgrade_kind(topo, *kind, &devices),
                 devices: devices.clone(),
                 bytes: (grad_bytes as f64 * frac) as u64,
                 channels: 1,
@@ -433,7 +439,7 @@ pub fn build_iteration(
         for (kind, frac) in &post_fracs {
             post.push(collectives.len() as u32);
             collectives.push(CollectiveSpec {
-                kind: upgrade_kind(*kind, &devices),
+                kind: cfg.upgrade_kind(topo, *kind, &devices),
                 devices: devices.clone(),
                 bytes: (param_bytes as f64 * frac) as u64,
                 channels: 1,

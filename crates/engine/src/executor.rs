@@ -398,7 +398,7 @@ pub struct IterationReport {
     /// Replica-class census of the run (diagnostic).
     pub classes: ClassCensus,
     /// Full per-device span timeline (compute, pipeline waits, collective
-    /// waits) — see [`Timeline::to_chrome_trace`].
+    /// waits); an observed run copies it into the session's merged trace.
     pub timeline: Timeline,
     /// Per-node uplink traffic and utilization, in global node order.
     pub node_link_usage: Vec<NodeLinkUsage>,
@@ -826,13 +826,6 @@ pub(crate) fn execute_inner(
     if let Some(plan) = plan {
         check_fault_targets(topo, plan)?;
     }
-    // Symbolic progress gate: when a fault plan is armed, model-check the
-    // collectives against exactly the events it can produce (stalls,
-    // livelocks, unsound member-loss claims) before replaying a flow.
-    #[cfg(debug_assertions)]
-    if plan.is_some_and(|p| !p.is_empty()) {
-        crate::progress::debug_check(topo, &spec, plan);
-    }
     let mut sim = NetSim::new();
     if obs.is_some() {
         sim.enable_obs();
@@ -885,20 +878,6 @@ pub(crate) fn execute_inner(
                     .cluster
                     .0
             });
-            // Static artifact check: every generated schedule must satisfy
-            // the collective-IR invariants (byte conservation, coverage,
-            // link existence, …) before the simulator replays a single
-            // flow of it.
-            #[cfg(debug_assertions)]
-            {
-                let defects =
-                    holmes_analysis::verify_collective(topo, c.kind, &c.devices, bytes, &schedule);
-                assert!(
-                    defects.is_empty(),
-                    "generated {:?} schedule violates IR invariants: {defects:?}",
-                    c.kind
-                );
-            }
             schedules.push(group_rounds(&schedule, topo.gpus_per_node()));
         }
         coll_entries += channels as usize * schedules[rounds].launches.len();

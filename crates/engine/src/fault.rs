@@ -112,8 +112,9 @@ impl FaultPlan {
         self.link_faults.is_empty() && self.churn.is_empty() && self.stragglers.is_empty()
     }
 
-    /// The retry policy the executor and the progress checker arm:
-    /// `retry` when the plan carries link faults, else `None`.
+    /// The retry policy the executor arms, and `holmes::progress`
+    /// mirrors for the progress checker: `retry` when the plan carries
+    /// link faults, else `None`.
     pub fn armed_retry(&self) -> Option<RetryPolicy> {
         (!self.link_faults.is_empty()).then_some(self.retry)
     }

@@ -133,12 +133,6 @@ fn faulted_executions_match_the_pinned_digest() {
                 raw.0.iter_mut().for_each(|f| squeeze(&mut f.0));
                 raw.1.iter_mut().for_each(|c| squeeze(&mut c.0));
                 let plan = fault_plan(&topo, raw);
-                // Debug builds refuse, by panic, a plan the progress
-                // checker convicts; both profiles skip the same ones.
-                if !crate::progress::check_execution(&topo, &spec, Some(&plan)).is_clean() {
-                    lines.push(format!("cell {i} tcp {tcp} draw {draw}: convicted"));
-                    continue;
-                }
                 let all_three = !plan.link_faults.is_empty()
                     && !plan.churn.is_empty()
                     && !plan.stragglers.is_empty();

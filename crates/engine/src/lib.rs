@@ -39,10 +39,6 @@
 //!   flat all-reduces to [`CollKind::HierarchicalAllReduce`] for
 //!   data-parallel groups that straddle clusters (see
 //!   [`EngineConfig::hierarchical_cross_cluster`]).
-//! * [`progress`] — the abstract-step bridge into the
-//!   `holmes-analysis` symbolic progress checker: builds the abstract
-//!   spec exactly as the executor arms retries and schedules, and gates
-//!   every faulted execution behind the model check in debug builds.
 //! * [`metrics`] — TFLOPS (Eq. 6) and samples/second from a report.
 
 #![forbid(unsafe_code)]
@@ -60,7 +56,6 @@ mod fault_pin;
 pub mod metrics;
 mod obs;
 pub mod ops;
-pub mod progress;
 #[cfg(test)]
 mod relabel_oracle;
 pub mod schedule;

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use crate::builder::EngineConfig;
 use crate::class_oracle::{built, dp_sync, fault_plan, fingerprint, nic, raw_faults, schedule};
-use crate::executor::{execute_inner, ExecError, ExecutionSpec, IterationReport, TransportPolicy};
+use crate::executor::{execute_inner, ExecError, ExecutionSpec, TransportPolicy};
 use crate::fault::FaultPlan;
 use crate::ops::{Channel, ComputeLabel, MsgKey, Op};
 use crate::validate::SpecError;
@@ -109,15 +109,6 @@ fn relabel(spec: &ExecutionSpec, seed: u64) -> (ExecutionSpec, BTreeMap<MsgKey, 
     (relabeled, map)
 }
 
-/// Whether debug builds refuse `spec` under `plan` by panic before it
-/// runs: the progress checker convicts the fault plan. Release builds
-/// run such specs.
-fn convicted_in_debug(topo: &Topology, spec: &ExecutionSpec, plan: Option<&FaultPlan>) -> bool {
-    cfg!(debug_assertions)
-        && plan.is_some_and(|p| !p.is_empty())
-        && !crate::progress::check_execution(topo, spec, plan).is_clean()
-}
-
 /// Run `spec` and its relabeling and require the same outcome: reports
 /// bit-equal in every field, or the same error, whose deadlock text or
 /// structural defect names the relabeled keys.
@@ -126,10 +117,7 @@ fn relabeled_alike(
     spec: &ExecutionSpec,
     plan: Option<&FaultPlan>,
     seed: u64,
-) -> Result<Option<IterationReport>, TestCaseError> {
-    if convicted_in_debug(topo, spec, plan) {
-        return Ok(None);
-    }
+) -> Result<(), TestCaseError> {
     let (relabeled, map) = relabel(spec, seed);
     let a = execute_inner(topo, spec.clone(), plan, None);
     let b = execute_inner(topo, relabeled, plan, None);
@@ -139,7 +127,7 @@ fn relabeled_alike(
             prop_assert_eq!(a.events, b.events);
             prop_assert_eq!(a.launch_entries, b.launch_entries);
             prop_assert_eq!(a.classes, b.classes);
-            Ok(Some(b))
+            Ok(())
         }
         (Err(ExecError::Deadlock { stuck: a }), Err(ExecError::Deadlock { stuck: b })) => {
             let want: Vec<String> = a
@@ -154,7 +142,7 @@ fn relabeled_alike(
                 })
                 .collect();
             prop_assert_eq!(want, b);
-            Ok(None)
+            Ok(())
         }
         (Err(ExecError::InvalidSpec(a)), Err(ExecError::InvalidSpec(b))) => {
             let want = match a {
@@ -163,11 +151,11 @@ fn relabeled_alike(
                 other => other,
             };
             prop_assert_eq!(want, b);
-            Ok(None)
+            Ok(())
         }
         (Err(a), Err(b)) => {
             prop_assert_eq!(a, b);
-            Ok(None)
+            Ok(())
         }
         (a, b) => Err(TestCaseError::Fail(format!(
             "plain {:?} vs relabeled {:?}",
@@ -386,9 +374,6 @@ fn templates_exercise_their_cases() {
     for i in 0..TEMPLATES {
         let (topo, spec, plan) = p2p(&template(i, 3));
         relabeled_alike(&topo, &spec, plan.as_ref(), 11).expect("relabeled run matches");
-        if convicted_in_debug(&topo, &spec, plan.as_ref()) {
-            continue;
-        }
         let report = execute_inner(&topo, spec, plan.as_ref(), None);
         match i {
             // The receive waits out the sender's 0.1 s compute.

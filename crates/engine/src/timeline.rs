@@ -2,8 +2,8 @@
 //!
 //! A timeline makes the simulated iteration *inspectable*: pipeline
 //! bubbles, exposed communication and overlap windows become visible.
-//! [`Timeline::to_chrome_trace`] serializes to the Chrome tracing JSON
-//! format (`chrome://tracing` / Perfetto), with one "thread" per device.
+//! An observed run copies the spans into the session's merged trace
+//! ([`holmes_obs::TraceSink::to_chrome_trace`]), one track per device.
 
 use holmes_topology::Rank;
 
@@ -118,26 +118,6 @@ impl Timeline {
         let busy = self.device_busy_seconds(device);
         ((horizon - busy) / horizon).clamp(0.0, 1.0)
     }
-
-    /// Serialize to Chrome tracing JSON (array-of-events format). Times are
-    /// emitted in microseconds as the format requires.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, span) in self.spans.iter().enumerate() {
-            let sep = if i + 1 == self.spans.len() { "" } else { "," };
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":{}}}{}\n",
-                span.kind.name(),
-                span.kind.category(),
-                span.start * 1e6,
-                span.seconds() * 1e6,
-                span.device.0,
-                sep,
-            ));
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -183,25 +163,6 @@ mod tests {
         assert!((tl.device_busy_seconds(Rank(0)) - 1.5).abs() < 1e-12);
         assert!((tl.device_wait_fraction(Rank(0), 3.5) - 2.0 / 3.5).abs() < 1e-12);
         assert_eq!(tl.device_wait_fraction(Rank(0), 0.0), 0.0);
-    }
-
-    #[test]
-    fn chrome_trace_is_wellformed_json_array() {
-        let tl = Timeline {
-            spans: vec![
-                span(0, fwd(0), 0.0, 0.5),
-                span(3, SpanKind::CollWait(CollKind::ReduceScatter), 0.5, 0.9),
-            ],
-        };
-        let json = tl.to_chrome_trace();
-        assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
-        assert!(json.contains("\"name\":\"F0\""));
-        assert!(json.contains("\"name\":\"reduce-scatter-wait\""));
-        assert!(json.contains("\"tid\":3"));
-        // One comma fewer than events.
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
-        assert_eq!(json.matches("},").count(), 1);
     }
 
     #[test]

@@ -275,11 +275,6 @@ impl NetSim {
         }
     }
 
-    /// True when flow-level observation is collecting.
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_some()
-    }
-
     /// Take the collected observability report (closing still-open flow
     /// records and link windows at the current time) and disable
     /// observation. `None` when observation was never enabled.

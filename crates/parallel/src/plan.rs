@@ -59,11 +59,6 @@ impl ParallelPlan {
         self.assignment.map_group(&self.layout.dp_group(i))
     }
 
-    /// Physical devices of tensor parallel group `i`.
-    pub fn tp_group_devices(&self, i: u32) -> Vec<Rank> {
-        self.assignment.map_group(&self.layout.tp_group(i))
-    }
-
     /// Physical devices on a pipeline stage.
     pub fn stage_devices(&self, stage: u32) -> Vec<Rank> {
         self.assignment.map_group(&self.layout.stage_ranks(stage))

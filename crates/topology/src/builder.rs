@@ -24,7 +24,6 @@ use crate::topology::Topology;
 pub struct TopologyBuilder {
     clusters: Vec<Cluster>,
     gpus_per_node: Option<u32>,
-    gpu: Option<GpuProfile>,
     intra_link: Option<LinkProfile>,
     inter_cluster: Option<NicProfile>,
     node_ethernet: Option<NicProfile>,
@@ -103,12 +102,6 @@ impl TopologyBuilder {
         self
     }
 
-    /// Override the GPU profile on every node.
-    pub fn gpu_profile(mut self, gpu: GpuProfile) -> Self {
-        self.gpu = Some(gpu);
-        self
-    }
-
     /// Override the intra-node link on every node.
     pub fn intra_node_link(mut self, link: LinkProfile) -> Self {
         self.intra_link = Some(link);
@@ -134,9 +127,6 @@ impl TopologyBuilder {
             for node in &mut cluster.nodes {
                 if let Some(g) = self.gpus_per_node {
                     node.gpu_count = g;
-                }
-                if let Some(gpu) = &self.gpu {
-                    node.gpu = gpu.clone();
                 }
                 if let Some(link) = self.intra_link {
                     node.intra_link = link;

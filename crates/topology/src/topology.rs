@@ -21,13 +21,6 @@ impl Rank {
     pub fn paper_index(self) -> u32 {
         self.0 + 1
     }
-
-    /// Construct from the paper's 1-based index.
-    #[inline]
-    pub fn from_paper_index(idx: u32) -> Self {
-        debug_assert!(idx >= 1, "paper ranks are 1-based");
-        Rank(idx - 1)
-    }
 }
 
 impl std::fmt::Display for Rank {

@@ -217,9 +217,11 @@ fn every_device_gets_a_program_and_a_finish_time() {
 /// and everything fits inside the iteration.
 #[test]
 fn timeline_consistency() {
+    use holmes_repro::obs::ObsSession;
     use holmes_repro::{run_framework, FrameworkKind};
     let topo = presets::hybrid_two_cluster(2);
-    let r = run_framework(FrameworkKind::Holmes, &topo, 1, None).unwrap();
+    let mut session = ObsSession::new();
+    let r = run_framework(FrameworkKind::Holmes, &topo, 1, Some(&mut session)).unwrap();
     let tl = &r.report.timeline;
     assert!(!tl.spans.is_empty());
     for (i, &device) in [Rank(0), Rank(16), Rank(31)].iter().enumerate() {
@@ -243,7 +245,12 @@ fn timeline_consistency() {
         (dev0_busy - dev0_compute).abs() < 1e-6,
         "busy {dev0_busy} vs accounted {dev0_compute}"
     );
-    // The chrome trace serializes and mentions every device.
-    let json = tl.to_chrome_trace();
-    assert!(json.contains("\"tid\":31"));
+    // The session's chrome trace carries the engine spans of every
+    // device.
+    let json = session.trace.to_chrome_trace();
+    let engine_pid = holmes_repro::obs::Layer::Engine.pid();
+    for device in [0, 16, 31] {
+        let track = format!("\"pid\":{engine_pid},\"tid\":{device}");
+        assert!(json.contains(&track), "no engine span on device {device}");
+    }
 }

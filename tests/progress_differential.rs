@@ -8,8 +8,8 @@
 //! round boundaries: the concrete outcome's class must be a member of
 //! that set, and a clean abstract sweep must imply a clean concrete run.
 
+use holmes::progress::{plan_events, progress_spec};
 use holmes_analysis::progress::{check_scenario, FailKind, ProgressVerdict, ScenarioEvent};
-use holmes_engine::progress::{plan_events, progress_spec};
 use holmes_engine::{
     execute, execute_with_faults, CollKind, CollectiveSpec, ExecError, ExecutionSpec, FaultPlan,
     FaultTarget, IterationReport, Op, TransportPolicy,

@@ -367,40 +367,132 @@ proptest! {
         prop_assert!(report.backward_seconds_max >= report.forward_seconds_max);
     }
 
-    /// Verifier-as-oracle over the IR constructors: every schedule built
-    /// by `CollKind::schedule` — all six algorithms, single- and
-    /// two-cluster fabrics, arbitrary buffer sizes — satisfies the full
-    /// static invariant catalogue (byte conservation, rank coverage, DAG
-    /// rounds, link existence) with zero defects.
+    /// Verifier-as-oracle over the IR constructors, on every input the
+    /// executor's `lower` accepts: any non-empty set of distinct ranks in
+    /// any order, on fleets of 1-4 clusters with unequal node counts, all
+    /// eight kinds (parameter-server kinds with 1..=n servers) and buffers
+    /// of 0 bytes, fewer bytes than members, sizes not divisible by the
+    /// member count and whole MiB. Every schedule `CollKind::schedule`
+    /// builds satisfies the full static invariant catalogue (byte
+    /// conservation, rank coverage, DAG rounds, link existence).
     #[test]
     fn ir_constructors_pass_the_verifier(
-        nic in nic_strategy(),
-        kind_idx in 0usize..6,
-        two_clusters in prop::sample::select(vec![false, true]),
-        mb in 1u64..256,
+        fleet in prop::collection::vec((1u32..=3, nic_strategy()), 1..=4),
+        gpus in prop::sample::select(vec![1u32, 2, 4]),
+        keys in prop::collection::vec(0u64..1 << 32, 48),
+        (size, kind_idx, servers) in (0usize..48, 0usize..8, 0u32..48),
+        (bytes_class, a, b) in (0usize..4, 0u64..1 << 30, 0u64..1 << 30),
     ) {
         use holmes_repro::analysis::verify_collective;
         use holmes_repro::engine::CollKind;
-        let kinds = [
+        let mut builder = TopologyBuilder::new().gpus_per_node(gpus);
+        for (i, &(nodes, nic)) in fleet.iter().enumerate() {
+            builder = builder.cluster(format!("c{i}"), nodes, nic);
+        }
+        let topo = builder.build().unwrap();
+        // A random subset of the ranks in a random order.
+        let mut devices: Vec<Rank> = (0..topo.device_count()).map(Rank).collect();
+        devices.sort_by_key(|r| keys[r.0 as usize]);
+        devices.truncate(1 + size % devices.len());
+        let m = devices.len() as u64;
+        let servers = 1 + servers % m as u32;
+        let kind = [
             CollKind::AllReduce,
             CollKind::TreeAllReduce,
             CollKind::ReduceScatter,
             CollKind::AllGather,
             CollKind::Broadcast,
             CollKind::HierarchicalAllReduce,
-        ];
-        let kind = kinds[kind_idx];
-        let topo = if two_clusters {
-            presets::same_nic_two_clusters(nic, 1)
-        } else {
-            presets::homogeneous(nic, 2)
+            CollKind::PsPush { servers },
+            CollKind::PsPull { servers },
+        ][kind_idx];
+        let bytes = match bytes_class {
+            0 => 0,
+            1 => a % m,
+            // A remainder in 1..m: not divisible by the member count.
+            2 if m > 1 => a * m + 1 + b % (m - 1),
+            2 => a,
+            _ => (a % 256 + 1) << 20,
         };
-        let bytes = mb << 20;
-        let devices: Vec<Rank> = (0..topo.device_count()).map(Rank).collect();
         let cluster_of = |r: Rank| topo.coord(r).unwrap().cluster.0;
         let schedule = kind.schedule(&devices, bytes, cluster_of);
         let defects = verify_collective(&topo, kind, &devices, bytes, &schedule);
-        prop_assert!(defects.is_empty(), "{nic} {kind:?}: {defects:?}");
+        prop_assert!(defects.is_empty(), "{kind:?} on {devices:?}, {bytes} B: {defects:?}");
+    }
+
+    /// Verifier-as-oracle over the builder: on random fleets of 1-4
+    /// clusters mixing NIC technologies and GPU generations, any fitting
+    /// (t, p) and every gradient-sync strategy (all-reduce with the
+    /// hierarchical upgrade on and off, distributed and overlapped
+    /// optimizers, ZeRO-3, parameter servers) under both transports,
+    /// every collective `build_iteration` emits passes
+    /// `verify_collective` with its bytes split per channel exactly as
+    /// the executor splits them.
+    #[test]
+    fn built_collectives_pass_the_verifier(
+        fleet in prop::collection::vec((1u32..=3, nic_strategy(), 0usize..3), 1..=4),
+        gpus in prop::sample::select(vec![1u32, 2, 4]),
+        (t, pick) in (prop::sample::select(vec![1u32, 2, 4]), 0usize..64),
+        (dp_idx, buckets, servers) in (0usize..6, 1u32..=8, 1u32..=4),
+        tcp in prop::sample::select(vec![false, true]),
+        microbatches in 1u32..=4,
+    ) {
+        use holmes_repro::analysis::verify_collective;
+        use holmes_repro::engine::{build_iteration, EngineConfig, TransportPolicy};
+        let gens = [
+            GpuProfile::v100_32g(),
+            GpuProfile::a100_80g(),
+            GpuProfile::h100_80g(),
+        ];
+        let mut builder = TopologyBuilder::new().gpus_per_node(gpus);
+        for (i, &(nodes, nic, gen)) in fleet.iter().enumerate() {
+            builder = builder.cluster_with_gpu(format!("c{i}"), nodes, nic, gens[gen].clone());
+        }
+        let topo = builder.build().unwrap();
+        let n = topo.device_count();
+        prop_assume!(n.is_multiple_of(t));
+        // Pipeline depths that divide the fleet and fit the 8 layers.
+        let depths: Vec<u32> = (1..=(n / t).min(8))
+            .filter(|p| (n / t).is_multiple_of(*p))
+            .collect();
+        let p = depths[pick % depths.len()];
+        let d = n / (t * p);
+        let job = TrainJob {
+            config: GptConfig::paper_standard(8, 512, 8),
+            micro_batch: 2,
+            global_batch: 2 * d * microbatches,
+        };
+        let (dp_sync, hierarchical) = [
+            (DpSyncStrategy::AllReduce, true),
+            (DpSyncStrategy::AllReduce, false),
+            (DpSyncStrategy::DistributedOptimizer, true),
+            (DpSyncStrategy::OverlappedOptimizer { buckets }, true),
+            (DpSyncStrategy::Zero3, true),
+            (DpSyncStrategy::ParameterServer { servers }, true),
+        ][dp_idx];
+        let cfg = EngineConfig {
+            dp_sync,
+            hierarchical_cross_cluster: hierarchical,
+            transport: if tcp { TransportPolicy::ForceTcpInterNode } else { TransportPolicy::Auto },
+            ..EngineConfig::default()
+        };
+        let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
+        let assignment = HolmesScheduler.assign(&topo, &layout);
+        let layers = UniformPartition.partition(8, &vec![1.0; p as usize]);
+        let plan = ParallelPlan::new(layout, assignment, layers, true);
+        let spec = build_iteration(&topo, &plan, &job, &cfg).unwrap();
+        let cluster_of = |r: Rank| topo.coord(r).unwrap().cluster.0;
+        for c in &spec.collectives {
+            let bytes = c.bytes / u64::from(c.channels.max(1));
+            let schedule = c.kind.schedule(&c.devices, bytes, cluster_of);
+            let defects = verify_collective(&topo, c.kind, &c.devices, bytes, &schedule);
+            prop_assert!(
+                defects.is_empty(),
+                "{:?} on {:?}, {bytes} B: {defects:?}",
+                c.kind,
+                c.devices
+            );
+        }
     }
 
     /// Verifier-as-oracle over the placement search: the winning
@@ -565,6 +657,35 @@ proptest! {
             StragglerAwarePartition { alpha }.partition_stages(layers, &stages);
         let eq2 = SelfAdaptingPartition { alpha }.partition(layers, &speeds);
         prop_assert_eq!(straggler, eq2);
+    }
+
+    /// The straggler-aware partition is locally optimal on real
+    /// heterogeneous profiles: per-layer times that are not all equal,
+    /// non-zero communication terms and at least one layer per stage give
+    /// a partition `verify_hetero_partition` finds no defect in (layers
+    /// conserved, no unique bottleneck another stage could relieve).
+    #[test]
+    fn straggler_partitions_pass_the_hetero_verifier(
+        extra in 0u32..=120,
+        profiles in prop::collection::vec((1.0f64..500.0, 1e-4f64..1e-1, 1e-4f64..2.0), 2..=8),
+        alpha in 1.0f64..1.5,
+    ) {
+        use holmes_repro::analysis::verify_hetero_partition;
+        use holmes_repro::parallel::{StageProfile, StragglerAwarePartition};
+        let stages: Vec<StageProfile> = profiles
+            .iter()
+            .map(|&(speed_tflops, sec_per_layer, comm_seconds)| StageProfile {
+                speed_tflops,
+                sec_per_layer,
+                comm_seconds,
+            })
+            .collect();
+        let first = stages[0].sec_per_layer.to_bits();
+        prop_assume!(stages.iter().any(|s| s.sec_per_layer.to_bits() != first));
+        let layers = stages.len() as u32 + extra;
+        let partition = StragglerAwarePartition { alpha }.partition_stages(layers, &stages);
+        let defects = verify_hetero_partition(layers, &stages, &partition);
+        prop_assert!(defects.is_empty(), "{partition:?}: {defects:?}");
     }
 
     /// Guided == exhaustive under compute skew: on every random

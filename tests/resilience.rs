@@ -149,3 +149,35 @@ fn preemption_re_shard_is_deterministic_and_converges_to_a_fresh_plan() {
     assert_eq!(replan.placement.cluster_order, fresh.cluster_order);
     assert_eq!(replan.placement.cost_seconds, fresh.cost_seconds);
 }
+
+/// Every churn re-plan `run_resilient` hands back is sound and
+/// executable: structurally verified, and every state move routable on
+/// the post-churn fabric (`verify_replan_progress`). Runs every preset on
+/// both resilience environments, under the planner's sync strategy and
+/// under the parameter-server strategy, in either build profile.
+#[test]
+fn churn_replans_pass_the_progress_verifier() {
+    let environments = [
+        ("hybrid_two_cluster_2", presets::hybrid_two_cluster(2), 1u8),
+        ("hybrid_split_4_4", presets::hybrid_split(4, 4), 3),
+    ];
+    let mut replans = 0;
+    for (env, topo, pg) in &environments {
+        for preset in FaultPreset::ALL {
+            for dp in [None, Some(DpSyncStrategy::ParameterServer { servers: 2 })] {
+                let r = run_resilient(topo, *pg, preset, 42, dp, None)
+                    .unwrap_or_else(|e| panic!("{env}/{}/{dp:?}: {e}", preset.name()));
+                if let Some(outcome) = &r.delta_replan {
+                    let defects = holmes_repro::analysis::verify_replan_progress(outcome);
+                    assert!(
+                        defects.is_empty(),
+                        "{env}/{}/{dp:?}: {defects:?}",
+                        preset.name()
+                    );
+                    replans += 1;
+                }
+            }
+        }
+    }
+    assert!(replans > 0, "no preset re-planned");
+}
