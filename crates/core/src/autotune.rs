@@ -3,17 +3,23 @@
 //! The paper fixes Table 2's degrees by hand; a production framework needs
 //! to *find* them. The tuner enumerates feasible degree combinations,
 //! prunes with memory checks and the analytic
-//! [`crate::estimate::estimate_iteration`], then simulates the `top_k`
-//! survivors for an accurate ranking — the classic estimate-then-measure
-//! search loop. Every candidate's placement routes through
+//! [`crate::estimate::estimate_iteration`], and keeps the `top_k` best
+//! estimates as finalists — the classic estimate-then-measure search
+//! loop. Finalists are simulated in lower-bound order: each carries a
+//! compute floor ([`holmes_engine::compute_floor_seconds`]) that no
+//! simulation can beat, so the finalist with the lowest floor simulates
+//! first, and any finalist whose floor already exceeds that simulated time
+//! is skipped, since it cannot win (HAP's lower-bounded search, arxiv
+//! 2401.05965). The winner is the one simulating every finalist would
+//! pick. Every candidate's placement routes through
 //! [`crate::planner::plan_for`] and therefore through the
 //! [`holmes_parallel::Planner`] trait's guided branch-and-bound synthesis,
 //! so each `(t, p)` cell is scored on its *optimal* cluster order, not
 //! just the fastest-first heuristic.
 
 use holmes_engine::{
-    price_stages, simulate_iteration, DpSyncStrategy, EngineConfig, IterationReport, StagePrice,
-    TrainingMetrics,
+    compute_floor_seconds, price_stages, simulate_iteration, DpSyncStrategy, EngineConfig,
+    IterationReport, StagePrice, TrainingMetrics,
 };
 use holmes_model::TrainJob;
 use holmes_parallel::ParallelPlan;
@@ -33,12 +39,15 @@ pub struct AutotuneRequest {
     pub max_tensor: u32,
     /// Largest pipeline depth to try.
     pub max_pipeline: u32,
-    /// Candidates to simulate after estimation pruning.
+    /// Finalists considered: the best this many estimates. At most this
+    /// many are simulated; a finalist whose compute floor exceeds the
+    /// best simulated time is skipped.
     pub top_k: usize,
 }
 
 impl AutotuneRequest {
-    /// Sensible defaults: `t ≤ 8`, `p ≤ 8`, simulate the best 5 estimates.
+    /// Sensible defaults: `t ≤ 8`, `p ≤ 8`, the best 5 estimates as
+    /// finalists.
     pub fn new(job: TrainJob) -> Self {
         AutotuneRequest {
             job,
@@ -60,8 +69,15 @@ pub struct Candidate {
     pub data: u32,
     /// Closed-form estimated iteration seconds.
     pub estimated_seconds: f64,
-    /// Simulated metrics (only for the `top_k` finalists).
+    /// Lower bound on the simulated iteration seconds: the slowest
+    /// stage's compute and optimizer step
+    /// ([`holmes_engine::compute_floor_seconds`]).
+    pub floor_seconds: f64,
+    /// Simulated metrics (only for finalists that were simulated).
     pub simulated: Option<TrainingMetrics>,
+    /// A finalist left unsimulated because its floor is above the first
+    /// simulated finalist's time, so it cannot win.
+    pub pruned: bool,
     /// The finalist simulation's work: its [`IterationReport::events`],
     /// [`IterationReport::flows`] and
     /// [`IterationReport::launch_entries`] (zero when not simulated).
@@ -104,27 +120,67 @@ impl Candidate {
         self.plan.as_deref().map(|(plan, _)| plan)
     }
 
-    /// Ranking key: simulated time when available, else the estimate;
-    /// memory-infeasible candidates sort last.
-    fn score(&self) -> f64 {
-        let base = self
-            .simulated
-            .map(|m| m.iteration_seconds)
-            .unwrap_or(self.estimated_seconds);
+    /// The engine configuration the cached plan was scored under.
+    pub fn engine_config(&self) -> Option<&EngineConfig> {
+        self.plan.as_deref().map(|(_, cfg)| cfg)
+    }
+
+    /// `seconds` with the memory penalty: memory-infeasible candidates
+    /// sort last.
+    fn penalized(&self, seconds: f64) -> f64 {
         if self.fits_memory {
-            base
+            seconds
         } else {
-            base + 1e9
+            seconds + 1e9
+        }
+    }
+
+    /// Ranking key: simulated time when available, else the estimate.
+    fn score(&self) -> f64 {
+        self.penalized(
+            self.simulated
+                .map(|m| m.iteration_seconds)
+                .unwrap_or(self.estimated_seconds),
+        )
+    }
+
+    /// Lower bound on the score a simulation would give this candidate.
+    fn bound(&self) -> f64 {
+        self.penalized(self.floor_seconds)
+    }
+
+    /// Simulate the cached plan and keep its metrics and work; a plan
+    /// that fails to simulate keeps its estimate.
+    fn simulate(&mut self, topo: &Topology, job: &TrainJob) {
+        let Some((plan, engine_cfg)) = self.plan.as_deref() else {
+            return;
+        };
+        if let Ok((report, metrics)) = simulate_iteration(topo, plan, job, engine_cfg, None, None) {
+            self.simulated = Some(metrics);
+            self.simulated_work = SimulatedWork::of(&report);
         }
     }
 }
 
 /// Search for the fastest feasible plan of a job on a topology under a
-/// Holmes configuration. Returns all evaluated candidates, best first.
+/// Holmes configuration. Returns all evaluated candidates, simulated ones
+/// first, each tier best first.
 ///
-/// Finalists are simulated in parallel; the ranking does not depend on
-/// the thread count (`RAYON_NUM_THREADS=1` simulates them one by one).
+/// The finalist with the lowest floor simulates first; the finalists
+/// whose floor is at most its simulated score then simulate in parallel.
+/// Neither the set simulated nor the ranking depends on the thread count
+/// (`RAYON_NUM_THREADS=1` simulates them one by one).
 pub fn autotune(topo: &Topology, req: &AutotuneRequest, cfg: &HolmesConfig) -> Vec<Candidate> {
+    let mut candidates = enumerate(topo, req, cfg);
+    let k = req.top_k.min(candidates.len());
+    simulate_finalists(topo, &req.job, &mut candidates[..k]);
+    rank(&mut candidates);
+    candidates
+}
+
+/// Every feasible degree combination, planned, estimated and priced,
+/// best estimate first.
+fn enumerate(topo: &Topology, req: &AutotuneRequest, cfg: &HolmesConfig) -> Vec<Candidate> {
     let n = topo.device_count();
     let g = topo.gpus_per_node();
     let mut candidates = Vec::new();
@@ -154,7 +210,8 @@ pub fn autotune(topo: &Topology, req: &AutotuneRequest, cfg: &HolmesConfig) -> V
             let Some(est) = estimate_iteration(topo, &plan, &req.job, &engine_cfg) else {
                 continue;
             };
-            // Memory feasibility: the builder's own per-stage verdict.
+            // Memory feasibility and the compute floor: the builder's own
+            // stage prices.
             let Ok(stages) = price_stages(topo, &plan, &req.job, &engine_cfg) else {
                 continue;
             };
@@ -163,49 +220,68 @@ pub fn autotune(topo: &Topology, req: &AutotuneRequest, cfg: &HolmesConfig) -> V
                 pipeline: p,
                 data: d,
                 estimated_seconds: est.seconds,
+                floor_seconds: compute_floor_seconds(&stages, &engine_cfg),
                 simulated: None,
+                pruned: false,
                 simulated_work: SimulatedWork::default(),
                 fits_memory: stages.iter().all(StagePrice::fits_memory),
                 plan: Some(Box::new((plan, engine_cfg))),
             });
         }
     }
+    candidates.sort_by(|a, b| a.score().total_cmp(&b.score()));
+    candidates
+}
 
-    // Simulate the top_k feasible estimates. Each finalist simulation is
-    // independent (private `NetSim` per call), so they fan out across
-    // threads; results merge back in candidate order, so the final ranking
-    // does not depend on the thread count.
-    candidates.sort_by(|a, b| a.score().partial_cmp(&b.score()).expect("finite scores"));
-    let k = req.top_k.min(candidates.len());
-    let job = req.job;
-    let simulate = |candidate: &Candidate| -> Option<(TrainingMetrics, SimulatedWork)> {
-        let (plan, engine_cfg) = candidate.plan.as_deref()?;
-        simulate_iteration(topo, plan, &job, engine_cfg, None, None)
-            .ok()
-            .map(|(report, metrics)| (metrics, SimulatedWork::of(&report)))
+/// Simulate the finalists that can still win. The one with the lowest
+/// bound (the best estimate on ties) goes first. Every other finalist
+/// whose bound is at most that simulated score follows; the rest are
+/// marked pruned, since their simulated score would be strictly greater.
+/// Each simulation is independent (private `NetSim` per call), so the
+/// followers fan out across threads, each writing only its own candidate.
+fn simulate_finalists(topo: &Topology, job: &TrainJob, finalists: &mut [Candidate]) {
+    let Some(lead) =
+        (0..finalists.len()).min_by(|&a, &b| finalists[a].bound().total_cmp(&finalists[b].bound()))
+    else {
+        return;
     };
-    let finalists: Vec<Option<(TrainingMetrics, SimulatedWork)>> =
-        candidates[..k].par_iter().map(simulate).collect();
-    for (candidate, finalist) in candidates.iter_mut().zip(finalists) {
-        if let Some((metrics, work)) = finalist {
-            candidate.simulated = Some(metrics);
-            candidate.simulated_work = work;
+    finalists[lead].simulate(topo, job);
+    // A lead that failed to simulate proves nothing: every finalist runs.
+    let best = match finalists[lead].simulated {
+        Some(_) => finalists[lead].score(),
+        None => f64::INFINITY,
+    };
+    let mut followers = Vec::with_capacity(finalists.len());
+    for (i, candidate) in finalists.iter_mut().enumerate() {
+        if i == lead {
+            continue;
+        }
+        if candidate.bound() <= best {
+            followers.push(candidate);
+        } else {
+            candidate.pruned = true;
         }
     }
-    // Final ranking: simulated finalists first (measured beats estimated —
-    // an optimistic estimate must not leapfrog a measured candidate), each
-    // tier ordered by its score.
+    let _: Vec<()> = followers
+        .into_par_iter()
+        .map(|candidate| candidate.simulate(topo, job))
+        .collect();
+}
+
+/// Final ranking: simulated finalists first (measured beats estimated —
+/// an optimistic estimate must not leapfrog a measured candidate), each
+/// tier ordered by its score.
+fn rank(candidates: &mut [Candidate]) {
     candidates.sort_by(|a, b| {
-        (a.simulated.is_none(), a.score())
-            .partial_cmp(&(b.simulated.is_none(), b.score()))
-            .expect("finite scores")
+        let tier = a.simulated.is_none().cmp(&b.simulated.is_none());
+        tier.then(a.score().total_cmp(&b.score()))
     });
-    candidates
 }
 
 /// Record a finished autotune search into an observability session: one
 /// `candidate-scored` planning event per ranked candidate (best first,
-/// matching the returned order) plus summary counters, the finalist
+/// matching the returned order, each with its floor) plus summary
+/// counters (candidates, simulated and pruned finalists), the finalist
 /// simulations' summed `netsim.events`, `netsim.flows` and
 /// `engine.launch_entries`, and the winner's iteration time.
 ///
@@ -220,6 +296,10 @@ pub fn record_autotune(session: &mut holmes_obs::ObsSession, ranked: &[Candidate
     reg.counter_add(
         "core.autotune_simulated",
         ranked.iter().filter(|c| c.simulated.is_some()).count() as u64,
+    );
+    reg.counter_add(
+        "core.autotune_pruned",
+        ranked.iter().filter(|c| c.pruned).count() as u64,
     );
     // The finalist simulations' work, as observed executions record it.
     let work = ranked.iter().map(|c| c.simulated_work);
@@ -244,6 +324,7 @@ pub fn record_autotune(session: &mut holmes_obs::ObsSession, ranked: &[Candidate
                 "estimated_seconds".to_owned(),
                 format!("{:?}", c.estimated_seconds),
             ),
+            ("floor_seconds".to_owned(), format!("{:?}", c.floor_seconds)),
             ("fits_memory".to_owned(), format!("{}", c.fits_memory)),
         ];
         if let Some(m) = &c.simulated {
@@ -314,12 +395,86 @@ mod tests {
 
     #[test]
     fn candidates_are_sorted_best_first() {
+        // Simulated candidates first, each tier by score. A pruned
+        // finalist's estimate may undercut a simulated time, so one global
+        // score order is not promised.
         let topo = presets::homogeneous(holmes_topology::NicType::InfiniBand, 4);
         let req = AutotuneRequest::new(ParameterGroup::table2(1).job());
         let ranked = autotune(&topo, &req, &HolmesConfig::full());
+        let key = |c: &Candidate| (c.simulated.is_none(), c.score());
         for w in ranked.windows(2) {
-            assert!(w[0].score() <= w[1].score());
+            assert!(
+                key(&w[0]) <= key(&w[1]),
+                "{:?} before {:?}",
+                key(&w[0]),
+                key(&w[1])
+            );
         }
+    }
+
+    /// The test-only reference: simulate every finalist, rank as
+    /// `autotune` does.
+    fn simulate_every_finalist(topo: &Topology, req: &AutotuneRequest) -> Vec<Candidate> {
+        let mut candidates = enumerate(topo, req, &HolmesConfig::full());
+        let k = req.top_k.min(candidates.len());
+        for candidate in &mut candidates[..k] {
+            candidate.simulate(topo, &req.job);
+        }
+        rank(&mut candidates);
+        candidates
+    }
+
+    #[test]
+    fn pruned_winner_matches_simulating_every_finalist() {
+        let cases = [
+            ("gen_mix_3c", presets::gen_mix_3c(), [1, 3].as_slice()),
+            ("gen_split_2c", presets::gen_split_2c(), &[1, 3]),
+            ("hybrid_split(4,4)", presets::hybrid_split(4, 4), &[1, 3]),
+            (
+                "table4_2r_2ib_2ib",
+                presets::table4_2r_2ib_2ib(),
+                &[1, 3, 5],
+            ),
+            ("fleet_hetero(4,2)", presets::fleet_hetero(4, 2), &[1, 3]),
+            (
+                "hybrid_two_cluster(2)",
+                presets::hybrid_two_cluster(2),
+                &[1],
+            ),
+        ];
+        let mut pruned = 0;
+        for (name, topo, groups) in cases {
+            for &pg in groups {
+                let req = AutotuneRequest::new(ParameterGroup::table2(pg).job());
+                let ranked = autotune(&topo, &req, &HolmesConfig::full());
+                let reference = simulate_every_finalist(&topo, &req);
+                let (got, want) = (&ranked[0], &reference[0]);
+                let bits = |c: &Candidate| c.simulated.map(|m| m.iteration_seconds.to_bits());
+                assert_eq!(
+                    (got.tensor, got.pipeline, got.data, bits(got)),
+                    (want.tensor, want.pipeline, want.data, bits(want)),
+                    "{name} PG{pg}"
+                );
+                assert!(bits(got).is_some(), "{name} PG{pg}: winner not simulated");
+                let (plan, want_plan) = (got.plan().unwrap(), want.plan().unwrap());
+                assert_eq!(plan.assignment, want_plan.assignment, "{name} PG{pg}");
+                assert_eq!(plan.stage_layers, want_plan.stage_layers, "{name} PG{pg}");
+                for c in ranked.iter().filter(|c| c.pruned) {
+                    pruned += 1;
+                    assert!(c.simulated.is_none());
+                    assert!(
+                        c.bound() > got.score(),
+                        "{name} PG{pg}: pruned t={} p={} floor {} vs winner {}",
+                        c.tensor,
+                        c.pipeline,
+                        c.floor_seconds,
+                        got.score()
+                    );
+                }
+            }
+        }
+        // The rule skips some finalists on these fleets.
+        assert!(pruned > 0);
     }
 
     #[test]
@@ -333,7 +488,18 @@ mod tests {
             session.registry.counter("core.autotune_candidates"),
             ranked.len() as u64
         );
+        assert_eq!(
+            session.registry.counter("core.autotune_pruned"),
+            ranked.iter().filter(|c| c.pruned).count() as u64
+        );
         assert_eq!(session.trace.instant_count(), ranked.len() as u64);
+        for (event, c) in session.trace.instants.iter().zip(&ranked) {
+            let floor = event.args.iter().find(|(key, _)| key == "floor_seconds");
+            assert_eq!(
+                floor.map(|(_, value)| value.as_str()),
+                Some(format!("{:?}", c.floor_seconds).as_str())
+            );
+        }
         assert!(session
             .registry
             .gauge("core.autotune_best_seconds")

@@ -1,6 +1,7 @@
 //! Assembling plans into runnable iteration specs.
 
 use holmes_model::{embedding_params, layer_params, CommVolumes, MemoryEstimate, TrainJob};
+use holmes_netsim::SimDuration;
 use holmes_parallel::{DpGroupNic, ParallelPlan};
 use holmes_topology::{Rank, Topology};
 
@@ -225,6 +226,8 @@ pub struct StagePrice {
     pub units: Vec<Unit>,
     /// Parameters the stage holds (the embedding on stage 0).
     pub params: u64,
+    /// Seconds of one rank's optimizer step over its shard of `params`.
+    pub optimizer_seconds: f64,
     /// Working set of one of the stage's ranks at its peak live units.
     pub memory: MemoryEstimate,
     /// Device memory of the stage's smallest member, which binds.
@@ -347,6 +350,8 @@ pub fn price_stages(
         if stage == 0 {
             params += embedding_params(&job.config);
         }
+        let optimizer_seconds = model
+            .optimizer_seconds(params / u64::from(t) / u64::from(cfg.dp_sync.optimizer_shards(d)));
         // Peak live units, each holding the largest chunk's (chunk 0's)
         // activations: GPipe keeps all m, 1F1B `min(p − s, m)`.
         let memory = MemoryEstimate::for_rank(
@@ -371,11 +376,50 @@ pub fn price_stages(
             chunk_costs,
             units,
             params,
+            optimizer_seconds,
             memory,
             capacity_bytes,
         });
     }
     Ok(stages)
+}
+
+/// A lower bound on the simulated iteration time of a clean run (no
+/// stragglers), from compute alone: the slowest stage's forward and
+/// backward ops plus its optimizer step. Every device of a stage runs
+/// these ops one after another, so none finishes earlier, whatever its
+/// communication does. Each op is rounded to integer nanoseconds exactly
+/// as the executor's compute timer rounds it, so the bound holds bit for
+/// bit.
+pub fn compute_floor_seconds(stages: &[StagePrice], cfg: &EngineConfig) -> f64 {
+    let nanos = |seconds: f64| SimDuration::from_secs_f64(seconds).0;
+    // An overlapping sync splits the final backward into one op per
+    // pre-optimizer collective, as `build_iteration` does.
+    let chunks = if cfg.dp_sync.overlaps_backward() {
+        (cfg.dp_sync.pre_optimizer_collectives().len() as u32).max(1)
+    } else {
+        1
+    };
+    let stage_nanos = |stage: &StagePrice| {
+        let last = stage.units.len().saturating_sub(1);
+        let units: u64 = stage
+            .units
+            .iter()
+            .enumerate()
+            .map(|(idx, unit)| {
+                let cost = &stage.chunk_costs[unit.chunk as usize];
+                if unit.forward {
+                    nanos(cost.fwd_seconds)
+                } else if idx == last {
+                    u64::from(chunks) * nanos(cost.bwd_seconds / f64::from(chunks))
+                } else {
+                    nanos(cost.bwd_seconds)
+                }
+            })
+            .sum();
+        units + nanos(stage.optimizer_seconds)
+    };
+    SimDuration(stages.iter().map(stage_nanos).max().unwrap_or(0)).as_secs_f64()
 }
 
 /// Build the full iteration spec (programs + collectives) for a plan.
@@ -466,10 +510,9 @@ pub fn build_iteration(
         let dp_group = plan.layout.dp_group_of(logical) as usize;
         let (pre, post) = (&pre_ids[dp_group], &post_ids[dp_group]);
         let StagePrice {
-            model,
             chunk_costs,
             units,
-            params,
+            optimizer_seconds,
             ..
         } = &stages[stage as usize];
         let dev_at = |s: u32| plan.assignment.device_of(logical % stride + s * stride);
@@ -552,9 +595,7 @@ pub fn build_iteration(
         ops.extend(pre.iter().map(|&id| Op::CollWait { id }));
         ops.push(Op::Compute {
             label: ComputeLabel::Optimizer,
-            seconds: model.optimizer_seconds(
-                params / u64::from(t) / u64::from(cfg.dp_sync.optimizer_shards(d)),
-            ),
+            seconds: *optimizer_seconds,
         });
         ops.extend(post.iter().map(|&id| Op::CollStart { id }));
         ops.extend(post.iter().map(|&id| Op::CollWait { id }));

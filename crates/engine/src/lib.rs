@@ -33,7 +33,9 @@
 //!   schedules the planner's folds price, so measurement and scoring
 //!   cannot drift.
 //! * [`builder`] — prices every stage once ([`price_stages`]: the
-//!   slowest member's compute, chunk costs, units, memory need) and
+//!   slowest member's compute, chunk costs, units, optimizer step, memory
+//!   need; [`compute_floor_seconds`] folds them into a lower bound on the
+//!   simulated iteration time) and
 //!   assembles the above into a runnable [`ExecutionSpec`],
 //!   expanding every schedule's units into ops in one loop; upgrades
 //!   flat all-reduces to [`CollKind::HierarchicalAllReduce`] for
@@ -63,8 +65,8 @@ pub mod timeline;
 pub mod validate;
 
 pub use builder::{
-    build_iteration, price_stages, simulate_iteration, BuildError, EngineConfig, ScheduleKind,
-    StagePrice,
+    build_iteration, compute_floor_seconds, price_stages, simulate_iteration, BuildError,
+    EngineConfig, ScheduleKind, StagePrice,
 };
 pub use compute::{ComputeModel, StageCost};
 pub use dp_sync::DpSyncStrategy;

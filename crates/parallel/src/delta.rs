@@ -420,7 +420,7 @@ pub fn replan_for_delta(
             .into_iter()
             .filter_map(surviving)
             .collect();
-        let members = placement.assignment.map_group(&layout.dp_group(g));
+        let members = placement.assignment.map_group(layout.dp_group(g));
         if sources.is_empty() {
             restored_groups.push(g);
             continue;

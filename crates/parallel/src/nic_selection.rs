@@ -198,7 +198,7 @@ impl NicSelectionReport {
         let mut groups = Vec::with_capacity(layout.dp_group_count() as usize);
         let mut rdma = 0u32;
         for i in 0..layout.dp_group_count() {
-            let devices = assignment.map_group(&layout.dp_group(i));
+            let devices = assignment.map_group(layout.dp_group(i));
             let g = DpGroupNic::analyze_group(topo, i, devices);
             if g.rdma_nic.is_some() {
                 rdma += 1;

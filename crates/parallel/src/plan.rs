@@ -51,17 +51,17 @@ impl ParallelPlan {
 
     /// Physical devices of pipeline parallel group `i`, stage order.
     pub fn pp_group_devices(&self, i: u32) -> Vec<Rank> {
-        self.assignment.map_group(&self.layout.pp_group(i))
+        self.assignment.map_group(self.layout.pp_group(i))
     }
 
     /// Physical devices of data parallel group `i`.
     pub fn dp_group_devices(&self, i: u32) -> Vec<Rank> {
-        self.assignment.map_group(&self.layout.dp_group(i))
+        self.assignment.map_group(self.layout.dp_group(i))
     }
 
     /// Physical devices on a pipeline stage.
     pub fn stage_devices(&self, stage: u32) -> Vec<Rank> {
-        self.assignment.map_group(&self.layout.stage_ranks(stage))
+        self.assignment.map_group(self.layout.stage_ranks(stage))
     }
 
     /// Pipeline stage of a physical device.

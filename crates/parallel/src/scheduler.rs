@@ -68,9 +68,13 @@ impl DeviceAssignment {
         self.device_of.is_empty()
     }
 
-    /// Map a logical group to physical devices.
-    pub fn map_group(&self, logical_group: &[u32]) -> Vec<Rank> {
-        logical_group.iter().map(|&l| self.device_of(l)).collect()
+    /// Map a logical group to physical devices, in the group's own
+    /// allocation (`Rank` is a `u32`, so the collect reuses the buffer).
+    pub fn map_group(&self, logical_group: Vec<u32>) -> Vec<Rank> {
+        logical_group
+            .into_iter()
+            .map(|l| self.device_of(l))
+            .collect()
     }
 
     /// Serialize as a launcher rank map: one line per logical rank,
@@ -387,7 +391,7 @@ mod tests {
         let layout = layout_for(&topo, 1, 2); // t·d = 16 = cluster size
         let a = HolmesScheduler.assign(&topo, &layout);
         for stage in 0..2 {
-            let devices: Vec<Rank> = a.map_group(&layout.stage_ranks(stage));
+            let devices: Vec<Rank> = a.map_group(layout.stage_ranks(stage));
             let clusters: std::collections::BTreeSet<u32> = devices
                 .iter()
                 .map(|r| topo.coord(*r).unwrap().cluster.0)
@@ -402,7 +406,7 @@ mod tests {
         let layout = layout_for(&topo, 1, 3); // p=3, t·d=16 per stage
         let a = HolmesScheduler.assign(&topo, &layout);
         for stage in 0..3 {
-            let devices: Vec<Rank> = a.map_group(&layout.stage_ranks(stage));
+            let devices: Vec<Rank> = a.map_group(layout.stage_ranks(stage));
             let clusters: std::collections::BTreeSet<u32> = devices
                 .iter()
                 .map(|r| topo.coord(*r).unwrap().cluster.0)

@@ -32,7 +32,7 @@ fn main() {
         &AutotuneRequest::new(pg.job()),
         &HolmesConfig::full(),
     );
-    println!("Top plans (estimate-pruned, finalists simulated):");
+    println!("Top plans (estimate-pruned; finalists simulated unless their compute floor rules them out):");
     println!(
         "{:>3} {:>3} {:>4} {:>14} {:>14} {:>8}",
         "t", "p", "d", "est iter (s)", "sim iter (s)", "memory"

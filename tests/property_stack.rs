@@ -629,6 +629,113 @@ proptest! {
         }
     }
 
+    /// The compute floor is a true lower bound, bit for bit: on presets
+    /// and random cluster lists (mixed NICs and GPU generations,
+    /// switchless and oversubscribed clusters), for every Table 2 group,
+    /// `(t, p)`, DP sync strategy, pipeline schedule and recompute
+    /// setting, `compute_floor_seconds` of the plan's stage prices never
+    /// exceeds the simulated iteration time. No tolerance: a violation is
+    /// a finding in the floor or the executor. The same draw checks the
+    /// memory verdict: `price_stages` fits exactly when `build_iteration`
+    /// raises no `OutOfMemory`, and so does every candidate `autotune`
+    /// scores on the fleet, whose finalist's floor is checked too.
+    #[test]
+    fn compute_floor_bounds_the_simulated_iteration(
+        source in 0usize..10,
+        clusters in prop::collection::vec(cluster_strategy(), 1..=3),
+        gpus in prop::sample::select(vec![1u32, 2, 4, 8]),
+        pg in 1u8..=8,
+        (t_pick, p_pick) in (0usize..4, 0usize..64),
+        (dp_idx, buckets, servers) in (0usize..5, 1u32..=8, 1u32..=4),
+        (schedule_idx, virtual_stages) in (0usize..3, 2u32..=4),
+        recompute in prop::sample::select(vec![false, true]),
+    ) {
+        use holmes_repro::engine::{
+            build_iteration, compute_floor_seconds, price_stages, BuildError, EngineConfig,
+            ScheduleKind, StagePrice,
+        };
+        use holmes_repro::model::ParameterGroup;
+        use holmes_repro::{autotune, AutotuneRequest, PlanRequest};
+        let topo = match source {
+            0 => presets::homogeneous(NicType::InfiniBand, 2),
+            1 => presets::hybrid_two_cluster(1),
+            2 => presets::hybrid_split(2, 1),
+            3 => presets::gen_split_2c(),
+            4 => presets::gen_mix_3c(),
+            _ => {
+                let mut builder = TopologyBuilder::new();
+                for (i, cluster) in clusters.iter().enumerate() {
+                    builder = builder.custom_cluster(random_cluster(i, cluster));
+                }
+                builder.gpus_per_node(gpus).build().unwrap()
+            }
+        };
+        let job = ParameterGroup::table2(pg).job();
+        let n = topo.device_count();
+        let tensors: Vec<u32> = [1u32, 2, 4, 8]
+            .into_iter()
+            .filter(|&t| t <= topo.gpus_per_node() && n.is_multiple_of(t))
+            .collect();
+        let t = tensors[t_pick % tensors.len()];
+        let depths: Vec<u32> = (1..=(n / t).min(8))
+            .filter(|&p| (n / t).is_multiple_of(p) && job.microbatches_per_replica(n / (t * p)).is_some())
+            .collect();
+        prop_assume!(!depths.is_empty());
+        let p = depths[p_pick % depths.len()];
+        let request = PlanRequest { tensor_parallel: t, pipeline_parallel: p, job };
+        let dp_sync = [
+            DpSyncStrategy::DistributedOptimizer,
+            DpSyncStrategy::AllReduce,
+            DpSyncStrategy::ParameterServer { servers },
+            DpSyncStrategy::OverlappedOptimizer { buckets },
+            DpSyncStrategy::Zero3,
+        ][dp_idx];
+        let (plan, planned) = plan_for(&topo, &request, &HolmesConfig::full(), dp_sync).unwrap();
+        let cfg = EngineConfig {
+            dp_sync,
+            schedule: [
+                ScheduleKind::OneFOneB,
+                ScheduleKind::GPipe,
+                ScheduleKind::Interleaved { virtual_stages },
+            ][schedule_idx],
+            recompute_activations: recompute,
+            ..planned
+        };
+        // The interleaved schedule needs micro-batches divisible by p.
+        let Ok(stages) = price_stages(&topo, &plan, &job, &cfg) else {
+            prop_assume!(false);
+            unreachable!()
+        };
+        let floor = compute_floor_seconds(&stages, &cfg);
+        let oom = |plan: &ParallelPlan, cfg: &EngineConfig| {
+            let cfg = EngineConfig { enforce_memory: true, ..*cfg };
+            matches!(build_iteration(&topo, plan, &job, &cfg), Err(BuildError::OutOfMemory { .. }))
+        };
+        prop_assert_eq!(stages.iter().all(StagePrice::fits_memory), !oom(&plan, &cfg));
+        let (_, metrics) = simulate_iteration(&topo, &plan, &job, &cfg, None, None).unwrap();
+        prop_assert!(
+            floor <= metrics.iteration_seconds,
+            "t={t} p={p} {cfg:?}: floor {floor} above simulated {}",
+            metrics.iteration_seconds
+        );
+
+        let req = AutotuneRequest { job, max_tensor: t, max_pipeline: p, top_k: 1 };
+        for c in autotune(&topo, &req, &HolmesConfig::full()) {
+            let (plan, cfg) = (c.plan().unwrap(), c.engine_config().unwrap());
+            prop_assert_eq!(c.fits_memory, !oom(plan, cfg), "t={} p={}", c.tensor, c.pipeline);
+            if let Some(m) = c.simulated {
+                prop_assert!(
+                    c.floor_seconds <= m.iteration_seconds,
+                    "autotune t={} p={}: floor {} above simulated {}",
+                    c.tensor,
+                    c.pipeline,
+                    c.floor_seconds,
+                    m.iteration_seconds
+                );
+            }
+        }
+    }
+
     /// Straggler-aware partition degenerates **bit-for-bit** to the
     /// uniform-rate Eq. 2 split whenever every stage's per-layer compute
     /// time is identical — arbitrary calibrated speeds, α, layer counts,
