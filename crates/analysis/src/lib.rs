@@ -17,23 +17,12 @@
 //!
 //! Nothing here runs on the execution path: `holmes-engine` does not
 //! depend on this crate, and this crate does not depend on the engine.
-//! * [`lint`] — the **determinism lint** behind the `holmes-lint` binary:
-//!   a line/token source scanner enforcing repo-specific rules clippy
-//!   cannot (no unordered-map iteration in event-ordered paths, no
-//!   wall-clock reads in simulation logic, no undocumented panics in hot
-//!   paths, no bare float equality, no lossy quantity casts), with an
-//!   audited allowlist. Runs as a CI job and as a `cargo test`
-//!   integration test.
 
 #![warn(missing_docs)]
 
-pub mod lint;
 pub mod progress;
 pub mod verify;
 
-pub use lint::{
-    lint_workspace, lint_workspace_with, Finding, LintOutcome, Rule, Severity, SeverityConfig,
-};
 pub use progress::{
     check_progress, check_progress_with_scenarios, check_scenario, derive_member_loss_tolerance,
     enumerate_events, enumerate_scenarios, verify_moves_executable, verify_replan_progress,

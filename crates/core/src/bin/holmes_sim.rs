@@ -383,4 +383,66 @@ mod tests {
         assert!(build_topology("token-ring", 4).is_err());
         assert!(build_topology("hybrid", 0).is_err());
     }
+
+    /// Argument tokens the fuzz draws from: every flag, near misses of
+    /// the flags, and values in and out of each flag's range. Node counts
+    /// in range stay small so a case builds a small fleet; the
+    /// out-of-range ones are refused before any allocation.
+    #[rustfmt::skip]
+    const TOKENS: &[&str] = &[
+        // Flags, then near misses of them.
+        "--env", "--topo", "--nodes", "--pg", "--framework", "--iterations", "--alpha",
+        "--trace", "--json", "--help", "-h",
+        "--Env", "-env", "--pg=3", "--node", "env", "--", "-", "", "--alpha1", "--json=1",
+        // Environments and topology specs.
+        "infiniband", "ib", "roce", "ethernet", "eth", "hybrid", "ib+eth", "roce+eth", "IB",
+        "hybird", "ib:2x4+roce:2x4", "ib:4", "ib:536870912", "roce:0", "eth:2x0", "ib:", "+",
+        // Counts: --pg is 1..=8, --nodes and --iterations are positive u32s.
+        "0", "1", "2", "3", "7", "8", "9", "64", "255", "256", "131073", "536870912",
+        "4294967295", "4294967296", "-1", "-3", "abc", "1e3",
+        // Frameworks, then α values in and out of range.
+        "holmes", "megatron-lm", "megatron-deepspeed", "megatron-llama", "pytorch",
+        "1.05", "0.5", "-0", "nan", "NaN", "inf", "-inf", "1e308", "1e-320",
+    ];
+
+    /// Characters of the random tokens.
+    const CHARS: &[char] = &[
+        '-', '+', ':', 'x', 'i', 'b', 'e', '0', '1', '9', '.', ' ', 'é',
+    ];
+
+    proptest::proptest! {
+        /// Random argument vectors: `parse_args`, then the topology the
+        /// run would build, answer with a value or an error, never a
+        /// panic, and an accepted fleet holds 1..=`MAX_DEVICES` devices.
+        #[test]
+        fn random_argument_vectors_never_panic(
+            picks in proptest::prop::collection::vec(
+                (0..TOKENS.len() + 1, proptest::prop::collection::vec(0..CHARS.len(), 0..8)),
+                0..10,
+            ),
+        ) {
+            let argv: Vec<String> = picks
+                .iter()
+                .map(|(i, chars)| match TOKENS.get(*i) {
+                    Some(token) => (*token).to_owned(),
+                    None => chars.iter().map(|&c| CHARS[c]).collect(),
+                })
+                .collect();
+            let outcome = std::panic::catch_unwind(|| {
+                let args = parse_args(argv.clone()).ok()?;
+                let topo = match &args.topo {
+                    Some(spec) => holmes::topology::parse_topology_spec(spec),
+                    None => build_topology(&args.env, args.nodes),
+                };
+                topo.ok().map(|t| t.device_count())
+            });
+            proptest::prop_assert!(outcome.is_ok(), "{argv:?} panicked");
+            if let Ok(Some(devices)) = outcome {
+                proptest::prop_assert!(
+                    (1..=holmes::topology::MAX_DEVICES).contains(&devices),
+                    "{argv:?} built {devices} devices"
+                );
+            }
+        }
+    }
 }

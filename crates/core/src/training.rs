@@ -117,7 +117,7 @@ pub fn simulate_training_run(
     }
 
     let mut sorted = iteration_seconds.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+    sorted.sort_by(f64::total_cmp);
     let mean = iteration_seconds.iter().sum::<f64>() / iteration_seconds.len() as f64;
     let pct = |q: f64| {
         let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;

@@ -260,6 +260,7 @@ pub fn microbatches(job: &TrainJob, d: u32) -> Result<u32, BuildError> {
 /// the autotuner reads the same verdict. It first runs the checks the
 /// pricing relies on: batch divisibility, layer count, ranks inside the
 /// topology and the interleaved schedule's divisibility.
+#[expect(clippy::expect_used, reason = "ranks checked; stages non-empty")]
 pub fn price_stages(
     topo: &Topology,
     plan: &ParallelPlan,
@@ -391,6 +392,7 @@ pub fn price_stages(
 /// communication does. Each op is rounded to integer nanoseconds exactly
 /// as the executor's compute timer rounds it, so the bound holds bit for
 /// bit.
+#[expect(clippy::cast_possible_truncation, reason = "a few collectives")]
 pub fn compute_floor_seconds(stages: &[StagePrice], cfg: &EngineConfig) -> f64 {
     let nanos = |seconds: f64| SimDuration::from_secs_f64(seconds).0;
     // An overlapping sync splits the final backward into one op per
@@ -423,6 +425,7 @@ pub fn compute_floor_seconds(stages: &[StagePrice], cfg: &EngineConfig) -> f64 {
 }
 
 /// Build the full iteration spec (programs + collectives) for a plan.
+#[expect(clippy::cast_possible_truncation, reason = "u32 counts; bytes floor")]
 pub fn build_iteration(
     topo: &Topology,
     plan: &ParallelPlan,

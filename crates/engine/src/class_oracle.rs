@@ -22,8 +22,7 @@ use crate::fault::{FaultPlan, FaultTarget};
 use crate::ops::{Channel, ComputeLabel, MsgKey, Op};
 
 /// Every report field classes must not move, with floats as bits. The
-/// collective maps are listed in kind order (hash maps iterate in
-/// per-instance order).
+/// collective maps are listed in kind-name order.
 pub(crate) fn fingerprint(r: &IterationReport) -> String {
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut walls: Vec<_> = r

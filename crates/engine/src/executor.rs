@@ -378,11 +378,11 @@ pub struct IterationReport {
     /// Max over devices of optimizer compute seconds.
     pub optimizer_seconds_max: f64,
     /// Wall time (launch → done) of each collective, by kind.
-    pub collective_wall_seconds: HashMap<CollKind, Vec<f64>>,
+    pub collective_wall_seconds: BTreeMap<CollKind, Vec<f64>>,
     /// (launch, done) spans of each collective, by kind — bucketed
     /// collectives overlap, so operation-level timing (e.g. Figure 3's
     /// grads-reduce-scatter cost) uses the *union* of spans, not the sum.
-    pub collective_spans: HashMap<CollKind, Vec<(f64, f64)>>,
+    pub collective_spans: BTreeMap<CollKind, Vec<(f64, f64)>>,
     /// Simulator events processed (diagnostic).
     pub events: u64,
     /// Engine flows completed (diagnostic): netsim simulates each group
@@ -543,6 +543,7 @@ struct Rounds {
 
 /// Group each round of `schedule` into [`Launch`]es by (source node,
 /// destination node, bytes), in first-appearance order.
+#[expect(clippy::cast_possible_truncation, reason = "launch indices are u32")]
 fn group_rounds(schedule: &CollSchedule, gpus_per_node: u32) -> Rounds {
     let mut launches: Vec<Launch> = Vec::new();
     // The current round's group keys, parallel to its launches.
@@ -816,6 +817,7 @@ pub fn execute_with_faults(
 /// executions still contribute their counters and netsim records.
 /// Without it every collection branch is skipped, so observation never
 /// changes behaviour.
+#[expect(clippy::expect_used, reason = "lower keeps ranks inside `topo`")]
 pub(crate) fn execute_inner(
     topo: &Topology,
     spec: ExecutionSpec,
@@ -1037,6 +1039,10 @@ struct Lowered {
 /// (microbatch, slot) list, so nothing is sized by a key's value.
 /// Collective ops are checked against per-collective program stamps, so
 /// the walk stays linear in ops plus collective memberships.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "spec ids and devices are u32"
+)]
 fn lower(topo: &Topology, spec: &ExecutionSpec) -> Result<Lowered, ExecError> {
     let devices = topo.device_count();
     let inside = |rank: Rank| {
@@ -1224,7 +1230,12 @@ fn check_fault_targets(topo: &Topology, plan: &FaultPlan) -> Result<(), ExecErro
     Ok(())
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "ids and tokens index this run's own tables"
+)]
 impl<'t> Executor<'t> {
+    #[expect(clippy::expect_used, reason = "tracked runs record every entry")]
     fn run(&mut self) -> Result<IterationReport, ExecError> {
         for dev in 0..self.devs.len() {
             self.advance(dev);
@@ -1410,6 +1421,7 @@ impl<'t> Executor<'t> {
     /// React to entry `e`'s armed timeout: ignore it if the entry
     /// landed, push the deadline out if it is merely slow, cancel and
     /// relaunch it (over TCP on NIC death) if it is parked on a dead link.
+    #[expect(clippy::expect_used, reason = "armed only with a retry policy")]
     fn handle_timeout(&mut self, e: usize) -> Result<(), ExecError> {
         let policy = self.retry.expect("timeouts need a retry policy");
         let rec = &mut self.entries[e];
@@ -2003,8 +2015,8 @@ impl<'t> Executor<'t> {
             forward_seconds_max: max(|d| d.forward_seconds),
             backward_seconds_max: max(|d| d.backward_seconds),
             optimizer_seconds_max: max(|d| d.optimizer_seconds),
-            collective_wall_seconds: HashMap::new(),
-            collective_spans: HashMap::new(),
+            collective_wall_seconds: BTreeMap::new(),
+            collective_spans: BTreeMap::new(),
             events: self.sim.events_processed(),
             flows: self.sim.engine_flows_completed(),
             launch_entries: self.launch_entries,

@@ -45,6 +45,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::cast_possible_truncation,
+        clippy::float_cmp,
+        reason = "tests compare exact bits and cast fixture sizes"
+    )
+)]
 
 pub mod builder;
 #[cfg(test)]

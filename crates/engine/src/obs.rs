@@ -67,11 +67,10 @@ fn record_report(session: &mut ObsSession, report: &IterationReport) {
     reg.counter_add("netsim.flows", report.flows);
 
     // Per-kind collective counts plus one wall-seconds histogram, kinds
-    // visited in name order (the report keeps them in a HashMap).
-    let mut kinds: Vec<_> = report.collective_wall_seconds.keys().copied().collect();
-    kinds.sort_by_key(|k| format!("{k:?}"));
-    for kind in kinds {
-        let walls = &report.collective_wall_seconds[&kind];
+    // visited in name order: the histogram's sum depends on the order.
+    let mut kinds: Vec<_> = report.collective_wall_seconds.iter().collect();
+    kinds.sort_by_key(|(k, _)| format!("{k:?}"));
+    for (kind, walls) in kinds {
         reg.counter_add(&format!("engine.coll.{kind:?}"), walls.len() as u64);
         for w in walls {
             reg.observe_default("engine.coll_wall_seconds", *w);

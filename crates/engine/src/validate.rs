@@ -12,7 +12,7 @@
 //! All bookkeeping uses `BTreeMap`/`BTreeSet`: a multi-defect spec must
 //! report its errors in one deterministic (key-sorted) order, run to run —
 //! iterating a `HashMap` here would leak `RandomState` into the error list
-//! (and trip `holmes-lint`'s hash-iteration rule).
+//! (and fail the determinism lint's `clippy::iter_over_hash_type`).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -104,6 +104,7 @@ impl std::fmt::Display for SpecError {
 }
 
 /// Validate a spec; returns every defect found (empty = structurally sound).
+#[expect(clippy::cast_possible_truncation, reason = "collective ids are u32")]
 pub fn validate_spec(spec: &ExecutionSpec) -> Vec<SpecError> {
     let mut errors = Vec::new();
     let mut sends: BTreeMap<MsgKey, u32> = BTreeMap::new();

@@ -33,7 +33,10 @@ impl MemoryEstimate {
     /// distributed optimizer). With `full_recompute` only the
     /// layer-boundary activation of each in-flight micro-batch is stored;
     /// everything else is replayed in backward.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one memory-model input"
+    )]
     pub fn for_rank(
         cfg: &GptConfig,
         stage_params: u64,

@@ -36,7 +36,7 @@
 use holmes_topology::{Rank, Topology};
 
 /// Collective algorithm kinds understood by every layer of the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CollKind {
     /// Ring all-reduce: `2(n−1)` rounds of `V/n` chunks. Bandwidth-optimal.
     AllReduce,
@@ -291,13 +291,20 @@ fn ring_round(devices: &[Rank], chunk: u64) -> Round {
     Round { transfers }
 }
 
+/// A member list's length. Members are ranks of one topology, so a list
+/// never outgrows [`holmes_topology::MAX_DEVICES`].
+#[expect(clippy::cast_possible_truncation, reason = "at most MAX_DEVICES")]
+fn member_count(devices: &[Rank]) -> u32 {
+    devices.len() as u32
+}
+
 /// Ring reduce-scatter: `n−1` rounds of `V/n` chunks.
 pub fn ring_reduce_scatter(devices: &[Rank], bytes: u64) -> CollSchedule {
-    let n = devices.len() as u64;
+    let n = member_count(devices);
     if n <= 1 {
         return CollSchedule::empty();
     }
-    one_run(ring_round(devices, bytes / n), n as u32 - 1)
+    one_run(ring_round(devices, bytes / u64::from(n)), n - 1)
 }
 
 /// Ring all-gather: `n−1` rounds of `V/n` chunks (the mirror image of
@@ -309,16 +316,16 @@ pub fn ring_all_gather(devices: &[Rank], bytes: u64) -> CollSchedule {
 /// Ring all-reduce = reduce-scatter + all-gather: `2(n−1)` rounds of
 /// `V/n` chunks.
 pub fn ring_all_reduce(devices: &[Rank], bytes: u64) -> CollSchedule {
-    let n = devices.len() as u64;
+    let n = member_count(devices);
     if n <= 1 {
         return CollSchedule::empty();
     }
-    one_run(ring_round(devices, bytes / n), 2 * (n as u32 - 1))
+    one_run(ring_round(devices, bytes / u64::from(n)), 2 * (n - 1))
 }
 
 /// Pipelined ring broadcast: `n−1` rounds of `V/(n−1)` chunks.
 pub fn ring_broadcast(devices: &[Rank], bytes: u64) -> CollSchedule {
-    let n = devices.len() as u32;
+    let n = member_count(devices);
     if n <= 1 {
         return CollSchedule::empty();
     }
@@ -331,7 +338,7 @@ pub fn ring_broadcast(devices: &[Rank], bytes: u64) -> CollSchedule {
 /// full buffer. Every round is non-empty (heap level `l` always contains
 /// index `2^l − 1`) and a run of one.
 pub fn tree_all_reduce(devices: &[Rank], bytes: u64) -> CollSchedule {
-    let n = devices.len() as u32;
+    let n = member_count(devices);
     if n <= 1 {
         return CollSchedule::empty();
     }
@@ -381,6 +388,7 @@ pub fn tree_all_reduce(devices: &[Rank], bytes: u64) -> CollSchedule {
 /// rounds however many members it has. With one (non-empty) cluster this
 /// degenerates to the flat ring all-reduce; with ≤ 1 total ranks the
 /// schedule is empty.
+#[expect(clippy::cast_possible_truncation, reason = "counts of member ranks")]
 pub fn hierarchical_all_reduce(groups: &[Vec<Rank>], bytes: u64) -> CollSchedule {
     let groups: Vec<&[Rank]> = groups
         .iter()
@@ -395,11 +403,7 @@ pub fn hierarchical_all_reduce(groups: &[Vec<Rank>], bytes: u64) -> CollSchedule
         return ring_all_reduce(groups[0], bytes);
     }
     let k = groups.len();
-    let s_max = groups
-        .iter()
-        .map(|g| g.len())
-        .max()
-        .expect("hierarchical schedule requires at least two cluster groups");
+    let s_max = groups.iter().map(|g| g.len()).max().unwrap_or(0);
     let mut runs = Vec::new();
 
     // Phase 1/3 skeleton: one lockstep intra-cluster ring pass; cluster c
@@ -408,11 +412,12 @@ pub fn hierarchical_all_reduce(groups: &[Vec<Rank>], bytes: u64) -> CollSchedule
         let mut r = 0;
         while r + 1 < s_max {
             let active = groups.iter().filter(|g| r + 1 < g.len());
+            // The largest cluster is active for every intra round.
             let end = active
                 .clone()
                 .map(|g| g.len() - 1)
                 .min()
-                .expect("the largest cluster is active for every intra round");
+                .unwrap_or(s_max - 1);
             let transfers: Vec<Transfer> = active
                 .flat_map(|g| ring_round(g, bytes / g.len() as u64).transfers)
                 .collect();
@@ -514,6 +519,7 @@ pub fn ps_pull(devices: &[Rank], bytes: u64, servers: u32) -> CollSchedule {
 /// [`CollSchedule::seconds_uniform`] at the bottleneck link's rate; under
 /// contention it stays a close analytic proxy for the executor's
 /// max-min-fair replay (the cross-validation tests bound the gap).
+#[expect(clippy::expect_used, reason = "schedule ranks belong to `topo`")]
 pub fn estimate_on_topology(topo: &Topology, schedule: &CollSchedule) -> f64 {
     let gpus_per_node = topo.gpus_per_node().max(1);
     // Contention counters: `(node, rdma)` slots per node-level link and
@@ -597,6 +603,7 @@ pub fn estimate_on_topology(topo: &Topology, schedule: &CollSchedule) -> f64 {
 /// [`estimate_on_topology`] for a [`CollKind`] over `devices`, deriving
 /// the cluster partition from the topology — the planner-facing helper
 /// behind NIC-selection scoring and the core estimator.
+#[expect(clippy::expect_used, reason = "devices belong to `topo`")]
 pub fn estimate_collective(topo: &Topology, kind: CollKind, devices: &[Rank], bytes: u64) -> f64 {
     let cluster_of = |r: Rank| {
         topo.coord(r)

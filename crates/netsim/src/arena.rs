@@ -43,6 +43,7 @@ pub(crate) type PathVec = InlineVec<LinkId>;
 impl<T: Copy + Default> InlineVec<T> {
     /// `n` default entries, allocating only when `n` exceeds the inline
     /// capacity.
+    #[expect(clippy::cast_possible_truncation, reason = "n <= INLINE_LINKS here")]
     fn with_len(n: usize) -> Self {
         let inline = [T::default(); INLINE_LINKS];
         if n <= INLINE_LINKS {
@@ -93,7 +94,7 @@ impl<T: Copy + Default> InlineVec<T> {
     }
 
     #[inline]
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), expect(dead_code, reason = "test-only diagnostic"))]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -149,6 +150,7 @@ pub(crate) struct FlowArena {
 impl FlowArena {
     /// Insert a one-member group of `mult` logical flows, recycling a free
     /// slot when available.
+    #[expect(clippy::cast_possible_truncation, reason = "u32 slots by design")]
     pub fn insert(
         &mut self,
         id: FlowId,
@@ -199,13 +201,13 @@ impl FlowArena {
     }
 
     /// Number of allocated slots (live + free) — slab growth diagnostic.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), expect(dead_code, reason = "test-only diagnostic"))]
     pub fn capacity_slots(&self) -> usize {
         self.ids.len()
     }
 
     /// Number of free-listed slots.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), expect(dead_code, reason = "test-only diagnostic"))]
     pub fn free_slots(&self) -> usize {
         self.free.len()
     }
@@ -233,6 +235,7 @@ impl<K> Default for SlotHeap<K> {
     }
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "one per u32 arena slot")]
 impl<K: Copy + Ord> SlotHeap<K> {
     /// The smallest `(key, slot)` entry.
     #[inline]
@@ -368,6 +371,7 @@ impl FlowWindow {
         FlowId(self.base + self.states.len() as u64 - 1)
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "i < states.len()")]
     fn index(&self, id: u64) -> Option<usize> {
         let i = id.checked_sub(self.base)?;
         (i < self.states.len() as u64).then_some(i as usize)

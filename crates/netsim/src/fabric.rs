@@ -142,6 +142,7 @@ impl Fabric {
     /// Each link kind has one path: none for NVLink/PCIe, the two nodes'
     /// RDMA links plus an oversubscribed cluster's switch, or their
     /// Ethernet links plus the trunk across clusters.
+    #[expect(clippy::expect_used, reason = "ranks of the fabric's topology")]
     fn route_with(&self, topo: &Topology, a: Rank, b: Rank, force_tcp: bool) -> Route {
         assert_ne!(a, b, "no self-routes");
         let profile = if force_tcp {
@@ -256,6 +257,7 @@ impl RouteTable {
     ///
     /// # Panics
     /// Panics when `a == b`, or when either rank is outside the topology.
+    #[expect(clippy::cast_possible_truncation, reason = "route indices are u32")]
     pub fn route(
         &mut self,
         fabric: &Fabric,

@@ -86,6 +86,11 @@ pub struct RefSim {
     next_seq: u64,
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::expect_used,
+    reason = "reference model: u32 ids; each expect restates a queue invariant"
+)]
 impl RefSim {
     /// An empty reference simulator at time zero.
     pub fn new() -> Self {
@@ -215,7 +220,10 @@ impl RefSim {
 
     /// Advance to the next completion; same contract as
     /// [`crate::NetSim::next`].
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "callers start flows between pulls"
+    )]
     pub fn next(&mut self) -> Option<Completion> {
         loop {
             if let Some(done) = self.backlog.pop_front() {

@@ -298,6 +298,7 @@ impl NetSim {
     }
 
     /// Register a shared link and get its id.
+    #[expect(clippy::cast_possible_truncation, reason = "LinkId is u32 by design")]
     pub fn add_link(&mut self, capacity: LinkCapacity) -> LinkId {
         let id = LinkId(self.links.len() as u32);
         self.links.push(capacity);
@@ -398,6 +399,7 @@ impl NetSim {
     ///
     /// # Panics
     /// Panics if the link is unregistered.
+    #[expect(clippy::cast_possible_truncation, reason = "fault indices are u32")]
     pub fn schedule_fault_at(&mut self, at: SimTime, link: LinkId, health: LinkHealth) {
         assert!(
             (link.0 as usize) < self.links.len(),
@@ -419,6 +421,7 @@ impl NetSim {
     ///
     /// # Panics
     /// Panics if any link is unregistered.
+    #[expect(clippy::cast_possible_truncation, reason = "churn indices are u32")]
     pub fn schedule_churn_at(&mut self, at: SimTime, node: u32, kind: ChurnKind, links: &[LinkId]) {
         for link in links {
             assert!(
@@ -526,7 +529,10 @@ impl NetSim {
     /// Deliberately named like `Iterator::next` — this *is* a pull-based
     /// event stream — but not implemented as `Iterator` because callers
     /// interleave `start_flow`/`set_timer` between pulls.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "callers start flows between pulls"
+    )]
     pub fn next(&mut self) -> Option<Completion> {
         self.next_fast()
     }

@@ -70,6 +70,7 @@ use crate::time::{SimDuration, SimTime};
 
 impl NetSim {
     /// The event loop behind [`NetSim::next`].
+    #[expect(clippy::expect_used, reason = "follows the match that saw it")]
     pub(crate) fn next_fast(&mut self) -> Option<Completion> {
         loop {
             if let Some(done) = self.backlog.pop_front() {
@@ -255,6 +256,7 @@ impl NetSim {
 
     /// Register `slot` in every path link's flow list, maintaining the
     /// mirrored positions and opening busy windows on 0→1 transitions.
+    #[expect(clippy::cast_possible_truncation, reason = "one per u32 arena slot")]
     fn fast_attach_links(&mut self, slot: u32) {
         let s = slot as usize;
         let npath = self.flows.path[s].as_slice().len();
@@ -277,6 +279,7 @@ impl NetSim {
     /// (fixing up the swapped entry's mirrored position), close busy
     /// windows on →0 transitions, and mark the links dirty for the next
     /// recompute.
+    #[expect(clippy::cast_possible_truncation, reason = "one per u32 arena slot")]
     fn fast_detach_links(&mut self, slot: u32) {
         let s = slot as usize;
         let npath = self.flows.path[s].as_slice().len();
@@ -348,6 +351,7 @@ impl NetSim {
     /// skipped entirely — the flow's anchor, prediction and heap entries
     /// all remain valid. On change: settle, then move the slot's finish
     /// and prediction entries (or drop them when it parks).
+    #[expect(clippy::cast_possible_truncation, reason = "clamped to 1e18 ns")]
     fn fast_assign_rate(&mut self, slot: u32, new_rate: f64) {
         let s = slot as usize;
         // Bitwise compare, deliberately not `==`: the skip is only sound
@@ -490,6 +494,7 @@ impl NetSim {
     /// minimum and `1e-9` threshold grouping, same freeze rounds and
     /// `cap_left` subtractions — so every rate matches a global
     /// water-fill bit for bit while untouched components pay nothing.
+    #[expect(clippy::cast_possible_truncation, reason = "LinkId is u32 by design")]
     pub(crate) fn fast_recompute(&mut self) {
         if self.dirty_links.is_empty() && self.dirty_flows.is_empty() {
             return;

@@ -35,6 +35,7 @@ impl SimDuration {
     /// From floating-point seconds, rounding to the nearest nanosecond.
     /// Negative inputs clamp to zero (durations are non-negative).
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "rounded, saturating")]
     pub fn from_secs_f64(secs: f64) -> Self {
         SimDuration((secs.max(0.0) * 1e9).round() as u64)
     }

@@ -28,6 +28,12 @@
 //! are components of their own whose rate is their cap, so every
 //! generator gives them irrational caps ([`PATHLESS_CAPS`]).
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::expect_used,
+    reason = "test code: exact comparisons and unwrapped fixtures"
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;

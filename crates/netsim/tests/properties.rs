@@ -1,6 +1,11 @@
 //! Property-based tests of the fluid-flow simulator: fairness, work
 //! conservation, monotonicity and determinism under randomized workloads.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test code: exact comparisons and unwrapped fixtures"
+)]
+
 use proptest::prelude::*;
 
 use holmes_netsim::algo::{self, CollSchedule};

@@ -12,8 +12,8 @@
 //! * **Determinism.** Nothing here reads a wall clock or iterates an
 //!   unordered map: exports are byte-identical across runs and machines
 //!   for identical inputs, so CI can diff them exactly
-//!   (`holmes-bench --bin bench_diff`). The `holmes-lint` determinism
-//!   rules scan this crate like they scan the simulator.
+//!   (`holmes-bench --bin bench_diff`). The determinism lint's clippy
+//!   rules (DESIGN.md §8) hold this crate to that like the simulator.
 //! * **Invisible to the run.** Instrumented code paths take the sink as
 //!   an `Option` and only read simulation state, so an observed run
 //!   performs exactly the events and float arithmetic of an un-observed

@@ -134,7 +134,10 @@ impl TraceSink {
 
     /// Record a completed span with viewer args (values must already be
     /// valid JSON fragments, e.g. `123` or `"ring"`).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the Chrome trace event fields"
+    )]
     pub fn span_with_args(
         &mut self,
         layer: Layer,

@@ -174,6 +174,7 @@ impl TopologyDelta {
     /// Build the post-churn topology: lost NICs are demoted to the node's
     /// Ethernet fallback profile, lost nodes are removed, and joins append
     /// a clone of the target cluster's first pre-churn node.
+    #[expect(clippy::cast_possible_truncation, reason = "fits under MAX_DEVICES")]
     pub fn apply(&self, topo: &Topology) -> Result<Topology, DeltaError> {
         let mut clusters: Vec<Cluster> = topo.clusters().to_vec();
         let node_count = topo.node_count();

@@ -39,6 +39,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::cast_possible_truncation,
+        clippy::float_cmp,
+        clippy::iter_over_hash_type,
+        reason = "tests compare exact bits, cast fixture sizes and walk hash sets"
+    )
+)]
 
 mod degrees;
 pub mod delta;

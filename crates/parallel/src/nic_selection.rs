@@ -119,6 +119,7 @@ impl DpGroupNic {
     /// incrementally as groups become determined, so partial-plan
     /// bounds and full-plan costs are bit-identical (`f64::max` over
     /// non-negative finite values is fold-order independent).
+    #[expect(clippy::expect_used, reason = "group members are ranks of `topo`")]
     pub fn sync_cost_seconds(&self, topo: &Topology, gradient_bytes: u64) -> f64 {
         if self.devices.len() <= 1 {
             return 0.0;
@@ -152,6 +153,7 @@ impl DpGroupNic {
     /// exactly this gap. Compute-uniform groups (identical profiles) and
     /// `stage_flops == 0.0` both yield exactly `+0.0`, keeping historical
     /// costs bit-identical.
+    #[expect(clippy::expect_used, reason = "group members are ranks of `topo`")]
     pub fn straggler_skew_seconds(&self, topo: &Topology, stage_flops: f64) -> f64 {
         if self.devices.len() <= 1 || stage_flops <= 0.0 {
             return 0.0;
@@ -194,6 +196,7 @@ pub struct NicSelectionReport {
 
 impl NicSelectionReport {
     /// Analyze every data-parallel group of a plan.
+    #[expect(clippy::cast_possible_truncation, reason = "at most one per device")]
     pub fn analyze(topo: &Topology, layout: &GroupLayout, assignment: &DeviceAssignment) -> Self {
         let mut groups = Vec::with_capacity(layout.dp_group_count() as usize);
         let mut rdma = 0u32;
@@ -255,6 +258,7 @@ impl NicSelectionReport {
     /// the migration-aware [`crate::delta::replan_for_delta`] is the
     /// right tool; this in-place pass still prices the transport hit of
     /// continuing on the old placement until the migration lands.
+    #[expect(clippy::cast_possible_truncation, reason = "at most one per device")]
     pub fn replan(
         &self,
         topo: &Topology,

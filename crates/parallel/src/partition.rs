@@ -18,6 +18,7 @@ pub trait PartitionStrategy {
 pub struct UniformPartition;
 
 impl PartitionStrategy for UniformPartition {
+    #[expect(clippy::cast_possible_truncation, reason = "one per pipeline stage")]
     fn partition(&self, layers: u32, stage_speeds: &[f64]) -> Vec<u32> {
         let p = stage_speeds.len() as u32;
         assert!(p > 0, "at least one stage");
@@ -62,6 +63,7 @@ impl Default for SelfAdaptingPartition {
 }
 
 impl PartitionStrategy for SelfAdaptingPartition {
+    #[expect(clippy::cast_possible_truncation, reason = "0 <= raw <= layers")]
     fn partition(&self, layers: u32, stage_speeds: &[f64]) -> Vec<u32> {
         let p = stage_speeds.len();
         assert!(p > 0, "at least one stage");

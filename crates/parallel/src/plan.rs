@@ -33,7 +33,7 @@ impl ParallelPlan {
         stage_layers: Vec<u32>,
         scatter_gather: bool,
     ) -> Self {
-        debug_assert_eq!(stage_layers.len() as u32, layout.degrees().pipeline);
+        debug_assert_eq!(stage_layers.len(), layout.degrees().pipeline as usize);
         debug_assert_eq!(assignment.len(), layout.degrees().devices());
         ParallelPlan {
             layout,

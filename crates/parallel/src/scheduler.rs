@@ -25,6 +25,7 @@ impl DeviceAssignment {
     ///
     /// # Panics
     /// Panics if `device_of` is not a permutation of `0..len`.
+    #[expect(clippy::cast_possible_truncation, reason = "permutes u32 ranks")]
     pub fn from_permutation(device_of: Vec<Rank>) -> Self {
         let n = device_of.len();
         let mut logical_of = vec![u32::MAX; n];
@@ -58,6 +59,7 @@ impl DeviceAssignment {
 
     /// Number of devices.
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "permutes u32 ranks")]
     pub fn len(&self) -> u32 {
         self.device_of.len() as u32
     }
@@ -119,10 +121,10 @@ impl DeviceAssignment {
             return Err("empty rank map".to_owned());
         }
         pairs.sort_unstable();
-        let n = pairs.len() as u32;
+        let n = u32::try_from(pairs.len()).map_err(|_| "rank map too long".to_owned())?;
         let mut device_of = Vec::with_capacity(pairs.len());
         for (expect, (logical, device)) in pairs.iter().enumerate() {
-            if *logical != expect as u32 {
+            if *logical as usize != expect {
                 return Err(format!(
                     "logical ranks must cover 0..{n} exactly once (saw {logical})"
                 ));
@@ -181,6 +183,7 @@ impl Scheduler for SequentialScheduler {
 pub struct InterleavedScheduler;
 
 impl Scheduler for InterleavedScheduler {
+    #[expect(clippy::cast_possible_truncation, reason = "fits under MAX_DEVICES")]
     fn assign(&self, topo: &Topology, _layout: &GroupLayout) -> DeviceAssignment {
         // Gather per-cluster node lists (as global node indices).
         let g = topo.gpus_per_node();

@@ -176,6 +176,7 @@ impl CanonicalBest {
 /// `u64` gradient volume is the zero-FLOPs workload). Returns the canonical
 /// winner (minimal cost, ties toward the fastest-first relabeled
 /// lexicographic minimum).
+#[expect(clippy::cast_possible_truncation, reason = "i < cluster_count()")]
 pub fn search_cluster_orders(
     topo: &Topology,
     layout: &GroupLayout,

@@ -87,6 +87,7 @@ impl StragglerAwarePartition {
     /// # Panics
     /// Panics on empty `stages` or any non-positive `sec_per_layer` /
     /// `speed_tflops`, or negative `comm_seconds`.
+    #[expect(clippy::cast_possible_truncation, reason = "one per pipeline stage")]
     pub fn partition_stages(&self, layers: u32, stages: &[StageProfile]) -> Vec<u32> {
         let p = stages.len();
         assert!(p > 0, "at least one stage");

@@ -71,6 +71,7 @@ use crate::skew::PlacementWorkload;
 /// strategy prefers the one whose relabeled sequence is lexicographically
 /// smallest, which makes the heuristic's own order (relabeled `[0, 1, …]`)
 /// the canonical winner of any tie it participates in.
+#[expect(clippy::cast_possible_truncation, reason = "searches < 2^16 clusters")]
 pub fn speed_rank_of(topo: &Topology) -> Vec<u16> {
     let order = HolmesScheduler::cluster_order(topo);
     let mut rank_of = vec![0u16; order.len()];
@@ -153,6 +154,7 @@ fn group_specs(layout: &GroupLayout) -> Vec<GroupSpec> {
 /// every partial group's placed member set. The walk goes backward from
 /// the prefix end and stops at the block start, so it visits only the
 /// overlapping clusters and sorts no member list.
+#[expect(clippy::cast_possible_truncation, reason = "offsets inside one block")]
 fn partial_signature(
     canon: &[u16],
     size_by_rank: &[usize],
@@ -312,6 +314,7 @@ fn result_for(
 /// Topologies beyond 128 clusters exceed the visited-set mask; the
 /// heuristic order is returned unchanged (a valid plan, not certified
 /// optimal) with `heuristic_won` set.
+#[expect(clippy::cast_possible_truncation, reason = "c < cluster_count()")]
 pub fn synthesize_placement(
     topo: &Topology,
     layout: &GroupLayout,

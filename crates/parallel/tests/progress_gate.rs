@@ -3,6 +3,11 @@
 //! pass the symbolic progress checker — not just the structural
 //! verifier.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: exact comparisons and unwrapped fixtures"
+)]
+
 use holmes_analysis::progress::{
     check_progress, EventSpace, ProgressCollective, ProgressSpec, RetryModel,
 };

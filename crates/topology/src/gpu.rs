@@ -82,6 +82,7 @@ impl GpuProfile {
 
     /// Device memory capacity in bytes.
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "floored, saturating")]
     pub fn memory_bytes(&self) -> u64 {
         (self.memory_gib * 1024.0 * 1024.0 * 1024.0) as u64
     }

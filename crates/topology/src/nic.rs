@@ -152,6 +152,7 @@ impl NicProfile {
 
     /// One-way latency in nanoseconds (integral, for the simulator clock).
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "rounded, saturating")]
     pub fn latency_ns(&self) -> u64 {
         (self.latency_us * 1_000.0).round() as u64
     }

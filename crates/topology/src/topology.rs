@@ -76,6 +76,7 @@ pub struct Topology {
     gpus_per_node: u32,
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "`new` caps at MAX_DEVICES")]
 impl Topology {
     /// Build a topology from clusters. Fails when empty or when nodes have
     /// uneven GPU counts (the paper's formalization assumes a uniform `G`).
@@ -144,7 +145,6 @@ impl Topology {
     /// Total device count `N = G · Σ f_i`.
     #[inline]
     pub fn device_count(&self) -> u32 {
-        // `Topology::new` caps the count at `MAX_DEVICES`, so this fits.
         self.coords.len() as u32
     }
 

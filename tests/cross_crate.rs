@@ -2,6 +2,11 @@
 //! planner for scoring) must agree with the event-driven simulation (used
 //! for measurement) wherever both apply.
 
+#![allow(
+    clippy::float_cmp,
+    reason = "test code: exact comparisons and unwrapped fixtures"
+)]
+
 use holmes_repro::engine::{execute, CollKind, CollectiveSpec, ExecutionSpec, TransportPolicy};
 use holmes_repro::netsim::collective::ring_link;
 use holmes_repro::parallel::{GroupLayout, HolmesScheduler, ParallelDegrees, Scheduler};

@@ -11,6 +11,11 @@
 //!    engine's TCP fallback, reports the degradation window, and replays
 //!    byte-identically under the same seed.
 
+#![allow(
+    clippy::float_cmp,
+    reason = "test code: exact comparisons and unwrapped fixtures"
+)]
+
 use holmes_repro::engine::DpSyncStrategy;
 use holmes_repro::parallel::{GroupLayout, GuidedPlanner, ParallelDegrees, Planner};
 use holmes_repro::topology::presets;
