@@ -1,11 +1,14 @@
 //! The Holmes planner: topology + job + feature flags → parallel plan.
 
+use std::collections::HashMap;
+
 use holmes_engine::{BuildError, DpSyncStrategy, EngineConfig, ScheduleKind, TransportPolicy};
 use holmes_model::{CommVolumes, ParameterGroup, TrainJob};
+use holmes_netsim::WordHash;
 use holmes_parallel::{
-    DegreeError, GroupLayout, GuidedPlanner, NicSelectionReport, ParallelDegrees, ParallelPlan,
-    PartitionStrategy, PlacementWorkload, Planner, Scheduler, SequentialScheduler, StageProfile,
-    StragglerAwarePartition, UniformPartition,
+    DegreeError, DpGroupNic, GroupLayout, GuidedPlanner, NicSelectionReport, ParallelDegrees,
+    ParallelPlan, PartitionStrategy, PlacementWorkload, Planner, Scheduler, SequentialScheduler,
+    StageProfile, StragglerAwarePartition, UniformPartition,
 };
 use holmes_topology::Topology;
 
@@ -148,8 +151,21 @@ fn plan_for_with(
     // fleets (see `calibration::device_speed`); its per-layer time is the
     // slowest member's compute; its fixed communication is its worst DP
     // group's NIC-priced sync (DP group g serves stage g / t, Eq. 4).
+    // Groups with one node pattern sync at the same bits
+    // (`DpGroupNic::node_pattern`), so each pattern is priced once.
     let layer_flops = placement_layer_flops(&req.job, degrees);
     let report = NicSelectionReport::analyze(topo, &layout, &assignment);
+    let mut sync_by_pattern: HashMap<Vec<u32>, f64, WordHash> = HashMap::default();
+    let mut pattern = Vec::new();
+    let mut sync_cost = |group: &DpGroupNic| {
+        DpGroupNic::node_pattern(topo, &group.devices, &mut pattern);
+        if let Some(&cost) = sync_by_pattern.get(pattern.as_slice()) {
+            return cost;
+        }
+        let cost = group.sync_cost_seconds(topo, gradient_bytes);
+        sync_by_pattern.insert(pattern.clone(), cost);
+        cost
+    };
     let profiles: Vec<StageProfile> = (0..degrees.pipeline)
         .map(|stage| {
             let ranks = layout.stage_ranks(stage);
@@ -167,7 +183,7 @@ fn plan_for_with(
                     .map(|dev| dev.gpu.compute_seconds(layer_flops))
                     .fold(0.0f64, f64::max),
                 comm_seconds: (stage * degrees.tensor..(stage + 1) * degrees.tensor)
-                    .map(|g| report.groups[g as usize].sync_cost_seconds(topo, gradient_bytes))
+                    .map(|g| sync_cost(&report.groups[g as usize]))
                     .fold(0.0f64, f64::max),
             }
         })

@@ -109,6 +109,23 @@ impl DpGroupNic {
         })
     }
 
+    /// Write the *node pattern* of a member list into `pattern` (cleared
+    /// first, so callers reuse one buffer): each member's global node
+    /// index (`rank / G`), sorted. Every GPU of a node shares the node's
+    /// GPU, NIC, Ethernet and intra-node link, so pricing reads a member
+    /// only through its node, and a list built as ascending per-cluster
+    /// blocks prices the same under any block order (DESIGN.md §10). Two
+    /// such lists with one node pattern therefore have bit-equal
+    /// [`DpGroupNic::workload_cost_seconds`]: guided synthesis memoizes
+    /// group costs by this key, and the core planner dedupes its stage
+    /// profiles by it.
+    pub fn node_pattern(topo: &Topology, devices: &[Rank], pattern: &mut Vec<u32>) {
+        let gpus_per_node = topo.gpus_per_node().max(1);
+        pattern.clear();
+        pattern.extend(devices.iter().map(|r| r.0 / gpus_per_node));
+        pattern.sort_unstable();
+    }
+
     /// Analytic gradient-sync cost of this one group for `gradient_bytes`
     /// per rank, in seconds. Singleton groups synchronize nothing and cost
     /// exactly `0.0`.

@@ -64,10 +64,10 @@ pub fn assignment_for_order(topo: &Topology, order: &[ClusterId]) -> DeviceAssig
 /// `workload` — each DP group pays its gradient-sync cost *plus* its
 /// compute-straggler skew at the workload's stage FLOPs.
 ///
-/// This is the *only* scoring path — the heuristic/exhaustive/guided
-/// planners and the synth incumbent all go through it (or through the
-/// per-group [`crate::DpGroupNic::workload_cost_seconds`] it folds),
-/// keeping costs bit-comparable across strategies.
+/// The heuristic and exhaustive planners score through it. Guided
+/// synthesis, its incumbent included, folds the same per-group
+/// [`crate::DpGroupNic::workload_cost_seconds`] through a memo keyed by
+/// node pattern, so costs stay bit-comparable across strategies.
 pub(crate) fn cost_of_order(
     topo: &Topology,
     layout: &GroupLayout,

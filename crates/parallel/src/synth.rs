@@ -103,8 +103,9 @@ pub struct SynthStats {
     /// Successors never generated because a structurally identical
     /// cluster with a smaller canonical rank was expanded instead.
     pub pruned_symmetry: u64,
-    /// DP groups actually priced: one per distinct member set the search
-    /// met, every later lookup of the same set being a memo hit.
+    /// DP groups actually priced: one per distinct node pattern
+    /// ([`DpGroupNic::node_pattern`]) the incumbent and the search met,
+    /// every later lookup of the same pattern being a memo hit.
     pub priced: u64,
     /// True when no explored order strictly beat the heuristic incumbent,
     /// i.e. the fastest-first order is itself the canonical winner.
@@ -323,12 +324,50 @@ pub fn synthesize_placement(
     let workload = workload.into();
     let m = topo.cluster_count() as usize;
     let heuristic_order = HolmesScheduler::cluster_order(topo);
-    let heuristic_cost = cost_of_order(topo, layout, &heuristic_order, workload);
+    let specs = group_specs(layout);
     let mut stats = SynthStats::default();
     let mut evaluated: u64 = 1; // the heuristic incumbent
 
+    // Group costs memoized by node pattern for this call
+    // ([`DpGroupNic::node_pattern`]): the same pattern recurs under every
+    // order of its clusters and on each of the `t` GPUs of its nodes, and
+    // its cost depends on neither (DESIGN.md §10). A miss prices the list
+    // as the search built it; debug builds re-price every hit and check
+    // the bits.
+    let mut memo: HashMap<Vec<u32>, f64, WordHash> = HashMap::default();
+    let mut priced = 0u64;
+    let mut pattern = Vec::new();
+    let mut price = |members: Vec<Rank>| -> f64 {
+        DpGroupNic::node_pattern(topo, &members, &mut pattern);
+        if let Some(&cost) = memo.get(pattern.as_slice()) {
+            debug_assert_eq!(
+                cost.to_bits(),
+                group_cost(topo, members, workload).to_bits(),
+                "group cost depends on more than its node pattern"
+            );
+            return cost;
+        }
+        priced += 1;
+        let cost = group_cost(topo, members, workload);
+        memo.insert(pattern.clone(), cost);
+        cost
+    };
+    // The incumbent folds the same per-group costs `cost_of_order` does,
+    // through the memo: `f64::max` over non-negative finite values is
+    // fold-order independent, so the bits agree.
+    let heuristic = assignment_for_order(topo, &heuristic_order);
+    let heuristic_cost = specs.iter().fold(0.0f64, |worst, spec| {
+        worst.max(price(
+            spec.members
+                .iter()
+                .map(|&l| heuristic.device_of(l))
+                .collect(),
+        ))
+    });
+
     if m <= 1 || m > 128 {
         stats.heuristic_won = true;
+        stats.priced = priced;
         return (
             result_for(topo, heuristic_order, heuristic_cost, evaluated),
             stats,
@@ -345,31 +384,7 @@ pub fn synthesize_placement(
         .collect();
     let degrees = layout.degrees();
     let td = (degrees.tensor as usize, degrees.data as usize);
-    let specs = group_specs(layout);
 
-    // Group costs memoized by member *set* (the sorted member list) for
-    // this call: the same set recurs under every order of its clusters,
-    // and its cost does not depend on that order (DESIGN.md §10). A miss
-    // prices the list as the search built it; debug builds re-price every
-    // hit and check the bits.
-    let mut memo: HashMap<Vec<Rank>, f64, WordHash> = HashMap::default();
-    let mut priced = 0u64;
-    let mut price = |members: Vec<Rank>| -> f64 {
-        let mut set = members.clone();
-        set.sort_unstable();
-        if let Some(&cost) = memo.get(&set) {
-            debug_assert_eq!(
-                cost.to_bits(),
-                group_cost(topo, members, workload).to_bits(),
-                "group cost depends on the order of its cluster blocks"
-            );
-            return cost;
-        }
-        priced += 1;
-        let cost = group_cost(topo, members, workload);
-        memo.insert(set, cost);
-        cost
-    };
     let solo = aligned_solo_costs(topo, layout, &mut price);
     let h_of = |used: u128| -> f64 {
         match &solo {

@@ -238,7 +238,7 @@ fn guided_synthesis_node_counts_are_pinned() {
         u32,
         PlacementWorkload,
         SynthStats,
-    ); 5] = [
+    ); 6] = [
         (
             "table4_4r_4ib_4ib p2",
             presets::table4_4r_4ib_4ib(),
@@ -299,7 +299,7 @@ fn guided_synthesis_node_counts_are_pinned() {
                 pruned_bound: 176,
                 pruned_dominated: 125,
                 pruned_symmetry: 516,
-                priced: 43,
+                priced: 44,
                 heuristic_won: true,
             },
         ),
@@ -320,6 +320,25 @@ fn guided_synthesis_node_counts_are_pinned() {
                 pruned_symmetry: 0,
                 priced: 70,
                 heuristic_won: false,
+            },
+        ),
+        // The same fleet at t = 8: the eight DP groups of a stage sit on
+        // GPU m of the same nodes, so they share one node pattern and are
+        // priced once.
+        (
+            "fleet_hetero8 t8 p2",
+            presets::fleet_hetero(8, 2),
+            8,
+            2,
+            gradient_only,
+            SynthStats {
+                expanded: 318,
+                pushed: 318,
+                pruned_bound: 280,
+                pruned_dominated: 395,
+                pruned_symmetry: 0,
+                priced: 70,
+                heuristic_won: true,
             },
         ),
     ];

@@ -534,7 +534,7 @@ proptest! {
     #[test]
     fn guided_synthesis_matches_the_exhaustive_oracle(
         spec in prop::collection::vec((1u32..=2, nic_strategy()), 2..=4),
-        t in 1u32..=2,
+        t in prop::sample::select(vec![1u32, 2, 4, 8]),
         p in 1u32..=4,
         mb in 1u64..64,
     ) {
@@ -805,7 +805,7 @@ proptest! {
     #[test]
     fn guided_synthesis_matches_exhaustive_under_compute_skew(
         spec in prop::collection::vec((1u32..=2, nic_strategy(), 0usize..3), 2..=4),
-        t in 1u32..=2,
+        t in prop::sample::select(vec![1u32, 2, 4, 8]),
         p in 1u32..=4,
         mb in 1u64..64,
         gflops in 1.0f64..500.0,
@@ -1036,8 +1036,9 @@ proptest! {
 
     /// A DP group's workload cost depends on its member *set*, not on the
     /// order of its per-cluster blocks: guided synthesis memoizes group
-    /// costs by the sorted member list, so every permutation of a member
-    /// list's cluster blocks must price bit-for-bit the same. Each cluster
+    /// costs by node pattern (the sorted node of each member), so every
+    /// permutation of a member list's cluster blocks must price
+    /// bit-for-bit the same. Each cluster
     /// contributes one strided run of ranks (stride `t`, possibly only
     /// part of the cluster, as when a stage boundary splits it), on
     /// topologies with oversubscribed or switchless clusters, mixed NIC
@@ -1098,6 +1099,76 @@ proptest! {
                 sorted
             );
         }
+    }
+
+    /// The other half of the node-pattern memo: a member's GPU index
+    /// inside its node never enters a group's price. Each member is moved
+    /// to another GPU of its node through one random permutation of GPU
+    /// indices per node, keeping the list order, and the workload and
+    /// sync costs must stay bit-equal. One cluster prices a flat ring
+    /// (RDMA on a switched same-NIC cluster, Ethernet otherwise), several
+    /// a hierarchical all-reduce; strides below `G` put several members
+    /// on one node.
+    #[test]
+    fn group_cost_is_invariant_under_per_node_gpu_permutations(
+        // Per cluster: its spec and seeds for the block's start and length.
+        clusters in prop::collection::vec((cluster_strategy(), 0u32..1024, 0u32..1024), 1..=4),
+        gpus in prop::sample::select(vec![1u32, 2, 4, 8]),
+        t in prop::sample::select(vec![1u32, 2, 4, 8]),
+        // Per node (at most 4 clusters of 3 nodes), a random key per GPU:
+        // sorting the node's GPUs by key permutes them.
+        keys in prop::collection::vec(prop::collection::vec(0u32..1024, 8), 12),
+        mb in 1u64..64,
+        gflops in prop_oneof![Just(0.0f64), 1.0f64..500.0],
+    ) {
+        use holmes_repro::parallel::{DpGroupNic, PlacementWorkload};
+        let mut builder = TopologyBuilder::new();
+        for (i, (cluster, _, _)) in clusters.iter().enumerate() {
+            builder = builder.custom_cluster(random_cluster(i, cluster));
+        }
+        let topo = builder.gpus_per_node(gpus).build().unwrap();
+        let members: Vec<Rank> = clusters
+            .iter()
+            .enumerate()
+            .flat_map(|(c, &(_, start, len))| {
+                let ranks = topo.cluster_ranks(ClusterId(c as u32));
+                let start = start as usize % ranks.len();
+                let room = (ranks.len() - 1 - start) / t as usize + 1;
+                let len = 1 + len as usize % room;
+                (0..len).map(move |j| ranks[start + j * t as usize])
+            })
+            .collect();
+        let moved: Vec<Rank> = members
+            .iter()
+            .map(|&r| {
+                let coord = topo.coord(r).unwrap();
+                let key = &keys[(r.0 / gpus) as usize];
+                let mut gpu_of: Vec<u32> = (0..gpus).collect();
+                gpu_of.sort_by_key(|&g| (key[g as usize], g));
+                topo.rank_of(DeviceCoord { gpu: gpu_of[coord.gpu as usize], ..coord }).unwrap()
+            })
+            .collect();
+        let (mut pattern, mut moved_pattern) = (Vec::new(), Vec::new());
+        DpGroupNic::node_pattern(&topo, &members, &mut pattern);
+        DpGroupNic::node_pattern(&topo, &moved, &mut moved_pattern);
+        prop_assert_eq!(pattern, moved_pattern);
+        let workload = PlacementWorkload::new(mb << 20, gflops * 1e9);
+        let (a, b) = (
+            DpGroupNic::analyze_group(&topo, 0, members.clone()),
+            DpGroupNic::analyze_group(&topo, 0, moved.clone()),
+        );
+        prop_assert_eq!(a.algo, b.algo);
+        prop_assert_eq!(
+            a.workload_cost_seconds(&topo, workload).to_bits(),
+            b.workload_cost_seconds(&topo, workload).to_bits(),
+            "{:?} and {:?} price apart",
+            members,
+            moved
+        );
+        prop_assert_eq!(
+            a.sync_cost_seconds(&topo, mb << 20).to_bits(),
+            b.sync_cost_seconds(&topo, mb << 20).to_bits()
+        );
     }
 
     /// The planner and the estimator price a data-parallel ring with one
