@@ -6,7 +6,9 @@
 //!
 //! * **`search`** (deterministic, in the `exact` map) — per-scenario node
 //!   expansion and pruning counters, the number of distinct DP-group
-//!   member sets priced, and the winning cost bits, for the 64-cluster
+//!   member sets priced, the winning cost bits, and the heap allocations
+//!   and allocated bytes of one call (counted on the calling thread by
+//!   this binary's counting allocator), for the 64-cluster
 //!   aligned fleet, the 12-cluster unaligned fleet, and the 8-, 10- and
 //!   12-cluster heterogeneous fleets at two pipeline stages (64-, 80- and
 //!   96-member DP groups straddling several clusters: the planner's
@@ -23,12 +25,15 @@
 //! * **wall times** (machine-dependent, in the `toleranced` map) — per-plan
 //!   wall-clock on all six scenarios (best of batches lasting at least
 //!   5 ms each, divided by the batch size), guided plans/sec over the paper
-//!   presets, and the progress-checker sweep time (so `bench_diff`
-//!   catches a checker blowup the same way it catches a planner one).
+//!   presets (each preset timed the same way), and the progress-checker
+//!   sweep time (so `bench_diff` catches a checker blowup the same way it
+//!   catches a planner one).
 //!   The 64-cluster fleet must additionally plan in under a second —
 //!   the acceptance criterion — which the snapshot's `bounds` map makes
 //!   `bench_diff` enforce as an absolute limit, not a relative one.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::Instant;
 
 use holmes::topology::{presets, Topology};
@@ -47,6 +52,71 @@ const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_plansyn
 /// Per-rank DP gradient volume used across scenarios: 4 GiB, PG-scale.
 const GRADIENT_BYTES: u64 = 1 << 32;
 
+/// The system allocator, counting each thread's allocations (fresh ones
+/// and reallocations) and the bytes they request, so a planner call's
+/// figures are exact whatever other threads do.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATED: Cell<Allocations> = const { Cell::new(Allocations { count: 0, bytes: 0 }) };
+}
+
+/// Heap allocations and requested bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Allocations {
+    count: u64,
+    bytes: u64,
+}
+
+fn count_allocation(bytes: usize) {
+    // `try_with`: the allocator also serves threads whose locals are gone.
+    let _ = ALLOCATED.try_with(|a| {
+        let mut made = a.get();
+        made.count += 1;
+        made.bytes += bytes as u64;
+        a.set(made);
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only a
+// const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `f`'s result and the allocations it made on this thread.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, Allocations) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    let after = ALLOCATED.with(Cell::get);
+    let made = Allocations {
+        count: after.count - before.count,
+        bytes: after.bytes - before.bytes,
+    };
+    (out, made)
+}
+
 struct Scenario {
     name: &'static str,
     clusters: u32,
@@ -55,6 +125,7 @@ struct Scenario {
     pipeline: u32,
     stats: SynthStats,
     cost_seconds: f64,
+    allocations: Allocations,
     wall_seconds: f64,
 }
 
@@ -63,30 +134,43 @@ struct Scenario {
 /// call on a shared runner cannot read as a regression.
 const MIN_BATCH_SECONDS: f64 = 5e-3;
 
-fn run_scenario(name: &'static str, topo: &Topology, t: u32, p: u32, repeats: u32) -> Scenario {
-    let layout = GroupLayout::new(
-        ParallelDegrees::infer_data(t, p, topo.device_count()).expect("degrees divide the fleet"),
-    );
-    // Warm pass supplies the deterministic section and sizes the batch;
-    // timed passes the wall number (best-of to shed scheduler noise).
+/// Best wall time per call of `call` over `repeats` timed batches (best-of
+/// to shed scheduler noise), each batch sized by one warm call to last at
+/// least [`MIN_BATCH_SECONDS`].
+fn best_seconds_per_call(repeats: u32, mut call: impl FnMut()) -> f64 {
     let start = Instant::now();
-    let (result, stats) = synthesize_placement(topo, &layout, GRADIENT_BYTES);
+    call();
     let warm = start.elapsed().as_secs_f64();
     let batch = (MIN_BATCH_SECONDS / warm.max(1e-9)).ceil().clamp(1.0, 1e5) as u32;
     let mut best = f64::INFINITY;
     for _ in 0..repeats {
         let start = Instant::now();
         for _ in 0..batch {
-            let (r, s) = synthesize_placement(topo, &layout, GRADIENT_BYTES);
-            assert_eq!(s, stats, "{name}: non-deterministic search profile");
-            assert_eq!(
-                r.cost_seconds.to_bits(),
-                result.cost_seconds.to_bits(),
-                "{name}: non-deterministic winner"
-            );
+            call();
         }
         best = best.min(start.elapsed().as_secs_f64() / f64::from(batch));
     }
+    best
+}
+
+fn run_scenario(name: &'static str, topo: &Topology, t: u32, p: u32, repeats: u32) -> Scenario {
+    let layout = GroupLayout::new(
+        ParallelDegrees::infer_data(t, p, topo.device_count()).expect("degrees divide the fleet"),
+    );
+    // One pass supplies the deterministic section; every timed call must
+    // repeat its search profile, winner and allocations.
+    let ((result, stats), allocations) =
+        allocations_of(|| synthesize_placement(topo, &layout, GRADIENT_BYTES));
+    let best = best_seconds_per_call(repeats, || {
+        let ((r, s), a) = allocations_of(|| synthesize_placement(topo, &layout, GRADIENT_BYTES));
+        assert_eq!(s, stats, "{name}: non-deterministic search profile");
+        assert_eq!(
+            r.cost_seconds.to_bits(),
+            result.cost_seconds.to_bits(),
+            "{name}: non-deterministic winner"
+        );
+        assert_eq!(a, allocations, "{name}: non-deterministic allocations");
+    });
     Scenario {
         name,
         clusters: topo.cluster_count(),
@@ -95,12 +179,14 @@ fn run_scenario(name: &'static str, topo: &Topology, t: u32, p: u32, repeats: u3
         pipeline: p,
         stats,
         cost_seconds: result.cost_seconds,
+        allocations,
         wall_seconds: best,
     }
 }
 
-/// Guided-vs-oracle equivalence over the paper's three-cluster presets;
-/// returns guided plans/sec over the sweep.
+/// Guided-vs-oracle equivalence over the paper's three-cluster presets,
+/// checked on every call; returns guided plans/sec over the sweep (one
+/// plan of each preset case, each timed like a scenario).
 fn oracle_sweep(repeats: u32) -> f64 {
     let cases: Vec<(Topology, u32)> = vec![
         (presets::table4_2r_2r_2ib(), 3),
@@ -108,27 +194,23 @@ fn oracle_sweep(repeats: u32) -> f64 {
         (presets::table4_2r_2ib_2ib(), 2),
         (presets::table4_4r_4ib_4ib(), 2),
     ];
-    let mut plans = 0u32;
-    let mut elapsed = 0.0f64;
+    let mut seconds = 0.0f64;
     for (topo, p) in &cases {
         let layout = GroupLayout::new(
             ParallelDegrees::infer_data(1, *p, topo.device_count())
                 .expect("degrees divide the preset"),
         );
         let oracle = search_cluster_orders(topo, &layout, GRADIENT_BYTES);
-        for _ in 0..repeats {
-            let start = Instant::now();
+        seconds += best_seconds_per_call(repeats, || {
             let (guided, _) = synthesize_placement(topo, &layout, GRADIENT_BYTES);
-            elapsed += start.elapsed().as_secs_f64();
-            plans += 1;
             assert_eq!(
                 guided.cluster_order, oracle.cluster_order,
                 "guided diverged from the exhaustive oracle (p={p})"
             );
             assert_eq!(guided.cost_seconds.to_bits(), oracle.cost_seconds.to_bits());
-        }
+        });
     }
-    f64::from(plans) / elapsed
+    cases.len() as f64 / seconds
 }
 
 /// Deterministic verdict totals of one full preset sweep, plus the
@@ -242,7 +324,7 @@ fn main() {
     for s in searched {
         println!(
             "{:<18} {:>3} clusters / {:>4} ranks  t={} p={:<3} expanded {:>5}  pruned {:>5}  \
-             priced {:>4}  {:>9.3}ms  cost {:.6}s{}",
+             priced {:>4}  allocs {:>6}  {:>9.3}ms  cost {:.6}s{}",
             s.name,
             s.clusters,
             s.ranks,
@@ -251,6 +333,7 @@ fn main() {
             s.stats.expanded,
             s.stats.pruned_total(),
             s.stats.priced,
+            s.allocations.count,
             s.wall_seconds * 1e3,
             s.cost_seconds,
             if s.stats.heuristic_won {
@@ -297,6 +380,8 @@ fn main() {
             ("priced", s.stats.priced.into()),
             ("heuristic_won", s.stats.heuristic_won.into()),
             ("cost_seconds", s.cost_seconds.into()),
+            ("allocations", s.allocations.count.into()),
+            ("allocated_bytes", s.allocations.bytes.into()),
         ];
         (s.name, json::obj(fields))
     });

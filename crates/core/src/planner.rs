@@ -158,7 +158,7 @@ fn plan_for_with(
     let mut sync_by_pattern: HashMap<Vec<u32>, f64, WordHash> = HashMap::default();
     let mut pattern = Vec::new();
     let mut sync_cost = |group: &DpGroupNic| {
-        DpGroupNic::node_pattern(topo, &group.devices, &mut pattern);
+        DpGroupNic::node_pattern(topo, group.devices.iter().copied(), &mut pattern);
         if let Some(&cost) = sync_by_pattern.get(pattern.as_slice()) {
             return cost;
         }

@@ -33,7 +33,7 @@
 //! clusters (intra-cluster reduce-scatter on RDMA → inter-cluster
 //! exchange over the Ethernet trunk → intra-cluster all-gather).
 
-use holmes_topology::{Rank, Topology};
+use holmes_topology::{DeviceCoord, LinkProfile, Rank, Topology};
 
 /// Collective algorithm kinds understood by every layer of the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -279,6 +279,12 @@ fn one_run(round: Round, repeat: u32) -> CollSchedule {
 /// — the skeleton of all ring collectives.
 fn ring_round(devices: &[Rank], chunk: u64) -> Round {
     let mut transfers = Vec::with_capacity(devices.len());
+    push_ring_hops(devices, chunk, &mut transfers);
+    Round { transfers }
+}
+
+/// Append one ring round's hops over `devices` to `transfers`.
+fn push_ring_hops(devices: &[Rank], chunk: u64, transfers: &mut Vec<Transfer>) {
     let hop = |from, to| Transfer {
         from,
         to,
@@ -288,7 +294,6 @@ fn ring_round(devices: &[Rank], chunk: u64) -> Round {
     if let (Some(&last), Some(&first)) = (devices.last(), devices.first()) {
         transfers.push(hop(last, first));
     }
-    Round { transfers }
 }
 
 /// A member list's length. Members are ranks of one topology, so a list
@@ -418,9 +423,10 @@ pub fn hierarchical_all_reduce(groups: &[Vec<Rank>], bytes: u64) -> CollSchedule
                 .map(|g| g.len() - 1)
                 .min()
                 .unwrap_or(s_max - 1);
-            let transfers: Vec<Transfer> = active
-                .flat_map(|g| ring_round(g, bytes / g.len() as u64).transfers)
-                .collect();
+            let mut transfers = Vec::with_capacity(active.clone().map(|g| g.len()).sum());
+            for g in active {
+                push_ring_hops(g, bytes / g.len() as u64, &mut transfers);
+            }
             if !transfers.is_empty() {
                 runs.push((Round { transfers }, (end - r) as u32));
             }
@@ -507,6 +513,80 @@ pub fn ps_pull(devices: &[Rank], bytes: u64, servers: u32) -> CollSchedule {
     one_run(Round { transfers }, 1)
 }
 
+/// A round's transfers that share source node, destination node and
+/// bytes: they read one link profile and the same contention counters, so
+/// [`estimate_on_topology`] prices the group once and counts it `count`
+/// times.
+struct PairGroup {
+    src: DeviceCoord,
+    dst: DeviceCoord,
+    src_node: u32,
+    dst_node: u32,
+    bytes: u64,
+    count: u32,
+    profile: LinkProfile,
+}
+
+/// Table slot with no group yet.
+const NO_GROUP: u32 = u32::MAX;
+
+/// Group `transfers` by (source node, destination node, bytes) into
+/// `groups` in one pass: `table` is an open-addressing index of `groups`,
+/// of which the first `(2·len).next_power_of_two()` slots serve this
+/// round (reset here, so a round costs time linear in its size).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "fewer groups than u32::MAX"
+)]
+#[expect(clippy::expect_used, reason = "schedule ranks belong to `topo`")]
+fn group_by_node_pair(
+    topo: &Topology,
+    transfers: &[Transfer],
+    table: &mut [u32],
+    groups: &mut Vec<PairGroup>,
+) {
+    let gpus_per_node = topo.gpus_per_node().max(1);
+    let size = (2 * transfers.len()).next_power_of_two().max(2);
+    let table = &mut table[..size];
+    table.fill(NO_GROUP);
+    groups.clear();
+    let mask = size - 1;
+    let shift = 64 - size.trailing_zeros();
+    for t in transfers {
+        let (src_node, dst_node) = (t.from.0 / gpus_per_node, t.to.0 / gpus_per_node);
+        let key = (u64::from(src_node) << 32 | u64::from(dst_node)) ^ t.bytes.rotate_left(29);
+        let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+        loop {
+            let g = table[i];
+            if g == NO_GROUP {
+                table[i] = groups.len() as u32;
+                let coord = |r| {
+                    topo.coord(r)
+                        .expect("schedule transfers reference ranks inside the topology")
+                };
+                groups.push(PairGroup {
+                    src: coord(t.from),
+                    dst: coord(t.to),
+                    src_node,
+                    dst_node,
+                    bytes: t.bytes,
+                    count: 1,
+                    profile: topo
+                        .link_between(t.from, t.to)
+                        .expect("schedule ranks belong to the topology"),
+                });
+                break;
+            }
+            let group = &mut groups[g as usize];
+            if (group.src_node, group.dst_node, group.bytes) == (src_node, dst_node, t.bytes) {
+                group.count += 1;
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
 /// Evaluate a schedule against a concrete [`Topology`]'s per-link cost
 /// model, including node-level contention: transfers of one round that
 /// leave (or enter) the same node over the same transport share that
@@ -515,62 +595,66 @@ pub fn ps_pull(devices: &[Rank], bytes: u64, servers: u32) -> CollSchedule {
 /// [`crate::Fabric`] registers links for the flow-level simulator. Each
 /// run's round is priced once, like [`CollSchedule::seconds_on`].
 ///
+/// A round is priced per node pair: its transfers are grouped by (source
+/// node, destination node, bytes) in linear time, and each group's link
+/// profile, contention slots and transfer cost are evaluated once. This
+/// is exact, not an approximation: pricing reads a rank only through its
+/// node (every GPU of a node shares its NIC, Ethernet and intra-node
+/// link), so a group's transfers all cost the same; the contention
+/// counters are integer sums, to which a group adds its count; and the
+/// round's `f64::max` over equal values depends on neither order nor
+/// multiplicity. The result is bit-equal to pricing every transfer.
+///
 /// On an uncontended fabric this reduces to
 /// [`CollSchedule::seconds_uniform`] at the bottleneck link's rate; under
 /// contention it stays a close analytic proxy for the executor's
 /// max-min-fair replay (the cross-validation tests bound the gap).
-#[expect(clippy::expect_used, reason = "schedule ranks belong to `topo`")]
 pub fn estimate_on_topology(topo: &Topology, schedule: &CollSchedule) -> f64 {
-    let gpus_per_node = topo.gpus_per_node().max(1);
-    // Contention counters: `(node, rdma)` slots per node-level link and
-    // one per cluster switch.
-    let slot = |r: Rank, rdma: bool| 2 * (r.0 / gpus_per_node) as usize + usize::from(rdma);
-    let mut src = vec![0u32; 2 * topo.device_count().div_ceil(gpus_per_node) as usize];
-    let mut dst = src.clone();
-    let mut switch_flows = vec![0u32; topo.cluster_count() as usize];
+    let nodes = topo.device_count().div_ceil(topo.gpus_per_node().max(1)) as usize;
+    let clusters = topo.cluster_count() as usize;
+    let widest = schedule
+        .runs
+        .iter()
+        .map(|(round, _)| round.transfers.len())
+        .max()
+        .unwrap_or(0);
+    // Contention counters — `(node, rdma)` slots per node-level uplink and
+    // downlink, one per cluster switch — and the grouping table, in one
+    // buffer reused by every round. Only the slots a round touched are
+    // reset after it.
+    let mut scratch = vec![0u32; 4 * nodes + clusters + (2 * widest).next_power_of_two().max(2)];
+    let (src, rest) = scratch.split_at_mut(2 * nodes);
+    let (dst, rest) = rest.split_at_mut(2 * nodes);
+    let (switch_flows, table) = rest.split_at_mut(clusters);
+    let slot = |node: u32, rdma: bool| 2 * node as usize + usize::from(rdma);
+    let mut groups = Vec::with_capacity(widest);
     schedule.fold(|round| {
-        src.fill(0);
-        dst.fill(0);
-        switch_flows.fill(0);
+        group_by_node_pair(topo, round.transfers(), table, &mut groups);
         // First pass: how many concurrent flows share each node-level
         // link.
-        for t in round.transfers() {
-            let profile = topo
-                .link_between(t.from, t.to)
-                .expect("schedule ranks belong to the topology");
-            if profile.kind.is_intra_node() {
+        for g in &groups {
+            if g.profile.kind.is_intra_node() {
                 continue;
             }
-            let rdma = profile.kind.is_rdma();
-            src[slot(t.from, rdma)] += 1;
-            dst[slot(t.to, rdma)] += 1;
+            let rdma = g.profile.kind.is_rdma();
+            src[slot(g.src_node, rdma)] += g.count;
+            dst[slot(g.dst_node, rdma)] += g.count;
             if rdma {
-                let cluster = topo
-                    .coord(t.from)
-                    .expect("schedule transfers reference ranks inside the topology")
-                    .cluster
-                    .0;
-                switch_flows[cluster as usize] += 1;
+                switch_flows[g.src.cluster.0 as usize] += g.count;
             }
         }
-        // Second pass: per-transfer cost under fair sharing; the slowest
-        // transfer bounds the round.
+        // Second pass: per-group cost under fair sharing; the slowest
+        // group bounds the round.
         let mut round_s = 0.0f64;
-        for t in round.transfers() {
-            let profile = topo
-                .link_between(t.from, t.to)
-                .expect("schedule ranks belong to the topology");
+        for g in &groups {
+            let profile = g.profile;
             let lat = profile.latency_ns as f64 * 1e-9;
             let mut bw = profile.bandwidth_bytes_per_sec;
             if !profile.kind.is_intra_node() {
                 let rdma = profile.kind.is_rdma();
-                let ca = topo
-                    .coord(t.from)
-                    .expect("schedule transfers reference ranks inside the topology");
-                let cb = topo
-                    .coord(t.to)
-                    .expect("schedule transfers reference ranks inside the topology");
-                let na = &topo.clusters()[ca.cluster.0 as usize].nodes[ca.node.0 as usize];
+                let (ca, cb) = (g.src, g.dst);
+                let cluster = &topo.clusters()[ca.cluster.0 as usize];
+                let na = &cluster.nodes[ca.node.0 as usize];
                 let nb = &topo.clusters()[cb.cluster.0 as usize].nodes[cb.node.0 as usize];
                 let (up, down) = if rdma {
                     (
@@ -583,18 +667,23 @@ pub fn estimate_on_topology(topo: &Topology, schedule: &CollSchedule) -> f64 {
                         nb.ethernet.node_uplink_bytes_per_sec(),
                     )
                 };
-                let s = f64::from(src[slot(t.from, rdma)]);
-                let d = f64::from(dst[slot(t.to, rdma)]);
+                let s = f64::from(src[slot(g.src_node, rdma)]);
+                let d = f64::from(dst[slot(g.dst_node, rdma)]);
                 bw = bw.min(up / s).min(down / d);
-                if rdma {
-                    let cluster = &topo.clusters()[ca.cluster.0 as usize];
-                    if cluster.oversubscription > 1.0 {
-                        let flows = f64::from(switch_flows[ca.cluster.0 as usize]);
-                        bw = bw.min(cluster.switch_bisection_bytes_per_sec() / flows);
-                    }
+                if rdma && cluster.oversubscription > 1.0 {
+                    let flows = f64::from(switch_flows[ca.cluster.0 as usize]);
+                    bw = bw.min(cluster.switch_bisection_bytes_per_sec() / flows);
                 }
             }
-            round_s = round_s.max(lat + t.bytes as f64 / bw);
+            round_s = round_s.max(lat + g.bytes as f64 / bw);
+        }
+        for g in &groups {
+            if !g.profile.kind.is_intra_node() {
+                let rdma = g.profile.kind.is_rdma();
+                src[slot(g.src_node, rdma)] = 0;
+                dst[slot(g.dst_node, rdma)] = 0;
+                switch_flows[g.src.cluster.0 as usize] = 0;
+            }
         }
         round_s
     })

@@ -8,11 +8,13 @@
 
 use proptest::prelude::*;
 
-use holmes_netsim::algo::{self, CollSchedule};
+use holmes_netsim::algo::{self, CollKind, CollSchedule, Round, Transfer};
 use holmes_netsim::{
     Completion, FlowSpec, LinkCapacity, LinkHealth, LinkId, NetSim, SimDuration, SimTime,
 };
-use holmes_topology::{presets, ClusterId, NicType, Rank, Topology, TopologyBuilder};
+use holmes_topology::{
+    presets, Cluster, ClusterId, NicProfile, NicType, Node, Rank, Topology, TopologyBuilder,
+};
 
 /// Drain a simulator, returning (completion order tokens, final time).
 fn drain(sim: &mut NetSim) -> (Vec<u64>, f64) {
@@ -55,6 +57,144 @@ fn fold_topologies() -> Vec<Topology> {
     ]
 }
 
+/// The per-transfer topology fold: every transfer of a round resolves its
+/// own link profile and contention counters, and the round costs its
+/// slowest transfer; rounds are expanded and summed in order from `0.0`.
+/// The production [`algo::estimate_on_topology`] prices node-pair groups
+/// instead and must agree bit for bit.
+fn estimate_per_transfer(topo: &Topology, schedule: &CollSchedule) -> f64 {
+    let gpus_per_node = topo.gpus_per_node().max(1);
+    let slot = |r: Rank, rdma: bool| 2 * (r.0 / gpus_per_node) as usize + usize::from(rdma);
+    let coord = |r: Rank| {
+        topo.coord(r)
+            .expect("schedule ranks belong to the topology")
+    };
+    let mut total = 0.0f64;
+    for round in schedule.rounds() {
+        let mut src = vec![0u32; 2 * topo.device_count().div_ceil(gpus_per_node) as usize];
+        let mut dst = src.clone();
+        let mut switch_flows = vec![0u32; topo.cluster_count() as usize];
+        for t in round.transfers() {
+            let profile = topo.link_between(t.from, t.to).expect("ranks in topology");
+            if profile.kind.is_intra_node() {
+                continue;
+            }
+            let rdma = profile.kind.is_rdma();
+            src[slot(t.from, rdma)] += 1;
+            dst[slot(t.to, rdma)] += 1;
+            if rdma {
+                switch_flows[coord(t.from).cluster.0 as usize] += 1;
+            }
+        }
+        let mut round_s = 0.0f64;
+        for t in round.transfers() {
+            let profile = topo.link_between(t.from, t.to).expect("ranks in topology");
+            let lat = profile.latency_ns as f64 * 1e-9;
+            let mut bw = profile.bandwidth_bytes_per_sec;
+            if !profile.kind.is_intra_node() {
+                let rdma = profile.kind.is_rdma();
+                let (ca, cb) = (coord(t.from), coord(t.to));
+                let na = &topo.clusters()[ca.cluster.0 as usize].nodes[ca.node.0 as usize];
+                let nb = &topo.clusters()[cb.cluster.0 as usize].nodes[cb.node.0 as usize];
+                let (up, down) = if rdma {
+                    (
+                        na.nic.node_uplink_bytes_per_sec(),
+                        nb.nic.node_uplink_bytes_per_sec(),
+                    )
+                } else {
+                    (
+                        na.ethernet.node_uplink_bytes_per_sec(),
+                        nb.ethernet.node_uplink_bytes_per_sec(),
+                    )
+                };
+                let s = f64::from(src[slot(t.from, rdma)]);
+                let d = f64::from(dst[slot(t.to, rdma)]);
+                bw = bw.min(up / s).min(down / d);
+                if rdma {
+                    let cluster = &topo.clusters()[ca.cluster.0 as usize];
+                    if cluster.oversubscription > 1.0 {
+                        let flows = f64::from(switch_flows[ca.cluster.0 as usize]);
+                        bw = bw.min(cluster.switch_bisection_bytes_per_sec() / flows);
+                    }
+                }
+            }
+            round_s = round_s.max(lat + t.bytes as f64 / bw);
+        }
+        total += round_s;
+    }
+    total
+}
+
+/// A small deterministic generator (splitmix64) for shapes drawn from
+/// one proptest seed.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is at most `hi - lo`"
+    )]
+    fn pick(&mut self, lo: u32, hi: u32) -> u32 {
+        lo + (self.next() % u64::from(hi - lo + 1)) as u32
+    }
+
+    /// A uniform index into `len > 0` items.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below `len`"
+    )]
+    fn index(&mut self, len: usize) -> usize {
+        (self.next() % len as u64) as usize
+    }
+
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.index(i + 1));
+        }
+    }
+}
+
+/// A random fabric: 1-4 clusters of 1-4 nodes, 1-8 GPUs per node, NICs
+/// mixed node by node (types, port counts, a slower Ethernet here and
+/// there), some clusters switchless, some switches oversubscribed.
+fn random_topology(draw: &mut Draw) -> Topology {
+    let mut builder = TopologyBuilder::new();
+    for c in 0..draw.pick(1, 4) {
+        let nodes = (0..draw.pick(1, 4))
+            .map(|_| {
+                let mut nic = NicProfile::reference(
+                    [NicType::InfiniBand, NicType::RoCE, NicType::Ethernet][draw.index(3)],
+                );
+                nic.ports_per_node = draw.pick(1, 4);
+                let mut node = Node::standard(nic);
+                if draw.pick(0, 3) == 0 {
+                    node.ethernet.bandwidth_gbps = 10.0;
+                }
+                node
+            })
+            .collect();
+        builder = builder.custom_cluster(Cluster {
+            name: format!("c{c}"),
+            nodes,
+            has_switch: draw.pick(0, 3) != 0,
+            oversubscription: [1.0, 1.0, 2.0, 4.0][draw.index(4)],
+        });
+    }
+    builder
+        .gpus_per_node(draw.pick(1, 8))
+        .build()
+        .expect("random fabric is valid")
+}
+
 proptest! {
     /// The planner-facing hierarchical estimate, which prices each run of
     /// the schedule once, is bit-identical to folding the expanded
@@ -93,6 +233,67 @@ proptest! {
             let expanded = kind.schedule(members, bytes, cluster_of).rounds().cloned().collect();
             let folded = algo::estimate_on_topology(topo, &CollSchedule::from_rounds(expanded));
             prop_assert_eq!(direct.to_bits(), folded.to_bits());
+        }
+    }
+
+    /// Pricing a round per (source node, destination node, bytes) group is
+    /// bit-equal to pricing every transfer: random fabrics, every
+    /// collective kind over member lists that interleave nodes (uneven
+    /// hierarchical groups included), and hand-built rounds whose equal
+    /// node pairs sit far apart.
+    #[test]
+    fn node_pair_fold_equals_per_transfer_fold(seed in 0u64..u64::MAX) {
+        let mut draw = Draw(seed);
+        let topo = random_topology(&mut draw);
+        let all: Vec<Rank> = (0..topo.device_count()).map(Rank).collect();
+        let cluster_of = |r: Rank| topo.coord(r).expect("rank in topology").cluster.0;
+        let bytes_pool = [0, 1, 4096, 1 << 20, 3 << 27, draw.next() % (1 << 34)];
+        let mut schedules = Vec::new();
+        for kind in [
+            CollKind::AllReduce,
+            CollKind::TreeAllReduce,
+            CollKind::ReduceScatter,
+            CollKind::AllGather,
+            CollKind::Broadcast,
+            CollKind::HierarchicalAllReduce,
+            CollKind::PsPush { servers: draw.pick(1, 5) },
+            CollKind::PsPull { servers: draw.pick(1, 5) },
+        ] {
+            let mut members = all.clone();
+            draw.shuffle(&mut members);
+            members.truncate(draw.pick(0, topo.device_count()) as usize);
+            let bytes = bytes_pool[draw.index(bytes_pool.len())];
+            schedules.push(kind.schedule(&members, bytes, cluster_of));
+        }
+        // Explicit rounds: a few node pairs and sizes repeated at random
+        // positions, so equal groups are rarely adjacent.
+        let rounds = (0..draw.pick(1, 4))
+            .map(|_| {
+                let pairs: Vec<(Rank, Rank, u64)> = (0..draw.pick(1, 6))
+                    .map(|_| {
+                        let from = all[draw.index(all.len())];
+                        let to = all[draw.index(all.len())];
+                        (from, to, bytes_pool[draw.index(bytes_pool.len())])
+                    })
+                    .collect();
+                let gpus = topo.gpus_per_node();
+                let transfers = (0..draw.pick(1, 40))
+                    .map(|_| {
+                        let (from, to, bytes) = pairs[draw.index(pairs.len())];
+                        // Another GPU of the same node keeps the node pair.
+                        let mut sibling = |r: Rank| Rank(r.0 - r.0 % gpus + draw.pick(0, gpus - 1));
+                        Transfer { from: sibling(from), to: sibling(to), bytes }
+                    })
+                    .collect();
+                Round::new(transfers)
+            })
+            .collect();
+        schedules.push(CollSchedule::from_rounds(rounds));
+        for schedule in &schedules {
+            prop_assert_eq!(
+                algo::estimate_on_topology(&topo, schedule).to_bits(),
+                estimate_per_transfer(&topo, schedule).to_bits()
+            );
         }
     }
 

@@ -119,10 +119,14 @@ impl DpGroupNic {
     /// [`DpGroupNic::workload_cost_seconds`]: guided synthesis memoizes
     /// group costs by this key, and the core planner dedupes its stage
     /// profiles by it.
-    pub fn node_pattern(topo: &Topology, devices: &[Rank], pattern: &mut Vec<u32>) {
+    pub fn node_pattern(
+        topo: &Topology,
+        devices: impl IntoIterator<Item = Rank>,
+        pattern: &mut Vec<u32>,
+    ) {
         let gpus_per_node = topo.gpus_per_node().max(1);
         pattern.clear();
-        pattern.extend(devices.iter().map(|r| r.0 / gpus_per_node));
+        pattern.extend(devices.into_iter().map(|r| r.0 / gpus_per_node));
         pattern.sort_unstable();
     }
 

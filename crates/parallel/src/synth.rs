@@ -52,6 +52,7 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
+use std::rc::Rc;
 
 use holmes_netsim::WordHash;
 use holmes_topology::{Cluster, ClusterId, Rank, Topology};
@@ -143,8 +144,9 @@ fn group_specs(layout: &GroupLayout) -> Vec<GroupSpec> {
     specs
 }
 
-/// The partial-group signature of a prefix that ends at logical boundary
-/// `n`: with the visited mask, the dominance key of the prefix.
+/// Write the partial-group signature of a prefix that ends at logical
+/// boundary `n` into `signature` (cleared first, so callers reuse one
+/// buffer): with the visited mask, the dominance key of the prefix.
 ///
 /// DP group `(q, m)` is logical ranks `q·t·d + j·t + m`, so only groups of
 /// the stage block holding boundary `n` can be partly placed, and none is
@@ -161,11 +163,12 @@ fn partial_signature(
     size_by_rank: &[usize],
     n: usize,
     (t, d): (usize, usize),
-) -> Vec<(u16, u32, u32)> {
+    signature: &mut Vec<(u16, u32, u32)>,
+) {
     let block_start = n - n % (t * d);
-    let mut signature = Vec::new();
+    signature.clear();
     if d == 1 || block_start == n {
-        return signature;
+        return;
     }
     let mut end = n;
     for &rank in canon.iter().rev() {
@@ -178,7 +181,6 @@ fn partial_signature(
         end = off;
     }
     signature.sort_unstable();
-    signature
 }
 
 /// Exact per-cluster future group costs, available only when every
@@ -194,7 +196,8 @@ fn partial_signature(
 fn aligned_solo_costs(
     topo: &Topology,
     layout: &GroupLayout,
-    price: &mut impl FnMut(Vec<Rank>) -> f64,
+    cluster_ranks: &[Vec<Rank>],
+    costs: &mut GroupCosts<'_>,
 ) -> Option<Vec<f64>> {
     let degrees = layout.degrees();
     let (t, d) = (degrees.tensor as usize, degrees.data as usize);
@@ -209,13 +212,12 @@ fn aligned_solo_costs(
     if !aligned {
         return None;
     }
-    let mut solo = Vec::with_capacity(topo.cluster_count() as usize);
-    for ci in 0..topo.cluster_count() {
-        let ranks = topo.cluster_ranks(ClusterId(ci));
+    let mut solo = Vec::with_capacity(cluster_ranks.len());
+    for ranks in cluster_ranks {
         let mut worst = 0.0f64;
         for base in (0..ranks.len()).step_by(block) {
             for m in 0..t {
-                worst = worst.max(price((0..d).map(|j| ranks[base + m + j * t]).collect()));
+                worst = worst.max(costs.cost((0..d).map(|j| ranks[base + m + j * t])));
             }
         }
         solo.push(worst);
@@ -230,6 +232,41 @@ fn group_cost(topo: &Topology, members: Vec<Rank>, workload: PlacementWorkload) 
     DpGroupNic::analyze_group(topo, 0, members).workload_cost_seconds(topo, workload)
 }
 
+/// Group costs memoized by node pattern for one synthesis call
+/// ([`DpGroupNic::node_pattern`]): the same pattern recurs under every
+/// order of its clusters and on each of the `t` GPUs of its nodes, and
+/// its cost depends on neither (DESIGN.md §10).
+struct GroupCosts<'a> {
+    topo: &'a Topology,
+    workload: PlacementWorkload,
+    memo: HashMap<Vec<u32>, f64, WordHash>,
+    /// Reused node-pattern buffer.
+    pattern: Vec<u32>,
+    /// Distinct patterns priced ([`SynthStats::priced`]).
+    priced: u64,
+}
+
+impl GroupCosts<'_> {
+    /// The cost of the group with physical `members`. A hit builds only
+    /// the node pattern; a miss collects the member list and prices it.
+    /// Debug builds re-price every hit and check the bits.
+    fn cost(&mut self, members: impl Iterator<Item = Rank> + Clone) -> f64 {
+        DpGroupNic::node_pattern(self.topo, members.clone(), &mut self.pattern);
+        if let Some(&cost) = self.memo.get(self.pattern.as_slice()) {
+            debug_assert_eq!(
+                cost.to_bits(),
+                group_cost(self.topo, members.collect(), self.workload).to_bits(),
+                "group cost depends on more than its node pattern"
+            );
+            return cost;
+        }
+        self.priced += 1;
+        let cost = group_cost(self.topo, members.collect(), self.workload);
+        self.memo.insert(self.pattern.clone(), cost);
+        cost
+    }
+}
+
 /// Structurally identical clusters (same nodes, switch, oversubscription)
 /// are interchangeable: swapping them in any order permutes identical
 /// profile numbers, so every group cost — and therefore the plan cost —
@@ -240,10 +277,11 @@ fn clusters_interchangeable(a: &Cluster, b: &Cluster) -> bool {
         && a.oversubscription.total_cmp(&b.oversubscription).is_eq()
 }
 
-/// Dominance frontiers keyed by (visited mask, [`partial_signature`]):
-/// the Pareto set over `(g, canon)` of the states pushed with that key.
+/// Dominance frontiers keyed by (visited mask, interned
+/// [`partial_signature`] id): the Pareto set over `(g, canon)` of the
+/// states pushed with that key, each `canon` shared with its heap entry.
 /// Only probed, never iterated.
-type Frontiers = HashMap<(u128, Vec<(u16, u32, u32)>), Vec<(f64, Vec<u16>)>, WordHash>;
+type Frontiers = HashMap<(u128, usize), Vec<(f64, Rc<[u16]>)>, WordHash>;
 
 /// A partial plan on the open list.
 struct PartialPlan {
@@ -251,14 +289,16 @@ struct PartialPlan {
     bound: f64,
     /// Speed-rank-relabeled prefix: the canonical tie-break key, and the
     /// visit order itself (`canon[i]` is the position of the `i`-th
-    /// visited cluster in [`HolmesScheduler::cluster_order`]).
-    canon: Vec<u16>,
+    /// visited cluster in [`HolmesScheduler::cluster_order`]). Shared
+    /// with the state's dominance-frontier entry.
+    canon: Rc<[u16]>,
     /// Insertion sequence number (final, total tie-break).
     seq: u64,
     /// Bitmask of visited clusters (`M ≤ 128`).
     used: u128,
-    /// Devices pinned to logical ranks `0..devices.len()`.
-    devices: Vec<Rank>,
+    /// Number of logical ranks the prefix pins (`0..pinned`); the devices
+    /// are the visited clusters' ranks concatenated in `canon` order.
+    pinned: usize,
     /// Max-fold of the exact sync costs of fully determined DP groups.
     g: f64,
     /// Groups (in [`group_specs`] order) already priced into `g`.
@@ -328,46 +368,24 @@ pub fn synthesize_placement(
     let mut stats = SynthStats::default();
     let mut evaluated: u64 = 1; // the heuristic incumbent
 
-    // Group costs memoized by node pattern for this call
-    // ([`DpGroupNic::node_pattern`]): the same pattern recurs under every
-    // order of its clusters and on each of the `t` GPUs of its nodes, and
-    // its cost depends on neither (DESIGN.md §10). A miss prices the list
-    // as the search built it; debug builds re-price every hit and check
-    // the bits.
-    let mut memo: HashMap<Vec<u32>, f64, WordHash> = HashMap::default();
-    let mut priced = 0u64;
-    let mut pattern = Vec::new();
-    let mut price = |members: Vec<Rank>| -> f64 {
-        DpGroupNic::node_pattern(topo, &members, &mut pattern);
-        if let Some(&cost) = memo.get(pattern.as_slice()) {
-            debug_assert_eq!(
-                cost.to_bits(),
-                group_cost(topo, members, workload).to_bits(),
-                "group cost depends on more than its node pattern"
-            );
-            return cost;
-        }
-        priced += 1;
-        let cost = group_cost(topo, members, workload);
-        memo.insert(pattern.clone(), cost);
-        cost
+    let mut costs = GroupCosts {
+        topo,
+        workload,
+        memo: HashMap::default(),
+        pattern: Vec::new(),
+        priced: 0,
     };
     // The incumbent folds the same per-group costs `cost_of_order` does,
     // through the memo: `f64::max` over non-negative finite values is
     // fold-order independent, so the bits agree.
     let heuristic = assignment_for_order(topo, &heuristic_order);
     let heuristic_cost = specs.iter().fold(0.0f64, |worst, spec| {
-        worst.max(price(
-            spec.members
-                .iter()
-                .map(|&l| heuristic.device_of(l))
-                .collect(),
-        ))
+        worst.max(costs.cost(spec.members.iter().map(|&l| heuristic.device_of(l))))
     });
 
     if m <= 1 || m > 128 {
         stats.heuristic_won = true;
-        stats.priced = priced;
+        stats.priced = costs.priced;
         return (
             result_for(topo, heuristic_order, heuristic_cost, evaluated),
             stats,
@@ -385,7 +403,7 @@ pub fn synthesize_placement(
     let degrees = layout.degrees();
     let td = (degrees.tensor as usize, degrees.data as usize);
 
-    let solo = aligned_solo_costs(topo, layout, &mut price);
+    let solo = aligned_solo_costs(topo, layout, &cluster_ranks, &mut costs);
     let h_of = |used: u128| -> f64 {
         match &solo {
             Some(costs) => costs
@@ -414,16 +432,23 @@ pub fn synthesize_placement(
     // least as cheap *and* canonically smaller — then every completion of
     // the candidate is matched by a no-worse, canonically smaller one.
     let mut frontier = Frontiers::default();
+    let mut signature_ids: HashMap<Vec<(u16, u32, u32)>, usize, WordHash> = HashMap::default();
     let mut seq: u64 = 0;
+    // Scratch reused by every expansion: the popped state's pinned
+    // devices (successors truncate back to them), the candidate prefix
+    // and its partial-group signature.
+    let mut devices: Vec<Rank> = Vec::with_capacity(topo.device_count() as usize);
+    let mut candidate: Vec<u16> = Vec::with_capacity(m);
+    let mut signature: Vec<(u16, u32, u32)> = Vec::new();
 
     let root_bound = h_of(0);
     if root_bound.total_cmp(&heuristic_cost).is_lt() {
         heap.push(Reverse(PartialPlan {
             bound: root_bound,
-            canon: Vec::new(),
+            canon: Rc::from(&[][..]),
             seq,
             used: 0,
-            devices: Vec::new(),
+            pinned: 0,
             g: 0.0,
             det: 0,
         }));
@@ -444,6 +469,12 @@ pub fn synthesize_placement(
             break;
         }
         stats.expanded += 1;
+        devices.clear();
+        for &rank in state.canon.iter() {
+            devices
+                .extend_from_slice(&cluster_ranks[heuristic_order[usize::from(rank)].0 as usize]);
+        }
+        debug_assert_eq!(devices.len(), state.pinned);
         let mut seen_classes: u128 = 0;
         for c in 0..m {
             if state.used & (1u128 << c) != 0 {
@@ -456,19 +487,13 @@ pub fn synthesize_placement(
             }
             seen_classes |= 1u128 << class;
 
-            let mut devices = state.devices.clone();
+            devices.truncate(state.pinned);
             devices.extend_from_slice(&cluster_ranks[c]);
             let n_new = devices.len();
             let mut g = state.g;
             let mut det = state.det;
             while det < specs.len() && (specs[det].max_member as usize) < n_new {
-                g = g.max(price(
-                    specs[det]
-                        .members
-                        .iter()
-                        .map(|&l| devices[l as usize])
-                        .collect(),
-                ));
+                g = g.max(costs.cost(specs[det].members.iter().map(|&l| devices[l as usize])));
                 det += 1;
             }
             let used = state.used | (1u128 << c);
@@ -477,19 +502,29 @@ pub fn synthesize_placement(
                 stats.pruned_bound += 1;
                 continue;
             }
-            let mut canon = state.canon.clone();
-            canon.push(rank_of[c]);
-            let signature = partial_signature(&canon, &size_by_rank, n_new, td);
-            let entries = frontier.entry((used, signature)).or_default();
+            candidate.clear();
+            candidate.extend_from_slice(&state.canon);
+            candidate.push(rank_of[c]);
+            partial_signature(&candidate, &size_by_rank, n_new, td, &mut signature);
+            let next_id = signature_ids.len();
+            let signature_id = match signature_ids.get(signature.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    signature_ids.insert(signature.clone(), next_id);
+                    next_id
+                }
+            };
+            let entries = frontier.entry((used, signature_id)).or_default();
             if entries
                 .iter()
-                .any(|(g2, c2)| g2.total_cmp(&g).is_le() && *c2 < canon)
+                .any(|(g2, c2)| g2.total_cmp(&g).is_le() && **c2 < *candidate)
             {
                 stats.pruned_dominated += 1;
                 continue;
             }
-            entries.retain(|(g2, c2)| !(g.total_cmp(g2).is_le() && canon < *c2));
-            entries.push((g, canon.clone()));
+            entries.retain(|(g2, c2)| !(g.total_cmp(g2).is_le() && *candidate < **c2));
+            let canon: Rc<[u16]> = Rc::from(candidate.as_slice());
+            entries.push((g, Rc::clone(&canon)));
             seq += 1;
             stats.pushed += 1;
             heap.push(Reverse(PartialPlan {
@@ -497,13 +532,13 @@ pub fn synthesize_placement(
                 canon,
                 seq,
                 used,
-                devices,
+                pinned: n_new,
                 g,
                 det,
             }));
         }
     }
-    stats.priced = priced;
+    stats.priced = costs.priced;
 
     match winner {
         Some(goal) => {
@@ -811,13 +846,14 @@ mod tests {
         // block [6, 12): rank 1 enters it at local device 2 from offset 4,
         // rank 2 whole from offset 7.
         let sizes = [4, 3, 2];
-        assert_eq!(
-            partial_signature(&[0, 1, 2], &sizes, 9, (2, 3)),
-            vec![(1, 2, 0), (2, 0, 1)]
-        );
+        let mut signature = Vec::new();
+        partial_signature(&[0, 1, 2], &sizes, 9, (2, 3), &mut signature);
+        assert_eq!(signature, vec![(1, 2, 0), (2, 0, 1)]);
         // A boundary that ends a block, or d = 1, splits no group.
-        assert!(partial_signature(&[0, 2], &sizes, 6, (2, 3)).is_empty());
-        assert!(partial_signature(&[0, 1, 2], &sizes, 9, (2, 1)).is_empty());
+        partial_signature(&[0, 2], &sizes, 6, (2, 3), &mut signature);
+        assert!(signature.is_empty());
+        partial_signature(&[0, 1, 2], &sizes, 9, (2, 1), &mut signature);
+        assert!(signature.is_empty());
     }
 
     #[test]

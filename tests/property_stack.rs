@@ -1149,8 +1149,8 @@ proptest! {
             })
             .collect();
         let (mut pattern, mut moved_pattern) = (Vec::new(), Vec::new());
-        DpGroupNic::node_pattern(&topo, &members, &mut pattern);
-        DpGroupNic::node_pattern(&topo, &moved, &mut moved_pattern);
+        DpGroupNic::node_pattern(&topo, members.iter().copied(), &mut pattern);
+        DpGroupNic::node_pattern(&topo, moved.iter().copied(), &mut moved_pattern);
         prop_assert_eq!(pattern, moved_pattern);
         let workload = PlacementWorkload::new(mb << 20, gflops * 1e9);
         let (a, b) = (
