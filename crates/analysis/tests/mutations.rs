@@ -16,8 +16,8 @@ use holmes_netsim::algo::{CollKind, CollSchedule, Round, Transfer};
 use holmes_netsim::FaultTarget;
 use holmes_parallel::{
     replan_for_delta, DeltaReplanOutcome, DpCollectiveAlgo, DpGroupNic, GroupLayout, GuidedPlanner,
-    HolmesScheduler, MigrationCosts, ParallelDegrees, ParallelPlan, Scheduler, StageProfile,
-    StateMove, StragglerAwarePartition, TopologyDelta,
+    HolmesScheduler, MigrationCosts, ParallelDegrees, ParallelPlan, StageProfile, StateMove,
+    StragglerAwarePartition, TopologyDelta,
 };
 use holmes_topology::{presets, NicProfile, NicType, Rank, Topology};
 
@@ -438,7 +438,7 @@ fn stage_memory_mutations_detected() {
 fn valid_plan(topo: &Topology) -> ParallelPlan {
     let degrees = ParallelDegrees::infer_data(1, 2, topo.device_count()).unwrap();
     let layout = GroupLayout::new(degrees);
-    let assignment = HolmesScheduler.assign(topo, &layout);
+    let assignment = HolmesScheduler::assign(topo);
     ParallelPlan::new(layout, assignment, vec![17, 13], true)
 }
 

@@ -31,7 +31,7 @@ use holmes::{
 };
 use holmes_bench::snapshot::{Better, Snapshot};
 use holmes_obs::json;
-use holmes_parallel::{ParallelPlan, PartitionStrategy, SelfAdaptingPartition};
+use holmes_parallel::{ParallelPlan, SelfAdaptingPartition};
 use holmes_topology::{presets, Topology};
 
 /// Where the JSON snapshot lands: the workspace root, independent of the

@@ -478,8 +478,8 @@ pub fn fig7() -> ExperimentSection {
 pub fn ext_scheduling() -> ExperimentSection {
     use holmes_engine::{simulate_iteration, EngineConfig};
     use holmes_parallel::{
-        GroupLayout, HolmesScheduler, InterleavedScheduler, ParallelDegrees, ParallelPlan,
-        PartitionStrategy, Scheduler, SequentialScheduler, UniformPartition,
+        DeviceAssignment, GroupLayout, HolmesScheduler, InterleavedScheduler, ParallelDegrees,
+        ParallelPlan, UniformPartition,
     };
 
     let topo = presets::hybrid_two_cluster(2);
@@ -499,13 +499,14 @@ pub fn ext_scheduling() -> ExperimentSection {
          Selection on",
     )
     .header(["Device order", "TFLOPS", "RDMA-capable DP groups"]);
-    let schedulers: [(&str, &dyn Scheduler); 3] = [
-        ("Holmes (cluster-aligned)", &HolmesScheduler),
-        ("sequential hostfile", &SequentialScheduler),
-        ("interleaved hostfile", &InterleavedScheduler),
-    ];
-    for (label, scheduler) in schedulers {
-        let assignment = scheduler.assign(&topo, &layout);
+    for (label, assignment) in [
+        ("Holmes (cluster-aligned)", HolmesScheduler::assign(&topo)),
+        (
+            "sequential hostfile",
+            DeviceAssignment::identity(topo.device_count()),
+        ),
+        ("interleaved hostfile", InterleavedScheduler::assign(&topo)),
+    ] {
         let layers = UniformPartition.partition(job.config.num_layers, &[1.0, 1.0]);
         let plan = ParallelPlan::new(layout, assignment, layers, true);
         let nic = plan.nic_report(&topo);
@@ -581,8 +582,7 @@ pub fn ext_bucket_sweep() -> ExperimentSection {
 pub fn ext_schedules() -> ExperimentSection {
     use holmes_engine::{simulate_iteration, EngineConfig, ScheduleKind};
     use holmes_parallel::{
-        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, PartitionStrategy, Scheduler,
-        UniformPartition,
+        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, UniformPartition,
     };
 
     let topo = presets::homogeneous(NicType::InfiniBand, 4);
@@ -603,7 +603,7 @@ pub fn ext_schedules() -> ExperimentSection {
         job.global_batch = batch;
         let degrees = ParallelDegrees::infer_data(1, 4, topo.device_count()).unwrap();
         let layout = GroupLayout::new(degrees);
-        let assignment = HolmesScheduler.assign(&topo, &layout);
+        let assignment = HolmesScheduler::assign(&topo);
         let layers = UniformPartition.partition(job.config.num_layers, &[1.0; 4]);
         let plan = ParallelPlan::new(layout, assignment, layers, true);
         let run = |schedule| {

@@ -5,8 +5,7 @@
 use criterion::{black_box, BenchmarkId, Criterion};
 
 use holmes_parallel::{
-    GroupLayout, HolmesScheduler, NicSelectionReport, ParallelDegrees, PartitionStrategy,
-    Scheduler, SelfAdaptingPartition,
+    GroupLayout, HolmesScheduler, NicSelectionReport, ParallelDegrees, SelfAdaptingPartition,
 };
 use holmes_topology::presets;
 
@@ -34,12 +33,10 @@ fn bench_scheduler(c: &mut Criterion) {
     let mut g = c.benchmark_group("groups/holmes_scheduler");
     for nodes in [8u32, 32, 128] {
         let topo = presets::hybrid_two_cluster(nodes / 2);
-        let n = topo.device_count();
-        let layout = GroupLayout::new(ParallelDegrees::infer_data(1, 2, n).unwrap());
         g.bench_with_input(
-            BenchmarkId::from_parameter(format!("gpus={n}")),
-            &(topo, layout),
-            |b, (topo, layout)| b.iter(|| black_box(HolmesScheduler.assign(topo, layout))),
+            BenchmarkId::from_parameter(format!("gpus={}", topo.device_count())),
+            &topo,
+            |b, topo| b.iter(|| black_box(HolmesScheduler::assign(topo))),
         );
     }
     g.finish();
@@ -51,7 +48,7 @@ fn bench_nic_selection(c: &mut Criterion) {
         let topo = presets::hybrid_two_cluster(nodes / 2);
         let n = topo.device_count();
         let layout = GroupLayout::new(ParallelDegrees::infer_data(1, 2, n).unwrap());
-        let assignment = HolmesScheduler.assign(&topo, &layout);
+        let assignment = HolmesScheduler::assign(&topo);
         g.bench_with_input(
             BenchmarkId::from_parameter(format!("gpus={n}")),
             &(topo, layout, assignment),

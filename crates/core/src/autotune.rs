@@ -12,8 +12,8 @@
 //! is skipped, since it cannot win (HAP's lower-bounded search, arxiv
 //! 2401.05965). The winner is the one simulating every finalist would
 //! pick. Every candidate's placement routes through
-//! [`crate::planner::plan_for`] and therefore through the
-//! [`holmes_parallel::Planner`] trait's guided branch-and-bound synthesis,
+//! [`crate::planner::plan_for`] and therefore through guided
+//! branch-and-bound synthesis ([`holmes_parallel::synthesize_placement`]),
 //! so each `(t, p)` cell is scored on its *optimal* cluster order, not
 //! just the fastest-first heuristic.
 

@@ -281,16 +281,13 @@ mod tests {
         // stage shrinks it.
         use holmes_engine::ScheduleKind;
         use holmes_model::ParameterGroup;
-        use holmes_parallel::{
-            GroupLayout, HolmesScheduler, ParallelDegrees, PartitionStrategy, Scheduler,
-            UniformPartition,
-        };
+        use holmes_parallel::{GroupLayout, HolmesScheduler, ParallelDegrees, UniformPartition};
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
         let mut job = ParameterGroup::table2(3).job();
         job.global_batch = 128;
         let layout =
             GroupLayout::new(ParallelDegrees::infer_data(1, 4, topo.device_count()).unwrap());
-        let assignment = HolmesScheduler.assign(&topo, &layout);
+        let assignment = HolmesScheduler::assign(&topo);
         let layers = UniformPartition.partition(job.config.num_layers, &[1.0; 4]);
         let plan = ParallelPlan::new(layout, assignment, layers, true);
         let times = |schedule| {

@@ -6,9 +6,9 @@ use holmes_engine::{BuildError, DpSyncStrategy, EngineConfig, ScheduleKind, Tran
 use holmes_model::{CommVolumes, ParameterGroup, TrainJob};
 use holmes_netsim::WordHash;
 use holmes_parallel::{
-    DegreeError, DpGroupNic, GroupLayout, GuidedPlanner, NicSelectionReport, ParallelDegrees,
-    ParallelPlan, PartitionStrategy, PlacementWorkload, Planner, Scheduler, SequentialScheduler,
-    StageProfile, StragglerAwarePartition, UniformPartition,
+    synthesize_placement, DegreeError, DeviceAssignment, DpGroupNic, GroupLayout,
+    NicSelectionReport, ParallelDegrees, ParallelPlan, PlacementWorkload, StageProfile,
+    StragglerAwarePartition, UniformPartition,
 };
 use holmes_topology::Topology;
 
@@ -92,8 +92,15 @@ pub fn placement_stage_flops(job: &TrainJob, degrees: ParallelDegrees) -> f64 {
 }
 
 /// Build the parallel plan and engine configuration for a request under a
-/// Holmes feature configuration, using the default [`GuidedPlanner`] for
-/// cross-cluster placement.
+/// Holmes feature configuration.
+///
+/// With cross-cluster pipeline parallelism on, the device assignment comes
+/// from [`synthesize_placement`]: the cluster order that minimizes the
+/// analytic DP sync cost plus compute skew under
+/// [`placement_gradient_bytes`] and [`placement_stage_flops`], which is
+/// [`holmes_parallel::search_cluster_orders`]'s exact winner. With it off,
+/// logical rank `i` runs on device `i` (Megatron's hostfile order). The
+/// layer partition, transport and DP sync follow the other flags.
 ///
 /// `fallback_dp` is the gradient-sync strategy used when the overlapped
 /// optimizer flag is off: the Holmes ablation falls back to a blocking
@@ -104,23 +111,19 @@ pub fn plan_for(
     cfg: &HolmesConfig,
     fallback_dp: DpSyncStrategy,
 ) -> Result<(ParallelPlan, EngineConfig), PlanError> {
-    plan_for_with(topo, req, cfg, fallback_dp, &GuidedPlanner)
+    plan_for_with(topo, req, cfg, fallback_dp, |topo, layout, workload| {
+        synthesize_placement(topo, layout, workload).0.assignment
+    })
 }
 
-/// [`plan_for`] with an explicit placement strategy.
-///
-/// All three [`Planner`] strategies agree bit-for-bit wherever their
-/// coverage overlaps, so swapping them never changes a plan's cost model —
-/// only how much of the placement space is searched and certified:
-/// `HeuristicPlanner` scores one order, `GuidedPlanner` (the production
-/// default) proves its winner optimal, `ExhaustivePlanner` is the `M!`
-/// reference oracle for tests.
+/// [`plan_for`] with the cross-cluster placement supplied by `place`,
+/// which runs only after the degrees and the batch split are accepted.
 fn plan_for_with(
     topo: &Topology,
     req: &PlanRequest,
     cfg: &HolmesConfig,
     fallback_dp: DpSyncStrategy,
-    planner: &dyn Planner,
+    place: impl FnOnce(&Topology, &GroupLayout, PlacementWorkload) -> DeviceAssignment,
 ) -> Result<(ParallelPlan, EngineConfig), PlanError> {
     let degrees = ParallelDegrees::infer_data(
         req.tensor_parallel,
@@ -141,9 +144,9 @@ fn plan_for_with(
     // group's straggler skew. The baseline (flag off) keeps the
     // Megatron-style sequential hostfile order.
     let assignment = if cfg.cross_cluster_pp {
-        planner.plan_workload(topo, &layout, workload).assignment
+        place(topo, &layout, workload)
     } else {
-        SequentialScheduler.assign(topo, &layout)
+        DeviceAssignment::identity(topo.device_count())
     };
 
     // 2. Stage profiles: the slowest member (NIC × GPU) binds a stage.
@@ -351,29 +354,30 @@ mod tests {
     }
 
     #[test]
-    fn planner_strategies_yield_identical_plans() {
-        use holmes_parallel::{ExhaustivePlanner, HeuristicPlanner};
+    fn plan_for_places_like_the_exhaustive_oracle() {
+        // gen_mix_3c mixes GPU generations, so its workload carries a
+        // non-zero compute-skew term.
         for (topo, pg) in [
             (presets::hybrid_two_cluster(2), 1u8),
             (presets::table4_2r_2ib_2ib(), 5),
+            (presets::gen_mix_3c(), 5),
         ] {
             let req = PlanRequest::parameter_group(pg);
-            let cfg = HolmesConfig::full();
-            let (guided, _) =
-                plan_for(&topo, &req, &cfg, DpSyncStrategy::DistributedOptimizer).unwrap();
-            let strategies: [&dyn Planner; 2] = [&HeuristicPlanner, &ExhaustivePlanner];
-            for planner in strategies {
-                let (plan, _) = plan_for_with(
-                    &topo,
-                    &req,
-                    &cfg,
-                    DpSyncStrategy::DistributedOptimizer,
-                    planner,
-                )
-                .unwrap();
-                assert_eq!(plan.assignment, guided.assignment, "{}", planner.name());
-                assert_eq!(plan.stage_layers, guided.stage_layers, "{}", planner.name());
-            }
+            let (plan, _) = plan_for(
+                &topo,
+                &req,
+                &HolmesConfig::full(),
+                DpSyncStrategy::DistributedOptimizer,
+            )
+            .unwrap();
+            let degrees = plan.degrees();
+            let workload = PlacementWorkload::new(
+                placement_gradient_bytes(&req.job, degrees),
+                placement_stage_flops(&req.job, degrees),
+            );
+            let oracle =
+                holmes_parallel::search_cluster_orders(&topo, &GroupLayout::new(degrees), workload);
+            assert_eq!(plan.assignment, oracle.assignment, "PG{pg}");
         }
     }
 
@@ -396,24 +400,6 @@ mod tests {
         );
     }
 
-    /// A planner that fails the test if asked to search.
-    struct NoSearch;
-
-    impl Planner for NoSearch {
-        fn plan_workload(
-            &self,
-            _: &Topology,
-            _: &GroupLayout,
-            _: PlacementWorkload,
-        ) -> holmes_parallel::PlacementSearchResult {
-            panic!("an infeasible batch reached placement search")
-        }
-
-        fn name(&self) -> &'static str {
-            "no-search"
-        }
-    }
-
     #[test]
     fn indivisible_batch_is_refused_before_placement_search() {
         // 512 replicas of micro-batch 4 cannot split PG 1's 768 samples.
@@ -426,18 +412,18 @@ mod tests {
         });
         let cfg = HolmesConfig::full();
         let dp = DpSyncStrategy::DistributedOptimizer;
+        let no_search = |_: &Topology, _: &GroupLayout, _: PlacementWorkload| -> DeviceAssignment {
+            panic!("an infeasible batch reached placement search")
+        };
         assert_eq!(
-            plan_for_with(&topo, &req, &cfg, dp, &NoSearch).unwrap_err(),
+            plan_for_with(&topo, &req, &cfg, dp, no_search).unwrap_err(),
             want
         );
-        let mut session = holmes_obs::ObsSession::new();
-        let err = crate::run_framework(crate::FrameworkKind::Holmes, &topo, 1, Some(&mut session))
-            .unwrap_err();
+        let err = crate::run_framework(crate::FrameworkKind::Holmes, &topo, 1, None).unwrap_err();
         assert!(
             matches!(&err, crate::RunError::Plan(e) if *e == want),
             "{err}"
         );
-        assert_eq!(session.registry.counter("parallel.synth_expanded"), 0);
     }
 
     #[test]

@@ -645,18 +645,13 @@ mod tests {
     use crate::executor::CollKind;
     use holmes_model::ParameterGroup;
     use holmes_parallel::{
-        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, PartitionStrategy, Scheduler,
-        SelfAdaptingPartition, UniformPartition,
+        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, SelfAdaptingPartition,
+        UniformPartition,
     };
     use holmes_topology::{presets, NicType};
 
-    /// PG1 (3.6 B) on a topology, uniform partition, Holmes placement.
-    fn plan_for(
-        topo: &Topology,
-        pg: u8,
-        partition: &dyn PartitionStrategy,
-        speeds: &[f64],
-    ) -> (ParallelPlan, TrainJob) {
+    /// PG `pg` on a topology, uniform partition, Holmes placement.
+    fn plan_for(topo: &Topology, pg: u8) -> (ParallelPlan, TrainJob) {
         let group = ParameterGroup::table2(pg);
         let degrees = ParallelDegrees::infer_data(
             group.tensor_parallel,
@@ -665,8 +660,9 @@ mod tests {
         )
         .unwrap();
         let layout = GroupLayout::new(degrees);
-        let assignment = HolmesScheduler.assign(topo, &layout);
-        let layers = partition.partition(group.config.num_layers, speeds);
+        let assignment = HolmesScheduler::assign(topo);
+        let speeds = vec![1.0; degrees.pipeline as usize];
+        let layers = UniformPartition.partition(group.config.num_layers, &speeds);
         let plan = ParallelPlan::new(layout, assignment, layers, true);
         (plan, group.job())
     }
@@ -674,7 +670,7 @@ mod tests {
     #[test]
     fn pg1_runs_on_homogeneous_ib_4_nodes() {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
-        let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, job) = plan_for(&topo, 1);
         let (report, metrics) =
             simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None).unwrap();
         // Table 1: 197 TFLOPS / 99.23 samples/s. The simulator should land
@@ -696,7 +692,7 @@ mod tests {
         // and the third IB node plus the RoCE node on stage 1.
         let topo = presets::hybrid_split(3, 1);
         assert!(topo.uniform_compute());
-        let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, job) = plan_for(&topo, 1);
         assert_eq!((plan.degrees().tensor, plan.degrees().pipeline), (1, 2));
         let stage1 = plan.stage_devices(1);
         // Stage 1's forward price on its first member with this NIC.
@@ -744,7 +740,7 @@ mod tests {
     fn ib_beats_roce_beats_ethernet() {
         let run = |nic| {
             let topo = presets::homogeneous(nic, 4);
-            let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+            let (plan, job) = plan_for(&topo, 1);
             simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None)
                 .unwrap()
                 .1
@@ -760,12 +756,12 @@ mod tests {
     #[test]
     fn hybrid_beats_ethernet_with_holmes() {
         let hybrid = presets::hybrid_two_cluster(2);
-        let (plan, job) = plan_for(&hybrid, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, job) = plan_for(&hybrid, 1);
         let (_, m_hybrid) =
             simulate_iteration(&hybrid, &plan, &job, &EngineConfig::default(), None, None).unwrap();
 
         let eth = presets::homogeneous(NicType::Ethernet, 4);
-        let (plan_e, job_e) = plan_for(&eth, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan_e, job_e) = plan_for(&eth, 1);
         let (_, m_eth) =
             simulate_iteration(&eth, &plan_e, &job_e, &EngineConfig::default(), None, None)
                 .unwrap();
@@ -780,7 +776,7 @@ mod tests {
     #[test]
     fn forced_tcp_baseline_is_slower_on_hybrid() {
         let topo = presets::hybrid_two_cluster(2);
-        let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, job) = plan_for(&topo, 1);
         let auto = simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None)
             .unwrap()
             .1;
@@ -802,7 +798,7 @@ mod tests {
     #[test]
     fn overlapped_optimizer_beats_blocking_distributed_optimizer() {
         let topo = presets::homogeneous(NicType::RoCE, 4);
-        let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, job) = plan_for(&topo, 1);
         let overlapped =
             simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None)
                 .unwrap()
@@ -829,7 +825,7 @@ mod tests {
         // forward and backward phases across stages, so with DP sync at
         // the end 1F1B should be at least as fast.
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
-        let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, job) = plan_for(&topo, 1);
         let f1b = simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None)
             .unwrap()
             .0
@@ -850,8 +846,12 @@ mod tests {
         let topo = presets::hybrid_two_cluster(2);
         // Stage speeds from Table 1 TFLOPS: IB stage faster than RoCE stage.
         let speeds = [197.0, 160.0];
-        let (plan_u, job) = plan_for(&topo, 1, &UniformPartition, &speeds);
-        let (plan_sa, _) = plan_for(&topo, 1, &SelfAdaptingPartition::default(), &speeds);
+        let (plan_u, job) = plan_for(&topo, 1);
+        let plan_sa = ParallelPlan {
+            stage_layers: SelfAdaptingPartition::default()
+                .partition(job.config.num_layers, &speeds),
+            ..plan_u.clone()
+        };
         let cfg = EngineConfig::default();
         let uni = simulate_iteration(&topo, &plan_u, &job, &cfg, None, None)
             .unwrap()
@@ -870,7 +870,7 @@ mod tests {
     #[test]
     fn batch_indivisible_is_an_error() {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
-        let (plan, mut job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, mut job) = plan_for(&topo, 1);
         job.global_batch = 7; // not divisible by d=16 × micro 4
         assert!(matches!(
             simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None),
@@ -882,7 +882,7 @@ mod tests {
     fn plan_for_a_larger_fleet_is_a_typed_error() {
         let big = holmes_topology::parse_topology_spec("ib:4+roce:4").unwrap();
         let small = holmes_topology::parse_topology_spec("ib:4").unwrap();
-        let (plan, job) = plan_for(&big, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, job) = plan_for(&big, 1);
         let err = build_iteration(&small, &plan, &job, &EngineConfig::default()).unwrap_err();
         let BuildError::RankOutsideTopology { rank, devices } = err else {
             panic!("expected RankOutsideTopology, got {err:?}");
@@ -895,7 +895,7 @@ mod tests {
     #[test]
     fn layer_mismatch_is_an_error() {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
-        let (mut plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        let (mut plan, job) = plan_for(&topo, 1);
         plan.stage_layers = vec![10, 10]; // model has 30
         assert!(matches!(
             simulate_iteration(&topo, &plan, &job, &EngineConfig::default(), None, None),
@@ -906,7 +906,7 @@ mod tests {
     #[test]
     fn allreduce_strategy_emits_allreduce_collectives() {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
-        let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, job) = plan_for(&topo, 1);
         let cfg = EngineConfig {
             dp_sync: DpSyncStrategy::AllReduce,
             ..EngineConfig::default()
@@ -929,7 +929,7 @@ mod tests {
         let group = ParameterGroup::table2(1);
         let degrees = ParallelDegrees::infer_data(1, 1, topo.device_count()).unwrap();
         let layout = GroupLayout::new(degrees);
-        let assignment = HolmesScheduler.assign(&topo, &layout);
+        let assignment = HolmesScheduler::assign(&topo);
         let layers = UniformPartition.partition(group.config.num_layers, &[1.0]);
         let plan = ParallelPlan::new(layout, assignment, layers, true);
         let job = group.job();
@@ -965,7 +965,7 @@ mod tests {
 
         // Non-spanning groups never upgrade, whatever the config says.
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
-        let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, job) = plan_for(&topo, 1);
         let spec = build_iteration(&topo, &plan, &job, &cfg).unwrap();
         assert!(spec
             .collectives
@@ -976,7 +976,7 @@ mod tests {
     #[test]
     fn overlapped_strategy_emits_buckets() {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
-        let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, job) = plan_for(&topo, 1);
         let spec = build_iteration(&topo, &plan, &job, &EngineConfig::default()).unwrap();
         // 2 DP groups × (8 RS buckets + 8 AG buckets).
         assert_eq!(spec.collectives.len(), 32);
@@ -991,7 +991,7 @@ mod tests {
     #[test]
     fn program_count_matches_devices() {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
-        let (plan, job) = plan_for(&topo, 1, &UniformPartition, &[1.0, 1.0]);
+        let (plan, job) = plan_for(&topo, 1);
         let spec = build_iteration(&topo, &plan, &job, &EngineConfig::default()).unwrap();
         assert_eq!(spec.programs.len(), 32);
     }
@@ -1004,8 +1004,7 @@ mod interleaved_tests {
     use crate::ops::ComputeLabel;
     use holmes_model::{GptConfig, ParameterGroup, TrainJob};
     use holmes_parallel::{
-        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, PartitionStrategy, Scheduler,
-        UniformPartition,
+        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, UniformPartition,
     };
     use holmes_topology::{presets, NicType, Topology};
 
@@ -1020,7 +1019,7 @@ mod interleaved_tests {
     fn plan_on(topo: &Topology, t: u32, p: u32, layers: u32) -> ParallelPlan {
         let degrees = ParallelDegrees::infer_data(t, p, topo.device_count()).unwrap();
         let layout = GroupLayout::new(degrees);
-        let assignment = HolmesScheduler.assign(topo, &layout);
+        let assignment = HolmesScheduler::assign(topo);
         let stage_layers = UniformPartition.partition(layers, &vec![1.0; p as usize]);
         ParallelPlan::new(layout, assignment, stage_layers, true)
     }
@@ -1174,8 +1173,7 @@ mod config_option_tests {
     use crate::executor::execute;
     use holmes_model::ParameterGroup;
     use holmes_parallel::{
-        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, PartitionStrategy, Scheduler,
-        UniformPartition,
+        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, UniformPartition,
     };
     use holmes_topology::{presets, NicType};
 
@@ -1183,7 +1181,7 @@ mod config_option_tests {
         let pg = ParameterGroup::table2(1);
         let degrees = ParallelDegrees::infer_data(1, 2, topo.device_count()).unwrap();
         let layout = GroupLayout::new(degrees);
-        let assignment = HolmesScheduler.assign(topo, &layout);
+        let assignment = HolmesScheduler::assign(topo);
         let layers = UniformPartition.partition(30, &[1.0, 1.0]);
         (
             ParallelPlan::new(layout, assignment, layers, true),
@@ -1276,8 +1274,7 @@ mod memory_enforcement_tests {
     use super::*;
     use holmes_model::ParameterGroup;
     use holmes_parallel::{
-        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, PartitionStrategy, Scheduler,
-        UniformPartition,
+        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, UniformPartition,
     };
     use holmes_topology::{presets, NicType};
 
@@ -1290,7 +1287,7 @@ mod memory_enforcement_tests {
         let group = ParameterGroup::table2(pg);
         let degrees = ParallelDegrees::infer_data(t, p, topo.device_count()).unwrap();
         let layout = GroupLayout::new(degrees);
-        let assignment = HolmesScheduler.assign(topo, &layout);
+        let assignment = HolmesScheduler::assign(topo);
         let layers = UniformPartition.partition(group.config.num_layers, &vec![1.0; p as usize]);
         (
             ParallelPlan::new(layout, assignment, layers, true),

@@ -6,8 +6,7 @@
 use holmes_model::{GptConfig, TrainJob};
 use holmes_netsim::{ChurnKind, LinkHealth, SimTime};
 use holmes_parallel::{
-    GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, PartitionStrategy, Scheduler,
-    UniformPartition,
+    GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, UniformPartition,
 };
 use holmes_topology::{presets, NicProfile, NicType, Rank, Topology, TopologyBuilder};
 use proptest::prelude::*;
@@ -250,7 +249,7 @@ pub(crate) fn built(
         global_batch: 64,
     };
     let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).ok()?);
-    let assignment = HolmesScheduler.assign(&topo, &layout);
+    let assignment = HolmesScheduler::assign(&topo);
     let layers = UniformPartition.partition(8, &vec![1.0; p as usize]);
     let plan = ParallelPlan::new(layout, assignment, layers, true);
     let spec = build_iteration(&topo, &plan, &job, cfg).ok()?;

@@ -205,8 +205,7 @@ mod tests {
     use crate::ops::{Channel, ComputeLabel};
     use holmes_model::ParameterGroup;
     use holmes_parallel::{
-        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, PartitionStrategy, Scheduler,
-        UniformPartition,
+        GroupLayout, HolmesScheduler, ParallelDegrees, ParallelPlan, UniformPartition,
     };
     use holmes_topology::{presets, Rank};
     use proptest::prelude::*;
@@ -232,7 +231,7 @@ mod tests {
         for p in [1u32, 2, 4] {
             let degrees = ParallelDegrees::infer_data(1, p, topo.device_count()).unwrap();
             let layout = GroupLayout::new(degrees);
-            let assignment = HolmesScheduler.assign(&topo, &layout);
+            let assignment = HolmesScheduler::assign(&topo);
             let layers = UniformPartition.partition(30, &vec![1.0; p as usize]);
             let plan = ParallelPlan::new(layout, assignment, layers, true);
             for schedule in [

@@ -14,11 +14,10 @@
 //!   removed, joins appended, lost NICs demoted to their Ethernet
 //!   fallback);
 //! * [`replan_for_delta`] — a migration-aware re-plan: the post-churn
-//!   placement comes from any [`Planner`] (the guided branch-and-bound
-//!   planner in production), and the optimizer-state migration the
-//!   re-shard implies is priced by *simulating* the state transfers on
-//!   the post-churn fabric, falling back to a checkpoint restore for
-//!   shards with no surviving replica.
+//!   placement comes from guided branch-and-bound synthesis, and the
+//!   optimizer-state migration the re-shard implies is priced by
+//!   *simulating* the state transfers on the post-churn fabric, falling
+//!   back to a checkpoint restore for shards with no surviving replica.
 
 use std::collections::HashSet;
 
@@ -31,7 +30,7 @@ use crate::nic_selection::NicSelectionReport;
 use crate::plan::ParallelPlan;
 use crate::search::PlacementSearchResult;
 use crate::skew::PlacementWorkload;
-use crate::synth::Planner;
+use crate::synth::GuidedPlanner;
 
 /// One node-level membership event, expressed against the *pre-churn*
 /// topology's global node indices (cluster-major, `rank / gpus_per_node`).
@@ -364,11 +363,15 @@ impl DeltaReplanOutcome {
     }
 }
 
-/// Migration-aware re-plan: apply `delta`, re-run placement through
-/// `planner` on the post-churn topology (tensor and pipeline degrees
+/// Migration-aware re-plan: apply `delta`, re-run guided placement
+/// synthesis on the post-churn topology (tensor and pipeline degrees
 /// fixed, data degree re-inferred from the surviving device count), and
 /// price the optimizer-state migration by simulating the shard copies on
 /// the post-churn fabric.
+///
+/// `planner` selects nothing: [`GuidedPlanner`] is the only placement
+/// strategy. The parameter stays because the end-to-end benchmark
+/// (`holmes_e2e`) passes `&GuidedPlanner` here.
 ///
 /// The placement search and the before/after costs are all priced
 /// against `workload`: gradient sync plus each DP group's
@@ -387,7 +390,7 @@ pub fn replan_for_delta(
     plan: &ParallelPlan,
     delta: &TopologyDelta,
     workload: impl Into<PlacementWorkload>,
-    planner: &dyn Planner,
+    planner: &GuidedPlanner,
     costs: &MigrationCosts,
 ) -> Result<DeltaReplanOutcome, DeltaError> {
     let workload = workload.into();
@@ -397,7 +400,7 @@ pub fn replan_for_delta(
         ParallelDegrees::infer_data(degrees.tensor, degrees.pipeline, new_topo.device_count())
             .map_err(DeltaError::Degrees)?;
     let layout = GroupLayout::new(new_degrees);
-    let placement = planner.plan_workload(&new_topo, &layout, workload);
+    let (placement, _) = planner.plan_workload_with_stats(&new_topo, &layout, workload);
     let report = NicSelectionReport::analyze(&new_topo, &layout, &placement.assignment);
     let cost_before_seconds = plan.nic_report(topo).dp_sync_cost_seconds(topo, workload);
     let cost_after_seconds = report.dp_sync_cost_seconds(&new_topo, workload);
@@ -488,8 +491,7 @@ pub fn replan_for_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{HolmesScheduler, Scheduler};
-    use crate::synth::GuidedPlanner;
+    use crate::scheduler::HolmesScheduler;
     use holmes_topology::{presets, NicType};
 
     const GRAD: u64 = 1 << 30;
@@ -497,7 +499,7 @@ mod tests {
     fn plan_on(topo: &Topology, t: u32, p: u32) -> ParallelPlan {
         let layout =
             GroupLayout::new(ParallelDegrees::infer_data(t, p, topo.device_count()).unwrap());
-        let a = HolmesScheduler.assign(topo, &layout);
+        let a = HolmesScheduler::assign(topo);
         let per_stage = vec![4u32; p as usize];
         ParallelPlan::new(layout, a, per_stage, true)
     }
@@ -605,7 +607,7 @@ mod tests {
             let fresh_layout = GroupLayout::new(
                 ParallelDegrees::infer_data(1, 2, fresh_topo.device_count()).unwrap(),
             );
-            let fresh = planner.plan_workload(&fresh_topo, &fresh_layout, workload);
+            let (fresh, _) = planner.plan_workload_with_stats(&fresh_topo, &fresh_layout, workload);
             assert_eq!(outcome.placement.assignment, fresh.assignment);
             assert_eq!(outcome.placement.cluster_order, fresh.cluster_order);
             assert_eq!(

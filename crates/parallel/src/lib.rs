@@ -10,14 +10,15 @@
 //! * [`ParallelDegrees`] — validated `(t, p, d)` degree triples;
 //! * [`GroupLayout`] — the exact `[TP]`, `[PP]`, `[DP]` matrices over
 //!   *logical* ranks, with O(1) membership queries;
-//! * [`DeviceAssignment`] + [`Scheduler`] — mapping logical ranks onto
-//!   physical devices: the Megatron-style sequential order, an
-//!   adversarial interleaved hostfile, and the NIC-aware Holmes order that
-//!   aligns pipeline stages with cluster boundaries;
+//! * [`DeviceAssignment`] — mapping logical ranks onto physical devices:
+//!   the Megatron-style sequential order ([`DeviceAssignment::identity`]),
+//!   an adversarial interleaved hostfile ([`InterleavedScheduler`]), and
+//!   the NIC-aware Holmes order that aligns pipeline stages with cluster
+//!   boundaries ([`HolmesScheduler`]);
 //! * [`NicSelectionReport`] — the paper's *Automatic NIC Selection*
 //!   analysis: which data-parallel groups are NIC-homogeneous (and may use
 //!   RDMA) and which are forced down to Ethernet;
-//! * [`PartitionStrategy`] — *Uniform* vs *Self-Adapting* (Eq. 2) pipeline
+//! * [`UniformPartition`] vs [`SelfAdaptingPartition`] (Eq. 2) pipeline
 //!   layer partitioning, plus the [`StragglerAwarePartition`] that
 //!   generalizes Eq. 2 to per-stage heterogeneous device speeds;
 //! * [`PlacementWorkload`] — the two-axis pricing signal (gradient bytes +
@@ -26,16 +27,15 @@
 //!   the only thing a placement is priced against, and a bare `u64`
 //!   gradient volume converts into its zero-FLOPs form;
 //! * [`ParallelPlan`] — the assembled plan consumed by the engine;
-//! * [`Planner`] — one interface over the three placement strategies:
-//!   the [`HeuristicPlanner`] (fastest-first order, no search), the
-//!   [`ExhaustivePlanner`] (all `M!` orders — the reference oracle), and
-//!   the [`GuidedPlanner`] (branch-and-bound plan synthesis that returns
-//!   the oracle's exact winner and scales to many-cluster fleets);
+//! * [`synthesize_placement`] — guided branch-and-bound plan synthesis,
+//!   the production placement: it returns the exact winner of
+//!   [`search_cluster_orders`] (all `M!` cluster orders, the reference
+//!   oracle for tests) and scales to many-cluster fleets;
 //! * [`TopologyDelta`] + [`replan_for_delta`] — typed membership churn
 //!   (NIC loss, node loss, node join) and the migration-aware re-plan:
-//!   the post-churn placement is re-synthesized through a [`Planner`] and
-//!   the optimizer-state migration is priced by simulating the shard
-//!   copies on the post-churn fabric.
+//!   the post-churn placement is re-synthesized and the optimizer-state
+//!   migration is priced by simulating the shard copies on the post-churn
+//!   fabric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,15 +69,10 @@ pub use delta::{
 };
 pub use groups::GroupLayout;
 pub use nic_selection::{DpCollectiveAlgo, DpGroupNic, NicSelectionReport, ReplanOutcome};
-pub use partition::{PartitionStrategy, SelfAdaptingPartition, UniformPartition};
+pub use partition::{SelfAdaptingPartition, UniformPartition};
 pub use plan::ParallelPlan;
-pub use scheduler::{
-    DeviceAssignment, HolmesScheduler, InterleavedScheduler, Scheduler, SequentialScheduler,
-};
+pub use scheduler::{DeviceAssignment, HolmesScheduler, InterleavedScheduler};
 pub use search::{assignment_for_order, search_cluster_orders, PlacementSearchResult};
 pub use skew::PlacementWorkload;
 pub use straggler::{StageProfile, StragglerAwarePartition};
-pub use synth::{
-    speed_rank_of, synthesize_placement, ExhaustivePlanner, GuidedPlanner, HeuristicPlanner,
-    Planner, SynthStats,
-};
+pub use synth::{speed_rank_of, synthesize_placement, GuidedPlanner, SynthStats};

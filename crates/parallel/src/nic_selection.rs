@@ -57,7 +57,7 @@ impl DpGroupNic {
     ///
     /// This is the *single* classification path: [`NicSelectionReport::analyze`]
     /// calls it per group, and the guided plan synthesizer
-    /// ([`crate::GuidedPlanner`]) calls it on partially-built plans — both must
+    /// ([`crate::synthesize_placement`]) calls it on partially-built plans — both must
     /// see bit-identical classifications for the search bound to be exact
     /// at completion.
     pub fn analyze_group(topo: &Topology, group: u32, devices: Vec<Rank>) -> Self {
@@ -355,7 +355,7 @@ mod tests {
     use super::*;
     use crate::degrees::ParallelDegrees;
     use crate::delta::TopologyDelta;
-    use crate::scheduler::{HolmesScheduler, InterleavedScheduler, Scheduler};
+    use crate::scheduler::{HolmesScheduler, InterleavedScheduler};
     use holmes_topology::presets;
 
     fn layout_for(topo: &Topology, t: u32, p: u32) -> GroupLayout {
@@ -366,7 +366,7 @@ mod tests {
     fn holmes_assignment_gives_all_rdma_groups_on_hybrid() {
         let topo = presets::hybrid_two_cluster(2);
         let layout = layout_for(&topo, 1, 2);
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         let report = NicSelectionReport::analyze(&topo, &layout, &a);
         assert_eq!(report.ethernet_groups, 0);
         assert_eq!(report.rdma_fraction(), 1.0);
@@ -381,7 +381,7 @@ mod tests {
     fn interleaved_assignment_breaks_every_group_on_hybrid() {
         let topo = presets::hybrid_two_cluster(2);
         let layout = layout_for(&topo, 1, 2);
-        let a = InterleavedScheduler.assign(&topo, &layout);
+        let a = InterleavedScheduler::assign(&topo);
         let report = NicSelectionReport::analyze(&topo, &layout, &a);
         // Each stage (16 logical ranks = 2 physical nodes) now mixes an IB
         // node and a RoCE node, so every DP group is heterogeneous.
@@ -393,7 +393,7 @@ mod tests {
     fn ethernet_only_topology_has_no_rdma_groups() {
         let topo = presets::homogeneous(NicType::Ethernet, 4);
         let layout = layout_for(&topo, 1, 2);
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         let report = NicSelectionReport::analyze(&topo, &layout, &a);
         assert_eq!(report.rdma_groups, 0);
     }
@@ -402,7 +402,7 @@ mod tests {
     fn homogeneous_ib_topology_is_fully_rdma() {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
         let layout = layout_for(&topo, 1, 2);
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         let report = NicSelectionReport::analyze(&topo, &layout, &a);
         assert_eq!(report.rdma_fraction(), 1.0);
         assert!(report
@@ -416,13 +416,9 @@ mod tests {
         let topo = presets::hybrid_two_cluster(2);
         let layout = layout_for(&topo, 1, 2);
         let grad = 1u64 << 30;
-        let holmes =
-            NicSelectionReport::analyze(&topo, &layout, &HolmesScheduler.assign(&topo, &layout));
-        let inter = NicSelectionReport::analyze(
-            &topo,
-            &layout,
-            &InterleavedScheduler.assign(&topo, &layout),
-        );
+        let holmes = NicSelectionReport::analyze(&topo, &layout, &HolmesScheduler::assign(&topo));
+        let inter =
+            NicSelectionReport::analyze(&topo, &layout, &InterleavedScheduler::assign(&topo));
         let c_h = holmes.dp_sync_cost_seconds(&topo, grad);
         let c_i = inter.dp_sync_cost_seconds(&topo, grad);
         assert!(c_h < c_i, "holmes {c_h} vs interleaved {c_i}");
@@ -432,14 +428,14 @@ mod tests {
     fn single_cluster_groups_select_flat_rings() {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
         let layout = layout_for(&topo, 1, 2);
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         let report = NicSelectionReport::analyze(&topo, &layout, &a);
         assert!(report
             .groups
             .iter()
             .all(|g| g.algo == DpCollectiveAlgo::RingRdma));
         let topo = presets::homogeneous(NicType::Ethernet, 4);
-        let a = HolmesScheduler.assign(&topo, &layout_for(&topo, 1, 2));
+        let a = HolmesScheduler::assign(&topo);
         let report = NicSelectionReport::analyze(&topo, &layout_for(&topo, 1, 2), &a);
         assert!(report
             .groups
@@ -452,7 +448,7 @@ mod tests {
         // p = 1 → every DP group covers all 32 devices of both clusters.
         let topo = presets::same_nic_two_clusters(NicType::InfiniBand, 2);
         let layout = layout_for(&topo, 1, 1);
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         let report = NicSelectionReport::analyze(&topo, &layout, &a);
         assert!(report
             .groups
@@ -474,7 +470,7 @@ mod tests {
     fn replan_downgrades_only_groups_touching_the_lost_nic() {
         let topo = presets::hybrid_two_cluster(2);
         let layout = layout_for(&topo, 1, 2);
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         let report = NicSelectionReport::analyze(&topo, &layout, &a);
         assert_eq!(report.ethernet_groups, 0);
         let grad = 1u64 << 30;
@@ -510,7 +506,7 @@ mod tests {
     fn replan_with_no_losses_is_identity() {
         let topo = presets::homogeneous(NicType::InfiniBand, 4);
         let layout = layout_for(&topo, 1, 2);
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         let report = NicSelectionReport::analyze(&topo, &layout, &a);
         let outcome = report.replan(&topo, &TopologyDelta::new(), 1 << 30);
         assert_eq!(outcome.report, report);
@@ -522,7 +518,7 @@ mod tests {
     fn replan_downgrades_spanning_groups_to_flat_ethernet() {
         let topo = presets::same_nic_two_clusters(NicType::InfiniBand, 2);
         let layout = layout_for(&topo, 1, 1);
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         let report = NicSelectionReport::analyze(&topo, &layout, &a);
         assert!(report
             .groups
@@ -542,7 +538,7 @@ mod tests {
         let topo = presets::homogeneous(NicType::InfiniBand, 2);
         // d=1: t=8, p=2 over 16 devices.
         let layout = layout_for(&topo, 8, 2);
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         let report = NicSelectionReport::analyze(&topo, &layout, &a);
         assert_eq!(report.dp_sync_cost_seconds(&topo, 1 << 30), 0.0);
     }

@@ -1,15 +1,9 @@
 //! Pipeline layer partitioning: Uniform vs Self-Adapting (Eq. 2).
-
-/// A strategy distributing `layers` transformer layers over pipeline stages
-/// with (relative) effective speeds `stage_speeds`.
-pub trait PartitionStrategy {
-    /// Layers per stage. Must sum to `layers`; every stage gets at least
-    /// one layer when `layers >= stages`.
-    fn partition(&self, layers: u32, stage_speeds: &[f64]) -> Vec<u32>;
-
-    /// Name for reports.
-    fn name(&self) -> &'static str;
-}
+//!
+//! Both split `layers` transformer layers over pipeline stages with
+//! (relative) effective speeds `stage_speeds`: the result sums to
+//! `layers`, and every stage gets at least one layer when
+//! `layers >= stages`.
 
 /// Traditional uniform partition: `layers / p` each, remainder spread over
 /// the earliest stages (Megatron-LM's default expects divisibility; the
@@ -17,25 +11,22 @@ pub trait PartitionStrategy {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UniformPartition;
 
-impl PartitionStrategy for UniformPartition {
+impl UniformPartition {
+    /// Layers per stage; only the number of speeds matters.
     #[expect(clippy::cast_possible_truncation, reason = "one per pipeline stage")]
-    fn partition(&self, layers: u32, stage_speeds: &[f64]) -> Vec<u32> {
+    pub fn partition(&self, layers: u32, stage_speeds: &[f64]) -> Vec<u32> {
         let p = stage_speeds.len() as u32;
         assert!(p > 0, "at least one stage");
         let base = layers / p;
         let extra = layers % p;
         (0..p).map(|i| base + u32::from(i < extra)).collect()
     }
-
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
 }
 
 /// Self-Adapting Pipeline Partition (§3.1.2, Eq. 2).
 ///
 /// ```
-/// use holmes_parallel::{PartitionStrategy, SelfAdaptingPartition};
+/// use holmes_parallel::SelfAdaptingPartition;
 ///
 /// // Table 1 speeds: S(IB)=197, S(RoCE)=160; α=1.05; 30 layers:
 /// // N_ib = ⌊1.05·197/357·30⌋ = 17, N_roce = 13.
@@ -62,9 +53,13 @@ impl Default for SelfAdaptingPartition {
     }
 }
 
-impl PartitionStrategy for SelfAdaptingPartition {
+impl SelfAdaptingPartition {
+    /// Layers per stage under Eq. 2.
+    ///
+    /// # Panics
+    /// Panics on empty or non-positive `stage_speeds`.
     #[expect(clippy::cast_possible_truncation, reason = "0 <= raw <= layers")]
-    fn partition(&self, layers: u32, stage_speeds: &[f64]) -> Vec<u32> {
+    pub fn partition(&self, layers: u32, stage_speeds: &[f64]) -> Vec<u32> {
         let p = stage_speeds.len();
         assert!(p > 0, "at least one stage");
         assert!(
@@ -105,10 +100,6 @@ impl PartitionStrategy for SelfAdaptingPartition {
         }
         debug_assert_eq!(out.iter().sum::<u32>(), layers);
         out
-    }
-
-    fn name(&self) -> &'static str {
-        "self-adapting"
     }
 }
 

@@ -83,14 +83,14 @@ impl ParallelPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{HolmesScheduler, Scheduler};
+    use crate::scheduler::HolmesScheduler;
     use holmes_topology::presets;
 
     fn plan_on_hybrid() -> (Topology, ParallelPlan) {
         let topo = presets::hybrid_two_cluster(2);
         let degrees = ParallelDegrees::infer_data(1, 2, topo.device_count()).unwrap();
         let layout = GroupLayout::new(degrees);
-        let assignment = HolmesScheduler.assign(&topo, &layout);
+        let assignment = HolmesScheduler::assign(&topo);
         let plan = ParallelPlan::new(layout, assignment, vec![17, 13], true);
         (topo, plan)
     }

@@ -9,7 +9,7 @@
 
 use holmes_topology::{ClusterId, Node, Rank, Topology};
 
-use crate::groups::GroupLayout;
+use crate::search::assignment_for_order;
 
 /// A bijection between logical ranks `0..N` and physical [`Rank`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,33 +145,6 @@ impl DeviceAssignment {
     }
 }
 
-/// A strategy producing a [`DeviceAssignment`] for a topology and layout.
-pub trait Scheduler {
-    /// Compute the assignment.
-    fn assign(&self, topo: &Topology, layout: &GroupLayout) -> DeviceAssignment;
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Megatron-LM's default: logical rank `i` runs on hostfile entry `i`.
-///
-/// Our [`Topology`] enumerates devices cluster-major, so this corresponds
-/// to a well-ordered hostfile; see [`InterleavedScheduler`] for the
-/// adversarial case.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialScheduler;
-
-impl Scheduler for SequentialScheduler {
-    fn assign(&self, topo: &Topology, _layout: &GroupLayout) -> DeviceAssignment {
-        DeviceAssignment::identity(topo.device_count())
-    }
-
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-}
-
 /// An adversarial hostfile: nodes alternate round-robin across clusters.
 ///
 /// NIC-oblivious frameworks accept whatever order the job launcher emits;
@@ -182,9 +155,10 @@ impl Scheduler for SequentialScheduler {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InterleavedScheduler;
 
-impl Scheduler for InterleavedScheduler {
+impl InterleavedScheduler {
+    /// The round-robin assignment over `topo`'s nodes.
     #[expect(clippy::cast_possible_truncation, reason = "fits under MAX_DEVICES")]
-    fn assign(&self, topo: &Topology, _layout: &GroupLayout) -> DeviceAssignment {
+    pub fn assign(topo: &Topology) -> DeviceAssignment {
         // Gather per-cluster node lists (as global node indices).
         let g = topo.gpus_per_node();
         let mut per_cluster: Vec<Vec<u32>> = Vec::new();
@@ -213,10 +187,6 @@ impl Scheduler for InterleavedScheduler {
         }
         DeviceAssignment::from_permutation(device_of)
     }
-
-    fn name(&self) -> &'static str {
-        "interleaved"
-    }
 }
 
 /// The Holmes NIC-aware scheduler (§3.1.2 *Cross-Cluster Pipeline
@@ -244,11 +214,12 @@ impl HolmesScheduler {
     /// topology order).
     ///
     /// Public because this order doubles as the planning stack's *canonical
-    /// relabeling*: the guided and exhaustive planners ([`crate::GuidedPlanner`],
-    /// [`crate::search_cluster_orders`]) break cost ties toward the order that is
-    /// lexicographically smallest after relabeling clusters by their
-    /// position here, so "fastest-first" wins every tie and the heuristic,
-    /// exhaustive, and guided strategies agree on one canonical winner.
+    /// relabeling*: guided synthesis ([`crate::synthesize_placement`]) and
+    /// exhaustive search ([`crate::search_cluster_orders`]) break cost ties
+    /// toward the order that is lexicographically smallest after relabeling
+    /// clusters by their position here, so "fastest-first" wins every tie
+    /// and the heuristic, exhaustive and guided orders agree on one
+    /// canonical winner.
     pub fn cluster_order(topo: &Topology) -> Vec<ClusterId> {
         let mut order: Vec<(f64, f64, usize, u32)> = topo
             .clusters()
@@ -267,19 +238,11 @@ impl HolmesScheduler {
         });
         order.into_iter().map(|(.., i)| ClusterId(i)).collect()
     }
-}
 
-impl Scheduler for HolmesScheduler {
-    fn assign(&self, topo: &Topology, _layout: &GroupLayout) -> DeviceAssignment {
-        let mut device_of = Vec::with_capacity(topo.device_count() as usize);
-        for cluster in Self::cluster_order(topo) {
-            device_of.extend(topo.cluster_ranks(cluster));
-        }
-        DeviceAssignment::from_permutation(device_of)
-    }
-
-    fn name(&self) -> &'static str {
-        "holmes"
+    /// The assignment that concatenates clusters in
+    /// [`HolmesScheduler::cluster_order`].
+    pub fn assign(topo: &Topology) -> DeviceAssignment {
+        assignment_for_order(topo, &Self::cluster_order(topo))
     }
 }
 
@@ -287,6 +250,7 @@ impl Scheduler for HolmesScheduler {
 mod tests {
     use super::*;
     use crate::degrees::ParallelDegrees;
+    use crate::groups::GroupLayout;
     use holmes_topology::{presets, NicType};
 
     fn layout_for(topo: &Topology, t: u32, p: u32) -> GroupLayout {
@@ -313,8 +277,7 @@ mod tests {
     #[test]
     fn rank_map_roundtrips() {
         let topo = presets::hybrid_two_cluster(2);
-        let layout = layout_for(&topo, 1, 2);
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         let text = a.to_rank_map();
         let b = DeviceAssignment::from_rank_map(&text).unwrap();
         assert_eq!(a, b);
@@ -341,18 +304,9 @@ mod tests {
     }
 
     #[test]
-    fn sequential_is_identity() {
-        let topo = presets::hybrid_two_cluster(2);
-        let layout = layout_for(&topo, 1, 2);
-        let a = SequentialScheduler.assign(&topo, &layout);
-        assert_eq!(a, DeviceAssignment::identity(32));
-    }
-
-    #[test]
     fn interleaved_alternates_clusters() {
         let topo = presets::hybrid_two_cluster(2);
-        let layout = layout_for(&topo, 1, 2);
-        let a = InterleavedScheduler.assign(&topo, &layout);
+        let a = InterleavedScheduler::assign(&topo);
         // Logical node order: ib0, roce0, ib1, roce1. Logical ranks 0..8
         // are physical node 0 (IB), 8..16 physical node 2 (first RoCE node).
         assert_eq!(a.device_of(0), Rank(0));
@@ -364,8 +318,7 @@ mod tests {
     #[test]
     fn interleaved_handles_unequal_clusters() {
         let topo = presets::hybrid_split(3, 1);
-        let layout = layout_for(&topo, 1, 2);
-        let a = InterleavedScheduler.assign(&topo, &layout);
+        let a = InterleavedScheduler::assign(&topo);
         // Order: ib0, roce0, ib1, ib2 — permutation must be complete.
         assert_eq!(a.len(), 32);
         let mut devices: Vec<u32> = (0..32).map(|l| a.device_of(l).0).collect();
@@ -381,8 +334,7 @@ mod tests {
             .cluster("ib", 2, NicType::InfiniBand)
             .build()
             .unwrap();
-        let layout = layout_for(&topo, 1, 2);
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         // Logical rank 0 must land on the InfiniBand cluster (devices 16..32).
         assert!(a.device_of(0).0 >= 16);
         assert!(a.device_of(16).0 < 16);
@@ -392,7 +344,7 @@ mod tests {
     fn holmes_stages_align_with_clusters_on_hybrid() {
         let topo = presets::hybrid_two_cluster(2);
         let layout = layout_for(&topo, 1, 2); // t·d = 16 = cluster size
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         for stage in 0..2 {
             let devices: Vec<Rank> = a.map_group(layout.stage_ranks(stage));
             let clusters: std::collections::BTreeSet<u32> = devices
@@ -407,7 +359,7 @@ mod tests {
     fn holmes_three_cluster_stage_alignment() {
         let topo = presets::table4_2r_2ib_2ib();
         let layout = layout_for(&topo, 1, 3); // p=3, t·d=16 per stage
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         for stage in 0..3 {
             let devices: Vec<Rank> = a.map_group(layout.stage_ranks(stage));
             let clusters: std::collections::BTreeSet<u32> = devices
@@ -421,21 +373,13 @@ mod tests {
     #[test]
     fn all_schedulers_produce_permutations() {
         let topo = presets::table4_2r_2r_2ib();
-        let layout = layout_for(&topo, 1, 3);
-        for sched in [
-            &SequentialScheduler as &dyn Scheduler,
-            &InterleavedScheduler,
-            &HolmesScheduler,
+        for (name, a) in [
+            ("interleaved", InterleavedScheduler::assign(&topo)),
+            ("holmes", HolmesScheduler::assign(&topo)),
         ] {
-            let a = sched.assign(&topo, &layout);
             let mut seen: Vec<u32> = (0..a.len()).map(|l| a.device_of(l).0).collect();
             seen.sort();
-            assert_eq!(
-                seen,
-                (0..topo.device_count()).collect::<Vec<_>>(),
-                "{}",
-                sched.name()
-            );
+            assert_eq!(seen, (0..topo.device_count()).collect::<Vec<_>>(), "{name}");
             // Inverse must agree.
             for l in 0..a.len() {
                 assert_eq!(a.logical_of(a.device_of(l)), l);

@@ -8,9 +8,10 @@
 //! a bare `u64` gradient volume standing for the zero-FLOPs workload. One
 //! entry, [`search_cluster_orders`], serves both pricing axes. It provides
 //!
-//! * the **reference oracle** for the guided branch-and-bound planner in
-//!   [`crate::GuidedPlanner`] (the equivalence tests assert the guided search
-//!   returns the bit-identical winner on every small topology);
+//! * the **reference oracle** for the guided branch-and-bound planner,
+//!   [`crate::synthesize_placement`] (the equivalence tests assert the
+//!   guided search returns the bit-identical winner on every small
+//!   topology);
 //! * an optimality check for the heuristic (the test suite proves the
 //!   heuristic matches the exhaustive optimum on every paper topology).
 //!
@@ -24,7 +25,7 @@
 //! swap per step) fills fixed-size chunks that are scored with `par_iter`
 //! and folded in candidate order, so exhaustive search stays
 //! memory-bounded even when `M!` is astronomically large (though at that
-//! scale you want [`crate::GuidedPlanner`] instead). The winner never
+//! scale you want [`crate::synthesize_placement`] instead). The winner never
 //! depends on the thread count: `RAYON_NUM_THREADS=1` scores each chunk
 //! serially in place and gives the same bits.
 
@@ -64,8 +65,8 @@ pub fn assignment_for_order(topo: &Topology, order: &[ClusterId]) -> DeviceAssig
 /// `workload` — each DP group pays its gradient-sync cost *plus* its
 /// compute-straggler skew at the workload's stage FLOPs.
 ///
-/// The heuristic and exhaustive planners score through it. Guided
-/// synthesis, its incumbent included, folds the same per-group
+/// Exhaustive search scores through it. Guided synthesis, its incumbent
+/// included, folds the same per-group
 /// [`crate::DpGroupNic::workload_cost_seconds`] through a memo keyed by
 /// node pattern, so costs stay bit-comparable across strategies.
 pub(crate) fn cost_of_order(
@@ -229,7 +230,7 @@ pub fn search_cluster_orders(
 mod tests {
     use super::*;
     use crate::degrees::ParallelDegrees;
-    use crate::scheduler::{HolmesScheduler, Scheduler};
+    use crate::scheduler::HolmesScheduler;
     use holmes_topology::presets;
 
     const GRAD: u64 = 1 << 32; // 4 GiB, PG-scale
@@ -281,7 +282,7 @@ mod tests {
         ] {
             let layout = layout_for(&topo, 1, p);
             let exhaustive = search_cluster_orders(&topo, &layout, GRAD);
-            let heuristic = HolmesScheduler.assign(&topo, &layout);
+            let heuristic = HolmesScheduler::assign(&topo);
             let heuristic_cost = NicSelectionReport::analyze(&topo, &layout, &heuristic)
                 .dp_sync_cost_seconds(&topo, GRAD);
             assert!(

@@ -30,7 +30,7 @@
 //! stages' calibrated speeds — compute-uniform fleets reproduce the
 //! historical Eq. 2 split bit-for-bit, α and all.
 
-use crate::partition::{PartitionStrategy, SelfAdaptingPartition};
+use crate::partition::SelfAdaptingPartition;
 
 /// What the straggler-aware partition knows about one pipeline stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,15 +46,6 @@ pub struct StageProfile {
 }
 
 impl StageProfile {
-    /// Profile of a stage with no fixed communication term.
-    pub fn compute_only(speed_tflops: f64, sec_per_layer: f64) -> Self {
-        StageProfile {
-            speed_tflops,
-            sec_per_layer,
-            comm_seconds: 0.0,
-        }
-    }
-
     /// The stage's finish time carrying `n` layers.
     fn finish_seconds(&self, n: u32) -> f64 {
         self.comm_seconds + f64::from(n) * self.sec_per_layer
@@ -133,26 +124,6 @@ impl StragglerAwarePartition {
         }
         debug_assert_eq!(out.iter().sum::<u32>(), layers);
         out
-    }
-}
-
-impl PartitionStrategy for StragglerAwarePartition {
-    /// [`PartitionStrategy`] adapter: scalar speeds only, so each stage's
-    /// per-layer time is `1/speed` and communication is zero. Equal-speed
-    /// inputs delegate to Eq. 2 like [`Self::partition_stages`].
-    fn partition(&self, layers: u32, stage_speeds: &[f64]) -> Vec<u32> {
-        let stages: Vec<StageProfile> = stage_speeds
-            .iter()
-            .map(|&s| {
-                assert!(s > 0.0, "stage speeds must be positive");
-                StageProfile::compute_only(s, 1.0 / s)
-            })
-            .collect();
-        self.partition_stages(layers, &stages)
-    }
-
-    fn name(&self) -> &'static str {
-        "straggler-aware"
     }
 }
 
@@ -257,16 +228,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn trait_adapter_reports_and_delegates() {
-        let strategy = StragglerAwarePartition::default();
-        assert_eq!(strategy.name(), "straggler-aware");
-        // Equal scalar speeds → equal sec_per_layer → Eq. 2 delegation.
-        let got = strategy.partition(36, &[10.0, 10.0, 10.0]);
-        let eq2 = SelfAdaptingPartition { alpha: 1.05 }.partition(36, &[10.0, 10.0, 10.0]);
-        assert_eq!(got, eq2);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   every data-parallel group whose members all fall below `n`. The
 //!   state carries that pinned assignment and the exact cost of each
 //!   determined group (the "NIC assignment so far"); degrees and the
-//!   partition α enter one level up, where [`Planner`] callers fix the
+//!   partition α enter one level up, where callers fix the
 //!   [`GroupLayout`] per candidate `(t, p)`.
 //! * **Bound** — the plan cost is a max-fold of per-group costs under one
 //!   [`PlacementWorkload`] — gradient sync plus compute-straggler skew
@@ -60,9 +60,7 @@ use holmes_topology::{Cluster, ClusterId, Rank, Topology};
 use crate::groups::GroupLayout;
 use crate::nic_selection::DpGroupNic;
 use crate::scheduler::HolmesScheduler;
-use crate::search::{
-    assignment_for_order, cost_of_order, search_cluster_orders, PlacementSearchResult,
-};
+use crate::search::{assignment_for_order, PlacementSearchResult};
 use crate::skew::PlacementWorkload;
 
 /// Position of every cluster in the canonical fastest-first order:
@@ -559,80 +557,18 @@ pub fn synthesize_placement(
     }
 }
 
-/// A placement-planning strategy: topology + layout + [`PlacementWorkload`]
-/// → a complete cluster order, device assignment, and analytic cost. The
-/// three strategies — heuristic, exhaustive, guided — share the scoring
-/// path ([`crate::NicSelectionReport::dp_sync_cost_seconds`]) and the
-/// canonical tie-break, so they agree bit-for-bit wherever their coverage
-/// overlaps; they differ only in how much of the order space they
-/// certify.
-pub trait Planner {
-    /// Produce a placement for `layout` on `topo`, pricing each
-    /// data-parallel group's gradient sync plus its compute-straggler skew
-    /// under `workload`. Gradient-only planning passes
-    /// `gradient_bytes.into()`, the zero-FLOPs workload.
-    fn plan_workload(
-        &self,
-        topo: &Topology,
-        layout: &GroupLayout,
-        workload: PlacementWorkload,
-    ) -> PlacementSearchResult;
-
-    /// Strategy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// The fastest-first heuristic as a [`Planner`]: no search, one candidate
-/// — [`HolmesScheduler::cluster_order`] scored by the shared cost path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HeuristicPlanner;
-
-impl Planner for HeuristicPlanner {
-    fn plan_workload(
-        &self,
-        topo: &Topology,
-        layout: &GroupLayout,
-        workload: PlacementWorkload,
-    ) -> PlacementSearchResult {
-        let order = HolmesScheduler::cluster_order(topo);
-        let cost = cost_of_order(topo, layout, &order, workload);
-        result_for(topo, order, cost, 1)
-    }
-
-    fn name(&self) -> &'static str {
-        "heuristic"
-    }
-}
-
-/// Exhaustive enumeration as a [`Planner`] — the reference oracle. Scores
-/// all `M!` orders against the planning workload via
-/// [`crate::search_cluster_orders`]; only usable at small `M`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExhaustivePlanner;
-
-impl Planner for ExhaustivePlanner {
-    fn plan_workload(
-        &self,
-        topo: &Topology,
-        layout: &GroupLayout,
-        workload: PlacementWorkload,
-    ) -> PlacementSearchResult {
-        search_cluster_orders(topo, layout, workload)
-    }
-
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-}
-
-/// Guided branch-and-bound synthesis as a [`Planner`] — the production
-/// path: returns the exhaustive oracle's exact winner without enumerating
-/// `M!` orders, and scales to fleets where enumeration cannot go.
+/// Guided branch-and-bound synthesis behind a unit type: returns the
+/// exhaustive oracle's exact winner without enumerating `M!` orders, and
+/// scales to fleets where enumeration cannot go. The type exists because
+/// the end-to-end benchmark (`holmes_e2e`) calls
+/// [`GuidedPlanner::plan_workload_with_stats`] and passes `&GuidedPlanner`
+/// to [`crate::replan_for_delta`]; everything else calls
+/// [`synthesize_placement`] directly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GuidedPlanner;
 
 impl GuidedPlanner {
-    /// [`Planner::plan_workload`] plus the search statistics
+    /// [`synthesize_placement`]: the placement plus the search statistics
     /// (expanded/pruned node counts — deterministic per topology).
     pub fn plan_workload_with_stats(
         &self,
@@ -644,27 +580,12 @@ impl GuidedPlanner {
     }
 }
 
-impl Planner for GuidedPlanner {
-    fn plan_workload(
-        &self,
-        topo: &Topology,
-        layout: &GroupLayout,
-        workload: PlacementWorkload,
-    ) -> PlacementSearchResult {
-        synthesize_placement(topo, layout, workload).0
-    }
-
-    fn name(&self) -> &'static str {
-        "guided"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::degrees::ParallelDegrees;
     use crate::nic_selection::NicSelectionReport;
-    use crate::scheduler::Scheduler;
+    use crate::search::{cost_of_order, search_cluster_orders};
     use holmes_topology::{presets, NicType};
 
     const GRAD: u64 = 1 << 32; // 4 GiB, PG-scale
@@ -751,25 +672,20 @@ mod tests {
     }
 
     #[test]
-    fn planner_strategies_agree_on_small_topologies() {
-        let topo = presets::table4_2r_2r_2ib();
-        let layout = layout_for(&topo, 1, 3);
-        let strategies: [&dyn Planner; 3] = [&HeuristicPlanner, &ExhaustivePlanner, &GuidedPlanner];
-        let results: Vec<PlacementSearchResult> = strategies
-            .iter()
-            .map(|s| s.plan_workload(&topo, &layout, GRAD.into()))
-            .collect();
+    fn heuristic_exhaustive_and_guided_agree_on_small_topologies() {
         // All three agree here because the heuristic is optimal on the
         // aligned paper presets; the guided/exhaustive pair must agree
         // everywhere.
-        for r in &results[1..] {
-            assert_eq!(r.cluster_order, results[0].cluster_order);
-            assert_eq!(r.cost_seconds.to_bits(), results[0].cost_seconds.to_bits());
+        let topo = presets::table4_2r_2r_2ib();
+        let layout = layout_for(&topo, 1, 3);
+        let heuristic = HolmesScheduler::cluster_order(&topo);
+        let heuristic_cost = cost_of_order(&topo, &layout, &heuristic, GRAD.into());
+        let exhaustive = search_cluster_orders(&topo, &layout, GRAD);
+        let (guided, _) = synthesize_placement(&topo, &layout, GRAD);
+        for r in [&exhaustive, &guided] {
+            assert_eq!(r.cluster_order, heuristic);
+            assert_eq!(r.cost_seconds.to_bits(), heuristic_cost.to_bits());
         }
-        assert_eq!(
-            strategies.map(|s| s.name()),
-            ["heuristic", "exhaustive", "guided"]
-        );
     }
 
     #[test]
@@ -913,6 +829,5 @@ mod tests {
             forward.to_bits(),
             report.dp_sync_cost_seconds(&topo, GRAD).to_bits()
         );
-        let _ = HolmesScheduler.assign(&topo, &layout);
     }
 }

@@ -15,7 +15,7 @@ use holmes_analysis::{verify_plan, verify_replan_progress};
 use holmes_netsim::algo::CollKind;
 use holmes_parallel::{
     replan_for_delta, DpCollectiveAlgo, GroupLayout, GuidedPlanner, HolmesScheduler,
-    MigrationCosts, ParallelDegrees, ParallelPlan, Scheduler, TopologyDelta,
+    MigrationCosts, ParallelDegrees, ParallelPlan, TopologyDelta,
 };
 use holmes_topology::{presets, Topology};
 
@@ -23,7 +23,7 @@ const GRAD: u64 = 1 << 30;
 
 fn plan_on(topo: &Topology, t: u32, p: u32) -> ParallelPlan {
     let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, topo.device_count()).unwrap());
-    let assignment = HolmesScheduler.assign(topo, &layout);
+    let assignment = HolmesScheduler::assign(topo);
     let per_stage = vec![4u32; p as usize];
     ParallelPlan::new(layout, assignment, per_stage, true)
 }

@@ -8,7 +8,7 @@
 //! cargo run --release --example paper_walkthrough
 //! ```
 
-use holmes_repro::parallel::{GroupLayout, HolmesScheduler, ParallelDegrees, Scheduler};
+use holmes_repro::parallel::{GroupLayout, HolmesScheduler, ParallelDegrees};
 use holmes_repro::topology::{LinkKind, NicType, Rank, TopologyBuilder};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     // Figure 2's parallelism: d=2, t=2, p=4 over N=16 devices.
     let degrees = ParallelDegrees::new(2, 4, 2, topo.device_count()).expect("valid degrees");
     let layout = GroupLayout::new(degrees);
-    let assignment = HolmesScheduler.assign(&topo, &layout);
+    let assignment = HolmesScheduler::assign(&topo);
 
     // Print the three group matrices (1-based, as the paper writes them).
     let print_groups = |name: &str, groups: Vec<Vec<u32>>| {

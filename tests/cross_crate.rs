@@ -9,7 +9,7 @@
 
 use holmes_repro::engine::{execute, CollKind, CollectiveSpec, ExecutionSpec, TransportPolicy};
 use holmes_repro::netsim::collective::ring_link;
-use holmes_repro::parallel::{GroupLayout, HolmesScheduler, ParallelDegrees, Scheduler};
+use holmes_repro::parallel::{GroupLayout, HolmesScheduler, ParallelDegrees};
 use holmes_repro::topology::{presets, NicType, Rank};
 
 /// Simulated ring all-reduce time must match its schedule folded over the
@@ -68,13 +68,13 @@ fn hierarchical_allreduce_wins_for_spanning_dp_groups() {
     use holmes_repro::engine::{simulate_iteration, DpSyncStrategy, EngineConfig};
     use holmes_repro::model::ParameterGroup;
     use holmes_repro::parallel::{
-        DpCollectiveAlgo, NicSelectionReport, ParallelPlan, PartitionStrategy, UniformPartition,
+        DpCollectiveAlgo, NicSelectionReport, ParallelPlan, UniformPartition,
     };
     let topo = presets::same_nic_two_clusters(NicType::InfiniBand, 2);
     let pg = ParameterGroup::table2(1);
     let degrees = ParallelDegrees::infer_data(1, 1, topo.device_count()).unwrap();
     let layout = GroupLayout::new(degrees);
-    let assignment = HolmesScheduler.assign(&topo, &layout);
+    let assignment = HolmesScheduler::assign(&topo);
 
     // The planner-side analysis picks the two-level algorithm for the
     // single DP group, which spans both clusters.
@@ -137,7 +137,7 @@ fn analytic_dp_cost_ranks_like_simulation() {
         let topo = presets::homogeneous(nic, 4);
         let degrees = ParallelDegrees::infer_data(1, 2, topo.device_count()).unwrap();
         let layout = GroupLayout::new(degrees);
-        let assignment = HolmesScheduler.assign(&topo, &layout);
+        let assignment = HolmesScheduler::assign(&topo);
         let report =
             holmes_repro::parallel::NicSelectionReport::analyze(&topo, &layout, &assignment);
         analytic.push(report.dp_sync_cost_seconds(&topo, grad_bytes));
@@ -195,12 +195,12 @@ fn end_to_end_determinism() {
 fn every_device_gets_a_program_and_a_finish_time() {
     use holmes_repro::engine::{build_iteration, EngineConfig};
     use holmes_repro::model::ParameterGroup;
-    use holmes_repro::parallel::{ParallelPlan, PartitionStrategy, UniformPartition};
+    use holmes_repro::parallel::{ParallelPlan, UniformPartition};
     let topo = presets::table4_2r_2ib_2ib();
     let pg = ParameterGroup::table2(5);
     let degrees = ParallelDegrees::infer_data(1, 3, topo.device_count()).unwrap();
     let layout = GroupLayout::new(degrees);
-    let assignment = HolmesScheduler.assign(&topo, &layout);
+    let assignment = HolmesScheduler::assign(&topo);
     let layers = UniformPartition.partition(36, &[1.0, 1.0, 1.0]);
     let plan = ParallelPlan::new(layout, assignment, layers, true);
     let spec = build_iteration(&topo, &plan, &pg.job(), &EngineConfig::default()).unwrap();

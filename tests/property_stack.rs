@@ -9,7 +9,7 @@ use holmes_repro::model::{GptConfig, TrainJob};
 use holmes_repro::parallel::DeviceAssignment;
 use holmes_repro::parallel::{
     GroupLayout, HolmesScheduler, InterleavedScheduler, ParallelDegrees, ParallelPlan,
-    PartitionStrategy, Scheduler, SelfAdaptingPartition, SequentialScheduler, UniformPartition,
+    SelfAdaptingPartition, UniformPartition,
 };
 use holmes_repro::topology::{
     presets, Cluster, ClusterId, DeviceCoord, GpuProfile, NicProfile, NicType, Node, Rank,
@@ -165,8 +165,6 @@ proptest! {
         ib_nodes in 1u32..=3,
         roce_nodes in 1u32..=3,
         gpus in prop::sample::select(vec![2u32, 4, 8]),
-        t in 1u32..=2,
-        p in 1u32..=2,
     ) {
         let topo = TopologyBuilder::new()
             .cluster("ib", ib_nodes, NicType::InfiniBand)
@@ -175,14 +173,11 @@ proptest! {
             .build()
             .unwrap();
         let n = topo.device_count();
-        prop_assume!(n % (t * p) == 0);
-        let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
-        for scheduler in [
-            &HolmesScheduler as &dyn Scheduler,
-            &SequentialScheduler,
-            &InterleavedScheduler,
+        for a in [
+            HolmesScheduler::assign(&topo),
+            DeviceAssignment::identity(n),
+            InterleavedScheduler::assign(&topo),
         ] {
-            let a = scheduler.assign(&topo, &layout);
             let mut devices: Vec<u32> = (0..n).map(|l| a.device_of(l).0).collect();
             devices.sort_unstable();
             prop_assert_eq!(devices, (0..n).collect::<Vec<_>>());
@@ -241,7 +236,7 @@ proptest! {
         let n = topo.device_count();
         prop_assume!(n.is_multiple_of(t * 2));
         let layout = GroupLayout::new(ParallelDegrees::infer_data(t, 2, n).unwrap());
-        let a = HolmesScheduler.assign(&topo, &layout);
+        let a = HolmesScheduler::assign(&topo);
         for g in 0..layout.dp_group_count() {
             let devices: Vec<Rank> = layout
                 .dp_group(g)
@@ -355,7 +350,7 @@ proptest! {
         let d = n / p;
         prop_assume!(job.microbatches_per_replica(d).is_some());
         let layout = GroupLayout::new(ParallelDegrees::infer_data(1, p, n).unwrap());
-        let assignment = HolmesScheduler.assign(&topo, &layout);
+        let assignment = HolmesScheduler::assign(&topo);
         let layers = UniformPartition.partition(12, &vec![1.0; p as usize]);
         let plan = ParallelPlan::new(layout, assignment, layers, true);
         let (report, metrics) =
@@ -477,7 +472,7 @@ proptest! {
             ..EngineConfig::default()
         };
         let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
-        let assignment = HolmesScheduler.assign(&topo, &layout);
+        let assignment = HolmesScheduler::assign(&topo);
         let layers = UniformPartition.partition(8, &vec![1.0; p as usize]);
         let plan = ParallelPlan::new(layout, assignment, layers, true);
         let spec = build_iteration(&topo, &plan, &job, &cfg).unwrap();
@@ -574,7 +569,7 @@ proptest! {
         mb in 1u64..64,
     ) {
         use holmes_repro::analysis::verify_plan;
-        use holmes_repro::parallel::{GuidedPlanner, Planner};
+        use holmes_repro::parallel::synthesize_placement;
         let mut builder = TopologyBuilder::new();
         for (i, (nodes, nic)) in spec.iter().enumerate() {
             builder = builder.cluster(format!("c{i}"), *nodes, *nic);
@@ -583,7 +578,7 @@ proptest! {
         let n = topo.device_count();
         prop_assume!(n.is_multiple_of(t * p));
         let layout = GroupLayout::new(ParallelDegrees::infer_data(t, p, n).unwrap());
-        let result = GuidedPlanner.plan_workload(&topo, &layout, (mb << 20).into());
+        let (result, _) = synthesize_placement(&topo, &layout, mb << 20);
         let total_layers = 24u32;
         let speeds = vec![1.0; p as usize];
         let stage_layers = UniformPartition.partition(total_layers, &speeds);
@@ -1202,12 +1197,11 @@ proptest! {
             micro_batch: 1,
             global_batch: 4 * layout.degrees().data,
         };
-        let assignment = [
-            &HolmesScheduler as &dyn Scheduler,
-            &SequentialScheduler,
-            &InterleavedScheduler,
-        ][scheduler]
-            .assign(&topo, &layout);
+        let assignment = match scheduler {
+            0 => HolmesScheduler::assign(&topo),
+            1 => DeviceAssignment::identity(n),
+            _ => InterleavedScheduler::assign(&topo),
+        };
         let stage_layers = UniformPartition.partition(layers, &vec![1.0; p as usize]);
         let plan = ParallelPlan::new(layout, assignment, stage_layers.clone(), true);
         let cfg = EngineConfig {

@@ -17,7 +17,7 @@
 )]
 
 use holmes_repro::engine::DpSyncStrategy;
-use holmes_repro::parallel::{GroupLayout, GuidedPlanner, ParallelDegrees, Planner};
+use holmes_repro::parallel::{synthesize_placement, GroupLayout, ParallelDegrees};
 use holmes_repro::topology::presets;
 use holmes_repro::{run_resilient, FaultPreset, ReliabilityModel};
 
@@ -149,7 +149,7 @@ fn preemption_re_shard_is_deterministic_and_converges_to_a_fresh_plan() {
         cfg.parameter_count() / u64::from(degrees.pipeline),
         degrees.tensor,
     );
-    let fresh = GuidedPlanner.plan_workload(&replan.new_topology, &layout, grad.into());
+    let (fresh, _) = synthesize_placement(&replan.new_topology, &layout, grad);
     assert_eq!(replan.placement.assignment, fresh.assignment);
     assert_eq!(replan.placement.cluster_order, fresh.cluster_order);
     assert_eq!(replan.placement.cost_seconds, fresh.cost_seconds);
